@@ -1,6 +1,6 @@
 # Convenience targets; everything works without make too (see README).
 
-.PHONY: install test test-fast test-chaos test-procexec test-shm test-recovery test-tcp test-engine test-service test-service-recovery test-spatial fsck-smoke bench repro docs docs-check clean
+.PHONY: install test test-fast test-chaos test-procexec test-recovery test-tcp test-engine test-service test-service-recovery test-spatial fsck-smoke bench bench-smoke repro docs docs-check clean
 
 install:
 	pip install -e .
@@ -20,11 +20,6 @@ test-chaos:
 # tests keep world sizes small (<= 4 ranks) to stay fast on shared runners.
 test-procexec:
 	pytest tests/ -m procexec
-
-# Shared-memory transport: pool unit tests plus the thread/process/shm
-# parity runs and their /dev/shm leak checks.
-test-shm:
-	pytest tests/ -m shm
 
 # Self-healing runs: worker respawn under real process kills, supervised
 # restarts from torn checkpoints, and SIGKILL-mid-checkpoint recovery.
@@ -64,6 +59,11 @@ test-spatial:
 
 bench:
 	pytest benchmarks/ --benchmark-only
+
+# The end-to-end benchmark's own smoke test (bench/ sits outside tier-1's
+# testpaths): every probe and workload once, against the current API.
+bench-smoke:
+	python3 -m pytest bench/ -q
 
 # Regenerate every paper artefact into reproduction/ (fast set; add
 # INCLUDE_SLOW=1 for the multi-minute science studies).

@@ -1,9 +1,8 @@
 """Full-generation throughput: bit-packed batch kernel vs the reference engine.
 
-ROADMAP item 2's gate: after the shm transport work (BENCH_shm.json) the
-bottleneck moved back into ``repro.game``, and the fix is to play an SSet's
-whole round-robin of 200-round matchups as one batched bit-packed kernel
-call.  This bench times exactly that workload — a 32-strategy generation
+The bottleneck of an eager generation is ``repro.game``, and the fix is to
+play an SSet's whole round-robin of 200-round matchups as one batched
+bit-packed kernel call.  This bench times exactly that workload — a 32-strategy generation
 (496 games x 200 rounds) at memory 1/3/6 — through three engines:
 
 * the scalar reference engine (``play_ipd``, one Python call per game),
@@ -11,8 +10,8 @@ call.  This bench times exactly that workload — a 32-strategy generation
 * the bit-packed ``BatchEngine`` (uint64 lane per matchup).
 
 Results land in ``benchmarks/output/engine_speedup.txt`` and machine-readably
-in ``BENCH_engine.json`` at the repo root (same shape as ``BENCH_shm.json``;
-``docs/kernels.md`` explains how to read it).  The acceptance gate asserts
+in ``BENCH_engine.json`` at the repo root (``docs/kernels.md`` explains how
+to read it).  The acceptance gate asserts
 the batch kernel beats the reference engine by >= 10x at memory-6; parity
 (bit-identical fitness) is asserted inline on every measured configuration.
 """

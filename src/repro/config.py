@@ -26,8 +26,6 @@ PCRule = Literal["paper", "fermi"]
 StrategyKind = Literal["pure", "mixed"]
 FitnessMode = Literal["auto", "sampled", "expected"]
 MutationDistribution = Literal["uniform", "ushaped"]
-EngineKind = Literal["auto", "vector", "batch"]
-EngineJit = Literal["auto", "on", "off"]
 
 
 @dataclass(frozen=True)
@@ -89,18 +87,6 @@ class SimulationConfig:
         play, at Θ(rounds x 4^memory) per pair.
     seed:
         Root seed for every random stream in the run.
-    engine:
-        Which tournament engine plays the games: ``"vector"`` (dense
-        :class:`~repro.game.vector_engine.VectorEngine`), ``"batch"``
-        (bit-packed :class:`~repro.game.batch_engine.BatchEngine`) or
-        ``"auto"`` (default), which picks ``"batch"`` for pure populations
-        and ``"vector"`` for mixed ones.  All engines produce bit-identical
-        fitness and share the fingerprint/FitnessCache contract, so this is
-        purely a performance knob — see docs/kernels.md.
-    engine_jit:
-        Kernel selection inside the batch engine: ``"auto"`` compiles with
-        numba when available (NumPy otherwise), ``"on"`` requires numba,
-        ``"off"`` pins the pure NumPy kernel.  Ignored by ``"vector"``.
     """
 
     memory: int = 1
@@ -120,8 +106,6 @@ class SimulationConfig:
     use_fitness_cache: bool = True
     fitness_mode: FitnessMode = "auto"
     seed: int = 0
-    engine: EngineKind = "auto"
-    engine_jit: EngineJit = "auto"
 
     def __post_init__(self) -> None:
         if not 1 <= self.memory <= MAX_MEMORY:
@@ -155,14 +139,6 @@ class SimulationConfig:
             )
         if not isinstance(self.seed, (int, np.integer)):
             raise ConfigError(f"seed must be an int, got {type(self.seed).__name__}")
-        if self.engine not in ("auto", "vector", "batch"):
-            raise ConfigError(
-                f"engine must be 'auto', 'vector' or 'batch', got {self.engine}"
-            )
-        if self.engine_jit not in ("auto", "on", "off"):
-            raise ConfigError(
-                f"engine_jit must be 'auto', 'on' or 'off', got {self.engine_jit}"
-            )
 
     # -- derived quantities ------------------------------------------------
 
@@ -211,18 +187,6 @@ class SimulationConfig:
         if self.fitness_mode == "sampled":
             return "sampled"
         return "deterministic" if self.deterministic_games else "sampled"
-
-    @property
-    def resolved_engine(self) -> str:
-        """The engine kind after resolving ``"auto"``: ``"vector"`` or ``"batch"``.
-
-        ``"auto"`` prefers the bit-packed batch kernel for pure populations
-        (where there is a bit to pack); mixed populations stay on the dense
-        vector path, which the batch engine would delegate to anyway.
-        """
-        if self.engine != "auto":
-            return self.engine
-        return "batch" if self.strategy_kind == "pure" else "vector"
 
     def with_updates(self, **changes: object) -> "SimulationConfig":
         """Return a copy with the given fields replaced (validated anew)."""

@@ -32,7 +32,7 @@ __all__ = [
 SLOW_EXPERIMENTS = {"fig2", "memory-cooperation", "ablation-lookup", "wsls-robustness"}
 
 #: Experiments that actually consume the ``run`` scale flags
-#: (--n-ssets/--generations/--seed/--engine).  Passing those flags to any
+#: (--n-ssets/--generations/--seed).  Passing those flags to any
 #: other experiment is an error, not a silent no-op.
 CONFIG_FLAG_EXPERIMENTS = {"fig2"}
 
@@ -41,7 +41,6 @@ _SCALE_FLAGS = (
     ("n_ssets", "--n-ssets"),
     ("generations", "--generations"),
     ("seed", "--seed"),
-    ("engine", "--engine"),
 )
 
 
@@ -60,12 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--n-ssets", type=int, default=None, help="population size (fig2)")
     run.add_argument("--generations", type=int, default=None, help="generations (fig2)")
     run.add_argument("--seed", type=int, default=None, help="random seed (fig2)")
-    run.add_argument(
-        "--engine",
-        choices=("auto", "vector", "batch"),
-        default=None,
-        help="game engine for config-driven runs (fig2); see docs/kernels.md",
-    )
 
     everything = sub.add_parser(
         "all", help="regenerate every fast artefact into a directory"

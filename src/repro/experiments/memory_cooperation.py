@@ -24,7 +24,7 @@ import numpy as np
 from repro.analysis.report import render_table
 from repro.config import SimulationConfig
 from repro.errors import ExperimentError
-from repro.game.batch_engine import make_engine
+from repro.game.batch_engine import BatchEngine
 from repro.game.noise import NoiseModel
 from repro.population.dynamics import EvolutionDriver
 
@@ -72,9 +72,8 @@ class MemoryCooperationResult:
 def _played_cooperation(population, config: SimulationConfig, seed: int) -> float:
     """Cooperation rate of the final population's full round robin."""
     matrix = population.matrix()
-    engine = make_engine(config.space, payoff=config.payoff,
-                         rounds=config.rounds, noise=config.noise,
-                         kind=config.resolved_engine, jit=config.engine_jit)
+    engine = BatchEngine(config.space, payoff=config.payoff,
+                         rounds=config.rounds, noise=config.noise)
     ia, ib = engine.round_robin_pairs(matrix.shape[0])
     result = engine.play(
         matrix, ia, ib, rng=np.random.default_rng(seed), record_cooperation=True

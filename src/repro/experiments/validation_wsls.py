@@ -84,7 +84,6 @@ def wsls_validation_config(
     seed: int = 2,
     noise_rate: float = 0.02,
     mutation_rate: float = 0.02,
-    engine: str = "auto",
 ) -> SimulationConfig:
     """The scaled validation configuration.
 
@@ -110,7 +109,6 @@ def wsls_validation_config(
         beta=0.1,
         noise=NoiseModel(noise_rate),
         seed=seed,
-        engine=engine,  # type: ignore[arg-type]
     )
 
 

@@ -12,7 +12,7 @@ This subpackage implements everything the paper's *game dynamics* layer needs:
 * :mod:`repro.game.engine` — scalar reference IPD engine.
 * :mod:`repro.game.lookup_engine` — paper-faithful linear state-search engine.
 * :mod:`repro.game.vector_engine` — vectorised many-pair tournament engine.
-* :mod:`repro.game.batch_engine` — bit-packed batched kernel (NumPy/numba).
+* :mod:`repro.game.batch_engine` — bit-packed batched kernel.
 * :mod:`repro.game.fitness_cache` — memoised pair fitness for deterministic play.
 * :mod:`repro.game.markov` — exact expected payoffs via the joint-state chain.
 * :mod:`repro.game.tournament` — Axelrod-style round-robin tournaments.

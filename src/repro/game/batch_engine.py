@@ -18,14 +18,12 @@ one **byte** per player per round out of a densely materialised
   per-round move read is a register shift with **no gather at all**;
 * accumulates integer-payoff fitness as exact integer move counts
   (defections, opponent defections, mutual defections) and applies the
-  payoff matrix once at the end — the inner loop never touches a float;
-* optionally compiles the whole loop nest with numba (feature flag; pure
-  NumPy fallback when numba is absent).
+  payoff matrix once at the end — the inner loop never touches a float.
 
 Identity contracts, both enforced by the parity suite
 (``tests/game/test_engine_parity.py``):
 
-* **bit-identical fitness** — every kernel returns exactly the payoffs of
+* **bit-identical fitness** — the kernel returns exactly the payoffs of
   the scalar reference engine and of ``VectorEngine``, with and without
   noise, for memory one through six;
 * **fingerprint compatibility** — :meth:`BatchEngine.fingerprint` equals
@@ -42,8 +40,6 @@ integer accumulation, and how to read ``BENCH_engine.json``.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -64,21 +60,7 @@ __all__ = [
     "BatchEngine",
     "pack_matrix",
     "make_engine",
-    "NUMBA_AVAILABLE",
-    "JIT_ENV_VAR",
 ]
-
-#: Environment variable consulted when ``jit="auto"``: set to ``on``/``1``
-#: to require the compiled kernel, ``off``/``0`` to pin the NumPy kernel.
-JIT_ENV_VAR = "REPRO_BATCH_JIT"
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba as _numba
-
-    NUMBA_AVAILABLE = True
-except Exception:  # pragma: no cover - ImportError or a broken install
-    _numba = None
-    NUMBA_AVAILABLE = False
 
 
 def pack_matrix(space: StateSpace, tables: np.ndarray) -> np.ndarray:
@@ -102,99 +84,6 @@ def pack_matrix(space: StateSpace, tables: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(packed_bytes).view("<u8")
 
 
-def _resolve_jit(jit: object) -> bool:
-    """Map the ``jit`` feature flag (plus environment) to use-numba yes/no."""
-    if jit is True:
-        jit = "on"
-    elif jit is False:
-        jit = "off"
-    elif jit is None:
-        jit = "auto"
-    if jit not in ("auto", "on", "off"):
-        raise GameError(f"jit must be 'auto', 'on' or 'off', got {jit!r}")
-    if jit == "auto":
-        env = os.environ.get(JIT_ENV_VAR, "").strip().lower()
-        if env in ("on", "1", "true", "yes"):
-            jit = "on"
-        elif env in ("off", "0", "false", "no"):
-            jit = "off"
-    if jit == "on":
-        if not NUMBA_AVAILABLE:
-            raise GameError(
-                "the compiled batch kernel was requested (jit='on' or"
-                f" {JIT_ENV_VAR}=on) but numba is not installed;"
-                " install numba or use jit='auto'/'off'"
-            )
-        return True
-    if jit == "off":
-        return False
-    return NUMBA_AVAILABLE
-
-
-_JIT_KERNEL = None
-
-
-def _get_jit_kernel():  # pragma: no cover - requires numba
-    """Compile (once) and return the numba round-loop kernel."""
-    global _JIT_KERNEL
-    if _JIT_KERNEL is None:
-        from numba import njit
-
-        @njit(nogil=True)
-        def kernel(
-            flat,  # packed matrix, flattened: uint64[n_strategies * n_words]
-            n_words,
-            mask,  # uint64 state mask
-            ia,
-            ib,
-            rounds,
-            use_flips,
-            flips_a,  # bool[rounds, n_games] execution errors (may be empty)
-            flips_b,
-            int_path,
-            pay_mine,  # float64[4] flattened payoff, index (my << 1) | opp
-            pay_theirs,
-            da,  # int64[n_games] out: my defections
-            db,  # int64[n_games] out: opponent defections
-            dab,  # int64[n_games] out: mutual defections
-            fit_a,  # float64[n_games] out (float accumulation path only)
-            fit_b,
-        ):
-            u1 = np.uint64(1)
-            u2 = np.uint64(2)
-            u6 = np.uint64(6)
-            u63 = np.uint64(63)
-            n_games = ia.shape[0]
-            for g in range(n_games):
-                sa = np.uint64(0)
-                sb = np.uint64(0)
-                base_a = ia[g] * n_words
-                base_b = ib[g] * n_words
-                for r in range(rounds):
-                    wa = flat[base_a + np.int64(sa >> u6)]
-                    wb = flat[base_b + np.int64(sb >> u6)]
-                    a = (wa >> (sa & u63)) & u1
-                    b = (wb >> (sb & u63)) & u1
-                    if use_flips:
-                        if flips_a[r, g]:
-                            a ^= u1
-                        if flips_b[r, g]:
-                            b ^= u1
-                    da[g] += np.int64(a)
-                    db[g] += np.int64(b)
-                    if int_path:
-                        dab[g] += np.int64(a & b)
-                    else:
-                        j = np.int64((a << u1) | b)
-                        fit_a[g] += pay_mine[j]
-                        fit_b[g] += pay_theirs[j]
-                    sa = ((sa << u2) | (a << u1) | b) & mask
-                    sb = ((sb << u2) | (b << u1) | a) & mask
-
-        _JIT_KERNEL = kernel
-    return _JIT_KERNEL
-
-
 class BatchEngine(VectorEngine):
     """Plays batches of IPD games over a bit-packed strategy matrix.
 
@@ -210,13 +99,6 @@ class BatchEngine(VectorEngine):
     ----------
     space, payoff, rounds, noise:
         As for :class:`~repro.game.vector_engine.VectorEngine`.
-    jit:
-        Feature flag for the numba-compiled kernel.  ``"auto"`` (default)
-        compiles when numba is importable, else falls back to the pure
-        NumPy kernel; the :data:`JIT_ENV_VAR` environment variable can pin
-        the auto choice.  ``"on"`` requires numba (raises
-        :class:`~repro.errors.GameError` when absent); ``"off"`` always
-        uses NumPy.  ``True``/``False`` are accepted aliases.
 
     Notes
     -----
@@ -236,10 +118,8 @@ class BatchEngine(VectorEngine):
         payoff: PayoffMatrix = PAPER_PAYOFFS,
         rounds: int = DEFAULT_ROUNDS,
         noise: NoiseModel = NO_NOISE,
-        jit: object = "auto",
     ) -> None:
         super().__init__(space, payoff=payoff, rounds=rounds, noise=noise)
-        self._use_numba = _resolve_jit(jit)
         pay = np.asarray(payoff.table, dtype=np.float64)
         # Integer payoffs allow exact count-based accumulation: every partial
         # sum stays an exactly-representable integer, so summation order
@@ -257,10 +137,9 @@ class BatchEngine(VectorEngine):
             self._lin_mine = (p00, p10 - p00, p01 - p00, cross)
             self._lin_theirs = (p00, p01 - p00, p10 - p00, cross)
 
-    @property
-    def kernel(self) -> str:
-        """Which pure-strategy kernel this engine runs: ``numba`` or ``numpy``."""
-        return "numba" if self._use_numba else "numpy"
+    # Constant: the frozen bench/meta.py reads it into its machine record;
+    # a later `benchmark` issue removes the attribute together with that read.
+    kernel = "numpy"
 
     # -- main entry ---------------------------------------------------------
 
@@ -306,10 +185,7 @@ class BatchEngine(VectorEngine):
         trace_t0 = tracer.now() if tracer.enabled else 0.0
 
         packed = pack_matrix(self.space, mat)
-        if self._use_numba:
-            da, db, dab, fit_a, fit_b = self._run_numba(packed, ia, ib, rng)
-        else:
-            da, db, dab, fit_a, fit_b = self._run_numpy(packed, ia, ib, rng)
+        da, db, dab, fit_a, fit_b = self._run_numpy(packed, ia, ib, rng)
 
         if self._int_payoffs:
             rounds = np.int64(self.rounds)
@@ -324,11 +200,7 @@ class BatchEngine(VectorEngine):
             tracer.complete(
                 "batch_engine.play", cat="game", ts=trace_t0,
                 dur=tracer.now() - trace_t0,
-                args={
-                    "games": int(n_games),
-                    "rounds": self.rounds,
-                    "kernel": self.kernel,
-                },
+                args={"games": int(n_games), "rounds": self.rounds},
             )
         empty = np.empty(0, dtype=np.int64)
         return BatchResult(
@@ -339,7 +211,7 @@ class BatchEngine(VectorEngine):
             cooperations_b=(self.rounds - db) if record_cooperation else empty,
         )
 
-    # -- kernels ------------------------------------------------------------
+    # -- kernel -------------------------------------------------------------
 
     def _run_numpy(self, packed, ia, ib, rng):
         """Pure NumPy round loop: all games advance together per round."""
@@ -409,77 +281,31 @@ class BatchEngine(VectorEngine):
             state_b &= mask
         return da, db, dab, fit_a, fit_b
 
-    def _run_numba(self, packed, ia, ib, rng):  # pragma: no cover - requires numba
-        """Compiled loop nest; randomness is pre-drawn in the dense order."""
-        n_games = ia.size
-        rate = self.noise.rate
-        use_flips = bool(rate)
-        if use_flips:
-            flips_a = np.empty((self.rounds, n_games), dtype=np.bool_)
-            flips_b = np.empty((self.rounds, n_games), dtype=np.bool_)
-            for r in range(self.rounds):
-                # One block per player per round, A then B — the exact
-                # stream order of VectorEngine and the NumPy kernel.
-                flips_a[r] = rng.random(n_games) < rate
-                flips_b[r] = rng.random(n_games) < rate
-        else:
-            flips_a = flips_b = np.empty((0, 0), dtype=np.bool_)
-        da = np.zeros(n_games, dtype=np.int64)
-        db = np.zeros(n_games, dtype=np.int64)
-        dab = np.zeros(n_games, dtype=np.int64)
-        fit_a = np.zeros(n_games, dtype=np.float64)
-        fit_b = np.zeros(n_games, dtype=np.float64)
-        kernel = _get_jit_kernel()
-        kernel(
-            packed.ravel(),
-            np.int64(packed.shape[1]),
-            np.uint64(self.space.mask),
-            ia.astype(np.int64),
-            ib.astype(np.int64),
-            np.int64(self.rounds),
-            use_flips,
-            flips_a,
-            flips_b,
-            self._int_payoffs,
-            self._pay_mine,
-            self._pay_theirs,
-            da,
-            db,
-            dab,
-            fit_a,
-            fit_b,
-        )
-        return da, db, dab, fit_a, fit_b
-
     def __repr__(self) -> str:
         return (
             f"BatchEngine(memory={self.space.memory}, rounds={self.rounds},"
-            f" noise={self.noise.rate}, kernel={self.kernel},"
-            f" games_played={self.games_played})"
+            f" noise={self.noise.rate}, games_played={self.games_played})"
         )
 
 
+# Kept for the frozen bench/probes.py and the parity suite, which build the
+# dense baseline through it; a later `benchmark` issue removes it with them.
 def make_engine(
     space: StateSpace,
     payoff: PayoffMatrix = PAPER_PAYOFFS,
     rounds: int = DEFAULT_ROUNDS,
     noise: NoiseModel = NO_NOISE,
     kind: str = "vector",
-    jit: object = "auto",
 ) -> VectorEngine:
     """Build a tournament engine of the requested ``kind``.
 
     ``kind="vector"`` returns the dense
     :class:`~repro.game.vector_engine.VectorEngine`; ``kind="batch"`` the
-    bit-packed :class:`BatchEngine` (``jit`` selects its kernel).  Both
-    satisfy the same play/tournament/fingerprint contract, so callers —
-    :class:`~repro.population.fitness.FitnessEvaluator`, the parallel
-    runner, a :class:`~repro.game.fitness_cache.FitnessCache` — can switch
-    freely.  :attr:`repro.config.SimulationConfig.resolved_engine` maps a
-    configuration to the ``kind`` used throughout a run.
+    bit-packed :class:`BatchEngine`.  Both satisfy the same
+    play/tournament/fingerprint contract.
     """
     if kind == "vector":
         return VectorEngine(space, payoff=payoff, rounds=rounds, noise=noise)
     if kind == "batch":
-        return BatchEngine(space, payoff=payoff, rounds=rounds, noise=noise, jit=jit)
+        return BatchEngine(space, payoff=payoff, rounds=rounds, noise=noise)
     raise GameError(f"engine kind must be 'vector' or 'batch', got {kind!r}")

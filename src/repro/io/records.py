@@ -51,13 +51,15 @@ def config_to_dict(config: SimulationConfig) -> dict:
         "use_fitness_cache": config.use_fitness_cache,
         "fitness_mode": config.fitness_mode,
         "seed": config.seed,
-        "engine": config.engine,
-        "engine_jit": config.engine_jit,
     }
 
 
 def config_from_dict(data: Mapping) -> SimulationConfig:
-    """Inverse of :func:`config_to_dict`."""
+    """Inverse of :func:`config_to_dict`.
+
+    Keys it does not name are ignored, so records written when configs
+    carried fields that have since been removed load unchanged.
+    """
     try:
         r, s, t, p = data["payoff"]
         return SimulationConfig(
@@ -80,8 +82,6 @@ def config_from_dict(data: Mapping) -> SimulationConfig:
             use_fitness_cache=bool(data["use_fitness_cache"]),
             fitness_mode=data.get("fitness_mode", "auto"),
             seed=int(data["seed"]),
-            engine=data.get("engine", "auto"),
-            engine_jit=data.get("engine_jit", "auto"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed config record: {exc}") from exc

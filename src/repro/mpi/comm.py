@@ -39,7 +39,6 @@ from repro.errors import (
     RankFailedError,
     RecvTimeoutError,
 )
-from repro.mpi import shm as _shm
 from repro.mpi.counters import CommCounters
 from repro.mpi.faults import CorruptedPayload, FaultInjector
 from repro.mpi.status import ANY_SOURCE, ANY_TAG, MAX_USER_TAG, Status
@@ -108,9 +107,6 @@ def payload_nbytes(payload: Any) -> int:
         return int(payload.nbytes)
     if isinstance(payload, (bytes, bytearray, memoryview)):
         return len(payload)
-    if isinstance(payload, _shm.ShmRef):
-        # A shared-memory descriptor stands for its segment-resident content.
-        return int(payload.nbytes)
     try:
         return len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
     except Exception:
@@ -410,13 +406,6 @@ class _ReliablePacket:
     tag: int
     blob: bytes
     checksum: bytes
-
-
-# Large reliable blobs may travel through shared-memory segments under the
-# process backend: the checksummed frame then carries the descriptor (which
-# itself embeds a content digest), and the receiver re-checksums the
-# materialised blob end-to-end, so reliable semantics are unchanged.
-_shm.register_shareable(_ReliablePacket, ("blob",))
 
 
 class Comm:

@@ -25,17 +25,6 @@ process boundary by value: payloads must be picklable, and senders get a
 private copy semantics for free (mutating a buffer after ``send`` cannot
 corrupt the message).
 
-Large ndarray (and ``bytes``) leaves skip the pipe entirely by default:
-the zero-copy shared-memory path (:mod:`repro.mpi.shm`) writes them into
-pooled, ref-counted ``multiprocessing.shared_memory`` segments and ships
-only small ``(shape, dtype, segment, offset)`` descriptors in the pickled
-frame — a broadcast of a big strategy table writes one segment total
-instead of re-serialising per destination.  The pump thread materialises a
-private copy on delivery, so application semantics (and trajectories) are
-bit-identical to the pickle path; ``shared_memory=False`` disables the
-path, and the parent unlinks every segment after the join, so injected
-process crashes cannot leak ``/dev/shm`` entries.
-
 Determinism
 -----------
 Rank programs that derive all randomness from their rank and seed (the
@@ -88,7 +77,6 @@ from typing import Any, Callable, Sequence
 
 from repro.errors import CommAbortError, MPIError, RankCrashError
 from repro.logging_util import get_logger
-from repro.mpi import shm as _shm
 from repro.mpi.comm import Comm, World, _Mailbox
 from repro.mpi.counters import CommCounters
 from repro.mpi.executor import RespawnRecord, SPMDResult
@@ -120,9 +108,7 @@ class _RemoteMailbox:
 
     Frames are pre-pickled *in the sending thread*, so an unpicklable
     payload raises in the sender (where the bug is) instead of killing the
-    queue's feeder thread asynchronously.  With a shared-memory pool
-    attached, large leaves are swapped for segment descriptors first, so
-    the frame that crosses the pipe stays small.
+    queue's feeder thread asynchronously.
 
     The destination's physical queue is resolved *per delivery* through the
     shared ``queue_index`` array: when a rank is respawned onto a spare
@@ -130,66 +116,39 @@ class _RemoteMailbox:
     the dead incarnation's (possibly lock-poisoned) queue is abandoned.
     """
 
-    __slots__ = ("_dest", "_queues", "_index", "_pool")
+    __slots__ = ("_dest", "_queues", "_index")
 
-    def __init__(self, dest: int, queues, index, pool=None) -> None:
+    def __init__(self, dest: int, queues, index) -> None:
         self._dest = dest
         self._queues = queues
         self._index = index
-        self._pool = pool
 
     def deliver(
         self, source: int, tag: int, payload: Any, nbytes: int, msg_id: int = 0
     ) -> None:
-        if self._pool is not None:
-            payload = _shm.encode_payload(payload, self._pool)
         try:
             frame = pickle.dumps(
                 (source, tag, payload, nbytes, msg_id), protocol=pickle.HIGHEST_PROTOCOL
             )
         except Exception as exc:
-            # The frame never reaches the wire: hand back the segment
-            # references the encode just charged, or the slots stay busy
-            # (and the pool silently shrinks) for the rest of the run.
-            if self._pool is not None:
-                _shm.release_payload(payload, self._pool)
             raise MPIError(
                 f"payload for tag={tag} is not picklable, which the process"
                 f" backend requires: {exc!r}"
             ) from exc
-        try:
-            self._queues[self._index[self._dest]].put(frame)
-        except Exception:
-            if self._pool is not None:
-                _shm.release_payload(payload, self._pool)
-            raise
+        self._queues[self._index[self._dest]].put(frame)
 
 
 #: Sentinel frame that stops a pump thread.
 _PUMP_STOP = b""
 
 
-def _pump(queue, mailbox: _Mailbox, pool=None, world=None) -> None:
-    """Drain one rank's inbound queue into its in-process mailbox.
-
-    Shared-memory descriptors are materialised here — before tag matching —
-    so the mailbox (and everything above it) only ever sees ordinary
-    payloads, exactly as on the pickle path.
-    """
+def _pump(queue, mailbox: _Mailbox) -> None:
+    """Drain one rank's inbound queue into its in-process mailbox."""
     while True:
         frame = queue.get()
         if frame == _PUMP_STOP:
             return
-        source, tag, payload, nbytes, msg_id = pickle.loads(frame)
-        if pool is not None:
-            try:
-                payload = _shm.decode_payload(payload, pool)
-            except Exception as exc:  # pragma: no cover - defensive
-                _LOG.exception("shm materialisation failed")
-                if world is not None:
-                    world.abort(f"shm materialisation failed: {exc!r}")
-                continue
-        mailbox.deliver(source, tag, payload, nbytes, msg_id)
+        mailbox.deliver(*pickle.loads(frame))
 
 
 class _KillSafeEvent:
@@ -231,9 +190,7 @@ class _KillSafeEvent:
 class _SharedState:
     """The cross-process slice of world state (picklable, spawn-safe)."""
 
-    def __init__(
-        self, ctx, size: int, shm_table=None, shm_threshold: int = _shm.DEFAULT_THRESHOLD
-    ) -> None:
+    def __init__(self, ctx, size: int) -> None:
         self.abort_event = _KillSafeEvent(ctx)
         self.stop_event = _KillSafeEvent(ctx)
         self.failed_flags = ctx.Array("b", size, lock=False)
@@ -241,8 +198,6 @@ class _SharedState:
         # queue_index[r] is the slot (into the run's queue list) currently
         # serving as rank r's inbound wire; respawn retargets it to a spare.
         self.queue_index = ctx.Array("i", list(range(size)), lock=False)
-        self.shm_table = shm_table
-        self.shm_threshold = shm_threshold
 
 
 class _ProcWorld:
@@ -276,21 +231,11 @@ class _ProcWorld:
         self._result_queue = result_queue
         self.abort_event = shared.abort_event
         self.stop_event = shared.stop_event
-        self.shm_pool = (
-            _shm.ShmPool(
-                shared.shm_table,
-                threshold=shared.shm_threshold,
-                counters=self.counters,
-                tracer=tracer if tracer.enabled else None,
-            )
-            if shared.shm_table is not None and _shm.SHM_AVAILABLE
-            else None
-        )
         self.local_mailbox = _Mailbox()
         self.mailboxes: list[Any] = [
             self.local_mailbox
             if r == rank
-            else _RemoteMailbox(r, queues, shared.queue_index, self.shm_pool)
+            else _RemoteMailbox(r, queues, shared.queue_index)
             for r in range(size)
         ]
 
@@ -397,7 +342,7 @@ def _rank_main(
     # lifetime (the parent only retargets it after the process dies).
     pump = threading.Thread(
         target=_pump,
-        args=(queues[shared.queue_index[rank]], world.local_mailbox, world.shm_pool, world),
+        args=(queues[shared.queue_index[rank]], world.local_mailbox),
         name=f"vmpi-pump-{rank}",
         daemon=True,
     )
@@ -504,8 +449,6 @@ def run_spmd_process(
     on_rank_failure: str = "abort",
     tracer: Tracer | None = None,
     start_method: str | None = None,
-    shared_memory: bool = True,
-    shm_threshold: int = _shm.DEFAULT_THRESHOLD,
     max_respawns: int = 8,
 ) -> SPMDResult:
     """Run ``fn(comm, *args)`` on ``n_ranks`` OS processes and join them.
@@ -517,13 +460,6 @@ def run_spmd_process(
     else ``spawn``; under ``spawn`` the rank program, its arguments and all
     payloads must be picklable, and the rank program must be importable at
     module level).
-
-    ``shared_memory`` (default on) routes ndarray/``bytes`` payload leaves
-    of at least ``shm_threshold`` bytes through pooled
-    :mod:`multiprocessing.shared_memory` segments instead of the frame
-    pickle (see :mod:`repro.mpi.shm`); ``shared_memory=False`` is the
-    escape hatch that forces every byte through the pipe.  Either way the
-    delivered values — and therefore trajectories — are identical.
 
     ``on_rank_failure="respawn"`` extends ``"continue"``: each non-zero
     rank whose process dies is replaced by a fresh incarnation on a fresh
@@ -562,12 +498,7 @@ def run_spmd_process(
     n_spares = max_respawns if respawning else 0
     queues = [ctx.Queue() for _ in range(n_ranks + n_spares)]
     result_queue = ctx.Queue()
-    shm_table = (
-        _shm.SegmentTable(ctx)
-        if shared_memory and _shm.SHM_AVAILABLE and n_ranks > 1
-        else None
-    )
-    shared = _SharedState(ctx, n_ranks, shm_table=shm_table, shm_threshold=shm_threshold)
+    shared = _SharedState(ctx, n_ranks)
     fault_plan = fault_injector.plan if fault_injector is not None else None
     # Stripes are reserved from the parent tracer (never reused across runs),
     # so per-process flow ids stay globally unique even when one tracer
@@ -761,12 +692,6 @@ def run_spmd_process(
         queue.close()
     result_queue.cancel_join_thread()
     result_queue.close()
-    if shm_table is not None:
-        # Every rank process is joined (or terminated) by now; sweep the
-        # whole pool so crashed ranks cannot leak /dev/shm segments.
-        destroyed = shm_table.destroy_all()
-        if destroyed:
-            _LOG.debug("unlinked %d shared-memory segments", destroyed)
 
     if fault_injector is not None and merged_faults:
         with fault_injector._lock:

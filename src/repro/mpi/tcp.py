@@ -303,9 +303,15 @@ class Rendezvous:
     def close(self) -> None:
         self._closed = True
         try:
+            # close() alone does not wake a thread blocked in accept() on Linux.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             self._listener.close()
         except OSError:
             pass
+        self._accept_thread.join(timeout=5.0)
         with self._lock:
             conns = list(self._conns.values())
             self._conns.clear()

@@ -16,10 +16,7 @@ ends the generation with an identical global strategy view — the paper's
 to all other SSets".
 
 Payloads are small dataclasses; strategy tables travel as ndarrays (the
-virtual network counts their true byte size).  The table-carrying message
-types are registered as *shareable* with :mod:`repro.mpi.shm`, so under the
-process backend a large table broadcast travels as one shared-memory
-segment instead of a per-destination pickle.
+virtual network counts their true byte size).
 """
 
 from __future__ import annotations
@@ -27,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.mpi import shm as _shm
 
 __all__ = [
     "TAG_FITNESS",
@@ -313,12 +308,3 @@ class RecoveryEvent:
     rank: int
     incarnation: int
     restored_ssets: tuple[int, ...]
-
-
-# Bulk-carrying protocol fields opt in to the zero-copy shared-memory path
-# (no-ops under the thread backend or with shared_memory=False).  The
-# GenerationHeader is all-scalar — nothing to register — and FTUpdate
-# reaches its mutation table by recursing into the nested MutationUpdate.
-_shm.register_shareable(MutationUpdate, ("table",))
-_shm.register_shareable(FTUpdate, ("mutation",))
-_shm.register_shareable(FTRejoin, ("matrix",))

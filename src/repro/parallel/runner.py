@@ -175,26 +175,7 @@ def _rank_program(
             # the fitness.  The trajectory is unaffected — PC fitness still
             # comes from the evaluator's deterministic/keyed-stream path.
             with tracer.span("play", rank=comm.rank, args={"gen": gen}):
-                assign = population.assignment()
-                tables = population.tables_view()
-                for sset in owned:
-                    opponents = np.array(
-                        [
-                            j
-                            for j in range(config.n_ssets)
-                            if j != sset or config.include_self_play
-                        ],
-                        dtype=np.intp,
-                    )
-                    ia = np.full(opponents.size, assign[sset], dtype=np.intp)
-                    ib = assign[opponents]
-                    rng = (
-                        streams.fresh("eager", gen, int(sset))
-                        if not config.deterministic_games
-                        else None
-                    )
-                    evaluator.engine.play(tables, ia, ib, rng=rng)
-                    games_played += opponents.size
+                games_played += _eager_slate(config, population, evaluator, streams, owned, gen)
         # Step 1: generation header down the tree.
         if nature is not None:
             selection = nature.select_pc()
@@ -320,7 +301,7 @@ class _FTOptions:
     membership_plan: tuple[MembershipEvent, ...] = ()
 
 
-def _eager_slate(comm, config, population, evaluator, streams, owned, gen) -> int:
+def _eager_slate(config, population, evaluator, streams, owned, gen) -> int:
     """Play every owned SSet's full opponent slate (the paper's §IV-D workload)."""
     games_played = 0
     assign = population.assignment()
@@ -465,7 +446,7 @@ def _ft_worker_loop(
                     )
                     owned = np.flatnonzero(owners == comm.rank)
                     games_played += _eager_slate(
-                        comm, config, population, evaluator, streams, owned, gen
+                        config, population, evaluator, streams, owned, gen
                     )
             pi_t = pi_l = None
             if msg.has_pc:
@@ -899,12 +880,6 @@ class ParallelSimulation:
     ----------
     config:
         Simulation parameters (shared verbatim with the serial driver).
-        This includes engine selection: every rank's
-        :class:`~repro.population.fitness.FitnessEvaluator` builds its game
-        engine from ``config.resolved_engine`` / ``config.engine_jit``, so
-        setting ``engine="batch"`` (or leaving ``"auto"`` on a pure
-        population) runs the bit-packed batch kernel on all workers with
-        bit-identical trajectories (docs/kernels.md).
     n_ranks:
         World size, >= 2 (rank 0 is the Nature Agent).
     eager_games:
@@ -958,18 +933,10 @@ class ParallelSimulation:
         talking framed loopback TCP (:mod:`repro.mpi.hostexec`) — the
         multi-host substrate with partition-tolerant reconnection; the
         trajectory stays bit-identical.
-    shared_memory, shm_threshold:
-        Process-backend transport tuning: strategy tables (and any other
-        ndarray/``bytes`` payload leaves) of at least ``shm_threshold``
-        bytes travel through pooled shared-memory segments instead of the
-        per-destination frame pickle (:mod:`repro.mpi.shm`);
-        ``shared_memory=False`` is the escape hatch forcing every byte
-        through the pipe.  The trajectory is bit-identical either way.
-        Ignored under the thread backend.
     on_rank_failure:
         ``"continue"`` (default): a dead worker's SSets are redistributed
         to the survivors and stay there — graceful degradation.
-        ``"respawn"`` (process backend only): additionally launch a
+        ``"respawn"`` (process and tcp backends): additionally launch a
         replacement process for each dead worker; the replacement
         handshakes with Nature, is re-seeded from Nature's authoritative
         matrix, and takes its SSets back (each heal is recorded as a
@@ -1016,8 +983,6 @@ class ParallelSimulation:
         checkpoint_every: int = 0,
         trace: bool | Tracer = False,
         backend: str = "thread",
-        shared_memory: bool = True,
-        shm_threshold: int | None = None,
         on_rank_failure: str = "continue",
         max_respawns: int = 8,
         n_hosts: int = 2,
@@ -1057,8 +1022,6 @@ class ParallelSimulation:
         self.tcp_options = tcp_options
         self.config = config
         self.backend = backend
-        self.shared_memory = bool(shared_memory)
-        self.shm_threshold = shm_threshold
         self.n_ranks = int(n_ranks)
         self.eager_games = bool(eager_games)
         self.fault_plan = fault_plan
@@ -1189,8 +1152,6 @@ class ParallelSimulation:
                 fault_injector=injector,
                 tracer=self.tracer,
                 backend=self.backend,
-                shared_memory=self.shared_memory,
-                shm_threshold=self.shm_threshold,
                 n_hosts=self.n_hosts,
                 tcp_options=self.tcp_options,
             )
@@ -1218,8 +1179,6 @@ class ParallelSimulation:
             on_rank_failure=self.on_rank_failure,
             tracer=self.tracer,
             backend=self.backend,
-            shared_memory=self.shared_memory,
-            shm_threshold=self.shm_threshold,
             max_respawns=self.max_respawns,
             n_hosts=self.n_hosts,
             tcp_options=self.tcp_options,

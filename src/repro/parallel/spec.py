@@ -3,7 +3,7 @@
 A :class:`RunSpec` bundles everything needed to launch, supervise, resume
 and *re-create* a run — the science (a
 :class:`~repro.config.SimulationConfig`: game, memory depth, population
-dynamics, engine), the substrate (rank count, backend), the chaos
+dynamics), the substrate (rank count, backend), the chaos
 (an optional :class:`~repro.mpi.faults.FaultPlan`), and the fault *policy*
 (a :class:`FaultPolicy`: restart budget, backoff shape, wall-clock budget,
 degradation mode).  Where :class:`~repro.parallel.runner.ParallelSimulation`
@@ -146,7 +146,7 @@ class RunSpec:
     Parameters
     ----------
     config:
-        The simulation itself: game, memory depth, dynamics, engine, seed.
+        The simulation itself: game, memory depth, dynamics, seed.
     n_ranks:
         World size, >= 2 (rank 0 is the Nature Agent).
     backend:

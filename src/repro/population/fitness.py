@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.config import SimulationConfig
 from repro.errors import PopulationError
-from repro.game.batch_engine import make_engine
+from repro.game.batch_engine import BatchEngine
 from repro.game.markov import expected_pair_payoffs
 from repro.population.population import Population
 from repro.rng import StreamFactory
@@ -70,15 +70,10 @@ class FitnessEvaluator:
         self.mode = config.resolved_fitness_mode
         if self.mode == "sampled" and streams is None:
             raise PopulationError("sampled fitness mode needs a StreamFactory")
-        # Engine selection (vector vs bit-packed batch, NumPy vs numba) is a
-        # config knob; every kind is fitness-bit-identical (docs/kernels.md).
-        self.engine = make_engine(
-            config.space,
-            payoff=config.payoff,
-            rounds=config.rounds,
-            noise=config.noise,
-            kind=config.resolved_engine,
-            jit=config.engine_jit,
+        # Pure matrices run the packed kernel, mixed ones the dense path the
+        # engine inherits; both are fitness-bit-identical (docs/kernels.md).
+        self.engine = BatchEngine(
+            config.space, payoff=config.payoff, rounds=config.rounds, noise=config.noise
         )
         # Memoised rows: slot -> (row_stamp, {col_slot: (col_stamp, payoff_row_vs_col)})
         self._rows: dict[int, tuple[int, dict[int, tuple[int, float]]]] = {}

@@ -6,7 +6,7 @@ advances only its own block; the per-node quantities its block reads from
 other ranks' nodes — boundary *strategies* before scoring, boundary
 *scores* before imitation — arrive through two halo exchanges per
 generation over the ordinary :class:`~repro.mpi.comm.Comm` point-to-point
-API, so the same rank program runs unchanged on the thread, process/shm and
+API, so the same rank program runs unchanged on the thread, process and
 tcp transports.
 
 Bit-identity with the single-rank reference is by construction, not luck:

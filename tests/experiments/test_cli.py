@@ -87,9 +87,9 @@ class TestMain:
 
 
 class TestScaleFlagRejection:
-    """Regression: ``run`` silently ignored --n-ssets/--generations/--seed/
-    --engine for every experiment but fig2 — a user asking table6 for
-    ``--seed 3`` got the default run with no hint their flag did nothing."""
+    """Regression: ``run`` silently ignored --n-ssets/--generations/--seed
+    for every experiment but fig2 — a user asking table6 for ``--seed 3``
+    got the default run with no hint their flag did nothing."""
 
     @pytest.mark.parametrize(
         "flags",
@@ -97,7 +97,6 @@ class TestScaleFlagRejection:
             ["--n-ssets", "8"],
             ["--generations", "100"],
             ["--seed", "3"],
-            ["--engine", "batch"],
             ["--seed", "3", "--generations", "100"],
         ],
     )
@@ -106,12 +105,12 @@ class TestScaleFlagRejection:
             main(["run", "table1"] + flags)
 
     def test_rejection_names_the_offending_flags(self):
-        with pytest.raises(SystemExit, match="--seed, --engine"):
-            main(["run", "table6", "--seed", "3", "--engine", "batch"])
+        with pytest.raises(SystemExit, match="--generations, --seed"):
+            main(["run", "table6", "--seed", "3", "--generations", "100"])
 
     def test_fig2_still_consumes_the_flags(self, capsys):
         assert main(["run", "fig2", "--n-ssets", "8", "--generations", "120",
-                     "--seed", "2", "--engine", "auto"]) == 0
+                     "--seed", "2"]) == 0
         assert "Fig. 2(a)" in capsys.readouterr().out
 
     def test_flagless_non_config_experiment_still_runs(self, capsys):

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
-from repro.errors import ConfigError, GameError
+from repro.errors import GameError
 from repro.game.batch_engine import (
-    JIT_ENV_VAR,
-    NUMBA_AVAILABLE,
     BatchEngine,
     make_engine,
     pack_matrix,
@@ -58,7 +56,7 @@ class TestKernel:
             np.zeros(space6.n_states, dtype=np.uint8),
             np.ones(space6.n_states, dtype=np.uint8),
         ])
-        eng = BatchEngine(space6, rounds=200, jit="off")
+        eng = BatchEngine(space6, rounds=200)
         res = eng.play(mat, np.array([0]), np.array([1]), record_cooperation=True)
         assert res.fitness_a[0] == 0.0
         assert res.fitness_b[0] == 200 * 4.0
@@ -73,7 +71,7 @@ class TestKernel:
             rng = np.random.default_rng(5 + memory)
             mat = rng.integers(0, 2, size=(8, space.n_states)).astype(np.uint8)
             vec = VectorEngine(space, rounds=120)
-            bat = BatchEngine(space, rounds=120, jit="off")
+            bat = BatchEngine(space, rounds=120)
             ia, ib = vec.round_robin_pairs(8, include_self=True)
             rv = vec.play(mat, ia, ib, record_cooperation=True)
             rb = bat.play(mat, ia, ib, record_cooperation=True)
@@ -87,7 +85,7 @@ class TestKernel:
         rng = np.random.default_rng(3)
         mat = rng.integers(0, 2, size=(6, space.n_states)).astype(np.uint8)
         vec = VectorEngine(space, payoff=payoff, rounds=90)
-        bat = BatchEngine(space, payoff=payoff, rounds=90, jit="off")
+        bat = BatchEngine(space, payoff=payoff, rounds=90)
         assert not bat._int_payoffs
         ia, ib = vec.round_robin_pairs(6)
         rv = vec.play(mat, ia, ib)
@@ -98,7 +96,7 @@ class TestKernel:
     def test_mixed_matrix_delegates_to_dense_path(self, space):
         mat = np.random.default_rng(1).random((5, space.n_states))
         vec = VectorEngine(space, rounds=60)
-        bat = BatchEngine(space, rounds=60, jit="off")
+        bat = BatchEngine(space, rounds=60)
         ia, ib = vec.round_robin_pairs(5)
         rv = vec.play(mat, ia, ib, rng=np.random.default_rng(42))
         rb = bat.play(mat, ia, ib, rng=np.random.default_rng(42))
@@ -106,25 +104,25 @@ class TestKernel:
         assert np.array_equal(rv.fitness_b, rb.fitness_b)
 
     def test_noise_requires_rng(self, space):
-        bat = BatchEngine(space, noise=NoiseModel(0.1), jit="off")
+        bat = BatchEngine(space, noise=NoiseModel(0.1))
         mat = np.zeros((2, space.n_states), dtype=np.uint8)
         with pytest.raises(GameError, match="rng"):
             bat.play(mat, np.array([0]), np.array([1]))
 
     def test_empty_batch(self, space):
-        bat = BatchEngine(space, jit="off")
+        bat = BatchEngine(space)
         mat = np.zeros((2, space.n_states), dtype=np.uint8)
         res = bat.play(mat, np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
         assert res.n_games == 0
 
     def test_out_of_range_pairs_rejected(self, space):
-        bat = BatchEngine(space, jit="off")
+        bat = BatchEngine(space)
         mat = np.zeros((2, space.n_states), dtype=np.uint8)
         with pytest.raises(GameError, match="out of range"):
             bat.play(mat, np.array([0]), np.array([2]))
 
     def test_work_counters_advance(self, space):
-        bat = BatchEngine(space, rounds=50, jit="off")
+        bat = BatchEngine(space, rounds=50)
         mat = np.zeros((3, space.n_states), dtype=np.uint8)
         ia, ib = bat.round_robin_pairs(3)
         bat.play(mat, ia, ib)
@@ -132,45 +130,11 @@ class TestKernel:
         assert bat.rounds_played == ia.size * 50
 
 
-class TestJitFlag:
-    def test_off_uses_numpy(self, space):
-        assert BatchEngine(space, jit="off").kernel == "numpy"
-        assert BatchEngine(space, jit=False).kernel == "numpy"
-
-    def test_on_without_numba_raises(self, space):
-        if NUMBA_AVAILABLE:
-            pytest.skip("numba installed; 'on' is legitimate here")
-        with pytest.raises(GameError, match="numba"):
-            BatchEngine(space, jit="on")
-
-    def test_auto_resolves(self, space):
-        eng = BatchEngine(space, jit="auto")
-        assert eng.kernel == ("numba" if NUMBA_AVAILABLE else "numpy")
-
-    def test_env_var_pins_auto(self, space, monkeypatch):
-        monkeypatch.setenv(JIT_ENV_VAR, "off")
-        assert BatchEngine(space, jit="auto").kernel == "numpy"
-        monkeypatch.setenv(JIT_ENV_VAR, "on")
-        if NUMBA_AVAILABLE:
-            assert BatchEngine(space, jit="auto").kernel == "numba"
-        else:
-            with pytest.raises(GameError, match="numba"):
-                BatchEngine(space, jit="auto")
-
-    def test_env_var_does_not_override_explicit(self, space, monkeypatch):
-        monkeypatch.setenv(JIT_ENV_VAR, "on")
-        assert BatchEngine(space, jit="off").kernel == "numpy"
-
-    def test_invalid_flag_rejected(self, space):
-        with pytest.raises(GameError, match="jit"):
-            BatchEngine(space, jit="fast")
-
-
 class TestFingerprintContract:
     def test_equal_params_equal_fingerprint(self, space):
         noise = NoiseModel(0.01)
         vec = VectorEngine(space, rounds=150, noise=noise)
-        bat = BatchEngine(space, rounds=150, noise=noise, jit="off")
+        bat = BatchEngine(space, rounds=150, noise=noise)
         assert vec.fingerprint() == bat.fingerprint()
         assert vec.fingerprint() == engine_fingerprint(
             space, vec.payoff, 150, noise
@@ -178,8 +142,8 @@ class TestFingerprintContract:
 
     def test_different_params_differ(self, space):
         assert (
-            BatchEngine(space, rounds=100, jit="off").fingerprint()
-            != BatchEngine(space, rounds=200, jit="off").fingerprint()
+            BatchEngine(space, rounds=100).fingerprint()
+            != BatchEngine(space, rounds=200).fingerprint()
         )
 
     def test_cache_warmed_by_vector_served_through_batch(self, space):
@@ -187,7 +151,7 @@ class TestFingerprintContract:
         mat = rng.integers(0, 2, size=(6, space.n_states)).astype(np.uint8)
         digests = [strategy_row_digest(mat[i]) for i in range(6)]
         vec = VectorEngine(space, rounds=80)
-        bat = BatchEngine(space, rounds=80, jit="off")
+        bat = BatchEngine(space, rounds=80)
         ia, ib = vec.round_robin_pairs(6)
         cache = FitnessCache()
         fa, fb = cache.play_pairs(vec, mat, ia, ib, digests)
@@ -201,20 +165,17 @@ class TestFingerprintContract:
 class TestMakeEngine:
     def test_kinds(self, space):
         assert type(make_engine(space, kind="vector")) is VectorEngine
-        assert type(make_engine(space, kind="batch", jit="off")) is BatchEngine
+        assert type(make_engine(space, kind="batch")) is BatchEngine
         with pytest.raises(GameError, match="engine kind"):
             make_engine(space, kind="scalar")
 
-    def test_config_resolution(self):
-        pure = SimulationConfig(memory=2, strategy_kind="pure")
-        mixed = SimulationConfig(memory=1, strategy_kind="mixed")
-        assert pure.resolved_engine == "batch"
-        assert mixed.resolved_engine == "vector"
-        assert pure.with_updates(engine="vector").resolved_engine == "vector"
-        assert mixed.with_updates(engine="batch").resolved_engine == "batch"
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigError, match="engine must be"):
-            SimulationConfig(engine="gpu")
-        with pytest.raises(ConfigError, match="engine_jit"):
-            SimulationConfig(engine_jit="maybe")
+    def test_engine_knobs_are_gone(self, space):
+        # No deprecation shim: the removed options are plain TypeErrors.
+        with pytest.raises(TypeError):
+            SimulationConfig(engine="batch")
+        with pytest.raises(TypeError):
+            SimulationConfig(engine_jit="off")
+        with pytest.raises(TypeError):
+            BatchEngine(space, jit="off")
+        with pytest.raises(TypeError):
+            make_engine(space, kind="batch", jit="off")

@@ -15,7 +15,7 @@ Run with ``make test-engine`` (marker: ``engine``).
 import numpy as np
 import pytest
 
-from repro.game.batch_engine import NUMBA_AVAILABLE, BatchEngine
+from repro.game.batch_engine import BatchEngine
 from repro.game.engine import play_ipd
 from repro.game.lookup_engine import play_ipd_lookup
 from repro.game.noise import NoiseModel
@@ -29,32 +29,17 @@ ROUNDS = 100
 N_STRATEGIES = 6
 
 
-def _kernel_param():
-    params = [pytest.param("numpy", id="numpy")]
-    params.append(
-        pytest.param(
-            "numba",
-            id="numba",
-            marks=pytest.mark.skipif(
-                not NUMBA_AVAILABLE, reason="numba is not installed"
-            ),
-        )
-    )
-    return params
-
-
 def _population(space, seed):
     rng = np.random.default_rng(seed)
     return rng.integers(0, 2, size=(N_STRATEGIES, space.n_states)).astype(np.uint8)
 
 
-@pytest.mark.parametrize("memory", range(1, 7))
-@pytest.mark.parametrize("kernel", _kernel_param())
-def test_batch_matches_vector_noiseless(memory, kernel):
+@pytest.mark.parametrize("memory", range(1, 7), ids=lambda m: f"numpy-{m}")
+def test_batch_matches_vector_noiseless(memory):
     space = StateSpace(memory)
     mat = _population(space, memory)
     vec = VectorEngine(space, rounds=ROUNDS)
-    bat = BatchEngine(space, rounds=ROUNDS, jit="on" if kernel == "numba" else "off")
+    bat = BatchEngine(space, rounds=ROUNDS)
     ia, ib = vec.round_robin_pairs(N_STRATEGIES, include_self=True)
     rv = vec.play(mat, ia, ib, record_cooperation=True)
     rb = bat.play(mat, ia, ib, record_cooperation=True)
@@ -64,9 +49,8 @@ def test_batch_matches_vector_noiseless(memory, kernel):
     assert np.array_equal(rv.cooperations_b, rb.cooperations_b)
 
 
-@pytest.mark.parametrize("memory", range(1, 7))
-@pytest.mark.parametrize("kernel", _kernel_param())
-def test_batch_matches_vector_with_noise(memory, kernel):
+@pytest.mark.parametrize("memory", range(1, 7), ids=lambda m: f"numpy-{m}")
+def test_batch_matches_vector_with_noise(memory):
     # Identical seeds must give identical flips, hence identical payoffs:
     # the batch kernel consumes the random stream in the vector engine's
     # exact order (per round: A's flip block, then B's).
@@ -74,9 +58,7 @@ def test_batch_matches_vector_with_noise(memory, kernel):
     mat = _population(space, 100 + memory)
     noise = NoiseModel(0.05)
     vec = VectorEngine(space, rounds=ROUNDS, noise=noise)
-    bat = BatchEngine(
-        space, rounds=ROUNDS, noise=noise, jit="on" if kernel == "numba" else "off"
-    )
+    bat = BatchEngine(space, rounds=ROUNDS, noise=noise)
     ia, ib = vec.round_robin_pairs(N_STRATEGIES)
     rv = vec.play(mat, ia, ib, rng=np.random.default_rng(7), record_cooperation=True)
     rb = bat.play(mat, ia, ib, rng=np.random.default_rng(7), record_cooperation=True)
@@ -91,7 +73,7 @@ def test_batch_matches_scalar_reference(memory):
     space = StateSpace(memory)
     mat = _population(space, 200 + memory)
     strategies = [Strategy(space, mat[i]) for i in range(N_STRATEGIES)]
-    bat = BatchEngine(space, rounds=ROUNDS, jit="off")
+    bat = BatchEngine(space, rounds=ROUNDS)
     ia, ib = bat.round_robin_pairs(N_STRATEGIES)
     res = bat.play(mat, ia, ib)
     for g in range(ia.size):
@@ -106,7 +88,7 @@ def test_batch_matches_paper_lookup_engine(memory):
     space = StateSpace(memory)
     mat = _population(space, 300 + memory)
     strategies = [Strategy(space, mat[i]) for i in range(N_STRATEGIES)]
-    bat = BatchEngine(space, rounds=ROUNDS, jit="off")
+    bat = BatchEngine(space, rounds=ROUNDS)
     ia, ib = bat.round_robin_pairs(N_STRATEGIES)
     res = bat.play(mat, ia, ib)
     for g in range(ia.size):
@@ -123,7 +105,7 @@ def test_mixed_strategies_with_noise_identical_streams(memory):
     mat = np.random.default_rng(400 + memory).random((N_STRATEGIES, space.n_states))
     noise = NoiseModel(0.03)
     vec = VectorEngine(space, rounds=ROUNDS, noise=noise)
-    bat = BatchEngine(space, rounds=ROUNDS, noise=noise, jit="off")
+    bat = BatchEngine(space, rounds=ROUNDS, noise=noise)
     ia, ib = vec.round_robin_pairs(N_STRATEGIES)
     rv = vec.play(mat, ia, ib, rng=np.random.default_rng(21))
     rb = bat.play(mat, ia, ib, rng=np.random.default_rng(21))
@@ -136,7 +118,7 @@ def test_tournament_vector_batch_identical(memory):
     space = StateSpace(memory)
     mat = _population(space, 500 + memory)
     vec = VectorEngine(space, rounds=ROUNDS)
-    bat = BatchEngine(space, rounds=ROUNDS, jit="off")
+    bat = BatchEngine(space, rounds=ROUNDS)
     assert np.array_equal(
         vec.tournament(mat, include_self=True), bat.tournament(mat, include_self=True)
     )

@@ -1,10 +1,12 @@
 """Tests for event logs and run metadata."""
 
+import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
 from repro.errors import CheckpointError
 from repro.game.noise import NoiseModel
+from repro.io.checkpoints import load_parallel_checkpoint
 from repro.io.records import (
     config_from_dict,
     config_to_dict,
@@ -13,6 +15,7 @@ from repro.io.records import (
     write_event_csv,
     write_run_metadata,
 )
+from repro.parallel import ParallelSimulation, RunSpec
 from repro.population.dynamics import EvolutionDriver
 from repro.population.observers import HistoryObserver
 
@@ -46,6 +49,34 @@ class TestConfigRoundtrip:
     def test_malformed_rejected(self):
         with pytest.raises(CheckpointError):
             config_from_dict({"memory": 1})
+
+    def test_records_written_with_engine_keys_still_load(self, tmp_path, monkeypatch):
+        # config_to_dict's literal output at the last commit whose configs
+        # carried engine selection; specs and checkpoints embed it verbatim.
+        old = {
+            "memory": 1, "n_ssets": 8, "generations": 60, "agents_per_sset": None,
+            "rounds": 200, "pc_rate": 0.1, "mutation_rate": 0.05,
+            "mutation_distribution": "uniform", "beta": 1.0, "payoff": [3, 0, 4, 1],
+            "noise_rate": 0.0, "strategy_kind": "pure", "pc_rule": "paper",
+            "include_self_play": False, "use_fitness_cache": True,
+            "fitness_mode": "auto", "seed": 11, "engine": "vector", "engine_jit": "off",
+        }
+        cfg = config_from_dict(old)
+        assert cfg == SimulationConfig(n_ssets=8, generations=60, seed=11)
+        assert set(config_to_dict(cfg)) == set(old) - {"engine", "engine_jit"}
+        spec = RunSpec.from_dict({"kind": "evolution", "config": old, "n_ranks": 3})
+        assert spec.config == cfg
+
+        # A checkpoint embedding the old record (under its content digest)
+        # loads and resumes to the serial trajectory.
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.io.checkpoints.config_to_dict", lambda _cfg: dict(old))
+            ParallelSimulation(cfg, 3, checkpoint_dir=tmp_path, checkpoint_every=30).run()
+        assert load_parallel_checkpoint(tmp_path / "ckpt_00000030.npz").config == cfg
+        resumed = ParallelSimulation.resume(tmp_path / "ckpt_00000030.npz", n_ranks=3).run()
+        serial = EvolutionDriver(cfg)
+        serial.run()
+        assert np.array_equal(resumed.matrix, serial.population.matrix())
 
 
 class TestEventCsv:

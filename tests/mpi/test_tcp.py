@@ -9,6 +9,7 @@ here too.
 """
 
 import socket
+import threading
 import time
 
 import pytest
@@ -188,6 +189,22 @@ def test_ring_across_hosts():
 def test_ring_through_run_spmd_dispatch():
     result = run_spmd(4, _ring_and_allreduce, backend="tcp", n_hosts=2, timeout=120.0)
     assert result.returns == [((r - 1) % 4, 6) for r in range(4)]
+
+
+def test_runs_leave_no_thread_behind():
+    # Regression: every tcp run left its rendezvous accept thread alive in
+    # the caller, so a supervised run that restarted N times held N listeners.
+    def live():
+        return sorted(t.name for t in threading.enumerate())
+
+    before = live()
+    for _ in range(2):
+        run_spmd(3, _ring_and_allreduce, backend="tcp", timeout=120.0)
+    # Per-connection reader threads are not joined; they exit on socket close.
+    deadline = time.monotonic() + 10.0
+    while live() != before and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert live() == before
 
 
 def test_injected_crash_respawns_across_hosts():

@@ -3,29 +3,18 @@
 All randomness in a ``ParallelSimulation`` comes from seed-keyed streams
 (:mod:`repro.rng.streams`), never from scheduling, so switching the rank
 substrate from threads to OS processes must not move a single bit of the
-trajectory — nor must switching the process backend's transport between
-the pickle path and the zero-copy shared-memory path
-(:mod:`repro.mpi.shm`).  These runs fork real processes per rank — world
-sizes stay small and generation counts short.
+trajectory.  These runs fork real processes per rank — world sizes stay
+small and generation counts short.
 """
-
-import glob
 
 import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
 from repro.mpi.faults import FaultEvent, FaultPlan
-from repro.mpi.shm import SEGMENT_PREFIX
 from repro.parallel.runner import ParallelSimulation
 
 pytestmark = pytest.mark.procexec
-
-
-def assert_no_shm_leaks() -> None:
-    """No pool segment may survive a completed (or crashed) run."""
-    leaked = glob.glob(f"/dev/shm/{SEGMENT_PREFIX}-*")
-    assert leaked == [], f"leaked shared-memory segments: {leaked}"
 
 
 @pytest.fixture(scope="module")
@@ -58,65 +47,15 @@ class TestTrajectoryParity:
         assert np.array_equal(threaded.matrix, processed.matrix)
         assert threaded.failed_ranks == processed.failed_ranks == ()
 
-
-@pytest.mark.shm
-class TestSharedMemoryAxis:
-    """Thread vs process vs process+shm: same bits, no leaked segments.
-
-    ``shm_threshold=1`` forces even these small tables through the
-    shared-memory path, so the transport is genuinely exercised; the
-    escape hatch (``shared_memory=False``) pins the pickle path.
-    """
-
-    def test_memory3_parity_three_ways(self):
-        # The acceptance run: seeded memory-3 trajectories must agree bit
-        # for bit across thread, process, and process+shm backends.
+    def test_memory3_run_bit_identical(self):
         cfg = SimulationConfig(memory=3, n_ssets=6, generations=40, seed=13, rounds=10)
         threaded = ParallelSimulation(cfg, n_ranks=3, backend="thread").run(timeout=300)
-        shm = ParallelSimulation(
-            cfg, n_ranks=3, backend="process", shm_threshold=1
-        ).run(timeout=300)
-        pickled = ParallelSimulation(
-            cfg, n_ranks=3, backend="process", shared_memory=False
-        ).run(timeout=300)
-        assert np.array_equal(threaded.matrix, shm.matrix)
-        assert np.array_equal(threaded.matrix, pickled.matrix)
-        assert threaded.n_pc_events == shm.n_pc_events == pickled.n_pc_events
-        assert threaded.n_mutations == shm.n_mutations == pickled.n_mutations
-        assert_no_shm_leaks()
-
-    def test_shm_counters_record_zero_copy_traffic(self, config):
-        result = ParallelSimulation(
-            config, n_ranks=3, backend="process", shm_threshold=1
-        ).run(timeout=300)
-        counters = result.counters
-        assert counters["shm"].messages > 0
-        assert counters["shm"].bytes > 0
-        # The bcast tree forwards the root's segment instead of re-sharing.
-        assert counters["shm.reuse"].messages > 0
-        assert_no_shm_leaks()
-
-    def test_escape_hatch_sends_nothing_through_shm(self, config):
-        result = ParallelSimulation(
-            config, n_ranks=3, backend="process", shared_memory=False, shm_threshold=1
-        ).run(timeout=300)
-        # The pickle path never even creates the counter.
-        assert "shm" not in result.counters
-        assert "shm.segments" not in result.counters
-        assert_no_shm_leaks()
-
-    def test_fault_tolerant_protocol_parity_with_shm(self, config):
-        threaded = ParallelSimulation(
-            config, n_ranks=3, fault_tolerant=True, backend="thread"
-        ).run(timeout=300)
-        shm = ParallelSimulation(
-            config, n_ranks=3, fault_tolerant=True, backend="process", shm_threshold=1
-        ).run(timeout=300)
-        assert np.array_equal(threaded.matrix, shm.matrix)
-        assert_no_shm_leaks()
+        processed = ParallelSimulation(cfg, n_ranks=3, backend="process").run(timeout=300)
+        assert np.array_equal(threaded.matrix, processed.matrix)
+        assert threaded.n_pc_events == processed.n_pc_events
+        assert threaded.n_mutations == processed.n_mutations
 
 
-@pytest.mark.shm
 class TestZeroSSetWorkers:
     """More workers than SSets: surplus workers idle but must not wedge.
 
@@ -137,13 +76,12 @@ class TestZeroSSetWorkers:
         threaded = ParallelSimulation(small_world, n_ranks=8, backend="thread").run(
             timeout=300
         )
-        processed = ParallelSimulation(
-            small_world, n_ranks=8, backend="process", shm_threshold=1
-        ).run(timeout=300)
+        processed = ParallelSimulation(small_world, n_ranks=8, backend="process").run(
+            timeout=300
+        )
         assert np.array_equal(reference.matrix, threaded.matrix)
         assert np.array_equal(reference.matrix, processed.matrix)
         assert reference.n_pc_events == threaded.n_pc_events == processed.n_pc_events
-        assert_no_shm_leaks()
 
     def test_fault_tolerant_protocol_completes_and_matches(self, small_world):
         threaded = ParallelSimulation(
@@ -187,35 +125,16 @@ class TestProcessCrashChaos:
         assert runs[0].failed_ranks == runs[1].failed_ranks == (2,)
         assert np.array_equal(runs[0].matrix, runs[1].matrix)
 
-    @pytest.mark.shm
-    def test_corrupt_chaos_parity_through_shm_tables(self, config):
-        """Message chaos (corrupt/drop/duplicate) hits the very frames whose
-        tables ride shared memory: corruption replaces the payload before the
-        encode step, so the reliable layer sees and rejects it exactly as on
-        the pickle path — trajectories stay bit-identical."""
+    def test_message_chaos_parity_across_backends(self, config):
+        """Message chaos (corrupt/drop/duplicate) is rejected and repaired by
+        the reliable layer the same way over queues as over mailboxes —
+        trajectories stay bit-identical."""
         plan = FaultPlan(seed=9, corrupt_p=0.03, drop_p=0.03, duplicate_p=0.03)
         threaded = ParallelSimulation(
             config, n_ranks=3, fault_plan=plan, backend="thread"
         ).run(timeout=300)
-        shm = ParallelSimulation(
-            config, n_ranks=3, fault_plan=plan, backend="process", shm_threshold=1
+        processed = ParallelSimulation(
+            config, n_ranks=3, fault_plan=plan, backend="process"
         ).run(timeout=300)
-        assert np.array_equal(threaded.matrix, shm.matrix)
-        assert threaded.failed_ranks == shm.failed_ranks == ()
-        assert_no_shm_leaks()
-
-    @pytest.mark.shm
-    def test_crashed_rank_leaks_no_segments(self, config):
-        """A killed rank can never release its shm references; the parent's
-        post-join sweep must still leave /dev/shm clean."""
-        plan = FaultPlan(seed=1, events=(FaultEvent(kind="crash", rank=2, generation=20),))
-        result = ParallelSimulation(
-            config,
-            n_ranks=4,
-            fault_plan=plan,
-            heartbeat_timeout=2.0,
-            backend="process",
-            shm_threshold=1,
-        ).run(timeout=300)
-        assert result.failed_ranks == (2,)
-        assert_no_shm_leaks()
+        assert np.array_equal(threaded.matrix, processed.matrix)
+        assert threaded.failed_ranks == processed.failed_ranks == ()

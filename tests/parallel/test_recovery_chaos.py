@@ -148,21 +148,15 @@ class TestKillMidCheckpointWrite:
 
 
 class TestResumeDeterminism:
-    """Interrupted-at-k + resumed == uninterrupted, across backends/transports."""
+    """Interrupted-at-k + resumed == uninterrupted, across backends."""
 
     config = SimulationConfig(n_ssets=8, generations=60, seed=11)
 
     @pytest.mark.parametrize(
-        "backend,shared_memory",
-        [
-            pytest.param("thread", True, id="thread"),
-            pytest.param("process", True, id="process-shm", marks=pytest.mark.procexec),
-            pytest.param("process", False, id="process-pickle", marks=pytest.mark.procexec),
-        ],
+        "backend",
+        ["thread", pytest.param("process", marks=pytest.mark.procexec)],
     )
-    def test_interrupted_plus_resumed_matches_uninterrupted(
-        self, backend, shared_memory, tmp_path
-    ):
+    def test_interrupted_plus_resumed_matches_uninterrupted(self, backend, tmp_path):
         # Message chaos (drops/duplicates the reliable layer absorbs) plus a
         # Nature crash at generation 35 to force the interruption.
         plan = FaultPlan(
@@ -180,14 +174,13 @@ class TestResumeDeterminism:
             checkpoint_every=15,
             heartbeat_timeout=3.0,
             backend=backend,
-            shared_memory=shared_memory,
         )
         with pytest.raises(Exception):
             first.run(timeout=300)
         assert load_parallel_checkpoint(latest_valid_parallel_checkpoint(tmp_path)).generation == 30
 
-        resumed = ParallelSimulation.resume(
-            tmp_path, n_ranks=4, backend=backend, shared_memory=shared_memory
-        ).run(timeout=300)
+        resumed = ParallelSimulation.resume(tmp_path, n_ranks=4, backend=backend).run(
+            timeout=300
+        )
         assert resumed.generation == self.config.generations
         assert np.array_equal(resumed.matrix, _serial_matrix(self.config))

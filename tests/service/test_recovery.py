@@ -340,6 +340,15 @@ def _service_main(root: str, url_file: str) -> None:
         time.sleep(0.5)
 
 
+def _is_dead(pid: int) -> bool:
+    """Gone, or a zombie: an orphan whose new parent has not reaped it yet."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text(encoding="utf-8")
+    except OSError:
+        return True
+    return stat.rpartition(")")[2].split()[0] == "Z"
+
+
 @pytest.mark.chaos
 def test_sigkilled_service_recovers_bit_identically(tmp_path):
     """Two tenants over REST, the service SIGKILLed mid-run, a fresh service
@@ -356,6 +365,9 @@ def test_sigkilled_service_recovers_bit_identically(tmp_path):
         target=_service_main, args=(str(root), str(url_file)), daemon=False
     )
     victim.start()
+    store = RunStore(root)
+    keys = {tenant: store.key(tenant, "crash") for tenant in CHAOS_SEEDS}
+    pids = []
     try:
         url = _wait_for(
             lambda: url_file.read_text(encoding="utf-8") if url_file.exists() else None
@@ -364,33 +376,35 @@ def test_sigkilled_service_recovers_bit_identically(tmp_path):
         for tenant, seed in CHAOS_SEEDS.items():
             client.submit(tenant, "crash", spec=_chaos_spec(seed).to_dict())
 
-        # Kill the whole service once both runs are provably mid-flight,
-        # past at least one checkpoint: recovery must *resume*, not restart.
-        def both_mid_run():
-            return all(
-                client.status(t, "crash")["generation"] >= 1000 for t in CHAOS_SEEDS
-            )
+        # Both runs provably mid-flight, past at least one checkpoint:
+        # recovery must *resume*, not restart.
+        def worker_pids():
+            found = [(store.read_status(key) or {}).get("pid") for key in keys.values()]
+            checkpointed = all(store.latest_checkpoint(key) for key in keys.values())
+            return found if checkpointed and all(found) else None
 
-        _wait_for(both_mid_run, timeout=120)
-        os.kill(victim.pid, signal.SIGKILL)
-        victim.join(timeout=10)
-        assert not victim.is_alive()
+        pids = _wait_for(worker_pids, timeout=120)
     finally:
-        if victim.is_alive():  # pragma: no cover - cleanup on earlier failure
-            victim.kill()
-            victim.join(timeout=10)
-
-    # The whole host dies, workers included: SIGKILL the orphaned worker
-    # processes the dead service left behind, so recovery must resume each
-    # run from its latest checkpoint rather than find a finished orphan.
-    store = RunStore(root)
-    for tenant in CHAOS_SEEDS:
-        recorded = store.read_status(store.key(tenant, "crash")) or {}
-        if recorded.get("pid"):
+        # The whole host dies, workers included.  The victim is reaped with
+        # waitpid, not victim.join(): its workers inherited the fork-context
+        # sentinel pipe, so join() returns only once they have all exited.
+        os.kill(victim.pid, signal.SIGKILL)
+        for pid in pids:
             try:
-                os.kill(int(recorded["pid"]), signal.SIGKILL)
-            except ProcessLookupError:  # pragma: no cover - already gone
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:  # pragma: no cover - caught below as "finished"
                 pass
+        os.waitpid(victim.pid, 0)
+    for pid in pids:
+        _wait_for(lambda: _is_dead(pid), timeout=30)
+
+    # Everything is dead, so this cannot change any more; it is also exactly
+    # what makes recovery requeue a run instead of reconciling a finished one.
+    for tenant, key in keys.items():
+        assert store.read_outcome(key) is None and not store.has_result(key), (
+            f"{tenant}'s run finished before the kill landed:"
+            " CHAOS_GENERATIONS is too small for this machine"
+        )
 
     # A fresh service on the same store: recovery is automatic (default).
     with RunService(root, max_workers=2, quota=2) as service:

@@ -9,7 +9,7 @@ from repro.config import SimulationConfig
 from repro.errors import ConfigError, RunStoreError
 from repro.io.runstore import RunStore
 from repro.io.storefaults import FaultyRunStore, StoreFaultPlan
-from repro.parallel import RunSpec
+from repro.parallel import ParallelSimulation, RunSpec
 from repro.service.fsck import build_parser, fsck_store, main
 from repro.service.journal import QueueLease, ServiceJournal, journal_path
 from repro.service.queue import JobQueue
@@ -125,6 +125,26 @@ class TestFsck:
         # a queued run with no live owner is still healthy (nothing to adopt
         # was *lost* — recovery simply dispatches it)
         assert report.counts()["digest-mismatch"] == 0
+
+    def test_spec_written_with_engine_keys_is_healthy_and_served(self, tmp_path):
+        # A spec.json from before engine selection left the config: the two
+        # keys are read and dropped, the run fscks healthy and is served.
+        store, key = self._make_run(tmp_path / "runs")
+        spec_path = store.run_dir(key) / "spec.json"
+        record = json.loads(spec_path.read_text(encoding="utf-8"))
+        record["config"].update({"engine": "vector", "engine_jit": "off"})
+        spec_path.write_text(json.dumps(record, indent=2, sort_keys=True), encoding="utf-8")
+
+        assert fsck_store(store.root).runs[0].state == "healthy"
+        assert store.load_spec(key) == _spec()
+        with JobQueue(store, max_workers=1) as queue:
+            assert queue.recover().requeued == ("alice/r1",)
+            assert queue.wait("alice", "r1", timeout=120).state == "done"
+        assert np.array_equal(
+            store.load_result(key).matrix,
+            ParallelSimulation.from_spec(_spec()).run().matrix,
+        )
+        assert fsck_store(store.root).clean
 
     def test_torn_events_tail_classified_and_truncated(self, tmp_path):
         store, key = self._make_run(tmp_path / "runs")
