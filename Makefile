@@ -18,6 +18,7 @@ test-chaos:
 
 # Process-backend SPMD suite: every rank forks a real OS process, so the
 # tests keep world sizes small (<= 4 ranks) to stay fast on shared runners.
+# (Same launcher as test-tcp, mpi/hostexec.py; the marker selects tests.)
 test-procexec:
 	pytest tests/ -m procexec
 

@@ -15,8 +15,9 @@ traffic:
   partitions, slow links, connection resets) for chaos testing.
 * :mod:`repro.mpi.tcp` — length-prefixed framed socket transport with
   rendezvous bootstrap, heartbeat keepalive and session resumption.
-* :mod:`repro.mpi.hostexec` — :func:`run_spmd_tcp`, the multi-host
-  launcher (ranks dealt across OS-process "hosts" over loopback TCP).
+* :mod:`repro.mpi.hostexec` — the launcher behind ``backend="process"``
+  and ``backend="tcp"`` (:func:`run_spmd_tcp`): ranks dealt across
+  OS-process "hosts" wired by queues or loopback TCP.
 """
 
 from repro.mpi.comm import Comm, World, backoff_wait, payload_nbytes

@@ -11,7 +11,7 @@ Threads give concurrency, not parallelism (the GIL serialises pure-Python
 sections) — which is exactly what a *correctness* substrate needs: identical
 message-passing semantics at any rank count that fits in memory.  For true
 multi-core execution pass ``backend="process"``, which delegates to
-:mod:`repro.mpi.procexec` (ranks as OS processes, same ``Comm`` API, same
+:mod:`repro.mpi.hostexec` (ranks as OS processes, same ``Comm`` API, same
 results).  Modelled performance at Blue Gene scale is the job of
 :mod:`repro.perf`.
 """
@@ -41,14 +41,14 @@ MAX_THREAD_RANKS = 1024
 
 @dataclass(frozen=True)
 class RespawnRecord:
-    """One replacement process launched under ``on_rank_failure="respawn"``.
+    """One replacement incarnation started under ``on_rank_failure="respawn"``.
 
     Attributes
     ----------
     rank:
         The rank that was replaced.
     incarnation:
-        The replacement's incarnation number (the original process is
+        The replacement's incarnation number (the original rank is
         incarnation 0, its first replacement 1, and so on).
     reason:
         Why the previous incarnation was declared dead.
@@ -76,7 +76,7 @@ class SPMDResult:
         faults under ``on_rank_failure="continue"``, or died and were never
         successfully replaced under ``"respawn"`` (empty otherwise).
     respawns:
-        Replacement processes launched under ``on_rank_failure="respawn"``
+        Replacement incarnations started under ``on_rank_failure="respawn"``
         (empty otherwise); a rank may appear several times if it died
         repeatedly.
     """
@@ -125,10 +125,10 @@ def run_spmd(
         (:class:`~repro.errors.RankCrashError`) is recorded in
         ``world.failed_ranks`` and the survivors keep running — the
         fault-tolerant runner's mode.  ``"respawn"`` (process and tcp backends):
-        like ``"continue"``, but each dead rank's process is additionally
-        replaced by a fresh incarnation of the same rank program, which may
-        rejoin the computation (see
-        :func:`repro.mpi.procexec.run_spmd_process`).
+        like ``"continue"``, but each dead non-zero rank is additionally
+        replaced by a fresh incarnation of the same rank program on the
+        same host process, which may rejoin the computation (see
+        :mod:`repro.mpi.hostexec`).
     tracer:
         Optional :class:`~repro.obs.Tracer`.  When given, every network
         operation and every instrumented phase lands on the tracer as
@@ -138,10 +138,10 @@ def run_spmd(
         (default) keeps tracing off at near-zero cost.
     backend:
         ``"thread"`` (default) runs ranks as threads in this process — the
-        correctness substrate.  ``"process"`` delegates to
-        :func:`repro.mpi.procexec.run_spmd_process`: ranks as OS processes
-        with their own GILs, for real multi-core throughput.  ``"tcp"``
-        delegates to :func:`repro.mpi.hostexec.run_spmd_tcp`: ranks spread
+        correctness substrate.  ``"process"`` and ``"tcp"`` both delegate
+        to :mod:`repro.mpi.hostexec`.  ``"process"``: one OS process per
+        rank (at most 256), each with its own GIL, for real multi-core
+        throughput; payloads must be picklable.  ``"tcp"``: ranks spread
         over ``n_hosts`` OS-process "hosts" talking length-prefixed frames
         over loopback TCP sockets — the multi-host substrate with
         partition-tolerant reconnection.  Rank programs that follow the
@@ -161,33 +161,12 @@ def run_spmd(
     The first rank exception, re-raised in the caller, or
     :class:`~repro.errors.MPIError` on timeout.
     """
-    if backend == "process":
-        from repro.mpi.procexec import run_spmd_process
+    if backend in ("process", "tcp"):
+        from repro.mpi.hostexec import _launch
 
-        return run_spmd_process(
-            n_ranks,
-            fn,
-            args=args,
-            timeout=timeout,
-            fault_injector=fault_injector,
-            on_rank_failure=on_rank_failure,
-            tracer=tracer,
-            max_respawns=max_respawns,
-        )
-    if backend == "tcp":
-        from repro.mpi.hostexec import run_spmd_tcp
-
-        return run_spmd_tcp(
-            n_ranks,
-            fn,
-            args=args,
-            timeout=timeout,
-            fault_injector=fault_injector,
-            on_rank_failure=on_rank_failure,
-            tracer=tracer,
-            n_hosts=n_hosts,
-            tcp_options=tcp_options,
-            max_respawns=max_respawns,
+        return _launch(
+            backend, n_ranks, fn, args, timeout, fault_injector,
+            on_rank_failure, tracer, n_hosts, tcp_options, max_respawns,
         )
     if backend != "thread":
         raise MPIError(f"backend must be 'thread', 'process' or 'tcp', got {backend!r}")

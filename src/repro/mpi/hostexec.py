@@ -1,20 +1,28 @@
-"""Multi-host SPMD launcher: ranks as threads on TCP-connected host processes.
+"""The launcher for every world made of OS processes: ranks as threads on hosts.
 
-:func:`run_spmd_tcp` is the ``mpiexec --hostfile`` stand-in: it deals
-``n_ranks`` virtual ranks round-robin across ``n_hosts`` OS-process
-"hosts" (rank *r* lives on host ``r % n_hosts``), boots a
-:class:`~repro.mpi.tcp.Rendezvous` for them to dial into, and joins the
-whole world — same ``Comm`` API, same :class:`~repro.mpi.executor.SPMDResult`
-as the thread and process backends.  In CI the hosts share one machine and
-talk over loopback; nothing in the protocol assumes that.
+This is the ``mpiexec --hostfile`` stand-in behind both process-level
+backends of :func:`~repro.mpi.executor.run_spmd`.  It deals ``n_ranks``
+virtual ranks round-robin across ``n_hosts`` OS-process "hosts" (rank *r*
+lives on host ``r % n_hosts``), boots a :class:`~repro.mpi.tcp.Rendezvous`
+for them to dial into, and joins the whole world — same ``Comm`` API, same
+:class:`~repro.mpi.executor.SPMDResult` as the thread backend.
+``backend="tcp"`` (:func:`run_spmd_tcp`) spreads the ranks over a few hosts
+whose data plane is framed TCP (loopback in CI; nothing in the protocol
+assumes that); ``backend="process"`` is the same launcher with one host per
+rank — every rank its own interpreter and GIL — and a
+:class:`multiprocessing.Queue` per host as the data plane, which is cheaper
+than a socket between processes of one machine.  Payloads cross a process
+boundary by value either way, so they must be picklable.
 
 Architecture
 ------------
 Each host process runs:
 
-* a :class:`~repro.mpi.tcp.TcpNode` (data-plane listener) plus one
-  supervised :class:`~repro.mpi.tcp.HostChannel` per peer host it sends
-  to — host-level links, so a rank respawn never churns sockets;
+* a data-plane wire — :class:`_TcpWire` (a :class:`~repro.mpi.tcp.TcpNode`
+  listener plus one supervised :class:`~repro.mpi.tcp.HostChannel` per peer
+  host it sends to: host-level links, so a rank respawn never churns
+  sockets) or :class:`_QueueWire` (frames pickled by the sender onto the
+  destination host's queue, one pump thread draining the host's own);
 * a :class:`~repro.mpi.tcp.ControlClient` back to the launcher's
   rendezvous — the control plane that gives failure marks, aborts,
   shutdowns and membership changes a single total order (every host
@@ -23,20 +31,21 @@ Each host process runs:
 * one thread per local rank, each holding a :class:`_RankView` — a
   :class:`~repro.mpi.comm.World` duck-type that routes same-host traffic
   straight into the destination's mailbox and cross-host traffic through
-  the channels.
+  the wire.
 
-Fault handling generalises :mod:`repro.mpi.procexec`'s respawn machinery
-across hosts: an injected ``crash`` kills the rank thread (the "rank
-process" of its host), which is marked failed world-wide and — under
-``on_rank_failure="respawn"`` — replaced by a fresh incarnation *on the
+Fault handling: an injected ``crash`` kills the rank *thread* — its host
+process stays up and reports — which is marked failed world-wide and, under
+``on_rank_failure="respawn"``, replaced by a fresh incarnation *on the
 same host* after a centrally granted budget check; the replacement rejoins
-via the rank program's own recovery protocol (FTHello/FTRejoin), now
-crossing real sockets.  Injected ``partition``/``conn_reset``/``slow_link``
-faults live a layer below, inside the channels (see :mod:`repro.mpi.tcp`),
-and heal by reconnect + session resumption without the simulation
-noticing; only a partition outlasting ``TcpOptions.unreachable_grace``
-escalates into :class:`~repro.errors.PeerUnreachableError` and the
-failed-rank machinery.
+via the rank program's own recovery protocol (FTHello/FTRejoin).  A host
+process that dies unreported (SIGKILL, OOM) is not replaced: the launcher
+aborts the world naming the host, and the supervisor layer resumes from the
+latest checkpoint.  Injected ``partition``/``conn_reset``/``slow_link``
+faults live a layer below, inside the tcp channels (see
+:mod:`repro.mpi.tcp`), and heal by reconnect + session resumption without
+the simulation noticing; only a partition outlasting
+``TcpOptions.unreachable_grace`` escalates into
+:class:`~repro.errors.PeerUnreachableError` and the failed-rank machinery.
 
 Elastic membership: ``World.grow(n)`` on any rank asks the launcher for
 fresh rank ids; the launcher assigns hosts (same round-robin), broadcasts
@@ -48,6 +57,7 @@ program's own headers (see ``owner_map_with_failures``).
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 import queue as stdlib_queue
 import threading
@@ -66,15 +76,16 @@ from repro.mpi.comm import World
 from repro.mpi.counters import CommCounters
 from repro.mpi.executor import RespawnRecord, SPMDResult
 from repro.mpi.faults import FaultInjector, FaultPlan
-from repro.mpi.procexec import _pick_context, _pickle_exc
 from repro.mpi.tcp import ControlClient, NetHello, Rendezvous, TcpNode, TcpOptions, HostChannel
 from repro.obs.tracer import NULL_TRACER, Tracer, activate
 
-__all__ = ["run_spmd_tcp", "MAX_TCP_RANKS", "MAX_TCP_HOSTS"]
+__all__ = ["run_spmd_tcp", "MAX_PROCESS_RANKS", "MAX_TCP_RANKS", "MAX_TCP_HOSTS"]
 
 _LOG = get_logger("mpi.hostexec")
 
-MAX_TCP_RANKS = 256
+#: OS processes are far heavier than threads; virtual worlds beyond this
+#: belong to the thread backend or the performance model.
+MAX_PROCESS_RANKS = MAX_TCP_RANKS = 256
 MAX_TCP_HOSTS = 16
 
 #: Seconds a control request (grow/respawn grant) may wait for its reply.
@@ -89,12 +100,32 @@ _ABORT_DRAIN_GRACE = 10.0
 _EXIT_GRACE = 60.0
 
 
+def _pickle_exc(exc: BaseException) -> bytes:
+    """Exception as a pickle blob, degraded to ``MPIError(repr)`` if needed."""
+    try:
+        return pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception:
+        return pickle.dumps(
+            MPIError(f"unpicklable rank exception: {exc!r}"),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+
+
+def _pick_context(start_method: str | None):
+    if start_method is not None:
+        return multiprocessing.get_context(start_method)
+    methods = multiprocessing.get_all_start_methods()
+    # fork keeps closures and non-module functions working and starts far
+    # faster; spawn is the portable fallback.
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+
+
 def _host_of(rank: int, n_hosts: int) -> int:
     """The host owning ``rank`` — same rule at bootstrap and after grow."""
     return rank % n_hosts
 
 
-class _RemoteTcpMailbox:
+class _RemoteMailbox:
     """Deliver-only mailbox stand-in for a rank on another host."""
 
     __slots__ = ("_rt", "dest")
@@ -106,7 +137,8 @@ class _RemoteTcpMailbox:
     def deliver(
         self, source: int, tag: int, payload: Any, nbytes: int, msg_id: int = 0
     ) -> None:
-        self._rt.deliver_remote(source, self.dest, tag, payload, nbytes, msg_id)
+        rt = self._rt
+        rt.wire.send(source, self.dest, rt.host_of(self.dest), tag, payload, nbytes, msg_id)
 
 
 class _MailboxDirectory:
@@ -121,7 +153,7 @@ class _MailboxDirectory:
 
     def __init__(self, runtime: "_HostRuntime") -> None:
         self._rt = runtime
-        self._remote: dict[int, _RemoteTcpMailbox] = {}
+        self._remote: dict[int, _RemoteMailbox] = {}
 
     def __getitem__(self, dest: int) -> Any:
         rt = self._rt
@@ -129,7 +161,7 @@ class _MailboxDirectory:
             return rt.mailbox(dest)
         box = self._remote.get(dest)
         if box is None:
-            box = self._remote[dest] = _RemoteTcpMailbox(rt, dest)
+            box = self._remote[dest] = _RemoteMailbox(rt, dest)
         return box
 
 
@@ -194,6 +226,147 @@ class _RankView:
         return self._rt.shrink(ranks)
 
 
+class _TcpWire:
+    """Socket data plane: a listener plus one supervised channel per peer host.
+
+    The plan's ``partition``/``slow_link``/``conn_reset`` faults are decided
+    here, once per outgoing frame, and carried out inside the channel.
+    """
+
+    def __init__(self, runtime: "_HostRuntime", trace_rank: int) -> None:
+        self._rt = runtime
+        self._trace_rank = trace_rank
+        self._lock = threading.Lock()
+        self._channels: dict[int, HostChannel] = {}
+        self._frame_counts: dict[tuple[int, int], int] = {}
+        self._node = TcpNode(
+            runtime.host_id,
+            runtime._deliver_local,
+            options=runtime.options,
+            counters=runtime.counters,
+        )
+        self.addr: tuple[str, int] | None = self._node.addr
+
+    def _channel(self, peer_host: int) -> HostChannel:
+        rt = self._rt
+        with self._lock:
+            channel = self._channels.get(peer_host)
+            if channel is None:
+                channel = HostChannel(
+                    rt.host_id,
+                    peer_host,
+                    rt._host_addrs.get,
+                    rt.options,
+                    counters=rt.counters,
+                    tracer=rt.tracer if rt.tracer is not None else NULL_TRACER,
+                    trace_rank=self._trace_rank,
+                )
+                self._channels[peer_host] = channel
+            return channel
+
+    def send(
+        self, source: int, dest: int, dest_host: int, tag: int, payload: Any,
+        nbytes: int, msg_id: int,
+    ) -> None:
+        """Route one message to a rank on another host (rank-thread path)."""
+        rt = self._rt
+        fault: tuple[str, float] | None = None
+        if rt.injector is not None:
+            with self._lock:
+                frame_index = self._frame_counts.get((source, dest), 0)
+                self._frame_counts[(source, dest)] = frame_index + 1
+            kind = rt.injector.link_fault(source, dest, frame_index)
+            if kind is not None:
+                plan = rt.injector.plan
+                seconds = (
+                    plan.partition_seconds
+                    if kind == "partition"
+                    else plan.slow_link_seconds if kind == "slow_link" else 0.0
+                )
+                fault = (kind, seconds)
+                rt.counters.record(f"net.{kind}")
+                tracer = rt.tracer
+                if tracer is not None and tracer.enabled:
+                    tracer.instant(
+                        f"net.{kind}", cat="net", rank=source,
+                        args={"dest": dest, "frame_index": frame_index},
+                    )
+        channel = self._channel(dest_host)
+        if channel.is_unreachable():
+            rt.counters.record("net.peer_unreachable")
+            raise PeerUnreachableError(
+                f"rank {dest} on host {dest_host} has been unreachable for"
+                f" {channel.down_for():.1f}s (grace"
+                f" {rt.options.unreachable_grace}s)",
+                rank=dest,
+                deadline=rt.options.unreachable_grace,
+            )
+        channel.send(source, dest, tag, payload, nbytes, msg_id, fault=fault)
+
+    def is_unreachable(self, host: int) -> bool:
+        with self._lock:
+            channel = self._channels.get(host)
+        return channel is not None and channel.is_unreachable()
+
+    def close(self) -> None:
+        with self._lock:
+            channels = list(self._channels.values())
+        for channel in channels:
+            channel.close()
+        self._node.close()
+
+
+class _QueueWire:
+    """Same-machine data plane: one :class:`multiprocessing.Queue` per host.
+
+    Frames are pickled *in the sending thread*, so an unpicklable payload
+    raises in the sender (where the bug is) instead of killing the queue's
+    feeder thread asynchronously; a pump thread drains this host's queue
+    into the local mailboxes.  Queues between processes of one machine
+    never partition, and the plan's link faults are a socket-layer notion.
+    """
+
+    addr = None  # nothing for peers to dial
+
+    def __init__(self, runtime: "_HostRuntime", queues: Sequence[Any]) -> None:
+        self._queues = queues
+        threading.Thread(
+            target=self._pump,
+            args=(queues[runtime.host_id], runtime._deliver_local),
+            name=f"vmpi-pump-{runtime.host_id}",
+            daemon=True,
+        ).start()
+
+    @staticmethod
+    def _pump(inbox: Any, deliver: Callable[..., None]) -> None:
+        while True:
+            deliver(*pickle.loads(inbox.get()))
+
+    def send(
+        self, source: int, dest: int, dest_host: int, tag: int, payload: Any,
+        nbytes: int, msg_id: int,
+    ) -> None:
+        try:
+            frame = pickle.dumps(
+                (source, dest, tag, payload, nbytes, msg_id),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+        except Exception as exc:
+            raise MPIError(
+                f"payload for tag={tag} is not picklable, which the process"
+                f" backend requires: {exc!r}"
+            ) from exc
+        self._queues[dest_host].put(frame)
+
+    def is_unreachable(self, host: int) -> bool:
+        return False
+
+    def close(self) -> None:
+        # Frames still buffered for a peer that died must not block exit.
+        for queue in self._queues:
+            queue.cancel_join_thread()
+
+
 class _HostRuntime:
     """Everything one host process shares between its rank threads."""
 
@@ -211,6 +384,7 @@ class _HostRuntime:
         rank_names: dict[int, str],
         flow_start: int,
         options: TcpOptions,
+        queues: Sequence[Any] | None,
     ) -> None:
         self.host_id = host_id
         self.n_hosts = n_hosts
@@ -240,8 +414,6 @@ class _HostRuntime:
         self._incarnations: dict[int, int] = {r: 0 for r in ranks}
         self._threads: list[threading.Thread] = []
         self._respawning: set[int] = set()
-        self._channels: dict[int, HostChannel] = {}
-        self._frame_counts: dict[tuple[int, int], int] = {}
         self._req_lock = threading.Lock()
         self._req_seq = 0
         self._req_waits: dict[int, tuple[threading.Event, list]] = {}
@@ -252,16 +424,15 @@ class _HostRuntime:
         self._rank_hosts: dict[int, int] = {}
         self._size = 0
 
-        self.node = TcpNode(
-            host_id,
-            self._deliver_local,
-            options=options,
-            counters=self.counters,
+        self.wire = (
+            _TcpWire(self, trace_rank=ranks[0])
+            if queues is None
+            else _QueueWire(self, queues)
         )
         self.ctrl = ControlClient(
             controller_addr,
             NetHello(
-                host=host_id, incarnation=0, data_addr=self.node.addr, ranks=ranks
+                host=host_id, incarnation=0, data_addr=self.wire.addr, ranks=ranks
             ),
             self._on_ctrl,
         )
@@ -309,11 +480,7 @@ class _HostRuntime:
 
     def is_unreachable(self, rank: int) -> bool:
         host = self.host_of(rank)
-        if host == self.host_id:
-            return False
-        with self._lock:
-            channel = self._channels.get(host)
-        return channel is not None and channel.is_unreachable()
+        return host != self.host_id and self.wire.is_unreachable(host)
 
     # -- control plane -------------------------------------------------------------
 
@@ -361,7 +528,7 @@ class _HostRuntime:
         slot: list = []
         with self._req_lock:
             self._req_seq += 1
-            req_id = self._req_seq * MAX_TCP_HOSTS + self.host_id
+            req_id = self._req_seq
             self._req_waits[req_id] = (event, slot)
         try:
             self.ctrl.send(("req", req_id, *req))
@@ -499,65 +666,10 @@ class _HostRuntime:
 
     # -- data plane ----------------------------------------------------------------
 
-    def _channel(self, peer_host: int) -> HostChannel:
-        with self._lock:
-            channel = self._channels.get(peer_host)
-            if channel is None:
-                trace_rank = min(self._incarnations, default=0)
-                channel = HostChannel(
-                    self.host_id,
-                    peer_host,
-                    self._host_addrs.get,
-                    self.options,
-                    counters=self.counters,
-                    tracer=self.tracer if self.tracer is not None else NULL_TRACER,
-                    trace_rank=trace_rank,
-                )
-                self._channels[peer_host] = channel
-            return channel
-
-    def deliver_remote(
-        self, source: int, dest: int, tag: int, payload: Any, nbytes: int, msg_id: int
-    ) -> None:
-        """Route one message to a rank on another host (rank-thread path)."""
-        dest_host = self.host_of(dest)
-        fault: tuple[str, float] | None = None
-        if self.injector is not None:
-            with self._lock:
-                frame_index = self._frame_counts.get((source, dest), 0)
-                self._frame_counts[(source, dest)] = frame_index + 1
-            kind = self.injector.link_fault(source, dest, frame_index)
-            if kind is not None:
-                plan = self.injector.plan
-                seconds = (
-                    plan.partition_seconds
-                    if kind == "partition"
-                    else plan.slow_link_seconds if kind == "slow_link" else 0.0
-                )
-                fault = (kind, seconds)
-                self.counters.record(f"net.{kind}")
-                tracer = self.tracer
-                if tracer is not None and tracer.enabled:
-                    tracer.instant(
-                        f"net.{kind}", cat="net", rank=source,
-                        args={"dest": dest, "frame_index": frame_index},
-                    )
-        channel = self._channel(dest_host)
-        if channel.is_unreachable():
-            self.counters.record("net.peer_unreachable")
-            raise PeerUnreachableError(
-                f"rank {dest} on host {dest_host} has been unreachable for"
-                f" {channel.down_for():.1f}s (grace"
-                f" {self.options.unreachable_grace}s)",
-                rank=dest,
-                deadline=self.options.unreachable_grace,
-            )
-        channel.send(source, dest, tag, payload, nbytes, msg_id, fault=fault)
-
     def _deliver_local(
         self, src_rank: int, dst_rank: int, tag: int, payload: Any, nbytes: int, msg_id: int
     ) -> None:
-        """Inbound frame from the node: hand it to the local mailbox."""
+        """Inbound frame from the wire: hand it to the local mailbox."""
         with self._lock:
             box = self._mailboxes.get(dst_rank)
         if box is None:
@@ -680,11 +792,7 @@ class _HostRuntime:
         return counters, fault_log, events
 
     def close(self) -> None:
-        with self._lock:
-            channels = list(self._channels.values())
-        for channel in channels:
-            channel.close()
-        self.node.close()
+        self.wire.close()
         self.ctrl.close()
 
 
@@ -701,11 +809,12 @@ def _host_main(
     rank_names: dict[int, str],
     flow_start: int,
     options: TcpOptions,
+    queues: Sequence[Any] | None,
 ) -> None:
     """Entry point of one host process (module-level for spawn support)."""
     runtime = _HostRuntime(
         host_id, n_hosts, ranks, controller_addr, fn, tuple(args), fault_plan,
-        on_rank_failure, trace_epoch, rank_names, flow_start, options,
+        on_rank_failure, trace_epoch, rank_names, flow_start, options, queues,
     )
     scope = activate(runtime.tracer) if runtime.tracer is not None else None
     if scope is not None:
@@ -745,22 +854,48 @@ def run_spmd_tcp(
 ) -> SPMDResult:
     """Run ``fn(comm, *args)`` on ``n_ranks`` ranks across ``n_hosts`` hosts.
 
-    The TCP twin of :func:`repro.mpi.executor.run_spmd` /
-    :func:`repro.mpi.procexec.run_spmd_process`: same parameters, same
-    :class:`~repro.mpi.executor.SPMDResult`, same abort / timeout /
+    The TCP twin of :func:`repro.mpi.executor.run_spmd`: same parameters,
+    same :class:`~repro.mpi.executor.SPMDResult`, same abort / timeout /
     ``on_rank_failure`` semantics — with ranks dealt round-robin across
     ``n_hosts`` OS-process hosts talking framed TCP (loopback here; the
     protocol carries no same-machine assumption).  See the module
     docstring for the robustness machinery; ``tcp_options`` tunes it.
 
     ``on_rank_failure="respawn"`` replaces a dead non-zero rank with a
-    fresh incarnation *thread* on its host (budgeted by ``max_respawns``),
-    generalising the process backend's respawn across hosts: the
-    replacement's rejoin handshake crosses real sockets.
+    fresh incarnation *thread* on its host (budgeted by ``max_respawns``);
+    the replacement's rejoin handshake crosses real sockets.
+    """
+    return _launch(
+        "tcp", n_ranks, fn, args, timeout, fault_injector, on_rank_failure,
+        tracer, n_hosts, tcp_options, max_respawns, start_method,
+    )
+
+
+def _launch(
+    backend: str,
+    n_ranks: int,
+    fn: Callable[..., Any],
+    args: Sequence[Any],
+    timeout: float | None,
+    fault_injector: FaultInjector | None,
+    on_rank_failure: str,
+    tracer: Tracer | None,
+    n_hosts: int,
+    tcp_options: TcpOptions | None,
+    max_respawns: int,
+    start_method: str | None = None,
+) -> SPMDResult:
+    """Launch and join one world of host processes.
+
+    ``backend="tcp"`` deals the ranks across ``n_hosts`` hosts over
+    sockets; ``backend="process"`` gives every rank a host of its own and
+    wires the hosts with queues.
     """
     if not 1 <= n_ranks <= MAX_TCP_RANKS:
         raise MPIError(f"n_ranks must be in [1, {MAX_TCP_RANKS}], got {n_ranks}")
-    if not 1 <= n_hosts <= MAX_TCP_HOSTS:
+    if backend == "process":
+        n_hosts = n_ranks
+    elif not 1 <= n_hosts <= MAX_TCP_HOSTS:
         raise MPIError(f"n_hosts must be in [1, {MAX_TCP_HOSTS}], got {n_hosts}")
     if on_rank_failure not in ("abort", "continue", "respawn"):
         raise MPIError(
@@ -799,6 +934,14 @@ def run_spmd_tcp(
     hosts_done: dict[int, tuple] = {}
     aborted: list[str] = []
 
+    def _abort_world(reason: str) -> None:
+        with state_lock:
+            if aborted:
+                return  # every host has been told already
+            aborted.append(reason)
+        rendezvous.broadcast(("apply", "abort", reason))
+        events.put(("aborted",))
+
     def _handle(host_id: int, msg: Any) -> None:
         nonlocal world_size, respawn_budget
         op = msg[0]
@@ -813,11 +956,7 @@ def run_spmd_tcp(
                     failed_flags.pop(msg[2], None)
                 rendezvous.broadcast(("apply", "mark_alive", msg[2]))
             elif what == "abort":
-                with state_lock:
-                    if not aborted:
-                        aborted.append(msg[2])
-                rendezvous.broadcast(("apply", "abort", msg[2]))
-                events.put(("aborted", msg[2]))
+                _abort_world(msg[2])
             elif what == "shutdown":
                 rendezvous.broadcast(("apply", "shutdown"))
             elif what == "retire":
@@ -865,6 +1004,7 @@ def run_spmd_tcp(
 
     rendezvous = Rendezvous(n_hosts, rank_hosts, _handle)
     fault_plan = fault_injector.plan if fault_injector is not None else None
+    queues = [ctx.Queue() for _ in range(n_hosts)] if backend == "process" else None
     processes = []
     for host_id in range(n_hosts):
         proc = ctx.Process(
@@ -876,6 +1016,7 @@ def run_spmd_tcp(
                 rank_names,
                 tracer.reserve_flow_stripe() if tracing else 0,
                 options,
+                queues,
             ),
             name=f"vmpi-host-{host_id}",
             daemon=True,
@@ -919,10 +1060,7 @@ def run_spmd_tcp(
                         f" {message[3]}"
                     ))
                 )
-                with state_lock:
-                    if not aborted:
-                        aborted.append("rank 0 died")
-                rendezvous.broadcast(("apply", "abort", "rank 0 died"))
+                _abort_world("rank 0 died")
             pending.discard(rank)
 
     while pending:
@@ -945,31 +1083,24 @@ def run_spmd_tcp(
                 host_id = event[1]
                 with state_lock:
                     already_done = host_id in hosts_done
-                if not already_done and not aborted:
-                    reason = f"host {host_id} lost its control link"
-                    with state_lock:
-                        aborted.append(reason)
-                    rendezvous.broadcast(("apply", "abort", reason))
-                    abort_seen_at = abort_seen_at or now
+                if not already_done:
+                    _abort_world(f"host {host_id} lost its control link")
             continue
         if abort_seen_at is not None and now - abort_seen_at > _ABORT_DRAIN_GRACE:
             break  # aborted ranks that never managed a parting word
         for host_id, proc in enumerate(processes):
-            if not proc.is_alive() and proc.exitcode not in (0, None):
+            if proc.exitcode not in (0, None):
                 with state_lock:
-                    host_dead = host_id not in hosts_done
-                if host_dead and not aborted:
-                    reason = f"host {host_id} process died with exit code {proc.exitcode}"
-                    with state_lock:
-                        aborted.append(reason)
-                    rendezvous.broadcast(("apply", "abort", reason))
-                    abort_seen_at = abort_seen_at or now
+                    already_done = host_id in hosts_done
+                if not already_done:
+                    _abort_world(
+                        f"host {host_id} process died with exit code {proc.exitcode}"
+                    )
+                    # Its ranks died with it: no parting words to wait for.
+                    pending -= {r for r in pending if _host_of(r, n_hosts) == host_id}
         if deadline is not None and now >= deadline:
             timed_out = True
-            with state_lock:
-                if not aborted:
-                    aborted.append("executor timeout")
-            rendezvous.broadcast(("apply", "abort", "executor timeout"))
+            _abort_world("executor timeout")
             break
 
     # Drain: ask every host for its epilogue (counters, fault log, trace),

@@ -354,7 +354,7 @@ _HELLO_RETRY = 0.2
 
 
 def _ft_worker_respawned(comm, config, eager_games, streams) -> dict:
-    """Entry point of a replacement process: handshake with Nature, rejoin.
+    """Entry point of a replacement incarnation: handshake with Nature, rejoin.
 
     The hello travels over a *plain* send that we retry ourselves: Nature
     ignores hellos for ranks it has not yet declared dead (the previous
@@ -924,26 +924,25 @@ class ParallelSimulation:
         Execution substrate for the SPMD ranks.  ``"thread"`` (default)
         runs every rank as a thread in this process — exact semantics,
         no multi-core speedup (the GIL).  ``"process"`` runs every rank
-        as an OS process (:mod:`repro.mpi.procexec`): real parallelism
-        for game play, the same deterministic trajectory bit for bit.
-        With the process backend an injected ``crash``/``hang`` kills the
-        rank's *process*; the fault-tolerant protocol degrades around the
-        real death exactly as it does around the simulated one.  ``"tcp"``
-        spreads the rank processes across ``n_hosts`` OS-process "hosts"
-        talking framed loopback TCP (:mod:`repro.mpi.hostexec`) — the
-        multi-host substrate with partition-tolerant reconnection; the
-        trajectory stays bit-identical.
+        as an OS process of its own: real parallelism for game play, the
+        same deterministic trajectory bit for bit.  ``"tcp"`` spreads the
+        ranks across ``n_hosts`` OS-process "hosts" talking framed
+        loopback TCP — the multi-host substrate with partition-tolerant
+        reconnection; the trajectory stays bit-identical.  Both are
+        :mod:`repro.mpi.hostexec`: an injected ``crash``/``hang`` takes
+        out the rank, not its host process, and the fault-tolerant
+        protocol degrades around it as it does on threads.
     on_rank_failure:
         ``"continue"`` (default): a dead worker's SSets are redistributed
         to the survivors and stay there — graceful degradation.
-        ``"respawn"`` (process and tcp backends): additionally launch a
-        replacement process for each dead worker; the replacement
+        ``"respawn"`` (process and tcp backends): additionally start a
+        replacement incarnation of each dead worker; the replacement
         handshakes with Nature, is re-seeded from Nature's authoritative
         matrix, and takes its SSets back (each heal is recorded as a
         :class:`~repro.parallel.protocol.RecoveryEvent` in
         ``result.recoveries``).  Implies the fault-tolerant protocol.
     max_respawns:
-        Total replacement-process budget under
+        Total replacement-incarnation budget under
         ``on_rank_failure="respawn"``.
     n_hosts, tcp_options:
         TCP-backend tuning: how many host processes the ranks are dealt
@@ -957,8 +956,7 @@ class ParallelSimulation:
         ``World.shrink``).  Implies the fault-tolerant protocol.  The
         population trajectory is bit-identical with or without the plan
         (membership changes never touch Nature's RNG); executed changes
-        are reported as ``result.membership``.  Thread and tcp backends
-        only — the process backend cannot add rank processes mid-run.
+        are reported as ``result.membership``.
 
     Examples
     --------
@@ -1010,11 +1008,6 @@ class ParallelSimulation:
                 raise MPIError(
                     f"membership_plan entries must be MembershipEvent, got {type(event).__name__}"
                 )
-        if membership_plan and backend == "process":
-            raise MPIError(
-                "membership_plan needs a world that can spawn ranks mid-run —"
-                " use backend='thread' or backend='tcp'"
-            )
         self.membership_plan = membership_plan
         self.on_rank_failure = on_rank_failure
         self.max_respawns = int(max_respawns)

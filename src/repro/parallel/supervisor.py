@@ -7,12 +7,12 @@ The recovery story has three layers, from the inside out:
    into place, with a content digest verified on load — a crash mid-write
    can litter a torn file but can never corrupt the latest good one.
 2. **Rank respawn** (``ParallelSimulation(on_rank_failure="respawn")``):
-   a dead *worker* process is replaced in-flight; the replacement is
+   a dead *worker* rank is replaced in-flight; the replacement is
    re-seeded from Nature's authoritative matrix and rejoins without
    restarting the run.
 3. **This module**: when a failure is unrecoverable from inside the run —
-   the Nature rank died, every worker died, a checkpoint write was killed
-   half-way — :class:`SupervisedRun` reloads the latest *valid* checkpoint
+   the Nature rank died, every worker died, a rank's OS process was killed
+   from outside, a checkpoint write was killed half-way — :class:`SupervisedRun` reloads the latest *valid* checkpoint
    and relaunches the whole world, with exponential backoff and a bounded
    restart budget.
 

@@ -12,7 +12,7 @@ import pytest
 from repro.errors import MPIError
 from repro.mpi.executor import run_spmd
 from repro.mpi.faults import FaultEvent, FaultInjector, FaultPlan
-from repro.mpi.procexec import MAX_PROCESS_RANKS, run_spmd_process
+from repro.mpi.hostexec import MAX_PROCESS_RANKS
 from repro.obs.tracer import Tracer
 
 pytestmark = pytest.mark.procexec
@@ -115,7 +115,7 @@ class TestBasics:
         assert res.returns[2] == (2, "x", 7)
 
     def test_single_rank(self):
-        res = run_spmd_process(1, _triple_rank, timeout=60)
+        res = run_spmd(1, _triple_rank, timeout=60, backend="process")
         assert res.returns == [0]
 
     def test_ranks_are_distinct_processes(self):
@@ -126,9 +126,9 @@ class TestBasics:
 
     def test_size_bounds(self):
         with pytest.raises(MPIError):
-            run_spmd_process(0, _triple_rank)
+            run_spmd(0, _triple_rank, backend="process")
         with pytest.raises(MPIError):
-            run_spmd_process(MAX_PROCESS_RANKS + 1, _triple_rank)
+            run_spmd(MAX_PROCESS_RANKS + 1, _triple_rank, backend="process")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(MPIError, match="backend"):
@@ -171,7 +171,7 @@ class TestReliable:
     def test_fault_log_merged_to_parent(self):
         plan = FaultPlan(events=(FaultEvent(kind="drop", rank=0, op_index=0),))
         injector = FaultInjector(plan)
-        run_spmd_process(2, _reliable_pair, timeout=120, fault_injector=injector)
+        run_spmd(2, _reliable_pair, timeout=120, fault_injector=injector, backend="process")
         assert any(rec.kind == "drop" for rec in injector.log)
 
 
@@ -182,23 +182,24 @@ class TestErrors:
 
     def test_timeout_aborts(self):
         with pytest.raises(MPIError, match="timed out"):
-            run_spmd_process(2, _block_forever, timeout=2.0)
+            run_spmd(2, _block_forever, timeout=2.0, backend="process")
 
     def test_unpicklable_payload_raises_at_sender(self):
         with pytest.raises(MPIError, match="pickl"):
-            run_spmd_process(2, _unpicklable_send, timeout=60)
+            run_spmd(2, _unpicklable_send, timeout=60, backend="process")
 
 
 class TestProcessDeath:
     def test_injected_crash_kills_the_process(self):
         """A crash fault is a real exit under continue, and the job survives."""
         plan = FaultPlan(seed=1, events=(FaultEvent(kind="crash", rank=2, generation=3),))
-        res = run_spmd_process(
+        res = run_spmd(
             3,
             _crash_at_generation,
             timeout=120,
             fault_injector=FaultInjector(plan),
             on_rank_failure="continue",
+            backend="process",
         )
         assert res.failed_ranks == (2,)
         assert res.returns[2] is None
@@ -209,12 +210,13 @@ class TestRespawn:
     def test_dead_rank_is_replaced_by_fresh_incarnation(self):
         """Under respawn, a crashed rank's slot is refilled by incarnation 1."""
         plan = FaultPlan(seed=1, events=(FaultEvent(kind="crash", rank=2, generation=3),))
-        res = run_spmd_process(
+        res = run_spmd(
             3,
             _respawn_probe,
             timeout=120,
             fault_injector=FaultInjector(plan),
             on_rank_failure="respawn",
+            backend="process",
         )
         assert res.failed_ranks == ()
         assert [r.rank for r in res.respawns] == [2]
@@ -225,13 +227,14 @@ class TestRespawn:
 
     def test_exhausted_budget_leaves_rank_degraded(self):
         plan = FaultPlan(seed=1, events=(FaultEvent(kind="crash", rank=2, generation=3),))
-        res = run_spmd_process(
+        res = run_spmd(
             3,
             _respawn_probe,
             timeout=120,
             fault_injector=FaultInjector(plan),
             on_rank_failure="respawn",
             max_respawns=0,
+            backend="process",
         )
         assert res.failed_ranks == (2,)
         assert res.respawns == ()
@@ -245,7 +248,7 @@ class TestRespawn:
 class TestTracerMerge:
     def test_per_rank_tracks_survive_the_merge(self):
         tracer = Tracer()
-        run_spmd_process(2, _traced_pingpong, timeout=120, tracer=tracer)
+        run_spmd(2, _traced_pingpong, timeout=120, tracer=tracer, backend="process")
         ranks = {e.rank for e in tracer.events()}
         assert {0, 1} <= ranks
         names = {e.name for e in tracer.events()}
@@ -253,7 +256,7 @@ class TestTracerMerge:
 
     def test_flow_arrows_join_across_processes(self):
         tracer = Tracer()
-        run_spmd_process(2, _traced_pingpong, timeout=120, tracer=tracer)
+        run_spmd(2, _traced_pingpong, timeout=120, tracer=tracer, backend="process")
         flows: dict[int, set[str]] = {}
         for e in tracer.events():
             if e.flow_id:
@@ -267,10 +270,10 @@ class TestTracerMerge:
         rank's buffer reused a surviving (earlier) rank's flow-id range and
         the merged Perfetto export bound unrelated arrows together."""
         tracer = Tracer()
-        run_spmd_process(2, _traced_pingpong, timeout=120, tracer=tracer)
+        run_spmd(2, _traced_pingpong, timeout=120, tracer=tracer, backend="process")
         first = {e.flow_id for e in tracer.events() if e.flow_id}
         assert first, "expected flow arrows from the first run"
-        run_spmd_process(2, _traced_pingpong, timeout=120, tracer=tracer)
+        run_spmd(2, _traced_pingpong, timeout=120, tracer=tracer, backend="process")
         second = {e.flow_id for e in tracer.events() if e.flow_id} - first
         assert second, "expected fresh flow ids from the second run"
         assert not (first & second)

@@ -8,6 +8,8 @@ function of the fault plan's seed, so the schedule determinism is asserted
 here too.
 """
 
+import os
+import signal
 import socket
 import threading
 import time
@@ -17,7 +19,13 @@ import pytest
 from repro.mpi.comm import World
 from repro.mpi.executor import run_spmd
 from repro.mpi.faults import FaultEvent, FaultInjector, FaultPlan
-from repro.mpi.hostexec import MAX_TCP_HOSTS, MAX_TCP_RANKS, run_spmd_tcp
+from repro.errors import MPIError
+from repro.mpi.hostexec import (
+    _ABORT_DRAIN_GRACE,
+    MAX_TCP_HOSTS,
+    MAX_TCP_RANKS,
+    run_spmd_tcp,
+)
 from repro.mpi.tcp import (
     HostChannel,
     TcpNode,
@@ -191,7 +199,8 @@ def test_ring_through_run_spmd_dispatch():
     assert result.returns == [((r - 1) % 4, 6) for r in range(4)]
 
 
-def test_runs_leave_no_thread_behind():
+@pytest.mark.parametrize("backend", ["process", "tcp"])
+def test_runs_leave_no_thread_behind(backend):
     # Regression: every tcp run left its rendezvous accept thread alive in
     # the caller, so a supervised run that restarted N times held N listeners.
     def live():
@@ -199,12 +208,29 @@ def test_runs_leave_no_thread_behind():
 
     before = live()
     for _ in range(2):
-        run_spmd(3, _ring_and_allreduce, backend="tcp", timeout=120.0)
+        run_spmd(3, _ring_and_allreduce, backend=backend, timeout=120.0)
     # Per-connection reader threads are not joined; they exit on socket close.
     deadline = time.monotonic() + 10.0
     while live() != before and time.monotonic() < deadline:
         time.sleep(0.05)
     assert live() == before
+
+
+def _kill_host_of_rank_one(comm):
+    pids = comm.gather(os.getpid(), root=0)
+    if comm.rank == 0:
+        os.kill(pids[1], signal.SIGKILL)
+    comm.recv(source=(comm.rank + 1) % comm.size, tag=9, timeout=None)  # never sent
+
+
+@pytest.mark.parametrize("backend", ["process", "tcp"])
+def test_killed_host_aborts_the_world_promptly(backend):
+    # Regression: the dead host's ranks stayed pending, so the launcher sat
+    # out the whole drain grace waiting for parting words that cannot come.
+    start = time.monotonic()
+    with pytest.raises(MPIError, match="host 1"):
+        run_spmd(3, _kill_host_of_rank_one, backend=backend, n_hosts=2, timeout=120.0)
+    assert time.monotonic() - start < _ABORT_DRAIN_GRACE / 2
 
 
 def test_injected_crash_respawns_across_hosts():

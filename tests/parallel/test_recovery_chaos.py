@@ -20,10 +20,13 @@ wall-clock-independent facts: the final matrix and the healed-rank set,
 never the generation a recovery landed on.
 """
 
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +148,49 @@ class TestKillMidCheckpointWrite:
         assert np.array_equal(out.result.matrix, _serial_matrix(config))
         # The torn file was replaced by a valid one on the way through.
         assert load_parallel_checkpoint(tmp_path / "ckpt_00000030.npz").generation == 30
+
+
+class TestKilledHost:
+    """A host process killed from outside is not replaced in place: the
+    world aborts naming it and the supervisor resumes from the checkpoint."""
+
+    config = SimulationConfig(n_ssets=8, generations=600, seed=11)
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            pytest.param("process", marks=pytest.mark.procexec),
+            pytest.param("tcp", marks=pytest.mark.tcp),
+        ],
+    )
+    def test_supervised_run_resumes_after_host_sigkill(self, backend, tmp_path):
+        def kill_worker_host():
+            deadline = time.monotonic() + 120
+            while latest_valid_parallel_checkpoint(tmp_path) is None:
+                if time.monotonic() > deadline:
+                    return
+                time.sleep(0.01)
+            for proc in multiprocessing.active_children():
+                if proc.name == "vmpi-host-1":
+                    os.kill(proc.pid, signal.SIGKILL)
+
+        killer = threading.Thread(target=kill_worker_host, daemon=True)
+        killer.start()
+        out = SupervisedRun(
+            self.config,
+            3,
+            checkpoint_dir=tmp_path,
+            checkpoint_every=50,
+            backend=backend,
+            on_rank_failure="respawn",
+            backoff=0.0,
+        ).run(timeout=300)
+        killer.join(timeout=10)
+        assert not killer.is_alive()
+        assert len(out.restarts) == 1
+        assert "host 1" in out.restarts[0].error
+        assert out.restarts[0].generation >= 50
+        assert np.array_equal(out.result.matrix, _serial_matrix(self.config))
 
 
 class TestResumeDeterminism:

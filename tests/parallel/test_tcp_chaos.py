@@ -118,13 +118,14 @@ def test_membership_grow_shrink_no_divergence(memory3_config, reference_matrix):
 
 
 @pytest.mark.recovery
-def test_membership_over_tcp(memory3_config, reference_matrix):
+@pytest.mark.parametrize("backend", ["process", "tcp"])
+def test_membership_over_tcp(memory3_config, reference_matrix, backend):
     plan = (
         MembershipEvent(generation=12, action="grow", count=2),
         MembershipEvent(generation=28, action="shrink", ranks=(3,)),
     )
     result = ParallelSimulation(
-        memory3_config, n_ranks=3, backend="tcp", n_hosts=2, membership_plan=plan
+        memory3_config, n_ranks=3, backend=backend, n_hosts=2, membership_plan=plan
     ).run()
     assert np.array_equal(result.matrix, reference_matrix)
     assert [m.action for m in result.membership] == ["grow", "shrink"]
@@ -133,13 +134,6 @@ def test_membership_over_tcp(memory3_config, reference_matrix):
 def test_membership_plan_validation(memory3_config):
     from repro.errors import MPIError
 
-    with pytest.raises(MPIError):
-        ParallelSimulation(
-            memory3_config,
-            n_ranks=3,
-            backend="process",
-            membership_plan=(MembershipEvent(generation=5, action="grow", count=1),),
-        )
     with pytest.raises(MPIError):
         ParallelSimulation(memory3_config, n_ranks=3, membership_plan=("grow",))
     with pytest.raises(ValueError):
