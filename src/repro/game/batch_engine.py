@@ -50,11 +50,11 @@ from repro.game.noise import NO_NOISE, NoiseModel
 from repro.game.payoff import PAPER_PAYOFFS, PayoffMatrix
 from repro.game.states import StateSpace
 from repro.game.vector_engine import (
-    BatchResult,
     VectorEngine,
     as_table_matrix,
+    rounds_per_block,
+    segment_uniforms,
 )
-from repro.obs.tracer import get_tracer
 
 __all__ = [
     "BatchEngine",
@@ -141,80 +141,21 @@ class BatchEngine(VectorEngine):
     # a later `benchmark` issue removes the attribute together with that read.
     kernel = "numpy"
 
-    # -- main entry ---------------------------------------------------------
-
-    def play(
-        self,
-        tables: np.ndarray,
-        ia: np.ndarray,
-        ib: np.ndarray,
-        rng: np.random.Generator | None = None,
-        record_cooperation: bool = False,
-    ) -> BatchResult:
-        """Play ``len(ia)`` games; game ``g`` is ``tables[ia[g]]`` vs ``tables[ib[g]]``.
-
-        Pure (integer) matrices are bit-packed and run through the batched
-        kernel; mixed (float) matrices fall back to the inherited dense
-        vector path.  Results and RNG consumption are identical either way.
-        """
-        mat = as_table_matrix(self.space, tables)
-        if mat.dtype != np.uint8:
-            # Mixed strategies store a per-state probability, not a bit:
-            # nothing to pack.  The dense path draws the same stream.
-            return super().play(
-                mat, ia, ib, rng=rng, record_cooperation=record_cooperation
-            )
-        ia = np.asarray(ia, dtype=np.intp)
-        ib = np.asarray(ib, dtype=np.intp)
-        if ia.shape != ib.shape or ia.ndim != 1:
-            raise GameError(
-                f"ia/ib must be equal-length 1-D arrays, got {ia.shape}, {ib.shape}"
-            )
-        n_games = ia.size
-        if n_games and (
-            ia.min() < 0 or ib.min() < 0 or max(ia.max(), ib.max()) >= mat.shape[0]
-        ):
-            raise GameError("pair indices out of range of the strategy matrix")
-        if not self.noise.is_noiseless and rng is None:
-            raise GameError("mixed strategies or noise require an rng")
-        if n_games == 0:
-            empty = np.empty(0, dtype=np.float64)
-            zero = np.empty(0, dtype=np.int64)
-            return BatchResult(empty, empty.copy(), self.rounds, zero, zero.copy())
-        tracer = get_tracer()
-        trace_t0 = tracer.now() if tracer.enabled else 0.0
-
-        packed = pack_matrix(self.space, mat)
-        da, db, dab, fit_a, fit_b = self._run_numpy(packed, ia, ib, rng)
-
-        if self._int_payoffs:
-            rounds = np.int64(self.rounds)
-            c0, ca, cb, cab = self._lin_mine
-            fit_a = (c0 * rounds + ca * da + cb * db + cab * dab).astype(np.float64)
-            c0, ca, cb, cab = self._lin_theirs
-            fit_b = (c0 * rounds + ca * da + cb * db + cab * dab).astype(np.float64)
-
-        self.games_played += n_games
-        self.rounds_played += n_games * self.rounds
-        if tracer.enabled:
-            tracer.complete(
-                "batch_engine.play", cat="game", ts=trace_t0,
-                dur=tracer.now() - trace_t0,
-                args={"games": int(n_games), "rounds": self.rounds},
-            )
-        empty = np.empty(0, dtype=np.int64)
-        return BatchResult(
-            fitness_a=fit_a,
-            fitness_b=fit_b,
-            rounds=self.rounds,
-            cooperations_a=(self.rounds - da) if record_cooperation else empty,
-            cooperations_b=(self.rounds - db) if record_cooperation else empty,
-        )
-
     # -- kernel -------------------------------------------------------------
 
-    def _run_numpy(self, packed, ia, ib, rng):
-        """Pure NumPy round loop: all games advance together per round."""
+    def _kernel(self, mat: np.ndarray):
+        """Packed loop for pure matrices; mixed ones take the inherited dense loop.
+
+        Mixed strategies store a per-state probability, not a bit: nothing
+        to pack.  Results and RNG consumption are identical either way.
+        """
+        if mat.dtype != np.uint8:
+            return super()._kernel(mat)
+        return "batch_engine.play", self._run_packed
+
+    def _run_packed(self, mat, ia, ib, bounds, rngs, record_cooperation):
+        """Bit-packed round loop: all games advance together per round."""
+        packed = pack_matrix(self.space, mat)
         n_games = ia.size
         n_words = packed.shape[1]
         mask = np.uint64(self.space.mask)
@@ -245,7 +186,8 @@ class BatchEngine(VectorEngine):
             base_a = (ia * n_words).astype(np.intp)
             base_b = (ib * n_words).astype(np.intp)
 
-        for _ in range(self.rounds):
+        block = rounds_per_block(2 * n_games)
+        for r in range(self.rounds):
             if single:
                 np.right_shift(lane_a, state_a, out=move_a)
                 np.right_shift(lane_b, state_b, out=move_b)
@@ -258,8 +200,11 @@ class BatchEngine(VectorEngine):
             move_b &= one
             if rate:
                 # Same draw order as VectorEngine: A's flip block, then B's.
-                move_a ^= (rng.random(n_games) < rate).astype(np.uint64)
-                move_b ^= (rng.random(n_games) < rate).astype(np.uint64)
+                # Kept as a bool mask; a round's row widens as it is applied.
+                if r % block == 0:
+                    flips = segment_uniforms(rngs, bounds, min(block, self.rounds - r), 2, rate)
+                move_a ^= flips[r % block, 0]
+                move_b ^= flips[r % block, 1]
 
             da += move_a.astype(np.int64)
             db += move_b.astype(np.int64)
@@ -279,7 +224,14 @@ class BatchEngine(VectorEngine):
             state_b |= move_b << one
             state_b |= move_a
             state_b &= mask
-        return da, db, dab, fit_a, fit_b
+
+        if int_path:
+            rounds = np.int64(self.rounds)
+            c0, ca, cb, cab = self._lin_mine
+            fit_a = (c0 * rounds + ca * da + cb * db + cab * dab).astype(np.float64)
+            c0, ca, cb, cab = self._lin_theirs
+            fit_b = (c0 * rounds + ca * da + cb * db + cab * dab).astype(np.float64)
+        return fit_a, fit_b, self.rounds - da, self.rounds - db
 
     def __repr__(self) -> str:
         return (

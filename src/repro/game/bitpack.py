@@ -15,6 +15,9 @@ tables are equal, and word-wise XOR + popcount gives Hamming distance.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.errors import StrategyError
@@ -31,6 +34,7 @@ __all__ = [
     "packed_nbytes",
     "to_hex",
     "from_hex",
+    "PackedMatrix",
 ]
 
 
@@ -148,3 +152,26 @@ def from_hex(text: str) -> np.ndarray:
         raise StrategyError(f"hex strategy text length must be a multiple of 16, got {len(text)}")
     vals = [int(text[i : i + 16], 16) for i in range(0, len(text), 16)]
     return np.array(vals, dtype=np.uint64)
+
+
+@dataclass(frozen=True)
+class PackedMatrix:
+    """A whole pure strategy matrix at rest: one bit per move, 1/8 the bytes.
+
+    What a finished run's result holds instead of the uint8 matrix (256 KiB
+    at 64 memory-six SSets), so a caller that keeps many results — a sweep,
+    the service, the benchmark's oracle check — keeps 32 KiB of each.
+    """
+
+    bits: np.ndarray
+    shape: tuple[int, ...]
+
+    @classmethod
+    def pack(cls, matrix: np.ndarray) -> "PackedMatrix":
+        """Pack a 0/1 uint8 matrix of any shape."""
+        return cls(np.packbits(matrix, bitorder="little"), matrix.shape)
+
+    def unpack(self) -> np.ndarray:
+        """The uint8 matrix :meth:`pack` was given (a fresh array)."""
+        flat = np.unpackbits(self.bits, count=math.prod(self.shape), bitorder="little")
+        return flat.reshape(self.shape)

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -110,6 +112,46 @@ def as_table_matrix(space: StateSpace, tables: np.ndarray) -> np.ndarray:
     raise GameError(f"unsupported strategy matrix dtype {arr.dtype}")
 
 
+#: A round loop draws its randomness ahead, a block of rounds at a time: at
+#: most ``_BLOCK_BYTES`` of pre-drawn values (float uniforms on the dense
+#: path, a bool flip mask on the packed one) filled ``_DRAW_DOUBLES`` fresh
+#: doubles at a time — so the scratch stays flat however many lanes a call
+#: advances, and the doubles stay small enough for the allocator to reuse.
+_BLOCK_BYTES = 1 << 20
+_DRAW_DOUBLES = 1 << 13
+
+
+def rounds_per_block(round_bytes: int) -> int:
+    """Rounds drawn ahead at once, when one round's values take ``round_bytes``."""
+    return max(1, _BLOCK_BYTES // max(1, round_bytes))
+
+
+def segment_uniforms(
+    rngs: Sequence[np.random.Generator],
+    bounds: Sequence[int],
+    n_rounds: int,
+    draws: int,
+    below: float | None = None,
+) -> np.ndarray:
+    """Every game's next ``n_rounds * draws`` uniforms, each segment on its own stream.
+
+    Segment ``s`` holds games ``bounds[s]:bounds[s + 1]`` and draws from
+    ``rngs[s]`` alone.  ``out[r, d, lo:hi]`` is exactly what the ``d``-th of
+    ``draws`` successive ``rng.random(hi - lo)`` calls in round ``r`` would
+    have returned: ``rng.random((rounds, draws, k))`` fills in that order,
+    so drawing rounds ahead moves no game's randomness.  With ``below`` the
+    result is the bool mask ``uniform < below`` (1/8 the bytes).
+    """
+    out = np.empty((n_rounds, draws, bounds[-1]), dtype=float if below is None else bool)
+    for rng, lo, hi in zip(rngs, bounds[:-1], bounds[1:]):
+        if hi > lo:
+            step = max(1, _DRAW_DOUBLES // (draws * (hi - lo)))
+            for r in range(0, n_rounds, step):
+                u = rng.random((min(step, n_rounds - r), draws, hi - lo))
+                out[r : r + step, :, lo:hi] = u if below is None else u < below
+    return out
+
+
 class VectorEngine:
     """Plays batches of IPD games over a shared strategy matrix.
 
@@ -175,7 +217,27 @@ class VectorEngine:
         active.  The engine draws, per round, one uniform block for player
         A's moves, one for player B's, then (if noisy) one flip block per
         player — a fixed order, so a given generator state always reproduces
-        the same batch.
+        the same batch.  This is :meth:`play_segments` with one segment.
+        """
+        ia = np.asarray(ia, dtype=np.intp)
+        return self.play_segments(tables, ia, ib, (ia.size,), (rng,), record_cooperation)
+
+    def play_segments(
+        self,
+        tables: np.ndarray,
+        ia: np.ndarray,
+        ib: np.ndarray,
+        sizes: Sequence[int],
+        rngs: Sequence[np.random.Generator | None] | None = None,
+        record_cooperation: bool = False,
+    ) -> BatchResult:
+        """Play several batches as one: segment ``s`` is the next ``sizes[s]`` games.
+
+        All games advance together, but segment ``s`` takes its randomness
+        from ``rngs[s]`` alone, in the order :meth:`play` would draw it — so
+        every game sees the flips, and every generator ends in the state, of
+        one ``play(..., rng=rngs[s])`` per segment, at one call's overhead.
+        The result lists the games in the order given.
         """
         mat = as_table_matrix(self.space, tables)
         ia = np.asarray(ia, dtype=np.intp)
@@ -185,10 +247,14 @@ class VectorEngine:
         n_games = ia.size
         if n_games and (ia.min() < 0 or ib.min() < 0 or max(ia.max(), ib.max()) >= mat.shape[0]):
             raise GameError("pair indices out of range of the strategy matrix")
-        pure = mat.dtype == np.uint8
-        stochastic = (not pure) or (not self.noise.is_noiseless)
-        if stochastic and rng is None:
-            raise GameError("mixed strategies or noise require an rng")
+        bounds = [0, *accumulate(int(size) for size in sizes)]
+        if bounds[-1] != n_games or sorted(bounds) != bounds:
+            raise GameError(f"segment sizes {list(sizes)} do not partition {n_games} games")
+        stochastic = mat.dtype != np.uint8 or not self.noise.is_noiseless
+        if stochastic and (
+            rngs is None or len(rngs) != len(bounds) - 1 or any(rng is None for rng in rngs)
+        ):
+            raise GameError("mixed strategies or noise require an rng (one per segment)")
         if n_games == 0:
             empty = np.empty(0, dtype=np.float64)
             zero = np.empty(0, dtype=np.int64)
@@ -196,6 +262,33 @@ class VectorEngine:
         tracer = get_tracer()
         trace_t0 = tracer.now() if tracer.enabled else 0.0
 
+        span, run = self._kernel(mat)
+        fit_a, fit_b, coop_a, coop_b = run(mat, ia, ib, bounds, rngs, record_cooperation)
+
+        self.games_played += n_games
+        self.rounds_played += n_games * self.rounds
+        if tracer.enabled:
+            tracer.complete(
+                span, cat="game", ts=trace_t0,
+                dur=tracer.now() - trace_t0,
+                args={"games": int(n_games), "rounds": self.rounds},
+            )
+        empty = np.empty(0, dtype=np.int64)
+        return BatchResult(
+            fitness_a=fit_a,
+            fitness_b=fit_b,
+            rounds=self.rounds,
+            cooperations_a=coop_a if record_cooperation else empty,
+            cooperations_b=coop_b if record_cooperation else empty,
+        )
+
+    def _kernel(self, mat: np.ndarray):
+        """The round loop that plays ``mat`` and the span name it reports under."""
+        return "vector_engine.play", self._run_dense
+
+    def _run_dense(self, mat, ia, ib, bounds, rngs, record_cooperation):
+        """Dense round loop: one byte (or probability) gathered per player per round."""
+        n_games = ia.size
         # Per-game tables gathered once: rows_a[g] is player A's full table.
         rows_a = mat[ia]
         rows_b = mat[ib]
@@ -208,19 +301,25 @@ class VectorEngine:
         coop_b = np.zeros(n_games, dtype=np.int64) if record_cooperation else None
 
         gidx = np.arange(n_games)
+        pure = mat.dtype == np.uint8
         noise_rate = self.noise.rate
-        for _ in range(self.rounds):
+        # Uniforms per game per round: A's and B's move draws, then their flips.
+        draws = 2 * ((not pure) + bool(noise_rate))
+        block = rounds_per_block(8 * draws * n_games)
+        for r in range(self.rounds):
+            if draws and r % block == 0:
+                u = segment_uniforms(rngs, bounds, min(block, self.rounds - r), draws)
             cell_a = rows_a[gidx, state_a]
             cell_b = rows_b[gidx, state_b]
             if pure:
                 move_a = cell_a.astype(np.int64)
                 move_b = cell_b.astype(np.int64)
             else:
-                move_a = (rng.random(n_games) < cell_a).astype(np.int64)  # type: ignore[union-attr]
-                move_b = (rng.random(n_games) < cell_b).astype(np.int64)  # type: ignore[union-attr]
+                move_a = (u[r % block, 0] < cell_a).astype(np.int64)
+                move_b = (u[r % block, 1] < cell_b).astype(np.int64)
             if noise_rate:
-                move_a ^= rng.random(n_games) < noise_rate  # type: ignore[union-attr]
-                move_b ^= rng.random(n_games) < noise_rate  # type: ignore[union-attr]
+                move_a ^= u[r % block, draws - 2] < noise_rate
+                move_b ^= u[r % block, draws - 1] < noise_rate
 
             joint = (move_a << 1) | move_b
             fit_a += self._pay_mine[joint]
@@ -232,23 +331,7 @@ class VectorEngine:
             # Advance both perspectives in place.
             self.space.push_array(state_a, move_a, move_b, out=state_a)
             self.space.push_array(state_b, move_b, move_a, out=state_b)
-
-        self.games_played += n_games
-        self.rounds_played += n_games * self.rounds
-        if tracer.enabled:
-            tracer.complete(
-                "vector_engine.play", cat="game", ts=trace_t0,
-                dur=tracer.now() - trace_t0,
-                args={"games": int(n_games), "rounds": self.rounds},
-            )
-        empty = np.empty(0, dtype=np.int64)
-        return BatchResult(
-            fitness_a=fit_a,
-            fitness_b=fit_b,
-            rounds=self.rounds,
-            cooperations_a=coop_a if record_cooperation else empty,
-            cooperations_b=coop_b if record_cooperation else empty,
-        )
+        return fit_a, fit_b, coop_a, coop_b
 
     # -- conveniences ---------------------------------------------------------
 

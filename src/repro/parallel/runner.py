@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.config import SimulationConfig
 from repro.errors import MPIError, RankCrashError, RankFailedError, RecvTimeoutError
+from repro.game.bitpack import PackedMatrix
 from repro.io.checkpoints import (
     ParallelCheckpoint,
     latest_valid_parallel_checkpoint,
@@ -91,9 +92,10 @@ class ParallelRunResult:
 
     Attributes
     ----------
-    matrix:
-        Final (n_ssets, n_states) strategy matrix (identical on all ranks;
-        verified by digest).
+    final:
+        The final strategy matrix as the result keeps it: a pure one
+        bit-packed (1/8 the bytes; read it through :attr:`matrix`), a mixed
+        one as it is.
     generation:
         Generations completed.
     n_pc_events, n_adoptions, n_mutations:
@@ -107,7 +109,7 @@ class ParallelRunResult:
         was ``eager_games`` — lazy fitness only plays at PC events).
     """
 
-    matrix: np.ndarray
+    final: PackedMatrix | np.ndarray
     generation: int
     n_pc_events: int
     n_adoptions: int
@@ -142,6 +144,11 @@ class ParallelRunResult:
     #: :func:`repro.obs.timeline_text`.
     trace: Tracer | None = None
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """Final (n_ssets, n_states) strategy matrix (identical on all ranks, by digest)."""
+        return self.final.unpack() if isinstance(self.final, PackedMatrix) else self.final
+
 
 def _replica_digest(matrix: np.ndarray) -> bytes:
     h = hashlib.blake2b(digest_size=16)
@@ -175,7 +182,8 @@ def _rank_program(
             # the fitness.  The trajectory is unaffected — PC fitness still
             # comes from the evaluator's deterministic/keyed-stream path.
             with tracer.span("play", rank=comm.rank, args={"gen": gen}):
-                games_played += _eager_slate(config, population, evaluator, streams, owned, gen)
+                evaluator.play_slates(owned, gen, "eager")
+                games_played += owned.size * config.opponents_per_sset
         # Step 1: generation header down the tree.
         if nature is not None:
             selection = nature.select_pc()
@@ -195,12 +203,15 @@ def _rank_program(
         if header.has_pc:
             with tracer.span("pc_step", rank=comm.rank, args={"gen": gen}):
                 teacher, learner = header.pc_teacher, header.pc_learner
-                if comm.rank == decomp.owner_of(teacher):
-                    (pi,) = evaluator.fitness([teacher], generation=gen)
-                    comm.send(float(pi), dest=decomp.nature_rank, tag=_TAG_TEACHER)
-                if comm.rank == decomp.owner_of(learner):
-                    (pi,) = evaluator.fitness([learner], generation=gen)
-                    comm.send(float(pi), dest=decomp.nature_rank, tag=_TAG_LEARNER)
+                pi_t, pi_l = _pc_fitness(
+                    evaluator, gen,
+                    teacher if comm.rank == decomp.owner_of(teacher) else None,
+                    learner if comm.rank == decomp.owner_of(learner) else None,
+                )
+                if pi_t is not None:
+                    comm.send(pi_t, dest=decomp.nature_rank, tag=_TAG_TEACHER)
+                if pi_l is not None:
+                    comm.send(pi_l, dest=decomp.nature_rank, tag=_TAG_LEARNER)
                 if nature is not None:
                     t_owner = decomp.owner_of(teacher)
                     l_owner = decomp.owner_of(learner)
@@ -301,26 +312,15 @@ class _FTOptions:
     membership_plan: tuple[MembershipEvent, ...] = ()
 
 
-def _eager_slate(config, population, evaluator, streams, owned, gen) -> int:
-    """Play every owned SSet's full opponent slate (the paper's §IV-D workload)."""
-    games_played = 0
-    assign = population.assignment()
-    tables = population.tables_view()
-    for sset in owned:
-        opponents = np.array(
-            [j for j in range(config.n_ssets) if j != sset or config.include_self_play],
-            dtype=np.intp,
-        )
-        ia = np.full(opponents.size, assign[sset], dtype=np.intp)
-        ib = assign[opponents]
-        rng = (
-            streams.fresh("eager", gen, int(sset))
-            if not config.deterministic_games
-            else None
-        )
-        evaluator.engine.play(tables, ia, ib, rng=rng)
-        games_played += opponents.size
-    return games_played
+def _pc_fitness(evaluator, gen, teacher, learner) -> tuple[float | None, float | None]:
+    """Fitness of the PC pair's SSets this rank answers for (``None``: not ours).
+
+    One evaluator call for both, so a rank that owns the pair plays the two
+    slates of a sampled run in one kernel call.
+    """
+    asked = [s for s in (teacher, learner) if s is not None]
+    pis = dict(zip(asked, evaluator.fitness(asked, gen).tolist())) if asked else {}
+    return pis.get(teacher), pis.get(learner)
 
 
 def _rank_program_ft(comm: Comm, config: SimulationConfig, eager_games: bool, opts: _FTOptions):
@@ -343,7 +343,7 @@ def _rank_program_ft(comm: Comm, config: SimulationConfig, eager_games: bool, op
     failed = set(opts.start_failed)
     if comm.rank == 0:
         return _ft_nature(comm, config, population, streams, failed, opts)
-    return _ft_worker(comm, config, eager_games, population, evaluator, streams, failed)
+    return _ft_worker(comm, config, eager_games, population, evaluator, failed)
 
 
 #: How long a respawned worker keeps re-sending its hello before giving up.
@@ -394,18 +394,15 @@ def _ft_worker_respawned(comm, config, eager_games, streams) -> dict:
         args={"gen": rejoin.generation, "incarnation": incarnation},
     )
     return _ft_worker(
-        comm, config, eager_games, population, evaluator, streams, failed,
+        comm, config, eager_games, population, evaluator, failed,
         min_generation=rejoin.generation,
     )
 
 
-def _ft_worker(
-    comm, config, eager_games, population, evaluator, streams, failed, min_generation=0
-) -> dict:
+def _ft_worker(comm, config, eager_games, population, evaluator, failed, min_generation=0) -> dict:
     try:
         return _ft_worker_loop(
-            comm, config, eager_games, population, evaluator, streams, failed,
-            min_generation=min_generation,
+            comm, config, eager_games, population, evaluator, failed, min_generation
         )
     except (RankFailedError, RecvTimeoutError) as exc:
         if comm.world.is_failed(0):
@@ -416,7 +413,7 @@ def _ft_worker(
 
 
 def _ft_worker_loop(
-    comm, config, eager_games, population, evaluator, streams, failed, min_generation=0
+    comm, config, eager_games, population, evaluator, failed, min_generation=0
 ) -> dict:
     games_played = 0
     tracer = comm.world.tracer
@@ -445,16 +442,16 @@ def _ft_worker_loop(
                         tuple(sorted(failed)),
                     )
                     owned = np.flatnonzero(owners == comm.rank)
-                    games_played += _eager_slate(
-                        config, population, evaluator, streams, owned, gen
-                    )
+                    evaluator.play_slates(owned, gen, "eager")
+                    games_played += owned.size * config.opponents_per_sset
             pi_t = pi_l = None
             if msg.has_pc:
                 with tracer.span("fitness", rank=comm.rank, args={"gen": gen}):
-                    if msg.teacher_owner == comm.rank:
-                        pi_t = float(evaluator.fitness([msg.pc_teacher], generation=gen)[0])
-                    if msg.learner_owner == comm.rank:
-                        pi_l = float(evaluator.fitness([msg.pc_learner], generation=gen)[0])
+                    pi_t, pi_l = _pc_fitness(
+                        evaluator, gen,
+                        msg.pc_teacher if msg.teacher_owner == comm.rank else None,
+                        msg.pc_learner if msg.learner_owner == comm.rank else None,
+                    )
             comm.send_reliable(
                 WorkerReport(rank=comm.rank, generation=gen, pi_teacher=pi_t, pi_learner=pi_l),
                 dest=0,
@@ -462,15 +459,10 @@ def _ft_worker_loop(
             )
             gen_span.__exit__(None, None, None)
         elif isinstance(msg, FTFitnessRequest):
-            pi_t = (
-                float(evaluator.fitness([msg.pc_teacher], generation=msg.generation)[0])
-                if msg.want_teacher
-                else None
-            )
-            pi_l = (
-                float(evaluator.fitness([msg.pc_learner], generation=msg.generation)[0])
-                if msg.want_learner
-                else None
+            pi_t, pi_l = _pc_fitness(
+                evaluator, msg.generation,
+                msg.pc_teacher if msg.want_teacher else None,
+                msg.pc_learner if msg.want_learner else None,
             )
             comm.send_reliable(
                 WorkerReport(
@@ -1149,19 +1141,7 @@ class ParallelSimulation:
                 tcp_options=self.tcp_options,
             )
             self._finish_trace(spmd)
-            nature_out = spmd.returns[0]
-            return ParallelRunResult(
-                matrix=nature_out["matrix"],
-                generation=self.config.generations,
-                n_pc_events=nature_out["n_pc_events"],
-                n_adoptions=nature_out["n_adoptions"],
-                n_mutations=nature_out["n_mutations"],
-                counters=spmd.world.counters.snapshot(),
-                n_ranks=self.n_ranks,
-                games_played_per_rank=tuple(out["games_played"] for out in spmd.returns),
-                fault_events=() if injector is None else injector.schedule(),
-                trace=self.tracer,
-            )
+            return self._result(spmd, injector, [out["games_played"] for out in spmd.returns])
 
         spmd = run_spmd(
             self.n_ranks,
@@ -1190,8 +1170,21 @@ class ParallelSimulation:
                 games[rank] = games_by_rank[rank]
             elif rank < len(spmd.returns) and isinstance(spmd.returns[rank], dict):
                 games[rank] = spmd.returns[rank].get("games_played", 0)
+        return self._result(
+            spmd, injector, games,
+            failed_ranks=nature_out["failed_ranks"],
+            degradations=nature_out["degradations"],
+            recoveries=nature_out.get("recoveries", ()),
+            checkpoints=nature_out["checkpoints"],
+            respawns=spmd.respawns,
+            membership=nature_out.get("membership", ()),
+        )
+
+    def _result(self, spmd, injector, games, **ft_facts) -> ParallelRunResult:
+        nature_out = spmd.returns[0]
+        matrix = nature_out["matrix"]
         return ParallelRunResult(
-            matrix=nature_out["matrix"],
+            final=PackedMatrix.pack(matrix) if matrix.dtype == np.uint8 else matrix,
             generation=self.config.generations,
             n_pc_events=nature_out["n_pc_events"],
             n_adoptions=nature_out["n_adoptions"],
@@ -1199,12 +1192,7 @@ class ParallelSimulation:
             counters=spmd.world.counters.snapshot(),
             n_ranks=self.n_ranks,
             games_played_per_rank=tuple(games),
-            failed_ranks=nature_out["failed_ranks"],
-            degradations=nature_out["degradations"],
-            recoveries=nature_out.get("recoveries", ()),
             fault_events=() if injector is None else injector.schedule(),
-            checkpoints=nature_out["checkpoints"],
-            respawns=spmd.respawns,
-            membership=nature_out.get("membership", ()),
             trace=self.tracer,
+            **ft_facts,
         )

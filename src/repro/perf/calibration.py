@@ -1,8 +1,9 @@
 """Calibrate the cost model from measured engine timings.
 
 The honest way to parameterise the performance model on *this* machine:
-time the actual IPD engines — the scalar incremental engine and the
-paper-faithful linear-search engine — across memory depths, and fit the
+time the actual IPD engines — the batch engine every run builds, at the
+call size a worker issues, and the paper-faithful linear-search engine —
+across memory depths, and fit the
 :class:`~repro.perf.cost_model.CostModel` constants from those samples.
 The resulting model carries the label ``"measured-python"`` and drives the
 self-measured variants of the scaling benches (the paper-fitted presets in
@@ -18,10 +19,10 @@ import numpy as np
 
 from repro.config import SimulationConfig
 from repro.errors import CalibrationError
+from repro.game.batch_engine import BatchEngine
 from repro.game.lookup_engine import build_states_table, play_ipd_lookup
 from repro.game.states import StateSpace
 from repro.game.strategy import Strategy
-from repro.game.vector_engine import VectorEngine
 from repro.perf.cost_model import CostModel
 
 __all__ = ["CalibrationReport", "calibrate", "time_engine_round", "time_lookup_round"]
@@ -46,14 +47,22 @@ class CalibrationReport:
     model: CostModel | None = None
 
 
-def time_engine_round(memory: int, rounds: int = 200, batch: int = 64, seed: int = 0) -> float:
-    """Seconds per round per game of the vectorised incremental engine."""
+def time_engine_round(
+    memory: int, rounds: int = 200, batch: int = 32 * 63, seed: int = 0
+) -> float:
+    """Seconds per round per game of the engine the runs build, at the size they call it.
+
+    ``batch`` games among 64 random strategies through
+    :class:`~repro.game.batch_engine.BatchEngine`; the default is one
+    worker's call per generation — ``owned x (n_ssets - 1)`` with 32 of 64
+    SSets owned.
+    """
     space = StateSpace(memory)
     rng = np.random.default_rng(seed)
-    mat = rng.integers(0, 2, size=(batch, space.n_states), dtype=np.uint8)
-    engine = VectorEngine(space, rounds=rounds)
-    ia = rng.integers(0, batch, size=batch).astype(np.intp)
-    ib = rng.integers(0, batch, size=batch).astype(np.intp)
+    mat = rng.integers(0, 2, size=(64, space.n_states), dtype=np.uint8)
+    engine = BatchEngine(space, rounds=rounds)
+    ia = rng.integers(0, 64, size=batch).astype(np.intp)
+    ib = rng.integers(0, 64, size=batch).astype(np.intp)
     engine.play(mat, ia, ib)  # warm-up
     start = time.perf_counter()
     engine.play(mat, ia, ib)

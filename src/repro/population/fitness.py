@@ -34,6 +34,7 @@ from repro.errors import PopulationError
 from repro.game.batch_engine import BatchEngine
 from repro.game.markov import expected_pair_payoffs
 from repro.population.population import Population
+from repro.population.schedule import opponent_rows
 from repro.rng import StreamFactory
 
 __all__ = ["FitnessEvaluator"]
@@ -90,10 +91,9 @@ class FitnessEvaluator:
         random streams, so asking twice for the same generation returns the
         same sample.
         """
-        ssets = [int(s) for s in ssets]
         if self.mode == "sampled":
-            return np.array([self._sampled_fitness(s, generation) for s in ssets])
-        return np.array([self._memoised_fitness(s) for s in ssets])
+            return self.play_slates(ssets, generation, "fitness")
+        return np.array([self._memoised_fitness(int(s)) for s in ssets])
 
     def all_fitness(self, generation: int) -> np.ndarray:
         """Fitness of every SSet (used by observers; costly in sampled mode)."""
@@ -167,21 +167,31 @@ class FitnessEvaluator:
         res = self.engine.play(tables, ia, cols)
         return res.fitness_a, res.fitness_b
 
-    # -- sampled mode ----------------------------------------------------------------
+    # -- live play -------------------------------------------------------------------
 
-    def _sampled_fitness(self, sset: int, generation: int) -> float:
+    def play_slates(self, ssets: Sequence[int], generation: int, stream: str) -> np.ndarray:
+        """Play each listed SSet's full opponent slate, all in one kernel call.
+
+        Slate ``s`` draws from ``streams.fresh(stream, generation, s)`` and
+        from nothing else, so its games are the ones a call for ``s`` alone
+        would play and the batch size changes no number.  Returns each
+        SSet's summed fitness, in the order asked.
+        """
         pop = self.population
-        if self.streams is None:  # pragma: no cover - guarded in __init__
-            raise PopulationError("sampled fitness mode needs a StreamFactory")
-        opponents = [j for j in range(pop.n_ssets) if j != sset]
-        if self.config.include_self_play:
-            opponents.append(sset)
+        ssets = [int(s) for s in ssets]
+        opponents = opponent_rows(pop.n_ssets, ssets, self.config.include_self_play)
+        n_slates, per_slate = opponents.shape
         assign = pop.assignment()
-        ia = np.full(len(opponents), assign[sset], dtype=np.intp)
-        ib = assign[np.asarray(opponents, dtype=np.intp)]
-        rng = self.streams.fresh("fitness", generation, sset)
-        res = self.engine.play(pop.tables_view(), ia, ib, rng=rng)
-        return float(res.fitness_a.sum())
+        rngs = None
+        if not self.config.deterministic_games:
+            rngs = [self.streams.fresh(stream, generation, s) for s in ssets]
+        res = self.engine.play_segments(
+            pop.tables_view(), np.repeat(assign[ssets], per_slate), assign[opponents].ravel(),
+            [per_slate] * n_slates, rngs,
+        )
+        # Summed slate by slate: the 1-D pairwise sum a lone call would take.
+        slates = res.fitness_a.reshape(n_slates, per_slate)
+        return np.array([float(slate.sum()) for slate in slates])
 
     # -- maintenance ------------------------------------------------------------------
 

@@ -9,10 +9,10 @@ rank data to allow each node to calculate its position within an SSet and
 its subsequent opponent strategies individually").
 
 :class:`OpponentSchedule` reproduces that arithmetic: opponents are listed
-in ascending SSet order and dealt to agents in balanced contiguous chunks
-(sizes differing by at most one).  The schedule is pure arithmetic — any
-rank, given only ``(n_ssets, agents_per_sset, include_self)``, computes the
-same assignment.
+in ascending SSet order (the SSet itself last, when it plays itself) and
+dealt to agents in balanced contiguous chunks (sizes differing by at most
+one).  The schedule is pure arithmetic — any rank, given only
+``(n_ssets, agents_per_sset, include_self)``, computes the same assignment.
 """
 
 from __future__ import annotations
@@ -23,7 +23,21 @@ import numpy as np
 
 from repro.errors import ScheduleError
 
-__all__ = ["OpponentSchedule"]
+__all__ = ["OpponentSchedule", "opponent_rows"]
+
+
+def opponent_rows(n_ssets: int, ssets: np.ndarray, include_self: bool) -> np.ndarray:
+    """Row ``i``: the opponents of ``ssets[i]``, in the order their games are played.
+
+    Every other SSet in ascending order, then (``include_self``) the SSet
+    itself, last.  The order decides which game gets which draws of a
+    slate's stream, so every place that plays a slate — the fitness
+    evaluator, the eager workers, :class:`OpponentSchedule` — builds it here.
+    """
+    own = np.asarray(ssets, dtype=np.intp).reshape(-1, 1)
+    others = np.arange(n_ssets - 1, dtype=np.intp)
+    rows = others + (others >= own)
+    return np.hstack([rows, own]) if include_self else rows
 
 
 @dataclass(frozen=True)
@@ -58,14 +72,9 @@ class OpponentSchedule:
         return self.n_ssets if self.include_self else self.n_ssets - 1
 
     def opponents_of(self, sset: int) -> np.ndarray:
-        """All opponent SSet ids for ``sset``, in ascending order."""
+        """All opponent SSet ids for ``sset``: ascending, ``sset`` itself (if played) last."""
         self._check_sset(sset)
-        if self.include_self:
-            return np.arange(self.n_ssets, dtype=np.intp)
-        out = np.empty(self.n_ssets - 1, dtype=np.intp)
-        out[:sset] = np.arange(sset)
-        out[sset:] = np.arange(sset + 1, self.n_ssets)
-        return out
+        return opponent_rows(self.n_ssets, [sset], self.include_self)[0]
 
     # -- agent chunks ------------------------------------------------------------
 
@@ -102,8 +111,7 @@ class OpponentSchedule:
         self._check_sset(opponent)
         if not self.include_self and opponent == sset:
             raise ScheduleError(f"SSet {sset} does not play itself in this schedule")
-        opponents = self.opponents_of(sset)
-        pos = int(np.searchsorted(opponents, opponent))
+        pos = self.n_ssets - 1 if opponent == sset else opponent - (opponent > sset)
         m = self.opponents_per_sset
         a = self.agents_per_sset
         base, extra = divmod(m, a)
@@ -147,5 +155,5 @@ class OpponentSchedule:
         for agent in range(self.agents_per_sset):
             seen.extend(self.agent_opponents(sset, agent).tolist())
         expected = self.opponents_of(sset).tolist()
-        if sorted(seen) != expected:
+        if sorted(seen) != sorted(expected):
             raise ScheduleError(f"agents of SSet {sset} do not cover opponents exactly once")

@@ -88,9 +88,10 @@ class StrategySet:
         tables:
             The slot-table matrix the assignment indexes into.
         rng:
-            Randomness for mixed/noisy play.  Opponents are played in
-            ascending order in a single batch, so a stream keyed by
-            ``(generation, sset)`` reproduces the serial evaluator exactly.
+            Randomness for mixed/noisy play.  Opponents are played in the
+            schedule's order (ascending, self-play last) in a single batch,
+            so a stream keyed by ``(generation, sset)`` reproduces the serial
+            evaluator exactly.
         per_agent:
             Also return each agent's :class:`AgentGameReport`.
 

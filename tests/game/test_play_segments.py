@@ -1,0 +1,140 @@
+"""Segment play == one ``play`` per slate, game for game and draw for draw.
+
+``play_segments`` advances the games of several slates as one batch while
+each slate keeps its own generator.  The reference here is the round loop as
+it stood before segments existed — per round, one fresh ``rng.random(k)``
+block for A's mixed move, one for B's, then one flip block each — run once
+per slate on its own generator.  The segment call must reproduce its
+per-game fitness, leave every generator in the same state, and tally the
+same work, whatever the memory, noise, strategy kind, payoff path, segment
+sizes (empty ones included) and pre-draw block and chunk sizes.
+
+Run with ``make test-engine`` (marker: ``engine``).
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import GameError
+from repro.game import vector_engine
+from repro.game.batch_engine import BatchEngine
+from repro.game.noise import NoiseModel
+from repro.game.payoff import PAPER_PAYOFFS, PayoffMatrix
+from repro.game.states import StateSpace
+from repro.game.vector_engine import VectorEngine
+
+pytestmark = pytest.mark.engine
+
+N_STRATEGIES = 5
+FRACTIONAL_PAYOFFS = PayoffMatrix(reward=3.1, sucker=0.2, temptation=4.7, punishment=1.3)
+
+
+def _reference_play(space, payoff, rounds, rate, mat, ia, ib, rng):
+    """One slate, the pre-segment way: every block drawn when its round needs it."""
+    k = ia.size
+    mixed = mat.dtype != np.uint8
+    state_a = np.zeros(k, dtype=np.int64)
+    state_b = np.zeros(k, dtype=np.int64)
+    fit_a = np.zeros(k)
+    fit_b = np.zeros(k)
+    for _ in range(rounds):
+        move_a = mat[ia, state_a]
+        move_b = mat[ib, state_b]
+        if mixed:
+            move_a = rng.random(k) < move_a
+            move_b = rng.random(k) < move_b
+        move_a = move_a.astype(np.int64)
+        move_b = move_b.astype(np.int64)
+        if rate:
+            move_a ^= rng.random(k) < rate
+            move_b ^= rng.random(k) < rate
+        fit_a += payoff.table[move_a, move_b]
+        fit_b += payoff.table[move_b, move_a]
+        space.push_array(state_a, move_a, move_b, out=state_a)
+        space.push_array(state_b, move_b, move_a, out=state_b)
+    return fit_a, fit_b
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    memory=st.integers(1, 6),
+    noisy=st.booleans(),
+    mixed=st.booleans(),
+    fractional=st.booleans(),
+    sizes=st.lists(st.integers(0, 7), min_size=0, max_size=5),
+    rounds=st.integers(1, 24),
+    block=st.sampled_from([1, 100, 1 << 20]),
+    draw=st.sampled_from([1, 30, 1 << 13]),
+    engine_cls=st.sampled_from([BatchEngine, VectorEngine]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_segments_equal_one_play_per_slate(
+    memory, noisy, mixed, fractional, sizes, rounds, block, draw, engine_cls, seed
+):
+    space = StateSpace(memory)
+    payoff = FRACTIONAL_PAYOFFS if fractional else PAPER_PAYOFFS
+    rate = 0.1 if noisy else 0.0
+    setup = np.random.default_rng(seed)
+    if mixed:
+        mat = setup.random((N_STRATEGIES, space.n_states))
+    else:
+        mat = setup.integers(0, 2, size=(N_STRATEGIES, space.n_states), dtype=np.uint8)
+    n_games = sum(sizes)
+    # Random pairs: self-play games (ia == ib) turn up among them.
+    ia = setup.integers(0, N_STRATEGIES, size=n_games).astype(np.intp)
+    ib = setup.integers(0, N_STRATEGIES, size=n_games).astype(np.intp)
+    bounds = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+
+    expected_a, expected_b, expected_states = [], [], []
+    for s, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        rng = np.random.default_rng([seed, s])
+        fa, fb = _reference_play(space, payoff, rounds, rate, mat, ia[lo:hi], ib[lo:hi], rng)
+        expected_a.append(fa)
+        expected_b.append(fb)
+        expected_states.append(rng.bit_generator.state)
+
+    engine = engine_cls(space, payoff=payoff, rounds=rounds, noise=NoiseModel(rate))
+    rngs = [np.random.default_rng([seed, s]) for s in range(len(sizes))]
+    with mock.patch.multiple(vector_engine, _BLOCK_BYTES=block, _DRAW_DOUBLES=draw):
+        res = engine.play_segments(mat, ia, ib, sizes, rngs)
+
+    assert np.array_equal(res.fitness_a, np.concatenate([np.empty(0), *expected_a]))
+    assert np.array_equal(res.fitness_b, np.concatenate([np.empty(0), *expected_b]))
+    assert [rng.bit_generator.state for rng in rngs] == expected_states
+    assert engine.games_played == n_games
+    assert engine.rounds_played == n_games * rounds
+
+
+def test_play_is_the_one_segment_case():
+    space = StateSpace(3)
+    mat = np.random.default_rng(0).integers(0, 2, size=(6, space.n_states), dtype=np.uint8)
+    ia, ib = np.array([0, 1, 2, 3]), np.array([5, 4, 3, 3])
+    engine = BatchEngine(space, rounds=30, noise=NoiseModel(0.05))
+    one = engine.play(mat, ia, ib, rng=np.random.default_rng(9), record_cooperation=True)
+    seg = engine.play_segments(
+        mat, ia, ib, [4], [np.random.default_rng(9)], record_cooperation=True
+    )
+    for field in ("fitness_a", "fitness_b", "cooperations_a", "cooperations_b"):
+        assert np.array_equal(getattr(one, field), getattr(seg, field))
+
+
+@pytest.mark.parametrize(
+    "sizes, rngs",
+    [
+        ([2, 1], [np.random.default_rng(0), np.random.default_rng(1)]),  # 3 games != 4
+        ([5, -1], [np.random.default_rng(0), np.random.default_rng(1)]),
+        ([2, 2], [np.random.default_rng(0)]),  # a segment without a generator
+        ([2, 2], [np.random.default_rng(0), None]),
+        ([2, 2], None),
+    ],
+)
+def test_bad_segments_are_rejected(sizes, rngs):
+    space = StateSpace(1)
+    mat = np.zeros((2, space.n_states), dtype=np.uint8)
+    engine = BatchEngine(space, rounds=5, noise=NoiseModel(0.1))
+    with pytest.raises(GameError):
+        engine.play_segments(mat, np.zeros(4, dtype=int), np.ones(4, dtype=int), sizes, rngs)

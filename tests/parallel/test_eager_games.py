@@ -7,6 +7,10 @@ from repro.config import SimulationConfig
 from repro.parallel.decomposition import SSetDecomposition
 from repro.parallel.runner import ParallelSimulation
 
+# Gated by the engine job too: the eager path's game accounting and the
+# kernel's parity change together (the slate is one kernel call per rank).
+pytestmark = pytest.mark.engine
+
 
 @pytest.fixture(scope="module")
 def runs():

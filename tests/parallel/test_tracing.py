@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
+from repro.game.noise import NoiseModel
 from repro.mpi.executor import run_spmd
 from repro.mpi.faults import FaultEvent, FaultPlan
 from repro.obs.export import chrome_trace, load_trace, timeline_text, write_chrome_trace
 from repro.obs.report import render_report
 from repro.obs.tracer import NULL_TRACER, Tracer, get_tracer
+from repro.parallel.decomposition import SSetDecomposition
 from repro.parallel.runner import ParallelSimulation
 
 CFG = SimulationConfig(n_ssets=8, generations=6, seed=17)
@@ -153,3 +155,29 @@ class TestRunSpmdTracer:
     def test_untraced_world_records_nothing(self):
         res = run_spmd(2, lambda comm: comm.bcast(b"y", root=0))
         assert res.world.tracer is NULL_TRACER
+
+
+@pytest.mark.engine
+@pytest.mark.procexec
+@pytest.mark.parametrize("fault_tolerant", [False, True], ids=["plain", "ft"])
+def test_eager_worker_issues_one_kernel_call_per_generation(fault_tolerant):
+    """Every owned slate of a generation goes into one ``batch_engine.play``
+    span of ``owned x opponents_per_sset`` games, on either protocol."""
+    cfg = SimulationConfig(
+        memory=2, n_ssets=9, generations=5, seed=23, rounds=20, noise=NoiseModel(0.02)
+    )
+    res = ParallelSimulation(
+        cfg, n_ranks=3, eager_games=True, backend="process", trace=True,
+        fault_tolerant=fault_tolerant,
+    ).run(timeout=120)
+    decomp = SSetDecomposition(cfg.n_ssets, 3)
+    plays = [e for e in res.trace.events() if e.ph == "X" and e.name == "batch_engine.play"]
+    for rank in (1, 2):
+        slate = decomp.ssets_of_rank(rank).size * cfg.opponents_per_sset
+        # PC fitness plays one or two slates per call, never a whole rank's.
+        assert slate > 2 * cfg.opponents_per_sset
+        eager = [e for e in plays if e.rank == rank and e.args["games"] == slate]
+        assert len(eager) == cfg.generations
+    assert sum(res.games_played_per_rank) == (
+        cfg.generations * cfg.n_ssets * cfg.opponents_per_sset
+    )

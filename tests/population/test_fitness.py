@@ -140,6 +140,28 @@ class TestSampledMode:
             FitnessEvaluator(mixed_config, pop, streams=None)
 
 
+@pytest.mark.engine
+@pytest.mark.parametrize("include_self_play", [False, True])
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_sampled_all_fitness_is_each_sset_asked_alone(kind, include_self_play):
+    """One kernel call for every slate, yet each on its own keyed stream: the
+    batch returns what asking SSet by SSet returns, and plays as many games."""
+    cfg = SimulationConfig(
+        memory=2, n_ssets=7, seed=11, rounds=40, noise=NoiseModel(0.05),
+        strategy_kind=kind, include_self_play=include_self_play,
+    )
+    streams = StreamFactory(cfg.seed)
+    pop = Population.random(cfg, streams.fresh("init"))
+    together = FitnessEvaluator(cfg, pop, streams)
+    alone = FitnessEvaluator(cfg, pop, streams)
+    for generation in (1, 2):
+        batch = together.all_fitness(generation)
+        single = [alone.fitness([s], generation)[0] for s in range(cfg.n_ssets)]
+        assert batch.tolist() == single
+    assert together.engine.games_played == alone.engine.games_played
+    assert together.engine.games_played == 2 * cfg.n_ssets * cfg.opponents_per_sset
+
+
 class TestConfigMismatch:
     def test_population_config_must_match(self, small_config):
         pop = Population.random(small_config, StreamFactory(0).fresh("init"))

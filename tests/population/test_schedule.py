@@ -12,8 +12,14 @@ class TestOpponents:
         assert sched.opponents_of(2).tolist() == [0, 1, 3, 4]
 
     def test_include_self(self):
+        """Self-play comes last: the order the fitness evaluator plays (and
+        every stored trajectory was sampled in), not position order."""
         sched = OpponentSchedule(n_ssets=4, agents_per_sset=2, include_self=True)
-        assert sched.opponents_of(1).tolist() == [0, 1, 2, 3]
+        assert sched.opponents_of(1).tolist() == [0, 2, 3, 1]
+        sched.validate_cover(1)
+        for agent in range(2):
+            for opp in sched.agent_opponents(1, agent):
+                assert sched.agent_for_opponent(1, int(opp)) == agent
 
     def test_opponents_per_sset(self):
         assert OpponentSchedule(8, 2).opponents_per_sset == 7

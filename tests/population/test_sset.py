@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.config import SimulationConfig
 from repro.errors import PopulationError
+from repro.game.noise import NoiseModel
 from repro.game.states import StateSpace
 from repro.game.strategy import named_strategy
 from repro.game.vector_engine import VectorEngine
+from repro.population.fitness import FitnessEvaluator
+from repro.population.population import Population
 from repro.population.schedule import OpponentSchedule
 from repro.population.sset import StrategySet
+from repro.rng import StreamFactory
 
 
 @pytest.fixture
@@ -65,3 +70,27 @@ class TestPlayGeneration:
     def test_repr(self, setup):
         _, _, schedule, _ = setup
         assert "StrategySet(id=1" in repr(StrategySet(1, schedule))
+
+
+@pytest.mark.parametrize("include_self_play", [False, True])
+def test_play_generation_reproduces_the_evaluator_under_noise(include_self_play):
+    """The docstring's promise, held to: on the evaluator's keyed stream,
+    ``play_generation`` returns the evaluator's fitness.  With self-play the
+    two used to order the slate differently (self in position order vs self
+    last), so the same stream flipped different games: 3786 vs 3866 here."""
+    cfg = SimulationConfig(
+        memory=2, n_ssets=8, noise=NoiseModel(0.05), seed=5,
+        include_self_play=include_self_play,
+    )
+    streams = StreamFactory(cfg.seed)
+    pop = Population.random(cfg, streams.fresh("init"))
+    evaluator = FitnessEvaluator(cfg, pop, streams)
+    schedule = OpponentSchedule(cfg.n_ssets, cfg.n_ssets, include_self=include_self_play)
+    for sset in range(cfg.n_ssets):
+        played = StrategySet(sset, schedule).play_generation(
+            evaluator.engine, pop.assignment(), pop.tables_view(),
+            rng=streams.fresh("fitness", 2, sset),
+        )
+        assert played == evaluator.fitness([sset], 2)[0]
+    if include_self_play:
+        assert evaluator.fitness([3], 2)[0] == 3866.0  # the stored trajectories' value

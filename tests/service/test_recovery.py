@@ -152,7 +152,10 @@ class TestRecover:
             assert fresh.status("alice", "r1").state == "failed"
 
     def test_run_service_recovers_automatically_at_startup(self, store):
-        generations, seed = 40, 13
+        # Long enough that the queue is closed mid-run on any box: at 40
+        # generations the worker finished inside one poll interval in ~1 of 7
+        # tries, and recovery then (rightly) reconciled instead of requeueing.
+        generations, seed = 600, 13
         key = store.key("alice", "r1")
         with JobQueue(store, max_workers=1) as queue:
             queue.submit("alice", "r1", _spec(generations=generations, seed=seed))

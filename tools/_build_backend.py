@@ -35,7 +35,6 @@ METADATA_FIELDS = [
     ("License", "MIT"),
     ("Requires-Python", ">=3.10"),
     ("Requires-Dist", "numpy>=1.24"),
-    ("Requires-Dist", "scipy>=1.10"),
     ("Provides-Extra", "test"),
     ("Requires-Dist", 'pytest; extra == "test"'),
     ("Requires-Dist", 'pytest-benchmark; extra == "test"'),
