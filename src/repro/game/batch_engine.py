@@ -35,8 +35,11 @@ Mixed (float) strategy matrices have a per-state *probability*, not a bit,
 so they cannot be packed; :meth:`BatchEngine.play` plays them through the
 inherited dense vector path, drawing randomness in the identical order.
 
-See ``docs/kernels.md`` for the encoding, the exactness argument behind the
-integer accumulation, and how to read ``BENCH_engine.json``.
+A noise-free pure game is a walk over at most ``4**n`` joint states: the
+kernel stops at the first repeated one and multiplies the integer counters.
+
+See ``docs/kernels.md`` for the encoding, the exactness arguments, and the
+``game.*`` rows of ``python3 -m bench probe game``, which time the kernel.
 """
 
 from __future__ import annotations
@@ -158,8 +161,10 @@ class BatchEngine(VectorEngine):
         packed = pack_matrix(self.space, mat)
         n_games = ia.size
         n_words = packed.shape[1]
-        mask = np.uint64(self.space.mask)
-        one = np.uint64(1)
+        # 0-d arrays, made once: a NumPy scalar operand is converted on every call.
+        one, two, six, low6, mask = (
+            np.array(v, dtype=np.uint64) for v in (1, 2, 6, 63, self.space.mask)
+        )
         rate = self.noise.rate
         int_path = self._int_payoffs
 
@@ -167,9 +172,20 @@ class BatchEngine(VectorEngine):
         state_b = np.zeros(n_games, dtype=np.uint64)
         move_a = np.empty(n_games, dtype=np.uint64)
         move_b = np.empty(n_games, dtype=np.uint64)
-        da = np.zeros(n_games, dtype=np.int64)
-        db = np.zeros(n_games, dtype=np.int64)
-        dab = np.zeros(n_games, dtype=np.int64)
+        # Defections of A, of B and mutual ones: row views of one array.
+        counts = np.zeros((3, n_games), dtype=np.uint64)
+        da, db, dab = counts
+        live = np.ones(n_games, dtype=np.uint64)  # a move's low-bit mask; 0 freezes the lane
+        # With no noise a lane walks deterministically over joint states (state_a;
+        # state_b mirrors it) into a cycle: find it Brent-style, snapshots at rounds
+        # 1, 2, 4, ..., and multiply what remains (docs/kernels.md, "Closing the cycle").
+        closing = int_path and not rate
+        if closing:
+            seen_state, seen_counts, seen_at = state_a.copy(), counts.copy(), 0
+            closed = np.uint64(2**64 - 1)  # a closed lane's seen_state; no joint state equals it
+            spans_left = np.zeros(n_games, dtype=np.uint64)  # spans credited at closure
+            stops: dict[int, list[np.ndarray]] = {}  # round -> lanes whose counts end there
+            n_open = n_games
         fit_a = fit_b = None
         if not int_path:
             fit_a = np.zeros(n_games, dtype=np.float64)
@@ -192,12 +208,12 @@ class BatchEngine(VectorEngine):
                 np.right_shift(lane_a, state_a, out=move_a)
                 np.right_shift(lane_b, state_b, out=move_b)
             else:
-                wa = flat[base_a + (state_a >> np.uint64(6)).astype(np.intp)]
-                wb = flat[base_b + (state_b >> np.uint64(6)).astype(np.intp)]
-                np.right_shift(wa, state_a & np.uint64(63), out=move_a)
-                np.right_shift(wb, state_b & np.uint64(63), out=move_b)
-            move_a &= one
-            move_b &= one
+                wa = flat[base_a + (state_a >> six).astype(np.intp)]
+                wb = flat[base_b + (state_b >> six).astype(np.intp)]
+                np.right_shift(wa, state_a & low6, out=move_a)
+                np.right_shift(wb, state_b & low6, out=move_b)
+            move_a &= live
+            move_b &= live
             if rate:
                 # Same draw order as VectorEngine: A's flip block, then B's.
                 # Kept as a bool mask; a round's row widens as it is applied.
@@ -206,25 +222,51 @@ class BatchEngine(VectorEngine):
                 move_a ^= flips[r % block, 0]
                 move_b ^= flips[r % block, 1]
 
-            da += move_a.astype(np.int64)
-            db += move_b.astype(np.int64)
+            da += move_a
+            db += move_b
             if int_path:
-                dab += (move_a & move_b).astype(np.int64)
+                dab += move_a & move_b
             else:
                 joint = ((move_a << one) | move_b).astype(np.intp)
                 fit_a += self._pay_mine[joint]
                 fit_b += self._pay_theirs[joint]
 
             # state' = ((state << 2) | (my << 1) | opp) & mask, both views.
-            np.left_shift(state_a, np.uint64(2), out=state_a)
+            np.left_shift(state_a, two, out=state_a)
             state_a |= move_a << one
             state_a |= move_b
             state_a &= mask
-            np.left_shift(state_b, np.uint64(2), out=state_b)
+            np.left_shift(state_b, two, out=state_b)
             state_b |= move_b << one
             state_b |= move_a
             state_b &= mask
 
+            if closing:
+                played = r + 1
+                whole, rest = divmod(self.rounds - played, played - seen_at)
+                if whole and np.count_nonzero(back := state_a == seen_state):
+                    # These lanes are where they were at `seen_at`, so each later
+                    # span of that length adds what this one did: keep that in
+                    # seen_counts, credit `whole` spans, play `rest` rounds, freeze.
+                    lanes = np.flatnonzero(back)
+                    np.subtract(counts, seen_counts, out=seen_counts, where=back)
+                    spans_left[lanes] = whole
+                    seen_state[lanes] = closed
+                    stops.setdefault(played + rest, []).append(lanes)
+                for lanes in stops.pop(played, ()):
+                    live[lanes] = 0
+                    n_open -= lanes.size
+                if not n_open:
+                    break
+                if played & (played - 1) == 0:
+                    still = seen_state != closed
+                    np.copyto(seen_state, state_a, where=still)
+                    np.copyto(seen_counts, counts, where=still)
+                    seen_at = played
+
+        if closing:
+            counts += spans_left * seen_counts
+        da, db, dab = counts.astype(np.int64)
         if int_path:
             rounds = np.int64(self.rounds)
             c0, ca, cb, cab = self._lin_mine

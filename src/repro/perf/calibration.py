@@ -21,6 +21,7 @@ from repro.config import SimulationConfig
 from repro.errors import CalibrationError
 from repro.game.batch_engine import BatchEngine
 from repro.game.lookup_engine import build_states_table, play_ipd_lookup
+from repro.game.noise import NoiseModel
 from repro.game.states import StateSpace
 from repro.game.strategy import Strategy
 from repro.perf.cost_model import CostModel
@@ -55,17 +56,19 @@ def time_engine_round(
     ``batch`` games among 64 random strategies through
     :class:`~repro.game.batch_engine.BatchEngine`; the default is one
     worker's call per generation — ``owned x (n_ssets - 1)`` with 32 of 64
-    SSets owned.
+    SSets owned.  The games carry the paper's noise (§IV-D), like the workload
+    ``CostModel.round_base`` prices: a noise-free call closes each game's
+    cycle and skips most rounds, so it does not time a round that is played.
     """
     space = StateSpace(memory)
     rng = np.random.default_rng(seed)
     mat = rng.integers(0, 2, size=(64, space.n_states), dtype=np.uint8)
-    engine = BatchEngine(space, rounds=rounds)
+    engine = BatchEngine(space, rounds=rounds, noise=NoiseModel(0.01))
     ia = rng.integers(0, 64, size=batch).astype(np.intp)
     ib = rng.integers(0, 64, size=batch).astype(np.intp)
-    engine.play(mat, ia, ib)  # warm-up
+    engine.play(mat, ia, ib, rng=rng)  # warm-up
     start = time.perf_counter()
-    engine.play(mat, ia, ib)
+    engine.play(mat, ia, ib, rng=rng)
     elapsed = time.perf_counter() - start
     return elapsed / (batch * rounds)
 

@@ -14,11 +14,14 @@ Run with ``make test-engine`` (marker: ``engine``).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.game.batch_engine import BatchEngine
 from repro.game.engine import play_ipd
 from repro.game.lookup_engine import play_ipd_lookup
 from repro.game.noise import NoiseModel
+from repro.game.payoff import PAPER_PAYOFFS, PayoffMatrix
 from repro.game.states import StateSpace
 from repro.game.strategy import Strategy
 from repro.game.vector_engine import VectorEngine
@@ -123,3 +126,78 @@ def test_tournament_vector_batch_identical(memory):
         vec.tournament(mat, include_self=True), bat.tournament(mat, include_self=True)
     )
     assert np.array_equal(vec.tournament(mat), bat.tournament(mat))
+
+
+# -- closing the cycle (docs/kernels.md §2) ------------------------------------
+
+FRACTIONAL_PAYOFFS = PayoffMatrix(reward=3.1, sucker=0.2, temptation=4.7, punishment=1.3)
+
+
+def _assert_equals_scalar_and_vector(space, payoff, rounds, mat, ia, ib, sizes):
+    bat = BatchEngine(space, payoff=payoff, rounds=rounds)
+    vec = VectorEngine(space, payoff=payoff, rounds=rounds)
+    rb = bat.play_segments(mat, ia, ib, sizes, record_cooperation=True)
+    rv = vec.play_segments(mat, ia, ib, sizes, record_cooperation=True)
+    for field in ("fitness_a", "fitness_b", "cooperations_a", "cooperations_b"):
+        assert np.array_equal(getattr(rb, field), getattr(rv, field)), field
+        assert getattr(rb, field).dtype == getattr(rv, field).dtype, field
+    strategies = [Strategy(space, row) for row in mat]
+    for g in range(len(ia)):
+        ref = play_ipd(
+            strategies[ia[g]], strategies[ib[g]], payoff=payoff, rounds=rounds, record_moves=True
+        )
+        assert (rb.fitness_a[g], rb.fitness_b[g]) == (ref.fitness_a, ref.fitness_b)
+        assert rb.cooperations_a[g] == rounds - int(ref.moves_a.sum())
+        assert rb.cooperations_b[g] == rounds - int(ref.moves_b.sum())
+    assert (bat.games_played, bat.rounds_played) == (len(ia), len(ia) * rounds)
+
+
+# Memory-1..3 walks close within a few rounds, so lengths below mu, at mu,
+# mu + lambda, mu + k*lambda +- 1 and far beyond all turn up.
+@settings(max_examples=150, deadline=None)
+@given(
+    memory=st.integers(1, 6),
+    rounds=st.integers(1, 300),
+    fractional=st.booleans(),
+    sizes=st.lists(st.integers(0, 6), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_noise_free_pure_games_equal_scalar_and_vector(memory, rounds, fractional, sizes, seed):
+    space = StateSpace(memory)
+    setup = np.random.default_rng(seed)
+    mat = setup.integers(0, 2, size=(N_STRATEGIES, space.n_states), dtype=np.uint8)
+    ia, ib = setup.integers(0, N_STRATEGIES, size=(2, sum(sizes))).astype(np.intp)
+    payoff = FRACTIONAL_PAYOFFS if fractional else PAPER_PAYOFFS
+    _assert_equals_scalar_and_vector(space, payoff, rounds, mat, ia, ib, sizes)
+
+
+def _transient_and_cycle(space, table_a, table_b):
+    """(mu, lambda) of a pair's joint-state walk from the all-cooperate start."""
+    first_seen = {}
+    state_a = state_b = space.initial_state
+    while state_a not in first_seen:
+        first_seen[state_a] = len(first_seen)
+        move_a, move_b = int(table_a[state_a]), int(table_b[state_b])
+        state_a = space.push(state_a, move_a, move_b)
+        state_b = space.push(state_b, move_b, move_a)
+    return first_seen[state_a], len(first_seen) - first_seen[state_a]
+
+
+@pytest.mark.parametrize(
+    "memory, tables, mu, lam",
+    [
+        (1, [[0, 0, 0, 0], [1, 1, 1, 1]], 1, 1),  # ALLC vs ALLD
+        (1, [[0, 1, 0, 1], [1, 0, 1, 0]], 0, 4),  # TFT vs anti-TFT
+        # Seed found by search: the walk does not close within 200 rounds.
+        (6, np.random.default_rng(10).integers(0, 2, size=(2, 4**6), dtype=np.uint8), 209, 19),
+    ],
+    ids=["allc-alld", "tft-antitft", "memory6-long-walk"],
+)
+def test_known_transient_and_cycle(memory, tables, mu, lam):
+    space = StateSpace(memory)
+    mat = np.asarray(tables, dtype=np.uint8)
+    assert _transient_and_cycle(space, mat[0], mat[1]) == (mu, lam)
+    ia, ib = np.array([0, 1, 0]), np.array([1, 0, 0])
+    lengths = {1, mu, mu + 1, mu + lam, mu + lam + 1, mu + 3 * lam - 1, mu + 3 * lam + 1, 200}
+    for rounds in sorted(lengths - {0}):
+        _assert_equals_scalar_and_vector(space, PAPER_PAYOFFS, rounds, mat, ia, ib, [2, 1])

@@ -5,9 +5,10 @@ each slate keeps its own generator.  The reference here is the round loop as
 it stood before segments existed — per round, one fresh ``rng.random(k)``
 block for A's mixed move, one for B's, then one flip block each — run once
 per slate on its own generator.  The segment call must reproduce its
-per-game fitness, leave every generator in the same state, and tally the
-same work, whatever the memory, noise, strategy kind, payoff path, segment
-sizes (empty ones included) and pre-draw block and chunk sizes.
+per-game fitness and cooperations, leave every generator in the same state,
+and tally the same work, whatever the memory, noise, strategy kind, payoff
+path, segment sizes (empty ones included), pre-draw block and chunk sizes,
+and length (a noise-free pure game closes its cycle early; a noisy one never).
 
 Run with ``make test-engine`` (marker: ``engine``).
 """
@@ -30,6 +31,7 @@ from repro.game.vector_engine import VectorEngine
 pytestmark = pytest.mark.engine
 
 N_STRATEGIES = 5
+FIELDS = ("fitness_a", "fitness_b", "cooperations_a", "cooperations_b")
 FRACTIONAL_PAYOFFS = PayoffMatrix(reward=3.1, sucker=0.2, temptation=4.7, punishment=1.3)
 
 
@@ -39,8 +41,8 @@ def _reference_play(space, payoff, rounds, rate, mat, ia, ib, rng):
     mixed = mat.dtype != np.uint8
     state_a = np.zeros(k, dtype=np.int64)
     state_b = np.zeros(k, dtype=np.int64)
-    fit_a = np.zeros(k)
-    fit_b = np.zeros(k)
+    fit_a, fit_b = np.zeros(k), np.zeros(k)
+    coop_a, coop_b = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
     for _ in range(rounds):
         move_a = mat[ia, state_a]
         move_b = mat[ib, state_b]
@@ -54,9 +56,11 @@ def _reference_play(space, payoff, rounds, rate, mat, ia, ib, rng):
             move_b ^= rng.random(k) < rate
         fit_a += payoff.table[move_a, move_b]
         fit_b += payoff.table[move_b, move_a]
+        coop_a += 1 - move_a
+        coop_b += 1 - move_b
         space.push_array(state_a, move_a, move_b, out=state_a)
         space.push_array(state_b, move_b, move_a, out=state_b)
-    return fit_a, fit_b
+    return fit_a, fit_b, coop_a, coop_b
 
 
 @settings(max_examples=120, deadline=None)
@@ -66,7 +70,7 @@ def _reference_play(space, payoff, rounds, rate, mat, ia, ib, rng):
     mixed=st.booleans(),
     fractional=st.booleans(),
     sizes=st.lists(st.integers(0, 7), min_size=0, max_size=5),
-    rounds=st.integers(1, 24),
+    rounds=st.integers(1, 24) | st.sampled_from([100, 200, 300]),
     block=st.sampled_from([1, 100, 1 << 20]),
     draw=st.sampled_from([1, 30, 1 << 13]),
     engine_cls=st.sampled_from([BatchEngine, VectorEngine]),
@@ -89,21 +93,22 @@ def test_segments_equal_one_play_per_slate(
     ib = setup.integers(0, N_STRATEGIES, size=n_games).astype(np.intp)
     bounds = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
 
-    expected_a, expected_b, expected_states = [], [], []
+    expected = [[np.empty(0, dtype=dtype)] for dtype in (float, float, np.int64, np.int64)]
+    expected_states = []
     for s, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         rng = np.random.default_rng([seed, s])
-        fa, fb = _reference_play(space, payoff, rounds, rate, mat, ia[lo:hi], ib[lo:hi], rng)
-        expected_a.append(fa)
-        expected_b.append(fb)
+        slate = _reference_play(space, payoff, rounds, rate, mat, ia[lo:hi], ib[lo:hi], rng)
+        for column, values in zip(expected, slate):
+            column.append(values)
         expected_states.append(rng.bit_generator.state)
 
     engine = engine_cls(space, payoff=payoff, rounds=rounds, noise=NoiseModel(rate))
     rngs = [np.random.default_rng([seed, s]) for s in range(len(sizes))]
     with mock.patch.multiple(vector_engine, _BLOCK_BYTES=block, _DRAW_DOUBLES=draw):
-        res = engine.play_segments(mat, ia, ib, sizes, rngs)
+        res = engine.play_segments(mat, ia, ib, sizes, rngs, record_cooperation=True)
 
-    assert np.array_equal(res.fitness_a, np.concatenate([np.empty(0), *expected_a]))
-    assert np.array_equal(res.fitness_b, np.concatenate([np.empty(0), *expected_b]))
+    for field, column in zip(FIELDS, expected):
+        assert np.array_equal(getattr(res, field), np.concatenate(column)), field
     assert [rng.bit_generator.state for rng in rngs] == expected_states
     assert engine.games_played == n_games
     assert engine.rounds_played == n_games * rounds
@@ -118,7 +123,7 @@ def test_play_is_the_one_segment_case():
     seg = engine.play_segments(
         mat, ia, ib, [4], [np.random.default_rng(9)], record_cooperation=True
     )
-    for field in ("fitness_a", "fitness_b", "cooperations_a", "cooperations_b"):
+    for field in FIELDS:
         assert np.array_equal(getattr(one, field), getattr(seg, field))
 
 
