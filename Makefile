@@ -1,5 +1,9 @@
 # Convenience targets; everything works without make too (see README).
 
+# Every target runs against the checkout, installed or not: src/ goes ahead of
+# any inherited PYTHONPATH.
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 .PHONY: install test test-fast test-chaos test-procexec test-recovery test-tcp test-engine test-service test-service-recovery test-spatial fsck-smoke bench bench-smoke repro docs docs-check clean
 
 install:

@@ -1,12 +1,12 @@
 """Virtual MPI runtime — the message-passing substrate of the reproduction.
 
-The paper runs C/MPI on Blue Gene; here the same SPMD programs run on an
-in-process virtual communicator with faithful semantics and fully observable
-traffic:
+The paper runs C/MPI on Blue Gene; here the same SPMD programs run on a
+virtual communicator with faithful semantics and fully observable traffic:
 
-* :mod:`repro.mpi.comm` — :class:`World` and :class:`Comm` (point-to-point
-  + tree-based collectives).
-* :mod:`repro.mpi.executor` — :func:`run_spmd`, the ``mpiexec`` stand-in.
+* :mod:`repro.mpi.comm` — :class:`World`, the one holder of a job's state,
+  and :class:`Comm` (point-to-point + tree-based collectives).
+* :mod:`repro.mpi.executor` — :func:`run_spmd`, the ``mpiexec`` stand-in
+  and the only entry point, whatever the backend.
 * :mod:`repro.mpi.topology` — Cartesian/torus rank layouts.
 * :mod:`repro.mpi.counters` — per-operation message/byte tallies.
 * :mod:`repro.mpi.status` — matching wildcards and delivery metadata.
@@ -15,9 +15,10 @@ traffic:
   partitions, slow links, connection resets) for chaos testing.
 * :mod:`repro.mpi.tcp` — length-prefixed framed socket transport with
   rendezvous bootstrap, heartbeat keepalive and session resumption.
-* :mod:`repro.mpi.hostexec` — the launcher behind ``backend="process"``
-  and ``backend="tcp"`` (:func:`run_spmd_tcp`): ranks dealt across
-  OS-process "hosts" wired by queues or loopback TCP.
+* :mod:`repro.mpi.hostexec` — the one launcher behind every backend: ranks
+  as threads on hosts, the hosts in the calling process (``"thread"``) or
+  in OS processes wired by queues (``"process"``) or loopback TCP
+  (``"tcp"``).
 """
 
 from repro.mpi.comm import Comm, World, backoff_wait, payload_nbytes
@@ -30,7 +31,6 @@ from repro.mpi.faults import (
     FaultPlan,
     FaultRecord,
 )
-from repro.mpi.hostexec import run_spmd_tcp
 from repro.mpi.status import ANY_SOURCE, ANY_TAG, MAX_USER_TAG, Status
 from repro.mpi.tcp import NetHello, NetWelcome, TcpOptions
 from repro.mpi.topology import CartTopology
@@ -44,7 +44,6 @@ __all__ = [
     "OpCount",
     "SPMDResult",
     "run_spmd",
-    "run_spmd_tcp",
     "TcpOptions",
     "NetHello",
     "NetWelcome",

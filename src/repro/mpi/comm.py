@@ -2,7 +2,8 @@
 
 This is the message-passing substrate standing in for the paper's C/MPI on
 Blue Gene: tagged point-to-point ``send``/``recv`` (blocking and
-non-blocking) between ranks that live as threads in one process, plus the
+non-blocking) between ranks that live as threads — all in one process, or
+on several hosts joined by a wire (:mod:`repro.mpi.hostexec`) — plus the
 collectives the paper's algorithm uses — ``bcast`` (binomial tree, the
 stand-in for Blue Gene's collective network), ``gather``, ``scatter``,
 ``reduce``, ``allreduce``, ``allgather`` and ``barrier`` — all built from
@@ -198,10 +199,15 @@ class _Mailbox:
 
 
 class World:
-    """Shared state of one virtual MPI job: mailboxes, counters, abort flag.
+    """The state of one virtual MPI job, held once: mailboxes by rank,
+    failed/joiner/retired marks, abort and stop events, counters, the fault
+    injector and the tracer.
 
-    Create one :class:`World` per SPMD program (the executor does this) and
-    hand each rank its :class:`Comm` via :meth:`comm`.
+    ``World(n).comm(r)`` is a complete in-process job on its own (no
+    launcher needed).  Under :func:`~repro.mpi.executor.run_spmd` the
+    launcher keeps one ``World`` as the authoritative record it returns as
+    ``SPMDResult.world``, and every host holds a replica that is this class
+    plus a wire and a control link (:mod:`repro.mpi.hostexec`).
 
     An optional :class:`~repro.mpi.faults.FaultInjector` makes the network
     unreliable: it decides, per point-to-point transmission, whether the
@@ -223,42 +229,58 @@ class World:
         if size < 1:
             raise MPIError(f"world size must be >= 1, got {size}")
         self.size = size
-        self.mailboxes = [_Mailbox() for _ in range(size)]
+        self.mailboxes: dict[int, _Mailbox] = {
+            rank: _Mailbox() for rank in range(size) if self._hosts(rank)
+        }
         self.counters = CommCounters()
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.injector = injector
         self.abort_event = threading.Event()
         self.abort_reason: str | None = None
-        self.injector = injector
         self.stop_event = threading.Event()
         self.failed_ranks: set[int] = set()
         self.failure_reasons: dict[int, str] = {}
-        self._failed_lock = threading.Lock()
-        self._comms: dict[int, "Comm"] = {}
-        self._comms_lock = threading.Lock()
         # Elastic membership: ranks added by grow() await their rejoin
         # handshake; ranks removed by shrink() keep their slot but own
-        # nothing.  spawn_hook is installed by the executor so grow() can
-        # start a thread for each new rank.
+        # nothing.
         self.joiner_ranks: set[int] = set()
         self.retired_ranks: set[int] = set()
-        self.spawn_hook: Callable[[tuple[int, ...]], None] | None = None
-        self._membership_lock = threading.Lock()
+        # Every write to the marks, the membership and the handle cache
+        # takes this lock.  Reads take none: set and dict lookups are atomic
+        # under the GIL and entries are only ever added or swapped whole.
+        self._lock = threading.Lock()
+        self._comms: dict[int, "Comm"] = {}
+
+    def _hosts(self, rank: int) -> bool:
+        """Whether ``rank``'s mailbox lives in this object (all do, unless
+        this is one host's share of a multi-host world)."""
+        return True
 
     def comm(self, rank: int) -> "Comm":
         """The communicator handle for ``rank`` (cached: collective sequence
         numbers live on the handle, so every caller must share it)."""
         if not 0 <= rank < self.size:
             raise RankError(f"rank {rank} out of range [0, {self.size})")
-        with self._comms_lock:
+        with self._lock:
             comm = self._comms.get(rank)
             if comm is None:
                 comm = Comm(self, rank)
                 self._comms[rank] = comm
             return comm
 
+    def deliver(
+        self, source: int, dest: int, tag: int, payload: Any, nbytes: int, msg_id: int = 0
+    ) -> None:
+        """Route one message to ``dest``: here, straight into its mailbox."""
+        self.mailboxes[dest].deliver(source, tag, payload, nbytes, msg_id)
+
     def abort(self, reason: str) -> None:
-        """Poison the world: every blocked or future operation raises."""
-        self.abort_reason = reason
+        """Poison the world: every blocked or future operation raises.
+
+        The first reason is kept — later aborts are its consequences.
+        """
+        if self.abort_reason is None:
+            self.abort_reason = reason
         self.abort_event.set()
         self._wake_all()
 
@@ -267,16 +289,34 @@ class World:
 
         Unlike :meth:`abort` this is not an error — it releases ranks that
         are permanently silent (injected hangs, falsely-suspected stragglers)
-        so the executor can join every thread after a degraded run completes.
+        so the launcher can join every thread after a degraded run completes.
         """
         self.stop_event.set()
         self._wake_all()
 
-    def mark_failed(self, rank: int, reason: str = "") -> None:
-        """Record ``rank`` as dead; receivers waiting on it fail fast."""
-        with self._failed_lock:
+    def mark_failed(self, rank: int, reason: str = "") -> bool:
+        """Record ``rank`` as dead; receivers waiting on it fail fast.
+
+        Returns whether the mark is new (the rank was not already failed).
+        """
+        with self._lock:
+            fresh = rank not in self.failed_ranks
             self.failed_ranks.add(rank)
             self.failure_reasons.setdefault(rank, reason)
+        self._wake_all()
+        return fresh
+
+    def mark_alive(self, rank: int) -> None:
+        """Clear ``rank``'s failed (and joiner) mark: it completed a rejoin.
+
+        The recovery path calls this after a respawned or newly grown rank
+        completes its rejoin handshake; receivers that were failing fast on
+        the rank go back to waiting normally.  The recorded failure reason
+        is kept as history.
+        """
+        with self._lock:
+            self.failed_ranks.discard(rank)
+            self.joiner_ranks.discard(rank)
         self._wake_all()
 
     def is_failed(self, rank: int) -> bool:
@@ -286,11 +326,11 @@ class World:
     def is_unreachable(self, rank: int) -> bool:
         """Whether ``rank`` is *locally* unobservable over the network.
 
-        Always ``False`` for in-process backends — only the TCP transport's
-        world views (:mod:`repro.mpi.hostexec`) override this, after a peer
-        host's connection has been down past its grace deadline.  Unlike
-        :meth:`is_failed` this is a local opinion, not a global verdict:
-        the peer may be alive across a partition.
+        Always ``False`` in a world without a wire — only a host whose data
+        plane is the TCP transport (:mod:`repro.mpi.hostexec`) says
+        otherwise, after a peer host's connection has been down past its
+        grace deadline.  Unlike :meth:`is_failed` this is a local opinion,
+        not a global verdict: the peer may be alive across a partition.
         """
         return False
 
@@ -298,25 +338,27 @@ class World:
         """Add ``n`` fresh ranks to the world; returns their rank ids.
 
         The new ranks get mailboxes and are recorded in
-        :attr:`joiner_ranks`; if the executor installed a
-        :attr:`spawn_hook`, a rank program is started for each so they can
-        run the FTHello/FTRejoin handshake and take over a share of the
-        SSets (``owner_map_with_failures`` redistribution).  Growth
-        consumes no randomness, so a grown run's trajectory stays
-        bit-identical to a fixed-size one.
+        :attr:`joiner_ranks`; under a launcher a rank program is started
+        for each so they can run the FTHello/FTRejoin handshake and take
+        over a share of the SSets (``owner_map_with_failures``
+        redistribution).  Growth consumes no randomness, so a grown run's
+        trajectory stays bit-identical to a fixed-size one.
         """
         if n < 1:
             raise MPIError(f"grow() needs n >= 1, got {n}")
-        with self._membership_lock:
-            first = self.size
-            new_ranks = tuple(range(first, first + n))
-            self.mailboxes.extend(_Mailbox() for _ in range(n))
-            self.size = first + n
-            self.joiner_ranks.update(new_ranks)
-        if self.spawn_hook is not None:
-            self.spawn_hook(new_ranks)
+        with self._lock:
+            new_ranks = tuple(range(self.size, self.size + n))
+            self._admit(new_ranks)
         self._wake_all()
         return new_ranks
+
+    def _admit(self, new_ranks: Sequence[int]) -> None:
+        """Make room for ``new_ranks`` (idempotent; the caller holds the lock)."""
+        for rank in new_ranks:
+            if self._hosts(rank) and rank not in self.mailboxes:
+                self.mailboxes[rank] = _Mailbox()
+        self.size = max(self.size, new_ranks[-1] + 1)
+        self.joiner_ranks.update(new_ranks)
 
     def shrink(self, ranks: Sequence[int]) -> tuple[int, ...]:
         """Retire ``ranks`` from the world; returns the retired ids, sorted.
@@ -327,7 +369,7 @@ class World:
         retire, and at least one non-retired rank must remain.
         """
         retired = tuple(sorted({int(r) for r in ranks}))
-        with self._membership_lock:
+        with self._lock:
             for rank in retired:
                 if not 0 < rank < self.size:
                     raise MPIError(
@@ -342,20 +384,8 @@ class World:
         self._wake_all()
         return retired
 
-    def mark_alive(self, rank: int) -> None:
-        """Clear ``rank``'s failed mark: a replacement incarnation rejoined.
-
-        The recovery path calls this after a respawned rank completes its
-        rejoin handshake; receivers that were failing fast on the rank go
-        back to waiting normally.  The recorded failure reason is kept as
-        history.
-        """
-        with self._failed_lock:
-            self.failed_ranks.discard(rank)
-        self._wake_all()
-
     def _wake_all(self) -> None:
-        for box in list(self.mailboxes):
+        for box in list(self.mailboxes.values()):
             with box.lock:
                 box.ready.notify_all()
 
@@ -424,9 +454,16 @@ class Comm:
     they survive injected drops, duplicates and corruptions.
     """
 
-    def __init__(self, world: World, rank: int) -> None:
+    def __init__(self, world: World, rank: int, incarnation: int = 0) -> None:
         self.world = world
         self.rank = rank
+        #: 0 for the original rank program; *n* for its *n*-th replacement
+        #: under ``on_rank_failure="respawn"``.
+        self.incarnation = incarnation
+        self.tracer = world.tracer
+        # Bound once: a respawn gives the rank a fresh mailbox, and a stale
+        # incarnation must keep draining its own, not its successor's.
+        self._mailbox = world.mailboxes[rank]
         self._collective_seq: dict[int, int] = {}
         self._reliable_seq: dict[int, int] = {}
         self._reliable_seen: dict[int, set[int]] = {}
@@ -459,14 +496,14 @@ class Comm:
         nbytes = payload_nbytes(payload)
         counters = self.world.counters
         counters.record("send", messages=1, nbytes=nbytes)
-        tracer = self.world.tracer
+        tracer = self.tracer
         tracing = tracer.enabled
         msg_id = tracer.new_flow_id() if tracing else 0
         t0 = tracer.now() if tracing else 0.0
         delivered = threading.Event()
         injector = self.world.injector
         if injector is None:
-            self.world.mailboxes[dest].deliver(self.rank, tag, payload, nbytes, msg_id)
+            self.world.deliver(self.rank, dest, tag, payload, nbytes, msg_id)
             delivered.set()
             if tracing:
                 tracer.msg_send(
@@ -518,7 +555,7 @@ class Comm:
         delivered: threading.Event,
         msg_id: int = 0,
     ) -> None:
-        self.world.mailboxes[dest].deliver(self.rank, tag, payload, nbytes, msg_id)
+        self.world.deliver(self.rank, dest, tag, payload, nbytes, msg_id)
         delivered.set()
 
     def send(self, payload: Any, dest: int, tag: int = 0) -> None:
@@ -563,9 +600,9 @@ class Comm:
         """
         if source != ANY_SOURCE:
             self._check_rank(source, "source")
-        tracer = self.world.tracer
+        tracer = self.tracer
         t0 = tracer.now() if tracer.enabled else 0.0
-        src, tg, payload, nbytes, msg_id = self.world.mailboxes[self.rank].take(
+        src, tg, payload, nbytes, msg_id = self._mailbox.take(
             source, tag, self.world, timeout
         )
         if tracer.enabled:
@@ -590,7 +627,7 @@ class Comm:
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status | None:
         """Non-blocking probe: Status of a matching pending message, or None."""
         self._check_abort()
-        return self.world.mailboxes[self.rank].probe(source, tag)
+        return self._mailbox.probe(source, tag)
 
     def abort(self, reason: str = "rank called abort") -> None:
         """Poison every rank of the communicator."""
@@ -614,7 +651,7 @@ class Comm:
         if kind is None:
             return
         self.world.counters.record(f"fault_{kind}", messages=0, nbytes=0)
-        tracer = self.world.tracer
+        tracer = self.tracer
         if tracer.enabled:
             tracer.instant(
                 f"fault_{kind}", cat="mpi.fault", rank=self.rank,
@@ -650,7 +687,7 @@ class Comm:
         if not injector.checkpoint_fault(self.rank, generation):
             return False
         self.world.counters.record("fault_kill_during_checkpoint", messages=0, nbytes=0)
-        tracer = self.world.tracer
+        tracer = self.tracer
         if tracer.enabled:
             tracer.instant(
                 "fault_kill_during_checkpoint", cat="mpi.fault", rank=self.rank,
@@ -689,9 +726,7 @@ class Comm:
                 and payload.seq in self._reliable_seen.get(source, ())
             )
 
-        for source, _tag, packet, _nbytes, _mid in self.world.mailboxes[
-            self.rank
-        ].take_matching(_is_dup):
+        for source, _tag, packet, _nbytes, _mid in self._mailbox.take_matching(_is_dup):
             self.world.counters.record("reliable_dedup", messages=0, nbytes=0)
             self._send_raw(True, source, _TAG_RACK | (packet.seq & _SEQ_MASK))
 
@@ -725,7 +760,7 @@ class Comm:
             When ``dest`` is known dead, or no acknowledgement arrives
             within ``max_retries + 1`` transmissions.
         """
-        tracer = self.world.tracer
+        tracer = self.tracer
         if not tracer.enabled:
             return self._send_reliable(
                 payload, dest, tag,
@@ -804,7 +839,7 @@ class Comm:
         delivered to the caller only once.  ``timeout`` bounds the *total*
         wait across discarded frames.
         """
-        tracer = self.world.tracer
+        tracer = self.tracer
         if not tracer.enabled:
             return self._recv_reliable(source, tag, timeout)
         with tracer.span(
@@ -862,7 +897,7 @@ class Comm:
 
     def _traced_collective(self, name: str, root: int | None = None):
         """A span for one collective call, or ``None`` when tracing is off."""
-        tracer = self.world.tracer
+        tracer = self.tracer
         if not tracer.enabled:
             return None
         return tracer.span(

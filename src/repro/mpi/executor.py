@@ -1,42 +1,44 @@
 """SPMD launcher for the virtual MPI runtime.
 
-:func:`run_spmd` is the stand-in for ``mpiexec -n P``: it spins up ``P``
-threads, hands each its :class:`~repro.mpi.comm.Comm`, runs the same
-function everywhere, and collects the per-rank return values.  A crash on
-any rank aborts the whole world (like ``MPI_Abort``) and re-raises the first
-failure in the caller, with the other ranks' blocked operations unwound via
+:func:`run_spmd` is the stand-in for ``mpiexec -n P``: it runs the same
+function on ``P`` ranks, each holding its :class:`~repro.mpi.comm.Comm`,
+and collects the per-rank return values.  A crash on any rank aborts the
+whole world (like ``MPI_Abort``) and re-raises the first failure in the
+caller, with the other ranks' blocked operations unwound via
 :class:`~repro.errors.CommAbortError`.
 
-Threads give concurrency, not parallelism (the GIL serialises pure-Python
-sections) — which is exactly what a *correctness* substrate needs: identical
-message-passing semantics at any rank count that fits in memory.  For true
-multi-core execution pass ``backend="process"``, which delegates to
-:mod:`repro.mpi.hostexec` (ranks as OS processes, same ``Comm`` API, same
+This module validates the arguments and defines the result types; the one
+launcher behind every backend is :mod:`repro.mpi.hostexec`.  The default
+``backend="thread"`` keeps every rank a thread of the calling process:
+concurrency, not parallelism (the GIL serialises pure-Python sections) —
+which is exactly what a *correctness* substrate needs: identical
+message-passing semantics at any rank count that fits in memory, with
+nothing pickled.  For true multi-core execution pass ``backend="process"``
+or ``backend="tcp"`` (ranks in OS processes, same ``Comm`` API, same
 results).  Modelled performance at Blue Gene scale is the job of
 :mod:`repro.perf`.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.errors import CommAbortError, MPIError, RankCrashError
-from repro.logging_util import get_logger
-from repro.mpi.comm import Comm, World
+from repro.errors import MPIError
+from repro.mpi.comm import World
 from repro.mpi.faults import FaultInjector
-from repro.obs.tracer import Tracer, activate
+from repro.mpi.hostexec import MAX_PROCESS_RANKS, MAX_TCP_HOSTS, MAX_TCP_RANKS, _launch
+from repro.obs.tracer import Tracer
 
 __all__ = ["run_spmd", "SPMDResult", "RespawnRecord"]
-
-_LOG = get_logger("mpi.executor")
 
 #: Keep virtual worlds to a size threads can sustain; larger scales belong
 #: to the performance model.
 MAX_THREAD_RANKS = 1024
+
+_MAX_RANKS = {
+    "thread": MAX_THREAD_RANKS, "process": MAX_PROCESS_RANKS, "tcp": MAX_TCP_RANKS
+}
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,9 @@ class SPMDResult:
         ``on_rank_failure="respawn"`` a healed rank's slot holds the value
         returned by its *latest* incarnation.
     world:
-        The world the program ran in (counters remain readable).
+        The launcher's own :class:`~repro.mpi.comm.World`: the record of
+        the job it kept while the program ran (final size, failed/joiner/
+        retired marks, abort state, merged counters).
     failed_ranks:
         Ranks still marked dead when the run finished — died to injected
         faults under ``on_rank_failure="continue"``, or died and were never
@@ -127,26 +131,29 @@ def run_spmd(
         fault-tolerant runner's mode.  ``"respawn"`` (process and tcp backends):
         like ``"continue"``, but each dead non-zero rank is additionally
         replaced by a fresh incarnation of the same rank program on the
-        same host process, which may rejoin the computation (see
-        :mod:`repro.mpi.hostexec`).
+        same host process (``comm.incarnation`` counts them), which may
+        rejoin the computation (see :mod:`repro.mpi.hostexec`).
     tracer:
         Optional :class:`~repro.obs.Tracer`.  When given, every network
         operation and every instrumented phase lands on the tracer as
         per-rank timed events (each rank thread is bound to its rank, and
-        the tracer is the process-active one for the duration of the run,
-        so engine-level instrumentation is attributed too).  ``None``
+        a host's tracer is the process-active one while its ranks run, so
+        engine-level instrumentation is attributed too; hosts in other
+        processes ship their events back at the end).  ``None``
         (default) keeps tracing off at near-zero cost.
     backend:
-        ``"thread"`` (default) runs ranks as threads in this process — the
-        correctness substrate.  ``"process"`` and ``"tcp"`` both delegate
-        to :mod:`repro.mpi.hostexec`.  ``"process"``: one OS process per
-        rank (at most 256), each with its own GIL, for real multi-core
-        throughput; payloads must be picklable.  ``"tcp"``: ranks spread
-        over ``n_hosts`` OS-process "hosts" talking length-prefixed frames
-        over loopback TCP sockets — the multi-host substrate with
-        partition-tolerant reconnection.  Rank programs that follow the
-        deterministic-RNG contract produce bit-identical results under any
-        backend.
+        Where the ranks' hosts live; the launcher, the ``Comm`` API and the
+        result are the same for all three (:mod:`repro.mpi.hostexec`).
+        ``"thread"`` (default): every rank a thread of this process — the
+        correctness substrate; nothing is pickled, so closures, live
+        objects and unpicklable return values are fine.  ``"process"``: one
+        OS process per rank (at most 256), each with its own GIL, for real
+        multi-core throughput; payloads must be picklable.  ``"tcp"``:
+        ranks spread over ``n_hosts`` OS-process "hosts" talking
+        length-prefixed frames over loopback TCP sockets — the multi-host
+        substrate with partition-tolerant reconnection.  Rank programs that
+        follow the deterministic-RNG contract produce bit-identical results
+        under any backend.
     max_respawns:
         Total replacement budget under ``on_rank_failure="respawn"``
         (process and tcp backends; ignored otherwise).
@@ -161,116 +168,25 @@ def run_spmd(
     The first rank exception, re-raised in the caller, or
     :class:`~repro.errors.MPIError` on timeout.
     """
-    if backend in ("process", "tcp"):
-        from repro.mpi.hostexec import _launch
-
-        return _launch(
-            backend, n_ranks, fn, args, timeout, fault_injector,
-            on_rank_failure, tracer, n_hosts, tcp_options, max_respawns,
-        )
-    if backend != "thread":
+    if backend not in _MAX_RANKS:
         raise MPIError(f"backend must be 'thread', 'process' or 'tcp', got {backend!r}")
-    if not 1 <= n_ranks <= MAX_THREAD_RANKS:
-        raise MPIError(f"n_ranks must be in [1, {MAX_THREAD_RANKS}], got {n_ranks}")
-    if on_rank_failure == "respawn":
+    if not 1 <= n_ranks <= _MAX_RANKS[backend]:
+        raise MPIError(f"n_ranks must be in [1, {_MAX_RANKS[backend]}], got {n_ranks}")
+    if backend == "thread" and on_rank_failure == "respawn":
         raise MPIError(
             "on_rank_failure='respawn' needs real processes to replace —"
             " use backend='process'"
         )
-    if on_rank_failure not in ("abort", "continue"):
-        raise MPIError(f"on_rank_failure must be 'abort' or 'continue', got {on_rank_failure!r}")
-    world = World(n_ranks, injector=fault_injector, tracer=tracer)
-    returns: dict[int, Any] = {}
-    failures: list[tuple[int, BaseException]] = []
-    failures_lock = threading.Lock()
-    if tracer is not None and tracer.enabled:
-        named = tracer.rank_names()
-        for rank in range(n_ranks):
-            if rank not in named:
-                tracer.name_rank(rank, f"rank {rank}")
-
-    def run_rank(rank: int) -> None:
-        comm = world.comm(rank)
-        if tracer is not None and tracer.enabled:
-            tracer.set_rank(rank)
-        try:
-            value = fn(comm, *args)
-            with failures_lock:
-                returns[rank] = value
-        except CommAbortError:
-            # Secondary casualty of another rank's failure; keep quiet.
-            pass
-        except RankCrashError as exc:
-            if on_rank_failure == "continue":
-                # Injected death: this rank is gone, the job survives.
-                _LOG.debug("rank %d died to injected fault: %r", rank, exc)
-                world.mark_failed(rank, str(exc))
-            else:
-                with failures_lock:
-                    failures.append((rank, exc))
-                world.abort(f"rank {rank} raised {type(exc).__name__}: {exc}")
-        except BaseException as exc:  # noqa: BLE001 - must not lose rank errors
-            with failures_lock:
-                failures.append((rank, exc))
-            _LOG.debug("rank %d failed: %r", rank, exc)
-            world.abort(f"rank {rank} raised {type(exc).__name__}: {exc}")
-
-    threads: list[threading.Thread] = []
-    threads_lock = threading.Lock()
-
-    def _launch(rank: int) -> None:
-        t = threading.Thread(
-            target=run_rank, args=(rank,), name=f"vmpi-rank-{rank}", daemon=True
+    if on_rank_failure not in ("abort", "continue", "respawn"):
+        raise MPIError(
+            "on_rank_failure must be 'abort', 'continue' or 'respawn',"
+            f" got {on_rank_failure!r}"
         )
-        with threads_lock:
-            threads.append(t)
-        t.start()
-
-    def _spawn_joiners(new_ranks: tuple[int, ...]) -> None:
-        # World.grow() landed: give each new rank its own thread running the
-        # same program (it will detect joiner status and rejoin).
-        if tracer is not None and tracer.enabled:
-            for rank in new_ranks:
-                if rank not in tracer.rank_names():
-                    tracer.name_rank(rank, f"rank {rank}")
-        for rank in new_ranks:
-            _launch(rank)
-
-    world.spawn_hook = _spawn_joiners
-    deadline = None if timeout is None else time.monotonic() + timeout
-    # While the world runs, the run's tracer is also the process-active one,
-    # so rank-agnostic instrumentation (the game engines) reaches it.
-    scope = activate(tracer) if tracer is not None else nullcontext()
-    with scope:
-        for rank in range(n_ranks):
-            _launch(rank)
-        # The thread list can grow mid-run (World.grow spawns joiners), so
-        # the join loop polls a snapshot instead of iterating once.
-        while True:
-            with threads_lock:
-                snapshot = list(threads)
-            if not any(t.is_alive() for t in snapshot):
-                with threads_lock:
-                    if len(threads) == len(snapshot):
-                        break
-                continue  # a joiner raced in; re-snapshot
-            if deadline is not None and time.monotonic() >= deadline:
-                world.abort("executor timeout")
-                for t in snapshot:
-                    t.join(timeout=5.0)
-                raise MPIError(f"SPMD program timed out after {timeout} s")
-            time.sleep(0.01)
-
-    if failures:
-        failures.sort(key=lambda item: item[0])
-        rank, exc = failures[0]
-        raise exc
-    if world.abort_event.is_set():
-        # A rank called abort() deliberately (no other exception to blame):
-        # surface it — like MPI_Abort, the job did not complete normally.
-        raise CommAbortError(world.abort_reason or "world aborted")
-    return SPMDResult(
-        returns=[returns.get(rank) for rank in range(world.size)],
-        world=world,
-        failed_ranks=tuple(sorted(world.failed_ranks)),
+    if max_respawns < 0:
+        raise MPIError(f"max_respawns must be >= 0, got {max_respawns}")
+    if backend == "tcp" and not 1 <= n_hosts <= MAX_TCP_HOSTS:
+        raise MPIError(f"n_hosts must be in [1, {MAX_TCP_HOSTS}], got {n_hosts}")
+    return _launch(
+        backend, n_ranks, fn, tuple(args), timeout, fault_injector,
+        on_rank_failure, tracer, n_hosts, tcp_options, max_respawns,
     )

@@ -1,40 +1,52 @@
-"""The launcher for every world made of OS processes: ranks as threads on hosts.
+"""The one launcher behind every backend: ranks as threads on hosts.
 
-This is the ``mpiexec --hostfile`` stand-in behind both process-level
-backends of :func:`~repro.mpi.executor.run_spmd`.  It deals ``n_ranks``
-virtual ranks round-robin across ``n_hosts`` OS-process "hosts" (rank *r*
-lives on host ``r % n_hosts``), boots a :class:`~repro.mpi.tcp.Rendezvous`
-for them to dial into, and joins the whole world — same ``Comm`` API, same
-:class:`~repro.mpi.executor.SPMDResult` as the thread backend.
-``backend="tcp"`` (:func:`run_spmd_tcp`) spreads the ranks over a few hosts
-whose data plane is framed TCP (loopback in CI; nothing in the protocol
-assumes that); ``backend="process"`` is the same launcher with one host per
-rank — every rank its own interpreter and GIL — and a
-:class:`multiprocessing.Queue` per host as the data plane, which is cheaper
-than a socket between processes of one machine.  Payloads cross a process
-boundary by value either way, so they must be picklable.
+This is the ``mpiexec --hostfile`` stand-in behind
+:func:`~repro.mpi.executor.run_spmd`.  It deals ``n_ranks`` virtual ranks
+round-robin across ``n_hosts`` hosts (rank *r* lives on host
+``r % n_hosts``), joins the whole world, and returns the
+:class:`~repro.mpi.comm.World` it kept as the job's authoritative record in
+the :class:`~repro.mpi.executor.SPMDResult`.  The backends differ in where
+the hosts live, which wire joins them and which control link reaches the
+launcher — and in nothing else:
+
+* ``backend="thread"``: one host, in the calling process.  No fork, no
+  socket and no wire (every rank is local); the control link is a direct
+  call in both directions.  Nothing is pickled: payloads, return values and
+  the re-raised exception are the caller's own objects, and the caller's
+  :class:`~repro.mpi.faults.FaultInjector` and tracer are used live.
+* ``backend="process"``: one host per rank, each an OS process — every rank
+  its own interpreter and GIL — with a :class:`multiprocessing.Queue` per
+  host as the wire, which is cheaper than a socket between processes of one
+  machine.
+* ``backend="tcp"``: a few OS-process hosts whose wire is framed TCP
+  (loopback in CI; nothing in the protocol assumes that).
+
+Hosts in processes of their own dial into the launcher's
+:class:`~repro.mpi.tcp.Rendezvous`, which then carries the control link;
+what crosses a process boundary — payloads between hosts, results and
+exceptions to the launcher — travels by value and must be picklable.
 
 Architecture
 ------------
-Each host process runs:
+Each host is a :class:`_Host`: a :class:`~repro.mpi.comm.World` holding the
+mailboxes of the ranks that live there, plus
 
 * a data-plane wire — :class:`_TcpWire` (a :class:`~repro.mpi.tcp.TcpNode`
   listener plus one supervised :class:`~repro.mpi.tcp.HostChannel` per peer
   host it sends to: host-level links, so a rank respawn never churns
   sockets) or :class:`_QueueWire` (frames pickled by the sender onto the
   destination host's queue, one pump thread draining the host's own);
-* a :class:`~repro.mpi.tcp.ControlClient` back to the launcher's
-  rendezvous — the control plane that gives failure marks, aborts,
-  shutdowns and membership changes a single total order (every host
-  applies the launcher's ``apply`` broadcasts; latency-sensitive marks are
-  additionally applied locally first, all idempotently);
-* one thread per local rank, each holding a :class:`_RankView` — a
-  :class:`~repro.mpi.comm.World` duck-type that routes same-host traffic
-  straight into the destination's mailbox and cross-host traffic through
-  the wire.
+  ``deliver`` puts a same-host message straight into the destination's
+  mailbox and hands a cross-host one to the wire;
+* a control link to the launcher — the control plane that gives failure
+  marks, aborts, shutdowns and membership changes a single total order
+  (every host applies the launcher's ``apply`` broadcasts; latency-sensitive
+  marks are additionally applied locally first, all idempotently);
+* one thread per local rank, each holding a :class:`~repro.mpi.comm.Comm`
+  on the host.
 
 Fault handling: an injected ``crash`` kills the rank *thread* — its host
-process stays up and reports — which is marked failed world-wide and, under
+stays up and reports — which is marked failed world-wide and, under
 ``on_rank_failure="respawn"``, replaced by a fresh incarnation *on the
 same host* after a centrally granted budget check; the replacement rejoins
 via the rank program's own recovery protocol (FTHello/FTRejoin).  A host
@@ -48,11 +60,12 @@ the simulation noticing; only a partition outlasting
 :class:`~repro.errors.PeerUnreachableError` and the failed-rank machinery.
 
 Elastic membership: ``World.grow(n)`` on any rank asks the launcher for
-fresh rank ids; the launcher assigns hosts (same round-robin), broadcasts
-the membership change, and the owning hosts spawn joiner threads whose
-rank programs rejoin exactly like respawned ranks.  ``World.shrink(ranks)``
-records retirements world-wide; ownership exclusions travel in the rank
-program's own headers (see ``owner_map_with_failures``).
+fresh rank ids; the launcher assigns them (hosts follow by the same
+round-robin), broadcasts the membership change, and the owning hosts spawn
+joiner threads whose rank programs rejoin exactly like respawned ranks.
+``World.shrink(ranks)`` records retirements world-wide; ownership
+exclusions travel in the rank program's own headers (see
+``owner_map_with_failures``).
 """
 
 from __future__ import annotations
@@ -62,7 +75,9 @@ import pickle
 import queue as stdlib_queue
 import threading
 import time
-from typing import Any, Callable, Sequence
+from contextlib import contextmanager, nullcontext
+from functools import partial
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import (
     CommAbortError,
@@ -71,15 +86,12 @@ from repro.errors import (
     RankCrashError,
 )
 from repro.logging_util import get_logger
-from repro.mpi.comm import Comm, _Mailbox
-from repro.mpi.comm import World
-from repro.mpi.counters import CommCounters
-from repro.mpi.executor import RespawnRecord, SPMDResult
+from repro.mpi.comm import Comm, World, _Mailbox
 from repro.mpi.faults import FaultInjector, FaultPlan
 from repro.mpi.tcp import ControlClient, NetHello, Rendezvous, TcpNode, TcpOptions, HostChannel
 from repro.obs.tracer import NULL_TRACER, Tracer, activate
 
-__all__ = ["run_spmd_tcp", "MAX_PROCESS_RANKS", "MAX_TCP_RANKS", "MAX_TCP_HOSTS"]
+__all__ = ["MAX_PROCESS_RANKS", "MAX_TCP_RANKS", "MAX_TCP_HOSTS"]
 
 _LOG = get_logger("mpi.hostexec")
 
@@ -100,130 +112,11 @@ _ABORT_DRAIN_GRACE = 10.0
 _EXIT_GRACE = 60.0
 
 
-def _pickle_exc(exc: BaseException) -> bytes:
-    """Exception as a pickle blob, degraded to ``MPIError(repr)`` if needed."""
-    try:
-        return pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:
-        return pickle.dumps(
-            MPIError(f"unpicklable rank exception: {exc!r}"),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-
-
-def _pick_context(start_method: str | None):
-    if start_method is not None:
-        return multiprocessing.get_context(start_method)
+def _pick_context():
     methods = multiprocessing.get_all_start_methods()
     # fork keeps closures and non-module functions working and starts far
     # faster; spawn is the portable fallback.
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-def _host_of(rank: int, n_hosts: int) -> int:
-    """The host owning ``rank`` — same rule at bootstrap and after grow."""
-    return rank % n_hosts
-
-
-class _RemoteMailbox:
-    """Deliver-only mailbox stand-in for a rank on another host."""
-
-    __slots__ = ("_rt", "dest")
-
-    def __init__(self, runtime: "_HostRuntime", dest: int) -> None:
-        self._rt = runtime
-        self.dest = dest
-
-    def deliver(
-        self, source: int, tag: int, payload: Any, nbytes: int, msg_id: int = 0
-    ) -> None:
-        rt = self._rt
-        rt.wire.send(source, self.dest, rt.host_of(self.dest), tag, payload, nbytes, msg_id)
-
-
-class _MailboxDirectory:
-    """Per-rank ``world.mailboxes`` stand-in resolving routes at use time.
-
-    Same-host destinations resolve to the *current* :class:`_Mailbox`
-    (respawns swap mailboxes; late resolution reroutes automatically);
-    cross-host destinations resolve to a cached deliver-only proxy.
-    """
-
-    __slots__ = ("_rt", "_remote")
-
-    def __init__(self, runtime: "_HostRuntime") -> None:
-        self._rt = runtime
-        self._remote: dict[int, _RemoteMailbox] = {}
-
-    def __getitem__(self, dest: int) -> Any:
-        rt = self._rt
-        if rt.host_of(dest) == rt.host_id:
-            return rt.mailbox(dest)
-        box = self._remote.get(dest)
-        if box is None:
-            box = self._remote[dest] = _RemoteMailbox(rt, dest)
-        return box
-
-
-class _RankView:
-    """One rank thread's window onto the multi-host world.
-
-    Duck-types :class:`~repro.mpi.comm.World` for :class:`Comm` and the
-    rank programs: shared per-host counters/tracer/injector and
-    abort/stop events, per-rank incarnation, live membership via the
-    runtime.
-    """
-
-    def __init__(self, runtime: "_HostRuntime", rank: int, incarnation: int) -> None:
-        self._rt = runtime
-        self.rank = rank
-        self.incarnation = incarnation
-        self.mailboxes = _MailboxDirectory(runtime)
-        self.counters = runtime.counters
-        self.tracer = runtime.tracer if runtime.tracer is not None else NULL_TRACER
-        self.injector = runtime.injector
-        self.abort_event = runtime.abort_event
-        self.stop_event = runtime.stop_event
-
-    @property
-    def size(self) -> int:
-        return self._rt.size
-
-    @property
-    def abort_reason(self) -> str | None:
-        return self._rt.abort_reason
-
-    @property
-    def joiner_ranks(self) -> set[int]:
-        return self._rt.joiner_ranks()
-
-    @property
-    def retired_ranks(self) -> set[int]:
-        return self._rt.retired_ranks()
-
-    def is_failed(self, rank: int) -> bool:
-        return self._rt.is_failed(rank)
-
-    def is_unreachable(self, rank: int) -> bool:
-        return self._rt.is_unreachable(rank)
-
-    def mark_failed(self, rank: int, reason: str = "") -> None:
-        self._rt.mark_failed(rank, reason)
-
-    def mark_alive(self, rank: int) -> None:
-        self._rt.mark_alive(rank)
-
-    def abort(self, reason: str) -> None:
-        self._rt.abort(reason)
-
-    def shutdown(self) -> None:
-        self._rt.shutdown()
-
-    def grow(self, n: int) -> tuple[int, ...]:
-        return self._rt.grow(n)
-
-    def shrink(self, ranks: Sequence[int]) -> tuple[int, ...]:
-        return self._rt.shrink(ranks)
 
 
 class _TcpWire:
@@ -233,33 +126,32 @@ class _TcpWire:
     here, once per outgoing frame, and carried out inside the channel.
     """
 
-    def __init__(self, runtime: "_HostRuntime", trace_rank: int) -> None:
-        self._rt = runtime
-        self._trace_rank = trace_rank
+    def __init__(self, host: "_Host", options: TcpOptions) -> None:
+        self._host = host
+        self._options = options
         self._lock = threading.Lock()
         self._channels: dict[int, HostChannel] = {}
         self._frame_counts: dict[tuple[int, int], int] = {}
+        #: host id → data-plane address to dial, from the rendezvous welcome.
+        self.peers: dict[int, tuple[str, int]] = {}
         self._node = TcpNode(
-            runtime.host_id,
-            runtime._deliver_local,
-            options=runtime.options,
-            counters=runtime.counters,
+            host.host_id, host.deliver_local, options=options, counters=host.counters
         )
         self.addr: tuple[str, int] | None = self._node.addr
 
     def _channel(self, peer_host: int) -> HostChannel:
-        rt = self._rt
+        host = self._host
         with self._lock:
             channel = self._channels.get(peer_host)
             if channel is None:
                 channel = HostChannel(
-                    rt.host_id,
+                    host.host_id,
                     peer_host,
-                    rt._host_addrs.get,
-                    rt.options,
-                    counters=rt.counters,
-                    tracer=rt.tracer if rt.tracer is not None else NULL_TRACER,
-                    trace_rank=self._trace_rank,
+                    self.peers.get,
+                    self._options,
+                    counters=host.counters,
+                    tracer=host.tracer,
+                    trace_rank=min(host.mailboxes),
                 )
                 self._channels[peer_host] = channel
             return channel
@@ -269,37 +161,36 @@ class _TcpWire:
         nbytes: int, msg_id: int,
     ) -> None:
         """Route one message to a rank on another host (rank-thread path)."""
-        rt = self._rt
+        host = self._host
         fault: tuple[str, float] | None = None
-        if rt.injector is not None:
+        if host.injector is not None:
             with self._lock:
                 frame_index = self._frame_counts.get((source, dest), 0)
                 self._frame_counts[(source, dest)] = frame_index + 1
-            kind = rt.injector.link_fault(source, dest, frame_index)
+            kind = host.injector.link_fault(source, dest, frame_index)
             if kind is not None:
-                plan = rt.injector.plan
+                plan = host.injector.plan
                 seconds = (
                     plan.partition_seconds
                     if kind == "partition"
                     else plan.slow_link_seconds if kind == "slow_link" else 0.0
                 )
                 fault = (kind, seconds)
-                rt.counters.record(f"net.{kind}")
-                tracer = rt.tracer
-                if tracer is not None and tracer.enabled:
-                    tracer.instant(
+                host.counters.record(f"net.{kind}")
+                if host.tracer.enabled:
+                    host.tracer.instant(
                         f"net.{kind}", cat="net", rank=source,
                         args={"dest": dest, "frame_index": frame_index},
                     )
         channel = self._channel(dest_host)
         if channel.is_unreachable():
-            rt.counters.record("net.peer_unreachable")
+            host.counters.record("net.peer_unreachable")
             raise PeerUnreachableError(
                 f"rank {dest} on host {dest_host} has been unreachable for"
                 f" {channel.down_for():.1f}s (grace"
-                f" {rt.options.unreachable_grace}s)",
+                f" {self._options.unreachable_grace}s)",
                 rank=dest,
-                deadline=rt.options.unreachable_grace,
+                deadline=self._options.unreachable_grace,
             )
         channel.send(source, dest, tag, payload, nbytes, msg_id, fault=fault)
 
@@ -328,12 +219,12 @@ class _QueueWire:
 
     addr = None  # nothing for peers to dial
 
-    def __init__(self, runtime: "_HostRuntime", queues: Sequence[Any]) -> None:
+    def __init__(self, host: "_Host", queues: Sequence[Any]) -> None:
         self._queues = queues
         threading.Thread(
             target=self._pump,
-            args=(queues[runtime.host_id], runtime._deliver_local),
-            name=f"vmpi-pump-{runtime.host_id}",
+            args=(queues[host.host_id], host.deliver_local),
+            name=f"vmpi-pump-{host.host_id}",
             daemon=True,
         ).start()
 
@@ -367,142 +258,118 @@ class _QueueWire:
             queue.cancel_join_thread()
 
 
-class _HostRuntime:
-    """Everything one host process shares between its rank threads."""
+class _Host(World):
+    """One host's replica of the world: a :class:`World` plus a wire and a
+    control link.
+
+    It holds the mailboxes of the ranks that live here and runs a thread for
+    each.  A world verb applies to this replica first — local receivers
+    react at once — and is then told to the launcher, which records it and
+    has every replica apply it (idempotently; ``grow`` alone is a round
+    trip, because rank ids are the launcher's to hand out).  ``wire`` (the
+    data plane to the other hosts; a one-host world has none) and ``tell``
+    (one message up the control link) are set by whoever builds the host,
+    before :meth:`serving`.
+    """
 
     def __init__(
         self,
         host_id: int,
         n_hosts: int,
-        ranks: tuple[int, ...],
-        controller_addr: tuple[str, int],
+        size: int,
         fn: Callable[..., Any],
         args: tuple,
-        fault_plan: FaultPlan | None,
         on_rank_failure: str,
-        trace_epoch: float | None,
-        rank_names: dict[int, str],
-        flow_start: int,
-        options: TcpOptions,
-        queues: Sequence[Any] | None,
+        injector: FaultInjector | None,
+        tracer: Tracer | None,
     ) -> None:
         self.host_id = host_id
         self.n_hosts = n_hosts
+        super().__init__(size, injector=injector, tracer=tracer)
         self.fn = fn
         self.args = args
         self.on_rank_failure = on_rank_failure
-        self.options = options
-        self.rank_names = rank_names
-        self.counters = CommCounters()
-        self.injector = FaultInjector(fault_plan) if fault_plan is not None else None
-        self.tracer = (
-            Tracer(epoch=trace_epoch, flow_start=flow_start)
-            if trace_epoch is not None
-            else None
-        )
-        self.abort_event = threading.Event()
-        self.stop_event = threading.Event()
+        self.wire: Any = None
+        self.tell: Callable[[tuple], None] | None = None
         self.exit_event = threading.Event()
         self.drain_event = threading.Event()
-        self.abort_reason: str | None = None
-        self._lock = threading.Lock()
-        self._failed: set[int] = set()
-        self._joiners: set[int] = set()
-        self._retired: set[int] = set()
-        self._mailboxes: dict[int, _Mailbox] = {r: _Mailbox() for r in ranks}
-        self._all_mailboxes: list[_Mailbox] = list(self._mailboxes.values())
-        self._incarnations: dict[int, int] = {r: 0 for r in ranks}
+        # Fixed now: a grow broadcast can land before serving() starts them.
+        self._first_ranks = tuple(self.mailboxes)
+        self._incarnations: dict[int, int] = {}  # local ranks respawned so far
         self._threads: list[threading.Thread] = []
         self._respawning: set[int] = set()
         self._req_lock = threading.Lock()
         self._req_seq = 0
         self._req_waits: dict[int, tuple[threading.Event, list]] = {}
 
-        # Membership state must exist before the control reader starts: a
-        # grow broadcast can race this constructor on a non-requesting host.
-        self._host_addrs: dict[int, tuple[str, int]] = {}
-        self._rank_hosts: dict[int, int] = {}
-        self._size = 0
+    def _hosts(self, rank: int) -> bool:
+        # The same rule at bootstrap and after grow, on every host and in
+        # the launcher, so nobody needs a table.
+        return rank % self.n_hosts == self.host_id
 
-        self.wire = (
-            _TcpWire(self, trace_rank=ranks[0])
-            if queues is None
-            else _QueueWire(self, queues)
-        )
-        self.ctrl = ControlClient(
-            controller_addr,
-            NetHello(
-                host=host_id, incarnation=0, data_addr=self.wire.addr, ranks=ranks
-            ),
-            self._on_ctrl,
-        )
-        welcome = self.ctrl.welcome
-        with self._lock:
-            self._host_addrs.update(welcome.hosts)
-            for rank, host in welcome.rank_hosts.items():
-                self._rank_hosts.setdefault(rank, host)
-            self._size = max(self._size, welcome.world_size)
+    # -- data plane ----------------------------------------------------------------
 
-    # -- membership views ----------------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        with self._lock:
-            return self._size
-
-    def host_of(self, rank: int) -> int:
-        with self._lock:
-            host = self._rank_hosts.get(rank)
-        if host is None:
-            # A rank the membership view has not caught up with yet; the
-            # assignment rule is deterministic, so compute it.
-            host = _host_of(rank, self.n_hosts)
-        return host
-
-    def mailbox(self, rank: int) -> _Mailbox:
-        with self._lock:
-            box = self._mailboxes.get(rank)
+    def deliver(
+        self, source: int, dest: int, tag: int, payload: Any, nbytes: int, msg_id: int = 0
+    ) -> None:
+        """Route one message: a local rank's mailbox, else the wire."""
+        box = self.mailboxes.get(dest)
         if box is None:
-            raise MPIError(f"rank {rank} has no mailbox on host {self.host_id}")
-        return box
+            dest_host = dest % self.n_hosts
+            if dest_host != self.host_id:
+                self.wire.send(source, dest, dest_host, tag, payload, nbytes, msg_id)
+                return
+            box = self._mailbox_ahead(dest)
+        box.deliver(source, tag, payload, nbytes, msg_id)
 
-    def joiner_ranks(self) -> set[int]:
-        with self._lock:
-            return set(self._joiners)
+    def deliver_local(
+        self, source: int, dest: int, tag: int, payload: Any, nbytes: int, msg_id: int
+    ) -> None:
+        """Inbound frame from the wire: hand it to the local mailbox."""
+        box = self.mailboxes.get(dest)
+        if box is None:
+            if not self._hosts(dest):
+                _LOG.debug("host %d dropping frame for non-local rank %d", self.host_id, dest)
+                return
+            box = self._mailbox_ahead(dest)
+        box.deliver(source, tag, payload, nbytes, msg_id)
 
-    def retired_ranks(self) -> set[int]:
-        with self._lock:
-            return set(self._retired)
+    def _mailbox_ahead(self, rank: int) -> _Mailbox:
+        """The mailbox of a rank that will live here but that the grow
+        broadcast has not announced on this host yet.
 
-    def is_failed(self, rank: int) -> bool:
+        The data plane can overtake the control plane: a peer that already
+        knows the new rank may send to it first.  The mailbox is opened now
+        so the message waits for the rank; the broadcast starts its thread.
+        """
         with self._lock:
-            return rank in self._failed
+            return self.mailboxes.setdefault(rank, _Mailbox())
 
     def is_unreachable(self, rank: int) -> bool:
-        host = self.host_of(rank)
+        host = rank % self.n_hosts
         return host != self.host_id and self.wire.is_unreachable(host)
 
     # -- control plane -------------------------------------------------------------
 
     def _on_ctrl(self, msg: Any) -> None:
-        """Apply one launcher broadcast (runs on the control reader thread)."""
+        """Apply one message from the launcher (in a host process this runs
+        on the control reader thread)."""
         op = msg[0]
         if op == "apply":
             what = msg[1]
             if what == "mark_failed":
                 self._apply_mark_failed(msg[2], msg[3])
             elif what == "mark_alive":
-                self._apply_mark_alive(msg[2])
+                super().mark_alive(msg[2])
             elif what == "abort":
-                self._apply_abort(msg[2])
+                super().abort(msg[2])
             elif what == "shutdown":
-                self.stop_event.set()
-                self._wake_all()
+                super().shutdown()
             elif what == "grow":
                 self._apply_grow(msg[2])
             elif what == "retire":
                 with self._lock:
-                    self._retired.update(msg[2])
+                    self.retired_ranks.update(msg[2])
                 self._wake_all()
         elif op == "rep":
             with self._req_lock:
@@ -518,9 +385,18 @@ class _HostRuntime:
             self.drain_event.set()
         elif op == "ctrl_lost":
             if not self.exit_event.is_set():
-                self._apply_abort("control link to the launcher was lost")
+                super().abort("control link to the launcher was lost")
                 self.exit_event.set()
                 self.drain_event.set()
+
+    def _tell(self, *msg: Any) -> None:
+        """One message up the control link.  A link that has died is not the
+        caller's error: the launcher aborts the world on its own when a host
+        goes silent."""
+        try:
+            self.tell(msg)
+        except OSError:
+            _LOG.debug("host %d: control link down, %s not sent", self.host_id, msg[0])
 
     def _request(self, *req: Any) -> Any:
         """Round-trip one request to the launcher; None on timeout."""
@@ -531,7 +407,7 @@ class _HostRuntime:
             req_id = self._req_seq
             self._req_waits[req_id] = (event, slot)
         try:
-            self.ctrl.send(("req", req_id, *req))
+            self.tell(("req", req_id, *req))
         except OSError:
             with self._req_lock:
                 self._req_waits.pop(req_id, None)
@@ -542,19 +418,13 @@ class _HostRuntime:
             return None
         return slot[0] if slot else None
 
-    def _apply_mark_failed(self, rank: int, reason: str) -> None:
-        with self._lock:
-            fresh = rank not in self._failed
-            self._failed.add(rank)
-            local = self._rank_hosts.get(rank) == self.host_id
-            incarnation = self._incarnations.get(rank)
-        self._wake_all()
+    def _apply_mark_failed(self, rank: int, reason: str) -> bool:
+        fresh = super().mark_failed(rank, reason)
         if (
             fresh
-            and local
             and self.on_rank_failure == "respawn"
             and rank != 0
-            and incarnation is not None
+            and rank in self.mailboxes
         ):
             # Possibly a hang (thread alive but declared dead by the
             # protocol layer): give a heal a grace window, then respawn a
@@ -562,75 +432,42 @@ class _HostRuntime:
             # no-ops when the crash path already respawned (incarnation
             # moved on) or the mark was stale (flag cleared by a heal).
             timer = threading.Timer(
-                _RESPAWN_HANG_GRACE, self._hang_respawn_check, args=(rank, incarnation, reason)
+                _RESPAWN_HANG_GRACE,
+                self._hang_respawn_check,
+                args=(rank, self._incarnations.get(rank, 0), reason),
             )
             timer.daemon = True
             timer.start()
+        return fresh
 
     def _hang_respawn_check(self, rank: int, incarnation: int, reason: str) -> None:
-        with self._lock:
-            still_failed = rank in self._failed
-            current = self._incarnations.get(rank)
-        if still_failed and current == incarnation:
+        if self.is_failed(rank) and self._incarnations.get(rank, 0) == incarnation:
             self.maybe_respawn(rank, reason or "declared failed while silent", incarnation)
 
-    def _apply_mark_alive(self, rank: int) -> None:
+    def _apply_grow(self, new_ranks: tuple[int, ...]) -> None:
         with self._lock:
-            self._failed.discard(rank)
-            self._joiners.discard(rank)
+            self._admit(new_ranks)
+        for rank in new_ranks:
+            if self._hosts(rank):
+                self.start_rank(rank, 0)
         self._wake_all()
 
-    def _apply_abort(self, reason: str) -> None:
-        if self.abort_reason is None:
-            self.abort_reason = reason
-        self.abort_event.set()
-        self._wake_all()
-
-    def _apply_grow(self, assignments: tuple[tuple[int, int], ...]) -> None:
-        mine: list[int] = []
-        with self._lock:
-            for rank, host in assignments:
-                self._rank_hosts[rank] = host
-                self._size = max(self._size, rank + 1)
-                self._joiners.add(rank)
-                if host == self.host_id and rank not in self._mailboxes:
-                    box = _Mailbox()
-                    self._mailboxes[rank] = box
-                    self._all_mailboxes.append(box)
-                    self._incarnations[rank] = 0
-                    mine.append(rank)
-        for rank in mine:
-            self.start_rank(rank, 0)
-        self._wake_all()
-
-    def mark_failed(self, rank: int, reason: str = "") -> None:
-        self._apply_mark_failed(rank, reason)
-        try:
-            self.ctrl.send(("ctrl", "mark_failed", rank, reason))
-        except OSError:
-            pass
+    def mark_failed(self, rank: int, reason: str = "") -> bool:
+        fresh = self._apply_mark_failed(rank, reason)
+        self._tell("ctrl", "mark_failed", rank, reason)
+        return fresh
 
     def mark_alive(self, rank: int) -> None:
-        self._apply_mark_alive(rank)
-        try:
-            self.ctrl.send(("ctrl", "mark_alive", rank))
-        except OSError:
-            pass
+        super().mark_alive(rank)
+        self._tell("ctrl", "mark_alive", rank)
 
     def abort(self, reason: str) -> None:
-        self._apply_abort(reason)
-        try:
-            self.ctrl.send(("ctrl", "abort", reason))
-        except OSError:
-            pass
+        super().abort(reason)
+        self._tell("ctrl", "abort", reason)
 
     def shutdown(self) -> None:
-        self.stop_event.set()
-        self._wake_all()
-        try:
-            self.ctrl.send(("ctrl", "shutdown"))
-        except OSError:
-            pass
+        super().shutdown()
+        self._tell("ctrl", "shutdown")
 
     def grow(self, n: int) -> tuple[int, ...]:
         if n < 1:
@@ -641,51 +478,11 @@ class _HostRuntime:
         return tuple(new_ranks)
 
     def shrink(self, ranks: Sequence[int]) -> tuple[int, ...]:
-        retired = tuple(sorted({int(r) for r in ranks}))
-        size = self.size
-        for rank in retired:
-            if not 0 < rank < size:
-                raise MPIError(f"cannot shrink rank {rank}: out of range (1, {size})")
-        with self._lock:
-            if any(r in self._retired for r in retired):
-                raise MPIError("cannot shrink: some ranks are already retired")
-            self._retired.update(retired)
-        try:
-            self.ctrl.send(("ctrl", "retire", retired))
-        except OSError:
-            pass
-        self._wake_all()
+        retired = super().shrink(ranks)
+        self._tell("ctrl", "retire", retired)
         return retired
 
-    def _wake_all(self) -> None:
-        with self._lock:
-            boxes = list(self._all_mailboxes)
-        for box in boxes:
-            with box.lock:
-                box.ready.notify_all()
-
-    # -- data plane ----------------------------------------------------------------
-
-    def _deliver_local(
-        self, src_rank: int, dst_rank: int, tag: int, payload: Any, nbytes: int, msg_id: int
-    ) -> None:
-        """Inbound frame from the wire: hand it to the local mailbox."""
-        with self._lock:
-            box = self._mailboxes.get(dst_rank)
-        if box is None:
-            _LOG.debug(
-                "host %d dropping frame for non-local rank %d", self.host_id, dst_rank
-            )
-            return
-        box.deliver(src_rank, tag, payload, nbytes, msg_id)
-
     # -- rank threads --------------------------------------------------------------
-
-    def ship_result(self, message: tuple) -> None:
-        try:
-            self.ctrl.send(("result", message))
-        except OSError:  # pragma: no cover - control link died at the wire
-            _LOG.exception("host %d could not ship a rank result", self.host_id)
 
     def start_rank(self, rank: int, incarnation: int) -> None:
         name = f"vmpi-rank-{rank}" if incarnation == 0 else f"vmpi-rank-{rank}.{incarnation}"
@@ -704,7 +501,10 @@ class _HostRuntime:
         replacement was started.
         """
         with self._lock:
-            if self._incarnations.get(rank) != dead_incarnation or rank in self._respawning:
+            if (
+                self._incarnations.get(rank, 0) != dead_incarnation
+                or rank in self._respawning
+            ):
                 return False
             self._respawning.add(rank)
         try:
@@ -714,13 +514,10 @@ class _HostRuntime:
                 return False
             with self._lock:
                 self._incarnations[rank] = grant
-                box = _Mailbox()
-                self._mailboxes[rank] = box
-                self._all_mailboxes.append(box)
+                self.mailboxes[rank] = _Mailbox()
             self.counters.record("respawn", messages=0)
-            tracer = self.tracer
-            if tracer is not None and tracer.enabled:
-                tracer.instant(
+            if self.tracer.enabled:
+                self.tracer.instant(
                     "respawn", cat="mpi.fault", rank=rank,
                     args={"incarnation": grant, "reason": reason},
                 )
@@ -731,151 +528,179 @@ class _HostRuntime:
                 self._respawning.discard(rank)
 
     def _run_rank(self, rank: int, incarnation: int) -> None:
-        view = _RankView(self, rank, incarnation)
-        comm = Comm(view, rank)
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.set_rank(rank)
-            name = self.rank_names.get(rank)
-            if name:
-                tracer.name_rank(rank, name)
+        comm = Comm(self, rank, incarnation)
+        if self.tracer.enabled:
+            self.tracer.set_rank(rank)
         try:
             value = self.fn(comm, *self.args)
         except CommAbortError:
             # Secondary casualty of another rank's failure; keep quiet.
-            self.ship_result(("quiet", rank, incarnation, None))
+            self._tell("result", ("quiet", rank, incarnation, None))
         except PeerUnreachableError as exc:
             # Cut off by a partition this rank could not degrade around
             # (e.g. a worker that lost Nature).  Die like a crash: marked
             # failed, maybe respawned — the replacement rejoins once the
             # partition heals.
-            self._die_to_fault(rank, incarnation, f"unreachable peer: {exc}")
+            self._die_to_fault(
+                rank, incarnation, RankCrashError(f"unreachable peer: {exc}")
+            )
         except RankCrashError as exc:
-            self._die_to_fault(rank, incarnation, str(exc))
+            self._die_to_fault(rank, incarnation, exc)
         except BaseException as exc:  # noqa: BLE001 - must not lose rank errors
             _LOG.debug("rank %d failed: %r", rank, exc)
             self.abort(f"rank {rank} raised {type(exc).__name__}: {exc}")
-            self.ship_result(("err", rank, incarnation, _pickle_exc(exc)))
+            self._tell("result", ("err", rank, incarnation, exc))
         else:
-            try:
-                pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception as exc:
-                err = MPIError(f"rank {rank} returned an unpicklable value: {exc!r}")
-                self.abort(str(err))
-                self.ship_result(("err", rank, incarnation, _pickle_exc(err)))
-            else:
-                self.ship_result(("done", rank, incarnation, value))
+            self._tell("result", ("done", rank, incarnation, value))
 
-    def _die_to_fault(self, rank: int, incarnation: int, reason: str) -> None:
-        if self.on_rank_failure in ("continue", "respawn"):
-            _LOG.debug("rank %d dying: %s", rank, reason)
-            self.mark_failed(rank, reason)
-            self.ship_result(("selfdead", rank, incarnation, reason))
-            if self.on_rank_failure == "respawn" and rank != 0:
-                self.maybe_respawn(rank, reason, incarnation)
-        else:
+    def _die_to_fault(self, rank: int, incarnation: int, exc: RankCrashError) -> None:
+        reason = str(exc)
+        if self.on_rank_failure == "abort":
             self.abort(f"rank {rank} died: {reason}")
-            self.ship_result(
-                ("err", rank, incarnation, _pickle_exc(RankCrashError(reason)))
-            )
+            self._tell("result", ("err", rank, incarnation, exc))
+            return
+        # Injected death: this rank is gone, the job survives.
+        _LOG.debug("rank %d dying: %s", rank, reason)
+        self.mark_failed(rank, reason)
+        self._tell("result", ("selfdead", rank, incarnation, reason))
+        if self.on_rank_failure == "respawn" and rank != 0:
+            self.maybe_respawn(rank, reason, incarnation)
 
-    # -- lifecycle -----------------------------------------------------------------
+    @contextmanager
+    def serving(self) -> Iterator[None]:
+        """Run this host's ranks: one thread per local rank on entry; on exit
+        every thread started since (respawns and joiners too) is joined.
 
-    def threads(self) -> list[threading.Thread]:
-        with self._lock:
-            return list(self._threads)
+        Meanwhile the host's tracer is also the process-active one, so
+        rank-agnostic instrumentation (the game engines) reaches it.
+        """
+        with activate(self.tracer) if self.tracer is not NULL_TRACER else nullcontext():
+            for rank in self._first_ranks:
+                self.start_rank(rank, 0)
+            try:
+                yield
+            finally:
+                with self._lock:
+                    threads = list(self._threads)
+                for thread in threads:
+                    thread.join(timeout=5.0)
 
-    def epilogue(self) -> tuple[dict, list, list]:
-        counters = self.counters.snapshot()
-        fault_log = list(self.injector.log) if self.injector is not None else []
-        events = self.tracer.events() if self.tracer is not None else []
-        return counters, fault_log, events
+
+class _DirectHub:
+    """The launcher's end of the control plane when the world's one host
+    lives in the launcher's process: the :class:`~repro.mpi.tcp.Rendezvous`
+    surface as plain calls into the host.  Nothing is pickled, and a message
+    has been applied by the time ``send`` returns."""
+
+    def __init__(self, host: _Host) -> None:
+        self._on_ctrl = host._on_ctrl
+
+    def send(self, host_id: int, msg: Any) -> None:
+        self._on_ctrl(msg)
+
+    def broadcast(self, msg: Any) -> None:
+        self._on_ctrl(msg)
 
     def close(self) -> None:
-        self.wire.close()
-        self.ctrl.close()
+        # Break the host -> tell -> handler -> hub -> host cycle, so a finished
+        # world's mailboxes and arguments are freed at once, not at the next GC.
+        self._on_ctrl = None
+
+
+def _send_pickled(ctrl: ControlClient, msg: tuple) -> None:
+    """``tell`` over a link that pickles (the host is a process of its own).
+
+    A rank's return value or exception that cannot cross it is replaced by
+    an error that can, raised in the caller in its place.
+    """
+    if msg[0] == "result":
+        kind, rank, incarnation, body = msg[1]
+        try:
+            pickle.dumps(body, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # noqa: BLE001 - pickling fails in many ways
+            what = (
+                f"rank {rank} returned an unpicklable value: {exc!r}"
+                if kind == "done"
+                else f"unpicklable rank exception: {body!r}"
+            )
+            msg = ("result", ("err", rank, incarnation, MPIError(what)))
+    ctrl.send(msg)
 
 
 def _host_main(
     host_id: int,
     n_hosts: int,
-    ranks: tuple[int, ...],
+    n_ranks: int,
     controller_addr: tuple[str, int],
     fn: Callable[..., Any],
     args: tuple,
     fault_plan: FaultPlan | None,
     on_rank_failure: str,
     trace_epoch: float | None,
-    rank_names: dict[int, str],
     flow_start: int,
     options: TcpOptions,
     queues: Sequence[Any] | None,
 ) -> None:
-    """Entry point of one host process (module-level for spawn support)."""
-    runtime = _HostRuntime(
-        host_id, n_hosts, ranks, controller_addr, fn, tuple(args), fault_plan,
-        on_rank_failure, trace_epoch, rank_names, flow_start, options, queues,
+    """Entry point of one host process (module-level for spawn support).
+
+    The injector and tracer are this process's own copies, so what they
+    gathered is shipped to the launcher with the counters once the ranks
+    are done.
+    """
+    injector = FaultInjector(fault_plan) if fault_plan is not None else None
+    tracer = (
+        Tracer(epoch=trace_epoch, flow_start=flow_start)
+        if trace_epoch is not None
+        else None
     )
-    scope = activate(runtime.tracer) if runtime.tracer is not None else None
-    if scope is not None:
-        scope.__enter__()
+    host = _Host(host_id, n_hosts, n_ranks, fn, args, on_rank_failure, injector, tracer)
+    host.wire = wire = (
+        _TcpWire(host, options) if queues is None else _QueueWire(host, queues)
+    )
+    # The control reader starts inside ControlClient, before the host can be
+    # given the link: it holds its first message until the host is whole (a
+    # grow broadcast can race this function on a non-requesting host).
+    wired = threading.Event()
+
+    def on_ctrl(msg: Any) -> None:
+        wired.wait()
+        host._on_ctrl(msg)
+
+    ctrl = ControlClient(
+        controller_addr,
+        NetHello(
+            host=host_id, incarnation=0, data_addr=wire.addr, ranks=host._first_ranks
+        ),
+        on_ctrl,
+    )
+    host.tell = partial(_send_pickled, ctrl)
+    if queues is None:
+        wire.peers.update(ctrl.welcome.hosts)
+    wired.set()
     try:
-        for rank in ranks:
-            runtime.start_rank(rank, 0)
-        # Serve until the launcher calls for the drain: rank threads come
-        # and go (respawns, joiners), the node and channels stay up.
-        runtime.drain_event.wait()
-        for thread in runtime.threads():
-            thread.join(timeout=5.0)
-        counters, fault_log, events = runtime.epilogue()
+        with host.serving():
+            # Serve until the launcher calls for the drain: rank threads
+            # come and go (respawns, joiners), the wire stays up.
+            host.drain_event.wait()
         try:
-            runtime.ctrl.send(("host_done", host_id, counters, fault_log, events))
+            ctrl.send((
+                "host_done", host_id, host.counters.snapshot(),
+                list(injector.log) if injector is not None else [],
+                tracer.events() if tracer is not None else [],
+            ))
         except OSError:  # pragma: no cover - launcher died; nothing to report to
             pass
-        runtime.exit_event.wait(timeout=_EXIT_GRACE)
+        host.exit_event.wait(timeout=_EXIT_GRACE)
     finally:
-        if scope is not None:
-            scope.__exit__(None, None, None)
-        runtime.close()
-
-
-def run_spmd_tcp(
-    n_ranks: int,
-    fn: Callable[..., Any],
-    args: Sequence[Any] = (),
-    timeout: float | None = 300.0,
-    fault_injector: FaultInjector | None = None,
-    on_rank_failure: str = "abort",
-    tracer: Tracer | None = None,
-    n_hosts: int = 2,
-    tcp_options: TcpOptions | None = None,
-    max_respawns: int = 8,
-    start_method: str | None = None,
-) -> SPMDResult:
-    """Run ``fn(comm, *args)`` on ``n_ranks`` ranks across ``n_hosts`` hosts.
-
-    The TCP twin of :func:`repro.mpi.executor.run_spmd`: same parameters,
-    same :class:`~repro.mpi.executor.SPMDResult`, same abort / timeout /
-    ``on_rank_failure`` semantics — with ranks dealt round-robin across
-    ``n_hosts`` OS-process hosts talking framed TCP (loopback here; the
-    protocol carries no same-machine assumption).  See the module
-    docstring for the robustness machinery; ``tcp_options`` tunes it.
-
-    ``on_rank_failure="respawn"`` replaces a dead non-zero rank with a
-    fresh incarnation *thread* on its host (budgeted by ``max_respawns``);
-    the replacement's rejoin handshake crosses real sockets.
-    """
-    return _launch(
-        "tcp", n_ranks, fn, args, timeout, fault_injector, on_rank_failure,
-        tracer, n_hosts, tcp_options, max_respawns, start_method,
-    )
+        wire.close()
+        ctrl.close()
 
 
 def _launch(
     backend: str,
     n_ranks: int,
     fn: Callable[..., Any],
-    args: Sequence[Any],
+    args: tuple,
     timeout: float | None,
     fault_injector: FaultInjector | None,
     on_rank_failure: str,
@@ -883,116 +708,91 @@ def _launch(
     n_hosts: int,
     tcp_options: TcpOptions | None,
     max_respawns: int,
-    start_method: str | None = None,
-) -> SPMDResult:
-    """Launch and join one world of host processes.
+) -> Any:
+    """Launch and join one world; ``run_spmd`` has validated the arguments.
 
-    ``backend="tcp"`` deals the ranks across ``n_hosts`` hosts over
-    sockets; ``backend="process"`` gives every rank a host of its own and
-    wires the hosts with queues.
+    The backend chooses where the hosts live and what links them (see the
+    module docstring); the control handler, result collection, wait loop
+    and epilogue below are the same for all three.
     """
-    if not 1 <= n_ranks <= MAX_TCP_RANKS:
-        raise MPIError(f"n_ranks must be in [1, {MAX_TCP_RANKS}], got {n_ranks}")
-    if backend == "process":
-        n_hosts = n_ranks
-    elif not 1 <= n_hosts <= MAX_TCP_HOSTS:
-        raise MPIError(f"n_hosts must be in [1, {MAX_TCP_HOSTS}], got {n_hosts}")
-    if on_rank_failure not in ("abort", "continue", "respawn"):
-        raise MPIError(
-            "on_rank_failure must be 'abort', 'continue' or 'respawn',"
-            f" got {on_rank_failure!r}"
-        )
-    if max_respawns < 0:
-        raise MPIError(f"max_respawns must be >= 0, got {max_respawns}")
-    n_hosts = min(n_hosts, n_ranks)
-    options = tcp_options if tcp_options is not None else TcpOptions()
+    # The result types live with the public entry point, which imports this module.
+    from repro.mpi.executor import RespawnRecord, SPMDResult
+
     respawning = on_rank_failure == "respawn"
-    ctx = _pick_context(start_method)
     tracing = tracer is not None and tracer.enabled
-    if tracing:
-        named = tracer.rank_names()
-        for rank in range(n_ranks):
-            if rank not in named:
-                tracer.name_rank(rank, f"rank {rank}")
-    rank_names = tracer.rank_names() if tracing else {}
 
-    host_ranks: dict[int, tuple[int, ...]] = {
-        h: tuple(r for r in range(n_ranks) if _host_of(r, n_hosts) == h)
-        for h in range(n_hosts)
-    }
-    rank_hosts = {r: _host_of(r, n_hosts) for r in range(n_ranks)}
+    def _name_ranks(ranks: Sequence[int]) -> None:
+        if tracing:
+            named = tracer.rank_names()
+            for rank in ranks:
+                if rank not in named:
+                    tracer.name_rank(rank, f"rank {rank}")
 
-    # Launcher-side state, mutated by the rendezvous reader threads and the
-    # main wait loop below; every event funnels through one queue.
+    _name_ranks(range(n_ranks))
+
+    # The launcher's own World is the job's authoritative record — size,
+    # marks, abort, counters — and what the caller gets back.  Rendezvous
+    # reader threads (or, in a thread world, the rank threads themselves)
+    # and the wait loop below all feed it; every event funnels through one
+    # queue.
+    world = World(n_ranks, injector=fault_injector, tracer=tracer)
     events: stdlib_queue.Queue = stdlib_queue.Queue()
     state_lock = threading.Lock()
-    world_size = n_ranks
-    incarnations: dict[int, int] = {r: 0 for r in range(n_ranks)}
-    failed_flags: dict[int, str] = {}
+    incarnations: dict[int, int] = {}
     respawn_log: list[RespawnRecord] = []
     respawn_budget = max_respawns if respawning else 0
     hosts_done: dict[int, tuple] = {}
-    aborted: list[str] = []
 
     def _abort_world(reason: str) -> None:
         with state_lock:
-            if aborted:
+            if world.abort_event.is_set():
                 return  # every host has been told already
-            aborted.append(reason)
-        rendezvous.broadcast(("apply", "abort", reason))
+            world.abort(reason)
+        hub.broadcast(("apply", "abort", reason))
         events.put(("aborted",))
 
     def _handle(host_id: int, msg: Any) -> None:
-        nonlocal world_size, respawn_budget
+        nonlocal respawn_budget
         op = msg[0]
         if op == "ctrl":
             what = msg[1]
-            if what == "mark_failed":
-                with state_lock:
-                    failed_flags.setdefault(msg[2], msg[3])
-                rendezvous.broadcast(("apply", "mark_failed", msg[2], msg[3]))
-            elif what == "mark_alive":
-                with state_lock:
-                    failed_flags.pop(msg[2], None)
-                rendezvous.broadcast(("apply", "mark_alive", msg[2]))
-            elif what == "abort":
+            if what == "abort":
                 _abort_world(msg[2])
+                return
+            if what == "mark_failed":
+                world.mark_failed(msg[2], msg[3])
+            elif what == "mark_alive":
+                world.mark_alive(msg[2])
             elif what == "shutdown":
-                rendezvous.broadcast(("apply", "shutdown"))
+                world.shutdown()
             elif what == "retire":
-                rendezvous.broadcast(("apply", "retire", msg[2]))
-                events.put(("retired", msg[2]))
+                world.shrink(msg[2])
+            hub.broadcast(("apply", *msg[1:]))
         elif op == "req":
             req_id, what = msg[1], msg[2]
             if what == "grow":
-                n = msg[3]
-                with state_lock:
-                    first = world_size
-                    new_ranks = tuple(range(first, first + n))
-                    world_size = first + n
-                    assignments = tuple(
-                        (rank, _host_of(rank, n_hosts)) for rank in new_ranks
-                    )
-                    for rank in new_ranks:
-                        incarnations[rank] = 0
-                # Order matters: every host learns the membership before
-                # the requester's grow() returns and traffic starts.
-                rendezvous.broadcast(("apply", "grow", assignments))
-                rendezvous.send(host_id, ("rep", req_id, new_ranks))
+                new_ranks = world.grow(msg[3])
+                _name_ranks(new_ranks)
+                # Order matters: the wait loop learns of the new ranks
+                # before any of them can report, and every host learns the
+                # membership before the requester's grow() returns and
+                # traffic starts.
                 events.put(("grew", new_ranks))
+                hub.broadcast(("apply", "grow", new_ranks))
+                hub.send(host_id, ("rep", req_id, new_ranks))
             elif what == "respawn":
                 rank, reason = msg[3], msg[4]
                 with state_lock:
-                    granted = rank != 0 and respawn_budget > 0
-                    if granted:
+                    grant = None
+                    if rank != 0 and respawn_budget > 0:
                         respawn_budget -= 1
-                        incarnations[rank] += 1
-                        grant = incarnations[rank]
+                        grant = incarnations[rank] = incarnations.get(rank, 0) + 1
                         respawn_log.append(
                             RespawnRecord(rank=rank, incarnation=grant, reason=reason)
                         )
-                rendezvous.send(host_id, ("rep", req_id, grant if granted else None))
-                events.put(("respawn", rank) if granted else ("respawn_denied", rank))
+                hub.send(host_id, ("rep", req_id, grant))
+                if grant is None:
+                    events.put(("respawn_denied", rank))
         elif op == "result":
             events.put(("result", msg[1]))
         elif op == "host_done":
@@ -1002,27 +802,38 @@ def _launch(
         elif op == "ctrl_lost":
             events.put(("ctrl_lost", host_id))
 
-    rendezvous = Rendezvous(n_hosts, rank_hosts, _handle)
-    fault_plan = fault_injector.plan if fault_injector is not None else None
-    queues = [ctx.Queue() for _ in range(n_hosts)] if backend == "process" else None
-    processes = []
-    for host_id in range(n_hosts):
-        proc = ctx.Process(
-            target=_host_main,
-            args=(
-                host_id, n_hosts, host_ranks[host_id], rendezvous.addr, fn,
-                tuple(args), fault_plan, on_rank_failure,
-                tracer.epoch if tracing else None,
-                rank_names,
-                tracer.reserve_flow_stripe() if tracing else 0,
-                options,
-                queues,
-            ),
-            name=f"vmpi-host-{host_id}",
-            daemon=True,
-        )
-        proc.start()
-        processes.append(proc)
+    processes: list = []
+    if backend == "thread":
+        # One host, living right here: it shares the launcher's counters and
+        # the caller's injector and tracer, so nothing is shipped back.
+        host = _Host(0, 1, n_ranks, fn, args, on_rank_failure, fault_injector, tracer)
+        host.counters = world.counters
+        host.tell = partial(_handle, 0)
+        hub: Any = _DirectHub(host)
+        serving = host.serving()
+    else:
+        n_hosts = n_ranks if backend == "process" else min(n_hosts, n_ranks)
+        ctx = _pick_context()
+        hub = Rendezvous(n_hosts, {r: r % n_hosts for r in range(n_ranks)}, _handle)
+        queues = [ctx.Queue() for _ in range(n_hosts)] if backend == "process" else None
+        for host_id in range(n_hosts):
+            proc = ctx.Process(
+                target=_host_main,
+                args=(
+                    host_id, n_hosts, n_ranks, hub.addr, fn, args,
+                    fault_injector.plan if fault_injector is not None else None,
+                    on_rank_failure,
+                    tracer.epoch if tracing else None,
+                    tracer.reserve_flow_stripe() if tracing else 0,
+                    tcp_options if tcp_options is not None else TcpOptions(),
+                    queues,
+                ),
+                name=f"vmpi-host-{host_id}",
+                daemon=True,
+            )
+            proc.start()
+            processes.append(proc)
+        serving = nullcontext()
 
     returns: dict[int, Any] = {}
     failures: list[tuple[int, BaseException]] = []
@@ -1032,87 +843,75 @@ def _launch(
     abort_seen_at: float | None = None
 
     def _consume_result(message: tuple) -> None:
-        kind, rank, incarnation = message[0], message[1], message[2]
+        kind, rank, incarnation, body = message
         with state_lock:
             current = incarnations.get(rank, 0)
         if incarnation != current:
             return  # a stale incarnation's parting words
         if kind == "done":
-            returns[rank] = message[3]
+            returns[rank] = body
             if incarnation > 0:
-                with state_lock:
-                    failed_flags.pop(rank, None)
+                world.mark_alive(rank)
             pending.discard(rank)
         elif kind == "quiet":
             pending.discard(rank)
         elif kind == "err":
-            failures.append((rank, pickle.loads(message[3])))
+            failures.append((rank, body))
+            _abort_world(f"rank {rank} failed: {body!r}")
             pending.discard(rank)
         elif kind == "selfdead":
-            with state_lock:
-                failed_flags.setdefault(rank, message[3])
+            world.mark_failed(rank, body)
             if respawning and rank != 0:
                 return  # stay pending: the replacement will report
             if respawning and rank == 0:
                 failures.append(
                     (0, MPIError(
-                        "the Nature rank (0) died and cannot be respawned:"
-                        f" {message[3]}"
+                        f"the Nature rank (0) died and cannot be respawned: {body}"
                     ))
                 )
                 _abort_world("rank 0 died")
             pending.discard(rank)
 
-    while pending:
-        try:
-            event = events.get(timeout=0.05)
-        except stdlib_queue.Empty:
-            event = None
-        now = time.monotonic()
-        if event is not None:
-            kind = event[0]
-            if kind == "result":
-                _consume_result(event[1])
-            elif kind == "grew":
-                pending.update(event[1])
-            elif kind == "respawn_denied":
-                pending.discard(event[1])
-            elif kind == "aborted":
-                abort_seen_at = abort_seen_at or now
-            elif kind == "ctrl_lost":
-                host_id = event[1]
-                with state_lock:
-                    already_done = host_id in hosts_done
-                if not already_done:
-                    _abort_world(f"host {host_id} lost its control link")
-            continue
-        if abort_seen_at is not None and now - abort_seen_at > _ABORT_DRAIN_GRACE:
-            break  # aborted ranks that never managed a parting word
-        for host_id, proc in enumerate(processes):
-            if proc.exitcode not in (0, None):
-                with state_lock:
-                    already_done = host_id in hosts_done
-                if not already_done:
+    with serving:
+        while pending:
+            try:
+                event = events.get(timeout=0.05)
+            except stdlib_queue.Empty:
+                event = None
+            now = time.monotonic()
+            if event is not None:
+                kind = event[0]
+                if kind == "result":
+                    _consume_result(event[1])
+                elif kind == "grew":
+                    pending.update(event[1])
+                elif kind == "respawn_denied":
+                    pending.discard(event[1])
+                elif kind == "aborted":
+                    abort_seen_at = abort_seen_at or now
+                elif kind == "ctrl_lost" and event[1] not in hosts_done:
+                    _abort_world(f"host {event[1]} lost its control link")
+                continue
+            if abort_seen_at is not None and now - abort_seen_at > _ABORT_DRAIN_GRACE:
+                break  # aborted ranks that never managed a parting word
+            for host_id, proc in enumerate(processes):
+                if proc.exitcode not in (0, None) and host_id not in hosts_done:
                     _abort_world(
                         f"host {host_id} process died with exit code {proc.exitcode}"
                     )
                     # Its ranks died with it: no parting words to wait for.
-                    pending -= {r for r in pending if _host_of(r, n_hosts) == host_id}
-        if deadline is not None and now >= deadline:
-            timed_out = True
-            _abort_world("executor timeout")
-            break
+                    pending -= {r for r in pending if r % n_hosts == host_id}
+            if deadline is not None and now >= deadline:
+                timed_out = True
+                _abort_world("executor timeout")
+                break
 
-    # Drain: ask every host for its epilogue (counters, fault log, trace),
-    # then release them.
-    rendezvous.broadcast(("drain",))
+    # Drain: ask every host process for what it gathered on its own
+    # (counters, fault log, trace), then release it.
+    hub.broadcast(("drain",))
     drain_deadline = time.monotonic() + 30.0
     while time.monotonic() < drain_deadline:
-        with state_lock:
-            done = set(hosts_done)
-        if all(
-            h in done or not processes[h].is_alive() for h in range(n_hosts)
-        ):
+        if all(h in hosts_done or not proc.is_alive() for h, proc in enumerate(processes)):
             break
         try:
             event = events.get(timeout=0.05)
@@ -1120,40 +919,26 @@ def _launch(
             continue
         if event[0] == "result":
             _consume_result(event[1])
-    rendezvous.broadcast(("exit",))
+    hub.broadcast(("exit",))
     for proc in processes:
         proc.join(timeout=10.0)
         if proc.is_alive():  # pragma: no cover - last-resort cleanup
             proc.terminate()
             proc.join(timeout=5.0)
-    rendezvous.close()
+    hub.close()
 
-    merged_counters = CommCounters()
-    merged_faults: list = []
-    merged_events: list = []
     with state_lock:
         epilogues = [hosts_done[h] for h in sorted(hosts_done)]
-        final_size = world_size
-        final_failed = dict(failed_flags)
-        abort_reason = aborted[0] if aborted else None
+    merged_events: list = []
     for counters, fault_log, trace_events in epilogues:
-        merged_counters.absorb(counters)
-        merged_faults.extend(fault_log)
+        world.counters.absorb(counters)
+        if fault_injector is not None and fault_log:
+            with fault_injector._lock:
+                fault_injector.log.extend(fault_log)
         merged_events.extend(trace_events)
-    if fault_injector is not None and merged_faults:
-        with fault_injector._lock:
-            fault_injector.log.extend(merged_faults)
     if tracing and merged_events:
+        # One merge, so sequence numbers follow wall time across hosts.
         tracer.absorb_events(merged_events)
-
-    world = World(final_size, injector=fault_injector, tracer=tracer)
-    world.counters.absorb(merged_counters.snapshot())
-    for rank in sorted(final_failed):
-        world.failed_ranks.add(rank)
-        world.failure_reasons.setdefault(rank, final_failed[rank])
-    if abort_reason is not None:
-        world.abort_event.set()
-        world.abort_reason = abort_reason
 
     if timed_out:
         raise MPIError(f"SPMD program timed out after {timeout} s")
@@ -1162,10 +947,12 @@ def _launch(
         _rank, exc = failures[0]
         raise exc
     if world.abort_event.is_set():
+        # A rank called abort() deliberately (no other exception to blame):
+        # surface it — like MPI_Abort, the job did not complete normally.
         raise CommAbortError(world.abort_reason or "world aborted")
     return SPMDResult(
-        returns=[returns.get(rank) for rank in range(final_size)],
+        returns=[returns.get(rank) for rank in range(world.size)],
         world=world,
-        failed_ranks=tuple(sorted(final_failed)),
+        failed_ranks=tuple(sorted(world.failed_ranks)),
         respawns=tuple(respawn_log),
     )

@@ -20,6 +20,7 @@ the rank program needs) rather than launching real MPI.
 from __future__ import annotations
 
 import argparse
+import inspect
 from typing import Any, Protocol, runtime_checkable
 
 from repro.config import SimulationConfig
@@ -49,6 +50,28 @@ class CommLike(Protocol):
     def allgather(self, payload: Any) -> list: ...  # pragma: no cover
 
 
+class _BlockingRecv:
+    """A :class:`CommLike` whose ``recv`` accepts the rank program's
+    ``timeout=`` and drops it: MPI's ``recv`` blocks until matched and has
+    no deadline to give.  Everything else forwards."""
+
+    def __init__(self, comm: CommLike) -> None:
+        self._comm = comm
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self._comm, name)
+
+    def recv(self, source: int, tag: int, timeout: float | None = None) -> Any:
+        return self._comm.recv(source=source, tag=tag)
+
+
+def _recv_takes_timeout(comm: CommLike) -> bool:
+    try:
+        return "timeout" in inspect.signature(comm.recv).parameters
+    except (TypeError, ValueError):  # a C-implemented method without a signature
+        return False
+
+
 def run_on_comm(comm: CommLike, config: SimulationConfig, eager_games: bool = False) -> dict:
     """Run the rank program on any conforming communicator.
 
@@ -59,6 +82,8 @@ def run_on_comm(comm: CommLike, config: SimulationConfig, eager_games: bool = Fa
 
     if comm.size < 2:
         raise MPIError("need >= 2 ranks (Nature Agent + 1 worker)")
+    if not _recv_takes_timeout(comm):
+        comm = _BlockingRecv(comm)
     return _rank_program(comm, config, eager_games)
 
 

@@ -67,7 +67,7 @@ from repro.parallel.protocol import (
     RecoveryEvent,
     WorkerReport,
 )
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.population.fitness import FitnessEvaluator
 from repro.population.nature import NatureAgent, PCSelection
 from repro.population.population import Population
@@ -171,7 +171,8 @@ def _rank_program(
     nature = NatureAgent(config, streams) if comm.rank == decomp.nature_rank else None
     owned = decomp.ssets_of_rank(comm.rank)
     games_played = 0
-    tracer = comm.world.tracer
+    # A real mpi4py communicator (see mpi4py_backend.CommLike) carries no tracer.
+    tracer = getattr(comm, "tracer", NULL_TRACER)
 
     for gen in range(1, config.generations + 1):
         gen_span = tracer.span("generation", rank=comm.rank, args={"gen": gen})
@@ -327,7 +328,7 @@ def _rank_program_ft(comm: Comm, config: SimulationConfig, eager_games: bool, op
     """The fault-tolerant SPMD body executed by every rank."""
     streams = StreamFactory(config.seed)
     if comm.rank != 0 and (
-        getattr(comm.world, "incarnation", 0) > 0
+        comm.incarnation > 0
         or comm.rank in getattr(comm.world, "joiner_ranks", ())
     ):
         # Replacement process under on_rank_failure="respawn", or a fresh
@@ -367,7 +368,7 @@ def _ft_worker_respawned(comm, config, eager_games, streams) -> dict:
     correct the moment they are constructed.
     """
     tracer = comm.world.tracer
-    incarnation = getattr(comm.world, "incarnation", 0)
+    incarnation = comm.incarnation
     deadline = time.monotonic() + _REJOIN_DEADLINE
     rejoin = None
     while rejoin is None:

@@ -1,9 +1,15 @@
 """Tests for the SPMD executor."""
 
+import threading
+
+import numpy as np
 import pytest
 
-from repro.errors import MPIError
+from repro.errors import CommAbortError, MPIError
 from repro.mpi.executor import MAX_THREAD_RANKS, run_spmd
+from repro.mpi.faults import FaultEvent, FaultInjector, FaultPlan
+from repro.mpi.hostexec import _Host
+from repro.obs.tracer import Tracer
 
 
 class TestBasics:
@@ -58,3 +64,180 @@ class TestScale:
 
         res = run_spmd(64, prog, timeout=120)
         assert all(v == 64 for v in res.returns)
+
+
+# -- the launcher's contract, identical on every backend ------------------------
+#    (module-level rank programs: process and tcp hosts are OS processes)
+
+
+def _grow_program(comm):
+    if comm.rank in comm.world.joiner_ranks:
+        msg = comm.recv(source=0, tag=3, timeout=30)
+        comm.send(("joiner", comm.rank), dest=0, tag=4)
+        return ("joiner", msg)
+    if comm.rank == 0:
+        new_ranks = comm.world.grow(2)
+        for rank in new_ranks:
+            comm.send("welcome", dest=rank, tag=3)
+        replies = sorted(comm.recv(source=r, tag=4, timeout=30) for r in new_ranks)
+        return ("root", new_ranks, comm.size, replies)
+    return ("old", comm.rank)
+
+
+def _ring_then_crash(comm):
+    comm.send(comm.rank, dest=(comm.rank + 1) % comm.size, tag=1)
+    got = comm.recv(source=(comm.rank - 1) % comm.size, tag=1, timeout=30)
+    comm.barrier()  # nothing is in flight when the fault fires
+    for gen in range(5):
+        comm.fault_point(gen)
+    return got
+
+
+def _hang_until_shutdown(comm):
+    if comm.rank == 1:
+        comm.fault_point(1)  # never returns until shutdown
+        return "unreachable"
+    comm.world.shutdown()
+    return "done"
+
+
+def _abort_on_rank_one(comm):
+    if comm.rank == 1:
+        comm.abort("enough")
+    comm.recv(source=1, tag=9, timeout=None)  # never sent; must be unblocked
+
+
+def _block_forever(comm):
+    if comm.rank == 0:
+        comm.recv(source=1, timeout=None)  # never satisfied
+
+
+def _two_ranks_fail(comm):
+    if comm.rank == 1:
+        raise KeyError("rank1")
+    if comm.rank == 3:
+        raise ValueError("rank3")
+    comm.recv(source=3, tag=9, timeout=None)  # never sent; must be unblocked
+
+
+@pytest.mark.parametrize("backend", ["thread", "process", "tcp"])
+class TestLauncherContract:
+    """One launcher serves all three backends: the same program leaves the
+    same ``SPMDResult`` — returns, world record, traffic — on each."""
+
+    def test_grow_starts_joiners_that_answer(self, backend):
+        res = run_spmd(3, _grow_program, backend=backend, timeout=120)
+        assert res.returns == [
+            ("root", (3, 4), 5, [("joiner", 3), ("joiner", 4)]),
+            ("old", 1),
+            ("old", 2),
+            ("joiner", "welcome"),
+            ("joiner", "welcome"),
+        ]
+        assert res.world.size == 5
+        assert res.world.joiner_ranks == {3, 4}
+        assert res.failed_ranks == () and res.respawns == ()
+        assert res.world.counters.get("send").messages == 4
+
+    def test_injected_crash_under_continue(self, backend):
+        plan = FaultPlan(events=(FaultEvent(kind="crash", rank=2, generation=3),))
+        res = run_spmd(
+            3, _ring_then_crash, backend=backend, timeout=120,
+            fault_injector=FaultInjector(plan), on_rank_failure="continue",
+        )
+        assert res.returns == [2, 0, None]
+        assert res.failed_ranks == (2,) and res.respawns == ()
+        assert res.world.failed_ranks == {2}
+        assert "injected crash at generation 3" in res.world.failure_reasons[2]
+        assert res.world.counters.get("send").messages == 3 + 4  # ring + barrier
+        assert res.world.counters.get("fault_crash").calls == 1
+
+    def test_injected_hang_released_by_shutdown(self, backend):
+        plan = FaultPlan(events=(FaultEvent(kind="hang", rank=1, generation=1),))
+        res = run_spmd(
+            2, _hang_until_shutdown, backend=backend, timeout=120,
+            fault_injector=FaultInjector(plan), on_rank_failure="continue",
+        )
+        assert res.returns == ["done", None]
+        assert res.failed_ranks == (1,)
+        assert "injected hang at generation 1" in res.world.failure_reasons[1]
+        assert res.world.stop_event.is_set() and not res.world.abort_event.is_set()
+
+    def test_deliberate_abort_surfaces(self, backend):
+        with pytest.raises(CommAbortError, match="rank 1: enough"):
+            run_spmd(3, _abort_on_rank_one, backend=backend, timeout=120)
+
+    def test_timeout_aborts(self, backend):
+        with pytest.raises(MPIError, match="timed out after 1.0 s"):
+            run_spmd(2, _block_forever, backend=backend, timeout=1.0)
+
+    def test_first_failure_is_the_lowest_rank(self, backend):
+        with pytest.raises(KeyError, match="rank1"):
+            run_spmd(4, _two_ranks_fail, backend=backend, timeout=120)
+
+
+def test_message_overtaking_the_grow_broadcast_waits_for_its_rank():
+    """Regression: a peer told of a new rank could send to it before the
+    rank's own host had applied the grow broadcast, and the frame was dropped."""
+    got = []
+
+    def prog(comm):
+        if comm.rank == 3:
+            got.append(comm.recv(source=0, tag=3, timeout=10))
+
+    host = _Host(1, 2, 3, prog, (), "abort", None, None)  # host 1 of 2: ranks 1, 3, ...
+    host.tell = lambda msg: None
+    host.deliver_local(0, 3, 3, "welcome", 7, 0)  # rank 3 is not announced here yet
+    with host.serving():
+        host._on_ctrl(("apply", "grow", (3, 4)))
+    assert got == ["welcome"]
+
+
+class TestThreadWorldPicklesNothing:
+    """Pickling is a property of the links a backend chooses, and a thread
+    world has none: everything passes by reference."""
+
+    def test_payload_passes_by_reference(self):
+        sent = np.arange(8)
+
+        def prog(comm):
+            if comm.rank == 0:
+                comm.send(sent, dest=1)
+                return None
+            return comm.recv(source=0, timeout=30) is sent
+
+        assert run_spmd(2, prog, timeout=30).returns[1] is True
+
+    def test_lambda_program_and_unpicklable_return(self):
+        lock = threading.Lock()
+        res = run_spmd(2, lambda comm: lock, timeout=30)
+        assert res.returns[0] is lock and res.returns[1] is lock
+
+    def test_reraised_exception_is_the_rank_s_own_object(self):
+        boom = RuntimeError("boom")
+
+        def prog(comm):
+            if comm.rank == 1:
+                raise boom
+            comm.recv(source=1, timeout=None)
+
+        with pytest.raises(RuntimeError) as excinfo:
+            run_spmd(2, prog, timeout=30)
+        assert excinfo.value is boom
+
+    def test_callers_injector_and_tracer_are_used_live(self):
+        injector = FaultInjector(FaultPlan(events=(FaultEvent(kind="drop", rank=0, op_index=0),)))
+        tracer = Tracer()
+
+        def prog(comm):
+            if comm.rank == 0:
+                comm.send("lost", dest=1)
+                # Seen from inside the run: no merge step stands in between.
+                return (len(injector.log), len(tracer))
+            return None
+
+        res = run_spmd(2, prog, timeout=30, fault_injector=injector, tracer=tracer)
+        seen_faults, seen_events = res.returns[0]
+        assert seen_faults == 1 and seen_events >= 1
+        assert res.world.injector is injector and res.world.tracer is tracer
+        assert [rec.kind for rec in injector.log] == ["drop"]

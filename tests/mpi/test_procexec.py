@@ -95,7 +95,7 @@ def _traced_pingpong(comm):
 
 def _respawn_probe(comm):
     """Original incarnation of rank 2 dies at generation 3; others just run."""
-    inc = getattr(comm.world, "incarnation", 0)
+    inc = comm.incarnation
     if comm.rank == 2 and inc == 0:
         for gen in range(5):
             comm.fault_point(gen)

@@ -2,7 +2,7 @@
 
 The socket layer (:mod:`repro.mpi.tcp`) is exercised directly — framing
 round-trips, exactly-once delivery across an injected connection reset —
-and through :func:`repro.mpi.hostexec.run_spmd_tcp`, which deals ranks
+and through ``run_spmd(..., backend="tcp")``, which deals ranks
 across OS-process "hosts" on loopback.  Network chaos must be a pure
 function of the fault plan's seed, so the schedule determinism is asserted
 here too.
@@ -24,7 +24,6 @@ from repro.mpi.hostexec import (
     _ABORT_DRAIN_GRACE,
     MAX_TCP_HOSTS,
     MAX_TCP_RANKS,
-    run_spmd_tcp,
 )
 from repro.mpi.tcp import (
     HostChannel,
@@ -165,7 +164,7 @@ def _ring_and_allreduce(comm):
 
 
 def _respawn_probe(comm):
-    if getattr(comm.world, "incarnation", 0) > 0:
+    if comm.incarnation > 0:
         return f"respawned-{comm.rank}"
     for gen in range(1, 6):
         comm.fault_point(gen)
@@ -187,7 +186,7 @@ def _grow_program(comm):
 
 
 def test_ring_across_hosts():
-    result = run_spmd_tcp(5, _ring_and_allreduce, n_hosts=2, timeout=120.0)
+    result = run_spmd(5, _ring_and_allreduce, backend="tcp", n_hosts=2, timeout=120.0)
     assert result.returns == [((r - 1) % 5, 10) for r in range(5)]
     snap = result.world.counters.snapshot()
     assert snap["net.frames"].calls > 0
@@ -235,9 +234,10 @@ def test_killed_host_aborts_the_world_promptly(backend):
 
 def test_injected_crash_respawns_across_hosts():
     plan = FaultPlan(seed=5, events=(FaultEvent(kind="crash", rank=2, generation=3),))
-    result = run_spmd_tcp(
+    result = run_spmd(
         4,
         _respawn_probe,
+        backend="tcp",
         n_hosts=2,
         fault_injector=FaultInjector(plan),
         on_rank_failure="respawn",
@@ -249,7 +249,7 @@ def test_injected_crash_respawns_across_hosts():
 
 
 def test_world_grow_spans_hosts():
-    result = run_spmd_tcp(3, _grow_program, n_hosts=2, timeout=120.0)
+    result = run_spmd(3, _grow_program, backend="tcp", n_hosts=2, timeout=120.0)
     root = result.returns[0]
     assert root[0] == "root" and root[1] == (3, 4) and root[2] == 5
     assert root[3] == [("joiner", 3), ("joiner", 4)]
@@ -261,13 +261,13 @@ def test_launcher_validation():
     from repro.errors import MPIError
 
     with pytest.raises(MPIError):
-        run_spmd_tcp(0, _ring_and_allreduce)
+        run_spmd(0, _ring_and_allreduce, backend="tcp")
     with pytest.raises(MPIError):
-        run_spmd_tcp(MAX_TCP_RANKS + 1, _ring_and_allreduce)
+        run_spmd(MAX_TCP_RANKS + 1, _ring_and_allreduce, backend="tcp")
     with pytest.raises(MPIError):
-        run_spmd_tcp(4, _ring_and_allreduce, n_hosts=MAX_TCP_HOSTS + 1)
+        run_spmd(4, _ring_and_allreduce, backend="tcp", n_hosts=MAX_TCP_HOSTS + 1)
     with pytest.raises(MPIError):
-        run_spmd_tcp(4, _ring_and_allreduce, on_rank_failure="bogus")
+        run_spmd(4, _ring_and_allreduce, backend="tcp", on_rank_failure="bogus")
 
 
 def test_base_world_is_never_unreachable():
