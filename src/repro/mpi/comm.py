@@ -23,6 +23,7 @@ For the paper's 262,144-rank scales use the performance model
 from __future__ import annotations
 
 import hashlib
+import math
 import pickle
 import threading
 import time
@@ -163,7 +164,8 @@ class _Mailbox:
                     )
                 if world.stop_event.is_set():
                     raise CommAbortError("world shut down while waiting for a message")
-                if deadline is not None and time.monotonic() >= deadline:
+                remaining = 0.05 if deadline is None else deadline - time.monotonic()
+                if remaining <= 0.0:
                     raise RecvTimeoutError(
                         f"recv timed out after {timeout} s waiting for"
                         f" source={source} tag={tag}",
@@ -171,7 +173,7 @@ class _Mailbox:
                         deadline=timeout,
                     )
                 # Wake periodically to observe aborts/failures even with no traffic.
-                self.ready.wait(timeout=0.05)
+                self.ready.wait(timeout=min(0.05, remaining))
 
     def probe(self, source: int, tag: int) -> Status | None:
         with self.lock:
@@ -424,18 +426,46 @@ class _Request:
         return False
 
 
-def _blob_checksum(blob: bytes) -> bytes:
-    return hashlib.blake2b(blob, digest_size=8).digest()
+def _frame_checksum(seq: int, tag: int, ack: int, blob: bytes) -> bytes:
+    digest = hashlib.blake2b(b"%d/%d/%d/" % (seq, tag, ack), digest_size=8)
+    digest.update(blob)
+    return digest.digest()
 
 
 @dataclass(frozen=True)
 class _ReliablePacket:
-    """On-wire frame of the reliable layer: sequenced, checksummed payload."""
+    """On-wire frame of the reliable layer: sequenced, checksummed payload.
+
+    ``ack`` is the cumulative acknowledgement of the reverse direction: the
+    sender has delivered every frame of the receiver's with ``seq < ack``.
+    """
 
     seq: int
     tag: int
+    ack: int
     blob: bytes
     checksum: bytes
+
+
+@dataclass
+class _Unacked:
+    """A posted frame parked until its acknowledgement (one per peer)."""
+
+    packet: _ReliablePacket
+    ack_timeout: float = 0.25
+    max_retries: int = 8
+    backoff: float = 2.0
+    max_backoff: float = 2.0
+    jitter: float = 0.5
+    transmissions: int = 0
+    deadline: float = 0.0
+    waited: float = 0.0
+
+
+#: How long a rank blocked in a reliable call sits on an owed acknowledgement
+#: before sending it explicitly: well under the shortest first retransmission
+#: wait of a default sender (``ack_timeout`` 0.25 s less 50 % jitter).
+_ACK_DELAY = 0.05
 
 
 class Comm:
@@ -452,6 +482,25 @@ class Comm:
     :meth:`recv_reliable` add sequence numbers, checksums, acknowledgements
     with retry + exponential backoff, and receiver-side deduplication, so
     they survive injected drops, duplicates and corruptions.
+
+    That pair is stop-and-wait.  A request/reply protocol pays one message
+    per frame instead of two with :meth:`post_reliable` (the frame is parked
+    until acknowledged; its retransmission timer runs inside every blocking
+    reliable call of this rank) and :meth:`recv_reliable_owing` (the caller
+    will answer the sender, and every frame carries the cumulative ack of
+    the reverse direction, so *the reply is the ack*).  An explicit ack
+    frame is sent only when no reply is due: by :meth:`recv_reliable`, for
+    a duplicate (the sender's timer fired), by :meth:`settle_acks`, and by
+    a rank that has been blocked in a reliable call for ``_ACK_DELAY``
+    still owing one.  The last two are why a fault-free run retransmits
+    nothing however long a generation takes: the owed ack may wait for a
+    *prompt* reply only, so a receiver settles before computing at length
+    and a receiver waiting on a slow third rank settles after the delay,
+    both well inside the sender's first retransmission wait.
+
+    At most one frame per directed pair is unacknowledged at a time (a post
+    waits for its predecessor's ack first), so frames arrive in sequence
+    order and the receiver's dedup state is a single watermark per peer.
     """
 
     def __init__(self, world: World, rank: int, incarnation: int = 0) -> None:
@@ -465,8 +514,13 @@ class Comm:
         # incarnation must keep draining its own, not its successor's.
         self._mailbox = world.mailboxes[rank]
         self._collective_seq: dict[int, int] = {}
+        # Reliable layer, all keyed by peer: next sequence number to send,
+        # delivered watermark (every seq below it is done with), the frame
+        # awaiting its ack, and since when an ack is owed.
         self._reliable_seq: dict[int, int] = {}
-        self._reliable_seen: dict[int, set[int]] = {}
+        self._reliable_mark: dict[int, int] = {}
+        self._reliable_unacked: dict[int, _Unacked] = {}
+        self._reliable_owed: dict[int, float] = {}
 
     @property
     def size(self) -> int:
@@ -698,37 +752,151 @@ class Comm:
     # -- reliable messaging --------------------------------------------------------
 
     def forget_reliable_peer(self, rank: int) -> None:
-        """Drop receive-side dedup state for ``rank`` (it was respawned).
+        """Drop all reliable-layer state for ``rank`` (it was respawned).
 
-        A replacement incarnation restarts its reliable sequence numbers at
-        zero; without this reset :meth:`_service_reliable_duplicates` would
-        swallow its fresh frames as duplicates of the dead incarnation's.
-        The *send*-side sequence counter toward ``rank`` is deliberately
-        kept monotonic, so packets still in flight to the old incarnation
-        can never collide with new ones.
+        The delivered watermark, an owed ack and a frame still parked for
+        the dead incarnation all go.  The *send*-side sequence counter
+        toward ``rank`` is deliberately kept monotonic, so packets still in
+        flight to the old incarnation can never collide with new ones; the
+        replacement's own numbers start above its predecessor's (the
+        incarnation is their high half), so the watermark holds across it.
         """
-        self._reliable_seen.pop(rank, None)
+        self._reliable_mark.pop(rank, None)
+        self._reliable_owed.pop(rank, None)
+        self._reliable_unacked.pop(rank, None)
 
-    def _service_reliable_duplicates(self) -> None:
-        """Re-acknowledge resent frames whose payload was already delivered.
+    def _reliable_span(self, name: str, **args: int):
+        # The null tracer's span is a shared no-op, so no ``enabled`` guard.
+        return self.tracer.span(name, cat="mpi.reliable", rank=self.rank, args=args)
 
-        A peer whose earlier acknowledgement was dropped keeps resending
-        while this rank is itself blocked in :meth:`send_reliable`; without
-        out-of-band re-acks the pair deadlocks (the two-generals tail).
-        Only frames with already-seen sequence numbers are consumed — their
-        payload reached the application, so a re-ack is all they need.
-        """
+    def _send_ack(self, peer: int) -> None:
+        """An explicit cumulative ack: no frame to ``peer`` is due to carry it."""
+        self._reliable_owed.pop(peer, None)
+        self.world.counters.record("reliable_ack", messages=0, nbytes=0)
+        self._send_raw(self._reliable_mark.get(peer, 0), peer, _TAG_RACK)
 
-        def _is_dup(source: int, tag: int, payload: Any) -> bool:
-            return (
-                tag & ~_SEQ_MASK == _TAG_RDATA
-                and isinstance(payload, _ReliablePacket)
-                and payload.seq in self._reliable_seen.get(source, ())
+    def _acked(self, peer: int, ack: Any) -> None:
+        """``peer`` has delivered every frame of ours below ``ack``."""
+        frame = self._reliable_unacked.get(peer)
+        if frame is not None and isinstance(ack, int) and frame.packet.seq < ack:
+            del self._reliable_unacked[peer]
+            self.world.counters.record(
+                "reliable_send", messages=0, nbytes=len(frame.packet.blob)
             )
 
-        for source, _tag, packet, _nbytes, _mid in self._mailbox.take_matching(_is_dup):
-            self.world.counters.record("reliable_dedup", messages=0, nbytes=0)
-            self._send_raw(True, source, _TAG_RACK | (packet.seq & _SEQ_MASK))
+    def _transmit(self, dest: int, frame: _Unacked) -> None:
+        packet = frame.packet
+        self._send_raw(packet, dest, _TAG_RDATA | packet.tag)
+        if frame.transmissions:
+            self.world.counters.record("reliable_retry", messages=0, nbytes=len(packet.blob))
+        wait = backoff_wait(
+            frame.ack_timeout, frame.transmissions, factor=frame.backoff,
+            cap=frame.max_backoff, jitter=frame.jitter,
+            key=(self.rank, dest, packet.tag, packet.seq),
+        )
+        frame.transmissions += 1
+        frame.waited += wait
+        frame.deadline = time.monotonic() + wait
+
+    def _out_of_band(self, source: int, tag: int, payload: Any) -> bool:
+        """An explicit ack, or a resent frame whose payload was already delivered."""
+        return tag == _TAG_RACK or (
+            tag & ~_SEQ_MASK == _TAG_RDATA
+            and isinstance(payload, _ReliablePacket)
+            and payload.seq < self._reliable_mark.get(source, 0)
+        )
+
+    def _pump_reliable(self, peer: int = ANY_SOURCE) -> float:
+        """One non-blocking turn of the reliable machinery.
+
+        Consumes explicit acks, re-acknowledges resent frames whose payload
+        was already delivered (a peer whose ack was lost keeps resending
+        while this rank is itself blocked — the two-generals tail),
+        retransmits parked frames whose timer fired and sends acks owed for
+        ``_ACK_DELAY``.  A frame out of transmissions, or parked for a rank
+        since marked dead, is given up; the :class:`RankFailedError` is
+        raised by the call that next concerns that rank (``peer``).
+        Returns how long the caller may block before the next turn is due.
+        """
+        if self._mailbox.messages:  # unlocked peek: a late arrival waits one turn
+            for source, tag, payload, _n, _mid in self._mailbox.take_matching(self._out_of_band):
+                if tag == _TAG_RACK:
+                    self._acked(source, payload)
+                else:
+                    self.world.counters.record("reliable_dedup", messages=0, nbytes=0)
+                    self._send_ack(source)
+        if not (self._reliable_unacked or self._reliable_owed):
+            return 0.05
+        now = time.monotonic()
+        due = now + 0.05
+        for dest, frame in list(self._reliable_unacked.items()):
+            if frame.deadline <= now:
+                if frame.transmissions > frame.max_retries or self.world.is_failed(dest):
+                    frame.deadline = math.inf
+                else:
+                    self._transmit(dest, frame)
+            if frame.deadline == math.inf and peer in (dest, ANY_SOURCE):
+                del self._reliable_unacked[dest]
+                packet = frame.packet
+                raise RankFailedError(
+                    f"rank {self.rank}: no acknowledgement from rank {dest} for"
+                    f" tag={packet.tag} seq={packet.seq} after"
+                    f" {frame.transmissions} transmissions",
+                    rank=dest,
+                    deadline=frame.waited,
+                )
+            due = min(due, frame.deadline)
+        for source, since in list(self._reliable_owed.items()):
+            if since + _ACK_DELAY <= now:
+                self._send_ack(source)
+            else:
+                due = min(due, since + _ACK_DELAY)
+        return max(due - now, 0.0)
+
+    def _await_acked(self, dest: int) -> None:
+        """Block until nothing posted to ``dest`` is unacknowledged."""
+        while dest in self._reliable_unacked:
+            nap = self._pump_reliable(dest)
+            if dest in self._reliable_unacked:
+                try:
+                    self._acked(dest, self.recv(source=dest, tag=_TAG_RACK, timeout=nap))
+                except RecvTimeoutError:
+                    pass
+
+    def _post(self, payload: Any, dest: int, tag: int, policy: dict) -> _Unacked:
+        self._check_rank(dest, "destination")
+        if not 0 <= tag <= MAX_USER_TAG:
+            raise MPIError(f"user tags must lie in [0, {MAX_USER_TAG}], got {tag}")
+        self._await_acked(dest)  # the window of one
+        seq = self._reliable_seq.get(dest, self.incarnation << 32)
+        self._reliable_seq[dest] = seq + 1
+        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        ack = self._reliable_mark.get(dest, 0)
+        self._reliable_owed.pop(dest, None)  # this frame carries it
+        packet = _ReliablePacket(seq, tag, ack, blob, _frame_checksum(seq, tag, ack, blob))
+        frame = self._reliable_unacked[dest] = _Unacked(packet, **policy)
+        self._transmit(dest, frame)
+        return frame
+
+    def post_reliable(self, payload: Any, dest: int, tag: int = 0, **policy: float) -> None:
+        """:meth:`send_reliable` without the wait: fan out, then fan in.
+
+        The frame (same sequence number, checksum, dedup and — ``policy``
+        being :meth:`send_reliable`'s keywords — retransmission schedule)
+        is parked until ``dest`` acknowledges it; every blocking reliable
+        call of this rank runs its timer.  Blocks only while the previous
+        frame to ``dest`` is still unacknowledged.
+
+        Raises
+        ------
+        RankFailedError
+            When that previous frame was never acknowledged.  A failure of
+            *this* frame (no ack in ``max_retries + 1`` transmissions, or
+            ``dest`` marked dead) surfaces from the next reliable call
+            that names ``dest``, or receives from any source.
+        """
+        with self._reliable_span("post_reliable", dest=dest, tag=tag):
+            self._post(payload, dest, tag, policy)
 
     def send_reliable(
         self,
@@ -760,74 +928,14 @@ class Comm:
             When ``dest`` is known dead, or no acknowledgement arrives
             within ``max_retries + 1`` transmissions.
         """
-        tracer = self.tracer
-        if not tracer.enabled:
-            return self._send_reliable(
-                payload, dest, tag,
-                ack_timeout=ack_timeout, max_retries=max_retries, backoff=backoff,
-                max_backoff=max_backoff, jitter=jitter,
-            )
-        with tracer.span(
-            "send_reliable", cat="mpi.reliable", rank=self.rank,
-            args={"dest": dest, "tag": tag},
-        ):
-            return self._send_reliable(
-                payload, dest, tag,
-                ack_timeout=ack_timeout, max_retries=max_retries, backoff=backoff,
-                max_backoff=max_backoff, jitter=jitter,
-            )
-
-    def _send_reliable(
-        self,
-        payload: Any,
-        dest: int,
-        tag: int,
-        *,
-        ack_timeout: float,
-        max_retries: int,
-        backoff: float,
-        max_backoff: float,
-        jitter: float,
-    ) -> int:
-        self._check_rank(dest, "destination")
-        if not 0 <= tag <= MAX_USER_TAG:
-            raise MPIError(f"user tags must lie in [0, {MAX_USER_TAG}], got {tag}")
-        seq = self._reliable_seq.get(dest, 0)
-        self._reliable_seq[dest] = seq + 1
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        packet = _ReliablePacket(seq=seq, tag=tag, blob=blob, checksum=_blob_checksum(blob))
-        ack_tag = _TAG_RACK | (seq & _SEQ_MASK)
-        waited = 0.0
-        for attempt in range(max_retries + 1):
-            self._send_raw(packet, dest, _TAG_RDATA | tag)
-            if attempt:
-                self.world.counters.record("reliable_retry", messages=0, nbytes=len(blob))
-            wait = backoff_wait(
-                ack_timeout, attempt, factor=backoff, cap=max_backoff,
-                jitter=jitter, key=(self.rank, dest, tag, seq),
-            )
-            waited += wait
-            deadline = time.monotonic() + wait
-            acked = False
-            while not acked:
-                self._service_reliable_duplicates()
-                remaining = deadline - time.monotonic()
-                if remaining <= 0.0:
-                    break
-                try:
-                    self.recv(source=dest, tag=ack_tag, timeout=min(0.05, remaining))
-                    acked = True
-                except RecvTimeoutError:
-                    continue
-            if acked:
-                self.world.counters.record("reliable_send", messages=0, nbytes=len(blob))
-                return attempt + 1
-        raise RankFailedError(
-            f"rank {self.rank}: no acknowledgement from rank {dest} for tag={tag}"
-            f" seq={seq} after {max_retries + 1} transmissions",
-            rank=dest,
-            deadline=waited,
+        policy = dict(
+            ack_timeout=ack_timeout, max_retries=max_retries, backoff=backoff,
+            max_backoff=max_backoff, jitter=jitter,
         )
+        with self._reliable_span("send_reliable", dest=dest, tag=tag):
+            frame = self._post(payload, dest, tag, policy)
+            self._await_acked(dest)
+            return frame.transmissions
 
     def recv_reliable(
         self, source: int = ANY_SOURCE, tag: int = 0, timeout: float | None = None
@@ -839,50 +947,64 @@ class Comm:
         delivered to the caller only once.  ``timeout`` bounds the *total*
         wait across discarded frames.
         """
-        tracer = self.tracer
-        if not tracer.enabled:
-            return self._recv_reliable(source, tag, timeout)
-        with tracer.span(
-            "recv_reliable", cat="mpi.reliable", rank=self.rank,
-            args={"source": source, "tag": tag},
-        ):
-            return self._recv_reliable(source, tag, timeout)
+        with self._reliable_span("recv_reliable", source=source, tag=tag):
+            return self._recv_reliable(source, tag, timeout, owing=False)
 
-    def _recv_reliable(
+    def recv_reliable_owing(
         self, source: int = ANY_SOURCE, tag: int = 0, timeout: float | None = None
     ) -> Any:
+        """:meth:`recv_reliable` by a caller that will answer the sender.
+
+        No ack frame is sent: the answer (:meth:`post_reliable` or
+        :meth:`send_reliable` to the same rank) carries it.  Should the
+        answer not come promptly the ack goes out on its own — see
+        :meth:`settle_acks` and the class docstring.
+        """
+        with self._reliable_span("recv_reliable", source=source, tag=tag):
+            return self._recv_reliable(source, tag, timeout, owing=True)
+
+    def settle_acks(self) -> None:
+        """Send every owed ack now: the caller is about to compute at length."""
+        for peer in list(self._reliable_owed):
+            self._send_ack(peer)
+
+    def _recv_reliable(self, source: int, tag: int, timeout: float | None, owing: bool) -> Any:
         if not 0 <= tag <= MAX_USER_TAG:
             raise MPIError(f"user tags must lie in [0, {MAX_USER_TAG}], got {tag}")
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            self._service_reliable_duplicates()
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0.0:
+            nap = self._pump_reliable(source)
+            if deadline is not None:
+                nap = min(nap, max(deadline - time.monotonic(), 0.0))
+            try:
+                packet, status = self.recv(
+                    source=source, tag=_TAG_RDATA | tag, timeout=nap, return_status=True
+                )
+            except RecvTimeoutError:
+                if deadline is None or time.monotonic() < deadline:
+                    continue
                 raise RecvTimeoutError(
                     f"recv_reliable timed out after {timeout} s waiting for"
                     f" source={source} tag={tag}",
                     rank=None if source == ANY_SOURCE else source,
                     deadline=timeout,
-                )
-            slice_ = 0.05 if remaining is None else min(0.05, remaining)
-            try:
-                packet, status = self.recv(
-                    source=source, tag=_TAG_RDATA | tag, timeout=slice_, return_status=True
-                )
-            except RecvTimeoutError:
-                continue
-            if (
-                not isinstance(packet, _ReliablePacket)
-                or _blob_checksum(packet.blob) != packet.checksum
+                ) from None
+            if not isinstance(packet, _ReliablePacket) or packet.checksum != _frame_checksum(
+                packet.seq, packet.tag, packet.ack, packet.blob
             ):
                 self.world.counters.record("reliable_corrupt", messages=0, nbytes=status.nbytes)
                 continue  # treat as lost; the sender will resend
-            self._send_raw(True, status.source, _TAG_RACK | (packet.seq & _SEQ_MASK))
-            seen = self._reliable_seen.setdefault(status.source, set())
-            if packet.seq in seen:
+            peer = status.source
+            self._acked(peer, packet.ack)
+            if packet.seq < self._reliable_mark.get(peer, 0):
                 self.world.counters.record("reliable_dedup", messages=0, nbytes=0)
+                self._send_ack(peer)
                 continue
-            seen.add(packet.seq)
+            self._reliable_mark[peer] = packet.seq + 1
+            if owing:
+                self._reliable_owed[peer] = time.monotonic()
+            else:
+                self._send_ack(peer)
             return pickle.loads(packet.blob)
 
     # -- collectives ---------------------------------------------------------------

@@ -15,9 +15,10 @@ Fault injection and fault tolerance report through the same tallies:
 * ``fault_crash`` / ``fault_hang`` — injected rank deaths at
   :meth:`~repro.mpi.comm.Comm.fault_point`;
 * ``reliable_send`` / ``reliable_retry`` / ``reliable_dedup`` /
-  ``reliable_corrupt`` — the acknowledged-messaging layer's traffic
-  (successful sends, resends after missing acks, duplicate frames
-  re-acknowledged and discarded, frames failing their checksum);
+  ``reliable_corrupt`` / ``reliable_ack`` — the acknowledged-messaging
+  layer's traffic (frames confirmed delivered, resends after missing acks,
+  duplicate frames re-acknowledged and discarded, frames failing their
+  checksum, explicit ack frames — sent when no reply is due to carry it);
 * ``heartbeat`` / ``degradation`` — the fault-tolerant runner's liveness
   checks and graceful-degradation steps;
 * ``net.*`` — the TCP transport's socket-level traffic

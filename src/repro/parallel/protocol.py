@@ -106,17 +106,22 @@ class MutationUpdate:
 # -- fault-tolerant protocol ----------------------------------------------------------
 #
 # The fault-tolerant runner replaces the collective tree with a reliable
-# point-to-point star: every generation, Nature sends each live worker an
-# FTHeader, collects one WorkerReport per worker (the heartbeat), and closes
-# the generation with an FTUpdate.  When a worker that owed fitness died
-# mid-generation, Nature re-requests from the new owner with FTFitnessRequest.
-# All of these travel over Comm.send_reliable / recv_reliable, so injected
-# drops, duplicates and corruptions cannot desynchronise the protocol.
+# point-to-point star whose generation is one frame down and one report up.
+# A frame is the pair ``(FTUpdate | None, message)``: Nature posts every live
+# worker the FTHeader of generation g together with the FTUpdate closing
+# g - 1 (nothing it draws for g before the adoption decision depends on a
+# reply), then collects one WorkerReport per worker (the heartbeat).  The
+# last update rides with FTShutdown, a retiree's with FTRetire.  When a
+# worker that owed fitness died mid-generation, Nature re-requests from the
+# new owner with ``(None, FTFitnessRequest)``.  Everything travels on the
+# reliable layer (Comm.post_reliable / recv_reliable_owing: the report
+# acknowledges the frame it answers and the next frame the report), so
+# injected drops, duplicates and corruptions cannot desynchronise it.
 
 
 @dataclass(frozen=True)
 class FTHeader:
-    """FT step 1 (Nature -> each live worker): this generation's work order.
+    """Frame down (Nature -> each live worker): this generation's work order.
 
     ``failed_ranks`` is the cumulative failure set; workers derive their
     (possibly reassigned) SSet ownership from it with
@@ -145,7 +150,7 @@ class FTHeader:
 
 @dataclass(frozen=True)
 class WorkerReport:
-    """FT step 2 (worker -> Nature): the per-generation heartbeat.
+    """Report up (worker -> Nature): the per-generation heartbeat.
 
     Doubles as the fitness return: ``pi_teacher``/``pi_learner`` are filled
     by the worker that owns the corresponding SSet, None otherwise.
@@ -170,17 +175,16 @@ class FTFitnessRequest:
 
 @dataclass(frozen=True)
 class FTUpdate:
-    """FT step 3 (Nature -> each live worker): close the generation.
+    """Close the generation: first half of the next frame to each worker.
 
-    Carries the adoption outcome and mutation (either may be None) plus the
-    failure set as of the end of the generation, so workers fold newly
-    detected deaths into the next generation's ownership map.
+    Carries the adoption outcome and mutation (either may be None).  A
+    worker applies it before the message it rides with, and never one at or
+    before the generation of the matrix it was seeded with.
     """
 
     generation: int
     outcome: PCOutcome | None
     mutation: MutationUpdate | None
-    failed_ranks: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -192,7 +196,10 @@ class FTShutdown:
 
 @dataclass(frozen=True)
 class FTFinal:
-    """Worker -> Nature at shutdown: replica digest and work accounting."""
+    """Worker -> Nature at shutdown: replica digest and work accounting.
+
+    No frame answers it, so Nature acknowledges this one explicitly.
+    """
 
     rank: int
     digest: bytes
@@ -227,7 +234,6 @@ class FTRejoin:
 
     generation: int
     matrix: np.ndarray
-    failed_ranks: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)

@@ -344,7 +344,7 @@ def _rank_program_ft(comm: Comm, config: SimulationConfig, eager_games: bool, op
     failed = set(opts.start_failed)
     if comm.rank == 0:
         return _ft_nature(comm, config, population, streams, failed, opts)
-    return _ft_worker(comm, config, eager_games, population, evaluator, failed)
+    return _ft_worker(comm, config, eager_games, population, evaluator)
 
 
 #: How long a respawned worker keeps re-sending its hello before giving up.
@@ -389,22 +389,18 @@ def _ft_worker_respawned(comm, config, eager_games, streams) -> dict:
             return {"digest": b"", "games_played": 0, "rejoined": False}
     population = Population(config, np.array(rejoin.matrix, copy=True))
     evaluator = FitnessEvaluator(config, population, streams)
-    failed = set(rejoin.failed_ranks)
     tracer.instant(
         "rejoin", rank=comm.rank,
         args={"gen": rejoin.generation, "incarnation": incarnation},
     )
     return _ft_worker(
-        comm, config, eager_games, population, evaluator, failed,
-        min_generation=rejoin.generation,
+        comm, config, eager_games, population, evaluator, min_generation=rejoin.generation
     )
 
 
-def _ft_worker(comm, config, eager_games, population, evaluator, failed, min_generation=0) -> dict:
+def _ft_worker(comm, config, eager_games, population, evaluator, min_generation=0) -> dict:
     try:
-        return _ft_worker_loop(
-            comm, config, eager_games, population, evaluator, failed, min_generation
-        )
+        return _ft_worker_loop(comm, config, eager_games, population, evaluator, min_generation)
     except (RankFailedError, RecvTimeoutError) as exc:
         if comm.world.is_failed(0):
             raise  # Nature is dead: the job cannot finish, fail loudly.
@@ -413,34 +409,47 @@ def _ft_worker(comm, config, eager_games, population, evaluator, failed, min_gen
         raise RankCrashError(f"rank {comm.rank}: lost contact with Nature ({exc})") from exc
 
 
-def _ft_worker_loop(
-    comm, config, eager_games, population, evaluator, failed, min_generation=0
-) -> dict:
+def _ft_worker_loop(comm, config, eager_games, population, evaluator, min_generation) -> dict:
     games_played = 0
     tracer = comm.world.tracer
+
+    def report(gen, pi_t, pi_l) -> None:
+        # Posted, not awaited: Nature's next frame is its acknowledgement.
+        beat = WorkerReport(rank=comm.rank, generation=gen, pi_teacher=pi_t, pi_learner=pi_l)
+        comm.post_reliable(beat, dest=0, tag=TAG_REPORT)
+
     while True:
-        msg = comm.recv_reliable(source=0, tag=TAG_CONTROL)
+        update, msg = comm.recv_reliable_owing(source=0, tag=TAG_CONTROL)
+        # The update closing a generation rides with the message opening the
+        # next.  One at or before the rejoin generation is already in the
+        # matrix this rank was seeded with, and adopt-then-mutate is not
+        # idempotent: never apply it twice.
+        if update is not None and update.generation > min_generation:
+            if update.outcome is not None and update.outcome.adopted:
+                population.adopt(update.outcome.learner, update.outcome.teacher)
+            if update.mutation is not None:
+                population.set_strategy(update.mutation.sset, update.mutation.table)
         if isinstance(msg, FTShutdown):
             break
-        if getattr(msg, "generation", min_generation + 1) <= min_generation:
+        if msg.generation <= min_generation:
             # Stale control traffic addressed to a previous incarnation of
             # this rank (the reliable layer may redeliver frames sent before
-            # our predecessor died).  Everything at or before the rejoin
-            # generation is already folded into the matrix we were seeded
-            # with — drop it without replying.
+            # our predecessor died): drop it without replying.
             continue
         if isinstance(msg, FTHeader):
             gen = msg.generation
             gen_span = tracer.span("generation", rank=comm.rank, args={"gen": gen})
             gen_span.__enter__()
             comm.fault_point(gen)
-            failed = set(msg.failed_ranks)
             if eager_games:
+                # The slates may outlast Nature's retransmission timer, so the
+                # report cannot be what acknowledges this frame.
+                comm.settle_acks()
                 with tracer.span("play", rank=comm.rank, args={"gen": gen}):
                     owners = owner_map_with_failures(
                         config.n_ssets,
                         msg.n_ranks if msg.n_ranks > 0 else comm.size,
-                        tuple(sorted(failed)),
+                        msg.failed_ranks,
                     )
                     owned = np.flatnonzero(owners == comm.rank)
                     evaluator.play_slates(owned, gen, "eager")
@@ -453,51 +462,29 @@ def _ft_worker_loop(
                         msg.pc_teacher if msg.teacher_owner == comm.rank else None,
                         msg.pc_learner if msg.learner_owner == comm.rank else None,
                     )
-            comm.send_reliable(
-                WorkerReport(rank=comm.rank, generation=gen, pi_teacher=pi_t, pi_learner=pi_l),
-                dest=0,
-                tag=TAG_REPORT,
-            )
+            report(gen, pi_t, pi_l)
             gen_span.__exit__(None, None, None)
         elif isinstance(msg, FTFitnessRequest):
-            pi_t, pi_l = _pc_fitness(
-                evaluator, msg.generation,
-                msg.pc_teacher if msg.want_teacher else None,
-                msg.pc_learner if msg.want_learner else None,
-            )
-            comm.send_reliable(
-                WorkerReport(
-                    rank=comm.rank, generation=msg.generation, pi_teacher=pi_t, pi_learner=pi_l
+            report(
+                msg.generation,
+                *_pc_fitness(
+                    evaluator, msg.generation,
+                    msg.pc_teacher if msg.want_teacher else None,
+                    msg.pc_learner if msg.want_learner else None,
                 ),
-                dest=0,
-                tag=TAG_REPORT,
             )
-        elif isinstance(msg, FTUpdate):
-            if msg.outcome is not None and msg.outcome.adopted:
-                population.adopt(msg.outcome.learner, msg.outcome.teacher)
-            if msg.mutation is not None:
-                population.set_strategy(msg.mutation.sset, msg.mutation.table)
-            failed = set(msg.failed_ranks)
         elif isinstance(msg, FTRetire):
             # Planned exit (World.shrink): finish cleanly with a digest
             # Nature validates, then leave the world.
-            digest = _replica_digest(population.matrix())
-            comm.send_reliable(
-                FTFinal(rank=comm.rank, digest=digest, games_played=games_played),
-                dest=0,
-                tag=TAG_REPORT,
-            )
             tracer.instant("retire", rank=comm.rank, args={"gen": msg.generation})
-            return {"digest": digest, "games_played": games_played, "retired": True}
+            break
         else:
             raise MPIError(f"rank {comm.rank}: unexpected control message {type(msg).__name__}")
+    # The last act, so it waits for Nature's explicit acknowledgement.
     digest = _replica_digest(population.matrix())
-    comm.send_reliable(
-        FTFinal(rank=comm.rank, digest=digest, games_played=games_played),
-        dest=0,
-        tag=TAG_REPORT,
-    )
-    return {"digest": digest, "games_played": games_played}
+    final = FTFinal(rank=comm.rank, digest=digest, games_played=games_played)
+    comm.send_reliable(final, dest=0, tag=TAG_REPORT)
+    return {"digest": digest, "games_played": games_played, "retired": isinstance(msg, FTRetire)}
 
 
 def _ft_nature(comm, config, population, streams, failed, opts) -> dict:
@@ -522,6 +509,51 @@ def _ft_nature(comm, config, population, streams, failed, opts) -> dict:
         plan_by_gen.setdefault(event.generation, []).append(event)
     hb = opts.heartbeat_timeout
     tracer = comm.world.tracer
+    #: The update closing the last generation: it rides with whatever message
+    #: next goes to each worker (header, retirement or shutdown).
+    carried: FTUpdate | None = None
+
+    def fan_out(ranks, msg, gen: int, what: str) -> tuple[list[int], float]:
+        """Post ``(carried, msg)`` to every rank of ``ranks`` before waiting
+        for anyone; returns those posted to and the round's one deadline."""
+        posted = []
+        for rank in ranks:
+            try:
+                comm.post_reliable((carried, msg), dest=rank, tag=TAG_CONTROL)
+                posted.append(rank)
+            except RankFailedError as exc:
+                declare_failed(rank, gen, f"{what} not acknowledged: {exc}")
+        return posted, time.monotonic() + hb
+
+    def fan_in(posted, gen: int, deadline: float, what: str, recv=comm.recv_reliable_owing):
+        """The replies to a round of frames, by rank, taken as they arrive
+        (a reply received is acknowledged in time however slow another rank
+        is) and past any heartbeat older than ``gen`` (a healed rank's
+        previous incarnation may have left some queued).  Ranks that die, or
+        stay silent until ``deadline``, are declared failed."""
+        replies: dict[int, WorkerReport | FTFinal] = {}
+        waiting = set(posted)
+        while waiting:
+            remaining = max(deadline - time.monotonic(), 0.0)
+            source = ANY_SOURCE if len(waiting) > 1 else min(waiting)  # whose death fails fast
+            try:
+                msg = recv(source=source, tag=TAG_REPORT, timeout=min(remaining, 0.05))
+            except RankFailedError as exc:  # a frame of ours was never acknowledged
+                gone, why = {exc.rank} & waiting, "RankFailedError"
+            except RecvTimeoutError:
+                world = comm.world
+                dead = {r for r in waiting if world.is_failed(r) or world.is_unreachable(r)}
+                gone, why = (dead, "RankFailedError") if remaining else (waiting, "RecvTimeoutError")
+            else:
+                stale = isinstance(msg, WorkerReport) and msg.generation < gen
+                if msg.rank in waiting and not stale:
+                    replies[msg.rank] = msg
+                    waiting.discard(msg.rank)
+                continue
+            for rank in sorted(gone):
+                declare_failed(rank, gen, f"{what}: {why}")
+            waiting = waiting - gone
+        return replies
 
     def owners_now() -> np.ndarray:
         return owner_map_with_failures(
@@ -567,20 +599,19 @@ def _ft_nature(comm, config, population, streams, failed, opts) -> dict:
             rejoin = FTRejoin(
                 generation=gen - 1,
                 matrix=population.matrix(),
-                failed_ranks=tuple(sorted((failed | retired) - {rank})),
             )
             # Revive before sending: the reliable ack wait fails fast on
-            # ranks marked dead.  Roll back if the handshake fails.
+            # ranks marked dead.  Roll back if the handshake fails.  The
+            # replacement starts a fresh reliable history, so drop ours for
+            # its predecessor first — the frame it never acknowledged
+            # included (our send sequence stays monotonic).
             comm.world.mark_alive(rank)
+            comm.forget_reliable_peer(rank)
             try:
                 comm.send_reliable(rejoin, dest=rank, tag=TAG_RECOVERY, max_retries=2)
             except RankFailedError:
                 comm.world.mark_failed(rank, "rejoin handshake failed")
                 continue
-            # The replacement starts a fresh reliable-recv history; drop
-            # ours for its predecessor so its new frames are not mistaken
-            # for duplicates (our send sequence stays monotonic).
-            comm.forget_reliable_peer(rank)
             failed.discard(rank)
             joining.discard(rank)
             live.append(rank)
@@ -634,23 +665,14 @@ def _ft_nature(comm, config, population, streams, failed, opts) -> dict:
             else:  # shrink
                 victims = tuple(sorted(set(event.ranks)))
                 current_digest = _replica_digest(population.matrix())
-                for rank in victims:
-                    if rank not in live:
-                        continue  # already dead; nothing to retire cleanly
-                    try:
-                        comm.send_reliable(
-                            FTRetire(generation=gen), dest=rank, tag=TAG_CONTROL
-                        )
-                        final = comm.recv_reliable(source=rank, tag=TAG_REPORT, timeout=hb)
-                        while isinstance(final, WorkerReport):
-                            final = comm.recv_reliable(
-                                source=rank, tag=TAG_REPORT, timeout=hb
-                            )
-                    except (RecvTimeoutError, RankFailedError) as exc:
-                        declare_failed(
-                            rank, gen, f"lost at retirement: {type(exc).__name__}"
-                        )
-                        continue
+                # The retirees' frames carry the update closing gen - 1, so
+                # their digests are of the matrix digested above.  (Ranks
+                # already dead are not in ``live``: nothing to retire cleanly.)
+                posted, deadline = fan_out(
+                    [r for r in victims if r in live], FTRetire(generation=gen), gen, "retirement"
+                )
+                finals = fan_in(posted, gen, deadline, "lost at retirement", comm.recv_reliable)
+                for rank, final in finals.items():
                     if final.digest != current_digest:
                         raise MPIError(
                             f"retiring rank {rank}'s replica diverged at"
@@ -699,28 +721,18 @@ def _ft_nature(comm, config, population, streams, failed, opts) -> dict:
             failed_ranks=tuple(sorted(failed | retired)),
             n_ranks=size,
         )
+        # One frame down: every live worker's header (with the update that
+        # closes gen - 1) is on its way before Nature waits for anyone.
         with tracer.span("header", rank=comm.rank, args={"gen": gen}):
-            for rank in list(live):
-                try:
-                    comm.send_reliable(header, dest=rank, tag=TAG_CONTROL)
-                except RankFailedError as exc:
-                    declare_failed(rank, gen, f"header not acknowledged: {exc}")
+            posted, deadline = fan_out(list(live), header, gen, "header")
+        carried = None
 
-        # Heartbeat round: one report per live worker, deadline-bounded.
+        # Heartbeat round, one report up: a report per posted worker, all
+        # bounded by one deadline, so k silent workers cost one timeout.
         hb_span = tracer.span("heartbeat", rank=comm.rank, args={"gen": gen})
         hb_span.__enter__()
         pi_t = pi_l = None
-        for rank in list(live):
-            try:
-                report = comm.recv_reliable(source=rank, tag=TAG_REPORT, timeout=hb)
-                while report.generation < gen:
-                    # Stale heartbeat from a previous incarnation of the
-                    # rank (resent frames the replacement's rejoin revived);
-                    # already accounted for — wait for the current one.
-                    report = comm.recv_reliable(source=rank, tag=TAG_REPORT, timeout=hb)
-            except (RecvTimeoutError, RankFailedError) as exc:
-                declare_failed(rank, gen, f"no heartbeat: {type(exc).__name__}")
-                continue
+        for rank, report in fan_in(posted, gen, deadline, "no heartbeat").items():
             if report.generation != gen:
                 raise MPIError(
                     f"nature desynchronised: rank {rank} reported generation"
@@ -753,18 +765,12 @@ def _ft_nature(comm, config, population, streams, failed, opts) -> dict:
                     want_teacher=want_t,
                     want_learner=want_l,
                 )
-                try:
-                    comm.send_reliable(request, dest=rank, tag=TAG_CONTROL)
-                    report = comm.recv_reliable(source=rank, tag=TAG_REPORT, timeout=hb)
-                    while report.generation < gen:
-                        report = comm.recv_reliable(source=rank, tag=TAG_REPORT, timeout=hb)
-                except (RecvTimeoutError, RankFailedError) as exc:
-                    declare_failed(rank, gen, f"fitness re-request failed: {type(exc).__name__}")
-                    continue
-                if report.pi_teacher is not None:
-                    pi_t = report.pi_teacher
-                if report.pi_learner is not None:
-                    pi_l = report.pi_learner
+                posted, deadline = fan_out([rank], request, gen, "fitness re-request")
+                for report in fan_in(posted, gen, deadline, "fitness re-request failed").values():
+                    if report.pi_teacher is not None:
+                        pi_t = report.pi_teacher
+                    if report.pi_learner is not None:
+                        pi_l = report.pi_learner
 
         outcome = None
         if selection is not None:
@@ -780,7 +786,9 @@ def _ft_nature(comm, config, population, streams, failed, opts) -> dict:
             if outcome.adopted:
                 population.adopt(outcome.learner, outcome.teacher)
         mut_sel = nature.select_mutation(population.random_strategy_table)
-        update = FTUpdate(
+        # Nothing drawn for gen + 1 before its decide_adoption depends on a
+        # reply, so the update travels with the next frame to each worker.
+        carried = FTUpdate(
             generation=gen,
             outcome=outcome,
             mutation=(
@@ -788,15 +796,9 @@ def _ft_nature(comm, config, population, streams, failed, opts) -> dict:
                 if mut_sel is not None
                 else None
             ),
-            failed_ranks=tuple(sorted(failed | retired)),
         )
         if mut_sel is not None:
             population.set_strategy(mut_sel.sset, mut_sel.table)
-        for rank in list(live):
-            try:
-                comm.send_reliable(update, dest=rank, tag=TAG_CONTROL)
-            except RankFailedError as exc:
-                declare_failed(rank, gen, f"update not acknowledged: {exc}")
         pc_span.__exit__(None, None, None)
 
         if (
@@ -831,19 +833,11 @@ def _ft_nature(comm, config, population, streams, failed, opts) -> dict:
     # Shutdown: collect final digests from survivors, then release stragglers.
     matrix = population.matrix()
     digest = _replica_digest(matrix)
-    finals: dict[int, FTFinal] = {}
-    for rank in list(live):
-        try:
-            comm.send_reliable(FTShutdown(generation=config.generations), dest=rank,
-                               tag=TAG_CONTROL)
-            final = comm.recv_reliable(source=rank, tag=TAG_REPORT, timeout=hb)
-            while isinstance(final, WorkerReport):
-                # Stale heartbeat from a healed rank's previous incarnation
-                # still queued ahead of its FTFinal.
-                final = comm.recv_reliable(source=rank, tag=TAG_REPORT, timeout=hb)
-            finals[rank] = final
-        except (RecvTimeoutError, RankFailedError) as exc:
-            declare_failed(rank, config.generations, f"lost at shutdown: {type(exc).__name__}")
+    last = config.generations
+    posted, deadline = fan_out(list(live), FTShutdown(generation=last), last, "shutdown")
+    # Acknowledged at once (no reply will carry it): the FTFinal is a
+    # worker's last act and it waits for this.
+    finals = fan_in(posted, last + 1, deadline, "lost at shutdown", comm.recv_reliable)
     for rank, final in finals.items():
         if final.digest != digest:
             raise MPIError(f"population replica diverged on rank {rank}")

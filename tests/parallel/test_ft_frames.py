@@ -1,0 +1,241 @@
+"""One frame down, one report up: the shape of the fault-tolerant star.
+
+A generation costs each worker one frame (the update closing the previous
+generation riding with the header opening this one) and one report (which
+is the frame's acknowledgement).  The fault-free tests here are exact message
+counts on the thread backend and run in tier-1; the ones that inject faults
+are marked ``chaos``.  Every run ends compared with the serial oracle.
+"""
+
+import time
+
+import numpy as np
+import pytest
+
+from repro.config import SimulationConfig
+from repro.mpi.comm import _TAG_RDATA
+from repro.mpi.faults import FaultEvent, FaultPlan
+from repro.parallel.decomposition import owner_map_with_failures
+from repro.parallel.protocol import TAG_CONTROL, TAG_REPORT, MembershipEvent
+from repro.parallel.runner import ParallelSimulation
+from repro.population.dynamics import EvolutionDriver
+from repro.population.fitness import FitnessEvaluator
+
+#: Busy dynamics (a PC most generations, a mutation in two of five), so that
+#: nearly every carried update changes the matrix and a lost, repeated or
+#: misplaced one shows in the final comparison.
+CFG = SimulationConfig(n_ssets=8, generations=40, seed=3, pc_rate=0.6, mutation_rate=0.4)
+
+#: Messages one worker's shutdown costs: the frame carrying FTShutdown (and
+#: the last update), the FTFinal, and Nature's explicit ack of it — nothing
+#: would answer an FTFinal, so nothing could carry that ack.
+SHUTDOWN_MESSAGES = 3
+
+
+@pytest.fixture(scope="module")
+def records():
+    driver = EvolutionDriver(CFG)
+    return [driver.step() for _ in range(CFG.generations)]
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    driver = EvolutionDriver(CFG)
+    driver.run()
+    return driver.population.matrix()
+
+
+def _calls(result, name: str) -> int:
+    count = result.counters.get(name)
+    return count.calls if count else 0
+
+
+def _generation_after(records, closes) -> int:
+    """The first generation (>= 3) whose predecessor's record satisfies ``closes``."""
+    for record in records[1:-1]:
+        if closes(record):
+            return record.generation + 1
+    raise AssertionError("CFG no longer produces the scenario this test needs")
+
+
+def _adopts(record) -> bool:
+    return record.pc is not None and record.pc.adopted and record.changed
+
+
+def _adopts_then_mutates_the_teacher(record) -> bool:
+    return _adopts(record) and record.mutation is not None and (
+        record.mutation.sset == record.pc.teacher
+    )
+
+
+class TestMessageShape:
+    @pytest.mark.parametrize("n_ranks", [3, 9])
+    def test_two_messages_per_worker_per_generation(self, n_ranks, oracle):
+        result = ParallelSimulation(CFG, n_ranks, fault_tolerant=True).run(timeout=120)
+        assert np.array_equal(result.matrix, oracle)
+        workers, gens = n_ranks - 1, CFG.generations
+        # Every frame confirmed delivered is counted: frames and reports of
+        # every generation, then the shutdown frame and the FTFinal.
+        assert _calls(result, "reliable_send") == (2 * gens + 2) * workers
+        assert _calls(result, "heartbeat") == gens * workers
+        # Whatever else was sent is counted too: a retransmission, or an
+        # explicit ack beyond the FTFinals'.  A fault-free run has none,
+        # unless the machine froze a rank for _ACK_DELAY at the wrong moment;
+        # a protocol that needed them would need them every generation.
+        timing = _calls(result, "reliable_retry") + _calls(result, "reliable_ack") - workers
+        assert result.counters["send"].messages - timing == (
+            (2 * gens + SHUTDOWN_MESSAGES) * workers
+        )
+        assert 0 <= timing <= 2
+
+    @pytest.mark.parametrize("n_ranks", [3, 9])
+    def test_nature_fans_out_before_it_waits(self, n_ranks):
+        """Constant depth in P: in every generation all of Nature's frames are
+        sent (logical clock) before its first report is received."""
+        result = ParallelSimulation(CFG, n_ranks, fault_tolerant=True, trace=True).run(timeout=120)
+        frame, report = _TAG_RDATA | TAG_CONTROL, _TAG_RDATA | TAG_REPORT
+        p2p = sorted(
+            (
+                e for e in result.trace.events()
+                if e.rank == 0 and e.cat == "mpi.p2p" and e.args["tag"] in (frame, report)
+            ),
+            key=lambda e: e.seq,
+        )
+        workers = n_ranks - 1
+        for gen in range(CFG.generations):
+            burst = p2p[2 * workers * gen : 2 * workers * (gen + 1)]
+            assert [(e.name, e.args["tag"]) for e in burst] == (
+                [("send", frame)] * workers + [("recv", report)] * workers
+            )
+
+    def test_slow_generations_retransmit_nothing(self, oracle, monkeypatch):
+        """A worker whose generation outlasts ``ack_timeout`` settles its ack
+        before playing, and Nature — blocked on it, owing the fast worker an
+        ack — settles that after ``_ACK_DELAY``: no timer ever fires."""
+        play = FitnessEvaluator.play_slates
+
+        def slow_play(self, ssets, generation, purpose):
+            if 0 in ssets:  # rank 1's block; rank 2 stays fast
+                time.sleep(0.3)
+            return play(self, ssets, generation, purpose)
+
+        monkeypatch.setattr(FitnessEvaluator, "play_slates", slow_play)
+        cfg = SimulationConfig(n_ssets=8, generations=3, seed=3, pc_rate=0.6, mutation_rate=0.4)
+        result = ParallelSimulation(cfg, 3, eager_games=True, fault_tolerant=True).run(timeout=120)
+        driver = EvolutionDriver(cfg)
+        driver.run()
+        assert np.array_equal(result.matrix, driver.population.matrix())
+        assert _calls(result, "reliable_retry") == 0
+        # 2 workers x 3 settles before play, Nature's 3 to rank 2, 2 at shutdown.
+        assert _calls(result, "reliable_ack") >= 6 + 3 + 2
+
+
+class TestCarriedUpdate:
+    def test_last_update_rides_with_shutdown(self, records, oracle):
+        assert records[-1].changed, "CFG's last generation must change the matrix"
+        result = ParallelSimulation(CFG, 3, fault_tolerant=True).run(timeout=120)
+        # Nature compares every FTFinal digest with its own matrix, so a
+        # worker that missed the last update would have failed the run.
+        assert np.array_equal(result.matrix, oracle)
+        assert result.failed_ranks == ()
+
+    def test_retiree_digests_the_closed_generation(self, records, oracle):
+        gen = _generation_after(records, lambda record: record.changed)
+        plan = (MembershipEvent(generation=gen, action="shrink", ranks=(2,)),)
+        result = ParallelSimulation(CFG, 4, membership_plan=plan).run(timeout=120)
+        assert np.array_equal(result.matrix, oracle)
+        assert [(m.generation, m.action) for m in result.membership] == [(gen, "shrink")]
+        assert result.failed_ranks == ()
+
+    def test_joiner_does_not_reapply_the_update_its_matrix_contains(self, records, oracle):
+        """Adopt-then-mutate is not idempotent when the mutation hits the
+        teacher: applied twice, the learner ends with the mutant."""
+        gen = _generation_after(records, _adopts_then_mutates_the_teacher)
+        # Retired a generation later, while a wrong replica would still show:
+        # Nature checks the retiree's digest against its own matrix.
+        plan = (
+            MembershipEvent(generation=gen, action="grow", count=1),
+            MembershipEvent(generation=gen + 1, action="shrink", ranks=(3,)),
+        )
+        result = ParallelSimulation(CFG, 3, membership_plan=plan).run(timeout=120)
+        assert np.array_equal(result.matrix, oracle)
+        assert [(m.generation, m.ranks) for m in result.membership] == [(gen, (3,)), (gen + 1, (3,))]
+        assert result.failed_ranks == ()
+
+    @pytest.mark.chaos
+    def test_new_owner_answers_a_fitness_rerequest_from_the_closed_generation(
+        self, records, oracle
+    ):
+        gen = _generation_after(
+            records, lambda record: record.changed and records[record.generation].pc is not None
+        )
+        teacher = records[gen - 1].pc.teacher
+        owner = int(owner_map_with_failures(CFG.n_ssets, 4, ())[teacher])
+        plan = FaultPlan(seed=1, events=(FaultEvent(kind="crash", rank=owner, generation=gen),))
+        result = ParallelSimulation(CFG, 4, fault_plan=plan, heartbeat_timeout=2.0).run(timeout=120)
+        assert np.array_equal(result.matrix, oracle)
+        assert [(d.rank, d.generation) for d in result.degradations] == [(owner, gen)]
+
+
+@pytest.mark.chaos
+class TestFaults:
+    """Seeded single faults on a 3-rank star.  Until the fault fires Nature's
+    sends are frames only — frame g to worker w is its send 2(g-1) + (w-1) —
+    and worker w's send g-1 is its report of generation g."""
+
+    def _run(self, *events):
+        plan = FaultPlan(seed=9, events=tuple(events))
+        return ParallelSimulation(CFG, 3, fault_plan=plan, heartbeat_timeout=5.0).run(timeout=120)
+
+    def test_dropped_frame_carrying_an_adoption(self, records, oracle):
+        gen = _generation_after(records, _adopts)
+        result = self._run(FaultEvent(kind="drop", rank=0, op_index=2 * (gen - 1)))
+        assert np.array_equal(result.matrix, oracle)
+        assert _calls(result, "fault_drop") == 1
+        assert _calls(result, "reliable_retry") >= 1
+        assert result.failed_ranks == ()
+
+    def test_dropped_report(self, oracle):
+        result = self._run(FaultEvent(kind="drop", rank=1, op_index=5))
+        assert np.array_equal(result.matrix, oracle)
+        assert _calls(result, "fault_drop") == 1
+        assert _calls(result, "reliable_retry") >= 1
+        assert result.failed_ranks == ()
+
+    def test_duplicated_frame_and_report(self, oracle):
+        result = self._run(
+            FaultEvent(kind="duplicate", rank=0, op_index=8),
+            FaultEvent(kind="duplicate", rank=2, op_index=11),
+        )
+        assert np.array_equal(result.matrix, oracle)
+        assert _calls(result, "fault_duplicate") == 2
+        assert _calls(result, "reliable_dedup") >= 2
+
+    def test_corrupted_frame_and_report(self, oracle):
+        result = self._run(
+            FaultEvent(kind="corrupt", rank=0, op_index=8),
+            FaultEvent(kind="corrupt", rank=2, op_index=20),
+        )
+        assert np.array_equal(result.matrix, oracle)
+        assert _calls(result, "reliable_corrupt") >= 2
+        assert _calls(result, "reliable_retry") >= 2
+        assert result.failed_ranks == ()
+
+    def test_two_silent_workers_cost_one_heartbeat_timeout(self, oracle):
+        """The frames went out together, so the round has one deadline."""
+        hb = 1.0
+        plan = FaultPlan(
+            seed=2,
+            events=tuple(FaultEvent(kind="hang", rank=r, generation=10) for r in (1, 2)),
+        )
+        result = ParallelSimulation(
+            CFG, 4, fault_plan=plan, heartbeat_timeout=hb, trace=True
+        ).run(timeout=120)
+        assert np.array_equal(result.matrix, oracle)
+        assert result.failed_ranks == (1, 2)
+        assert [d.generation for d in result.degradations] == [10, 10]
+        (round_,) = (
+            e for e in result.trace.events()
+            if e.name == "heartbeat" and e.rank == 0 and e.args["gen"] == 10
+        )
+        assert 0.5 * hb * 1e6 < round_.dur < 1.5 * hb * 1e6  # one timeout, not two
