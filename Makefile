@@ -4,7 +4,7 @@
 # any inherited PYTHONPATH.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-fast test-chaos test-procexec test-recovery test-tcp test-engine test-service test-service-recovery test-spatial fsck-smoke bench bench-smoke repro docs docs-check clean
+.PHONY: install test test-fast test-chaos test-procexec test-recovery test-tcp test-engine test-service test-service-recovery test-spatial fsck-smoke bench bench-smoke bench-compare repro docs docs-check clean
 
 install:
 	pip install -e .
@@ -42,7 +42,10 @@ test-engine:
 	pytest tests/ -m engine
 
 # The run service: specs, store, queue (quotas/fair-share/requeue),
-# REST/SSE server + CLI, and the two-tenant chaos acceptance test.
+# REST/SSE server + CLI, the two-tenant chaos acceptance test, the
+# tick-independence suite (tests/service/test_event_driven.py: every queue
+# and live stream at a 30 s poll, so only events can finish a job) and the
+# worker's names-only tap (tests/obs/test_tap_names.py).
 test-service:
 	pytest tests/ -m service
 
@@ -69,6 +72,12 @@ bench:
 # testpaths): every probe and workload once, against the current API.
 bench-smoke:
 	python3 -m pytest bench/ -q
+
+# B judged against A by BENCHMARK.json's bounds (exit 1 on a worse row or a
+# larger fail_ratio); A and B are result files of `python3 -m bench --seed N`:
+#   make bench-compare A=bench/out/result-seed7.json B=bench/out/result-seed8.json
+bench-compare:
+	python3 -m bench compare $(A) $(B)
 
 # Regenerate every paper artefact into reproduction/ (fast set; add
 # INCLUDE_SLOW=1 for the multi-minute science studies).

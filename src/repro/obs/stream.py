@@ -32,7 +32,7 @@ import time
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from repro.obs.tracer import TraceEvent, Tracer
+from repro.obs.tracer import _NULL_SPAN, TraceEvent, Tracer
 
 __all__ = [
     "EventTap",
@@ -72,6 +72,13 @@ class EventTap(Tracer):
         When ``False``, recorded events are *not* accumulated in memory —
         the tap becomes pure pipe, which is what a service worker streaming
         a multi-hour run wants (the events file is the durable copy).
+    names:
+        The event names the subscribers consume.  Given them, the tap builds
+        nothing else: it reports ``enabled = False`` (so instrumented layers
+        skip their per-message and per-kernel events — and process and tcp
+        hosts, which trace for an enabled tracer only, record nothing),
+        hands the shared null span for any other name and mints no flow
+        ids.  ``None`` (the default) records everything.
     """
 
     def __init__(
@@ -79,12 +86,16 @@ class EventTap(Tracer):
         subscribers: Iterable[Callable[[TraceEvent], None]] = (),
         *,
         keep_events: bool = True,
+        names: Iterable[str] | None = None,
         epoch: float | None = None,
         flow_start: int = 1,
     ) -> None:
         super().__init__(epoch=epoch, flow_start=flow_start)
         self._subscribers: list[Callable[[TraceEvent], None]] = list(subscribers)
         self._keep_events = bool(keep_events)
+        self._names = None if names is None else frozenset(names)
+        if self._names is not None:
+            self.enabled = False
 
     def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
         """Add ``callback`` to the fan-out (called for every future event)."""
@@ -99,7 +110,17 @@ class EventTap(Tracer):
             except ValueError:
                 pass
 
+    def span(self, name: str, **kwargs):
+        if self._names is not None and name not in self._names:
+            return _NULL_SPAN
+        return super().span(name, **kwargs)
+
+    def new_flow_id(self) -> int:
+        return 0 if self._names is not None else super().new_flow_id()
+
     def _record(self, event: TraceEvent) -> None:
+        if self._names is not None and event.name not in self._names:
+            return  # instants, complete(), absorb_events: rare, filtered once built
         if self._keep_events:
             super()._record(event)
         with self._lock:
@@ -174,6 +195,7 @@ def follow_events(
     poll: float = 0.05,
     stop: Callable[[], bool] | None = None,
     timeout: float | None = None,
+    wait: Callable[[float], object] = time.sleep,
 ) -> Iterator[dict]:
     """Tail a JSONL event file, yielding each record as it appears.
 
@@ -183,6 +205,10 @@ def follow_events(
     with no new data and no stop signal (``None`` waits forever).  Partial
     trailing lines (a writer killed mid-record) are held back until the
     line completes, and never complete lines are dropped at stop.
+
+    Between reads the follower calls ``wait(poll)``: a sleep by default; a
+    caller that owns what ``stop`` tests passes ``event.wait`` beside
+    ``stop=event.is_set``, and the last read follows the event, not a tick.
     """
     path = Path(path)
     buffer = ""
@@ -213,4 +239,4 @@ def follow_events(
             deadline = None if timeout is None else time.monotonic() + timeout
         elif deadline is not None and time.monotonic() >= deadline:
             return
-        time.sleep(poll)
+        wait(poll)

@@ -49,12 +49,15 @@ on a file.
 from __future__ import annotations
 
 import itertools
+import json
 import multiprocessing
 import os
 import signal
 import threading
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
+from multiprocessing import connection
 
 from repro.errors import (
     DrainingError,
@@ -81,6 +84,38 @@ _LOG = get_logger("service.queue")
 _STATES = ("queued", "running", "done", "failed", "orphaned")
 
 _ACTIVE = ("queued", "running")
+
+
+class _WakePipe:
+    """A ``threading.Event`` the scheduler can wait on beside its workers'
+    sentinels: :meth:`set` writes a byte to a non-blocking self-pipe."""
+
+    def __init__(self) -> None:
+        self._r, self._w = os.pipe()
+        os.set_blocking(self._r, False)
+        os.set_blocking(self._w, False)
+        self._lock = threading.Lock()
+        self._open = True
+
+    def fileno(self) -> int:
+        return self._r
+
+    def set(self) -> None:
+        with self._lock:  # against close(): never write to a recycled fd
+            if self._open:
+                with suppress(BlockingIOError):  # pipe full: a wake is pending
+                    os.write(self._w, b"\0")
+
+    def clear(self) -> None:
+        with suppress(BlockingIOError):
+            os.read(self._r, 65536)
+
+    def close(self) -> None:
+        with self._lock:
+            if self._open:
+                self._open = False
+                os.close(self._r)
+                os.close(self._w)
 
 
 @dataclass(frozen=True)
@@ -183,7 +218,9 @@ class JobQueue:
     quotas:
         Per-tenant overrides of ``quota``.
     poll:
-        Scheduler tick in seconds (reap + dispatch cadence).
+        Upper bound in seconds on the scheduler's sleep: submissions,
+        preemptions, a close and every worker's exit wake it at once; the
+        bound is the stall watchdog's cadence.
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer` receiving ``service.*``
         recovery/fence/stall counters and instants.
@@ -227,7 +264,7 @@ class JobQueue:
         self.lease = QueueLease(store.root)
         self.epoch = self.lease.claim()
         self.journal = ServiceJournal(store.root, self.lease)
-        self._wake = threading.Event()
+        self._wake = _WakePipe()
         self._thread = threading.Thread(
             target=self._scheduler_loop, name="repro-service-scheduler", daemon=True
         )
@@ -546,14 +583,31 @@ class JobQueue:
         return int(epoch) == int(lease.get("epoch", -1)) and int(epoch) != self.epoch
 
     def _last_generation(self, key: RunKey) -> int:
-        return max(
-            (
-                e.get("generation", 0)
-                for e in self.store.read_events(key)
-                if e.get("type") == "progress"
-            ),
-            default=0,
-        )
+        """The run's latest progress generation.  Announced generations only
+        rise (across incarnations too), so read ``events.jsonl`` backwards in
+        blocks to the first progress record, skipping lines that do not parse
+        (a torn tail) as :func:`~repro.obs.stream.read_events` does."""
+        try:
+            fh = open(self.store.events_path(key), "rb")
+        except FileNotFoundError:
+            return 0
+        with fh:
+            start = fh.seek(0, os.SEEK_END)
+            head = b""  # the (possibly partial) first line of the blocks read so far
+            while start > 0:
+                size = min(start, 8192)
+                start -= size
+                fh.seek(start)
+                lines = (fh.read(size) + head).split(b"\n")
+                head = lines[0]
+                for line in reversed(lines if start == 0 else lines[1:]):
+                    try:
+                        record = json.loads(line)
+                    except ValueError:
+                        continue
+                    if isinstance(record, dict) and record.get("type") == "progress":
+                        return record.get("generation", 0)
+        return 0
 
     def wait(self, tenant: str, run_id: str, timeout: float | None = None) -> JobStatus:
         """Block until the run reaches a terminal state; returns its status.
@@ -569,6 +623,13 @@ class JobQueue:
         if not job.done_event.wait(timeout):
             raise ServiceError(f"run {key} still {job.state} after {timeout:g} s")
         return self.status(tenant, run_id)
+
+    def done_event(self, tenant: str, run_id: str) -> threading.Event | None:
+        """The event set when the run turns terminal; ``None`` for a run this
+        queue does not own (never admitted here, or the queue is fenced)."""
+        with self._lock:
+            job = self._jobs.get(self.store.key(tenant, run_id))
+            return None if job is None or self._fenced else job.done_event
 
     def list_jobs(self, tenant: str | None = None) -> list[JobStatus]:
         """Snapshots of every job this queue knows, submission order."""
@@ -623,11 +684,10 @@ class JobQueue:
                 self.tracer.instant("service.drain", rank=0, args={"grace": float(drain)})
         if drain is not None:
             deadline = time.monotonic() + drain
-            while time.monotonic() < deadline:
-                with self._lock:
-                    if not any(j.state == "running" for j in self._jobs.values()):
-                        break
-                time.sleep(min(self._poll, 0.05))
+            # Nothing is dispatched while draining: it is over when the workers
+            # running now exit (the list keeps their sentinels open past a reap).
+            for proc in self._running_procs():
+                connection.wait([proc.sentinel], max(0.0, deadline - time.monotonic()))
         with self._lock:
             self._closed = True
             if kill or drain is not None:
@@ -638,15 +698,11 @@ class JobQueue:
                         job.preempt_requested = True
                         job.drain_requested = drain is not None
                         self._kill_locked(job)
-            waiting = [
-                job.proc
-                for job in self._jobs.values()
-                if job.state == "running" and job.proc is not None
-            ]
         self._wake.set()
         if not kill and drain is None:
             # Wait (bounded) for running workers so the scheduler thread can
             # reap them and exit, instead of leaking it.
+            waiting = self._running_procs()
             deadline = time.monotonic() + timeout
             for proc in waiting:
                 proc.join(timeout=max(0.0, deadline - time.monotonic()))
@@ -668,6 +724,7 @@ class JobQueue:
             msg = "JobQueue.close() could not stop its scheduler thread"
             _LOG.error(msg)
             raise ServiceError(msg)
+        self._wake.close()
         with self._lock:
             self._journal_locked("released", None)
             self._released = True
@@ -746,9 +803,25 @@ class JobQueue:
 
     # -- the scheduler thread ------------------------------------------------
 
+    def _running_procs(self) -> list:
+        with self._lock:
+            return [
+                job.proc
+                for job in self._jobs.values()
+                if job.state == "running" and job.proc is not None
+            ]
+
     def _scheduler_loop(self) -> None:
         while True:
-            self._wake.wait(self._poll)
+            # Sleep until something can have changed: a wake (submit, preempt,
+            # recover, close) or the exit of a running worker.
+            procs = self._running_procs()
+            ready = connection.wait([self._wake, *(p.sentinel for p in procs)], self._poll)
+            for proc in procs:
+                if proc.sentinel in ready:
+                    # The process is exiting: block for its status (outside the
+                    # lock) rather than spin on a sentinel that stays readable.
+                    proc.join(self._poll)
             self._wake.clear()
             with self._lock:
                 try:

@@ -46,6 +46,7 @@ from __future__ import annotations
 import json
 import re
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -189,6 +190,12 @@ class RunService:
     def stream(self, tenant: str, run_id: str, *, poll: float = 0.05, timeout: float | None = None):
         """The run's events live: replay, then tail until terminal.
 
+        A run this service's queue owns is waited for on its job's done
+        event, so the last read and the end of the stream follow the reap at
+        once (``poll`` only paces the progress frames before that); any
+        other run — stored, or owned by the queue that fenced this one — is
+        polled for a terminal status every ``poll`` seconds.
+
         Returns an iterator; the unknown-key check happens *here*, eagerly,
         so the HTTP layer can 404 before committing to a 200 SSE response.
         """
@@ -202,8 +209,10 @@ class RunService:
             except ReproError:
                 return True
 
+        done = self.queue.done_event(tenant, run_id)
+        stop, wait = (terminal, time.sleep) if done is None else (done.is_set, done.wait)
         return follow_events(
-            self.store.events_path(key), poll=poll, stop=terminal, timeout=timeout
+            self.store.events_path(key), poll=poll, stop=stop, wait=wait, timeout=timeout
         )
 
     def list_runs(self, tenant: str | None = None) -> list[dict]:
@@ -281,7 +290,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_json(
         self, payload, status: int = 200, headers: dict[str, str] | None = None
     ) -> None:
-        body = json.dumps(payload, indent=2).encode("utf-8")
+        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))

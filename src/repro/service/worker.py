@@ -38,6 +38,10 @@ from repro.parallel.supervisor import SupervisedRun
 __all__ = ["run_job", "progress_transform"]
 
 
+#: The trace events :func:`progress_transform` keeps.
+PROGRESS_NAMES = ("generation", "recovery.restart")
+
+
 def progress_transform(events_so_far: list[dict]):
     """Build the trace→progress distiller for one worker incarnation.
 
@@ -99,7 +103,11 @@ def run_job(store_root: str, tenant: str, run_id: str) -> int:
     write = jsonl_event_writer(
         store.events_path(key), transform=progress_transform(store.read_events(key))
     )
-    tap = EventTap([write], keep_events=False)
+    # A thread world records into the tap directly, so the tap builds only
+    # what the feed reads; process and tcp hosts trace for an enabled tracer
+    # only and ship their events back when the attempt ends.
+    names = PROGRESS_NAMES if spec.backend == "thread" else None
+    tap = EventTap([write], keep_events=False, names=names)
     store.append_event(
         key,
         {"type": "worker-started", "pid": os.getpid(), "time": time.time()},

@@ -1,0 +1,73 @@
+"""Tests for the names-only event tap: build what is read, nothing else."""
+
+import numpy as np
+import pytest
+
+from repro.config import SimulationConfig
+from repro.obs.stream import EventTap
+from repro.obs.tracer import TraceEvent
+from repro.parallel import RunSpec
+from repro.parallel.supervisor import SupervisedRun
+from repro.population.dynamics import EvolutionDriver
+from repro.service.worker import PROGRESS_NAMES
+
+# The names-only tap is the service worker's: `make test-service` runs this too.
+pytestmark = pytest.mark.service
+
+
+class TestNamesOnlyTap:
+    def test_records_and_forwards_only_the_named_events(self):
+        seen = []
+        tap = EventTap([seen.append], names=("generation", "recovery.restart"))
+        with tap.span("generation", rank=0, args={"gen": 1}):
+            with tap.span("play", rank=0):
+                tap.instant("checkpoint.written")
+        tap.instant("recovery.restart", args={"attempt": 0})
+        tap.complete("header", ts=0.0, dur=1.0, rank=0)
+        tap.msg_send(0, 1, 7, 64, ts=0.0, dur=1.0, flow_id=3)
+        tap.msg_recv(1, 0, 7, 64, ts=0.0, dur=1.0, flow_id=3)
+        tap.absorb_events([TraceEvent(ph="X", name="bcast", cat="mpi.coll", rank=1, ts=0.0)])
+        assert [e.name for e in seen] == ["generation", "recovery.restart"]
+        assert [e.name for e in tap.events()] == ["generation", "recovery.restart"]
+        assert seen[0].ph == "X" and seen[0].args == {"gen": 1}
+
+    def test_reports_disabled_and_mints_no_flow_ids(self):
+        tap = EventTap(names=("generation",))
+        assert tap.enabled is False
+        assert tap.new_flow_id() == 0
+        # every other name gets the one shared no-op span
+        assert tap.span("play") is tap.span("bcast")
+
+    def test_a_tap_given_no_names_is_a_full_tracer(self):
+        tap = EventTap()
+        assert tap.enabled is True
+        assert (tap.new_flow_id(), tap.new_flow_id()) == (1, 2)
+        with tap.span("play"):
+            tap.instant("anything")
+        assert [e.name for e in tap.events()] == ["anything", "play"]
+
+
+class TestNamesOnlyTapOnARealRun:
+    def test_one_event_per_rank_per_generation_and_the_same_matrix(self, tmp_path):
+        """The service worker's tap on the benchmark's job shape: the full tap
+        builds well over ten events per generation, the names-only tap the
+        ``generation`` span of each of the two ranks."""
+        config = SimulationConfig(memory=1, n_ssets=16, generations=200, seed=11)
+        spec = RunSpec(config=config, n_ranks=2, backend="thread", checkpoint_every=100)
+        driver = EvolutionDriver(config)
+        driver.run()
+
+        counts = {}
+        for label, names in (("full", None), ("names", PROGRESS_NAMES)):
+            seen = []
+            tap = EventTap([seen.append], keep_events=False, names=names)
+            out = SupervisedRun.from_spec(
+                spec, checkpoint_dir=tmp_path / label, trace=tap
+            ).run(timeout=300)
+            assert np.array_equal(out.result.matrix, driver.population.matrix())
+            assert [
+                e.args["gen"] for e in seen if e.name == "generation" and e.rank == 0
+            ] == list(range(1, 201))
+            counts[label] = len(seen)
+        assert counts["names"] <= 2 * 200 + 2
+        assert counts["full"] > 10 * 200
