@@ -1,22 +1,28 @@
 """Wire protocol of the parallel runner.
 
-One generation of the paper's algorithm exchanges, in order:
+The paper's population dynamics are a broadcast down the collective tree and
+two point-to-point fitness returns, and only a pairwise comparison needs a
+reply.  Nothing Nature draws between two adoption decisions depends on a
+fitness (:meth:`~repro.population.nature.NatureAgent.advance`), so one window
+of generations — up to the next PC event — exchanges, in order:
 
-1. **Generation header** (Nature -> all, collective tree / ``bcast``): does
-   a pairwise comparison fire this generation, and between which SSets.
-2. **Fitness returns** (owners -> Nature, torus point-to-point): the
-   teacher's and learner's relative fitness, when a PC fired.
-3. **PC outcome** (Nature -> all, ``bcast``): whether the learner adopts.
-4. **Mutation** (Nature -> all, ``bcast``): the new strategy table and its
-   target SSet, when a mutation fired.
+1. **Frame** (Nature -> all, collective tree / ``bcast``):
+   ``(closed, PCOutcome | None, [(generation, MutationUpdate), ...],
+   GenerationHeader)`` — the adoption decision for generation ``closed``
+   (where the previous frame stopped; None if no PC fired there), the
+   mutations that fired since, and the generation that needs a reply
+   (``pc_teacher`` -1: the window hit its cap, or the run is over).
+2. **Fitness returns** (owners -> Nature, torus point-to-point): the teacher's
+   and learner's relative fitness; the decision rides in the next frame.
 
-Ranks apply steps 3 and 4 to their local population replica, so every rank
-ends the generation with an identical global strategy view — the paper's
-"all nodes need to maintain an up to date view of the strategies assigned
-to all other SSets".
+Ranks apply the adoption, then the mutations in order, to their local
+population replica, so every rank ends the window with an identical global
+strategy view — the paper's "all nodes need to maintain an up to date view of
+the strategies assigned to all other SSets".
 
-Payloads are small dataclasses; strategy tables travel as ndarrays (the
-virtual network counts their true byte size).
+Payloads are small slotted dataclasses (a pickle carries values, not field
+names); strategy tables travel as ndarrays (the virtual network counts their
+true byte size).
 """
 
 from __future__ import annotations
@@ -66,9 +72,9 @@ TAG_HELLO = 13
 TAG_RECOVERY = 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenerationHeader:
-    """Step 1: what this generation's population dynamics will do.
+    """The generation a frame stops at, and the PC pair that needs fitness there.
 
     ``pc_teacher``/``pc_learner`` are -1 when no pairwise comparison fires.
     """
@@ -83,9 +89,9 @@ class GenerationHeader:
         return self.pc_teacher >= 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PCOutcome:
-    """Step 3: the Nature Agent's adoption decision."""
+    """The Nature Agent's adoption decision for one pairwise comparison."""
 
     teacher: int
     learner: int
@@ -95,9 +101,9 @@ class PCOutcome:
     probability: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MutationUpdate:
-    """Step 4: a mutation event (``sset`` receives ``table``); None when idle."""
+    """A mutation event: ``sset`` receives ``table``."""
 
     sset: int
     table: np.ndarray

@@ -3,14 +3,14 @@
 This is the paper's §V implementation, expressed on the virtual runtime:
 
 * rank 0 is the **Nature Agent** — it owns the random decision streams,
-  announces each generation's events down the (modelled) collective tree
-  via ``bcast``, receives fitness returns over point-to-point messages, and
-  broadcasts the resulting strategy updates;
+  announces everything it draws up to the next adoption decision down the
+  (modelled) collective tree in one ``bcast``, receives that generation's
+  fitness returns point-to-point, and ships its decision with the next window;
 * ranks 1..P-1 are **workers** — each owns a block of SSets
   (:class:`~repro.parallel.decomposition.SSetDecomposition`), keeps a full
   replica of the global strategy view (the paper's per-node "local view of
   the strategy space"), evaluates the fitness of its own SSets when asked,
-  and applies every broadcast update.
+  and applies every window's updates in order.
 
 Because every rank derives its randomness from the same
 :class:`~repro.rng.StreamFactory` keys as the serial driver, a parallel run
@@ -69,7 +69,7 @@ from repro.parallel.protocol import (
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.population.fitness import FitnessEvaluator
-from repro.population.nature import NatureAgent, PCSelection
+from repro.population.nature import NatureAgent
 from repro.population.population import Population
 from repro.rng import StreamFactory
 
@@ -78,12 +78,16 @@ __all__ = ["ParallelSimulation", "ParallelRunResult"]
 _TAG_TEACHER = TAG_FITNESS
 _TAG_LEARNER = TAG_FITNESS + 1
 
-#: Default for Nature's wait on a plain-protocol fitness return
-#: (overridable via ``ParallelSimulation(fitness_timeout=...)``).  Failing
-#: fast beats hanging the whole run when the ownership maps diverge, but the
-#: same deadline also bounds a legitimately slow worker — large memory-depth
-#: tables under ``eager_games`` can need more than the default.
+#: Default for Nature's wait on a plain-protocol fitness return, per generation
+#: of the window it closes (``ParallelSimulation(fitness_timeout=...)``).
+#: Failing fast beats hanging the whole run when the ownership maps diverge,
+#: but the same deadline also bounds a legitimately slow worker — large
+#: memory-depth tables under ``eager_games`` can need more than the default.
 _DEFAULT_FITNESS_TIMEOUT = 120.0
+
+#: Most generations one frame of the collective tree closes: at ``pc_rate`` 0
+#: a 10^6-generation run must not become one broadcast of 50 000 tables.
+_WINDOW_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -174,102 +178,93 @@ def _rank_program(
     # A real mpi4py communicator (see mpi4py_backend.CommLike) carries no tracer.
     tracer = getattr(comm, "tracer", NULL_TRACER)
 
-    for gen in range(1, config.generations + 1):
-        gen_span = tracer.span("generation", rank=comm.rank, args={"gen": gen})
-        gen_span.__enter__()
-        if eager_games and owned.size:
-            # Faithful mode: every generation, every owned SSet plays its
-            # full opponent slate (§IV-D), whether or not a PC will consume
-            # the fitness.  The trajectory is unaffected — PC fitness still
-            # comes from the evaluator's deterministic/keyed-stream path.
-            with tracer.span("play", rank=comm.rank, args={"gen": gen}):
-                evaluator.play_slates(owned, gen, "eager")
-                games_played += owned.size * config.opponents_per_sset
-        # Step 1: generation header down the tree.
-        if nature is not None:
-            selection = nature.select_pc()
-            header = GenerationHeader(
-                generation=gen,
-                pc_teacher=selection.teacher if selection else -1,
-                pc_learner=selection.learner if selection else -1,
-            )
-        else:
-            header = None
-        with tracer.span("header", rank=comm.rank, args={"gen": gen}):
-            header = comm.bcast(header, root=decomp.nature_rank)
-        if header.generation != gen:
-            raise MPIError(f"rank {comm.rank} desynchronised: header {header.generation} != {gen}")
+    last = config.generations
+    closed = 0  # the generation the previous frame's header named
+    decided = None  # Nature: its PCOutcome for ``closed``, the next frame's news
+    opened = 0.0  # trace time the open generation began (a PC's stays open across frames)
+    # Only slates and trace spans are per generation (a names-only tap reports
+    # ``enabled`` False yet reads the spans): a lazy untraced rank touches
+    # nothing but the mutations that fired.
+    every_generation = tracer is not NULL_TRACER or (eager_games and owned.size > 0)
 
-        # Steps 2-3: fitness returns and the adoption decision.
+    def close(gen, update) -> None:
+        """Generation ``gen`` ends with its mutation, when one fired."""
+        with tracer.span("mutation", rank=comm.rank, args={"gen": gen}):
+            if update is not None:
+                population.set_strategy(update.sset, update.table)
+        tracer.complete(
+            "generation", ts=opened, dur=tracer.now() - opened, rank=comm.rank, args={"gen": gen}
+        )
+
+    while True:
+        # One frame down the tree: everything Nature draws up to the next
+        # adoption decision (no fitness enters it), a cap's worth at most.
+        frame = None
+        if nature is not None:
+            drawn, pc = nature.advance(
+                population.random_strategy_table, min(last, closed + _WINDOW_CAP)
+            )
+            header = GenerationHeader(nature.closed)
+            if pc is not None:
+                header = GenerationHeader(pc[0], pc[1].teacher, pc[1].learner)
+            fired = [(g, MutationUpdate(sset=m.sset, table=m.table)) for g, m in drawn]
+            frame, decided = (closed, decided, fired, header), None
+        with tracer.span("header", rank=comm.rank, args={"gen": closed + 1}):
+            was, outcome, mutations, header = comm.bcast(frame, root=decomp.nature_rank)
+        if was != closed:
+            raise MPIError(f"rank {comm.rank} desynchronised: frame closes {was} != {closed}")
+        gen = header.generation
+        updates = dict(mutations)  # this rank's own: a thread world shares the frame
+        if outcome is not None:  # ``closed`` had the PC: adoption, then its mutation
+            if outcome.adopted:
+                population.adopt(outcome.learner, outcome.teacher)
+            close(closed, updates.pop(closed, None))
+        for g in range(closed + 1, gen + 1) if every_generation else updates:
+            opened = tracer.now()
+            if eager_games and owned.size:
+                # Faithful mode: every owned SSet plays its full opponent slate
+                # (§IV-D) against the population as generation g - 1 left it,
+                # whether or not a PC will consume the fitness.  The trajectory is
+                # unaffected — PC fitness comes from the evaluator's keyed streams.
+                with tracer.span("play", rank=comm.rank, args={"gen": g}):
+                    evaluator.play_slates(owned, g, "eager")
+                    games_played += owned.size * config.opponents_per_sset
+            if g < gen or not header.has_pc:
+                close(g, updates.get(g))
         if header.has_pc:
             with tracer.span("pc_step", rank=comm.rank, args={"gen": gen}):
                 teacher, learner = header.pc_teacher, header.pc_learner
+                t_owner, l_owner = decomp.owner_of(teacher), decomp.owner_of(learner)
                 pi_t, pi_l = _pc_fitness(
                     evaluator, gen,
-                    teacher if comm.rank == decomp.owner_of(teacher) else None,
-                    learner if comm.rank == decomp.owner_of(learner) else None,
+                    teacher if comm.rank == t_owner else None,
+                    learner if comm.rank == l_owner else None,
                 )
                 if pi_t is not None:
                     comm.send(pi_t, dest=decomp.nature_rank, tag=_TAG_TEACHER)
                 if pi_l is not None:
                     comm.send(pi_l, dest=decomp.nature_rank, tag=_TAG_LEARNER)
                 if nature is not None:
-                    t_owner = decomp.owner_of(teacher)
-                    l_owner = decomp.owner_of(learner)
+                    # An eager owner plays every generation of the window before
+                    # it answers, so the per-generation deadline scales with it.
+                    deadline = fitness_timeout * (gen - closed)
                     try:
-                        pi_t = comm.recv(
-                            source=t_owner, tag=_TAG_TEACHER, timeout=fitness_timeout
-                        )
-                        pi_l = comm.recv(
-                            source=l_owner, tag=_TAG_LEARNER, timeout=fitness_timeout
-                        )
+                        pi_t = comm.recv(source=t_owner, tag=_TAG_TEACHER, timeout=deadline)
+                        pi_l = comm.recv(source=l_owner, tag=_TAG_LEARNER, timeout=deadline)
                     except RecvTimeoutError as exc:
-                        # Either the ownership maps diverged across ranks
-                        # (a worker that believes it owns nothing never
-                        # replies) or the owning worker is simply slower
-                        # than the deadline — fail with both causes named
-                        # instead of hanging Nature forever.
+                        # Name both causes (a worker owning nothing never replies).
                         raise MPIError(
-                            f"no fitness return for PC ({teacher} -> {learner})"
-                            f" from owners ({t_owner}, {l_owner}) within"
-                            f" {fitness_timeout:g} s at generation {gen}:"
-                            " the owning worker may be too slow for the"
-                            " configured deadline (raise ParallelSimulation"
-                            "(fitness_timeout=...)) or the ownership maps"
+                            f"no fitness return for PC ({teacher} -> {learner}) from owners"
+                            f" ({t_owner}, {l_owner}) within {deadline:g} s ({fitness_timeout:g} s"
+                            f" per generation of the window {closed + 1}..{gen}): the owning"
+                            " worker may be too slow for the configured deadline (raise"
+                            " ParallelSimulation(fitness_timeout=...)) or the ownership maps"
                             " diverged across ranks"
                         ) from exc
-                    decision = nature.decide_adoption(
-                        PCSelection(teacher=teacher, learner=learner), pi_t, pi_l
-                    )
-                    outcome = PCOutcome(
-                        teacher=teacher,
-                        learner=learner,
-                        adopted=decision.adopted,
-                        pi_teacher=decision.pi_teacher,
-                        pi_learner=decision.pi_learner,
-                        probability=decision.probability,
-                    )
-                else:
-                    outcome = None
-                outcome = comm.bcast(outcome, root=decomp.nature_rank)
-                if outcome.adopted:
-                    population.adopt(outcome.learner, outcome.teacher)
-
-        # Step 4: mutation broadcast.
-        if nature is not None:
-            mut_sel = nature.select_mutation(population.random_strategy_table)
-            update = (
-                MutationUpdate(sset=mut_sel.sset, table=mut_sel.table)
-                if mut_sel is not None
-                else None
-            )
-        else:
-            update = None
-        with tracer.span("mutation", rank=comm.rank, args={"gen": gen}):
-            update = comm.bcast(update, root=decomp.nature_rank)
-        if update is not None:
-            population.set_strategy(update.sset, update.table)
-        gen_span.__exit__(None, None, None)
+                    decided = _pc_outcome(nature.decide_adoption(pc[1], pi_t, pi_l))
+        elif gen == last:
+            break
+        closed = gen
 
     matrix = population.matrix()
     digests = comm.allgather(_replica_digest(matrix))
@@ -311,6 +306,14 @@ class _FTOptions:
     start_counters: tuple[int, int, int] = (0, 0, 0)
     start_failed: tuple[int, ...] = ()
     membership_plan: tuple[MembershipEvent, ...] = ()
+
+
+def _pc_outcome(decision) -> PCOutcome:
+    """An :class:`~repro.population.nature.AdoptionDecision` as it travels."""
+    return PCOutcome(
+        decision.teacher, decision.learner, decision.adopted,
+        decision.pi_teacher, decision.pi_learner, decision.probability,
+    )
 
 
 def _pc_fitness(evaluator, gen, teacher, learner) -> tuple[float | None, float | None]:
@@ -492,6 +495,7 @@ def _ft_nature(comm, config, population, streams, failed, opts) -> dict:
     if opts.start_nature_rng is not None:
         streams.stream("nature").bit_generator.state = opts.start_nature_rng
         nature.n_pc_events, nature.n_adoptions, nature.n_mutations = opts.start_counters
+    nature.closed = opts.start_generation
     size = comm.size
     live = [r for r in range(1, size) if r not in failed]
     degradations: list[DegradationEvent] = []
@@ -710,7 +714,9 @@ def _ft_nature(comm, config, population, streams, failed, opts) -> dict:
                 process_hellos(gen)
         if not live:
             raise MPIError(f"generation {gen}: all worker ranks failed; cannot continue")
-        selection = nature.select_pc()
+        # Never past ``gen``: a checkpoint's nature_rng_state is a boundary state.
+        mutations, pc = nature.advance(population.random_strategy_table, gen)
+        selection = pc[1] if pc is not None else None
         owners = owners_now()
         header = FTHeader(
             generation=gen,
@@ -774,31 +780,17 @@ def _ft_nature(comm, config, population, streams, failed, opts) -> dict:
 
         outcome = None
         if selection is not None:
-            decision = nature.decide_adoption(selection, float(pi_t), float(pi_l))
-            outcome = PCOutcome(
-                teacher=selection.teacher,
-                learner=selection.learner,
-                adopted=decision.adopted,
-                pi_teacher=decision.pi_teacher,
-                pi_learner=decision.pi_learner,
-                probability=decision.probability,
-            )
+            outcome = _pc_outcome(nature.decide_adoption(selection, float(pi_t), float(pi_l)))
             if outcome.adopted:
                 population.adopt(outcome.learner, outcome.teacher)
-        mut_sel = nature.select_mutation(population.random_strategy_table)
+            mutations, _ = nature.advance(population.random_strategy_table, gen)
+        mutation = None
+        for _, drawn in mutations:  # at most the one closing ``gen``
+            mutation = MutationUpdate(sset=drawn.sset, table=drawn.table)
+            population.set_strategy(drawn.sset, drawn.table)
         # Nothing drawn for gen + 1 before its decide_adoption depends on a
         # reply, so the update travels with the next frame to each worker.
-        carried = FTUpdate(
-            generation=gen,
-            outcome=outcome,
-            mutation=(
-                MutationUpdate(sset=mut_sel.sset, table=mut_sel.table)
-                if mut_sel is not None
-                else None
-            ),
-        )
-        if mut_sel is not None:
-            population.set_strategy(mut_sel.sset, mut_sel.table)
+        carried = FTUpdate(generation=gen, outcome=outcome, mutation=mutation)
         pc_span.__exit__(None, None, None)
 
         if (
@@ -888,10 +880,12 @@ class ParallelSimulation:
         Seconds Nature waits for a worker's per-generation report before
         declaring the rank failed (fault-tolerant protocol only).
     fitness_timeout:
-        Seconds Nature waits for a worker's fitness return at a PC event
-        (classic collective-tree protocol only; default 120).  Raise it for
-        legitimately slow workers — large memory-depth tables, eager games,
-        loaded machines; the timeout firing raises
+        Seconds *per generation* Nature waits for a fitness return at a PC
+        event (collective-tree protocol only; default 120).  The wait covers
+        every generation an eager worker plays inside the window
+        ``closed+1..g``, so the deadline is ``fitness_timeout * (g - closed)``.
+        Raise it for legitimately slow workers — large memory-depth tables,
+        eager games, loaded machines; the timeout firing raises
         :class:`~repro.errors.MPIError` rather than hanging the run.
     checkpoint_dir:
         Directory for periodic :func:`~repro.io.checkpoints.save_parallel_checkpoint`

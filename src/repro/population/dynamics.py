@@ -93,7 +93,15 @@ class EvolutionDriver:
         self.nature = NatureAgent(config, self.streams)
         self.evaluator = FitnessEvaluator(config, population, self.streams)
         self.observers = list(observers)
-        self.generation = 0
+
+    @property
+    def generation(self) -> int:
+        """Generations completed so far: where the Nature Agent stands."""
+        return self.nature.closed
+
+    @generation.setter
+    def generation(self, value: int) -> None:
+        self.nature.closed = int(value)
 
     def add_observer(self, observer: Observer) -> None:
         """Attach another observer (takes effect from the next generation)."""
@@ -103,28 +111,28 @@ class EvolutionDriver:
 
     def step(self) -> GenerationRecord:
         """Advance exactly one generation and return its record."""
-        cfg = self.config
         pop = self.population
         gen = self.generation + 1
         changed = False
 
         decision = None
-        selection = self.nature.select_pc()
-        if selection is not None:
+        mutations, pc = self.nature.advance(pop.random_strategy_table, gen)
+        if pc is not None:
+            selection = pc[1]
             pi_t, pi_l = self.evaluator.fitness(
                 [selection.teacher, selection.learner], generation=gen
             )
             decision = self.nature.decide_adoption(selection, pi_t, pi_l)
             if decision.adopted:
                 changed |= pop.adopt(decision.learner, decision.teacher)
+            mutations, _ = self.nature.advance(pop.random_strategy_table, gen)
 
-        mutation = self.nature.select_mutation(pop.random_strategy_table)
+        mutation = mutations[0][1] if mutations else None
         if mutation is not None:
             before = pop.version
             pop.set_strategy(mutation.sset, mutation.table)
             changed |= pop.version != before
 
-        self.generation = gen
         record = GenerationRecord(
             generation=gen,
             pc=decision,

@@ -16,9 +16,12 @@ per generation::
     mutation_uniform,
     [sset, strategy_table]                                          if mutation fires.
 
-The serial driver and the virtual-MPI parallel runner both call the methods
-below in exactly this order, which is what makes their population
-trajectories bit-identical (the integration tests assert it).
+One method executes this order — :meth:`NatureAgent.advance` — and the serial
+driver, the collective tree and the fault-tolerant star all draw through it,
+which is what makes their population trajectories bit-identical (the
+integration tests assert it).  Only ``adoption_uniform`` needs a fitness; the
+draws between two adoption decisions depend on nothing outside the stream, so
+a caller may take a whole window of generations in one call.
 
 The paper's pseudocode gates adoption on ``fitness_teacher >
 fitness_learner`` before applying the Fermi probability; the Traulsen et al.
@@ -87,8 +90,47 @@ class NatureAgent:
         self.n_pc_events = 0
         self.n_adoptions = 0
         self.n_mutations = 0
+        #: Last generation whose mutation draw has been made (a resumed run
+        #: sets it to the checkpoint's generation).
+        self.closed = 0
+        #: What generation ``closed + 1`` still owes the stream once its PC
+        #: fired: ``"adoption"`` (undecided), then ``"mutation"``; else None.
+        self._owes: str | None = None
 
-    # -- the three decision steps, called in order each generation -----------------
+    def advance(
+        self, draw_table, upto: int
+    ) -> tuple[list[tuple[int, MutationSelection]], tuple[int, PCSelection] | None]:
+        """Draw everything up to the next adoption decision, or through ``upto``.
+
+        From where the agent stands — a generation boundary, or just after
+        :meth:`decide_adoption` — draw the mutation closing the decided
+        generation, then per generation the PC uniform and either that
+        generation's mutation (no PC) or the teacher/learner pair, stopping
+        there (the next draw needs fitnesses) or once generation ``upto`` is
+        closed.  Returns the mutations that fired as ``(generation, selection)``
+        in order, and ``(generation, selection)`` of the PC waiting for
+        :meth:`decide_adoption`, or None.
+        """
+        if self._owes == "adoption":
+            raise PopulationError(
+                f"generation {self.closed + 1}'s pairwise comparison is undecided:"
+                " call decide_adoption before advancing"
+            )
+        mutations = []
+        while self._owes or self.closed < upto:
+            if not self._owes:
+                selection = self.select_pc()
+                if selection is not None:
+                    self._owes = "adoption"
+                    return mutations, (self.closed + 1, selection)
+            self._owes = None
+            mutation = self.select_mutation(draw_table)
+            self.closed += 1
+            if mutation is not None:
+                mutations.append((self.closed, mutation))
+        return mutations, None
+
+    # -- the three decision steps, in the order advance() takes them ---------------
 
     def select_pc(self) -> PCSelection | None:
         """Step 1: does a pairwise comparison fire, and between whom?"""
@@ -121,6 +163,8 @@ class NatureAgent:
             adopted = bool(self._rng.random() < p)
         if adopted:
             self.n_adoptions += 1
+        if self._owes == "adoption":
+            self._owes = "mutation"
         return AdoptionDecision(
             teacher=selection.teacher,
             learner=selection.learner,

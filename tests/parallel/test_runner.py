@@ -12,7 +12,7 @@ import pytest
 from repro.config import SimulationConfig
 from repro.errors import MPIError
 from repro.game.noise import NoiseModel
-from repro.parallel.runner import ParallelSimulation
+from repro.parallel.runner import _WINDOW_CAP, ParallelSimulation
 from repro.population.dynamics import EvolutionDriver
 
 
@@ -75,15 +75,51 @@ class TestBitIdenticalTrajectories:
         assert par.n_mutations == serial.n_mutations
 
 
+def assert_traffic_is_the_protocol(cfg, n_ranks, backend, windows=None):
+    """One bcast per window plus the digest allgather's bcast leg; a window
+    costs P-1 tree messages, a PC event two fitness returns, the allgather a
+    gather and a bcast leg.  ``windows`` defaults to one per PC event plus
+    the closing one (no window of ``cfg`` reaches the cap)."""
+    par = ParallelSimulation(cfg, n_ranks=n_ranks, backend=backend).run(timeout=300)
+    assert np.array_equal(par.matrix, serial_matrix(cfg))
+    if windows is None:
+        windows = par.n_pc_events + 1
+    workers = n_ranks - 1
+    assert par.counters["bcast"].calls == windows + 1
+    assert par.counters["send"].messages == (
+        windows * workers + 2 * par.n_pc_events + 2 * workers
+    )
+    return par
+
+
+HOST_BACKENDS = [
+    pytest.param("process", marks=pytest.mark.procexec),
+    pytest.param("tcp", marks=pytest.mark.tcp),
+]
+
+
 class TestCommunicationPattern:
     def test_bcast_count_matches_protocol(self):
-        """Per generation: 1 header bcast + 1 mutation bcast + 1 outcome
-        bcast per PC event, plus the final digest allgather's bcast leg."""
+        """One frame per PC event, the closing frame, and the final digest
+        allgather's bcast leg: nothing is sent per generation."""
         cfg = SimulationConfig(memory=1, n_ssets=6, generations=40, seed=2)
-        par = ParallelSimulation(cfg, n_ranks=3).run()
-        bcasts = par.counters["bcast"].calls
-        expected = 2 * cfg.generations + par.n_pc_events + 1
-        assert bcasts == expected
+        par = assert_traffic_is_the_protocol(cfg, 3, "thread")
+        assert par.counters["bcast"].calls == par.n_pc_events + 2
+        assert par.n_pc_events > 0
+
+    @pytest.mark.parametrize("backend", HOST_BACKENDS)
+    def test_message_counts_match_protocol_on_host_backends(self, backend):
+        cfg = SimulationConfig(memory=1, n_ssets=6, generations=40, seed=2)
+        assert_traffic_is_the_protocol(cfg, 3, backend)
+
+    @pytest.mark.parametrize("backend", ["thread", *HOST_BACKENDS])
+    def test_quiet_run_is_cut_into_capped_windows(self, backend):
+        """Without PC events a frame closes at most ``_WINDOW_CAP`` generations."""
+        cfg = SimulationConfig(
+            memory=1, n_ssets=6, generations=2 * _WINDOW_CAP + 10, seed=2, pc_rate=0.0
+        )
+        par = assert_traffic_is_the_protocol(cfg, 3, backend, windows=3)
+        assert par.n_pc_events == 0 and par.n_mutations > 0
 
     def test_fitness_returns_are_point_to_point(self):
         cfg = SimulationConfig(

@@ -73,7 +73,9 @@ class TestRecover:
         assert report.killed_orphans == ()
 
     def test_orphaned_run_is_requeued_and_finishes_bit_identically(self, store):
-        generations, seed = 60, 11
+        # Long enough that the run cannot finish between the poll that sees
+        # generation 20 and the close that kills it (60 generations were ~45 ms).
+        generations, seed = 400, 11
         # A dead service's leftovers: spec + checkpoints from a real partial
         # run, status still saying "running" with a pid nobody owns.
         with JobQueue(store, max_workers=1) as queue:
