@@ -1,10 +1,14 @@
 """Simulation configuration.
 
-:class:`SimulationConfig` gathers every knob of the paper's model with the
-paper's §V-C defaults: payoffs ``f[R,S,T,P] = [3,0,4,1]``, 200 rounds per
-generation, pairwise-comparison rate 0.1, mutation rate μ = 0.05, and
-agents-per-SSet equal to the number of SSets (so each agent handles one
-opponent per generation).
+:class:`SimulationConfig` names every value a run reads, with the paper's
+§V-C defaults: payoffs ``f[R,S,T,P] = [3,0,4,1]``, 200 rounds per
+generation, pairwise-comparison rate 0.1 and mutation rate μ = 0.05.  The
+§V-C agents-per-SSet rule (as many agents as SSets, so each agent handles
+one opponent per generation) changes no fitness — an SSet's fitness is the
+sum over its opponents however they are dealt to agents — so it lives
+where it is computed: :class:`~repro.population.schedule.OpponentSchedule`,
+:func:`~repro.parallel.decomposition.agents_per_processor` and
+:class:`~repro.perf.workload.WorkloadSpec`.
 """
 
 from __future__ import annotations
@@ -40,10 +44,6 @@ class SimulationConfig:
         Number of Strategy Sets in the population.
     generations:
         Number of generations to evolve.
-    agents_per_sset:
-        Agents in each SSet.  ``None`` (default) follows §V-C and uses
-        ``n_ssets`` so that "each agent would handle one game per
-        generation".
     rounds:
         IPD rounds per game (paper: 200).
     pc_rate:
@@ -75,9 +75,6 @@ class SimulationConfig:
     include_self_play:
         Whether an SSet's agents also play their own strategy.  The paper
         plays "all other strategies", so the default is False.
-    use_fitness_cache:
-        Memoise deterministic pair fitness across generations (exact for
-        pure noiseless play; ignored otherwise).
     fitness_mode:
         How SSet fitness is evaluated.  ``"auto"`` plays deterministically
         for pure noiseless populations and samples otherwise (the paper's
@@ -92,7 +89,6 @@ class SimulationConfig:
     memory: int = 1
     n_ssets: int = 64
     generations: int = 1000
-    agents_per_sset: int | None = None
     rounds: int = DEFAULT_ROUNDS
     pc_rate: float = 0.1
     mutation_rate: float = 0.05
@@ -103,7 +99,6 @@ class SimulationConfig:
     strategy_kind: StrategyKind = "pure"
     pc_rule: PCRule = "paper"
     include_self_play: bool = False
-    use_fitness_cache: bool = True
     fitness_mode: FitnessMode = "auto"
     seed: int = 0
 
@@ -122,8 +117,6 @@ class SimulationConfig:
             raise ConfigError(f"mutation_rate must lie in [0, 1], got {self.mutation_rate}")
         if not np.isfinite(self.beta) or self.beta < 0:
             raise ConfigError(f"beta must be finite and non-negative, got {self.beta}")
-        if self.agents_per_sset is not None and self.agents_per_sset < 1:
-            raise ConfigError(f"agents_per_sset must be >= 1, got {self.agents_per_sset}")
         if self.strategy_kind not in ("pure", "mixed"):
             raise ConfigError(f"strategy_kind must be 'pure' or 'mixed', got {self.strategy_kind}")
         if self.pc_rule not in ("paper", "fermi"):
@@ -139,6 +132,10 @@ class SimulationConfig:
             )
         if not isinstance(self.seed, (int, np.integer)):
             raise ConfigError(f"seed must be an int, got {type(self.seed).__name__}")
+        if not isinstance(self.payoff, PayoffMatrix):
+            raise ConfigError(f"payoff must be a PayoffMatrix, got {type(self.payoff).__name__}")
+        if not isinstance(self.noise, NoiseModel):
+            raise ConfigError(f"noise must be a NoiseModel, got {type(self.noise).__name__}")
 
     # -- derived quantities ------------------------------------------------
 
@@ -148,26 +145,9 @@ class SimulationConfig:
         return StateSpace(self.memory)
 
     @property
-    def effective_agents_per_sset(self) -> int:
-        """Agents per SSet after applying the §V-C default (= n_ssets)."""
-        return self.n_ssets if self.agents_per_sset is None else self.agents_per_sset
-
-    @property
-    def population_size(self) -> int:
-        """Total number of agents: SSets x agents per SSet."""
-        return self.n_ssets * self.effective_agents_per_sset
-
-    @property
     def opponents_per_sset(self) -> int:
         """Opponent strategies each SSet faces per generation."""
         return self.n_ssets if self.include_self_play else self.n_ssets - 1
-
-    @property
-    def games_per_generation(self) -> int:
-        """Unordered matchups played per generation (each counted once)."""
-        n = self.n_ssets
-        pairs = n * (n - 1) // 2
-        return pairs + (n if self.include_self_play else 0)
 
     @property
     def deterministic_games(self) -> bool:

@@ -13,7 +13,6 @@ This subpackage implements everything the paper's *game dynamics* layer needs:
 * :mod:`repro.game.lookup_engine` — paper-faithful linear state-search engine.
 * :mod:`repro.game.vector_engine` — vectorised many-pair tournament engine.
 * :mod:`repro.game.batch_engine` — bit-packed batched kernel.
-* :mod:`repro.game.fitness_cache` — memoised pair fitness for deterministic play.
 * :mod:`repro.game.markov` — exact expected payoffs via the joint-state chain.
 * :mod:`repro.game.tournament` — Axelrod-style round-robin tournaments.
 * :mod:`repro.game.zd` — Press-Dyson zero-determinant strategies.
@@ -27,7 +26,6 @@ from repro.game.strategy_space import StrategySpace
 from repro.game.engine import play_ipd, GameResult
 from repro.game.vector_engine import VectorEngine
 from repro.game.batch_engine import BatchEngine, make_engine
-from repro.game.fitness_cache import FitnessCache
 from repro.game.tournament import Tournament, TournamentResult
 from repro.game.zd import extortionate, generous, zd_strategy
 
@@ -48,7 +46,6 @@ __all__ = [
     "VectorEngine",
     "BatchEngine",
     "make_engine",
-    "FitnessCache",
     "Tournament",
     "TournamentResult",
     "extortionate",

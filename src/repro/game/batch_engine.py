@@ -20,16 +20,10 @@ one **byte** per player per round out of a densely materialised
   (defections, opponent defections, mutual defections) and applies the
   payoff matrix once at the end — the inner loop never touches a float.
 
-Identity contracts, both enforced by the parity suite
-(``tests/game/test_engine_parity.py``):
-
-* **bit-identical fitness** — the kernel returns exactly the payoffs of
-  the scalar reference engine and of ``VectorEngine``, with and without
-  noise, for memory one through six;
-* **fingerprint compatibility** — :meth:`BatchEngine.fingerprint` equals
-  :meth:`VectorEngine.fingerprint` for equal game parameters, so a
-  :class:`~repro.game.fitness_cache.FitnessCache` can be shared or swapped
-  between engines without invalidation.
+Identity contract, enforced by the parity suite
+(``tests/game/test_engine_parity.py``): the kernel returns exactly the
+payoffs of the scalar reference engine and of ``VectorEngine``, with and
+without noise, for memory one through six.
 
 Mixed (float) strategy matrices have a per-state *probability*, not a bit,
 so they cannot be packed; :meth:`BatchEngine.play` plays them through the
@@ -93,10 +87,7 @@ class BatchEngine(VectorEngine):
     Drop-in replacement for :class:`~repro.game.vector_engine.VectorEngine`
     — same constructor, same :meth:`play`/:meth:`tournament` signatures and
     semantics, bit-identical fitness, identical RNG consumption (per round:
-    one flip block per player when noise is active, in A-then-B order), and
-    the identical :meth:`fingerprint`, so
-    :class:`~repro.game.fitness_cache.FitnessCache` entries remain valid
-    across the two engines.
+    one flip block per player when noise is active, in A-then-B order).
 
     Parameters
     ----------
@@ -296,7 +287,7 @@ def make_engine(
     ``kind="vector"`` returns the dense
     :class:`~repro.game.vector_engine.VectorEngine`; ``kind="batch"`` the
     bit-packed :class:`BatchEngine`.  Both satisfy the same
-    play/tournament/fingerprint contract.
+    play/tournament contract.
     """
     if kind == "vector":
         return VectorEngine(space, payoff=payoff, rounds=rounds, noise=noise)

@@ -16,7 +16,6 @@ equality game-by-game for pure strategies and statistically for mixed ones.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
@@ -30,28 +29,7 @@ from repro.game.payoff import PAPER_PAYOFFS, PayoffMatrix
 from repro.game.states import StateSpace
 from repro.obs.tracer import get_tracer
 
-__all__ = ["VectorEngine", "BatchResult", "as_table_matrix", "engine_fingerprint"]
-
-
-def engine_fingerprint(
-    space: StateSpace, payoff: PayoffMatrix, rounds: int, noise: NoiseModel
-) -> bytes:
-    """Stable 16-byte identity of a set of game parameters.
-
-    Two engines share a fingerprint exactly when a deterministic game
-    between the same pure strategies yields the same payoffs under both:
-    memory depth, payoff matrix, rounds and noise all participate.  Every
-    engine class (:class:`VectorEngine`,
-    :class:`~repro.game.batch_engine.BatchEngine`) derives its
-    :meth:`~VectorEngine.fingerprint` from this one function, which is what
-    lets a :class:`~repro.game.fitness_cache.FitnessCache` outlive an
-    engine swap.
-    """
-    h = hashlib.blake2b(digest_size=16)
-    h.update(repr((space.memory, space.n_states, int(rounds))).encode())
-    h.update(np.ascontiguousarray(payoff.table, dtype=np.float64).tobytes())
-    h.update(repr(float(noise.rate)).encode())
-    return h.digest()
+__all__ = ["VectorEngine", "BatchResult", "as_table_matrix"]
 
 
 @dataclass(frozen=True)
@@ -186,20 +164,6 @@ class VectorEngine:
         # Running tally of work done, for perf-model calibration.
         self.games_played = 0
         self.rounds_played = 0
-
-    def fingerprint(self) -> bytes:
-        """Stable 16-byte identity of this engine's game parameters.
-
-        Two engines share a fingerprint exactly when a deterministic game
-        between the same pure strategies yields the same payoffs under
-        both: memory depth, payoff matrix, rounds and noise all
-        participate.  :class:`~repro.game.fitness_cache.FitnessCache` pins
-        itself to this value so cached fitness can never be served under
-        different game parameters.  Subclasses inherit this unchanged (it
-        delegates to :func:`engine_fingerprint`): an engine's *identity* is
-        its game parameters, never its kernel implementation.
-        """
-        return engine_fingerprint(self.space, self.payoff, self.rounds, self.noise)
 
     # -- main entry ---------------------------------------------------------
 

@@ -37,7 +37,6 @@ def config_to_dict(config: SimulationConfig) -> dict:
         "memory": config.memory,
         "n_ssets": config.n_ssets,
         "generations": config.generations,
-        "agents_per_sset": config.agents_per_sset,
         "rounds": config.rounds,
         "pc_rate": config.pc_rate,
         "mutation_rate": config.mutation_rate,
@@ -48,7 +47,6 @@ def config_to_dict(config: SimulationConfig) -> dict:
         "strategy_kind": config.strategy_kind,
         "pc_rule": config.pc_rule,
         "include_self_play": config.include_self_play,
-        "use_fitness_cache": config.use_fitness_cache,
         "fitness_mode": config.fitness_mode,
         "seed": config.seed,
     }
@@ -66,9 +64,6 @@ def config_from_dict(data: Mapping) -> SimulationConfig:
             memory=int(data["memory"]),
             n_ssets=int(data["n_ssets"]),
             generations=int(data["generations"]),
-            agents_per_sset=(
-                None if data.get("agents_per_sset") is None else int(data["agents_per_sset"])
-            ),
             rounds=int(data["rounds"]),
             pc_rate=float(data["pc_rate"]),
             mutation_rate=float(data["mutation_rate"]),
@@ -79,7 +74,6 @@ def config_from_dict(data: Mapping) -> SimulationConfig:
             strategy_kind=data["strategy_kind"],
             pc_rule=data["pc_rule"],
             include_self_play=bool(data["include_self_play"]),
-            use_fitness_cache=bool(data["use_fitness_cache"]),
             fitness_mode=data.get("fitness_mode", "auto"),
             seed=int(data["seed"]),
         )

@@ -39,7 +39,6 @@ __all__ = [
     "PCOutcome",
     "MutationUpdate",
     "FTHeader",
-    "FTFitnessRequest",
     "FTUpdate",
     "FTShutdown",
     "FTFinal",
@@ -118,11 +117,12 @@ class MutationUpdate:
 # g - 1 (nothing it draws for g before the adoption decision depends on a
 # reply), then collects one WorkerReport per worker (the heartbeat).  The
 # last update rides with FTShutdown, a retiree's with FTRetire.  When a
-# worker that owed fitness died mid-generation, Nature re-requests from the
-# new owner with ``(None, FTFitnessRequest)``.  Everything travels on the
-# reliable layer (Comm.post_reliable / recv_reliable_owing: the report
-# acknowledges the frame it answers and the next frame the report), so
-# injected drops, duplicates and corruptions cannot desynchronise it.
+# worker that owed fitness died mid-generation, Nature computes that fitness
+# from its own replica — the one the workers played — and asks no one.
+# Everything travels on the reliable layer (Comm.post_reliable /
+# recv_reliable_owing: the report acknowledges the frame it answers and the
+# next frame the report), so injected drops, duplicates and corruptions
+# cannot desynchronise it.
 
 
 @dataclass(frozen=True)
@@ -166,17 +166,6 @@ class WorkerReport:
     generation: int
     pi_teacher: float | None = None
     pi_learner: float | None = None
-
-
-@dataclass(frozen=True)
-class FTFitnessRequest:
-    """Nature -> worker: recompute fitness after the original owner died."""
-
-    generation: int
-    pc_teacher: int
-    pc_learner: int
-    want_teacher: bool
-    want_learner: bool
 
 
 @dataclass(frozen=True)

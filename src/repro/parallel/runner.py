@@ -52,7 +52,6 @@ from repro.parallel.protocol import (
     TAG_REPORT,
     DegradationEvent,
     FTFinal,
-    FTFitnessRequest,
     FTHeader,
     FTHello,
     FTRejoin,
@@ -346,7 +345,7 @@ def _rank_program_ft(comm: Comm, config: SimulationConfig, eager_games: bool, op
     evaluator = FitnessEvaluator(config, population, streams)
     failed = set(opts.start_failed)
     if comm.rank == 0:
-        return _ft_nature(comm, config, population, streams, failed, opts)
+        return _ft_nature(comm, config, population, evaluator, streams, failed, opts)
     return _ft_worker(comm, config, eager_games, population, evaluator)
 
 
@@ -467,15 +466,6 @@ def _ft_worker_loop(comm, config, eager_games, population, evaluator, min_genera
                     )
             report(gen, pi_t, pi_l)
             gen_span.__exit__(None, None, None)
-        elif isinstance(msg, FTFitnessRequest):
-            report(
-                msg.generation,
-                *_pc_fitness(
-                    evaluator, msg.generation,
-                    msg.pc_teacher if msg.want_teacher else None,
-                    msg.pc_learner if msg.want_learner else None,
-                ),
-            )
         elif isinstance(msg, FTRetire):
             # Planned exit (World.shrink): finish cleanly with a digest
             # Nature validates, then leave the world.
@@ -490,7 +480,7 @@ def _ft_worker_loop(comm, config, eager_games, population, evaluator, min_genera
     return {"digest": digest, "games_played": games_played, "retired": isinstance(msg, FTRetire)}
 
 
-def _ft_nature(comm, config, population, streams, failed, opts) -> dict:
+def _ft_nature(comm, config, population, evaluator, streams, failed, opts) -> dict:
     nature = NatureAgent(config, streams)
     if opts.start_nature_rng is not None:
         streams.stream("nature").bit_generator.state = opts.start_nature_rng
@@ -753,30 +743,17 @@ def _ft_nature(comm, config, population, streams, failed, opts) -> dict:
 
         pc_span = tracer.span("pc_step", rank=comm.rank, args={"gen": gen})
         pc_span.__enter__()
-        # Fitness recovery: the owner died mid-generation, ask the new owner.
-        while selection is not None and (pi_t is None or pi_l is None):
-            if not live:
-                raise MPIError(f"generation {gen}: all worker ranks failed mid-PC")
-            owners = owners_now()
-            wanted: dict[int, list[bool]] = {}
-            if pi_t is None:
-                wanted.setdefault(int(owners[selection.teacher]), [False, False])[0] = True
-            if pi_l is None:
-                wanted.setdefault(int(owners[selection.learner]), [False, False])[1] = True
-            for rank, (want_t, want_l) in wanted.items():
-                request = FTFitnessRequest(
-                    generation=gen,
-                    pc_teacher=selection.teacher,
-                    pc_learner=selection.learner,
-                    want_teacher=want_t,
-                    want_learner=want_l,
-                )
-                posted, deadline = fan_out([rank], request, gen, "fitness re-request")
-                for report in fan_in(posted, gen, deadline, "fitness re-request failed").values():
-                    if report.pi_teacher is not None:
-                        pi_t = report.pi_teacher
-                    if report.pi_learner is not None:
-                        pi_l = report.pi_learner
+        # An owner died mid-generation: its pi is a function of the replica
+        # the workers played (the end of gen - 1, Nature's own until the
+        # decision below) and of (gen, sset), so Nature computes it.
+        if selection is not None and (pi_t is None or pi_l is None):
+            own_t, own_l = _pc_fitness(
+                evaluator, gen,
+                selection.teacher if pi_t is None else None,
+                selection.learner if pi_l is None else None,
+            )
+            pi_t = own_t if pi_t is None else pi_t
+            pi_l = own_l if pi_l is None else pi_l
 
         outcome = None
         if selection is not None:
@@ -999,6 +976,8 @@ class ParallelSimulation:
         self.n_ranks = int(n_ranks)
         self.eager_games = bool(eager_games)
         self.fault_plan = fault_plan
+        if heartbeat_timeout <= 0:
+            raise MPIError(f"heartbeat_timeout must be > 0, got {heartbeat_timeout}")
         self.heartbeat_timeout = float(heartbeat_timeout)
         if fitness_timeout <= 0:
             raise MPIError(f"fitness_timeout must be > 0, got {fitness_timeout}")

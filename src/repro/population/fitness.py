@@ -21,6 +21,14 @@ three modes resolved by
     is requested, with randomness drawn from a stream keyed by
     ``(generation, sset)`` so serial and parallel executions sample
     identical games.
+
+The memo is the only pair cache a run has — the serial driver and every
+rank of the tree, the star and the service build one evaluator each.  An
+entry is keyed by slot and checked against both slots' allocation stamps,
+so it dies exactly when a slot is reused for another strategy; a query
+plays every missing pair of one row in a single engine call.  It needs no
+pruning: it never holds more than the square of the population's slot
+capacity.
 """
 
 from __future__ import annotations
@@ -192,16 +200,6 @@ class FitnessEvaluator:
         # Summed slate by slate: the 1-D pairwise sum a lone call would take.
         slates = res.fitness_a.reshape(n_slates, per_slate)
         return np.array([float(slate.sum()) for slate in slates])
-
-    # -- maintenance ------------------------------------------------------------------
-
-    def prune(self) -> None:
-        """Drop memoised rows for slots that are no longer live (housekeeping)."""
-        pop = self.population
-        live = set(int(s) for s in pop.live_slots())
-        for slot in list(self._rows):
-            if slot not in live or self._rows[slot][0] != pop.slot_stamp(slot):
-                del self._rows[slot]
 
     def __repr__(self) -> str:
         return (

@@ -15,15 +15,24 @@ in :mod:`repro.population.fitness`) can invalidate precisely.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from repro.config import SimulationConfig
 from repro.errors import PopulationError, StrategyError
-from repro.game.fitness_cache import strategy_row_digest
 from repro.game.states import StateSpace
 from repro.game.strategy import Strategy
 
-__all__ = ["Population"]
+__all__ = ["Population", "strategy_row_digest"]
+
+
+def strategy_row_digest(row: np.ndarray) -> bytes:
+    """Stable 16-byte identity for one strategy table row."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(row.dtype.str.encode())
+    h.update(np.ascontiguousarray(row).tobytes())
+    return h.digest()
 
 
 class Population:

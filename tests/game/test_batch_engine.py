@@ -11,11 +11,10 @@ from repro.game.batch_engine import (
     pack_matrix,
 )
 from repro.game.bitpack import pack_table
-from repro.game.fitness_cache import FitnessCache, strategy_row_digest
 from repro.game.noise import NoiseModel
 from repro.game.payoff import PayoffMatrix
 from repro.game.states import StateSpace
-from repro.game.vector_engine import VectorEngine, engine_fingerprint
+from repro.game.vector_engine import VectorEngine
 
 
 @pytest.fixture
@@ -130,38 +129,6 @@ class TestKernel:
         assert bat.rounds_played == ia.size * 50
 
 
-class TestFingerprintContract:
-    def test_equal_params_equal_fingerprint(self, space):
-        noise = NoiseModel(0.01)
-        vec = VectorEngine(space, rounds=150, noise=noise)
-        bat = BatchEngine(space, rounds=150, noise=noise)
-        assert vec.fingerprint() == bat.fingerprint()
-        assert vec.fingerprint() == engine_fingerprint(
-            space, vec.payoff, 150, noise
-        )
-
-    def test_different_params_differ(self, space):
-        assert (
-            BatchEngine(space, rounds=100).fingerprint()
-            != BatchEngine(space, rounds=200).fingerprint()
-        )
-
-    def test_cache_warmed_by_vector_served_through_batch(self, space):
-        rng = np.random.default_rng(8)
-        mat = rng.integers(0, 2, size=(6, space.n_states)).astype(np.uint8)
-        digests = [strategy_row_digest(mat[i]) for i in range(6)]
-        vec = VectorEngine(space, rounds=80)
-        bat = BatchEngine(space, rounds=80)
-        ia, ib = vec.round_robin_pairs(6)
-        cache = FitnessCache()
-        fa, fb = cache.play_pairs(vec, mat, ia, ib, digests)
-        assert cache.misses == ia.size
-        fa2, fb2 = cache.play_pairs(bat, mat, ia, ib, digests)
-        assert cache.misses == ia.size  # all served from cache, no re-play
-        assert np.array_equal(fa, fa2)
-        assert np.array_equal(fb, fb2)
-
-
 class TestMakeEngine:
     def test_kinds(self, space):
         assert type(make_engine(space, kind="vector")) is VectorEngine
@@ -179,3 +146,9 @@ class TestMakeEngine:
             BatchEngine(space, jit="off")
         with pytest.raises(TypeError):
             make_engine(space, kind="batch", jit="off")
+
+    def test_config_fields_no_run_read_are_gone(self):
+        with pytest.raises(TypeError):
+            SimulationConfig(use_fitness_cache=False)
+        with pytest.raises(TypeError):
+            SimulationConfig(agents_per_sset=4)

@@ -1,12 +1,14 @@
 """Tests for event logs and run metadata."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
 from repro.errors import CheckpointError
 from repro.game.noise import NoiseModel
-from repro.io.checkpoints import load_parallel_checkpoint
+from repro.io.checkpoints import load_checkpoint, load_parallel_checkpoint, save_checkpoint
 from repro.io.records import (
     config_from_dict,
     config_to_dict,
@@ -15,9 +17,11 @@ from repro.io.records import (
     write_event_csv,
     write_run_metadata,
 )
+from repro.io.runstore import RunStore
 from repro.parallel import ParallelSimulation, RunSpec
 from repro.population.dynamics import EvolutionDriver
 from repro.population.observers import HistoryObserver
+from repro.service.fsck import fsck_store, main as fsck_main
 
 
 class TestConfigRoundtrip:
@@ -30,7 +34,6 @@ class TestConfigRoundtrip:
             memory=3,
             n_ssets=7,
             generations=9,
-            agents_per_sset=4,
             rounds=77,
             pc_rate=0.25,
             mutation_rate=0.125,
@@ -40,7 +43,6 @@ class TestConfigRoundtrip:
             strategy_kind="mixed",
             pc_rule="fermi",
             include_self_play=True,
-            use_fitness_cache=False,
             fitness_mode="expected",
             seed=99,
         )
@@ -63,7 +65,9 @@ class TestConfigRoundtrip:
         }
         cfg = config_from_dict(old)
         assert cfg == SimulationConfig(n_ssets=8, generations=60, seed=11)
-        assert set(config_to_dict(cfg)) == set(old) - {"engine", "engine_jit"}
+        assert set(config_to_dict(cfg)) == set(old) - {
+            "engine", "engine_jit", "agents_per_sset", "use_fitness_cache"
+        }
         spec = RunSpec.from_dict({"kind": "evolution", "config": old, "n_ranks": 3})
         assert spec.config == cfg
 
@@ -77,6 +81,45 @@ class TestConfigRoundtrip:
         serial = EvolutionDriver(cfg)
         serial.run()
         assert np.array_equal(resumed.matrix, serial.population.matrix())
+
+    def test_records_written_with_unread_fields_still_load(self, tmp_path, monkeypatch):
+        # What config_to_dict wrote while configs carried use_fitness_cache
+        # and agents_per_sset, which no run read; every record embeds it.
+        cfg = SimulationConfig(n_ssets=8, generations=60, seed=11)
+        old = dict(config_to_dict(cfg), use_fitness_cache=False, agents_per_sset=4)
+        assert config_from_dict(old) == cfg
+        serial = EvolutionDriver(cfg)
+        serial.run()
+        oracle = serial.population.matrix()
+
+        store = RunStore(tmp_path / "store")
+        key = store.key("alice", "old")
+        spec = RunSpec(config=cfg, n_ranks=3, checkpoint_every=30)
+        with monkeypatch.context() as patch:
+            for module in ("repro.parallel.spec", "repro.io.checkpoints"):
+                patch.setattr(f"{module}.config_to_dict", lambda _cfg: dict(old))
+            store.create_run(key, spec)
+            ParallelSimulation.from_spec(
+                spec, checkpoint_dir=store.checkpoint_dir(key), checkpoint_every=30
+            ).run()
+            driver = EvolutionDriver(cfg)
+            driver.run(30)
+            save_checkpoint(driver, tmp_path / "serial.npz")
+        (tmp_path / "run.json").write_text(json.dumps({"config": old, "summary": {}}))
+        assert json.loads((store.run_dir(key) / "spec.json").read_text())["config"] == old
+
+        assert read_run_metadata(tmp_path / "run.json") == (cfg, {})
+        assert store.load_spec(key).config == cfg
+        resumed = ParallelSimulation.resume(store.checkpoint_dir(key), n_ranks=3).run()
+        assert resumed.generation == 60 and np.array_equal(resumed.matrix, oracle)
+        restored = load_checkpoint(tmp_path / "serial.npz")
+        assert restored.generation == 30
+        restored.run(30)
+        assert np.array_equal(restored.population.matrix(), oracle)
+
+        store.save_result(key, resumed)
+        assert [run.state for run in fsck_store(store.root).runs] == ["healthy"]
+        assert fsck_main(["fsck", "--root", str(store.root)]) == 0
 
 
 class TestEventCsv:

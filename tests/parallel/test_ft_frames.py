@@ -58,6 +58,14 @@ def _generation_after(records, closes) -> int:
     raise AssertionError("CFG no longer produces the scenario this test needs")
 
 
+def _pc_generation(records, first, also=lambda record: True) -> int:
+    """The first generation (>= ``first``) with a PC that satisfies ``also``."""
+    for record in records[first - 1 :]:
+        if record.pc is not None and also(record):
+            return record.generation
+    raise AssertionError("CFG no longer produces the scenario this test needs")
+
+
 def _adopts(record) -> bool:
     return record.pc is not None and record.pc.adopted and record.changed
 
@@ -166,6 +174,9 @@ class TestCarriedUpdate:
     def test_new_owner_answers_a_fitness_rerequest_from_the_closed_generation(
         self, records, oracle
     ):
+        """The teacher's owner dies at a PC generation whose predecessor
+        changed the matrix: Nature answers for it from its own replica, which
+        holds that change, exactly as the dead owner's did."""
         gen = _generation_after(
             records, lambda record: record.changed and records[record.generation].pc is not None
         )
@@ -175,6 +186,43 @@ class TestCarriedUpdate:
         result = ParallelSimulation(CFG, 4, fault_plan=plan, heartbeat_timeout=2.0).run(timeout=120)
         assert np.array_equal(result.matrix, oracle)
         assert [(d.rank, d.generation) for d in result.degradations] == [(owner, gen)]
+
+
+@pytest.mark.chaos
+class TestDeadOwners:
+    """A PC owner that dies mid-generation owed a fitness that Nature's own
+    replica determines (the matrix the workers played, and ``(gen, sset)``),
+    so Nature computes it and the run goes on without asking anyone."""
+
+    @pytest.mark.procexec
+    @pytest.mark.recovery
+    def test_sole_worker_crashing_at_a_pc_generation_is_healed(self, records, oracle):
+        gen = _pc_generation(records, 5)
+        plan = FaultPlan(seed=1, events=(FaultEvent(kind="crash", rank=1, generation=gen),))
+        result = ParallelSimulation(
+            CFG, 2, fault_plan=plan, backend="process", on_rank_failure="respawn",
+            heartbeat_timeout=1.0,
+        ).run(timeout=120)
+        assert np.array_equal(result.matrix, oracle)
+        assert [(d.rank, d.generation) for d in result.degradations] == [(1, gen)]
+        assert [(r.rank, r.generation) for r in result.recoveries] == [(1, gen)]
+
+    @pytest.mark.parametrize("dead", ["teacher", "both"])
+    def test_nature_computes_what_dead_owners_owed(self, records, oracle, dead):
+        owners = owner_map_with_failures(CFG.n_ssets, 4, ())
+        gen = _pc_generation(
+            records, 3, lambda record: owners[record.pc.teacher] != owners[record.pc.learner]
+        )
+        pc = records[gen - 1].pc
+        ranks = [int(owners[pc.teacher])] + ([int(owners[pc.learner])] if dead == "both" else [])
+        plan = FaultPlan(
+            seed=1, events=tuple(FaultEvent(kind="crash", rank=r, generation=gen) for r in ranks)
+        )
+        result = ParallelSimulation(CFG, 4, fault_plan=plan, heartbeat_timeout=2.0).run(timeout=120)
+        assert np.array_equal(result.matrix, oracle)
+        assert sorted((d.rank, d.generation) for d in result.degradations) == sorted(
+            (r, gen) for r in ranks
+        )
 
 
 @pytest.mark.chaos

@@ -156,3 +156,9 @@ class TestValidation:
     def test_fitness_timeout_must_be_positive(self, small_config):
         with pytest.raises(MPIError, match="fitness_timeout"):
             ParallelSimulation(small_config, n_ranks=2, fitness_timeout=0.0)
+
+    @pytest.mark.parametrize("value", [0, -1.5])
+    def test_heartbeat_timeout_must_be_positive(self, small_config, value):
+        # At 0 every worker would be declared dead in the first fan-in.
+        with pytest.raises(MPIError, match=rf"heartbeat_timeout must be > 0, got {value}$"):
+            ParallelSimulation(small_config, n_ranks=2, heartbeat_timeout=value)

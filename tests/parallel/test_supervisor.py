@@ -59,6 +59,17 @@ class TestValidation:
         with pytest.raises(MPIError, match="backoff_jitter"):
             SupervisedRun(config, 4, checkpoint_dir=tmp_path, backoff_jitter=1.0)
 
+    def test_bad_heartbeat_fails_before_any_attempt(self, config, tmp_path):
+        waits: list[float] = []
+        sup = SupervisedRun(
+            config, 3, checkpoint_dir=tmp_path, heartbeat_timeout=0, sleep=waits.append
+        )
+        # The simulation's own MPIError, not a SupervisorError after retries.
+        with pytest.raises(MPIError, match="heartbeat_timeout must be > 0, got 0"):
+            sup.run(timeout=60)
+        assert waits == []
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
 
 class TestSupervisedRun:
     def test_clean_run_needs_no_restart(self, config, serial_matrix, tmp_path):

@@ -80,14 +80,6 @@ class TestDeterministicMode:
         # Every SSet plays 4 opponents of ALLC: 4 * 200 * 3.
         assert np.allclose(ev.all_fitness(1), 4 * 200 * 3)
 
-    def test_prune_drops_dead_rows(self, small_config):
-        pop, ev, _ = make(small_config)
-        ev.all_fitness(1)
-        pop.set_strategy(0, 1 - pop.table_of(0).copy())
-        ev.prune()
-        live = set(int(s) for s in pop.live_slots())
-        assert set(ev._rows).issubset(live)
-
 
 class TestExpectedMode:
     def test_equals_deterministic_for_pure(self, small_config):

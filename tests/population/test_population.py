@@ -6,7 +6,7 @@ import pytest
 from repro.config import SimulationConfig
 from repro.errors import PopulationError, StrategyError
 from repro.game.strategy import named_strategy
-from repro.population.population import Population
+from repro.population.population import Population, strategy_row_digest
 from repro.rng import StreamFactory
 
 
@@ -18,6 +18,22 @@ def config():
 @pytest.fixture
 def pop(config):
     return Population.random(config, StreamFactory(0).fresh("init"))
+
+
+class TestDigest:
+    def test_equal_rows_equal_digest(self):
+        a = np.array([0, 1, 1, 0], dtype=np.uint8)
+        assert strategy_row_digest(a) == strategy_row_digest(a.copy())
+
+    def test_different_rows_differ(self):
+        a = np.array([0, 1, 1, 0], dtype=np.uint8)
+        b = np.array([0, 1, 1, 1], dtype=np.uint8)
+        assert strategy_row_digest(a) != strategy_row_digest(b)
+
+    def test_dtype_distinguished(self):
+        a = np.array([0, 1, 1, 0], dtype=np.uint8)
+        b = a.astype(np.float64)
+        assert strategy_row_digest(a) != strategy_row_digest(b)
 
 
 class TestConstruction:

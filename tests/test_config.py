@@ -14,24 +14,8 @@ class TestDefaultsFollowPaper:
         assert cfg.mutation_rate == 0.05  # §V-C
         assert cfg.payoff.as_fRSTP() == (3.0, 0.0, 4.0, 1.0)
 
-    def test_agents_default_equals_ssets(self):
-        # §V-C: "number of agents per SSet was set to the number of total SSets".
-        cfg = SimulationConfig(n_ssets=48)
-        assert cfg.effective_agents_per_sset == 48
-        assert cfg.population_size == 48 * 48
-
-    def test_explicit_agents(self):
-        cfg = SimulationConfig(n_ssets=10, agents_per_sset=3)
-        assert cfg.population_size == 30
-
 
 class TestDerived:
-    def test_games_per_generation(self):
-        cfg = SimulationConfig(n_ssets=5)
-        assert cfg.games_per_generation == 10
-        cfg2 = cfg.with_updates(include_self_play=True)
-        assert cfg2.games_per_generation == 15
-
     def test_opponents_per_sset(self):
         assert SimulationConfig(n_ssets=6).opponents_per_sset == 5
         assert SimulationConfig(n_ssets=6, include_self_play=True).opponents_per_sset == 6
@@ -74,12 +58,13 @@ class TestValidation:
             dict(mutation_rate=2.0),
             dict(beta=-1.0),
             dict(beta=float("nan")),
-            dict(agents_per_sset=0),
             dict(strategy_kind="fuzzy"),
             dict(pc_rule="maybe"),
             dict(fitness_mode="guess"),
             dict(mutation_distribution="normal"),
             dict(seed="abc"),
+            dict(noise=0.01),
+            dict(payoff=(3, 0, 4, 1)),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
