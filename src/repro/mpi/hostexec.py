@@ -41,7 +41,8 @@ mailboxes of the ranks that live there, plus
 * a control link to the launcher — the control plane that gives failure
   marks, aborts, shutdowns and membership changes a single total order
   (every host applies the launcher's ``apply`` broadcasts; latency-sensitive
-  marks are additionally applied locally first, all idempotently);
+  marks are additionally applied locally first, so a host skips the
+  broadcast of its own mark and of any mark the launcher ordered before it);
 * one thread per local rank, each holding a :class:`~repro.mpi.comm.Comm`
   on the host.
 
@@ -298,6 +299,11 @@ class _Host(World):
         self._incarnations: dict[int, int] = {}  # local ranks respawned so far
         self._threads: list[threading.Thread] = []
         self._respawning: set[int] = set()
+        # Liveness marks made here whose launcher broadcast has not come
+        # back yet, by rank.  Reentrant: in a thread world the broadcast
+        # comes back inside the tell.
+        self._unechoed: dict[int, int] = {}
+        self._marks_lock = threading.RLock()
         self._req_lock = threading.Lock()
         self._req_seq = 0
         self._req_waits: dict[int, tuple[threading.Event, list]] = {}
@@ -357,10 +363,23 @@ class _Host(World):
         op = msg[0]
         if op == "apply":
             what = msg[1]
-            if what == "mark_failed":
-                self._apply_mark_failed(msg[2], msg[3])
-            elif what == "mark_alive":
-                super().mark_alive(msg[2])
+            if what in ("mark_failed", "mark_alive"):
+                rank, origin = msg[2], msg[-1]
+                with self._marks_lock:
+                    if origin == self.host_id:
+                        # Our own mark: applied when it was made.
+                        self._unechoed[rank] -= 1
+                        return
+                    if self._unechoed.get(rank):
+                        # Ordered before a mark of ours still on its way
+                        # back, which supersedes it: applying it now would
+                        # undo that later mark (Nature's mark_alive of a
+                        # rejoining rank, say).
+                        return
+                    if what == "mark_failed":
+                        self._apply_mark_failed(rank, msg[3])
+                    else:
+                        super().mark_alive(rank)
             elif what == "abort":
                 super().abort(msg[2])
             elif what == "shutdown":
@@ -453,13 +472,17 @@ class _Host(World):
         self._wake_all()
 
     def mark_failed(self, rank: int, reason: str = "") -> bool:
-        fresh = self._apply_mark_failed(rank, reason)
-        self._tell("ctrl", "mark_failed", rank, reason)
+        with self._marks_lock:
+            self._unechoed[rank] = self._unechoed.get(rank, 0) + 1
+            fresh = self._apply_mark_failed(rank, reason)
+            self._tell("ctrl", "mark_failed", rank, reason, self.host_id)
         return fresh
 
     def mark_alive(self, rank: int) -> None:
-        super().mark_alive(rank)
-        self._tell("ctrl", "mark_alive", rank)
+        with self._marks_lock:
+            self._unechoed[rank] = self._unechoed.get(rank, 0) + 1
+            super().mark_alive(rank)
+            self._tell("ctrl", "mark_alive", rank, self.host_id)
 
     def abort(self, reason: str) -> None:
         super().abort(reason)

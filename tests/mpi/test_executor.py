@@ -193,6 +193,24 @@ def test_message_overtaking_the_grow_broadcast_waits_for_its_rank():
     assert got == ["welcome"]
 
 
+def test_stale_mark_broadcast_does_not_undo_a_later_local_mark():
+    """Regression: Nature's host marks a rejoining rank alive while the
+    broadcast of an earlier mark_failed is still in flight; applying that
+    broadcast on arrival failed the rank again mid-handshake."""
+    told = []
+    host = _Host(0, 2, 4, lambda comm: None, (), "abort", None, None)  # host 0: ranks 0, 2
+    host.tell = told.append
+    host.mark_failed(2, "no heartbeat")
+    host._on_ctrl(("apply", "mark_failed", 2, "crashed", 1))  # host 1's, ordered first
+    host.mark_alive(2)
+    host._on_ctrl(("apply", *told[0][1:]))  # our mark_failed comes back ...
+    assert not host.is_failed(2)  # ... and is not applied twice
+    host._on_ctrl(("apply", *told[1][1:]))
+    # Once ours are all back, a mark from elsewhere applies again.
+    host._on_ctrl(("apply", "mark_failed", 2, "partitioned", 1))
+    assert host.is_failed(2)
+
+
 class TestThreadWorldPicklesNothing:
     """Pickling is a property of the links a backend chooses, and a thread
     world has none: everything passes by reference."""

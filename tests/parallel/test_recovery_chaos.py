@@ -59,9 +59,9 @@ class TestRespawnHealing:
 
     config = SimulationConfig(n_ssets=8, generations=1500, seed=11)
 
-    def _run(self, plan: FaultPlan):
+    def _run(self, plan: FaultPlan, config: SimulationConfig | None = None):
         return ParallelSimulation(
-            self.config,
+            config or self.config,
             n_ranks=4,
             fault_plan=plan,
             backend="process",
@@ -88,11 +88,18 @@ class TestRespawnHealing:
         assert np.array_equal(replay.matrix, result.matrix)
 
     def test_hung_worker_is_terminated_and_healed(self):
+        # Nature waits out the heartbeat timeout at generation 10, but the
+        # launcher then gives the silent rank a wall-clock grace
+        # (hostexec._RESPAWN_HANG_GRACE, 1 s) before starting its
+        # replacement, and the degraded run keeps going meanwhile.  At about
+        # 0.65 ms a generation (2-core x86 box) the replacement rejoins near
+        # generation 1 550, so the run is four times that long.
+        config = SimulationConfig(n_ssets=8, generations=6000, seed=11)
         plan = FaultPlan(seed=6, events=(FaultEvent(kind="hang", rank=3, generation=10),))
-        result = self._run(plan)
+        result = self._run(plan, config)
         assert result.failed_ranks == ()
         assert {e.rank for e in result.recoveries} == {3}
-        assert np.array_equal(result.matrix, _serial_matrix(self.config))
+        assert np.array_equal(result.matrix, _serial_matrix(config))
 
 
 _KILL_MID_CHECKPOINT_CHILD = """
