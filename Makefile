@@ -32,7 +32,7 @@ test-recovery:
 	pytest tests/ -m recovery
 
 # Multi-host TCP transport: framing/resumption unit tests plus loopback
-# multi-host chaos runs (partitions, connection resets, elastic membership).
+# multi-host chaos runs (partitions, connection resets, a respawned crash).
 test-tcp:
 	pytest tests/ -m tcp
 

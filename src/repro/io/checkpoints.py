@@ -53,7 +53,6 @@ __all__ = [
     "ParallelCheckpoint",
     "save_parallel_checkpoint",
     "load_parallel_checkpoint",
-    "latest_parallel_checkpoint",
     "latest_valid_parallel_checkpoint",
     "write_torn_parallel_checkpoint",
     "PARALLEL_CHECKPOINT_VERSION",
@@ -256,7 +255,9 @@ class ParallelCheckpoint:
     parallel run carries is the Nature Agent's: its sequential
     ``("nature",)`` PCG64 stream position and its event counters.  A resumed
     run therefore continues the exact trajectory from ``generation + 1`` at
-    *any* rank count.
+    *any* rank count, in a fresh world whose ranks are all alive.  (Files
+    from writers that also stored the run's failed ranks still load; that
+    key is not read.)
     """
 
     config: SimulationConfig
@@ -266,7 +267,6 @@ class ParallelCheckpoint:
     n_pc_events: int
     n_adoptions: int
     n_mutations: int
-    failed_ranks: tuple[int, ...] = ()
 
 
 def _rng_state_to_json(state: dict) -> dict:
@@ -308,7 +308,6 @@ def _parallel_ckpt_meta(state: ParallelCheckpoint) -> dict:
             "n_adoptions": int(state.n_adoptions),
             "n_mutations": int(state.n_mutations),
         },
-        "failed_ranks": [int(r) for r in state.failed_ranks],
     }
     meta["digest"] = _content_digest(state.matrix, meta)
     return meta
@@ -318,7 +317,8 @@ def save_parallel_checkpoint(state: ParallelCheckpoint, path: str | Path) -> Pat
     """Write a parallel run's resumable state to ``path`` (.npz); returns it.
 
     When ``path`` is a directory, the file is named ``ckpt_<generation>.npz``
-    inside it, which is the layout :func:`latest_parallel_checkpoint` scans.
+    inside it, which is the layout :func:`latest_valid_parallel_checkpoint`
+    scans.
     The write is crash-consistent (temp file + fsync + atomic rename) and
     the file embeds a content digest verified on load.
     """
@@ -367,7 +367,6 @@ def load_parallel_checkpoint(path: str | Path) -> ParallelCheckpoint:
         n_pc_events=int(nature.get("n_pc_events", 0)),
         n_adoptions=int(nature.get("n_adoptions", 0)),
         n_mutations=int(nature.get("n_mutations", 0)),
-        failed_ranks=tuple(int(r) for r in meta.get("failed_ranks", ())),
     )
 
 
@@ -382,17 +381,6 @@ def _ranked_parallel_checkpoints(directory: str | Path) -> list[tuple[int, Path]
             found.append((int(match.group(1)), entry))
     found.sort(reverse=True)
     return found
-
-
-def latest_parallel_checkpoint(directory: str | Path) -> Path | None:
-    """The highest-generation ``ckpt_*.npz`` in ``directory`` (None if none).
-
-    Purely name-based — the file is not validated.  Recovery paths should
-    prefer :func:`latest_valid_parallel_checkpoint`, which skips torn or
-    corrupt files.
-    """
-    ranked = _ranked_parallel_checkpoints(directory)
-    return ranked[0][1] if ranked else None
 
 
 def latest_valid_parallel_checkpoint(directory: str | Path) -> Path | None:

@@ -202,8 +202,9 @@ class _Mailbox:
 
 class World:
     """The state of one virtual MPI job, held once: mailboxes by rank,
-    failed/joiner/retired marks, abort and stop events, counters, the fault
-    injector and the tracer.
+    failed marks, abort and stop events, counters, the fault injector and
+    the tracer.  Its size is fixed at construction, like
+    ``MPI_COMM_WORLD``'s.
 
     ``World(n).comm(r)`` is a complete in-process job on its own (no
     launcher needed).  Under :func:`~repro.mpi.executor.run_spmd` the
@@ -242,12 +243,7 @@ class World:
         self.stop_event = threading.Event()
         self.failed_ranks: set[int] = set()
         self.failure_reasons: dict[int, str] = {}
-        # Elastic membership: ranks added by grow() await their rejoin
-        # handshake; ranks removed by shrink() keep their slot but own
-        # nothing.
-        self.joiner_ranks: set[int] = set()
-        self.retired_ranks: set[int] = set()
-        # Every write to the marks, the membership and the handle cache
+        # Every write to the marks, the mailboxes and the handle cache
         # takes this lock.  Reads take none: set and dict lookups are atomic
         # under the GIL and entries are only ever added or swapped whole.
         self._lock = threading.Lock()
@@ -309,16 +305,15 @@ class World:
         return fresh
 
     def mark_alive(self, rank: int) -> None:
-        """Clear ``rank``'s failed (and joiner) mark: it completed a rejoin.
+        """Clear ``rank``'s failed mark: it completed a rejoin.
 
-        The recovery path calls this after a respawned or newly grown rank
-        completes its rejoin handshake; receivers that were failing fast on
-        the rank go back to waiting normally.  The recorded failure reason
-        is kept as history.
+        The recovery path calls this after a respawned rank completes its
+        rejoin handshake; receivers that were failing fast on the rank go
+        back to waiting normally.  The recorded failure reason is kept as
+        history.
         """
         with self._lock:
             self.failed_ranks.discard(rank)
-            self.joiner_ranks.discard(rank)
         self._wake_all()
 
     def is_failed(self, rank: int) -> bool:
@@ -335,56 +330,6 @@ class World:
         not a global verdict: the peer may be alive across a partition.
         """
         return False
-
-    def grow(self, n: int) -> tuple[int, ...]:
-        """Add ``n`` fresh ranks to the world; returns their rank ids.
-
-        The new ranks get mailboxes and are recorded in
-        :attr:`joiner_ranks`; under a launcher a rank program is started
-        for each so they can run the FTHello/FTRejoin handshake and take
-        over a share of the SSets (``owner_map_with_failures``
-        redistribution).  Growth consumes no randomness, so a grown run's
-        trajectory stays bit-identical to a fixed-size one.
-        """
-        if n < 1:
-            raise MPIError(f"grow() needs n >= 1, got {n}")
-        with self._lock:
-            new_ranks = tuple(range(self.size, self.size + n))
-            self._admit(new_ranks)
-        self._wake_all()
-        return new_ranks
-
-    def _admit(self, new_ranks: Sequence[int]) -> None:
-        """Make room for ``new_ranks`` (idempotent; the caller holds the lock)."""
-        for rank in new_ranks:
-            if self._hosts(rank) and rank not in self.mailboxes:
-                self.mailboxes[rank] = _Mailbox()
-        self.size = max(self.size, new_ranks[-1] + 1)
-        self.joiner_ranks.update(new_ranks)
-
-    def shrink(self, ranks: Sequence[int]) -> tuple[int, ...]:
-        """Retire ``ranks`` from the world; returns the retired ids, sorted.
-
-        Retired ranks keep their slot (rank ids are never reused) but must
-        no longer own work — callers fold :attr:`retired_ranks` into the
-        failed set they hand ``owner_map_with_failures``.  Rank 0 cannot
-        retire, and at least one non-retired rank must remain.
-        """
-        retired = tuple(sorted({int(r) for r in ranks}))
-        with self._lock:
-            for rank in retired:
-                if not 0 < rank < self.size:
-                    raise MPIError(
-                        f"cannot shrink rank {rank}: out of range (1, {self.size})"
-                    )
-                if rank in self.retired_ranks:
-                    raise MPIError(f"cannot shrink rank {rank}: already retired")
-            survivors = self.size - len(self.retired_ranks) - len(retired)
-            if survivors < 1:
-                raise MPIError("cannot shrink: no ranks would remain")
-            self.retired_ranks.update(retired)
-        self._wake_all()
-        return retired
 
     def _wake_all(self) -> None:
         for box in list(self.mailboxes.values()):
@@ -524,7 +469,7 @@ class Comm:
 
     @property
     def size(self) -> int:
-        """Current world size — live, so ``World.grow`` is visible at once."""
+        """World size (``MPI_Comm_size``)."""
         return self.world.size
 
     # -- point-to-point -----------------------------------------------------------

@@ -73,8 +73,8 @@ class SPMDResult:
         returned by its *latest* incarnation.
     world:
         The launcher's own :class:`~repro.mpi.comm.World`: the record of
-        the job it kept while the program ran (final size, failed/joiner/
-        retired marks, abort state, merged counters).
+        the job it kept while the program ran (size, failed marks, abort
+        state, merged counters).
     failed_ranks:
         Ranks still marked dead when the run finished — died to injected
         faults under ``on_rank_failure="continue"``, or died and were never

@@ -39,7 +39,7 @@ mailboxes of the ranks that live there, plus
   ``deliver`` puts a same-host message straight into the destination's
   mailbox and hands a cross-host one to the wire;
 * a control link to the launcher — the control plane that gives failure
-  marks, aborts, shutdowns and membership changes a single total order
+  marks, aborts and shutdowns a single total order
   (every host applies the launcher's ``apply`` broadcasts; latency-sensitive
   marks are additionally applied locally first, so a host skips the
   broadcast of its own mark and of any mark the launcher ordered before it);
@@ -60,13 +60,9 @@ the simulation noticing; only a partition outlasting
 ``TcpOptions.unreachable_grace`` escalates into
 :class:`~repro.errors.PeerUnreachableError` and the failed-rank machinery.
 
-Elastic membership: ``World.grow(n)`` on any rank asks the launcher for
-fresh rank ids; the launcher assigns them (hosts follow by the same
-round-robin), broadcasts the membership change, and the owning hosts spawn
-joiner threads whose rank programs rejoin exactly like respawned ranks.
-``World.shrink(ranks)`` records retirements world-wide; ownership
-exclusions travel in the rank program's own headers (see
-``owner_map_with_failures``).
+The world's size is fixed at launch, as ``MPI_COMM_WORLD``'s is: a rank
+enters a running world only as a respawned incarnation of itself, and
+leaves it only by failing or at shutdown.
 """
 
 from __future__ import annotations
@@ -101,7 +97,7 @@ _LOG = get_logger("mpi.hostexec")
 MAX_PROCESS_RANKS = MAX_TCP_RANKS = 256
 MAX_TCP_HOSTS = 16
 
-#: Seconds a control request (grow/respawn grant) may wait for its reply.
+#: Seconds a control request (a respawn grant) may wait for its reply.
 _REQ_TIMEOUT = 60.0
 #: Seconds a failed-but-alive (hung) rank keeps its thread before a
 #: replacement incarnation is started next to it.
@@ -266,8 +262,7 @@ class _Host(World):
     It holds the mailboxes of the ranks that live here and runs a thread for
     each.  A world verb applies to this replica first — local receivers
     react at once — and is then told to the launcher, which records it and
-    has every replica apply it (idempotently; ``grow`` alone is a round
-    trip, because rank ids are the launcher's to hand out).  ``wire`` (the
+    has every replica apply it (idempotently).  ``wire`` (the
     data plane to the other hosts; a one-host world has none) and ``tell``
     (one message up the control link) are set by whoever builds the host,
     before :meth:`serving`.
@@ -294,8 +289,6 @@ class _Host(World):
         self.tell: Callable[[tuple], None] | None = None
         self.exit_event = threading.Event()
         self.drain_event = threading.Event()
-        # Fixed now: a grow broadcast can land before serving() starts them.
-        self._first_ranks = tuple(self.mailboxes)
         self._incarnations: dict[int, int] = {}  # local ranks respawned so far
         self._threads: list[threading.Thread] = []
         self._respawning: set[int] = set()
@@ -309,8 +302,8 @@ class _Host(World):
         self._req_waits: dict[int, tuple[threading.Event, list]] = {}
 
     def _hosts(self, rank: int) -> bool:
-        # The same rule at bootstrap and after grow, on every host and in
-        # the launcher, so nobody needs a table.
+        # The same rule on every host and in the launcher, so nobody needs
+        # a table.
         return rank % self.n_hosts == self.host_id
 
     # -- data plane ----------------------------------------------------------------
@@ -321,11 +314,8 @@ class _Host(World):
         """Route one message: a local rank's mailbox, else the wire."""
         box = self.mailboxes.get(dest)
         if box is None:
-            dest_host = dest % self.n_hosts
-            if dest_host != self.host_id:
-                self.wire.send(source, dest, dest_host, tag, payload, nbytes, msg_id)
-                return
-            box = self._mailbox_ahead(dest)
+            self.wire.send(source, dest, dest % self.n_hosts, tag, payload, nbytes, msg_id)
+            return
         box.deliver(source, tag, payload, nbytes, msg_id)
 
     def deliver_local(
@@ -334,22 +324,9 @@ class _Host(World):
         """Inbound frame from the wire: hand it to the local mailbox."""
         box = self.mailboxes.get(dest)
         if box is None:
-            if not self._hosts(dest):
-                _LOG.debug("host %d dropping frame for non-local rank %d", self.host_id, dest)
-                return
-            box = self._mailbox_ahead(dest)
+            _LOG.debug("host %d dropping frame for non-local rank %d", self.host_id, dest)
+            return
         box.deliver(source, tag, payload, nbytes, msg_id)
-
-    def _mailbox_ahead(self, rank: int) -> _Mailbox:
-        """The mailbox of a rank that will live here but that the grow
-        broadcast has not announced on this host yet.
-
-        The data plane can overtake the control plane: a peer that already
-        knows the new rank may send to it first.  The mailbox is opened now
-        so the message waits for the rank; the broadcast starts its thread.
-        """
-        with self._lock:
-            return self.mailboxes.setdefault(rank, _Mailbox())
 
     def is_unreachable(self, rank: int) -> bool:
         host = rank % self.n_hosts
@@ -384,12 +361,6 @@ class _Host(World):
                 super().abort(msg[2])
             elif what == "shutdown":
                 super().shutdown()
-            elif what == "grow":
-                self._apply_grow(msg[2])
-            elif what == "retire":
-                with self._lock:
-                    self.retired_ranks.update(msg[2])
-                self._wake_all()
         elif op == "rep":
             with self._req_lock:
                 waiter = self._req_waits.pop(msg[1], None)
@@ -463,14 +434,6 @@ class _Host(World):
         if self.is_failed(rank) and self._incarnations.get(rank, 0) == incarnation:
             self.maybe_respawn(rank, reason or "declared failed while silent", incarnation)
 
-    def _apply_grow(self, new_ranks: tuple[int, ...]) -> None:
-        with self._lock:
-            self._admit(new_ranks)
-        for rank in new_ranks:
-            if self._hosts(rank):
-                self.start_rank(rank, 0)
-        self._wake_all()
-
     def mark_failed(self, rank: int, reason: str = "") -> bool:
         with self._marks_lock:
             self._unechoed[rank] = self._unechoed.get(rank, 0) + 1
@@ -491,19 +454,6 @@ class _Host(World):
     def shutdown(self) -> None:
         super().shutdown()
         self._tell("ctrl", "shutdown")
-
-    def grow(self, n: int) -> tuple[int, ...]:
-        if n < 1:
-            raise MPIError(f"grow() needs n >= 1, got {n}")
-        new_ranks = self._request("grow", int(n))
-        if new_ranks is None:
-            raise MPIError("grow() request to the launcher failed or timed out")
-        return tuple(new_ranks)
-
-    def shrink(self, ranks: Sequence[int]) -> tuple[int, ...]:
-        retired = super().shrink(ranks)
-        self._tell("ctrl", "retire", retired)
-        return retired
 
     # -- rank threads --------------------------------------------------------------
 
@@ -592,13 +542,13 @@ class _Host(World):
     @contextmanager
     def serving(self) -> Iterator[None]:
         """Run this host's ranks: one thread per local rank on entry; on exit
-        every thread started since (respawns and joiners too) is joined.
+        every thread started since (respawns too) is joined.
 
         Meanwhile the host's tracer is also the process-active one, so
         rank-agnostic instrumentation (the game engines) reaches it.
         """
         with activate(self.tracer) if self.tracer is not NULL_TRACER else nullcontext():
-            for rank in self._first_ranks:
+            for rank in tuple(self.mailboxes):
                 self.start_rank(rank, 0)
             try:
                 yield
@@ -682,7 +632,7 @@ def _host_main(
     )
     # The control reader starts inside ControlClient, before the host can be
     # given the link: it holds its first message until the host is whole (a
-    # grow broadcast can race this function on a non-requesting host).
+    # broadcast from another host's ranks can race this function).
     wired = threading.Event()
 
     def on_ctrl(msg: Any) -> None:
@@ -692,7 +642,7 @@ def _host_main(
     ctrl = ControlClient(
         controller_addr,
         NetHello(
-            host=host_id, incarnation=0, data_addr=wire.addr, ranks=host._first_ranks
+            host=host_id, incarnation=0, data_addr=wire.addr, ranks=tuple(host.mailboxes)
         ),
         on_ctrl,
     )
@@ -703,7 +653,7 @@ def _host_main(
     try:
         with host.serving():
             # Serve until the launcher calls for the drain: rank threads
-            # come and go (respawns, joiners), the wire stays up.
+            # come and go (respawns), the wire stays up.
             host.drain_event.wait()
         try:
             ctrl.send((
@@ -744,14 +694,11 @@ def _launch(
     respawning = on_rank_failure == "respawn"
     tracing = tracer is not None and tracer.enabled
 
-    def _name_ranks(ranks: Sequence[int]) -> None:
-        if tracing:
-            named = tracer.rank_names()
-            for rank in ranks:
-                if rank not in named:
-                    tracer.name_rank(rank, f"rank {rank}")
-
-    _name_ranks(range(n_ranks))
+    if tracing:
+        named = tracer.rank_names()
+        for rank in range(n_ranks):
+            if rank not in named:
+                tracer.name_rank(rank, f"rank {rank}")
 
     # The launcher's own World is the job's authoritative record — size,
     # marks, abort, counters — and what the caller gets back.  Rendezvous
@@ -788,22 +735,10 @@ def _launch(
                 world.mark_alive(msg[2])
             elif what == "shutdown":
                 world.shutdown()
-            elif what == "retire":
-                world.shrink(msg[2])
             hub.broadcast(("apply", *msg[1:]))
         elif op == "req":
             req_id, what = msg[1], msg[2]
-            if what == "grow":
-                new_ranks = world.grow(msg[3])
-                _name_ranks(new_ranks)
-                # Order matters: the wait loop learns of the new ranks
-                # before any of them can report, and every host learns the
-                # membership before the requester's grow() returns and
-                # traffic starts.
-                events.put(("grew", new_ranks))
-                hub.broadcast(("apply", "grow", new_ranks))
-                hub.send(host_id, ("rep", req_id, new_ranks))
-            elif what == "respawn":
+            if what == "respawn":
                 rank, reason = msg[3], msg[4]
                 with state_lock:
                     grant = None
@@ -906,8 +841,6 @@ def _launch(
                 kind = event[0]
                 if kind == "result":
                     _consume_result(event[1])
-                elif kind == "grew":
-                    pending.update(event[1])
                 elif kind == "respawn_denied":
                     pending.discard(event[1])
                 elif kind == "aborted":

@@ -168,8 +168,7 @@ class NetWelcome:
     """The membership view a registered host receives back.
 
     ``hosts`` maps host id → data-plane address; ``rank_hosts`` maps rank →
-    owning host; ``world_size`` is the rank count at bootstrap (elastic
-    growth updates it via control-plane broadcasts later).
+    owning host; ``world_size`` is the rank count, fixed for the run.
     """
 
     hosts: dict[int, tuple[str, int]]

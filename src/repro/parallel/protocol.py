@@ -44,12 +44,9 @@ __all__ = [
     "FTFinal",
     "FTHello",
     "FTRejoin",
-    "FTRetire",
     "WorkerReport",
     "DegradationEvent",
     "RecoveryEvent",
-    "MembershipEvent",
-    "MembershipChange",
 ]
 
 #: Point-to-point tag for fitness returns to the Nature Agent.
@@ -116,9 +113,9 @@ class MutationUpdate:
 # worker the FTHeader of generation g together with the FTUpdate closing
 # g - 1 (nothing it draws for g before the adoption decision depends on a
 # reply), then collects one WorkerReport per worker (the heartbeat).  The
-# last update rides with FTShutdown, a retiree's with FTRetire.  When a
-# worker that owed fitness died mid-generation, Nature computes that fitness
-# from its own replica — the one the workers played — and asks no one.
+# last update rides with FTShutdown.  When a worker that owed fitness died
+# mid-generation, Nature computes that fitness from its own replica — the one
+# the workers played — and asks no one.
 # Everything travels on the reliable layer (Comm.post_reliable /
 # recv_reliable_owing: the report acknowledges the frame it answers and the
 # next frame the report), so injected drops, duplicates and corruptions
@@ -142,11 +139,6 @@ class FTHeader:
     teacher_owner: int = -1
     learner_owner: int = -1
     failed_ranks: tuple[int, ...] = ()
-    #: Authoritative world size as of this generation.  Under elastic
-    #: membership (``World.grow``/``World.shrink``) a worker must derive
-    #: ownership from Nature's view of the size, not its possibly stale
-    #: local one; -1 (the pre-elastic default) means "use ``comm.size``".
-    n_ranks: int = -1
 
     @property
     def has_pc(self) -> bool:
@@ -229,60 +221,6 @@ class FTRejoin:
 
     generation: int
     matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class FTRetire:
-    """Nature -> worker (reliable): leave the world at this generation boundary.
-
-    The planned half of elastic membership (``World.shrink``): unlike a
-    failure, the retiree gets to finish cleanly — it answers with an
-    :class:`FTFinal` whose digest Nature validates against its own matrix
-    before excluding the rank from future ownership maps.
-    """
-
-    generation: int
-
-
-@dataclass(frozen=True)
-class MembershipEvent:
-    """One planned elastic-membership change, scheduled by generation.
-
-    ``action`` is ``"grow"`` (add ``count`` fresh ranks via ``World.grow``)
-    or ``"shrink"`` (retire the named ``ranks`` via ``World.shrink``).  The
-    change executes at the *boundary* of ``generation`` — after generation
-    ``generation - 1``'s updates are applied everywhere, before generation
-    ``generation``'s events are drawn — which is what keeps it
-    RNG-neutral: the trajectory is bit-identical with or without the plan.
-    """
-
-    generation: int
-    action: str
-    count: int = 0
-    ranks: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.action not in ("grow", "shrink"):
-            raise ValueError(f"membership action must be 'grow' or 'shrink', got {self.action!r}")
-        if self.action == "grow" and self.count < 1:
-            raise ValueError(f"grow events need count >= 1, got {self.count}")
-        if self.action == "shrink" and not self.ranks:
-            raise ValueError("shrink events need a non-empty ranks tuple")
-        if self.action == "shrink" and 0 in self.ranks:
-            raise ValueError("rank 0 (the Nature Agent) cannot be retired")
-
-
-@dataclass(frozen=True)
-class MembershipChange:
-    """One executed membership change, recorded by the Nature Agent.
-
-    ``n_ranks`` is the world size *after* the change took effect.
-    """
-
-    generation: int
-    action: str
-    ranks: tuple[int, ...]
-    n_ranks: int
 
 
 @dataclass(frozen=True)

@@ -55,12 +55,9 @@ from repro.parallel.protocol import (
     FTHeader,
     FTHello,
     FTRejoin,
-    FTRetire,
     FTShutdown,
     FTUpdate,
     GenerationHeader,
-    MembershipChange,
-    MembershipEvent,
     MutationUpdate,
     PCOutcome,
     RecoveryEvent,
@@ -138,9 +135,6 @@ class ParallelRunResult:
     #: ``on_rank_failure="respawn"`` (a superset of ``recoveries`` — a
     #: replacement may die again before it manages to rejoin).
     respawns: tuple[RespawnRecord, ...] = ()
-    #: Elastic-membership changes executed during the run (``World.grow``
-    #: and ``World.shrink`` via ``membership_plan``), in generation order.
-    membership: tuple[MembershipChange, ...] = ()
     #: The run's :class:`~repro.obs.Tracer` when tracing was requested
     #: (``ParallelSimulation(..., trace=...)``); ``None`` otherwise.  Export
     #: it with :func:`repro.obs.write_chrome_trace` or summarise with
@@ -303,8 +297,6 @@ class _FTOptions:
     start_matrix: np.ndarray | None = None
     start_nature_rng: dict | None = None
     start_counters: tuple[int, int, int] = (0, 0, 0)
-    start_failed: tuple[int, ...] = ()
-    membership_plan: tuple[MembershipEvent, ...] = ()
 
 
 def _pc_outcome(decision) -> PCOutcome:
@@ -329,12 +321,8 @@ def _pc_fitness(evaluator, gen, teacher, learner) -> tuple[float | None, float |
 def _rank_program_ft(comm: Comm, config: SimulationConfig, eager_games: bool, opts: _FTOptions):
     """The fault-tolerant SPMD body executed by every rank."""
     streams = StreamFactory(config.seed)
-    if comm.rank != 0 and (
-        comm.incarnation > 0
-        or comm.rank in getattr(comm.world, "joiner_ranks", ())
-    ):
-        # Replacement process under on_rank_failure="respawn", or a fresh
-        # rank added mid-run by World.grow: either way the initial
+    if comm.rank != 0 and comm.incarnation > 0:
+        # Replacement process under on_rank_failure="respawn": the initial
         # population is stale (the run has moved on since generation 0), so
         # skip straight to the rejoin handshake with Nature.
         return _ft_worker_respawned(comm, config, eager_games, streams)
@@ -343,9 +331,8 @@ def _rank_program_ft(comm: Comm, config: SimulationConfig, eager_games: bool, op
     else:
         population = Population(config, np.array(opts.start_matrix, copy=True))
     evaluator = FitnessEvaluator(config, population, streams)
-    failed = set(opts.start_failed)
     if comm.rank == 0:
-        return _ft_nature(comm, config, population, evaluator, streams, failed, opts)
+        return _ft_nature(comm, config, population, evaluator, streams, opts)
     return _ft_worker(comm, config, eager_games, population, evaluator)
 
 
@@ -448,11 +435,7 @@ def _ft_worker_loop(comm, config, eager_games, population, evaluator, min_genera
                 # report cannot be what acknowledges this frame.
                 comm.settle_acks()
                 with tracer.span("play", rank=comm.rank, args={"gen": gen}):
-                    owners = owner_map_with_failures(
-                        config.n_ssets,
-                        msg.n_ranks if msg.n_ranks > 0 else comm.size,
-                        msg.failed_ranks,
-                    )
+                    owners = owner_map_with_failures(config.n_ssets, comm.size, msg.failed_ranks)
                     owned = np.flatnonzero(owners == comm.rank)
                     evaluator.play_slates(owned, gen, "eager")
                     games_played += owned.size * config.opponents_per_sset
@@ -466,45 +449,30 @@ def _ft_worker_loop(comm, config, eager_games, population, evaluator, min_genera
                     )
             report(gen, pi_t, pi_l)
             gen_span.__exit__(None, None, None)
-        elif isinstance(msg, FTRetire):
-            # Planned exit (World.shrink): finish cleanly with a digest
-            # Nature validates, then leave the world.
-            tracer.instant("retire", rank=comm.rank, args={"gen": msg.generation})
-            break
         else:
             raise MPIError(f"rank {comm.rank}: unexpected control message {type(msg).__name__}")
     # The last act, so it waits for Nature's explicit acknowledgement.
     digest = _replica_digest(population.matrix())
     final = FTFinal(rank=comm.rank, digest=digest, games_played=games_played)
     comm.send_reliable(final, dest=0, tag=TAG_REPORT)
-    return {"digest": digest, "games_played": games_played, "retired": isinstance(msg, FTRetire)}
+    return {"digest": digest, "games_played": games_played}
 
 
-def _ft_nature(comm, config, population, evaluator, streams, failed, opts) -> dict:
+def _ft_nature(comm, config, population, evaluator, streams, opts) -> dict:
     nature = NatureAgent(config, streams)
     if opts.start_nature_rng is not None:
         streams.stream("nature").bit_generator.state = opts.start_nature_rng
         nature.n_pc_events, nature.n_adoptions, nature.n_mutations = opts.start_counters
     nature.closed = opts.start_generation
-    size = comm.size
-    live = [r for r in range(1, size) if r not in failed]
+    failed: set[int] = set()
+    live = list(range(1, comm.size))
     degradations: list[DegradationEvent] = []
     recoveries: list[RecoveryEvent] = []
     checkpoints: list[str] = []
-    membership: list[MembershipChange] = []
-    #: Cleanly retired ranks (World.shrink) — excluded from ownership like
-    #: failures, but not failures: they finished with a validated digest.
-    retired: set[int] = set()
-    retired_finals: dict[int, FTFinal] = {}
-    #: Fresh ranks (World.grow) whose rejoin handshake is still pending.
-    joining: set[int] = set()
-    plan_by_gen: dict[int, list[MembershipEvent]] = {}
-    for event in opts.membership_plan:
-        plan_by_gen.setdefault(event.generation, []).append(event)
     hb = opts.heartbeat_timeout
     tracer = comm.world.tracer
     #: The update closing the last generation: it rides with whatever message
-    #: next goes to each worker (header, retirement or shutdown).
+    #: next goes to each worker (header or shutdown).
     carried: FTUpdate | None = None
 
     def fan_out(ranks, msg, gen: int, what: str) -> tuple[list[int], float]:
@@ -550,9 +518,7 @@ def _ft_nature(comm, config, population, evaluator, streams, failed, opts) -> di
         return replies
 
     def owners_now() -> np.ndarray:
-        return owner_map_with_failures(
-            config.n_ssets, size, tuple(sorted(failed | retired))
-        )
+        return owner_map_with_failures(config.n_ssets, comm.size, tuple(sorted(failed)))
 
     def declare_failed(rank: int, gen: int, reason: str) -> None:
         if rank in failed:
@@ -586,7 +552,7 @@ def _ft_nature(comm, config, population, evaluator, streams, failed, opts) -> di
             except (RecvTimeoutError, RankFailedError):
                 return
             rank = hello.rank
-            if rank not in failed and rank not in joining:
+            if rank not in failed:
                 # Not yet declared dead (or never was): the replacement
                 # keeps re-sending its hello; answer once we have degraded.
                 continue
@@ -607,7 +573,6 @@ def _ft_nature(comm, config, population, evaluator, streams, failed, opts) -> di
                 comm.world.mark_failed(rank, "rejoin handshake failed")
                 continue
             failed.discard(rank)
-            joining.discard(rank)
             live.append(rank)
             live.sort()
             restored = tuple(int(s) for s in np.flatnonzero(owners_now() == rank))
@@ -625,74 +590,11 @@ def _ft_nature(comm, config, population, evaluator, streams, failed, opts) -> di
                 )
             )
 
-    def apply_membership(gen: int) -> None:
-        """Execute this generation boundary's planned grow/shrink events.
-
-        Runs after generation ``gen - 1``'s updates are applied everywhere
-        and before generation ``gen``'s events are drawn.  Nature's RNG is
-        untouched, so the trajectory is bit-identical with or without the
-        plan; only the ownership arithmetic changes, and fitness is a pure
-        function of ``(generation, sset)`` on every rank.
-        """
-        nonlocal size
-        for event in plan_by_gen.get(gen, ()):
-            if event.action == "grow":
-                new_ranks = comm.world.grow(event.count)
-                size = comm.size
-                joining.update(new_ranks)
-                # Wait for each joiner's hello so it owns SSets from this
-                # generation on; stragglers simply rejoin at a later one.
-                deadline = time.monotonic() + max(hb, 5.0)
-                while joining & set(new_ranks) and time.monotonic() < deadline:
-                    process_hellos(gen)
-                    if joining & set(new_ranks):
-                        time.sleep(0.01)
-                membership.append(
-                    MembershipChange(
-                        generation=gen, action="grow", ranks=new_ranks, n_ranks=size
-                    )
-                )
-                tracer.instant(
-                    "membership.grow", rank=comm.rank,
-                    args={"gen": gen, "ranks": list(new_ranks), "n_ranks": size},
-                )
-            else:  # shrink
-                victims = tuple(sorted(set(event.ranks)))
-                current_digest = _replica_digest(population.matrix())
-                # The retirees' frames carry the update closing gen - 1, so
-                # their digests are of the matrix digested above.  (Ranks
-                # already dead are not in ``live``: nothing to retire cleanly.)
-                posted, deadline = fan_out(
-                    [r for r in victims if r in live], FTRetire(generation=gen), gen, "retirement"
-                )
-                finals = fan_in(posted, gen, deadline, "lost at retirement", comm.recv_reliable)
-                for rank, final in finals.items():
-                    if final.digest != current_digest:
-                        raise MPIError(
-                            f"retiring rank {rank}'s replica diverged at"
-                            f" generation {gen}"
-                        )
-                    retired_finals[rank] = final
-                    retired.add(rank)
-                    live.remove(rank)
-                comm.world.shrink([r for r in victims if r in retired])
-                membership.append(
-                    MembershipChange(
-                        generation=gen, action="shrink", ranks=victims, n_ranks=size
-                    )
-                )
-                tracer.instant(
-                    "membership.shrink", rank=comm.rank,
-                    args={"gen": gen, "ranks": list(victims), "n_ranks": size},
-                )
-
     for gen in range(opts.start_generation + 1, config.generations + 1):
         gen_span = tracer.span("generation", rank=comm.rank, args={"gen": gen})
         gen_span.__enter__()
         comm.fault_point(gen)
-        if gen in plan_by_gen:
-            apply_membership(gen)
-        if failed or joining:
+        if failed:
             process_hellos(gen)
         if not live:
             # Every worker is currently dead.  Under respawn, replacements
@@ -714,8 +616,7 @@ def _ft_nature(comm, config, population, evaluator, streams, failed, opts) -> di
             pc_learner=selection.learner if selection else -1,
             teacher_owner=int(owners[selection.teacher]) if selection else -1,
             learner_owner=int(owners[selection.learner]) if selection else -1,
-            failed_ranks=tuple(sorted(failed | retired)),
-            n_ranks=size,
+            failed_ranks=tuple(sorted(failed)),
         )
         # One frame down: every live worker's header (with the update that
         # closes gen - 1) is on its way before Nature waits for anyone.
@@ -784,7 +685,6 @@ def _ft_nature(comm, config, population, evaluator, streams, failed, opts) -> di
                     n_pc_events=nature.n_pc_events,
                     n_adoptions=nature.n_adoptions,
                     n_mutations=nature.n_mutations,
-                    failed_ranks=tuple(sorted(failed)),
                 )
                 if comm.checkpoint_fault_point(gen):
                     # Injected kill_during_checkpoint: reproduce the
@@ -811,8 +711,6 @@ def _ft_nature(comm, config, population, evaluator, streams, failed, opts) -> di
         if final.digest != digest:
             raise MPIError(f"population replica diverged on rank {rank}")
     comm.world.shutdown()
-    games_by_rank = {rank: final.games_played for rank, final in retired_finals.items()}
-    games_by_rank.update({rank: final.games_played for rank, final in finals.items()})
     return {
         "matrix": matrix,
         "digest": digest,
@@ -820,12 +718,11 @@ def _ft_nature(comm, config, population, evaluator, streams, failed, opts) -> di
         "n_pc_events": nature.n_pc_events,
         "n_adoptions": nature.n_adoptions,
         "n_mutations": nature.n_mutations,
-        "games_by_rank": games_by_rank,
+        "games_by_rank": {rank: final.games_played for rank, final in finals.items()},
         "degradations": tuple(degradations),
         "recoveries": tuple(recoveries),
         "failed_ranks": tuple(sorted(failed)),
         "checkpoints": tuple(checkpoints),
-        "membership": tuple(membership),
     }
 
 
@@ -907,14 +804,6 @@ class ParallelSimulation:
         across, and a :class:`repro.mpi.tcp.TcpOptions` bundle of socket
         knobs (heartbeats, reconnect backoff, unreachability grace).
         Ignored under the other backends.
-    membership_plan:
-        Planned elastic-membership changes: a sequence of
-        :class:`~repro.parallel.protocol.MembershipEvent` executed by the
-        Nature Agent at the named generation boundaries (``World.grow`` /
-        ``World.shrink``).  Implies the fault-tolerant protocol.  The
-        population trajectory is bit-identical with or without the plan
-        (membership changes never touch Nature's RNG); executed changes
-        are reported as ``result.membership``.
 
     Examples
     --------
@@ -943,7 +832,6 @@ class ParallelSimulation:
         max_respawns: int = 8,
         n_hosts: int = 2,
         tcp_options=None,
-        membership_plan=(),
     ) -> None:
         if n_ranks < 2:
             raise MPIError(f"need >= 2 ranks (Nature Agent + worker), got {n_ranks}")
@@ -960,13 +848,6 @@ class ParallelSimulation:
                 "on_rank_failure='respawn' needs real processes to replace —"
                 " use backend='process' or backend='tcp'"
             )
-        membership_plan = tuple(membership_plan)
-        for event in membership_plan:
-            if not isinstance(event, MembershipEvent):
-                raise MPIError(
-                    f"membership_plan entries must be MembershipEvent, got {type(event).__name__}"
-                )
-        self.membership_plan = membership_plan
         self.on_rank_failure = on_rank_failure
         self.max_respawns = int(max_respawns)
         self.n_hosts = int(n_hosts)
@@ -998,15 +879,8 @@ class ParallelSimulation:
                 (fault_plan is not None and not fault_plan.is_trivial)
                 or wants_ckpt
                 or on_rank_failure == "respawn"
-                or bool(membership_plan)
             )
         )
-        if membership_plan and not self.fault_tolerant:
-            raise MPIError(
-                "membership_plan requires the fault-tolerant protocol"
-                " (membership changes ride its control star);"
-                " do not force fault_tolerant=False"
-            )
         if on_rank_failure == "respawn" and not self.fault_tolerant:
             raise MPIError(
                 "on_rank_failure='respawn' requires the fault-tolerant protocol"
@@ -1016,7 +890,6 @@ class ParallelSimulation:
             heartbeat_timeout=self.heartbeat_timeout,
             checkpoint_dir=self.checkpoint_dir,
             checkpoint_every=self.checkpoint_every,
-            membership_plan=self.membership_plan,
         )
 
     @classmethod
@@ -1042,10 +915,12 @@ class ParallelSimulation:
         """Build a simulation that continues from a parallel checkpoint.
 
         ``checkpoint`` may be a checkpoint file, a directory (the latest
-        ``ckpt_*.npz`` inside it is used), or an already-loaded
-        :class:`~repro.io.checkpoints.ParallelCheckpoint`.  The resumed run
-        replays the exact trajectory the uninterrupted run would have
-        produced, at any rank count.  Keyword arguments are forwarded to the
+        ``ckpt_*.npz`` inside it that loads, see
+        :func:`~repro.io.checkpoints.latest_valid_parallel_checkpoint`), or an
+        already-loaded :class:`~repro.io.checkpoints.ParallelCheckpoint`.
+        The resumed run replays the exact trajectory the uninterrupted run
+        would have produced, at any rank count, and starts with every rank
+        of its world alive.  Keyword arguments are forwarded to the
         constructor (``eager_games``, ``fault_plan``, ``checkpoint_dir``...).
         """
         if not isinstance(checkpoint, ParallelCheckpoint):
@@ -1061,7 +936,6 @@ class ParallelSimulation:
             heartbeat_timeout=sim.heartbeat_timeout,
             checkpoint_dir=sim.checkpoint_dir,
             checkpoint_every=sim.checkpoint_every,
-            membership_plan=sim.membership_plan,
             start_generation=checkpoint.generation,
             start_matrix=checkpoint.matrix,
             start_nature_rng=checkpoint.nature_rng_state,
@@ -1070,7 +944,6 @@ class ParallelSimulation:
                 checkpoint.n_adoptions,
                 checkpoint.n_mutations,
             ),
-            start_failed=checkpoint.failed_ranks,
         )
         return sim
 
@@ -1129,14 +1002,11 @@ class ParallelSimulation:
         if nature_out is None:
             raise MPIError("the Nature rank did not complete; no result to assemble")
         games_by_rank: dict[int, int] = nature_out["games_by_rank"]
-        # The world may have grown mid-run (membership_plan), so size the
-        # per-rank accounting to the final world, not the starting one.
-        final_ranks = max(self.n_ranks, len(spmd.returns))
-        games = [0] * final_ranks
-        for rank in range(1, final_ranks):
+        games = [0] * self.n_ranks
+        for rank in range(1, self.n_ranks):
             if rank in games_by_rank:
                 games[rank] = games_by_rank[rank]
-            elif rank < len(spmd.returns) and isinstance(spmd.returns[rank], dict):
+            elif isinstance(spmd.returns[rank], dict):
                 games[rank] = spmd.returns[rank].get("games_played", 0)
         return self._result(
             spmd, injector, games,
@@ -1145,7 +1015,6 @@ class ParallelSimulation:
             recoveries=nature_out.get("recoveries", ()),
             checkpoints=nature_out["checkpoints"],
             respawns=spmd.respawns,
-            membership=nature_out.get("membership", ()),
         )
 
     def _result(self, spmd, injector, games, **ft_facts) -> ParallelRunResult:

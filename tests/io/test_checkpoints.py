@@ -10,7 +10,6 @@ from repro.errors import CheckpointError
 from repro.io import checkpoints as ckpt_mod
 from repro.io.checkpoints import (
     ParallelCheckpoint,
-    latest_parallel_checkpoint,
     latest_valid_parallel_checkpoint,
     load_checkpoint,
     load_parallel_checkpoint,
@@ -84,7 +83,7 @@ class TestErrors:
             load_checkpoint(path)
 
 
-def _parallel_state(config, generation, failed=()):
+def _parallel_state(config, generation):
     streams = StreamFactory(config.seed)
     rng = streams.stream("nature")
     rng.random(17)  # advance so the cursor is non-trivial
@@ -96,13 +95,12 @@ def _parallel_state(config, generation, failed=()):
         n_pc_events=5,
         n_adoptions=2,
         n_mutations=1,
-        failed_ranks=tuple(failed),
     )
 
 
 class TestParallelCheckpoints:
     def test_round_trip(self, tmp_path, small_config):
-        state = _parallel_state(small_config, 40, failed=(2,))
+        state = _parallel_state(small_config, 40)
         path = save_parallel_checkpoint(state, tmp_path / "run.npz")
         loaded = load_parallel_checkpoint(path)
         assert loaded.config == small_config
@@ -110,7 +108,6 @@ class TestParallelCheckpoints:
         assert np.array_equal(loaded.matrix, state.matrix)
         assert loaded.nature_rng_state == state.nature_rng_state
         assert (loaded.n_pc_events, loaded.n_adoptions, loaded.n_mutations) == (5, 2, 1)
-        assert loaded.failed_ranks == (2,)
 
     def test_rng_state_resumes_identically(self, tmp_path, small_config):
         state = _parallel_state(small_config, 10)
@@ -125,13 +122,13 @@ class TestParallelCheckpoints:
     def test_directory_layout_and_latest(self, tmp_path, small_config):
         for gen in (10, 30, 20):
             save_parallel_checkpoint(_parallel_state(small_config, gen), tmp_path)
-        latest = latest_parallel_checkpoint(tmp_path)
+        latest = latest_valid_parallel_checkpoint(tmp_path)
         assert latest is not None and latest.name == "ckpt_00000030.npz"
         assert load_parallel_checkpoint(latest).generation == 30
 
     def test_latest_on_empty_or_missing_directory(self, tmp_path):
-        assert latest_parallel_checkpoint(tmp_path) is None
-        assert latest_parallel_checkpoint(tmp_path / "nope") is None
+        assert latest_valid_parallel_checkpoint(tmp_path) is None
+        assert latest_valid_parallel_checkpoint(tmp_path / "nope") is None
 
     def test_serial_checkpoint_rejected_as_parallel(self, tmp_path, small_config):
         driver = EvolutionDriver(small_config)
@@ -264,9 +261,9 @@ class TestLatestValid:
     def test_skips_torn_newest(self, tmp_path, small_config):
         save_parallel_checkpoint(_parallel_state(small_config, 10), tmp_path)
         save_parallel_checkpoint(_parallel_state(small_config, 20), tmp_path)
-        write_torn_parallel_checkpoint(_parallel_state(small_config, 30), tmp_path)
-        # The name-based scan is fooled; the validating scan is not.
-        assert latest_parallel_checkpoint(tmp_path).name == "ckpt_00000030.npz"
+        torn = write_torn_parallel_checkpoint(_parallel_state(small_config, 30), tmp_path)
+        # The newest file by name is the torn one; the validating scan skips it.
+        assert torn.name == "ckpt_00000030.npz"
         found = latest_valid_parallel_checkpoint(tmp_path)
         assert found is not None and found.name == "ckpt_00000020.npz"
         assert load_parallel_checkpoint(found).generation == 20
@@ -283,4 +280,4 @@ class TestLatestValid:
     def test_matches_latest_when_all_valid(self, tmp_path, small_config):
         for gen in (10, 30, 20):
             save_parallel_checkpoint(_parallel_state(small_config, gen), tmp_path)
-        assert latest_valid_parallel_checkpoint(tmp_path) == latest_parallel_checkpoint(tmp_path)
+        assert latest_valid_parallel_checkpoint(tmp_path) == tmp_path / "ckpt_00000030.npz"

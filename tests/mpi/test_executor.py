@@ -70,20 +70,6 @@ class TestScale:
 #    (module-level rank programs: process and tcp hosts are OS processes)
 
 
-def _grow_program(comm):
-    if comm.rank in comm.world.joiner_ranks:
-        msg = comm.recv(source=0, tag=3, timeout=30)
-        comm.send(("joiner", comm.rank), dest=0, tag=4)
-        return ("joiner", msg)
-    if comm.rank == 0:
-        new_ranks = comm.world.grow(2)
-        for rank in new_ranks:
-            comm.send("welcome", dest=rank, tag=3)
-        replies = sorted(comm.recv(source=r, tag=4, timeout=30) for r in new_ranks)
-        return ("root", new_ranks, comm.size, replies)
-    return ("old", comm.rank)
-
-
 def _ring_then_crash(comm):
     comm.send(comm.rank, dest=(comm.rank + 1) % comm.size, tag=1)
     got = comm.recv(source=(comm.rank - 1) % comm.size, tag=1, timeout=30)
@@ -125,20 +111,6 @@ class TestLauncherContract:
     """One launcher serves all three backends: the same program leaves the
     same ``SPMDResult`` — returns, world record, traffic — on each."""
 
-    def test_grow_starts_joiners_that_answer(self, backend):
-        res = run_spmd(3, _grow_program, backend=backend, timeout=120)
-        assert res.returns == [
-            ("root", (3, 4), 5, [("joiner", 3), ("joiner", 4)]),
-            ("old", 1),
-            ("old", 2),
-            ("joiner", "welcome"),
-            ("joiner", "welcome"),
-        ]
-        assert res.world.size == 5
-        assert res.world.joiner_ranks == {3, 4}
-        assert res.failed_ranks == () and res.respawns == ()
-        assert res.world.counters.get("send").messages == 4
-
     def test_injected_crash_under_continue(self, backend):
         plan = FaultPlan(events=(FaultEvent(kind="crash", rank=2, generation=3),))
         res = run_spmd(
@@ -174,23 +146,6 @@ class TestLauncherContract:
     def test_first_failure_is_the_lowest_rank(self, backend):
         with pytest.raises(KeyError, match="rank1"):
             run_spmd(4, _two_ranks_fail, backend=backend, timeout=120)
-
-
-def test_message_overtaking_the_grow_broadcast_waits_for_its_rank():
-    """Regression: a peer told of a new rank could send to it before the
-    rank's own host had applied the grow broadcast, and the frame was dropped."""
-    got = []
-
-    def prog(comm):
-        if comm.rank == 3:
-            got.append(comm.recv(source=0, tag=3, timeout=10))
-
-    host = _Host(1, 2, 3, prog, (), "abort", None, None)  # host 1 of 2: ranks 1, 3, ...
-    host.tell = lambda msg: None
-    host.deliver_local(0, 3, 3, "welcome", 7, 0)  # rank 3 is not announced here yet
-    with host.serving():
-        host._on_ctrl(("apply", "grow", (3, 4)))
-    assert got == ["welcome"]
 
 
 def test_stale_mark_broadcast_does_not_undo_a_later_local_mark():

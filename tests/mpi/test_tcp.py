@@ -171,20 +171,6 @@ def _respawn_probe(comm):
     return f"original-{comm.rank}"
 
 
-def _grow_program(comm):
-    if comm.rank in comm.world.joiner_ranks:
-        msg = comm.recv(source=0, tag=3, timeout=30)
-        comm.send(("joiner", comm.rank), dest=0, tag=4)
-        return ("joiner", msg)
-    if comm.rank == 0:
-        new_ranks = comm.world.grow(2)
-        for rank in new_ranks:
-            comm.send("welcome", dest=rank, tag=3)
-        replies = sorted(comm.recv(source=r, tag=4, timeout=30) for r in new_ranks)
-        return ("root", new_ranks, comm.size, replies)
-    return ("old", comm.rank)
-
-
 def test_ring_across_hosts():
     result = run_spmd(5, _ring_and_allreduce, backend="tcp", n_hosts=2, timeout=120.0)
     assert result.returns == [((r - 1) % 5, 10) for r in range(5)]
@@ -246,15 +232,6 @@ def test_injected_crash_respawns_across_hosts():
     assert result.returns[2] == "respawned-2"
     assert result.failed_ranks == ()
     assert [(r.rank, r.incarnation) for r in result.respawns] == [(2, 1)]
-
-
-def test_world_grow_spans_hosts():
-    result = run_spmd(3, _grow_program, backend="tcp", n_hosts=2, timeout=120.0)
-    root = result.returns[0]
-    assert root[0] == "root" and root[1] == (3, 4) and root[2] == 5
-    assert root[3] == [("joiner", 3), ("joiner", 4)]
-    assert result.returns[3][0] == "joiner"
-    assert result.returns[4][0] == "joiner"
 
 
 def test_launcher_validation():

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
-from repro.io.checkpoints import latest_parallel_checkpoint, load_parallel_checkpoint
+from repro.io.checkpoints import latest_valid_parallel_checkpoint, load_parallel_checkpoint
 from repro.mpi.faults import FaultEvent, FaultPlan
 from repro.parallel.runner import ParallelRunResult, ParallelSimulation
 from repro.population.dynamics import EvolutionDriver
@@ -131,7 +131,7 @@ class TestCheckpointRestart:
         )
         with pytest.raises(Exception):
             first.run(timeout=300)
-        latest = latest_parallel_checkpoint(tmp_path)
+        latest = latest_valid_parallel_checkpoint(tmp_path)
         assert latest is not None
         assert load_parallel_checkpoint(latest).generation == 30
 

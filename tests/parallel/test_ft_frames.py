@@ -14,12 +14,29 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.mpi.comm import _TAG_RDATA
+from repro.mpi.executor import run_spmd
 from repro.mpi.faults import FaultEvent, FaultPlan
 from repro.parallel.decomposition import owner_map_with_failures
-from repro.parallel.protocol import TAG_CONTROL, TAG_REPORT, MembershipEvent
-from repro.parallel.runner import ParallelSimulation
+from repro.parallel.protocol import (
+    TAG_CONTROL,
+    TAG_HELLO,
+    TAG_RECOVERY,
+    TAG_REPORT,
+    FTHeader,
+    FTRejoin,
+    FTShutdown,
+    FTUpdate,
+    MutationUpdate,
+)
+from repro.parallel.runner import (
+    ParallelSimulation,
+    _ft_worker_respawned,
+    _pc_outcome,
+    _replica_digest,
+)
 from repro.population.dynamics import EvolutionDriver
 from repro.population.fitness import FitnessEvaluator
+from repro.rng import StreamFactory
 
 #: Busy dynamics (a PC most generations, a mutation in two of five), so that
 #: nearly every carried update changes the matrix and a lost, repeated or
@@ -147,28 +164,36 @@ class TestCarriedUpdate:
         assert np.array_equal(result.matrix, oracle)
         assert result.failed_ranks == ()
 
-    def test_retiree_digests_the_closed_generation(self, records, oracle):
-        gen = _generation_after(records, lambda record: record.changed)
-        plan = (MembershipEvent(generation=gen, action="shrink", ranks=(2,)),)
-        result = ParallelSimulation(CFG, 4, membership_plan=plan).run(timeout=120)
-        assert np.array_equal(result.matrix, oracle)
-        assert [(m.generation, m.action) for m in result.membership] == [(gen, "shrink")]
-        assert result.failed_ranks == ()
-
-    def test_joiner_does_not_reapply_the_update_its_matrix_contains(self, records, oracle):
-        """Adopt-then-mutate is not idempotent when the mutation hits the
-        teacher: applied twice, the learner ends with the mutant."""
-        gen = _generation_after(records, _adopts_then_mutates_the_teacher)
-        # Retired a generation later, while a wrong replica would still show:
-        # Nature checks the retiree's digest against its own matrix.
-        plan = (
-            MembershipEvent(generation=gen, action="grow", count=1),
-            MembershipEvent(generation=gen + 1, action="shrink", ranks=(3,)),
+    def test_joiner_does_not_reapply_the_update_its_matrix_contains(self, records):
+        """A respawned worker rejoins with Nature's matrix as of generation g,
+        and its first frame carries g's update again.  Adopt-then-mutate is
+        not idempotent when the mutation hits the teacher: applied twice, the
+        learner ends with the mutant."""
+        record = next(r for r in records[1:] if _adopts_then_mutates_the_teacher(r))
+        gen = record.generation
+        driver = EvolutionDriver(CFG)
+        driver.run(gen)
+        seeded = driver.population.matrix()
+        assert not np.array_equal(seeded[record.pc.learner], record.mutation.table)
+        update = FTUpdate(
+            generation=gen,
+            outcome=_pc_outcome(record.pc),
+            mutation=MutationUpdate(sset=record.mutation.sset, table=record.mutation.table),
         )
-        result = ParallelSimulation(CFG, 3, membership_plan=plan).run(timeout=120)
-        assert np.array_equal(result.matrix, oracle)
-        assert [(m.generation, m.ranks) for m in result.membership] == [(gen, (3,)), (gen + 1, (3,))]
-        assert result.failed_ranks == ()
+
+        def program(comm):
+            if comm.rank == 1:  # the replacement incarnation's entry point
+                return _ft_worker_respawned(comm, CFG, False, StreamFactory(CFG.seed))
+            # Nature's side: answer the hello, run one generation, shut down.
+            comm.recv(source=1, tag=TAG_HELLO, timeout=30)
+            comm.send_reliable(FTRejoin(generation=gen, matrix=seeded), dest=1, tag=TAG_RECOVERY)
+            comm.post_reliable((update, FTHeader(generation=gen + 1)), dest=1, tag=TAG_CONTROL)
+            comm.recv_reliable_owing(source=1, tag=TAG_REPORT, timeout=30)
+            comm.post_reliable((None, FTShutdown(generation=gen + 1)), dest=1, tag=TAG_CONTROL)
+            return comm.recv_reliable(source=1, tag=TAG_REPORT, timeout=30)
+
+        final = run_spmd(2, program, timeout=60).returns[0]
+        assert final.digest == _replica_digest(seeded)
 
     @pytest.mark.chaos
     def test_new_owner_answers_a_fitness_rerequest_from_the_closed_generation(

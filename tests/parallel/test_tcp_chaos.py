@@ -1,12 +1,9 @@
-"""Acceptance runs for the multi-host TCP substrate and elastic membership.
+"""Acceptance runs for the multi-host TCP substrate.
 
 The strongest statement the transport can make: a fault-tolerant run
 spanning two OS-process hosts over loopback TCP, with injected partitions,
 connection resets and a worker crash, finishes with a strategy matrix
 *bit-identical* to the fault-free single-host reference at the same seed.
-Likewise for elastic membership: growing and shrinking the world mid-run
-must not perturb the trajectory, because membership changes never touch
-Nature's random streams.
 """
 
 import numpy as np
@@ -14,7 +11,6 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.mpi.faults import FaultEvent, FaultPlan
-from repro.parallel.protocol import MembershipEvent
 from repro.parallel.runner import ParallelSimulation
 
 pytestmark = pytest.mark.tcp
@@ -96,47 +92,3 @@ def test_same_seed_same_network_schedule(memory3_config):
     second_net = [(e.kind, e.rank, e.dest, e.op_index) for e in second.fault_events]
     assert first_net == second_net
     assert any(kind in ("conn_reset", "slow_link") for kind, *_ in first_net)
-
-
-@pytest.mark.recovery
-def test_membership_grow_shrink_no_divergence(memory3_config, reference_matrix):
-    # Elastic membership mid-run: grow two workers at generation 10, retire
-    # two at 25.  RNG-neutral by design, so zero trajectory divergence.
-    plan = (
-        MembershipEvent(generation=10, action="grow", count=2),
-        MembershipEvent(generation=25, action="shrink", ranks=(2, 4)),
-    )
-    result = ParallelSimulation(
-        memory3_config, n_ranks=3, membership_plan=plan
-    ).run()
-    assert np.array_equal(result.matrix, reference_matrix)
-    assert [(m.generation, m.action, m.ranks) for m in result.membership] == [
-        (10, "grow", (3, 4)),
-        (25, "shrink", (2, 4)),
-    ]
-    assert result.failed_ranks == ()
-
-
-@pytest.mark.recovery
-@pytest.mark.parametrize("backend", ["process", "tcp"])
-def test_membership_over_tcp(memory3_config, reference_matrix, backend):
-    plan = (
-        MembershipEvent(generation=12, action="grow", count=2),
-        MembershipEvent(generation=28, action="shrink", ranks=(3,)),
-    )
-    result = ParallelSimulation(
-        memory3_config, n_ranks=3, backend=backend, n_hosts=2, membership_plan=plan
-    ).run()
-    assert np.array_equal(result.matrix, reference_matrix)
-    assert [m.action for m in result.membership] == ["grow", "shrink"]
-
-
-def test_membership_plan_validation(memory3_config):
-    from repro.errors import MPIError
-
-    with pytest.raises(MPIError):
-        ParallelSimulation(memory3_config, n_ranks=3, membership_plan=("grow",))
-    with pytest.raises(ValueError):
-        MembershipEvent(generation=5, action="shrink", ranks=(0,))
-    with pytest.raises(ValueError):
-        MembershipEvent(generation=5, action="grow", count=0)
