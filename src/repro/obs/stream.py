@@ -215,6 +215,9 @@ def follow_events(
     position = 0
     deadline = None if timeout is None else time.monotonic() + timeout
     while True:
+        # Sampled before the read: a writer that appends and then signals
+        # stop between this read and a later check would lose its last lines.
+        stopping = stop is not None and stop()
         grew = False
         if path.exists():
             with open(path, "r", encoding="utf-8") as fh:
@@ -233,7 +236,7 @@ def follow_events(
                         yield json.loads(line)
                     except json.JSONDecodeError:
                         continue
-        if stop is not None and stop() and not grew:
+        if stopping and not grew:
             return
         if grew:
             deadline = None if timeout is None else time.monotonic() + timeout

@@ -2,23 +2,24 @@
 
 The paper's population dynamics are a broadcast down the collective tree and
 two point-to-point fitness returns, and only a pairwise comparison needs a
-reply.  Nothing Nature draws between two adoption decisions depends on a
-fitness (:meth:`~repro.population.nature.NatureAgent.advance`), so one window
-of generations — up to the next PC event — exchanges, in order:
+fitness.  Nothing Nature draws between two adoption decisions depends on one
+(:meth:`~repro.population.nature.NatureAgent.advance`) and a lazy PC's is
+Nature's own, so a window — up to the cap, or to an eager PC — exchanges:
 
 1. **Frame** (Nature -> all, collective tree / ``bcast``):
-   ``(closed, PCOutcome | None, [(generation, MutationUpdate), ...],
-   GenerationHeader)`` — the adoption decision for generation ``closed``
-   (where the previous frame stopped; None if no PC fired there), the
-   mutations that fired since, and the generation that needs a reply
-   (``pc_teacher`` -1: the window hit its cap, or the run is over).
-2. **Fitness returns** (owners -> Nature, torus point-to-point): the teacher's
-   and learner's relative fitness; the decision rides in the next frame.
+   ``(closed, [(generation, PCOutcome | MutationUpdate), ...],
+   GenerationHeader)`` — every decision and mutation Nature applied since
+   generation ``closed`` (where the previous frame stopped), in order, and
+   the generation the window stops at.  Only an eager frame's header names a
+   PC that needs a reply (``pc_teacher`` -1 otherwise).
+2. **Fitness returns** (eager only; owners -> Nature, torus point-to-point):
+   the teacher's and learner's relative fitness; the decision rides first in
+   the next frame.
 
-Ranks apply the adoption, then the mutations in order, to their local
-population replica, so every rank ends the window with an identical global
-strategy view — the paper's "all nodes need to maintain an up to date view of
-the strategies assigned to all other SSets".
+Workers replay the events in order on their population replica, so every
+rank ends the window with an identical global strategy view — the paper's
+"all nodes need to maintain an up to date view of the strategies assigned to
+all other SSets".
 
 Payloads are small slotted dataclasses (a pickle carries values, not field
 names); strategy tables travel as ndarrays (the virtual network counts their

@@ -2,15 +2,16 @@
 
 This is the paper's §V implementation, expressed on the virtual runtime:
 
-* rank 0 is the **Nature Agent** — it owns the random decision streams,
-  announces everything it draws up to the next adoption decision down the
-  (modelled) collective tree in one ``bcast``, receives that generation's
-  fitness returns point-to-point, and ships its decision with the next window;
+* rank 0 is the **Nature Agent** — it owns the random decision streams and
+  announces everything it settles down the (modelled) collective tree, one
+  ``bcast`` per window.  A lazy run's PC fitness comes from Nature's own
+  replica, so only the cap ends a window; an eager window ends at a PC, whose
+  owners return fitness point-to-point, and the decision rides in the next;
 * ranks 1..P-1 are **workers** — each owns a block of SSets
   (:class:`~repro.parallel.decomposition.SSetDecomposition`), keeps a full
   replica of the global strategy view (the paper's per-node "local view of
-  the strategy space"), evaluates the fitness of its own SSets when asked,
-  and applies every window's updates in order.
+  the strategy space"), on an eager run plays its SSets' slates and returns
+  their fitness at a PC, and replays every window's events in order.
 
 Because every rank derives its randomness from the same
 :class:`~repro.rng.StreamFactory` keys as the serial driver, a parallel run
@@ -74,11 +75,11 @@ __all__ = ["ParallelSimulation", "ParallelRunResult"]
 _TAG_TEACHER = TAG_FITNESS
 _TAG_LEARNER = TAG_FITNESS + 1
 
-#: Default for Nature's wait on a plain-protocol fitness return, per generation
-#: of the window it closes (``ParallelSimulation(fitness_timeout=...)``).
-#: Failing fast beats hanging the whole run when the ownership maps diverge,
-#: but the same deadline also bounds a legitimately slow worker — large
-#: memory-depth tables under ``eager_games`` can need more than the default.
+#: Default for Nature's wait on an eager run's fitness return, per generation
+#: of the window it closes (``ParallelSimulation(fitness_timeout=...)``; a lazy
+#: run never waits for one).  Failing fast beats hanging the whole run when the
+#: ownership maps diverge, but the same deadline also bounds a legitimately
+#: slow worker — large memory-depth tables can need more than the default.
 _DEFAULT_FITNESS_TIMEOUT = 120.0
 
 #: Most generations one frame of the collective tree closes: at ``pc_rate`` 0
@@ -105,8 +106,8 @@ class ParallelRunResult:
     n_ranks:
         World size the program ran on.
     games_played_per_rank:
-        Directed games each rank actually played (all zeros unless the run
-        was ``eager_games`` — lazy fitness only plays at PC events).
+        Directed eager-slate games each rank played (all zeros on a lazy
+        run, whose PC games Nature plays on its own replica, uncounted).
     """
 
     final: PackedMatrix | np.ndarray
@@ -173,46 +174,67 @@ def _rank_program(
 
     last = config.generations
     closed = 0  # the generation the previous frame's header named
-    decided = None  # Nature: its PCOutcome for ``closed``, the next frame's news
+    events = []  # Nature: what it applied since the last frame, the next frame's news
     opened = 0.0  # trace time the open generation began (a PC's stays open across frames)
     # Only slates and trace spans are per generation (a names-only tap reports
     # ``enabled`` False yet reads the spans): a lazy untraced rank touches
-    # nothing but the mutations that fired.
+    # nothing but the events of the generations that had one.
     every_generation = tracer is not NULL_TRACER or (eager_games and owned.size > 0)
 
-    def close(gen, update) -> None:
-        """Generation ``gen`` ends with its mutation, when one fired."""
+    def apply(event) -> None:
+        if isinstance(event, MutationUpdate):
+            population.set_strategy(event.sset, event.table)
+        elif event.adopted:
+            population.adopt(event.learner, event.teacher)
+
+    def record(gen, event) -> None:
+        """Nature: apply ``event`` to its replica now; it ships with the next frame."""
+        apply(event)
+        events.append((gen, event))
+
+    def close(gen, news) -> None:
+        """Generation ``gen`` ends with its events (Nature applied its own already)."""
         with tracer.span("mutation", rank=comm.rank, args={"gen": gen}):
-            if update is not None:
-                population.set_strategy(update.sset, update.table)
+            if nature is None:
+                for event in news:
+                    apply(event)
         tracer.complete(
             "generation", ts=opened, dur=tracer.now() - opened, rank=comm.rank, args={"gen": gen}
         )
 
     while True:
-        # One frame down the tree: everything Nature draws up to the next
-        # adoption decision (no fitness enters it), a cap's worth at most.
+        # One frame down the tree: everything Nature settles up to the cap.  A
+        # lazy PC's fitness is a function of Nature's own replica, generation
+        # and SSet, so Nature decides it; an eager PC ends the window.
         frame = None
         if nature is not None:
-            drawn, pc = nature.advance(
-                population.random_strategy_table, min(last, closed + _WINDOW_CAP)
-            )
+            while True:
+                drawn, pc = nature.advance(
+                    population.random_strategy_table, min(last, closed + _WINDOW_CAP)
+                )
+                for g, m in drawn:
+                    record(g, MutationUpdate(sset=m.sset, table=m.table))
+                if pc is None or eager_games:
+                    break
+                g, selection = pc
+                with tracer.span("pc_step", rank=comm.rank, args={"gen": g}):
+                    pi_t, pi_l = _pc_fitness(evaluator, g, selection.teacher, selection.learner)
+                    record(g, _pc_outcome(nature.decide_adoption(selection, pi_t, pi_l)))
             header = GenerationHeader(nature.closed)
             if pc is not None:
                 header = GenerationHeader(pc[0], pc[1].teacher, pc[1].learner)
-            fired = [(g, MutationUpdate(sset=m.sset, table=m.table)) for g, m in drawn]
-            frame, decided = (closed, decided, fired, header), None
+            frame, events = (closed, events, header), []
         with tracer.span("header", rank=comm.rank, args={"gen": closed + 1}):
-            was, outcome, mutations, header = comm.bcast(frame, root=decomp.nature_rank)
+            was, news, header = comm.bcast(frame, root=decomp.nature_rank)
         if was != closed:
             raise MPIError(f"rank {comm.rank} desynchronised: frame closes {was} != {closed}")
         gen = header.generation
-        updates = dict(mutations)  # this rank's own: a thread world shares the frame
-        if outcome is not None:  # ``closed`` had the PC: adoption, then its mutation
-            if outcome.adopted:
-                population.adopt(outcome.learner, outcome.teacher)
-            close(closed, updates.pop(closed, None))
-        for g in range(closed + 1, gen + 1) if every_generation else updates:
+        by_gen: dict[int, list] = {}
+        for g, event in news:
+            by_gen.setdefault(g, []).append(event)
+        if closed in by_gen:  # an eager PC left ``closed`` open: its outcome, then its mutation
+            close(closed, by_gen.pop(closed))
+        for g in range(closed + 1, gen + 1) if every_generation else by_gen:
             opened = tracer.now()
             if eager_games and owned.size:
                 # Faithful mode: every owned SSet plays its full opponent slate
@@ -223,8 +245,8 @@ def _rank_program(
                     evaluator.play_slates(owned, g, "eager")
                     games_played += owned.size * config.opponents_per_sset
             if g < gen or not header.has_pc:
-                close(g, updates.get(g))
-        if header.has_pc:
+                close(g, by_gen.get(g, ()))
+        if header.has_pc:  # eager only: the owners of the pair reply
             with tracer.span("pc_step", rank=comm.rank, args={"gen": gen}):
                 teacher, learner = header.pc_teacher, header.pc_learner
                 t_owner, l_owner = decomp.owner_of(teacher), decomp.owner_of(learner)
@@ -254,7 +276,7 @@ def _rank_program(
                             " ParallelSimulation(fitness_timeout=...)) or the ownership maps"
                             " diverged across ranks"
                         ) from exc
-                    decided = _pc_outcome(nature.decide_adoption(pc[1], pi_t, pi_l))
+                    record(gen, _pc_outcome(nature.decide_adoption(pc[1], pi_t, pi_l)))
         elif gen == last:
             break
         closed = gen
@@ -740,7 +762,8 @@ class ParallelSimulation:
         slate every generation — the paper's faithful workload (§IV-D),
         useful for validating the performance model's work accounting.
         Off by default: the trajectory only ever consumes fitness at PC
-        events, so lazy evaluation is equivalent and far cheaper.
+        events, so lazy evaluation — by Nature, on its own replica — is
+        equivalent and far cheaper.
     fault_plan:
         Optional :class:`~repro.mpi.faults.FaultPlan` describing the chaos
         to inject (message drops, delays, duplicates, corruptions, rank
@@ -755,11 +778,12 @@ class ParallelSimulation:
         declaring the rank failed (fault-tolerant protocol only).
     fitness_timeout:
         Seconds *per generation* Nature waits for a fitness return at a PC
-        event (collective-tree protocol only; default 120).  The wait covers
+        event (collective tree, ``eager_games`` only; default 120: a lazy run
+        never waits for one, Nature computes its PCs' fitness).  The wait covers
         every generation an eager worker plays inside the window
         ``closed+1..g``, so the deadline is ``fitness_timeout * (g - closed)``.
         Raise it for legitimately slow workers — large memory-depth tables,
-        eager games, loaded machines; the timeout firing raises
+        loaded machines; the timeout firing raises
         :class:`~repro.errors.MPIError` rather than hanging the run.
     checkpoint_dir:
         Directory for periodic :func:`~repro.io.checkpoints.save_parallel_checkpoint`

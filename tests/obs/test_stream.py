@@ -180,6 +180,19 @@ class TestFollowEvents:
             stop.set()
             assert list(it) == [{"n": 1}]
 
+    def test_lines_written_just_before_stop_are_not_lost(self, tmp_path):
+        """The writer appends and signals stop between the follower's read
+        and its stop check: the lines must still be yielded."""
+        path = tmp_path / "events.jsonl"
+        path.write_text("", encoding="utf-8")
+
+        def stop():
+            if path.stat().st_size == 0:
+                path.write_text('{"n": 1}\n', encoding="utf-8")
+            return True
+
+        assert list(follow_events(path, poll=0.01, stop=stop)) == [{"n": 1}]
+
 
 @pytest.mark.recovery
 class TestTapOnRealRun:

@@ -6,12 +6,15 @@ serial driver, because all randomness flows through the same named streams
 and all fitness evaluations are deterministic given the population state.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
 from repro.errors import MPIError
 from repro.game.noise import NoiseModel
+from repro.parallel.protocol import TAG_FITNESS
 from repro.parallel.runner import _WINDOW_CAP, ParallelSimulation
 from repro.population.dynamics import EvolutionDriver
 
@@ -75,21 +78,34 @@ class TestBitIdenticalTrajectories:
         assert par.n_mutations == serial.n_mutations
 
 
-def assert_traffic_is_the_protocol(cfg, n_ranks, backend, windows=None):
+def assert_traffic_is_the_protocol(cfg, n_ranks, backend, eager_games=False):
     """One bcast per window plus the digest allgather's bcast leg; a window
-    costs P-1 tree messages, a PC event two fitness returns, the allgather a
-    gather and a bcast leg.  ``windows`` defaults to one per PC event plus
-    the closing one (no window of ``cfg`` reaches the cap)."""
-    par = ParallelSimulation(cfg, n_ranks=n_ranks, backend=backend).run(timeout=300)
+    costs P-1 tree messages, the allgather a gather and a bcast leg.  A lazy
+    run's windows are cut only by the cap (Nature settles every PC itself);
+    an eager run's end at each PC event, which costs two fitness returns
+    (no window of an eager ``cfg`` here reaches the cap)."""
+    par = ParallelSimulation(
+        cfg, n_ranks=n_ranks, backend=backend, eager_games=eager_games
+    ).run(timeout=300)
     assert np.array_equal(par.matrix, serial_matrix(cfg))
-    if windows is None:
-        windows = par.n_pc_events + 1
+    if eager_games:
+        windows, returns = par.n_pc_events + 1, 2 * par.n_pc_events
+    else:
+        windows, returns = math.ceil(cfg.generations / _WINDOW_CAP), 0
     workers = n_ranks - 1
     assert par.counters["bcast"].calls == windows + 1
-    assert par.counters["send"].messages == (
-        windows * workers + 2 * par.n_pc_events + 2 * workers
-    )
+    assert par.counters["send"].messages == windows * workers + returns + 2 * workers
     return par
+
+
+def sends_to_nature(cfg, eager_games):
+    """Point-to-point messages that land on rank 0, counted by a trace."""
+    par = ParallelSimulation(cfg, n_ranks=3, eager_games=eager_games, trace=True).run()
+    assert np.array_equal(par.matrix, serial_matrix(cfg))
+    return par, [
+        e for e in par.trace.events()
+        if e.cat == "mpi.p2p" and e.name == "send" and e.args["dest"] == 0
+    ]
 
 
 HOST_BACKENDS = [
@@ -100,11 +116,11 @@ HOST_BACKENDS = [
 
 class TestCommunicationPattern:
     def test_bcast_count_matches_protocol(self):
-        """One frame per PC event, the closing frame, and the final digest
-        allgather's bcast leg: nothing is sent per generation."""
+        """A lazy run shorter than the cap is one frame and the final digest
+        allgather's bcast leg, however many PC events it has."""
         cfg = SimulationConfig(memory=1, n_ssets=6, generations=40, seed=2)
         par = assert_traffic_is_the_protocol(cfg, 3, "thread")
-        assert par.counters["bcast"].calls == par.n_pc_events + 2
+        assert par.counters["bcast"].calls == 2
         assert par.n_pc_events > 0
 
     @pytest.mark.parametrize("backend", HOST_BACKENDS)
@@ -113,23 +129,43 @@ class TestCommunicationPattern:
         assert_traffic_is_the_protocol(cfg, 3, backend)
 
     @pytest.mark.parametrize("backend", ["thread", *HOST_BACKENDS])
+    def test_an_eager_run_sends_one_frame_per_pc_event(self, backend):
+        """One frame per PC event, the closing frame, and the final digest
+        allgather's bcast leg: nothing is sent per generation."""
+        cfg = SimulationConfig(memory=1, n_ssets=6, generations=40, seed=2, rounds=10)
+        par = assert_traffic_is_the_protocol(cfg, 3, backend, eager_games=True)
+        assert par.counters["bcast"].calls == par.n_pc_events + 2
+        assert par.n_pc_events > 0
+
+    @pytest.mark.parametrize("backend", ["thread", *HOST_BACKENDS])
     def test_quiet_run_is_cut_into_capped_windows(self, backend):
         """Without PC events a frame closes at most ``_WINDOW_CAP`` generations."""
         cfg = SimulationConfig(
             memory=1, n_ssets=6, generations=2 * _WINDOW_CAP + 10, seed=2, pc_rate=0.0
         )
-        par = assert_traffic_is_the_protocol(cfg, 3, backend, windows=3)
+        par = assert_traffic_is_the_protocol(cfg, 3, backend)
+        assert par.counters["bcast"].calls == 3 + 1
         assert par.n_pc_events == 0 and par.n_mutations > 0
 
     def test_fitness_returns_are_point_to_point(self):
+        """An eager PC costs exactly its two fitness returns to rank 0."""
+        cfg = SimulationConfig(
+            memory=1, n_ssets=6, generations=30, seed=2, pc_rate=1.0, mutation_rate=0.0,
+            rounds=10,
+        )
+        par, to_nature = sends_to_nature(cfg, eager_games=True)
+        returns = [e for e in to_nature if e.args["tag"] in (TAG_FITNESS, TAG_FITNESS + 1)]
+        assert len(returns) == 2 * par.n_pc_events == 2 * cfg.generations
+        assert len(to_nature) == len(returns) + 2  # and the digest gather's two legs
+
+    def test_a_lazy_run_sends_nature_nothing_but_the_digest(self):
+        """Nature settles every lazy PC on its own replica: no fitness return."""
         cfg = SimulationConfig(
             memory=1, n_ssets=6, generations=30, seed=2, pc_rate=1.0, mutation_rate=0.0
         )
-        par = ParallelSimulation(cfg, n_ranks=3).run()
-        # Every generation has a PC -> exactly 2 fitness messages land at
-        # the Nature rank per generation, plus collective-internal traffic.
-        sends = par.counters["send"].messages
-        assert sends >= 2 * cfg.generations
+        par, to_nature = sends_to_nature(cfg, eager_games=False)
+        assert par.n_pc_events == cfg.generations
+        assert len(to_nature) == 2  # the digest gather's two legs
 
 
 class TestValidation:

@@ -1,9 +1,11 @@
 """The collective tree's windows against the serial oracle.
 
-A frame closes every generation up to the next PC event, so the corner cases
-are where a window is shortest, longest or last: a PC every generation, no PC
-at all, a PC on the final generation, a one-generation run — and eager play,
-whose slates must still see the population one generation at a time.
+A lazy frame closes every generation up to the cap, deciding its PC events on
+Nature's replica on the way; an eager frame stops at the next PC event.  The
+corner cases are where a window is shortest, longest or last: a PC every
+generation, a PC on a cap boundary, no PC at all, a PC on the final
+generation, a one-generation run — and eager play, whose slates must still see
+the population one generation at a time.
 """
 
 import time
@@ -45,8 +47,11 @@ def assert_matches_serial(cfg, n_ranks, backend, **kwargs):
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestWindowEdges:
     def test_pc_every_generation_makes_one_generation_windows(self, backend):
-        cfg = SimulationConfig(memory=1, n_ssets=6, generations=30, seed=4, pc_rate=1.0)
-        par = assert_matches_serial(cfg, 3, backend)
+        """Eager: each PC ends its window, since its owners must reply."""
+        cfg = SimulationConfig(
+            memory=1, n_ssets=6, generations=30, seed=4, pc_rate=1.0, rounds=10
+        )
+        par = assert_matches_serial(cfg, 3, backend, eager_games=True)
         assert par.counters["bcast"].calls == cfg.generations + 2
 
     def test_no_pc_means_no_fitness_message(self, backend):
@@ -77,6 +82,20 @@ class TestWindowEdges:
         cfg = SimulationConfig(memory=1, n_ssets=3, generations=40, seed=6, pc_rate=0.3)
         assert_matches_serial(cfg, 6, backend)
         assert_matches_serial(cfg, 6, backend, eager_games=True)
+
+
+@pytest.mark.parametrize("backend", [*BACKENDS, pytest.param("tcp", marks=pytest.mark.tcp)])
+def test_a_lazy_run_with_a_pc_every_generation_fills_its_windows_to_the_cap(backend):
+    """Lazy: Nature decides every PC itself, so only the cap cuts a window —
+    here right after a PC on each cap boundary."""
+    cfg = SimulationConfig(
+        memory=1, n_ssets=6, generations=2 * runner._WINDOW_CAP + 10, seed=4, pc_rate=1.0
+    )
+    records = serial(cfg)[1]
+    assert all(records[k * runner._WINDOW_CAP - 1].pc is not None for k in (1, 2))
+    par = assert_matches_serial(cfg, 3, backend)
+    assert par.n_pc_events == cfg.generations
+    assert par.counters["bcast"].calls == 3 + 1  # three frames, then the digest's leg
 
 
 def test_a_names_only_tap_still_reads_every_generation():
@@ -182,6 +201,6 @@ class TestFitnessDeadline:
     def test_a_worker_that_never_replies_still_fails_with_both_causes(self, monkeypatch):
         cfg = SimulationConfig(memory=1, n_ssets=4, generations=10, seed=5, pc_rate=1.0)
         monkeypatch.setattr(runner, "_pc_fitness", lambda *args: (None, None))
-        sim = ParallelSimulation(cfg, n_ranks=2, fitness_timeout=0.05)
+        sim = ParallelSimulation(cfg, n_ranks=2, eager_games=True, fitness_timeout=0.05)
         with pytest.raises(MPIError, match=r"window 1\.\.1.*too slow.*ownership maps diverged"):
             sim.run(timeout=60)
