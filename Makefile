@@ -27,9 +27,11 @@ test-procexec:
 	pytest tests/ -m procexec
 
 # Self-healing runs: worker respawn under real process kills, supervised
-# restarts from torn checkpoints, and SIGKILL-mid-checkpoint recovery.
+# restarts from torn checkpoints, and SIGKILL-mid-checkpoint recovery; then
+# the checkpoint format's own suite (serial and star resume each other).
 test-recovery:
 	pytest tests/ -m recovery
+	pytest tests/io/test_checkpoints.py tests/parallel/test_resume.py
 
 # Multi-host TCP transport: framing/resumption unit tests plus loopback
 # multi-host chaos runs (partitions, connection resets, a respawned crash).

@@ -1,6 +1,6 @@
 """Run records, checkpointing and the keyed run store.
 
-* :mod:`repro.io.records` — CSV event logs and JSON run metadata.
+* :mod:`repro.io.records` — JSON run metadata and config records.
 * :mod:`repro.io.checkpoints` — bit-exact save/resume of evolution runs.
 * :mod:`repro.io.runstore` — tenant/run-keyed store of specs, checkpoints,
   event logs and digest-verified results (the run service's durable layer).
@@ -10,9 +10,7 @@ from repro.io.checkpoints import CHECKPOINT_VERSION, load_checkpoint, save_check
 from repro.io.records import (
     config_from_dict,
     config_to_dict,
-    read_event_csv,
     read_run_metadata,
-    write_event_csv,
     write_run_metadata,
 )
 from repro.io.runstore import RunKey, RunStore, StoredResult
@@ -26,8 +24,6 @@ __all__ = [
     "StoredResult",
     "config_from_dict",
     "config_to_dict",
-    "read_event_csv",
     "read_run_metadata",
-    "write_event_csv",
     "write_run_metadata",
 ]

@@ -1,28 +1,34 @@
 """Checkpoint and resume for long evolution runs.
 
 The paper's science runs span 10^7 generations; being able to stop and
-resume *bit-exactly* matters.  A checkpoint captures the configuration, the
-population matrix, the generation counter, and — the subtle part — the
-position of every random stream the run has consumed, so a resumed driver
-continues the exact trajectory the uninterrupted run would have produced
-(the tests assert this).
+resume *bit-exactly* matters.  Every worker's randomness is keyed by
+``(generation, sset)``, so a run's whole resumable cursor is the Nature
+Agent's: the position of its ``("nature",)`` stream, its three event
+counters, the generation it has closed, plus the population matrix and the
+configuration.  :class:`ParallelCheckpoint` is exactly that, and it is the
+one on-disk run state: the serial driver (:func:`save_checkpoint` /
+:func:`load_checkpoint`) and the parallel runner write and read the same
+file, so either resumes the other's checkpoint on the exact trajectory the
+uninterrupted run would have produced (the tests assert this).
 
 Format: a single ``.npz`` file holding the strategy matrix plus a JSON blob
-for everything else (stream states are PCG64 state dicts, which are plain
-integers).  No pickle — checkpoints are safe to share.
+for everything else (the stream state is a PCG64 state dict, plain
+integers).  No pickle — checkpoints are safe to share.  Files from the
+serial driver's earlier writer (no ``kind``; every cached stream under a
+``streams`` dict) still load: only their ``'nature'`` entry is cursor state.
 
 Crash consistency
 -----------------
 Checkpoints are written for the express purpose of surviving a crash, so
-the write itself must survive one too.  Both writers stage the file under a
-temporary name in the destination directory, flush and ``fsync`` it, then
-``os.replace`` it into place — on POSIX filesystems the final path either
-holds the complete old file or the complete new one, never a torn hybrid.
-Each file also embeds a content digest (over the matrix bytes and the
-metadata) that :func:`load_checkpoint`/:func:`load_parallel_checkpoint`
-verify, so silent corruption raises :class:`~repro.errors.CheckpointError`
-naming the file instead of resuming from garbage.  When a directory may
-still hold damaged files from pre-atomic writers (or torn by hardware),
+the write itself must survive one too.  The writer stages the file under a
+temporary name in the destination directory, flushes and ``fsync`` s it,
+then ``os.replace`` s it into place — on POSIX filesystems the final path
+either holds the complete old file or the complete new one, never a torn
+hybrid.  Each file also embeds a content digest (over the matrix bytes and
+the metadata) that :func:`load_parallel_checkpoint` verifies, so silent
+corruption raises :class:`~repro.errors.CheckpointError` naming the file
+instead of resuming from garbage.  When a directory may still hold damaged
+files from pre-atomic writers (or torn by hardware),
 :func:`latest_valid_parallel_checkpoint` scans back to the newest file that
 actually loads.
 """
@@ -44,7 +50,9 @@ from repro.config import SimulationConfig
 from repro.errors import CheckpointError
 from repro.io.records import config_from_dict, config_to_dict
 from repro.population.dynamics import EvolutionDriver
+from repro.population.nature import NatureAgent
 from repro.population.population import Population
+from repro.rng import stream_for
 
 __all__ = [
     "save_checkpoint",
@@ -55,18 +63,18 @@ __all__ = [
     "load_parallel_checkpoint",
     "latest_valid_parallel_checkpoint",
     "write_torn_parallel_checkpoint",
-    "PARALLEL_CHECKPOINT_VERSION",
 ]
 
 #: Version 2 added the embedded content digest; version-1 files (no digest)
 #: still load for backward compatibility.
 CHECKPOINT_VERSION = 2
 
-PARALLEL_CHECKPOINT_VERSION = 2
-
 _COMPATIBLE_VERSIONS = (1, 2)
 
-_PARALLEL_CKPT_RE = re.compile(r"^ckpt_(\d{8})\.npz$")
+_CKPT_RE = re.compile(r"^ckpt_\d{8}\.npz$")
+
+#: How the serial driver's earlier writer keyed the ``("nature",)`` stream.
+_LEGACY_NATURE_KEY = json.dumps([repr("nature")])
 
 
 def _content_digest(matrix: np.ndarray, meta: dict) -> str:
@@ -132,132 +140,18 @@ def _read_npz(path: Path) -> tuple[np.ndarray, dict]:
     return matrix, meta
 
 
-def _verify_digest(path: Path, matrix: np.ndarray, meta: dict) -> None:
-    """Check the embedded content digest (required from version 2 on)."""
-    if int(meta.get("version", 0)) < 2:
-        return  # version-1 files predate the digest
-    stored = meta.get("digest")
-    if stored is None:
-        raise CheckpointError(f"checkpoint {path} (version 2) is missing its content digest")
-    actual = _content_digest(matrix, meta)
-    if stored != actual:
-        raise CheckpointError(
-            f"checkpoint {path} failed its content check"
-            f" (stored digest {stored}, computed {actual}) — the file is corrupt"
-        )
-
-
-def _check_version(path: Path, meta: dict, expected: int) -> None:
-    if meta.get("version") not in _COMPATIBLE_VERSIONS:
-        raise CheckpointError(
-            f"checkpoint {path} version {meta.get('version')} unsupported"
-            f" (expected one of {_COMPATIBLE_VERSIONS}, current {expected})"
-        )
-
-
-def _stream_states(driver: EvolutionDriver) -> dict:
-    """Serialise the positions of all streams the driver has touched."""
-    out = {}
-    for key, gen in driver.streams._cache.items():
-        state = gen.bit_generator.state
-        out[json.dumps([repr(k) for k in key])] = {
-            "bit_generator": state["bit_generator"],
-            "state": state["state"]["state"],
-            "inc": state["state"]["inc"],
-            "has_uint32": state["has_uint32"],
-            "uinteger": state["uinteger"],
-        }
-    return out
-
-
-def _restore_stream_states(driver: EvolutionDriver, states: dict) -> None:
-    reverse = {json.dumps([repr(k) for k in key]): key for key in _expected_keys(driver, states)}
-    for encoded, st in states.items():
-        key = reverse.get(encoded)
-        if key is None:
-            raise CheckpointError(f"checkpoint stream key {encoded} cannot be re-derived")
-        gen = driver.streams.stream(*key)
-        gen.bit_generator.state = {
-            "bit_generator": st["bit_generator"],
-            "state": {"state": int(st["state"]), "inc": int(st["inc"])},
-            "has_uint32": int(st["has_uint32"]),
-            "uinteger": int(st["uinteger"]),
-        }
-
-
-def _expected_keys(driver: EvolutionDriver, states: dict) -> list[tuple]:
-    """Reconstruct stream keys from their encoded forms.
-
-    Keys used by the serial driver are tuples of strings/ints; the encoding
-    stores ``repr`` of each component, which we parse back with a literal
-    eval restricted to those types.
-    """
-    import ast
-
-    keys = []
-    for encoded in states:
-        parts = json.loads(encoded)
-        key = tuple(ast.literal_eval(p) for p in parts)
-        keys.append(key)
-    return keys
-
-
-def save_checkpoint(driver: EvolutionDriver, path: str | Path) -> None:
-    """Write the driver's full resumable state to ``path`` (.npz).
-
-    The write is crash-consistent (temp file + fsync + atomic rename) and
-    the file embeds a content digest verified by :func:`load_checkpoint`.
-    """
-    path = Path(path)
-    matrix = driver.population.matrix()
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "config": config_to_dict(driver.config),
-        "generation": driver.generation,
-        "streams": _stream_states(driver),
-        "nature": {
-            "n_pc_events": driver.nature.n_pc_events,
-            "n_adoptions": driver.nature.n_adoptions,
-            "n_mutations": driver.nature.n_mutations,
-        },
-    }
-    meta["digest"] = _content_digest(matrix, meta)
-    _atomic_savez(path, matrix, meta)
-
-
-def load_checkpoint(path: str | Path) -> EvolutionDriver:
-    """Rebuild a driver from a checkpoint; it resumes the exact trajectory."""
-    path = Path(path)
-    matrix, meta = _read_npz(path)
-    _check_version(path, meta, CHECKPOINT_VERSION)
-    _verify_digest(path, matrix, meta)
-    config = config_from_dict(meta["config"])
-    population = Population(config, matrix)
-    driver = EvolutionDriver(config, population=population)
-    driver.generation = int(meta["generation"])
-    _restore_stream_states(driver, meta["streams"])
-    nature = meta.get("nature", {})
-    driver.nature.n_pc_events = int(nature.get("n_pc_events", 0))
-    driver.nature.n_adoptions = int(nature.get("n_adoptions", 0))
-    driver.nature.n_mutations = int(nature.get("n_mutations", 0))
-    return driver
-
-
-# -- parallel (fault-tolerant) checkpoints --------------------------------------------
-
-
 @dataclass(frozen=True)
 class ParallelCheckpoint:
-    """Resumable state of a :class:`~repro.parallel.runner.ParallelSimulation`.
+    """Resumable state of a run, serial or parallel.
 
     Because every rank's population replica is identical and all worker
     randomness is keyed by ``(generation, sset)``, the only cursor state a
-    parallel run carries is the Nature Agent's: its sequential
-    ``("nature",)`` PCG64 stream position and its event counters.  A resumed
-    run therefore continues the exact trajectory from ``generation + 1`` at
-    *any* rank count, in a fresh world whose ranks are all alive.  (Files
-    from writers that also stored the run's failed ranks still load; that
-    key is not read.)
+    run carries is the Nature Agent's: its sequential ``("nature",)`` PCG64
+    stream position and its event counters.  A resumed run therefore
+    continues the exact trajectory from ``generation + 1`` in the serial
+    driver or at *any* rank count, in a fresh world whose ranks are all
+    alive.  (Files from writers that also stored the run's failed ranks
+    still load; that key is not read.)
     """
 
     config: SimulationConfig
@@ -267,6 +161,41 @@ class ParallelCheckpoint:
     n_pc_events: int
     n_adoptions: int
     n_mutations: int
+
+    @classmethod
+    def capture(cls, nature: NatureAgent, matrix: np.ndarray) -> "ParallelCheckpoint":
+        """The cursor of a run whose Nature stands on a generation boundary."""
+        return cls(
+            nature.config, nature.closed, matrix, nature.rng_state,
+            nature.n_pc_events, nature.n_adoptions, nature.n_mutations,
+        )
+
+    def restore(self, nature: NatureAgent) -> None:
+        """Put a freshly built ``nature`` where this checkpoint's run stood."""
+        nature.rng_state = self.nature_rng_state
+        nature.n_pc_events = self.n_pc_events
+        nature.n_adoptions = self.n_adoptions
+        nature.n_mutations = self.n_mutations
+        nature.closed = self.generation
+
+
+def save_checkpoint(driver: EvolutionDriver, path: str | Path) -> Path:
+    """Write the serial driver's resumable state to ``path`` (.npz); returns it.
+
+    The file is :func:`save_parallel_checkpoint`'s, so the parallel runner
+    resumes it too.
+    """
+    return save_parallel_checkpoint(
+        ParallelCheckpoint.capture(driver.nature, driver.population.matrix()), path
+    )
+
+
+def load_checkpoint(path: str | Path) -> EvolutionDriver:
+    """Rebuild a serial driver from any run checkpoint; it resumes the exact trajectory."""
+    state = load_parallel_checkpoint(path)
+    driver = EvolutionDriver(state.config, population=Population(state.config, state.matrix))
+    state.restore(driver.nature)
+    return driver
 
 
 def _rng_state_to_json(state: dict) -> dict:
@@ -298,7 +227,7 @@ def _parallel_ckpt_path(state: ParallelCheckpoint, path: str | Path) -> Path:
 
 def _parallel_ckpt_meta(state: ParallelCheckpoint) -> dict:
     meta = {
-        "version": PARALLEL_CHECKPOINT_VERSION,
+        "version": CHECKPOINT_VERSION,
         "kind": "parallel",
         "config": config_to_dict(state.config),
         "generation": int(state.generation),
@@ -314,7 +243,7 @@ def _parallel_ckpt_meta(state: ParallelCheckpoint) -> dict:
 
 
 def save_parallel_checkpoint(state: ParallelCheckpoint, path: str | Path) -> Path:
-    """Write a parallel run's resumable state to ``path`` (.npz); returns it.
+    """Write a run's resumable state to ``path`` (.npz); returns it.
 
     When ``path`` is a directory, the file is named ``ckpt_<generation>.npz``
     inside it, which is the layout :func:`latest_valid_parallel_checkpoint`
@@ -351,36 +280,53 @@ def write_torn_parallel_checkpoint(
 
 
 def load_parallel_checkpoint(path: str | Path) -> ParallelCheckpoint:
-    """Read back a :func:`save_parallel_checkpoint` file."""
+    """Read back a run checkpoint, verifying its version and content digest.
+
+    Reads what :func:`save_parallel_checkpoint` writes and the serial
+    driver's earlier files alike; any other ``kind`` raises
+    :class:`~repro.errors.CheckpointError` naming the file.
+    """
     path = Path(path)
     matrix, meta = _read_npz(path)
-    if meta.get("kind") != "parallel":
-        raise CheckpointError(f"{path} is not a parallel checkpoint (kind={meta.get('kind')!r})")
-    _check_version(path, meta, PARALLEL_CHECKPOINT_VERSION)
-    _verify_digest(path, matrix, meta)
+    kind = meta.get("kind")
+    if kind == "parallel":
+        rng = meta["nature_rng"]
+    elif kind is None and isinstance(meta.get("streams"), dict):
+        # The serial driver's earlier file: every other stream it cached is
+        # drawn fresh per use, and a missing entry was never drawn from.
+        rng = meta["streams"].get(_LEGACY_NATURE_KEY)
+    else:
+        raise CheckpointError(f"{path} is not a run checkpoint (kind={kind!r})")
+    version = meta.get("version")
+    if version not in _COMPATIBLE_VERSIONS:
+        raise CheckpointError(
+            f"checkpoint {path} version {version} unsupported"
+            f" (expected one of {_COMPATIBLE_VERSIONS}, current {CHECKPOINT_VERSION})"
+        )
+    if version >= 2:  # version-1 files predate the digest
+        stored, actual = meta.get("digest"), _content_digest(matrix, meta)
+        if stored is None:
+            raise CheckpointError(f"checkpoint {path} (version 2) is missing its content digest")
+        if stored != actual:
+            raise CheckpointError(
+                f"checkpoint {path} failed its content check"
+                f" (stored digest {stored}, computed {actual}) — the file is corrupt"
+            )
+    config = config_from_dict(meta["config"])
     nature = meta.get("nature", {})
     return ParallelCheckpoint(
-        config=config_from_dict(meta["config"]),
+        config=config,
         generation=int(meta["generation"]),
         matrix=matrix,
-        nature_rng_state=_rng_state_from_json(meta["nature_rng"]),
+        nature_rng_state=(
+            _rng_state_from_json(rng)
+            if rng is not None
+            else stream_for(config.seed, "nature").bit_generator.state
+        ),
         n_pc_events=int(nature.get("n_pc_events", 0)),
         n_adoptions=int(nature.get("n_adoptions", 0)),
         n_mutations=int(nature.get("n_mutations", 0)),
     )
-
-
-def _ranked_parallel_checkpoints(directory: str | Path) -> list[tuple[int, Path]]:
-    directory = Path(directory)
-    if not directory.is_dir():
-        return []
-    found = []
-    for entry in directory.iterdir():
-        match = _PARALLEL_CKPT_RE.match(entry.name)
-        if match is not None:
-            found.append((int(match.group(1)), entry))
-    found.sort(reverse=True)
-    return found
 
 
 def latest_valid_parallel_checkpoint(directory: str | Path) -> Path | None:
@@ -391,7 +337,9 @@ def latest_valid_parallel_checkpoint(directory: str | Path) -> Path | None:
     stepping past files torn by a mid-write kill or corrupted on disk.
     Returns ``None`` when no checkpoint in the directory is usable.
     """
-    for _, entry in _ranked_parallel_checkpoints(directory):
+    # Eight zero-padded digits: name order is generation order.
+    found = sorted(p for p in Path(directory).glob("ckpt_*.npz") if _CKPT_RE.match(p.name))
+    for entry in reversed(found):
         try:
             load_parallel_checkpoint(entry)
         except CheckpointError:

@@ -1,31 +1,26 @@
-"""Run records: CSV event logs and JSON run metadata.
+"""Run records: JSON run metadata.
 
 The paper's Nature Agent "handles all file I/O to record the global
 variables across generations"; these writers are that records-keeper.
-:func:`write_event_csv` dumps a generation-event log,
-:func:`write_run_metadata` the run's configuration and summary, and
+:func:`write_run_metadata` dumps the run's configuration and summary, and
 :func:`config_to_dict` / :func:`config_from_dict` round-trip a
 :class:`~repro.config.SimulationConfig` through plain JSON types.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.config import SimulationConfig
 from repro.errors import CheckpointError
 from repro.game.noise import NoiseModel
 from repro.game.payoff import PayoffMatrix
-from repro.population.observers import GenerationRecord
 
 __all__ = [
     "config_to_dict",
     "config_from_dict",
-    "write_event_csv",
-    "read_event_csv",
     "write_run_metadata",
     "read_run_metadata",
 ]
@@ -79,50 +74,6 @@ def config_from_dict(data: Mapping) -> SimulationConfig:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed config record: {exc}") from exc
-
-
-_EVENT_FIELDS = [
-    "generation",
-    "pc_teacher",
-    "pc_learner",
-    "pi_teacher",
-    "pi_learner",
-    "adopted",
-    "mutation_sset",
-    "n_unique",
-]
-
-
-def write_event_csv(path: str | Path, records: Iterable[GenerationRecord]) -> int:
-    """Write generation records to CSV; returns the row count."""
-    path = Path(path)
-    count = 0
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_EVENT_FIELDS)
-        writer.writeheader()
-        for rec in records:
-            row = {
-                "generation": rec.generation,
-                "pc_teacher": rec.pc.teacher if rec.pc else "",
-                "pc_learner": rec.pc.learner if rec.pc else "",
-                "pi_teacher": rec.pc.pi_teacher if rec.pc else "",
-                "pi_learner": rec.pc.pi_learner if rec.pc else "",
-                "adopted": int(rec.pc.adopted) if rec.pc else "",
-                "mutation_sset": rec.mutation.sset if rec.mutation else "",
-                "n_unique": rec.n_unique,
-            }
-            writer.writerow(row)
-            count += 1
-    return count
-
-
-def read_event_csv(path: str | Path) -> list[dict]:
-    """Read an event CSV back into dicts (strings preserved as written)."""
-    path = Path(path)
-    if not path.exists():
-        raise CheckpointError(f"event log not found: {path}")
-    with path.open(newline="") as fh:
-        return list(csv.DictReader(fh))
 
 
 def write_run_metadata(path: str | Path, config: SimulationConfig, summary: Mapping) -> None:

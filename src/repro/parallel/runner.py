@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -315,10 +315,8 @@ class _FTOptions:
     heartbeat_timeout: float = 5.0
     checkpoint_dir: str | None = None
     checkpoint_every: int = 0
-    start_generation: int = 0
-    start_matrix: np.ndarray | None = None
-    start_nature_rng: dict | None = None
-    start_counters: tuple[int, int, int] = (0, 0, 0)
+    #: The checkpoint a resumed run continues from (None: generation 0).
+    start: ParallelCheckpoint | None = None
 
 
 def _pc_outcome(decision) -> PCOutcome:
@@ -348,10 +346,10 @@ def _rank_program_ft(comm: Comm, config: SimulationConfig, eager_games: bool, op
         # population is stale (the run has moved on since generation 0), so
         # skip straight to the rejoin handshake with Nature.
         return _ft_worker_respawned(comm, config, eager_games, streams)
-    if opts.start_matrix is None:
+    if opts.start is None:
         population = Population.random(config, streams.fresh("init"))
     else:
-        population = Population(config, np.array(opts.start_matrix, copy=True))
+        population = Population(config, opts.start.matrix)
     evaluator = FitnessEvaluator(config, population, streams)
     if comm.rank == 0:
         return _ft_nature(comm, config, population, evaluator, streams, opts)
@@ -482,10 +480,8 @@ def _ft_worker_loop(comm, config, eager_games, population, evaluator, min_genera
 
 def _ft_nature(comm, config, population, evaluator, streams, opts) -> dict:
     nature = NatureAgent(config, streams)
-    if opts.start_nature_rng is not None:
-        streams.stream("nature").bit_generator.state = opts.start_nature_rng
-        nature.n_pc_events, nature.n_adoptions, nature.n_mutations = opts.start_counters
-    nature.closed = opts.start_generation
+    if opts.start is not None:
+        opts.start.restore(nature)
     failed: set[int] = set()
     live = list(range(1, comm.size))
     degradations: list[DegradationEvent] = []
@@ -612,7 +608,7 @@ def _ft_nature(comm, config, population, evaluator, streams, opts) -> dict:
                 )
             )
 
-    for gen in range(opts.start_generation + 1, config.generations + 1):
+    for gen in range(nature.closed + 1, config.generations + 1):
         gen_span = tracer.span("generation", rank=comm.rank, args={"gen": gen})
         gen_span.__enter__()
         comm.fault_point(gen)
@@ -699,15 +695,7 @@ def _ft_nature(comm, config, population, evaluator, streams, opts) -> dict:
             and gen % opts.checkpoint_every == 0
         ):
             with tracer.span("checkpoint", rank=comm.rank, args={"gen": gen}):
-                state = ParallelCheckpoint(
-                    config=config,
-                    generation=gen,
-                    matrix=population.matrix(),
-                    nature_rng_state=streams.stream("nature").bit_generator.state,
-                    n_pc_events=nature.n_pc_events,
-                    n_adoptions=nature.n_adoptions,
-                    n_mutations=nature.n_mutations,
-                )
+                state = ParallelCheckpoint.capture(nature, population.matrix())
                 if comm.checkpoint_fault_point(gen):
                     # Injected kill_during_checkpoint: reproduce the
                     # pre-atomic-write failure mode — partial bytes at the
@@ -956,19 +944,7 @@ class ParallelSimulation:
                 path = found
             checkpoint = load_parallel_checkpoint(path)
         sim = cls(checkpoint.config, n_ranks, fault_tolerant=True, **kwargs)
-        sim._start = _FTOptions(
-            heartbeat_timeout=sim.heartbeat_timeout,
-            checkpoint_dir=sim.checkpoint_dir,
-            checkpoint_every=sim.checkpoint_every,
-            start_generation=checkpoint.generation,
-            start_matrix=checkpoint.matrix,
-            start_nature_rng=checkpoint.nature_rng_state,
-            start_counters=(
-                checkpoint.n_pc_events,
-                checkpoint.n_adoptions,
-                checkpoint.n_mutations,
-            ),
-        )
+        sim._start = replace(sim._start, start=checkpoint)
         return sim
 
     def _finish_trace(self, spmd) -> None:

@@ -239,18 +239,15 @@ class SupervisedRun:
             trace=self.tracer if self.tracer is not None else False,
             **self.sim_kwargs,
         )
-        found = (
-            latest_valid_parallel_checkpoint(self.checkpoint_dir)
-            if self.checkpoint_dir.is_dir()
-            else None
-        )
+        found = latest_valid_parallel_checkpoint(self.checkpoint_dir)
         if found is None:
             sim = ParallelSimulation(
                 self.config, self.n_ranks, fault_tolerant=True, **common
             )
             return sim, None, 0
-        sim = ParallelSimulation.resume(found, self.n_ranks, **common)
-        return sim, str(found), sim._start.start_generation
+        start = load_parallel_checkpoint(found)
+        sim = ParallelSimulation.resume(start, self.n_ranks, **common)
+        return sim, str(found), start.generation
 
     @classmethod
     def from_spec(

@@ -97,6 +97,16 @@ class NatureAgent:
         #: fired: ``"adoption"`` (undecided), then ``"mutation"``; else None.
         self._owes: str | None = None
 
+    @property
+    def rng_state(self) -> dict:
+        """Position of the ``("nature",)`` stream: with the counters and
+        :attr:`closed`, a run's whole resumable cursor."""
+        return self._rng.bit_generator.state
+
+    @rng_state.setter
+    def rng_state(self, state: dict) -> None:
+        self._rng.bit_generator.state = state
+
     def advance(
         self, draw_table, upto: int
     ) -> tuple[list[tuple[int, MutationSelection]], tuple[int, PCSelection] | None]:

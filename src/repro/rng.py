@@ -71,13 +71,12 @@ class StreamFactory:
     True
     """
 
-    __slots__ = ("root_seed", "_prefix", "_cache")
+    __slots__ = ("root_seed", "_cache")
 
-    def __init__(self, root_seed: int, _prefix: tuple[object, ...] = ()) -> None:
+    def __init__(self, root_seed: int) -> None:
         if not isinstance(root_seed, (int, np.integer)):
             raise TypeError(f"root_seed must be an int, got {type(root_seed).__name__}")
         self.root_seed = int(root_seed)
-        self._prefix = tuple(_prefix)
         self._cache: dict[tuple[object, ...], np.random.Generator] = {}
 
     def stream(self, *key: object) -> np.random.Generator:
@@ -87,28 +86,15 @@ class StreamFactory:
         so consumers share position in the stream — which is what you want
         when e.g. the Nature Agent draws repeatedly across generations.
         """
-        k = self._prefix + tuple(key)
-        gen = self._cache.get(k)
+        gen = self._cache.get(key)
         if gen is None:
-            gen = stream_for(self.root_seed, *k)
-            self._cache[k] = gen
+            gen = stream_for(self.root_seed, *key)
+            self._cache[key] = gen
         return gen
 
     def fresh(self, *key: object) -> np.random.Generator:
         """Return a brand-new generator for ``key``, rewound to the stream start."""
-        return stream_for(self.root_seed, *self._prefix, *key)
-
-    def child(self, *key: object) -> "StreamFactory":
-        """Return a factory whose streams live under the ``key`` namespace.
-
-        ``factory.child("rank", r).stream("games")`` draws from the same
-        stream as ``factory.stream("rank", r, "games")`` (independent cache,
-        identical seed derivation).
-        """
-        return StreamFactory(self.root_seed, self._prefix + tuple(key))
+        return stream_for(self.root_seed, *key)
 
     def __repr__(self) -> str:
-        return (
-            f"StreamFactory(root_seed={self.root_seed}, prefix={self._prefix!r},"
-            f" cached={len(self._cache)})"
-        )
+        return f"StreamFactory(root_seed={self.root_seed}, cached={len(self._cache)})"

@@ -130,13 +130,20 @@ class TestParallelCheckpoints:
         assert latest_valid_parallel_checkpoint(tmp_path) is None
         assert latest_valid_parallel_checkpoint(tmp_path / "nope") is None
 
-    def test_serial_checkpoint_rejected_as_parallel(self, tmp_path, small_config):
-        driver = EvolutionDriver(small_config)
-        driver.run(5)
-        path = tmp_path / "serial.npz"
-        save_checkpoint(driver, path)
-        with pytest.raises(CheckpointError, match="not a parallel checkpoint"):
-            load_parallel_checkpoint(path)
+    def test_unknown_kind_rejected(self, tmp_path, small_config):
+        path = save_parallel_checkpoint(_parallel_state(small_config, 5), tmp_path / "x.npz")
+        with np.load(path) as data:
+            matrix = data["matrix"].copy()
+            meta = json.loads(bytes(data["meta"].tobytes()).decode())
+        meta["kind"] = "result"
+        meta["digest"] = ckpt_mod._content_digest(matrix, meta)
+        with open(path, "wb") as fh:
+            np.savez_compressed(
+                fh, matrix=matrix, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+            )
+        for load in (load_parallel_checkpoint, load_checkpoint):
+            with pytest.raises(CheckpointError, match=f"{path} is not a run checkpoint"):
+                load(path)
 
     def test_missing_parallel_file(self, tmp_path):
         with pytest.raises(CheckpointError):

@@ -1,4 +1,4 @@
-"""Tests for event logs and run metadata."""
+"""Tests for config records and run metadata."""
 
 import json
 
@@ -12,15 +12,12 @@ from repro.io.checkpoints import load_checkpoint, load_parallel_checkpoint, save
 from repro.io.records import (
     config_from_dict,
     config_to_dict,
-    read_event_csv,
     read_run_metadata,
-    write_event_csv,
     write_run_metadata,
 )
 from repro.io.runstore import RunStore
 from repro.parallel import ParallelSimulation, RunSpec
 from repro.population.dynamics import EvolutionDriver
-from repro.population.observers import HistoryObserver
 from repro.service.fsck import fsck_store, main as fsck_main
 
 
@@ -120,34 +117,6 @@ class TestConfigRoundtrip:
         store.save_result(key, resumed)
         assert [run.state for run in fsck_store(store.root).runs] == ["healthy"]
         assert fsck_main(["fsck", "--root", str(store.root)]) == 0
-
-
-class TestEventCsv:
-    def test_roundtrip_row_count(self, tmp_path, small_config):
-        history = HistoryObserver()
-        EvolutionDriver(small_config, observers=[history]).run()
-        path = tmp_path / "events.csv"
-        count = write_event_csv(path, history.records)
-        assert count == small_config.generations
-        rows = read_event_csv(path)
-        assert len(rows) == count
-        assert rows[0]["generation"] == "1"
-
-    def test_pc_fields_filled_when_present(self, tmp_path):
-        cfg = SimulationConfig(
-            memory=1, n_ssets=6, generations=20, pc_rate=1.0, mutation_rate=0.0, seed=1
-        )
-        history = HistoryObserver()
-        EvolutionDriver(cfg, observers=[history]).run()
-        path = tmp_path / "events.csv"
-        write_event_csv(path, history.records)
-        rows = read_event_csv(path)
-        assert all(r["pc_teacher"] != "" for r in rows)
-        assert all(r["mutation_sset"] == "" for r in rows)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(CheckpointError):
-            read_event_csv(tmp_path / "nope.csv")
 
 
 class TestMetadata:

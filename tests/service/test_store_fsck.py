@@ -255,22 +255,23 @@ class TestFsck:
     def test_resume_after_each_torn_record_shape(self, tmp_path):
         """The satellite's bar: tear every record surface of a partially-run
         store, repair, and resume() still finishes the run."""
+        from repro.io.checkpoints import save_checkpoint
         from repro.population.dynamics import EvolutionDriver
 
         generations, seed = 60, 23
+        # The partial run is built, not raced: a live worker could finish
+        # all 60 generations before any kill lands on a fast machine.
         store = RunStore(tmp_path / "runs")
-        with JobQueue(store, max_workers=1) as queue:
-            key = queue.submit("alice", "r1", _spec(generations=generations, seed=seed))
-            deadline_ok = False
-            import time
-
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline:
-                if queue.status("alice", "r1").generation >= 20:
-                    deadline_ok = True
-                    break
-                time.sleep(0.02)
-            assert deadline_ok
+        key = store.key("alice", "r1")
+        store.create_run(key, _spec(generations=generations, seed=seed))
+        lease = QueueLease(store.root)
+        lease.claim()
+        ServiceJournal(store.root, lease).record("submitted", key)
+        lease.release()
+        partial = EvolutionDriver(SimulationConfig(n_ssets=8, generations=generations, seed=seed))
+        for _ in range(30):
+            store.append_event(key, {"type": "progress", "generation": partial.step().generation})
+        save_checkpoint(partial, store.checkpoint_dir(key))
         # Tear everything at once: events tail, status record, temp debris,
         # and the journal tail.
         with open(store.events_path(key), "a", encoding="utf-8") as fh:

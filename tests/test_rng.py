@@ -61,12 +61,6 @@ class TestFactory:
         again = StreamFactory(3).stream("nature").integers(0, 100, 4)
         assert np.array_equal(fresh, again)
 
-    def test_child_namespacing(self):
-        f = StreamFactory(9)
-        direct = f.fresh("rank", 2, "games").integers(0, 100, 4)
-        via_child = f.child("rank", 2).fresh("games").integers(0, 100, 4)
-        assert np.array_equal(direct, via_child)
-
     def test_rejects_non_int_seed(self):
         with pytest.raises(TypeError):
             StreamFactory("seed")
