@@ -105,7 +105,6 @@ def run_spmd(
     shared_memory: bool = True,
     max_respawns: int = 8,
     n_hosts: int = 2,
-    tcp_options: Any | None = None,
 ) -> SPMDResult:
     """Run ``fn(comm, *args)`` on ``n_ranks`` virtual ranks and join them.
 
@@ -157,11 +156,9 @@ def run_spmd(
     max_respawns:
         Total replacement budget under ``on_rank_failure="respawn"``
         (process and tcp backends; ignored otherwise).
-    n_hosts, tcp_options:
-        TCP-backend tuning: the number of host processes the ranks are
-        dealt across, and a :class:`repro.mpi.tcp.TcpOptions` bundle of
-        socket knobs (heartbeats, reconnect backoff, unreachability
-        grace).  Ignored under the other backends.
+    n_hosts:
+        The number of host processes the TCP backend deals the ranks
+        across.  Ignored under the other backends.
 
     Raises
     ------
@@ -188,5 +185,5 @@ def run_spmd(
         raise MPIError(f"n_hosts must be in [1, {MAX_TCP_HOSTS}], got {n_hosts}")
     return _launch(
         backend, n_ranks, fn, tuple(args), timeout, fault_injector,
-        on_rank_failure, tracer, n_hosts, tcp_options, max_respawns,
+        on_rank_failure, tracer, n_hosts, max_respawns,
     )

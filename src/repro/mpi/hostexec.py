@@ -679,7 +679,6 @@ def _launch(
     on_rank_failure: str,
     tracer: Tracer | None,
     n_hosts: int,
-    tcp_options: TcpOptions | None,
     max_respawns: int,
 ) -> Any:
     """Launch and join one world; ``run_spmd`` has validated the arguments.
@@ -783,7 +782,7 @@ def _launch(
                     on_rank_failure,
                     tracer.epoch if tracing else None,
                     tracer.reserve_flow_stripe() if tracing else 0,
-                    tcp_options if tcp_options is not None else TcpOptions(),
+                    TcpOptions(),
                     queues,
                 ),
                 name=f"vmpi-host-{host_id}",

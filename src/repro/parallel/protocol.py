@@ -13,8 +13,9 @@ Nature's own, so a window — up to the cap, or to an eager PC — exchanges:
    the generation the window stops at.  Only an eager frame's header names a
    PC that needs a reply (``pc_teacher`` -1 otherwise).
 2. **Fitness returns** (eager only; owners -> Nature, torus point-to-point):
-   the teacher's and learner's relative fitness; the decision rides first in
-   the next frame.
+   the teacher's and learner's relative fitness, read from the slates the
+   owners played that generation; the decision rides first in the next
+   frame.
 
 Workers replay the events in order on their population replica, so every
 rank ends the window with an identical global strategy view — the paper's
@@ -114,9 +115,10 @@ class MutationUpdate:
 # worker the FTHeader of generation g together with the FTUpdate closing
 # g - 1 (nothing it draws for g before the adoption decision depends on a
 # reply), then collects one WorkerReport per worker (the heartbeat).  The
-# last update rides with FTShutdown.  When a worker that owed fitness died
-# mid-generation, Nature computes that fitness from its own replica — the one
-# the workers played — and asks no one.
+# last update rides with FTShutdown.  Only an eager header names a PC, and
+# its owners report π from the slates they just played; every π nobody
+# reported (a lazy run's, or a dead owner's) Nature computes from its own
+# replica — the one the workers hold — and asks no one.
 # Everything travels on the reliable layer (Comm.post_reliable /
 # recv_reliable_owing: the report acknowledges the frame it answers and the
 # next frame the report), so injected drops, duplicates and corruptions
@@ -129,16 +131,13 @@ class FTHeader:
 
     ``failed_ranks`` is the cumulative failure set; workers derive their
     (possibly reassigned) SSet ownership from it with
-    :func:`~repro.parallel.decomposition.owner_map_with_failures`.
-    ``teacher_owner``/``learner_owner`` name the ranks that must return
-    fitness (-1 when no pairwise comparison fires).
+    :func:`~repro.parallel.decomposition.owner_map_with_failures`.  Only an
+    eager header names the PC pair (-1 otherwise), whose owners return π.
     """
 
     generation: int
     pc_teacher: int = -1
     pc_learner: int = -1
-    teacher_owner: int = -1
-    learner_owner: int = -1
     failed_ranks: tuple[int, ...] = ()
 
     @property
@@ -151,8 +150,8 @@ class FTHeader:
 class WorkerReport:
     """Report up (worker -> Nature): the per-generation heartbeat.
 
-    Doubles as the fitness return: ``pi_teacher``/``pi_learner`` are filled
-    by the worker that owns the corresponding SSet, None otherwise.
+    Doubles as an eager run's fitness return: ``pi_teacher``/``pi_learner``
+    are filled by the SSet's owner, None otherwise (always, on a lazy run).
     """
 
     rank: int

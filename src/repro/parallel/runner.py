@@ -239,10 +239,10 @@ def _rank_program(
             if eager_games and owned.size:
                 # Faithful mode: every owned SSet plays its full opponent slate
                 # (§IV-D) against the population as generation g - 1 left it,
-                # whether or not a PC will consume the fitness.  The trajectory is
-                # unaffected — PC fitness comes from the evaluator's keyed streams.
+                # whether or not a PC will consume the fitness; a sampled PC at
+                # g reads its owners' values back from these slates.
                 with tracer.span("play", rank=comm.rank, args={"gen": g}):
-                    evaluator.play_slates(owned, g, "eager")
+                    evaluator.play_slates(owned, g)
                     games_played += owned.size * config.opponents_per_sset
             if g < gen or not header.has_pc:
                 close(g, by_gen.get(g, ()))
@@ -331,7 +331,8 @@ def _pc_fitness(evaluator, gen, teacher, learner) -> tuple[float | None, float |
     """Fitness of the PC pair's SSets this rank answers for (``None``: not ours).
 
     One evaluator call for both, so a rank that owns the pair plays the two
-    slates of a sampled run in one kernel call.
+    slates of a sampled run in one kernel call — or none, when it has just
+    played them as an eager owner.
     """
     asked = [s for s in (teacher, learner) if s is not None]
     pis = dict(zip(asked, evaluator.fitness(asked, gen).tolist())) if asked else {}
@@ -352,7 +353,7 @@ def _rank_program_ft(comm: Comm, config: SimulationConfig, eager_games: bool, op
         population = Population(config, opts.start.matrix)
     evaluator = FitnessEvaluator(config, population, streams)
     if comm.rank == 0:
-        return _ft_nature(comm, config, population, evaluator, streams, opts)
+        return _ft_nature(comm, config, eager_games, population, evaluator, streams, opts)
     return _ft_worker(comm, config, eager_games, population, evaluator)
 
 
@@ -450,6 +451,7 @@ def _ft_worker_loop(comm, config, eager_games, population, evaluator, min_genera
             gen_span = tracer.span("generation", rank=comm.rank, args={"gen": gen})
             gen_span.__enter__()
             comm.fault_point(gen)
+            pi_t = pi_l = None
             if eager_games:
                 # The slates may outlast Nature's retransmission timer, so the
                 # report cannot be what acknowledges this frame.
@@ -457,16 +459,15 @@ def _ft_worker_loop(comm, config, eager_games, population, evaluator, min_genera
                 with tracer.span("play", rank=comm.rank, args={"gen": gen}):
                     owners = owner_map_with_failures(config.n_ssets, comm.size, msg.failed_ranks)
                     owned = np.flatnonzero(owners == comm.rank)
-                    evaluator.play_slates(owned, gen, "eager")
+                    evaluator.play_slates(owned, gen)
                     games_played += owned.size * config.opponents_per_sset
-            pi_t = pi_l = None
-            if msg.has_pc:
-                with tracer.span("fitness", rank=comm.rank, args={"gen": gen}):
-                    pi_t, pi_l = _pc_fitness(
-                        evaluator, gen,
-                        msg.pc_teacher if msg.teacher_owner == comm.rank else None,
-                        msg.pc_learner if msg.learner_owner == comm.rank else None,
-                    )
+                if msg.has_pc:  # the owners answer from the slates just played
+                    with tracer.span("fitness", rank=comm.rank, args={"gen": gen}):
+                        pi_t, pi_l = _pc_fitness(
+                            evaluator, gen,
+                            msg.pc_teacher if owners[msg.pc_teacher] == comm.rank else None,
+                            msg.pc_learner if owners[msg.pc_learner] == comm.rank else None,
+                        )
             report(gen, pi_t, pi_l)
             gen_span.__exit__(None, None, None)
         else:
@@ -478,7 +479,7 @@ def _ft_worker_loop(comm, config, eager_games, population, evaluator, min_genera
     return {"digest": digest, "games_played": games_played}
 
 
-def _ft_nature(comm, config, population, evaluator, streams, opts) -> dict:
+def _ft_nature(comm, config, eager_games, population, evaluator, streams, opts) -> dict:
     nature = NatureAgent(config, streams)
     if opts.start is not None:
         opts.start.restore(nature)
@@ -627,13 +628,11 @@ def _ft_nature(comm, config, population, evaluator, streams, opts) -> dict:
         # Never past ``gen``: a checkpoint's nature_rng_state is a boundary state.
         mutations, pc = nature.advance(population.random_strategy_table, gen)
         selection = pc[1] if pc is not None else None
-        owners = owners_now()
+        asked = selection if eager_games else None  # only eager owners played
         header = FTHeader(
             generation=gen,
-            pc_teacher=selection.teacher if selection else -1,
-            pc_learner=selection.learner if selection else -1,
-            teacher_owner=int(owners[selection.teacher]) if selection else -1,
-            learner_owner=int(owners[selection.learner]) if selection else -1,
+            pc_teacher=asked.teacher if asked else -1,
+            pc_learner=asked.learner if asked else -1,
             failed_ranks=tuple(sorted(failed)),
         )
         # One frame down: every live worker's header (with the update that
@@ -662,10 +661,12 @@ def _ft_nature(comm, config, population, evaluator, streams, opts) -> dict:
 
         pc_span = tracer.span("pc_step", rank=comm.rank, args={"gen": gen})
         pc_span.__enter__()
-        # An owner died mid-generation: its pi is a function of the replica
-        # the workers played (the end of gen - 1, Nature's own until the
-        # decision below) and of (gen, sset), so Nature computes it.
-        if selection is not None and (pi_t is None or pi_l is None):
+        # Every pi no live owner reported (all of a lazy run's, a dead
+        # owner's on an eager run) is a function of the replica the workers
+        # hold (the end of gen - 1, Nature's own until the decision below)
+        # and of (gen, sset), so Nature computes it.
+        outcome = None
+        if selection is not None:
             own_t, own_l = _pc_fitness(
                 evaluator, gen,
                 selection.teacher if pi_t is None else None,
@@ -673,9 +674,6 @@ def _ft_nature(comm, config, population, evaluator, streams, opts) -> dict:
             )
             pi_t = own_t if pi_t is None else pi_t
             pi_l = own_l if pi_l is None else pi_l
-
-        outcome = None
-        if selection is not None:
             outcome = _pc_outcome(nature.decide_adoption(selection, float(pi_t), float(pi_l)))
             if outcome.adopted:
                 population.adopt(outcome.learner, outcome.teacher)
@@ -811,10 +809,8 @@ class ParallelSimulation:
     max_respawns:
         Total replacement-incarnation budget under
         ``on_rank_failure="respawn"``.
-    n_hosts, tcp_options:
-        TCP-backend tuning: how many host processes the ranks are dealt
-        across, and a :class:`repro.mpi.tcp.TcpOptions` bundle of socket
-        knobs (heartbeats, reconnect backoff, unreachability grace).
+    n_hosts:
+        How many host processes the TCP backend deals the ranks across.
         Ignored under the other backends.
 
     Examples
@@ -843,7 +839,6 @@ class ParallelSimulation:
         on_rank_failure: str = "continue",
         max_respawns: int = 8,
         n_hosts: int = 2,
-        tcp_options=None,
     ) -> None:
         if n_ranks < 2:
             raise MPIError(f"need >= 2 ranks (Nature Agent + worker), got {n_ranks}")
@@ -863,7 +858,6 @@ class ParallelSimulation:
         self.on_rank_failure = on_rank_failure
         self.max_respawns = int(max_respawns)
         self.n_hosts = int(n_hosts)
-        self.tcp_options = tcp_options
         self.config = config
         self.backend = backend
         self.n_ranks = int(n_ranks)
@@ -979,7 +973,6 @@ class ParallelSimulation:
                 tracer=self.tracer,
                 backend=self.backend,
                 n_hosts=self.n_hosts,
-                tcp_options=self.tcp_options,
             )
             self._finish_trace(spmd)
             return self._result(spmd, injector, [out["games_played"] for out in spmd.returns])
@@ -995,7 +988,6 @@ class ParallelSimulation:
             backend=self.backend,
             max_respawns=self.max_respawns,
             n_hosts=self.n_hosts,
-            tcp_options=self.tcp_options,
         )
         self._finish_trace(spmd)
         nature_out = spmd.returns[0]

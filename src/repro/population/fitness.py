@@ -17,10 +17,10 @@ three modes resolved by
     noisy play.
 
 ``sampled``
-    Faithful to the paper: the games are actually played each time fitness
-    is requested, with randomness drawn from a stream keyed by
-    ``(generation, sset)`` so serial and parallel executions sample
-    identical games.
+    Faithful to the paper: fitness is the payoff of games actually played,
+    on streams keyed by ``(generation, sset)`` so serial and parallel runs
+    sample identical games; a rank's last slates answer their generation
+    until the population changes.
 
 The memo is the only pair cache a run has — the serial driver and every
 rank of the tree, the star and the service build one evaluator each.  An
@@ -86,6 +86,8 @@ class FitnessEvaluator:
         )
         # Memoised rows: slot -> (row_stamp, {col_slot: (col_stamp, payoff_row_vs_col)})
         self._rows: dict[int, tuple[int, dict[int, tuple[int, float]]]] = {}
+        # The last play_slates call: ((generation, population version), {sset: fitness}).
+        self._played: tuple[tuple[int, int], dict[int, float]] = ((-1, -1), {})
         self.pairs_computed = 0
         self.pair_lookups = 0
 
@@ -97,11 +99,15 @@ class FitnessEvaluator:
         In memoised modes the generation is irrelevant (fitness is a pure
         function of the current population); in sampled mode it keys the
         random streams, so asking twice for the same generation returns the
-        same sample.
+        same sample — taken from the last :meth:`play_slates` call when it
+        played these SSets at this generation and population version.
         """
-        if self.mode == "sampled":
-            return self.play_slates(ssets, generation, "fitness")
-        return np.array([self._memoised_fitness(int(s)) for s in ssets])
+        if self.mode != "sampled":
+            return np.array([self._memoised_fitness(int(s)) for s in ssets])
+        key, played = self._played
+        if key == (generation, self.population.version) and played.keys() >= set(ssets):
+            return np.array([played[s] for s in ssets])
+        return self.play_slates(ssets, generation)
 
     def all_fitness(self, generation: int) -> np.ndarray:
         """Fitness of every SSet (used by observers; costly in sampled mode)."""
@@ -177,13 +183,13 @@ class FitnessEvaluator:
 
     # -- live play -------------------------------------------------------------------
 
-    def play_slates(self, ssets: Sequence[int], generation: int, stream: str) -> np.ndarray:
+    def play_slates(self, ssets: Sequence[int], generation: int) -> np.ndarray:
         """Play each listed SSet's full opponent slate, all in one kernel call.
 
-        Slate ``s`` draws from ``streams.fresh(stream, generation, s)`` and
-        from nothing else, so its games are the ones a call for ``s`` alone
-        would play and the batch size changes no number.  Returns each
-        SSet's summed fitness, in the order asked.
+        Slate ``s`` draws from ``streams.fresh("fitness", generation, s)``
+        and from nothing else, so its games are the ones a call for ``s``
+        alone would play and the batch size changes no number.  Returns each
+        SSet's summed fitness, in the order asked; :meth:`fitness` reuses it.
         """
         pop = self.population
         ssets = [int(s) for s in ssets]
@@ -192,14 +198,15 @@ class FitnessEvaluator:
         assign = pop.assignment()
         rngs = None
         if not self.config.deterministic_games:
-            rngs = [self.streams.fresh(stream, generation, s) for s in ssets]
+            rngs = [self.streams.fresh("fitness", generation, s) for s in ssets]
         res = self.engine.play_segments(
             pop.tables_view(), np.repeat(assign[ssets], per_slate), assign[opponents].ravel(),
             [per_slate] * n_slates, rngs,
         )
         # Summed slate by slate: the 1-D pairwise sum a lone call would take.
-        slates = res.fitness_a.reshape(n_slates, per_slate)
-        return np.array([float(slate.sum()) for slate in slates])
+        sums = [float(slate.sum()) for slate in res.fitness_a.reshape(n_slates, per_slate)]
+        self._played = ((generation, pop.version), dict(zip(ssets, sums)))
+        return np.array(sums)
 
     def __repr__(self) -> str:
         return (

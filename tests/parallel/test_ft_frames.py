@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
-from repro.mpi.comm import _TAG_RDATA
+from repro.mpi.comm import _TAG_RDATA, Comm
 from repro.mpi.executor import run_spmd
 from repro.mpi.faults import FaultEvent, FaultPlan
 from repro.parallel.decomposition import owner_map_with_failures
@@ -27,6 +27,7 @@ from repro.parallel.protocol import (
     FTShutdown,
     FTUpdate,
     MutationUpdate,
+    WorkerReport,
 )
 from repro.parallel.runner import (
     ParallelSimulation,
@@ -133,16 +134,37 @@ class TestMessageShape:
                 [("send", frame)] * workers + [("recv", report)] * workers
             )
 
+    def test_a_lazy_run_asks_no_worker_for_fitness(self, records, oracle, monkeypatch):
+        """Nature decides every lazy PC on its own replica: no header names a
+        pair, no worker opens a ``fitness`` span, every report is a bare
+        heartbeat."""
+        assert any(record.pc is not None for record in records)
+        posted, post = [], Comm.post_reliable
+
+        def spy(self, payload, dest, tag=0, **policy):
+            posted.append((tag, payload))
+            return post(self, payload, dest, tag, **policy)
+
+        monkeypatch.setattr(Comm, "post_reliable", spy)
+        result = ParallelSimulation(CFG, 3, fault_tolerant=True, trace=True).run(timeout=120)
+        assert np.array_equal(result.matrix, oracle)
+        headers = [p[1] for t, p in posted if t == TAG_CONTROL and isinstance(p[1], FTHeader)]
+        reports = [p for t, p in posted if t == TAG_REPORT and isinstance(p, WorkerReport)]
+        assert len(headers) == len(reports) == 2 * CFG.generations
+        assert not any(header.has_pc for header in headers)
+        assert all(r.pi_teacher is None and r.pi_learner is None for r in reports)
+        assert not [e for e in result.trace.events() if e.name == "fitness"]
+
     def test_slow_generations_retransmit_nothing(self, oracle, monkeypatch):
         """A worker whose generation outlasts ``ack_timeout`` settles its ack
         before playing, and Nature — blocked on it, owing the fast worker an
         ack — settles that after ``_ACK_DELAY``: no timer ever fires."""
         play = FitnessEvaluator.play_slates
 
-        def slow_play(self, ssets, generation, purpose):
+        def slow_play(self, ssets, generation):
             if 0 in ssets:  # rank 1's block; rank 2 stays fast
                 time.sleep(0.3)
-            return play(self, ssets, generation, purpose)
+            return play(self, ssets, generation)
 
         monkeypatch.setattr(FitnessEvaluator, "play_slates", slow_play)
         cfg = SimulationConfig(n_ssets=8, generations=3, seed=3, pc_rate=0.6, mutation_rate=0.4)
@@ -196,19 +218,23 @@ class TestCarriedUpdate:
         assert final.digest == _replica_digest(seeded)
 
     @pytest.mark.chaos
+    @pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
     def test_new_owner_answers_a_fitness_rerequest_from_the_closed_generation(
-        self, records, oracle
+        self, records, oracle, eager
     ):
         """The teacher's owner dies at a PC generation whose predecessor
         changed the matrix: Nature answers for it from its own replica, which
-        holds that change, exactly as the dead owner's did."""
+        holds that change, exactly as the dead owner's did (on an eager run,
+        next to the learner's owner, which reports)."""
         gen = _generation_after(
             records, lambda record: record.changed and records[record.generation].pc is not None
         )
         teacher = records[gen - 1].pc.teacher
         owner = int(owner_map_with_failures(CFG.n_ssets, 4, ())[teacher])
         plan = FaultPlan(seed=1, events=(FaultEvent(kind="crash", rank=owner, generation=gen),))
-        result = ParallelSimulation(CFG, 4, fault_plan=plan, heartbeat_timeout=2.0).run(timeout=120)
+        result = ParallelSimulation(
+            CFG, 4, eager, fault_plan=plan, heartbeat_timeout=2.0
+        ).run(timeout=120)
         assert np.array_equal(result.matrix, oracle)
         assert [(d.rank, d.generation) for d in result.degradations] == [(owner, gen)]
 
@@ -217,23 +243,30 @@ class TestCarriedUpdate:
 class TestDeadOwners:
     """A PC owner that dies mid-generation owed a fitness that Nature's own
     replica determines (the matrix the workers played, and ``(gen, sset)``),
-    so Nature computes it and the run goes on without asking anyone."""
+    so Nature computes it and the run goes on without asking anyone.  Only an
+    eager run's owners owe anything (a lazy run's π is always Nature's), so
+    each case runs both ways."""
 
     @pytest.mark.procexec
     @pytest.mark.recovery
-    def test_sole_worker_crashing_at_a_pc_generation_is_healed(self, records, oracle):
+    @pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
+    def test_sole_worker_crashing_at_a_pc_generation_is_healed(self, records, oracle, eager):
         gen = _pc_generation(records, 5)
         plan = FaultPlan(seed=1, events=(FaultEvent(kind="crash", rank=1, generation=gen),))
         result = ParallelSimulation(
-            CFG, 2, fault_plan=plan, backend="process", on_rank_failure="respawn",
+            CFG, 2, eager, fault_plan=plan, backend="process", on_rank_failure="respawn",
             heartbeat_timeout=1.0,
         ).run(timeout=120)
         assert np.array_equal(result.matrix, oracle)
         assert [(d.rank, d.generation) for d in result.degradations] == [(1, gen)]
         assert [(r.rank, r.generation) for r in result.recoveries] == [(1, gen)]
 
-    @pytest.mark.parametrize("dead", ["teacher", "both"])
-    def test_nature_computes_what_dead_owners_owed(self, records, oracle, dead):
+    @pytest.mark.parametrize(
+        "dead, eager",
+        [("teacher", False), ("both", False), ("teacher", True), ("both", True)],
+        ids=["teacher", "both", "teacher-eager", "both-eager"],
+    )
+    def test_nature_computes_what_dead_owners_owed(self, records, oracle, dead, eager):
         owners = owner_map_with_failures(CFG.n_ssets, 4, ())
         gen = _pc_generation(
             records, 3, lambda record: owners[record.pc.teacher] != owners[record.pc.learner]
@@ -243,7 +276,9 @@ class TestDeadOwners:
         plan = FaultPlan(
             seed=1, events=tuple(FaultEvent(kind="crash", rank=r, generation=gen) for r in ranks)
         )
-        result = ParallelSimulation(CFG, 4, fault_plan=plan, heartbeat_timeout=2.0).run(timeout=120)
+        result = ParallelSimulation(
+            CFG, 4, eager, fault_plan=plan, heartbeat_timeout=2.0
+        ).run(timeout=120)
         assert np.array_equal(result.matrix, oracle)
         assert sorted((d.rank, d.generation) for d in result.degradations) == sorted(
             (r, gen) for r in ranks

@@ -181,3 +181,24 @@ def test_eager_worker_issues_one_kernel_call_per_generation(fault_tolerant):
     assert sum(res.games_played_per_rank) == (
         cfg.generations * cfg.n_ssets * cfg.opponents_per_sset
     )
+
+
+@pytest.mark.parametrize("fault_tolerant", [False, True], ids=["plain", "ft"])
+def test_eager_owners_answer_a_pc_from_the_slates_they_played(fault_tolerant):
+    """A sampled PC's fitness is read back from its owners' slates of that
+    generation: each worker makes exactly one kernel call per generation, PC
+    generations included, and Nature makes none."""
+    cfg = SimulationConfig(
+        memory=2, n_ssets=9, generations=12, seed=23, rounds=20, noise=NoiseModel(0.02),
+        pc_rate=0.5,
+    )
+    res = ParallelSimulation(
+        cfg, n_ranks=3, eager_games=True, trace=True, fault_tolerant=fault_tolerant
+    ).run(timeout=120)
+    assert res.n_pc_events > 0
+    kernel = [
+        e for e in res.trace.events()
+        if e.ph == "X" and e.cat == "game" and e.name in ("batch_engine.play", "vector_engine.play")
+    ]
+    calls = {rank: sum(e.rank == rank for e in kernel) for rank in range(3)}
+    assert calls == {0: 0, 1: cfg.generations, 2: cfg.generations}

@@ -117,7 +117,7 @@ EAGER = SimulationConfig(
 
 
 def record_eager_slates(monkeypatch):
-    """Log every eager slate played from here on; the returned callable hands
+    """Log every slate played from here on; the returned callable hands
     back ``{(generation, sset): (fitness, end state of its stream)}`` and
     starts the log afresh."""
     played, rngs = {}, {}
@@ -125,14 +125,13 @@ def record_eager_slates(monkeypatch):
 
     def recording_fresh(self, *key):
         rng = fresh(self, *key)
-        if key[0] == "eager":
+        if key[0] == "fitness":
             rngs[key[1:]] = rng
         return rng
 
-    def recording_play(self, ssets, generation, stream):
-        fitness = play_slates(self, ssets, generation, stream)
-        if stream == "eager":
-            played.update({(generation, int(s)): f for s, f in zip(ssets, fitness)})
+    def recording_play(self, ssets, generation):
+        fitness = play_slates(self, ssets, generation)
+        played.update({(generation, int(s)): f for s, f in zip(ssets, fitness)})
         return fitness
 
     monkeypatch.setattr(StreamFactory, "fresh", recording_fresh)
@@ -148,7 +147,7 @@ def record_eager_slates(monkeypatch):
 
 
 class TestEagerPlayInsideAWindow:
-    """A slate of generation ``g`` draws from ``("eager", g, sset)`` against
+    """A slate of generation ``g`` draws from ``("fitness", g, sset)`` against
     the population as ``g - 1`` left it — per generation, as the unwindowed
     protocol played it — though the frame that carried ``g - 1`` carried more."""
 
@@ -158,7 +157,7 @@ class TestEagerPlayInsideAWindow:
         # population the generation before left.
         driver = EvolutionDriver(EAGER)
         for gen in range(1, EAGER.generations + 1):
-            driver.evaluator.play_slates(range(EAGER.n_ssets), gen, "eager")
+            driver.evaluator.play_slates(range(EAGER.n_ssets), gen)
             driver.step()
         expected = snapshot()
         assert len(expected) == EAGER.generations * EAGER.n_ssets
@@ -190,10 +189,9 @@ class TestFitnessDeadline:
         assert [r.generation for r in serial(cfg)[1] if r.pc is not None] == [21]
         play_slates = FitnessEvaluator.play_slates
 
-        def slow_play(self, ssets, generation, stream):
-            if stream == "eager":
-                time.sleep(0.05)
-            return play_slates(self, ssets, generation, stream)
+        def slow_play(self, ssets, generation):
+            time.sleep(0.05)
+            return play_slates(self, ssets, generation)
 
         monkeypatch.setattr(FitnessEvaluator, "play_slates", slow_play)
         assert_matches_serial(cfg, 2, "thread", eager_games=True, fitness_timeout=0.5)
