@@ -20,7 +20,8 @@ Nature's own, so a window — up to the cap, or to an eager PC — exchanges:
 Workers replay the events in order on their population replica, so every
 rank ends the window with an identical global strategy view — the paper's
 "all nodes need to maintain an up to date view of the strategies assigned to
-all other SSets".
+all other SSets".  The fault-tolerant star (below) moves in the same windows
+with the same frame, an :class:`FTHeader` in the header's place.
 
 Payloads are small slotted dataclasses (a pickle carries values, not field
 names); strategy tables travel as ndarrays (the virtual network counts their
@@ -41,7 +42,6 @@ __all__ = [
     "PCOutcome",
     "MutationUpdate",
     "FTHeader",
-    "FTUpdate",
     "FTShutdown",
     "FTFinal",
     "FTHello",
@@ -110,15 +110,17 @@ class MutationUpdate:
 # -- fault-tolerant protocol ----------------------------------------------------------
 #
 # The fault-tolerant runner replaces the collective tree with a reliable
-# point-to-point star whose generation is one frame down and one report up.
-# A frame is the pair ``(FTUpdate | None, message)``: Nature posts every live
-# worker the FTHeader of generation g together with the FTUpdate closing
-# g - 1 (nothing it draws for g before the adoption decision depends on a
-# reply), then collects one WorkerReport per worker (the heartbeat).  The
-# last update rides with FTShutdown.  Only an eager header names a PC, and
-# its owners report π from the slates they just played; every π nobody
-# reported (a lazy run's, or a dead owner's) Nature computes from its own
-# replica — the one the workers hold — and asks no one.
+# point-to-point star that moves in the tree's windows, cut also at every
+# checkpoint generation: one frame down and one report up per worker per
+# window.  The frame is the tree's, ``(closed, events, FTHeader)``, posted to
+# every live worker before Nature waits for anyone.  Each worker replays the
+# window in order — per generation its fault point, on an eager run its
+# slates, then the generation's events — and posts one WorkerReport (the
+# heartbeat).  Only an eager header names a PC, the one that ends its
+# window: the owners report π from the slates they just played and the
+# decision rides first in the next frame (or with FTShutdown).  Every π
+# nobody reported (a lazy run's, or a dead owner's) Nature computes from its
+# own replica — the one the workers hold — and asks no one.
 # Everything travels on the reliable layer (Comm.post_reliable /
 # recv_reliable_owing: the report acknowledges the frame it answers and the
 # next frame the report), so injected drops, duplicates and corruptions
@@ -127,12 +129,14 @@ class MutationUpdate:
 
 @dataclass(frozen=True)
 class FTHeader:
-    """Frame down (Nature -> each live worker): this generation's work order.
+    """Header of a star frame (Nature -> each live worker): a window's work order.
 
-    ``failed_ranks`` is the cumulative failure set; workers derive their
-    (possibly reassigned) SSet ownership from it with
+    ``generation`` is the window's last generation.  ``failed_ranks`` is the
+    cumulative failure set; workers derive their (possibly reassigned) SSet
+    ownership from it with
     :func:`~repro.parallel.decomposition.owner_map_with_failures`.  Only an
-    eager header names the PC pair (-1 otherwise), whose owners return π.
+    eager header names a PC pair (-1 otherwise): the PC at ``generation``
+    that ends the window, whose owners return π.
     """
 
     generation: int
@@ -148,10 +152,11 @@ class FTHeader:
 
 @dataclass(frozen=True)
 class WorkerReport:
-    """Report up (worker -> Nature): the per-generation heartbeat.
+    """Report up (worker -> Nature): the heartbeat of one window.
 
-    Doubles as an eager run's fitness return: ``pi_teacher``/``pi_learner``
-    are filled by the SSet's owner, None otherwise (always, on a lazy run).
+    ``generation`` is the last generation of the window it answers.  Doubles
+    as an eager run's fitness return: ``pi_teacher``/``pi_learner`` are
+    filled by the SSet's owner, None otherwise (always, on a lazy run).
     """
 
     rank: int
@@ -161,22 +166,8 @@ class WorkerReport:
 
 
 @dataclass(frozen=True)
-class FTUpdate:
-    """Close the generation: first half of the next frame to each worker.
-
-    Carries the adoption outcome and mutation (either may be None).  A
-    worker applies it before the message it rides with, and never one at or
-    before the generation of the matrix it was seeded with.
-    """
-
-    generation: int
-    outcome: PCOutcome | None
-    mutation: MutationUpdate | None
-
-
-@dataclass(frozen=True)
 class FTShutdown:
-    """Nature -> worker: the run is over; send an FTFinal and exit."""
+    """Nature -> worker, in a frame's header place: apply its events, send an FTFinal, exit."""
 
     generation: int
 
@@ -210,13 +201,13 @@ class FTHello:
 class FTRejoin:
     """Nature -> replacement (reliable): everything needed to rejoin.
 
-    ``generation`` is the last generation already folded into ``matrix``;
-    the replacement starts participating at ``generation + 1`` and ignores
-    any stale control traffic at or before ``generation``.  The matrix is
-    Nature's authoritative full strategy view (every rank keeps a full
-    replica), so the replacement's SSet block is re-seeded implicitly; its
-    RNG needs no state transfer at all because worker randomness is keyed
-    by ``(generation, sset)`` — pure functions of the seed.
+    ``generation`` is the window boundary whose state ``matrix`` holds; the
+    replacement starts participating at ``generation + 1`` and ignores any
+    stale control traffic, and any event, at or before ``generation``.  The
+    matrix is Nature's authoritative full strategy view (every rank keeps a
+    full replica), so the replacement's SSet block is re-seeded implicitly;
+    its RNG needs no state transfer at all because worker randomness is
+    keyed by ``(generation, sset)`` — pure functions of the seed.
     """
 
     generation: int
@@ -225,7 +216,7 @@ class FTRejoin:
 
 @dataclass(frozen=True)
 class DegradationEvent:
-    """One graceful-degradation step recorded by the fault-tolerant runner."""
+    """One graceful-degradation step, seen at ``generation``: its window's last."""
 
     generation: int
     rank: int
@@ -238,9 +229,9 @@ class RecoveryEvent:
     """One successful heal: a respawned rank rejoined the computation.
 
     The mirror image of :class:`DegradationEvent`: ``generation`` is the
-    generation whose state the replacement was seeded with (it participates
-    from ``generation + 1``), and ``restored_ssets`` are the SSets that
-    return to the rank's ownership.
+    window boundary whose state the replacement was seeded with (it
+    participates from ``generation + 1``), and ``restored_ssets`` are the
+    SSets that return to the rank's ownership.
     """
 
     generation: int

@@ -40,7 +40,7 @@ from repro.io.checkpoints import (
     save_parallel_checkpoint,
     write_torn_parallel_checkpoint,
 )
-from repro.mpi.comm import ANY_SOURCE, Comm
+from repro.mpi.comm import _ACK_DELAY, ANY_SOURCE, Comm
 from repro.mpi.counters import OpCount
 from repro.mpi.executor import RespawnRecord, run_spmd
 from repro.mpi.faults import FaultInjector, FaultPlan, FaultRecord
@@ -57,7 +57,6 @@ from repro.parallel.protocol import (
     FTHello,
     FTRejoin,
     FTShutdown,
-    FTUpdate,
     GenerationHeader,
     MutationUpdate,
     PCOutcome,
@@ -82,9 +81,12 @@ _TAG_LEARNER = TAG_FITNESS + 1
 #: slow worker — large memory-depth tables can need more than the default.
 _DEFAULT_FITNESS_TIMEOUT = 120.0
 
-#: Most generations one frame of the collective tree closes: at ``pc_rate`` 0
-#: a 10^6-generation run must not become one broadcast of 50 000 tables.
+#: Most generations one frame closes, on either protocol: at ``pc_rate`` 0 a
+#: 10^6-generation run must not become one broadcast of 50 000 tables.
 _WINDOW_CAP = 256
+
+#: What a lazy rank plays, and Nature on any run: no slates.
+_NO_SSETS = np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -155,6 +157,102 @@ def _replica_digest(matrix: np.ndarray) -> bytes:
     return h.digest()
 
 
+class _Replica:
+    """One rank's population replica, moved through the run a window at a time.
+
+    Both rank programs hold one: Nature drafts each window on its own
+    (:meth:`draft`), and a rank replays the frame that announces it
+    (:meth:`replay`).
+    """
+
+    def __init__(self, config, population, evaluator, rank, tracer, nature=None) -> None:
+        self.config = config
+        self.population = population
+        self.evaluator = evaluator
+        self.rank = rank
+        self.tracer = tracer
+        self.nature = nature
+        self.games_played = 0
+        self.opened = 0.0  # trace time the open generation began (an eager PC's spans frames)
+
+    def apply(self, event) -> None:
+        if isinstance(event, MutationUpdate):
+            self.population.set_strategy(event.sset, event.table)
+        elif event.adopted:
+            self.population.adopt(event.learner, event.teacher)
+
+    def record(self, gen, event, events) -> None:
+        """Nature: apply ``event`` now; it ships in ``events``, the next frame's news."""
+        self.apply(event)
+        events.append((gen, event))
+
+    def decide(self, gen, selection, pi_t, pi_l, events) -> None:
+        decision = self.nature.decide_adoption(selection, pi_t, pi_l)
+        self.record(gen, _pc_outcome(decision), events)
+
+    def draft(self, upto, eager_games, events):
+        """Nature: draw everything through generation ``upto`` into ``events``.
+
+        A lazy PC's fitness is a function of this replica, the generation
+        and the SSet, so it is decided on the way; an eager PC stops the
+        draft, and its ``(generation, selection)`` is returned (else None).
+        """
+        while True:
+            drawn, pc = self.nature.advance(self.population.random_strategy_table, upto)
+            for g, m in drawn:
+                self.record(g, MutationUpdate(sset=m.sset, table=m.table), events)
+            if pc is None or eager_games:
+                return pc
+            g, selection = pc
+            with self.tracer.span("pc_step", rank=self.rank, args={"gen": g}):
+                pi_t, pi_l = _pc_fitness(self.evaluator, g, selection.teacher, selection.learner)
+                self.decide(g, selection, pi_t, pi_l, events)
+
+    def replay(self, closed, news, end, owned, *, pc=False, every=True, fault_point=None,
+               min_generation=0) -> None:
+        """Generations ``closed+1 .. end`` in order, as the frame's ``news`` tells.
+
+        An eager PC left ``closed`` open: its outcome and mutation close it
+        first.  Then per generation: its fault point, the ``owned`` slates and
+        its events (under ``pc``, ``end``'s come with the next frame).  Events
+        at or before ``min_generation`` are already in the replica.  Without
+        ``every`` only the generations that had events are visited.
+        """
+        by_gen: dict[int, list] = {}
+        for g, event in news:
+            if g > min_generation:
+                by_gen.setdefault(g, []).append(event)
+        if closed in by_gen:
+            self.close(closed, by_gen.pop(closed))
+        tracer = self.tracer
+        for g in range(closed + 1, end + 1) if every else by_gen:
+            self.opened = tracer.now()
+            if fault_point is not None:
+                fault_point(g)
+            if owned.size:
+                # Faithful mode: every owned SSet plays its full opponent slate
+                # (§IV-D) against the population as generation g - 1 left it,
+                # whether or not a PC will consume the fitness; a sampled PC at
+                # g reads its owners' values back from these slates.
+                with tracer.span("play", rank=self.rank, args={"gen": g}):
+                    self.evaluator.play_slates(owned, g)
+                    self.games_played += owned.size * self.config.opponents_per_sset
+            if g < end or not pc:
+                self.close(g, by_gen.get(g, ()))
+
+    def close(self, gen, events) -> None:
+        """Generation ``gen`` ends with its events (Nature applied its own already)."""
+        tracer = self.tracer
+        with tracer.span("mutation", rank=self.rank, args={"gen": gen}):
+            if self.nature is None:
+                for event in events:
+                    self.apply(event)
+        tracer.complete(
+            "generation", ts=self.opened, dur=tracer.now() - self.opened, rank=self.rank,
+            args={"gen": gen},
+        )
+
+
 def _rank_program(
     comm: Comm,
     config: SimulationConfig,
@@ -167,59 +265,25 @@ def _rank_program(
     decomp = SSetDecomposition(config.n_ssets, comm.size)
     evaluator = FitnessEvaluator(config, population, streams)
     nature = NatureAgent(config, streams) if comm.rank == decomp.nature_rank else None
-    owned = decomp.ssets_of_rank(comm.rank)
-    games_played = 0
+    owned = decomp.ssets_of_rank(comm.rank) if eager_games else _NO_SSETS
     # A real mpi4py communicator (see mpi4py_backend.CommLike) carries no tracer.
     tracer = getattr(comm, "tracer", NULL_TRACER)
+    replica = _Replica(config, population, evaluator, comm.rank, tracer, nature)
 
     last = config.generations
     closed = 0  # the generation the previous frame's header named
     events = []  # Nature: what it applied since the last frame, the next frame's news
-    opened = 0.0  # trace time the open generation began (a PC's stays open across frames)
     # Only slates and trace spans are per generation (a names-only tap reports
     # ``enabled`` False yet reads the spans): a lazy untraced rank touches
     # nothing but the events of the generations that had one.
-    every_generation = tracer is not NULL_TRACER or (eager_games and owned.size > 0)
-
-    def apply(event) -> None:
-        if isinstance(event, MutationUpdate):
-            population.set_strategy(event.sset, event.table)
-        elif event.adopted:
-            population.adopt(event.learner, event.teacher)
-
-    def record(gen, event) -> None:
-        """Nature: apply ``event`` to its replica now; it ships with the next frame."""
-        apply(event)
-        events.append((gen, event))
-
-    def close(gen, news) -> None:
-        """Generation ``gen`` ends with its events (Nature applied its own already)."""
-        with tracer.span("mutation", rank=comm.rank, args={"gen": gen}):
-            if nature is None:
-                for event in news:
-                    apply(event)
-        tracer.complete(
-            "generation", ts=opened, dur=tracer.now() - opened, rank=comm.rank, args={"gen": gen}
-        )
+    every_generation = tracer is not NULL_TRACER or owned.size > 0
 
     while True:
-        # One frame down the tree: everything Nature settles up to the cap.  A
-        # lazy PC's fitness is a function of Nature's own replica, generation
-        # and SSet, so Nature decides it; an eager PC ends the window.
+        # One frame down the tree: everything Nature settles up to the cap, or
+        # up to an eager PC.
         frame = None
         if nature is not None:
-            while True:
-                drawn, pc = nature.advance(
-                    population.random_strategy_table, min(last, closed + _WINDOW_CAP)
-                )
-                for g, m in drawn:
-                    record(g, MutationUpdate(sset=m.sset, table=m.table))
-                if pc is None or eager_games:
-                    break
-                g, selection = pc
-                with tracer.span("pc_step", rank=comm.rank, args={"gen": g}):
-                    pi_t, pi_l = _pc_fitness(evaluator, g, selection.teacher, selection.learner)
-                    record(g, _pc_outcome(nature.decide_adoption(selection, pi_t, pi_l)))
+            pc = replica.draft(min(last, closed + _WINDOW_CAP), eager_games, events)
             header = GenerationHeader(nature.closed)
             if pc is not None:
                 header = GenerationHeader(pc[0], pc[1].teacher, pc[1].learner)
@@ -229,23 +293,7 @@ def _rank_program(
         if was != closed:
             raise MPIError(f"rank {comm.rank} desynchronised: frame closes {was} != {closed}")
         gen = header.generation
-        by_gen: dict[int, list] = {}
-        for g, event in news:
-            by_gen.setdefault(g, []).append(event)
-        if closed in by_gen:  # an eager PC left ``closed`` open: its outcome, then its mutation
-            close(closed, by_gen.pop(closed))
-        for g in range(closed + 1, gen + 1) if every_generation else by_gen:
-            opened = tracer.now()
-            if eager_games and owned.size:
-                # Faithful mode: every owned SSet plays its full opponent slate
-                # (§IV-D) against the population as generation g - 1 left it,
-                # whether or not a PC will consume the fitness; a sampled PC at
-                # g reads its owners' values back from these slates.
-                with tracer.span("play", rank=comm.rank, args={"gen": g}):
-                    evaluator.play_slates(owned, g)
-                    games_played += owned.size * config.opponents_per_sset
-            if g < gen or not header.has_pc:
-                close(g, by_gen.get(g, ()))
+        replica.replay(closed, news, gen, owned, pc=header.has_pc, every=every_generation)
         if header.has_pc:  # eager only: the owners of the pair reply
             with tracer.span("pc_step", rank=comm.rank, args={"gen": gen}):
                 teacher, learner = header.pc_teacher, header.pc_learner
@@ -276,7 +324,7 @@ def _rank_program(
                             " ParallelSimulation(fitness_timeout=...)) or the ownership maps"
                             " diverged across ranks"
                         ) from exc
-                    record(gen, _pc_outcome(nature.decide_adoption(pc[1], pi_t, pi_l)))
+                    replica.decide(gen, pc[1], pi_t, pi_l, events)
         elif gen == last:
             break
         closed = gen
@@ -286,7 +334,7 @@ def _rank_program(
     if len(set(digests)) != 1:
         raise MPIError(f"rank {comm.rank}: population replicas diverged: {digests}")
 
-    out: dict = {"digest": digests[0], "games_played": games_played}
+    out: dict = {"digest": digests[0], "games_played": replica.games_played}
     if nature is not None:
         out.update(
             matrix=matrix,
@@ -300,8 +348,9 @@ def _rank_program(
 # -- fault-tolerant execution ---------------------------------------------------------
 #
 # The fault-tolerant rank program replaces the collective tree with a
-# reliable point-to-point star (see repro.parallel.protocol).  Nature
-# heartbeats every live worker each generation; dead or silent workers are
+# reliable point-to-point star (see repro.parallel.protocol) that moves in
+# the tree's windows, drafted and replayed by the same ``_Replica``.  Nature
+# heartbeats every live worker once a window; dead or silent workers are
 # detected, their SSets redistributed to survivors, and the run continues.
 # Because fitness is a deterministic function of (population, generation,
 # sset) on every rank, redistribution does not perturb the trajectory: a
@@ -409,8 +458,9 @@ def _ft_worker_respawned(comm, config, eager_games, streams) -> dict:
 
 
 def _ft_worker(comm, config, eager_games, population, evaluator, min_generation=0) -> dict:
+    replica = _Replica(config, population, evaluator, comm.rank, comm.world.tracer)
     try:
-        return _ft_worker_loop(comm, config, eager_games, population, evaluator, min_generation)
+        return _ft_worker_loop(comm, config, eager_games, replica, min_generation)
     except (RankFailedError, RecvTimeoutError) as exc:
         if comm.world.is_failed(0):
             raise  # Nature is dead: the job cannot finish, fail loudly.
@@ -419,64 +469,49 @@ def _ft_worker(comm, config, eager_games, population, evaluator, min_generation=
         raise RankCrashError(f"rank {comm.rank}: lost contact with Nature ({exc})") from exc
 
 
-def _ft_worker_loop(comm, config, eager_games, population, evaluator, min_generation) -> dict:
-    games_played = 0
-    tracer = comm.world.tracer
-
-    def report(gen, pi_t, pi_l) -> None:
-        # Posted, not awaited: Nature's next frame is its acknowledgement.
-        beat = WorkerReport(rank=comm.rank, generation=gen, pi_teacher=pi_t, pi_learner=pi_l)
-        comm.post_reliable(beat, dest=0, tag=TAG_REPORT)
-
+def _ft_worker_loop(comm, config, eager_games, replica, min_generation) -> dict:
     while True:
-        update, msg = comm.recv_reliable_owing(source=0, tag=TAG_CONTROL)
-        # The update closing a generation rides with the message opening the
-        # next.  One at or before the rejoin generation is already in the
+        # An event at or before the rejoin generation is already in the
         # matrix this rank was seeded with, and adopt-then-mutate is not
-        # idempotent: never apply it twice.
-        if update is not None and update.generation > min_generation:
-            if update.outcome is not None and update.outcome.adopted:
-                population.adopt(update.outcome.learner, update.outcome.teacher)
-            if update.mutation is not None:
-                population.set_strategy(update.mutation.sset, update.mutation.table)
+        # idempotent: ``replay`` never applies it twice.
+        closed, news, msg = comm.recv_reliable_owing(source=0, tag=TAG_CONTROL)
         if isinstance(msg, FTShutdown):
+            replica.replay(closed, news, closed, _NO_SSETS, min_generation=min_generation)
             break
-        if msg.generation <= min_generation:
+        if not isinstance(msg, FTHeader):
+            raise MPIError(f"rank {comm.rank}: unexpected control message {type(msg).__name__}")
+        end = msg.generation
+        if end <= min_generation:
             # Stale control traffic addressed to a previous incarnation of
             # this rank (the reliable layer may redeliver frames sent before
             # our predecessor died): drop it without replying.
             continue
-        if isinstance(msg, FTHeader):
-            gen = msg.generation
-            gen_span = tracer.span("generation", rank=comm.rank, args={"gen": gen})
-            gen_span.__enter__()
-            comm.fault_point(gen)
-            pi_t = pi_l = None
-            if eager_games:
-                # The slates may outlast Nature's retransmission timer, so the
-                # report cannot be what acknowledges this frame.
-                comm.settle_acks()
-                with tracer.span("play", rank=comm.rank, args={"gen": gen}):
-                    owners = owner_map_with_failures(config.n_ssets, comm.size, msg.failed_ranks)
-                    owned = np.flatnonzero(owners == comm.rank)
-                    evaluator.play_slates(owned, gen)
-                    games_played += owned.size * config.opponents_per_sset
-                if msg.has_pc:  # the owners answer from the slates just played
-                    with tracer.span("fitness", rank=comm.rank, args={"gen": gen}):
-                        pi_t, pi_l = _pc_fitness(
-                            evaluator, gen,
-                            msg.pc_teacher if owners[msg.pc_teacher] == comm.rank else None,
-                            msg.pc_learner if owners[msg.pc_learner] == comm.rank else None,
-                        )
-            report(gen, pi_t, pi_l)
-            gen_span.__exit__(None, None, None)
-        else:
-            raise MPIError(f"rank {comm.rank}: unexpected control message {type(msg).__name__}")
+        owned, pi_t, pi_l = _NO_SSETS, None, None
+        if eager_games:
+            # The slates may outlast Nature's retransmission timer, so the
+            # report cannot be what acknowledges this frame.
+            comm.settle_acks()
+            owners = owner_map_with_failures(config.n_ssets, comm.size, msg.failed_ranks)
+            owned = np.flatnonzero(owners == comm.rank)
+        replica.replay(
+            closed, news, end, owned, pc=msg.has_pc, fault_point=comm.fault_point,
+            min_generation=min_generation,
+        )
+        if msg.has_pc:  # the owners answer from the slates just played
+            with replica.tracer.span("fitness", rank=comm.rank, args={"gen": end}):
+                pi_t, pi_l = _pc_fitness(
+                    replica.evaluator, end,
+                    msg.pc_teacher if owners[msg.pc_teacher] == comm.rank else None,
+                    msg.pc_learner if owners[msg.pc_learner] == comm.rank else None,
+                )
+        # Posted, not awaited: Nature's next frame is its acknowledgement.
+        report = WorkerReport(rank=comm.rank, generation=end, pi_teacher=pi_t, pi_learner=pi_l)
+        comm.post_reliable(report, dest=0, tag=TAG_REPORT)
     # The last act, so it waits for Nature's explicit acknowledgement.
-    digest = _replica_digest(population.matrix())
-    final = FTFinal(rank=comm.rank, digest=digest, games_played=games_played)
+    digest = _replica_digest(replica.population.matrix())
+    final = FTFinal(rank=comm.rank, digest=digest, games_played=replica.games_played)
     comm.send_reliable(final, dest=0, tag=TAG_REPORT)
-    return {"digest": digest, "games_played": games_played}
+    return {"digest": digest, "games_played": replica.games_played}
 
 
 def _ft_nature(comm, config, eager_games, population, evaluator, streams, opts) -> dict:
@@ -489,22 +524,25 @@ def _ft_nature(comm, config, eager_games, population, evaluator, streams, opts) 
     recoveries: list[RecoveryEvent] = []
     checkpoints: list[str] = []
     hb = opts.heartbeat_timeout
+    every = opts.checkpoint_every if opts.checkpoint_dir is not None else 0
     tracer = comm.world.tracer
-    #: The update closing the last generation: it rides with whatever message
-    #: next goes to each worker (header or shutdown).
-    carried: FTUpdate | None = None
+    replica = _Replica(config, population, evaluator, comm.rank, tracer, nature)
+    last = config.generations
+    closed = nature.closed  # the generation the previous frame's header named
+    events: list = []  # what Nature applied since the last frame: the next frame's news
+    replied = float("inf")  # when the reports whose acks ride the next frame came in
 
-    def fan_out(ranks, msg, gen: int, what: str) -> tuple[list[int], float]:
-        """Post ``(carried, msg)`` to every rank of ``ranks`` before waiting
-        for anyone; returns those posted to and the round's one deadline."""
+    def fan_out(ranks, frame, gen: int, what: str, wait: float) -> tuple[list[int], float]:
+        """Post ``frame`` to every rank of ``ranks`` before waiting for
+        anyone; returns those posted to and the round's one deadline."""
         posted = []
         for rank in ranks:
             try:
-                comm.post_reliable((carried, msg), dest=rank, tag=TAG_CONTROL)
+                comm.post_reliable(frame, dest=rank, tag=TAG_CONTROL)
                 posted.append(rank)
             except RankFailedError as exc:
                 declare_failed(rank, gen, f"{what} not acknowledged: {exc}")
-        return posted, time.monotonic() + hb
+        return posted, time.monotonic() + wait
 
     def fan_in(posted, gen: int, deadline: float, what: str, recv=comm.recv_reliable_owing):
         """The replies to a round of frames, by rank, taken as they arrive
@@ -536,6 +574,12 @@ def _ft_nature(comm, config, eager_games, population, evaluator, streams, opts) 
             waiting = waiting - gone
         return replies
 
+    def settle_if_late() -> None:
+        # Ack the reports on their own once they have waited _ACK_DELAY for the next
+        # frame, as a blocked rank would: drafting or a checkpoint may outlast their timers.
+        if time.monotonic() > replied + _ACK_DELAY:
+            comm.settle_acks()
+
     def owners_now() -> np.ndarray:
         return owner_map_with_failures(config.n_ssets, comm.size, tuple(sorted(failed)))
 
@@ -556,13 +600,13 @@ def _ft_nature(comm, config, eager_games, population, evaluator, streams, opts) 
             DegradationEvent(generation=gen, rank=rank, reason=reason, reassigned_ssets=lost)
         )
 
-    def process_hellos(gen: int) -> None:
+    def process_hellos(closed: int) -> None:
         """Rejoin any respawned workers whose hellos have arrived.
 
-        Called at the generation boundary, *before* this generation's
-        events are drawn, so the replacement is seeded with the state as of
-        ``gen - 1`` and participates from ``gen`` onward.  Nature's own RNG
-        is untouched by the handshake — the healed trajectory is the
+        Called at a window boundary, *before* the next window is drafted, so
+        the replacement is seeded with the state as of ``closed`` and
+        participates from ``closed + 1`` onward.  Nature's own RNG is
+        untouched by the handshake — the healed trajectory is the
         fault-free trajectory, bit for bit.
         """
         while comm.probe(source=ANY_SOURCE, tag=TAG_HELLO):
@@ -575,10 +619,7 @@ def _ft_nature(comm, config, eager_games, population, evaluator, streams, opts) 
                 # Not yet declared dead (or never was): the replacement
                 # keeps re-sending its hello; answer once we have degraded.
                 continue
-            rejoin = FTRejoin(
-                generation=gen - 1,
-                matrix=population.matrix(),
-            )
+            rejoin = FTRejoin(generation=closed, matrix=population.matrix())
             # Revive before sending: the reliable ack wait fails fast on
             # ranks marked dead.  Roll back if the handshake fails.  The
             # replacement starts a fresh reliable history, so drop ours for
@@ -598,23 +639,22 @@ def _ft_nature(comm, config, eager_games, population, evaluator, streams, opts) 
             comm.world.counters.record("recovery", messages=0, nbytes=0)
             tracer.instant(
                 "recovery", rank=comm.rank,
-                args={"gen": gen, "healed_rank": rank, "incarnation": hello.incarnation},
+                args={"gen": closed, "healed_rank": rank, "incarnation": hello.incarnation},
             )
             recoveries.append(
                 RecoveryEvent(
-                    generation=gen - 1,
+                    generation=closed,
                     rank=rank,
                     incarnation=hello.incarnation,
                     restored_ssets=restored,
                 )
             )
 
-    for gen in range(nature.closed + 1, config.generations + 1):
-        gen_span = tracer.span("generation", rank=comm.rank, args={"gen": gen})
-        gen_span.__enter__()
-        comm.fault_point(gen)
+    while closed < last:
+        # A window boundary: rejoin whoever has said hello, then draft
+        # closed+1..end — to the cap, the next checkpoint, or an eager PC.
         if failed:
-            process_hellos(gen)
+            process_hellos(closed)
         if not live:
             # Every worker is currently dead.  Under respawn, replacements
             # may be on their way up — wait a heartbeat's worth for a hello
@@ -622,79 +662,70 @@ def _ft_nature(comm, config, eager_games, population, evaluator, streams, opts) 
             deadline = time.monotonic() + hb
             while not live and time.monotonic() < deadline:
                 time.sleep(0.02)
-                process_hellos(gen)
+                process_hellos(closed)
         if not live:
-            raise MPIError(f"generation {gen}: all worker ranks failed; cannot continue")
-        # Never past ``gen``: a checkpoint's nature_rng_state is a boundary state.
-        mutations, pc = nature.advance(population.random_strategy_table, gen)
-        selection = pc[1] if pc is not None else None
-        asked = selection if eager_games else None  # only eager owners played
-        header = FTHeader(
-            generation=gen,
-            pc_teacher=asked.teacher if asked else -1,
-            pc_learner=asked.learner if asked else -1,
-            failed_ranks=tuple(sorted(failed)),
-        )
-        # One frame down: every live worker's header (with the update that
-        # closes gen - 1) is on its way before Nature waits for anyone.
-        with tracer.span("header", rank=comm.rank, args={"gen": gen}):
-            posted, deadline = fan_out(list(live), header, gen, "header")
-        carried = None
+            raise MPIError(f"generation {closed + 1}: all worker ranks failed; cannot continue")
+        end = min(last, closed + _WINDOW_CAP)
+        if every:
+            end = min(end, closed - closed % every + every)
+        pc = None
+        for gen in range(closed + 1, end + 1):
+            settle_if_late()
+            with tracer.span("generation", rank=comm.rank, args={"gen": gen}):
+                comm.fault_point(gen)
+                pc = replica.draft(gen, eager_games, events)
+            if pc is not None:  # eager: its owners must reply
+                end = gen
+                break
+        pair = (pc[1].teacher, pc[1].learner) if pc else (-1, -1)
+        header = FTHeader(end, *pair, failed_ranks=tuple(sorted(failed)))
+        # One frame down: every live worker's is on its way before Nature
+        # waits for anyone.  An eager worker plays every generation of the
+        # window before it reports, so its deadline scales with the window.
+        with tracer.span("header", rank=comm.rank, args={"gen": end}):
+            wait = hb * (end - closed) if eager_games else hb
+            posted, deadline = fan_out(list(live), (closed, events, header), end, "header", wait)
+        events = []
 
         # Heartbeat round, one report up: a report per posted worker, all
         # bounded by one deadline, so k silent workers cost one timeout.
-        hb_span = tracer.span("heartbeat", rank=comm.rank, args={"gen": gen})
-        hb_span.__enter__()
         pi_t = pi_l = None
-        for rank, report in fan_in(posted, gen, deadline, "no heartbeat").items():
-            if report.generation != gen:
-                raise MPIError(
-                    f"nature desynchronised: rank {rank} reported generation"
-                    f" {report.generation} != {gen}"
+        with tracer.span("heartbeat", rank=comm.rank, args={"gen": end}):
+            for rank, report in fan_in(posted, end, deadline, "no heartbeat").items():
+                if report.generation != end:
+                    raise MPIError(
+                        f"nature desynchronised: rank {rank} reported generation"
+                        f" {report.generation} != {end}"
+                    )
+                comm.world.counters.record("heartbeat", messages=0, nbytes=0)
+                if report.pi_teacher is not None:
+                    pi_t = report.pi_teacher
+                if report.pi_learner is not None:
+                    pi_l = report.pi_learner
+        replied = time.monotonic()
+
+        if pc is not None:
+            # Every π no live owner reported (a dead owner's) is a function
+            # of the replica the workers played (Nature's own, as end - 1
+            # left it) and of (end, sset), so Nature computes it.  The
+            # mutation closing ``end`` follows: a window ends on a boundary.
+            with tracer.span("pc_step", rank=comm.rank, args={"gen": end}):
+                selection = pc[1]
+                own_t, own_l = _pc_fitness(
+                    evaluator, end,
+                    selection.teacher if pi_t is None else None,
+                    selection.learner if pi_l is None else None,
                 )
-            comm.world.counters.record("heartbeat", messages=0, nbytes=0)
-            if report.pi_teacher is not None:
-                pi_t = report.pi_teacher
-            if report.pi_learner is not None:
-                pi_l = report.pi_learner
-        hb_span.__exit__(None, None, None)
+                pi_t = own_t if pi_t is None else pi_t
+                pi_l = own_l if pi_l is None else pi_l
+                replica.decide(end, selection, float(pi_t), float(pi_l), events)
+                replica.draft(end, eager_games, events)
 
-        pc_span = tracer.span("pc_step", rank=comm.rank, args={"gen": gen})
-        pc_span.__enter__()
-        # Every pi no live owner reported (all of a lazy run's, a dead
-        # owner's on an eager run) is a function of the replica the workers
-        # hold (the end of gen - 1, Nature's own until the decision below)
-        # and of (gen, sset), so Nature computes it.
-        outcome = None
-        if selection is not None:
-            own_t, own_l = _pc_fitness(
-                evaluator, gen,
-                selection.teacher if pi_t is None else None,
-                selection.learner if pi_l is None else None,
-            )
-            pi_t = own_t if pi_t is None else pi_t
-            pi_l = own_l if pi_l is None else pi_l
-            outcome = _pc_outcome(nature.decide_adoption(selection, float(pi_t), float(pi_l)))
-            if outcome.adopted:
-                population.adopt(outcome.learner, outcome.teacher)
-            mutations, _ = nature.advance(population.random_strategy_table, gen)
-        mutation = None
-        for _, drawn in mutations:  # at most the one closing ``gen``
-            mutation = MutationUpdate(sset=drawn.sset, table=drawn.table)
-            population.set_strategy(drawn.sset, drawn.table)
-        # Nothing drawn for gen + 1 before its decide_adoption depends on a
-        # reply, so the update travels with the next frame to each worker.
-        carried = FTUpdate(generation=gen, outcome=outcome, mutation=mutation)
-        pc_span.__exit__(None, None, None)
-
-        if (
-            opts.checkpoint_dir is not None
-            and opts.checkpoint_every > 0
-            and gen % opts.checkpoint_every == 0
-        ):
-            with tracer.span("checkpoint", rank=comm.rank, args={"gen": gen}):
+        if every and end % every == 0:
+            settle_if_late()
+            with tracer.span("checkpoint", rank=comm.rank, args={"gen": end}):
                 state = ParallelCheckpoint.capture(nature, population.matrix())
-                if comm.checkpoint_fault_point(gen):
+                if comm.checkpoint_fault_point(end):
                     # Injected kill_during_checkpoint: reproduce the
                     # pre-atomic-write failure mode — partial bytes at the
                     # final path — then die mid-write.  The supervisor must
@@ -702,16 +733,16 @@ def _ft_nature(comm, config, eager_games, population, evaluator, streams, opts) 
                     write_torn_parallel_checkpoint(state, opts.checkpoint_dir)
                     raise RankCrashError(
                         f"rank {comm.rank}: injected kill during checkpoint"
-                        f" at generation {gen}"
+                        f" at generation {end}"
                     )
                 checkpoints.append(str(save_parallel_checkpoint(state, opts.checkpoint_dir)))
-        gen_span.__exit__(None, None, None)
+        closed = end
 
     # Shutdown: collect final digests from survivors, then release stragglers.
     matrix = population.matrix()
     digest = _replica_digest(matrix)
-    last = config.generations
-    posted, deadline = fan_out(list(live), FTShutdown(generation=last), last, "shutdown")
+    shutdown = (closed, events, FTShutdown(generation=last))
+    posted, deadline = fan_out(list(live), shutdown, last, "shutdown", hb)
     # Acknowledged at once (no reply will carry it): the FTFinal is a
     # worker's last act and it waits for this.
     finals = fan_in(posted, last + 1, deadline, "lost at shutdown", comm.recv_reliable)
@@ -760,8 +791,10 @@ class ParallelSimulation:
         fault-tolerant star when a fault plan or checkpointing is
         configured, the classic collective-tree protocol otherwise.
     heartbeat_timeout:
-        Seconds Nature waits for a worker's per-generation report before
-        declaring the rank failed (fault-tolerant protocol only).
+        Seconds Nature waits for a worker's report of a window before
+        declaring the rank failed (fault-tolerant protocol only).  On an
+        eager run it is per generation of the window: a worker plays every
+        generation's slates before it reports.
     fitness_timeout:
         Seconds *per generation* Nature waits for a fitness return at a PC
         event (collective tree, ``eager_games`` only; default 120: a lazy run

@@ -109,7 +109,7 @@ class TestProcessCrashChaos:
         ).run(timeout=300)
         assert result.failed_ranks == (2,)
         assert len(result.degradations) == 1
-        assert result.degradations[0].generation == 20
+        assert result.degradations[0].generation == 40  # the end of the window holding 20
         assert np.array_equal(result.matrix, baseline.matrix)
 
     def test_same_fault_seed_same_schedule_across_backends(self, config):

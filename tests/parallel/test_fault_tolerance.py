@@ -58,7 +58,7 @@ class TestFaultTolerantProtocol:
         assert len(result.degradations) == 1
         degradation = result.degradations[0]
         assert degradation.rank == 2
-        assert degradation.generation == 20
+        assert degradation.generation == 60  # the end of the window holding generation 20
         assert degradation.reassigned_ssets  # its SSets went somewhere
         # Crash-only chaos cannot perturb the trajectory: fitness is a
         # deterministic function of the (replicated) population.

@@ -1,12 +1,16 @@
-"""One frame down, one report up: the shape of the fault-tolerant star.
+"""One frame down, one report up per window: the shape of the fault-tolerant star.
 
-A generation costs each worker one frame (the update closing the previous
-generation riding with the header opening this one) and one report (which
-is the frame's acknowledgement).  The fault-free tests here are exact message
-counts on the thread backend and run in tier-1; the ones that inject faults
-are marked ``chaos``.  Every run ends compared with the serial oracle.
+The star moves in the collective tree's windows: up to ``_WINDOW_CAP``
+generations, cut at every checkpoint generation and, on an eager run, at each
+PC event.  A window costs each worker one frame (the tree's frame: the events
+Nature drafted for the window, after any an eager PC left open) and one
+report (which is the frame's acknowledgement); fault points and
+``generation`` spans stay per generation.  The fault-free tests here are
+exact message counts and run in tier-1; the ones that inject faults are
+marked ``chaos``.  Every run ends compared with the serial oracle.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -15,7 +19,7 @@ import pytest
 from repro.config import SimulationConfig
 from repro.mpi.comm import _TAG_RDATA, Comm
 from repro.mpi.executor import run_spmd
-from repro.mpi.faults import FaultEvent, FaultPlan
+from repro.mpi.faults import FaultEvent, FaultPlan, FaultRecord
 from repro.parallel.decomposition import owner_map_with_failures
 from repro.parallel.protocol import (
     TAG_CONTROL,
@@ -25,11 +29,11 @@ from repro.parallel.protocol import (
     FTHeader,
     FTRejoin,
     FTShutdown,
-    FTUpdate,
     MutationUpdate,
     WorkerReport,
 )
 from repro.parallel.runner import (
+    _WINDOW_CAP,
     ParallelSimulation,
     _ft_worker_respawned,
     _pc_outcome,
@@ -40,14 +44,38 @@ from repro.population.fitness import FitnessEvaluator
 from repro.rng import StreamFactory
 
 #: Busy dynamics (a PC most generations, a mutation in two of five), so that
-#: nearly every carried update changes the matrix and a lost, repeated or
-#: misplaced one shows in the final comparison.
+#: nearly every event changes the matrix and a lost, repeated or misplaced
+#: one shows in the final comparison.
 CFG = SimulationConfig(n_ssets=8, generations=40, seed=3, pc_rate=0.6, mutation_rate=0.4)
 
-#: Messages one worker's shutdown costs: the frame carrying FTShutdown (and
-#: the last update), the FTFinal, and Nature's explicit ack of it — nothing
-#: would answer an FTFinal, so nothing could carry that ack.
+#: Messages one worker's shutdown costs: the frame carrying FTShutdown, the
+#: FTFinal, and Nature's explicit ack of it — nothing would answer an
+#: FTFinal, so nothing could carry that ack.
 SHUTDOWN_MESSAGES = 3
+
+#: A checkpoint cadence that cuts CFG's lazy run into two windows.
+EVERY = 20
+
+BACKENDS = [
+    "thread",
+    pytest.param("process", marks=pytest.mark.procexec),
+    pytest.param("tcp", marks=pytest.mark.tcp),
+]
+
+
+def _window_ends(last: int, every: int = 0) -> list[int]:
+    """Where a lazy star's windows end: the cap, each checkpoint, the last generation."""
+    ends = [0]
+    while ends[-1] < last:
+        closed = ends[-1]
+        checkpoint = closed - closed % every + every if every else last
+        ends.append(min(last, closed + _WINDOW_CAP, checkpoint))
+    return ends[1:]
+
+
+def _window_of(gen: int, last: int, every: int = 0) -> int:
+    """The last generation of the lazy window that holds ``gen``."""
+    return next(end for end in _window_ends(last, every) if end >= gen)
 
 
 @pytest.fixture(scope="module")
@@ -97,28 +125,31 @@ def _adopts_then_mutates_the_teacher(record) -> bool:
 class TestMessageShape:
     @pytest.mark.parametrize("n_ranks", [3, 9])
     def test_two_messages_per_worker_per_generation(self, n_ranks, oracle):
+        """Per window since the star moves in windows (CFG's lazy run is one)."""
         result = ParallelSimulation(CFG, n_ranks, fault_tolerant=True).run(timeout=120)
         assert np.array_equal(result.matrix, oracle)
-        workers, gens = n_ranks - 1, CFG.generations
-        # Every frame confirmed delivered is counted: frames and reports of
-        # every generation, then the shutdown frame and the FTFinal.
-        assert _calls(result, "reliable_send") == (2 * gens + 2) * workers
-        assert _calls(result, "heartbeat") == gens * workers
+        workers, windows = n_ranks - 1, len(_window_ends(CFG.generations))
+        # Every frame confirmed delivered is counted: the frame and the report
+        # of every window, then the shutdown frame and the FTFinal.
+        assert _calls(result, "reliable_send") == (2 * windows + 2) * workers
+        assert _calls(result, "heartbeat") == windows * workers
         # Whatever else was sent is counted too: a retransmission, or an
         # explicit ack beyond the FTFinals'.  A fault-free run has none,
         # unless the machine froze a rank for _ACK_DELAY at the wrong moment;
-        # a protocol that needed them would need them every generation.
+        # a protocol that needed them would need them every window.
         timing = _calls(result, "reliable_retry") + _calls(result, "reliable_ack") - workers
         assert result.counters["send"].messages - timing == (
-            (2 * gens + SHUTDOWN_MESSAGES) * workers
+            (2 * windows + SHUTDOWN_MESSAGES) * workers
         )
         assert 0 <= timing <= 2
 
     @pytest.mark.parametrize("n_ranks", [3, 9])
-    def test_nature_fans_out_before_it_waits(self, n_ranks):
-        """Constant depth in P: in every generation all of Nature's frames are
+    def test_nature_fans_out_before_it_waits(self, n_ranks, tmp_path):
+        """Constant depth in P: in every window all of Nature's frames are
         sent (logical clock) before its first report is received."""
-        result = ParallelSimulation(CFG, n_ranks, fault_tolerant=True, trace=True).run(timeout=120)
+        result = ParallelSimulation(
+            CFG, n_ranks, checkpoint_dir=tmp_path, checkpoint_every=EVERY, trace=True
+        ).run(timeout=120)
         frame, report = _TAG_RDATA | TAG_CONTROL, _TAG_RDATA | TAG_REPORT
         p2p = sorted(
             (
@@ -128,8 +159,8 @@ class TestMessageShape:
             key=lambda e: e.seq,
         )
         workers = n_ranks - 1
-        for gen in range(CFG.generations):
-            burst = p2p[2 * workers * gen : 2 * workers * (gen + 1)]
+        for window in range(len(_window_ends(CFG.generations, EVERY))):
+            burst = p2p[2 * workers * window : 2 * workers * (window + 1)]
             assert [(e.name, e.args["tag"]) for e in burst] == (
                 [("send", frame)] * workers + [("recv", report)] * workers
             )
@@ -148,15 +179,15 @@ class TestMessageShape:
         monkeypatch.setattr(Comm, "post_reliable", spy)
         result = ParallelSimulation(CFG, 3, fault_tolerant=True, trace=True).run(timeout=120)
         assert np.array_equal(result.matrix, oracle)
-        headers = [p[1] for t, p in posted if t == TAG_CONTROL and isinstance(p[1], FTHeader)]
+        headers = [p[2] for t, p in posted if t == TAG_CONTROL and isinstance(p[2], FTHeader)]
         reports = [p for t, p in posted if t == TAG_REPORT and isinstance(p, WorkerReport)]
-        assert len(headers) == len(reports) == 2 * CFG.generations
+        assert len(headers) == len(reports) == 2 * len(_window_ends(CFG.generations))
         assert not any(header.has_pc for header in headers)
         assert all(r.pi_teacher is None and r.pi_learner is None for r in reports)
         assert not [e for e in result.trace.events() if e.name == "fitness"]
 
     def test_slow_generations_retransmit_nothing(self, oracle, monkeypatch):
-        """A worker whose generation outlasts ``ack_timeout`` settles its ack
+        """A worker whose window outlasts ``ack_timeout`` settles its ack
         before playing, and Nature — blocked on it, owing the fast worker an
         ack — settles that after ``_ACK_DELAY``: no timer ever fires."""
         play = FitnessEvaluator.play_slates
@@ -173,45 +204,51 @@ class TestMessageShape:
         driver.run()
         assert np.array_equal(result.matrix, driver.population.matrix())
         assert _calls(result, "reliable_retry") == 0
-        # 2 workers x 3 settles before play, Nature's 3 to rank 2, 2 at shutdown.
+        # A PC in each generation, so three one-generation windows: 2 workers
+        # x 3 settles before play, Nature's 3 to rank 2, 2 at shutdown.
         assert _calls(result, "reliable_ack") >= 6 + 3 + 2
 
 
 class TestCarriedUpdate:
-    def test_last_update_rides_with_shutdown(self, records, oracle):
-        assert records[-1].changed, "CFG's last generation must change the matrix"
-        result = ParallelSimulation(CFG, 3, fault_tolerant=True).run(timeout=120)
+    def test_last_update_rides_with_shutdown(self, records):
+        """An eager PC on the last generation: its decision and the mutation
+        closing it ride with FTShutdown, the frame after the last window."""
+        last = max(r.generation for r in records if r.pc is not None and r.changed)
+        cfg = dataclasses.replace(CFG, generations=last)
+        driver = EvolutionDriver(cfg)
+        driver.run()
+        result = ParallelSimulation(cfg, 3, eager_games=True, fault_tolerant=True).run(timeout=120)
         # Nature compares every FTFinal digest with its own matrix, so a
         # worker that missed the last update would have failed the run.
-        assert np.array_equal(result.matrix, oracle)
+        assert np.array_equal(result.matrix, driver.population.matrix())
         assert result.failed_ranks == ()
 
     def test_joiner_does_not_reapply_the_update_its_matrix_contains(self, records):
         """A respawned worker rejoins with Nature's matrix as of generation g,
-        and its first frame carries g's update again.  Adopt-then-mutate is
-        not idempotent when the mutation hits the teacher: applied twice, the
-        learner ends with the mutant."""
+        and its first frame carries g's events again (an eager PC closed its
+        window at g).  Adopt-then-mutate is not idempotent when the mutation
+        hits the teacher: applied twice, the learner ends with the mutant."""
         record = next(r for r in records[1:] if _adopts_then_mutates_the_teacher(r))
         gen = record.generation
         driver = EvolutionDriver(CFG)
         driver.run(gen)
         seeded = driver.population.matrix()
         assert not np.array_equal(seeded[record.pc.learner], record.mutation.table)
-        update = FTUpdate(
-            generation=gen,
-            outcome=_pc_outcome(record.pc),
-            mutation=MutationUpdate(sset=record.mutation.sset, table=record.mutation.table),
-        )
+        events = [
+            (gen, _pc_outcome(record.pc)),
+            (gen, MutationUpdate(sset=record.mutation.sset, table=record.mutation.table)),
+        ]
 
         def program(comm):
             if comm.rank == 1:  # the replacement incarnation's entry point
                 return _ft_worker_respawned(comm, CFG, False, StreamFactory(CFG.seed))
-            # Nature's side: answer the hello, run one generation, shut down.
+            # Nature's side: answer the hello, run one window, shut down.
             comm.recv(source=1, tag=TAG_HELLO, timeout=30)
             comm.send_reliable(FTRejoin(generation=gen, matrix=seeded), dest=1, tag=TAG_RECOVERY)
-            comm.post_reliable((update, FTHeader(generation=gen + 1)), dest=1, tag=TAG_CONTROL)
+            comm.post_reliable((gen, events, FTHeader(generation=gen + 1)), dest=1, tag=TAG_CONTROL)
             comm.recv_reliable_owing(source=1, tag=TAG_REPORT, timeout=30)
-            comm.post_reliable((None, FTShutdown(generation=gen + 1)), dest=1, tag=TAG_CONTROL)
+            shutdown = (gen + 1, [], FTShutdown(generation=gen + 1))
+            comm.post_reliable(shutdown, dest=1, tag=TAG_CONTROL)
             return comm.recv_reliable(source=1, tag=TAG_REPORT, timeout=30)
 
         final = run_spmd(2, program, timeout=60).returns[0]
@@ -225,7 +262,8 @@ class TestCarriedUpdate:
         """The teacher's owner dies at a PC generation whose predecessor
         changed the matrix: Nature answers for it from its own replica, which
         holds that change, exactly as the dead owner's did (on an eager run,
-        next to the learner's owner, which reports)."""
+        next to the learner's owner, which reports).  The failure is seen at
+        the end of the window that holds it: the PC itself on an eager run."""
         gen = _generation_after(
             records, lambda record: record.changed and records[record.generation].pc is not None
         )
@@ -236,7 +274,8 @@ class TestCarriedUpdate:
             CFG, 4, eager, fault_plan=plan, heartbeat_timeout=2.0
         ).run(timeout=120)
         assert np.array_equal(result.matrix, oracle)
-        assert [(d.rank, d.generation) for d in result.degradations] == [(owner, gen)]
+        end = gen if eager else _window_of(gen, CFG.generations)
+        assert [(d.rank, d.generation) for d in result.degradations] == [(owner, end)]
 
 
 @pytest.mark.chaos
@@ -250,16 +289,24 @@ class TestDeadOwners:
     @pytest.mark.procexec
     @pytest.mark.recovery
     @pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
-    def test_sole_worker_crashing_at_a_pc_generation_is_healed(self, records, oracle, eager):
+    def test_sole_worker_crashing_at_a_pc_generation_is_healed(
+        self, records, oracle, eager, tmp_path
+    ):
+        """No live worker is left, so Nature holds the next window boundary
+        for the replacement's hello however fast the run goes; a checkpoint
+        every EVERY generations keeps the crash out of a lazy run's last
+        window."""
         gen = _pc_generation(records, 5)
+        end = gen if eager else _window_of(gen, CFG.generations, EVERY)
+        assert end < CFG.generations
         plan = FaultPlan(seed=1, events=(FaultEvent(kind="crash", rank=1, generation=gen),))
         result = ParallelSimulation(
             CFG, 2, eager, fault_plan=plan, backend="process", on_rank_failure="respawn",
-            heartbeat_timeout=1.0,
+            heartbeat_timeout=1.0, checkpoint_dir=tmp_path, checkpoint_every=EVERY,
         ).run(timeout=120)
         assert np.array_equal(result.matrix, oracle)
-        assert [(d.rank, d.generation) for d in result.degradations] == [(1, gen)]
-        assert [(r.rank, r.generation) for r in result.recoveries] == [(1, gen)]
+        assert [(d.rank, d.generation) for d in result.degradations] == [(1, end)]
+        assert [(r.rank, r.generation) for r in result.recoveries] == [(1, end)]
 
     @pytest.mark.parametrize(
         "dead, eager",
@@ -280,23 +327,33 @@ class TestDeadOwners:
             CFG, 4, eager, fault_plan=plan, heartbeat_timeout=2.0
         ).run(timeout=120)
         assert np.array_equal(result.matrix, oracle)
+        end = gen if eager else _window_of(gen, CFG.generations)
         assert sorted((d.rank, d.generation) for d in result.degradations) == sorted(
-            (r, gen) for r in ranks
+            (r, end) for r in ranks
         )
 
 
 @pytest.mark.chaos
 class TestFaults:
-    """Seeded single faults on a 3-rank star.  Until the fault fires Nature's
-    sends are frames only — frame g to worker w is its send 2(g-1) + (w-1) —
-    and worker w's send g-1 is its report of generation g."""
+    """Seeded single faults on a 3-rank star with a checkpoint every
+    generation, so that every window is one generation.  Until the fault
+    fires Nature's sends are frames only — frame g to worker w, which carries
+    generation g's events, is its send 2(g-1) + (w-1) — and worker w's send
+    g-1 is its report of generation g."""
+
+    @pytest.fixture(autouse=True)
+    def _checkpoints(self, tmp_path):
+        self.directory = tmp_path
 
     def _run(self, *events):
         plan = FaultPlan(seed=9, events=tuple(events))
-        return ParallelSimulation(CFG, 3, fault_plan=plan, heartbeat_timeout=5.0).run(timeout=120)
+        return ParallelSimulation(
+            CFG, 3, fault_plan=plan, heartbeat_timeout=5.0,
+            checkpoint_dir=self.directory, checkpoint_every=1,
+        ).run(timeout=120)
 
     def test_dropped_frame_carrying_an_adoption(self, records, oracle):
-        gen = _generation_after(records, _adopts)
+        gen = _pc_generation(records, 2, _adopts)
         result = self._run(FaultEvent(kind="drop", rank=0, op_index=2 * (gen - 1)))
         assert np.array_equal(result.matrix, oracle)
         assert _calls(result, "fault_drop") == 1
@@ -339,11 +396,74 @@ class TestFaults:
         result = ParallelSimulation(
             CFG, 4, fault_plan=plan, heartbeat_timeout=hb, trace=True
         ).run(timeout=120)
+        end = _window_of(10, CFG.generations)
         assert np.array_equal(result.matrix, oracle)
         assert result.failed_ranks == (1, 2)
-        assert [d.generation for d in result.degradations] == [10, 10]
+        assert [d.generation for d in result.degradations] == [end, end]
         (round_,) = (
             e for e in result.trace.events()
-            if e.name == "heartbeat" and e.rank == 0 and e.args["gen"] == 10
+            if e.name == "heartbeat" and e.rank == 0 and e.args["gen"] == end
         )
         assert 0.5 * hb * 1e6 < round_.dur < 1.5 * hb * 1e6  # one timeout, not two
+
+
+class TestWindows:
+    """What a window is on the star: the cap and each checkpoint cut a lazy
+    run's; fault points and ``generation`` spans stay per generation."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_lazy_star_cuts_its_windows_at_each_checkpoint(self, backend, tmp_path):
+        cfg = SimulationConfig(
+            memory=1, n_ssets=6, generations=2 * _WINDOW_CAP + 10, seed=4, pc_rate=1.0
+        )
+        serial = EvolutionDriver(cfg).run()
+        result = ParallelSimulation(
+            cfg, 3, backend=backend, checkpoint_dir=tmp_path, checkpoint_every=100
+        ).run(timeout=300)
+        assert np.array_equal(result.matrix, serial.population.matrix())
+        assert (result.n_pc_events, result.n_adoptions, result.n_mutations) == (
+            serial.n_pc_events, serial.n_adoptions, serial.n_mutations
+        )
+        windows = len(_window_ends(cfg.generations, 100))
+        assert windows == 6  # 100, 200, 300, 400, 500 and 522
+        assert _calls(result, "heartbeat") == windows * 2
+        # A frame and a report per window and worker, then the shutdown frame
+        # and the FTFinal — whose ack a host process may receive after it
+        # shipped its counters, as Nature shuts the world down.
+        unshipped = 0 if backend == "thread" else 2
+        sends = _calls(result, "reliable_send")
+        assert (2 * windows + 2) * 2 - unshipped <= sends <= (2 * windows + 2) * 2
+        assert sorted(path.name for path in tmp_path.glob("ckpt_*.npz")) == [
+            f"ckpt_{gen:08d}.npz" for gen in range(100, cfg.generations, 100)
+        ]
+
+    @pytest.mark.chaos
+    def test_rank_faults_fire_as_before_and_degrade_at_their_window_end(self):
+        """Per-generation ``crash_p``/``hang_p`` draw the schedule the star
+        fired when it moved one generation per frame; each fault is seen at
+        the end of the window that holds it."""
+        cfg = SimulationConfig(n_ssets=8, generations=_WINDOW_CAP + 44, seed=3)
+        plan = FaultPlan(seed=39, crash_p=0.002, hang_p=0.001)
+        result = ParallelSimulation(cfg, 5, fault_plan=plan, heartbeat_timeout=1.0).run(
+            timeout=120
+        )
+        assert result.fault_events == (
+            FaultRecord(kind="crash", rank=1, generation=286),
+            FaultRecord(kind="hang", rank=2, generation=254),
+        )
+        assert sorted((d.rank, d.generation) for d in result.degradations) == sorted(
+            (r.rank, _window_of(r.generation, cfg.generations)) for r in result.fault_events
+        )
+        serial = EvolutionDriver(cfg)
+        serial.run()
+        assert np.array_equal(result.matrix, serial.population.matrix())
+
+    def test_a_traced_lazy_star_spans_each_generation_and_heartbeats_each_window(self):
+        cfg = SimulationConfig(n_ssets=8, generations=_WINDOW_CAP + 20, seed=3)
+        result = ParallelSimulation(cfg, 3, fault_tolerant=True, trace=True).run(timeout=120)
+        spans = [e for e in result.trace.events() if e.ph == "X"]
+        for rank in range(3):
+            gens = sorted(e.args["gen"] for e in spans if e.name == "generation" and e.rank == rank)
+            assert gens == list(range(1, cfg.generations + 1))
+        beats = sorted(e.args["gen"] for e in spans if e.name == "heartbeat" and e.rank == 0)
+        assert beats == _window_ends(cfg.generations)

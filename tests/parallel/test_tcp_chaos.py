@@ -35,34 +35,38 @@ def test_tcp_matches_thread_reference(memory3_config, reference_matrix):
 
 
 @pytest.mark.chaos
-def test_partition_reset_crash_bit_identical(memory3_config, reference_matrix):
+def test_partition_reset_crash_bit_identical(memory3_config, reference_matrix, tmp_path):
     # The issue's acceptance run: two hosts, network chaos at the socket
     # layer (partitions, resets, slow links) plus a mid-run worker crash
-    # healed by respawn — and the trajectory must not move a bit.
+    # healed by respawn — and the trajectory must not move a bit.  The
+    # worker is the only one, so Nature holds the next window boundary for
+    # its replacement; a checkpoint every generation keeps a frame and a
+    # report per generation crossing the hosts for the chaos to hit.
     plan = FaultPlan(
         seed=42,
         conn_reset_p=0.03,
         partition_p=0.005,
         slow_link_p=0.02,
         partition_seconds=0.3,
-        events=(FaultEvent(kind="crash", rank=2, generation=5),),
+        events=(FaultEvent(kind="crash", rank=1, generation=5),),
     )
     result = ParallelSimulation(
         memory3_config,
-        n_ranks=3,
+        n_ranks=2,
         backend="tcp",
         n_hosts=2,
         fault_plan=plan,
         on_rank_failure="respawn",
         heartbeat_timeout=10.0,
+        checkpoint_dir=tmp_path,
+        checkpoint_every=1,
     ).run()
     assert np.array_equal(result.matrix, reference_matrix)
     assert result.failed_ranks == ()
-    assert [(r.rank, r.incarnation) for r in result.respawns] == [(2, 1)]
-    assert [(e.rank, e.incarnation) for e in result.recoveries] == [(2, 1)]
-    # The replacement's hello lands at the first generation boundary after
-    # respawn completes; how many boundaries that takes depends on process
-    # spawn latency, so pin the window, not the exact boundary.
+    assert [(r.rank, r.incarnation) for r in result.respawns] == [(1, 1)]
+    assert [(e.rank, e.incarnation) for e in result.recoveries] == [(1, 1)]
+    # The replacement's hello lands at the first window boundary after the
+    # crash: pin the range, not the exact boundary.
     assert 5 <= result.recoveries[0].generation < memory3_config.generations
     # The transport had to actually heal something for this to mean much.
     net = {k: v.calls for k, v in result.counters.items() if k.startswith("net.")}
@@ -71,9 +75,10 @@ def test_partition_reset_crash_bit_identical(memory3_config, reference_matrix):
 
 
 @pytest.mark.chaos
-def test_same_seed_same_network_schedule(memory3_config):
+def test_same_seed_same_network_schedule(memory3_config, tmp_path):
     # Chaos is a pure function of the plan seed: two runs under the same
     # plan must fire the identical fault schedule (and agree on results).
+    # A checkpoint every generation keeps a frame per generation on the wire.
     plan = FaultPlan(seed=7, conn_reset_p=0.04, slow_link_p=0.03)
 
     def run():
@@ -84,6 +89,8 @@ def test_same_seed_same_network_schedule(memory3_config):
             n_hosts=2,
             fault_plan=plan,
             heartbeat_timeout=10.0,
+            checkpoint_dir=tmp_path,
+            checkpoint_every=1,
         ).run()
 
     first, second = run(), run()

@@ -26,7 +26,7 @@ from repro.service.server import RunServer
 
 pytestmark = [pytest.mark.service, pytest.mark.chaos]
 
-GENERATIONS = 240
+GENERATIONS = 2400
 ALICE_SEED = 31
 BOB_SEED = 32
 

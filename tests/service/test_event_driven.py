@@ -89,7 +89,7 @@ class TestSchedulerWakesOnWorkerExit:
     def test_preempted_run_is_requeued_and_finishes(self, store):
         with JobQueue(store, max_workers=1, poll=TICK) as queue:
             queue.submit(
-                "alice", "r1", _spec(generations=1000, fault=FaultPolicy(max_requeues=0))
+                "alice", "r1", _spec(generations=4000, fault=FaultPolicy(max_requeues=0))
             )
             _wait_for(lambda: queue.status("alice", "r1").pid)
             queue.preempt("alice", "r1")
@@ -97,7 +97,7 @@ class TestSchedulerWakesOnWorkerExit:
         assert (status.state, status.requeues, status.incarnations) == ("done", 0, 2)
 
     def test_killed_worker_is_requeued_within_its_budget(self, store):
-        generations, seed = 1000, 5
+        generations, seed = 4000, 5
         with JobQueue(store, max_workers=1, poll=TICK) as queue:
             key = queue.submit(
                 "alice", "r1",

@@ -176,7 +176,7 @@ class TestPreemptionAndRequeue:
         with JobQueue(store, max_workers=1) as queue:
             queue.submit(
                 "alice", "r1",
-                _spec(generations=400, fault=FaultPolicy(max_requeues=0)),
+                _spec(generations=4000, fault=FaultPolicy(max_requeues=0)),
             )
             _wait_for(lambda: queue.status("alice", "r1").pid)
             queue.preempt("alice", "r1")
@@ -188,13 +188,13 @@ class TestPreemptionAndRequeue:
         assert status.incarnations == 2
 
     def test_killed_worker_resumes_from_checkpoint(self, store):
-        config = SimulationConfig(n_ssets=8, generations=300, seed=5)
+        config = SimulationConfig(n_ssets=8, generations=3000, seed=5)
         driver = EvolutionDriver(config)
         driver.run()
         with JobQueue(store, max_workers=1) as queue:
             queue.submit(
                 "alice", "r1",
-                _spec(generations=300, seed=5, fault=FaultPolicy(max_requeues=1)),
+                _spec(generations=3000, seed=5, fault=FaultPolicy(max_requeues=1)),
             )
 
             def past_first_checkpoint():
@@ -241,7 +241,7 @@ class TestResume:
                 queue.resume("alice", "r1")
 
     def test_resume_after_failure_completes_from_checkpoint(self, store):
-        spec = _spec(generations=300, seed=5, fault=FaultPolicy(max_requeues=0))
+        spec = _spec(generations=3000, seed=5, fault=FaultPolicy(max_requeues=0))
         with JobQueue(store, max_workers=1) as queue:
             queue.submit("alice", "r1", spec)
 
@@ -257,7 +257,7 @@ class TestResume:
             fresh.resume("alice", "r1")
             status = fresh.wait("alice", "r1", timeout=120)
         assert status.state == "done"
-        config = SimulationConfig(n_ssets=8, generations=300, seed=5)
+        config = SimulationConfig(n_ssets=8, generations=3000, seed=5)
         driver = EvolutionDriver(config)
         driver.run()
         stored = store.load_result(store.key("alice", "r1"))

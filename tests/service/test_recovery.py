@@ -74,8 +74,9 @@ class TestRecover:
 
     def test_orphaned_run_is_requeued_and_finishes_bit_identically(self, store):
         # Long enough that the run cannot finish between the poll that sees
-        # generation 20 and the close that kills it (60 generations were ~45 ms).
-        generations, seed = 400, 11
+        # generation 20 and the close that kills it (400 generations take
+        # ~0.1 s on the windowed star).
+        generations, seed = 4000, 11
         # A dead service's leftovers: spec + checkpoints from a real partial
         # run, status still saying "running" with a pid nobody owns.
         with JobQueue(store, max_workers=1) as queue:
@@ -103,7 +104,7 @@ class TestRecover:
     def test_recovery_kills_a_live_orphan_worker(self, store):
         # A worker of a "dead" queue that is still alive must be killed
         # before its run is re-adopted: two workers on one run would race.
-        spec = _spec(generations=4000, seed=5)
+        spec = _spec(generations=100_000, seed=5)
         with JobQueue(store, max_workers=1) as queue:
             key = queue.submit("alice", "r1", spec)
             _wait_for(lambda: queue.status("alice", "r1").state == "running")
@@ -157,7 +158,7 @@ class TestRecover:
         # Long enough that the queue is closed mid-run on any box: at 40
         # generations the worker finished inside one poll interval in ~1 of 7
         # tries, and recovery then (rightly) reconciled instead of requeueing.
-        generations, seed = 600, 13
+        generations, seed = 4000, 13
         key = store.key("alice", "r1")
         with JobQueue(store, max_workers=1) as queue:
             queue.submit("alice", "r1", _spec(generations=generations, seed=seed))
@@ -179,7 +180,7 @@ class TestFencing:
     def test_second_queue_fences_the_first(self, store):
         """A concurrent second queue on the same store wins the lease; the
         first stops dispatching and its stale-epoch writes are rejected."""
-        spec = _spec(generations=4000, seed=9)
+        spec = _spec(generations=100_000, seed=9)
         first = JobQueue(store, max_workers=1)
         try:
             key = first.submit("alice", "r1", spec)
@@ -237,7 +238,7 @@ class TestFencing:
 class TestDrain:
     def test_drain_rejects_new_work_and_requeues_the_rest(self, store):
         queue = JobQueue(store, max_workers=1)
-        key = queue.submit("alice", "r1", _spec(generations=4000, seed=15))
+        key = queue.submit("alice", "r1", _spec(generations=100_000, seed=15))
         _wait_for(lambda: queue.status("alice", "r1").state == "running")
         queue.close(drain=0.3)  # far shorter than the run: the kill lands
         assert queue.draining
@@ -299,7 +300,7 @@ class TestDrain:
 
 class TestStallWatchdog:
     def test_wedged_worker_is_killed_and_requeued(self, store):
-        generations, seed = 60, 17
+        generations, seed = 3000, 17
         spec = _spec(
             generations=generations,
             seed=seed,

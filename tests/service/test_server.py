@@ -124,7 +124,7 @@ class TestErrorMapping:
         assert err.value.status == 400
 
     def test_result_before_finish_is_400(self, client):
-        client.submit("alice", "r1", spec=_spec(generations=500))
+        client.submit("alice", "r1", spec=_spec(generations=100_000))
         with pytest.raises(ServiceHTTPError) as err:
             client.result("alice", "r1")
         assert err.value.status == 400
@@ -158,7 +158,7 @@ class TestStream:
 
 class TestPreemptResume:
     def test_preempt_over_http(self, client):
-        client.submit("alice", "r1", spec=_spec(generations=300))
+        client.submit("alice", "r1", spec=_spec(generations=3000))
         status = client.preempt("alice", "r1")
         assert status["state"] in ("queued", "running")
         assert client.wait("alice", "r1", timeout=120)["state"] == "done"

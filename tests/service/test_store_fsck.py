@@ -215,7 +215,7 @@ class TestFsck:
     def test_run_owned_by_live_queue_is_not_orphaned(self, tmp_path):
         store = RunStore(tmp_path / "runs")
         with JobQueue(store, max_workers=1) as queue:
-            queue.submit("alice", "r1", _spec(generations=4000))
+            queue.submit("alice", "r1", _spec(generations=100_000))
             report = fsck_store(store.root)
             assert all(r.state != "orphaned" for r in report.runs)
             with queue._lock:
