@@ -28,10 +28,11 @@ test-procexec:
 
 # Self-healing runs: worker respawn under real process kills, supervised
 # restarts from torn checkpoints, and SIGKILL-mid-checkpoint recovery; then
-# the checkpoint format's own suite (serial and star resume each other).
+# the checkpoint format's own suite (serial, star and a world of one resume
+# each other).
 test-recovery:
 	pytest tests/ -m recovery
-	pytest tests/io/test_checkpoints.py tests/parallel/test_resume.py
+	pytest tests/io/test_checkpoints.py tests/parallel/test_resume.py tests/parallel/test_world_of_one.py
 
 # Multi-host TCP transport: framing/resumption unit tests plus loopback
 # multi-host chaos runs (partitions, connection resets, a respawned crash).

@@ -1,9 +1,9 @@
 """The paper's parallel algorithm on the virtual MPI runtime.
 
 * :mod:`repro.parallel.decomposition` — SSets/agents onto ranks (Table VIII).
-* :mod:`repro.parallel.protocol` — the per-generation wire protocol.
-* :mod:`repro.parallel.runner` — Nature rank + workers, bit-identical to the
-  serial driver.
+* :mod:`repro.parallel.protocol` — the per-window wire protocol.
+* :mod:`repro.parallel.runner` — Nature rank + workers, one program for
+  every run, bit-identical to the serial driver.
 * :mod:`repro.parallel.supervisor` — self-healing runs: bounded restarts
   from crash-consistent checkpoints.
 * :mod:`repro.parallel.spec` — declarative :class:`RunSpec`/:class:`FaultPolicy`
@@ -17,9 +17,7 @@ from repro.parallel.decomposition import (
     table8_rows,
 )
 from repro.parallel.protocol import (
-    TAG_FITNESS,
     DegradationEvent,
-    GenerationHeader,
     MutationUpdate,
     PCOutcome,
     RecoveryEvent,
@@ -33,12 +31,10 @@ __all__ = [
     "agents_per_processor",
     "owner_map_with_failures",
     "table8_rows",
-    "GenerationHeader",
     "MutationUpdate",
     "PCOutcome",
     "DegradationEvent",
     "RecoveryEvent",
-    "TAG_FITNESS",
     "ParallelRunResult",
     "ParallelSimulation",
     "FaultPolicy",

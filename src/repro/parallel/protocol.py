@@ -2,30 +2,32 @@
 
 The paper's population dynamics are a broadcast down the collective tree and
 two point-to-point fitness returns, and only a pairwise comparison needs a
-fitness.  Nothing Nature draws between two adoption decisions depends on one
-(:meth:`~repro.population.nature.NatureAgent.advance`) and a lazy PC's is
-Nature's own, so a window — up to the cap, or to an eager PC — exchanges:
+fitness.  :mod:`repro.perf` prices that tree for the paper's tables; the
+program that executes is a reliable point-to-point star that moves in the
+same windows.  Nothing Nature draws between two adoption decisions depends on
+one (:meth:`~repro.population.nature.NatureAgent.advance`) and a lazy PC's is
+Nature's own, so a window — up to the cap, the next checkpoint, or an eager
+PC — exchanges, with every live worker:
 
-1. **Frame** (Nature -> all, collective tree / ``bcast``):
-   ``(closed, [(generation, PCOutcome | MutationUpdate), ...],
-   GenerationHeader)`` — every decision and mutation Nature applied since
-   generation ``closed`` (where the previous frame stopped), in order, and
-   the generation the window stops at.  Only an eager frame's header names a
-   PC that needs a reply (``pc_teacher`` -1 otherwise).
-2. **Fitness returns** (eager only; owners -> Nature, torus point-to-point):
-   the teacher's and learner's relative fitness, read from the slates the
-   owners played that generation; the decision rides first in the next
-   frame.
+1. **Frame** (Nature -> worker, :meth:`~repro.mpi.comm.Comm.post_reliable`):
+   ``(closed, [(generation, PCOutcome | MutationUpdate), ...], FTHeader)`` —
+   every decision and mutation Nature applied since generation ``closed``
+   (where the previous frame stopped), in order, and the generation the
+   window stops at.  Only an eager frame's header names a PC that needs a
+   reply (``pc_teacher`` -1 otherwise).
+2. **Report** (worker -> Nature): a :class:`WorkerReport`, the window's
+   heartbeat; on an eager PC it carries the teacher's and learner's relative
+   fitness, read from the slates their owners played that generation, and
+   the decision rides first in the next frame.
 
 Workers replay the events in order on their population replica, so every
 rank ends the window with an identical global strategy view — the paper's
 "all nodes need to maintain an up to date view of the strategies assigned to
-all other SSets".  The fault-tolerant star (below) moves in the same windows
-with the same frame, an :class:`FTHeader` in the header's place.
+all other SSets".
 
-Payloads are small slotted dataclasses (a pickle carries values, not field
-names); strategy tables travel as ndarrays (the virtual network counts their
-true byte size).
+Payloads are small slotted dataclasses that pickle as their values alone;
+a strategy table travels as its raw bytes, so the virtual network counts its
+true size.
 """
 
 from __future__ import annotations
@@ -35,10 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "TAG_FITNESS",
     "TAG_CONTROL",
     "TAG_REPORT",
-    "GenerationHeader",
     "PCOutcome",
     "MutationUpdate",
     "FTHeader",
@@ -51,13 +51,10 @@ __all__ = [
     "RecoveryEvent",
 ]
 
-#: Point-to-point tag for fitness returns to the Nature Agent.
-TAG_FITNESS = 7
-
-#: Reliable-channel tag for Nature -> worker control messages (FT runner).
+#: Reliable-channel tag for Nature -> worker control messages.
 TAG_CONTROL = 11
 
-#: Reliable-channel tag for worker -> Nature reports (FT runner).
+#: Reliable-channel tag for worker -> Nature reports.
 TAG_REPORT = 12
 
 #: Plain-channel tag for a respawned worker announcing itself to Nature.
@@ -71,23 +68,6 @@ TAG_RECOVERY = 14
 
 
 @dataclass(frozen=True, slots=True)
-class GenerationHeader:
-    """The generation a frame stops at, and the PC pair that needs fitness there.
-
-    ``pc_teacher``/``pc_learner`` are -1 when no pairwise comparison fires.
-    """
-
-    generation: int
-    pc_teacher: int = -1
-    pc_learner: int = -1
-
-    @property
-    def has_pc(self) -> bool:
-        """Whether a pairwise comparison fires this generation."""
-        return self.pc_teacher >= 0
-
-
-@dataclass(frozen=True, slots=True)
 class PCOutcome:
     """The Nature Agent's adoption decision for one pairwise comparison."""
 
@@ -98,6 +78,10 @@ class PCOutcome:
     pi_learner: float
     probability: float
 
+    def __reduce__(self):  # values only: the slotted default lists the fields per object
+        return PCOutcome, (self.teacher, self.learner, self.adopted,
+                           self.pi_teacher, self.pi_learner, self.probability)
+
 
 @dataclass(frozen=True, slots=True)
 class MutationUpdate:
@@ -106,25 +90,27 @@ class MutationUpdate:
     sset: int
     table: np.ndarray
 
+    def __reduce__(self):
+        # Raw bytes: an ndarray's own pickle costs more than the table it carries.
+        return _mutation_update, (self.sset, self.table.tobytes(), self.table.dtype.str)
 
-# -- fault-tolerant protocol ----------------------------------------------------------
+
+def _mutation_update(sset: int, raw: bytes, dtype: str) -> MutationUpdate:
+    # Unpickles a MutationUpdate; its table is a read-only 1-D view of ``raw``.
+    return MutationUpdate(sset, np.frombuffer(raw, dtype))
+
+
+# -- the star ---------------------------------------------------------------------
 #
-# The fault-tolerant runner replaces the collective tree with a reliable
-# point-to-point star that moves in the tree's windows, cut also at every
-# checkpoint generation: one frame down and one report up per worker per
-# window.  The frame is the tree's, ``(closed, events, FTHeader)``, posted to
-# every live worker before Nature waits for anyone.  Each worker replays the
-# window in order — per generation its fault point, on an eager run its
-# slates, then the generation's events — and posts one WorkerReport (the
-# heartbeat).  Only an eager header names a PC, the one that ends its
-# window: the owners report π from the slates they just played and the
-# decision rides first in the next frame (or with FTShutdown).  Every π
-# nobody reported (a lazy run's, or a dead owner's) Nature computes from its
-# own replica — the one the workers hold — and asks no one.
-# Everything travels on the reliable layer (Comm.post_reliable /
-# recv_reliable_owing: the report acknowledges the frame it answers and the
-# next frame the report), so injected drops, duplicates and corruptions
-# cannot desynchronise it.
+# Frames go to every live worker before Nature waits for anyone.  A worker
+# replays the window in order — per generation its fault point, on an eager
+# run its slates, then the generation's events; a lazy, untraced, fault-free
+# worker only the generations that had events — and posts one WorkerReport.
+# Every π nobody reported (a lazy run's, or a dead owner's) Nature computes
+# from its own replica, the one the workers hold, and asks no one.  All of it
+# travels on the reliable layer (Comm.post_reliable / recv_reliable_owing: the
+# report acknowledges the frame it answers and the next frame the report), so
+# injected drops, duplicates and corruptions cannot desynchronise it.
 
 
 @dataclass(frozen=True)

@@ -3,17 +3,21 @@
 This is the paper's §V implementation, expressed on the virtual runtime:
 
 * rank 0 is the **Nature Agent** — it owns the random decision streams and
-  announces everything it settles down the (modelled) collective tree, one
-  ``bcast`` per window.  A lazy run's PC fitness comes from Nature's own
-  replica, so only the cap ends a window; an eager window ends at a PC, whose
-  owners return fitness point-to-point, and the decision rides in the next;
+  announces everything it settles, one frame per window, to every live
+  worker over a reliable point-to-point star (the paper's collective tree is
+  what :mod:`repro.perf` prices).  A lazy run's PC fitness comes from
+  Nature's own replica, so only the cap and the checkpoint cadence end a
+  window; an eager window ends at a PC, whose owners report fitness with
+  their heartbeat, and the decision rides first in the next frame;
 * ranks 1..P-1 are **workers** — each owns a block of SSets
   (:class:`~repro.parallel.decomposition.SSetDecomposition`), keeps a full
   replica of the global strategy view (the paper's per-node "local view of
-  the strategy space"), on an eager run plays its SSets' slates and returns
-  their fitness at a PC, and replays every window's events in order.
+  the strategy space"), on an eager run plays its SSets' slates, and
+  replays every window's events in order.  A world of one is Nature alone:
+  the same program with nobody to tell.
 
-Because every rank derives its randomness from the same
+One program carries every run — lazy, eager, faulted, checkpointed and
+resumed.  Because every rank derives its randomness from the same
 :class:`~repro.rng.StreamFactory` keys as the serial driver, a parallel run
 produces a population trajectory *bit-identical* to
 :class:`~repro.population.dynamics.EvolutionDriver` at any rank count — the
@@ -24,6 +28,7 @@ the reproduction makes.
 from __future__ import annotations
 
 import hashlib
+import pickle
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -44,10 +49,9 @@ from repro.mpi.comm import _ACK_DELAY, ANY_SOURCE, Comm
 from repro.mpi.counters import OpCount
 from repro.mpi.executor import RespawnRecord, run_spmd
 from repro.mpi.faults import FaultInjector, FaultPlan, FaultRecord
-from repro.parallel.decomposition import SSetDecomposition, owner_map_with_failures
+from repro.parallel.decomposition import owner_map_with_failures
 from repro.parallel.protocol import (
     TAG_CONTROL,
-    TAG_FITNESS,
     TAG_HELLO,
     TAG_RECOVERY,
     TAG_REPORT,
@@ -57,7 +61,6 @@ from repro.parallel.protocol import (
     FTHello,
     FTRejoin,
     FTShutdown,
-    GenerationHeader,
     MutationUpdate,
     PCOutcome,
     RecoveryEvent,
@@ -71,18 +74,8 @@ from repro.rng import StreamFactory
 
 __all__ = ["ParallelSimulation", "ParallelRunResult"]
 
-_TAG_TEACHER = TAG_FITNESS
-_TAG_LEARNER = TAG_FITNESS + 1
-
-#: Default for Nature's wait on an eager run's fitness return, per generation
-#: of the window it closes (``ParallelSimulation(fitness_timeout=...)``; a lazy
-#: run never waits for one).  Failing fast beats hanging the whole run when the
-#: ownership maps diverge, but the same deadline also bounds a legitimately
-#: slow worker — large memory-depth tables can need more than the default.
-_DEFAULT_FITNESS_TIMEOUT = 120.0
-
-#: Most generations one frame closes, on either protocol: at ``pc_rate`` 0 a
-#: 10^6-generation run must not become one broadcast of 50 000 tables.
+#: Most generations one frame closes: at ``pc_rate`` 0 a 10^6-generation run
+#: must not become one frame of 50 000 tables.
 _WINDOW_CAP = 256
 
 #: What a lazy rank plays, and Nature on any run: no slates.
@@ -109,7 +102,8 @@ class ParallelRunResult:
         World size the program ran on.
     games_played_per_rank:
         Directed eager-slate games each rank played (all zeros on a lazy
-        run, whose PC games Nature plays on its own replica, uncounted).
+        run, whose PC games Nature plays on its own replica, uncounted, and
+        on a world of one).
     """
 
     final: PackedMatrix | np.ndarray
@@ -160,8 +154,8 @@ def _replica_digest(matrix: np.ndarray) -> bytes:
 class _Replica:
     """One rank's population replica, moved through the run a window at a time.
 
-    Both rank programs hold one: Nature drafts each window on its own
-    (:meth:`draft`), and a rank replays the frame that announces it
+    Every rank holds one: Nature drafts each window on its own
+    (:meth:`draft`), and a worker replays the frame that announces it
     (:meth:`replay`).
     """
 
@@ -253,119 +247,36 @@ class _Replica:
         )
 
 
-def _rank_program(
-    comm: Comm,
-    config: SimulationConfig,
-    eager_games: bool,
-    fitness_timeout: float = _DEFAULT_FITNESS_TIMEOUT,
-) -> dict:
-    """The SPMD body executed by every rank."""
-    streams = StreamFactory(config.seed)
-    population = Population.random(config, streams.fresh("init"))
-    decomp = SSetDecomposition(config.n_ssets, comm.size)
-    evaluator = FitnessEvaluator(config, population, streams)
-    nature = NatureAgent(config, streams) if comm.rank == decomp.nature_rank else None
-    owned = decomp.ssets_of_rank(comm.rank) if eager_games else _NO_SSETS
-    # A real mpi4py communicator (see mpi4py_backend.CommLike) carries no tracer.
-    tracer = getattr(comm, "tracer", NULL_TRACER)
-    replica = _Replica(config, population, evaluator, comm.rank, tracer, nature)
-
-    last = config.generations
-    closed = 0  # the generation the previous frame's header named
-    events = []  # Nature: what it applied since the last frame, the next frame's news
-    # Only slates and trace spans are per generation (a names-only tap reports
-    # ``enabled`` False yet reads the spans): a lazy untraced rank touches
-    # nothing but the events of the generations that had one.
-    every_generation = tracer is not NULL_TRACER or owned.size > 0
-
-    while True:
-        # One frame down the tree: everything Nature settles up to the cap, or
-        # up to an eager PC.
-        frame = None
-        if nature is not None:
-            pc = replica.draft(min(last, closed + _WINDOW_CAP), eager_games, events)
-            header = GenerationHeader(nature.closed)
-            if pc is not None:
-                header = GenerationHeader(pc[0], pc[1].teacher, pc[1].learner)
-            frame, events = (closed, events, header), []
-        with tracer.span("header", rank=comm.rank, args={"gen": closed + 1}):
-            was, news, header = comm.bcast(frame, root=decomp.nature_rank)
-        if was != closed:
-            raise MPIError(f"rank {comm.rank} desynchronised: frame closes {was} != {closed}")
-        gen = header.generation
-        replica.replay(closed, news, gen, owned, pc=header.has_pc, every=every_generation)
-        if header.has_pc:  # eager only: the owners of the pair reply
-            with tracer.span("pc_step", rank=comm.rank, args={"gen": gen}):
-                teacher, learner = header.pc_teacher, header.pc_learner
-                t_owner, l_owner = decomp.owner_of(teacher), decomp.owner_of(learner)
-                pi_t, pi_l = _pc_fitness(
-                    evaluator, gen,
-                    teacher if comm.rank == t_owner else None,
-                    learner if comm.rank == l_owner else None,
-                )
-                if pi_t is not None:
-                    comm.send(pi_t, dest=decomp.nature_rank, tag=_TAG_TEACHER)
-                if pi_l is not None:
-                    comm.send(pi_l, dest=decomp.nature_rank, tag=_TAG_LEARNER)
-                if nature is not None:
-                    # An eager owner plays every generation of the window before
-                    # it answers, so the per-generation deadline scales with it.
-                    deadline = fitness_timeout * (gen - closed)
-                    try:
-                        pi_t = comm.recv(source=t_owner, tag=_TAG_TEACHER, timeout=deadline)
-                        pi_l = comm.recv(source=l_owner, tag=_TAG_LEARNER, timeout=deadline)
-                    except RecvTimeoutError as exc:
-                        # Name both causes (a worker owning nothing never replies).
-                        raise MPIError(
-                            f"no fitness return for PC ({teacher} -> {learner}) from owners"
-                            f" ({t_owner}, {l_owner}) within {deadline:g} s ({fitness_timeout:g} s"
-                            f" per generation of the window {closed + 1}..{gen}): the owning"
-                            " worker may be too slow for the configured deadline (raise"
-                            " ParallelSimulation(fitness_timeout=...)) or the ownership maps"
-                            " diverged across ranks"
-                        ) from exc
-                    replica.decide(gen, pc[1], pi_t, pi_l, events)
-        elif gen == last:
-            break
-        closed = gen
-
-    matrix = population.matrix()
-    digests = comm.allgather(_replica_digest(matrix))
-    if len(set(digests)) != 1:
-        raise MPIError(f"rank {comm.rank}: population replicas diverged: {digests}")
-
-    out: dict = {"digest": digests[0], "games_played": replica.games_played}
-    if nature is not None:
-        out.update(
-            matrix=matrix,
-            n_pc_events=nature.n_pc_events,
-            n_adoptions=nature.n_adoptions,
-            n_mutations=nature.n_mutations,
-        )
-    return out
-
-
-# -- fault-tolerant execution ---------------------------------------------------------
+# -- the rank program ------------------------------------------------------------------
 #
-# The fault-tolerant rank program replaces the collective tree with a
-# reliable point-to-point star (see repro.parallel.protocol) that moves in
-# the tree's windows, drafted and replayed by the same ``_Replica``.  Nature
-# heartbeats every live worker once a window; dead or silent workers are
-# detected, their SSets redistributed to survivors, and the run continues.
-# Because fitness is a deterministic function of (population, generation,
-# sset) on every rank, redistribution does not perturb the trajectory: a
-# crash-degraded run still matches the fault-free population bit for bit.
+# A reliable point-to-point star (repro.parallel.protocol), drafted and
+# replayed a window at a time by ``_Replica``.  Nature's heartbeat detects dead
+# or silent workers and their SSets go to the survivors; fitness being a
+# function of (population, generation, sset) on every rank, a degraded run
+# still matches the fault-free one bit for bit.
 
 
 @dataclass(frozen=True)
-class _FTOptions:
-    """Knobs of the fault-tolerant rank program (internal)."""
+class _Options:
+    """Knobs of the rank program (internal)."""
 
     heartbeat_timeout: float = 5.0
     checkpoint_dir: str | None = None
     checkpoint_every: int = 0
     #: The checkpoint a resumed run continues from (None: generation 0).
     start: ParallelCheckpoint | None = None
+
+
+class _News(list):
+    """A window's events as its frames carry them: pickled once however many
+    workers the frame goes to, and a plain list again on arrival."""
+
+    blob: bytes | None = None
+
+    def __reduce__(self):
+        if self.blob is None:
+            self.blob = pickle.dumps(list(self), protocol=pickle.HIGHEST_PROTOCOL)
+        return pickle.loads, (self.blob,)
 
 
 def _pc_outcome(decision) -> PCOutcome:
@@ -388,22 +299,22 @@ def _pc_fitness(evaluator, gen, teacher, learner) -> tuple[float | None, float |
     return pis.get(teacher), pis.get(learner)
 
 
-def _rank_program_ft(comm: Comm, config: SimulationConfig, eager_games: bool, opts: _FTOptions):
-    """The fault-tolerant SPMD body executed by every rank."""
+def _rank_program(comm: Comm, config: SimulationConfig, eager_games: bool, opts: _Options):
+    """The SPMD body executed by every rank."""
     streams = StreamFactory(config.seed)
     if comm.rank != 0 and comm.incarnation > 0:
         # Replacement process under on_rank_failure="respawn": the initial
         # population is stale (the run has moved on since generation 0), so
         # skip straight to the rejoin handshake with Nature.
-        return _ft_worker_respawned(comm, config, eager_games, streams)
+        return _worker_respawned(comm, config, eager_games, streams)
     if opts.start is None:
         population = Population.random(config, streams.fresh("init"))
     else:
         population = Population(config, opts.start.matrix)
     evaluator = FitnessEvaluator(config, population, streams)
     if comm.rank == 0:
-        return _ft_nature(comm, config, eager_games, population, evaluator, streams, opts)
-    return _ft_worker(comm, config, eager_games, population, evaluator)
+        return _nature(comm, config, eager_games, population, evaluator, streams, opts)
+    return _worker(comm, config, eager_games, population, evaluator)
 
 
 #: How long a respawned worker keeps re-sending its hello before giving up.
@@ -413,7 +324,7 @@ _REJOIN_DEADLINE = 60.0
 _HELLO_RETRY = 0.2
 
 
-def _ft_worker_respawned(comm, config, eager_games, streams) -> dict:
+def _worker_respawned(comm, config, eager_games, streams) -> dict:
     """Entry point of a replacement incarnation: handshake with Nature, rejoin.
 
     The hello travels over a *plain* send that we retry ourselves: Nature
@@ -452,15 +363,15 @@ def _ft_worker_respawned(comm, config, eager_games, streams) -> dict:
         "rejoin", rank=comm.rank,
         args={"gen": rejoin.generation, "incarnation": incarnation},
     )
-    return _ft_worker(
+    return _worker(
         comm, config, eager_games, population, evaluator, min_generation=rejoin.generation
     )
 
 
-def _ft_worker(comm, config, eager_games, population, evaluator, min_generation=0) -> dict:
+def _worker(comm, config, eager_games, population, evaluator, min_generation=0) -> dict:
     replica = _Replica(config, population, evaluator, comm.rank, comm.world.tracer)
     try:
-        return _ft_worker_loop(comm, config, eager_games, replica, min_generation)
+        return _worker_loop(comm, config, eager_games, replica, min_generation)
     except (RankFailedError, RecvTimeoutError) as exc:
         if comm.world.is_failed(0):
             raise  # Nature is dead: the job cannot finish, fail loudly.
@@ -469,7 +380,11 @@ def _ft_worker(comm, config, eager_games, population, evaluator, min_generation=
         raise RankCrashError(f"rank {comm.rank}: lost contact with Nature ({exc})") from exc
 
 
-def _ft_worker_loop(comm, config, eager_games, replica, min_generation) -> dict:
+def _worker_loop(comm, config, eager_games, replica, min_generation) -> dict:
+    # Only slates, trace spans and armed fault points are per generation (a
+    # names-only tap reports ``enabled`` False yet reads the spans): a lazy,
+    # untraced, fault-free worker visits only the generations that had events.
+    watched = replica.tracer is not NULL_TRACER or comm.world.injector is not None
     while True:
         # An event at or before the rejoin generation is already in the
         # matrix this rank was seeded with, and adopt-then-mutate is not
@@ -494,8 +409,8 @@ def _ft_worker_loop(comm, config, eager_games, replica, min_generation) -> dict:
             owners = owner_map_with_failures(config.n_ssets, comm.size, msg.failed_ranks)
             owned = np.flatnonzero(owners == comm.rank)
         replica.replay(
-            closed, news, end, owned, pc=msg.has_pc, fault_point=comm.fault_point,
-            min_generation=min_generation,
+            closed, news, end, owned, pc=msg.has_pc, every=watched or owned.size > 0,
+            fault_point=comm.fault_point, min_generation=min_generation,
         )
         if msg.has_pc:  # the owners answer from the slates just played
             with replica.tracer.span("fitness", rank=comm.rank, args={"gen": end}):
@@ -514,7 +429,7 @@ def _ft_worker_loop(comm, config, eager_games, replica, min_generation) -> dict:
     return {"digest": digest, "games_played": replica.games_played}
 
 
-def _ft_nature(comm, config, eager_games, population, evaluator, streams, opts) -> dict:
+def _nature(comm, config, eager_games, population, evaluator, streams, opts) -> dict:
     nature = NatureAgent(config, streams)
     if opts.start is not None:
         opts.start.restore(nature)
@@ -655,16 +570,18 @@ def _ft_nature(comm, config, eager_games, population, evaluator, streams, opts) 
         # closed+1..end — to the cap, the next checkpoint, or an eager PC.
         if failed:
             process_hellos(closed)
-        if not live:
-            # Every worker is currently dead.  Under respawn, replacements
-            # may be on their way up — wait a heartbeat's worth for a hello
-            # before giving up on the run.
-            deadline = time.monotonic() + hb
-            while not live and time.monotonic() < deadline:
-                time.sleep(0.02)
-                process_hellos(closed)
-        if not live:
-            raise MPIError(f"generation {closed + 1}: all worker ranks failed; cannot continue")
+            if not live:
+                # Every worker is currently dead.  Under respawn, replacements
+                # may be on their way up — wait a heartbeat's worth for a hello
+                # before giving up on the run.
+                deadline = time.monotonic() + hb
+                while not live and time.monotonic() < deadline:
+                    time.sleep(0.02)
+                    process_hellos(closed)
+            if not live:
+                raise MPIError(
+                    f"generation {closed + 1}: all worker ranks failed; cannot continue"
+                )
         end = min(last, closed + _WINDOW_CAP)
         if every:
             end = min(end, closed - closed % every + every)
@@ -684,7 +601,8 @@ def _ft_nature(comm, config, eager_games, population, evaluator, streams, opts) 
         # window before it reports, so its deadline scales with the window.
         with tracer.span("header", rank=comm.rank, args={"gen": end}):
             wait = hb * (end - closed) if eager_games else hb
-            posted, deadline = fan_out(list(live), (closed, events, header), end, "header", wait)
+            frame = (closed, _News(events), header)
+            posted, deadline = fan_out(list(live), frame, end, "header", wait)
         events = []
 
         # Heartbeat round, one report up: a report per posted worker, all
@@ -741,7 +659,7 @@ def _ft_nature(comm, config, eager_games, population, evaluator, streams, opts) 
     # Shutdown: collect final digests from survivors, then release stragglers.
     matrix = population.matrix()
     digest = _replica_digest(matrix)
-    shutdown = (closed, events, FTShutdown(generation=last))
+    shutdown = (closed, _News(events), FTShutdown(generation=last))
     posted, deadline = fan_out(list(live), shutdown, last, "shutdown", hb)
     # Acknowledged at once (no reply will carry it): the FTFinal is a
     # worker's last act and it waits for this.
@@ -773,7 +691,10 @@ class ParallelSimulation:
     config:
         Simulation parameters (shared verbatim with the serial driver).
     n_ranks:
-        World size, >= 2 (rank 0 is the Nature Agent).
+        World size, >= 1 (rank 0 is the Nature Agent).  A world of one is
+        Nature alone: it drafts every window, settles every PC on its own
+        replica and writes the checkpoints, with no worker to tell — so an
+        eager run on it plays no slates (``games_played_per_rank == (0,)``).
     eager_games:
         When true, every worker replays its owned SSets' full opponent
         slate every generation — the paper's faithful workload (§IV-D),
@@ -784,26 +705,16 @@ class ParallelSimulation:
     fault_plan:
         Optional :class:`~repro.mpi.faults.FaultPlan` describing the chaos
         to inject (message drops, delays, duplicates, corruptions, rank
-        crashes and hangs).  Implies the fault-tolerant protocol unless
-        ``fault_tolerant=False`` is forced.
+        crashes and hangs).
     fault_tolerant:
-        Force the protocol choice.  ``None`` (default) picks the
-        fault-tolerant star when a fault plan or checkpointing is
-        configured, the classic collective-tree protocol otherwise.
+        Ignored.  Every run executes the one fault-tolerant program; the
+        keyword is still accepted because the end-to-end benchmark's probes
+        pass it, and it goes when they stop.
     heartbeat_timeout:
         Seconds Nature waits for a worker's report of a window before
-        declaring the rank failed (fault-tolerant protocol only).  On an
-        eager run it is per generation of the window: a worker plays every
-        generation's slates before it reports.
-    fitness_timeout:
-        Seconds *per generation* Nature waits for a fitness return at a PC
-        event (collective tree, ``eager_games`` only; default 120: a lazy run
-        never waits for one, Nature computes its PCs' fitness).  The wait covers
-        every generation an eager worker plays inside the window
-        ``closed+1..g``, so the deadline is ``fitness_timeout * (g - closed)``.
-        Raise it for legitimately slow workers — large memory-depth tables,
-        loaded machines; the timeout firing raises
-        :class:`~repro.errors.MPIError` rather than hanging the run.
+        declaring the rank failed.  On an eager run it is per generation of
+        the window: a worker plays every generation's slates before it
+        reports.
     checkpoint_dir:
         Directory for periodic :func:`~repro.io.checkpoints.save_parallel_checkpoint`
         files; enables restart via :meth:`resume`.
@@ -829,7 +740,7 @@ class ParallelSimulation:
         reconnection; the trajectory stays bit-identical.  Both are
         :mod:`repro.mpi.hostexec`: an injected ``crash``/``hang`` takes
         out the rank, not its host process, and the fault-tolerant
-        protocol degrades around it as it does on threads.
+        program degrades around it as it does on threads.
     on_rank_failure:
         ``"continue"`` (default): a dead worker's SSets are redistributed
         to the survivors and stay there — graceful degradation.
@@ -838,7 +749,7 @@ class ParallelSimulation:
         handshakes with Nature, is re-seeded from Nature's authoritative
         matrix, and takes its SSets back (each heal is recorded as a
         :class:`~repro.parallel.protocol.RecoveryEvent` in
-        ``result.recoveries``).  Implies the fault-tolerant protocol.
+        ``result.recoveries``).
     max_respawns:
         Total replacement-incarnation budget under
         ``on_rank_failure="respawn"``.
@@ -864,7 +775,6 @@ class ParallelSimulation:
         fault_plan: FaultPlan | None = None,
         fault_tolerant: bool | None = None,
         heartbeat_timeout: float = 5.0,
-        fitness_timeout: float = _DEFAULT_FITNESS_TIMEOUT,
         checkpoint_dir: str | Path | None = None,
         checkpoint_every: int = 0,
         trace: bool | Tracer = False,
@@ -873,8 +783,8 @@ class ParallelSimulation:
         max_respawns: int = 8,
         n_hosts: int = 2,
     ) -> None:
-        if n_ranks < 2:
-            raise MPIError(f"need >= 2 ranks (Nature Agent + worker), got {n_ranks}")
+        if n_ranks < 1:
+            raise MPIError(f"n_ranks must be >= 1 (the Nature Agent), got {n_ranks}")
         if checkpoint_every < 0:
             raise MPIError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
         if backend not in ("thread", "process", "tcp"):
@@ -899,9 +809,6 @@ class ParallelSimulation:
         if heartbeat_timeout <= 0:
             raise MPIError(f"heartbeat_timeout must be > 0, got {heartbeat_timeout}")
         self.heartbeat_timeout = float(heartbeat_timeout)
-        if fitness_timeout <= 0:
-            raise MPIError(f"fitness_timeout must be > 0, got {fitness_timeout}")
-        self.fitness_timeout = float(fitness_timeout)
         self.checkpoint_dir = None if checkpoint_dir is None else str(checkpoint_dir)
         self.checkpoint_every = int(checkpoint_every)
         if trace is True:
@@ -910,22 +817,7 @@ class ParallelSimulation:
             self.tracer = None
         else:
             self.tracer = trace
-        wants_ckpt = self.checkpoint_dir is not None and self.checkpoint_every > 0
-        self.fault_tolerant = (
-            bool(fault_tolerant)
-            if fault_tolerant is not None
-            else (
-                (fault_plan is not None and not fault_plan.is_trivial)
-                or wants_ckpt
-                or on_rank_failure == "respawn"
-            )
-        )
-        if on_rank_failure == "respawn" and not self.fault_tolerant:
-            raise MPIError(
-                "on_rank_failure='respawn' requires the fault-tolerant protocol"
-                " (replacements rejoin through it); do not force fault_tolerant=False"
-            )
-        self._start = _FTOptions(
+        self._start = _Options(
             heartbeat_timeout=self.heartbeat_timeout,
             checkpoint_dir=self.checkpoint_dir,
             checkpoint_every=self.checkpoint_every,
@@ -970,20 +862,9 @@ class ParallelSimulation:
                     raise MPIError(f"no valid parallel checkpoints in {path}")
                 path = found
             checkpoint = load_parallel_checkpoint(path)
-        sim = cls(checkpoint.config, n_ranks, fault_tolerant=True, **kwargs)
+        sim = cls(checkpoint.config, n_ranks, **kwargs)
         sim._start = replace(sim._start, start=checkpoint)
         return sim
-
-    def _finish_trace(self, spmd) -> None:
-        """Fold the run's facts into the tracer's metrics registry."""
-        if self.tracer is None:
-            return
-        metrics = self.tracer.metrics
-        metrics.absorb_comm_counters(spmd.world.counters.snapshot())
-        metrics.gauge("run.n_ranks").set(self.n_ranks)
-        metrics.gauge("run.generations").set(self.config.generations)
-        metrics.gauge("run.n_ssets").set(self.config.n_ssets)
-        metrics.gauge("run.failed_ranks").set(len(spmd.world.failed_ranks))
 
     def run(self, timeout: float | None = 600.0) -> ParallelRunResult:
         """Execute the SPMD program and assemble the result."""
@@ -996,23 +877,9 @@ class ParallelSimulation:
             self.tracer.name_rank(0, "nature (rank 0)")
             for rank in range(1, self.n_ranks):
                 self.tracer.name_rank(rank, f"worker (rank {rank})")
-        if not self.fault_tolerant:
-            spmd = run_spmd(
-                self.n_ranks,
-                _rank_program,
-                args=(self.config, self.eager_games, self.fitness_timeout),
-                timeout=timeout,
-                fault_injector=injector,
-                tracer=self.tracer,
-                backend=self.backend,
-                n_hosts=self.n_hosts,
-            )
-            self._finish_trace(spmd)
-            return self._result(spmd, injector, [out["games_played"] for out in spmd.returns])
-
         spmd = run_spmd(
             self.n_ranks,
-            _rank_program_ft,
+            _rank_program,
             args=(self.config, self.eager_games, self._start),
             timeout=timeout,
             fault_injector=injector,
@@ -1022,28 +889,20 @@ class ParallelSimulation:
             max_respawns=self.max_respawns,
             n_hosts=self.n_hosts,
         )
-        self._finish_trace(spmd)
+        if self.tracer is not None:  # fold the run's facts into its metrics registry
+            metrics = self.tracer.metrics
+            metrics.absorb_comm_counters(spmd.world.counters.snapshot())
+            metrics.gauge("run.n_ranks").set(self.n_ranks)
+            metrics.gauge("run.generations").set(self.config.generations)
+            metrics.gauge("run.n_ssets").set(self.config.n_ssets)
+            metrics.gauge("run.failed_ranks").set(len(spmd.world.failed_ranks))
         nature_out = spmd.returns[0]
         if nature_out is None:
             raise MPIError("the Nature rank did not complete; no result to assemble")
-        games_by_rank: dict[int, int] = nature_out["games_by_rank"]
-        games = [0] * self.n_ranks
-        for rank in range(1, self.n_ranks):
-            if rank in games_by_rank:
-                games[rank] = games_by_rank[rank]
-            elif isinstance(spmd.returns[rank], dict):
-                games[rank] = spmd.returns[rank].get("games_played", 0)
-        return self._result(
-            spmd, injector, games,
-            failed_ranks=nature_out["failed_ranks"],
-            degradations=nature_out["degradations"],
-            recoveries=nature_out.get("recoveries", ()),
-            checkpoints=nature_out["checkpoints"],
-            respawns=spmd.respawns,
-        )
-
-    def _result(self, spmd, injector, games, **ft_facts) -> ParallelRunResult:
-        nature_out = spmd.returns[0]
+        finals, games = nature_out["games_by_rank"], [0] * self.n_ranks
+        for rank, out in enumerate(spmd.returns[1:], start=1):  # no FTFinal: its own count
+            own = out.get("games_played", 0) if isinstance(out, dict) else 0
+            games[rank] = finals.get(rank, own)
         matrix = nature_out["matrix"]
         return ParallelRunResult(
             final=PackedMatrix.pack(matrix) if matrix.dtype == np.uint8 else matrix,
@@ -1054,7 +913,11 @@ class ParallelSimulation:
             counters=spmd.world.counters.snapshot(),
             n_ranks=self.n_ranks,
             games_played_per_rank=tuple(games),
+            failed_ranks=nature_out["failed_ranks"],
+            degradations=nature_out["degradations"],
             fault_events=() if injector is None else injector.schedule(),
+            checkpoints=nature_out["checkpoints"],
+            recoveries=nature_out["recoveries"],
+            respawns=spmd.respawns,
             trace=self.tracer,
-            **ft_facts,
         )

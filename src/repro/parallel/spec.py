@@ -148,7 +148,8 @@ class RunSpec:
     config:
         The simulation itself: game, memory depth, dynamics, seed.
     n_ranks:
-        World size, >= 2 (rank 0 is the Nature Agent).
+        World size, >= 1 (rank 0 is the Nature Agent; one rank is Nature
+        alone).
     backend:
         Execution substrate: ``"thread"``, ``"process"`` or ``"tcp"``.
     eager_games:
@@ -189,8 +190,8 @@ class RunSpec:
             raise ConfigError(
                 f"config must be a SimulationConfig, got {type(self.config).__name__}"
             )
-        if self.n_ranks < 2:
-            raise ConfigError(f"need >= 2 ranks (Nature + worker), got {self.n_ranks}")
+        if self.n_ranks < 1:
+            raise ConfigError(f"n_ranks must be >= 1 (the Nature Agent), got {self.n_ranks}")
         if self.backend not in _BACKENDS:
             raise ConfigError(
                 f"backend must be one of {_BACKENDS}, got {self.backend!r}"

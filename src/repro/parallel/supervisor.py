@@ -104,7 +104,7 @@ class SupervisedRun:
     config:
         Simulation parameters, shared verbatim with the serial driver.
     n_ranks:
-        World size, >= 2.
+        World size, >= 1 (a world of one is Nature alone).
     checkpoint_dir:
         Directory for the run's checkpoints — the supervisor's restart
         points.  Required: a supervisor without checkpoints could only ever
@@ -194,11 +194,6 @@ class SupervisedRun:
             raise MPIError(f"backoff_jitter must lie in [0, 1), got {backoff_jitter}")
         if wall_budget is not None and wall_budget <= 0:
             raise MPIError(f"wall_budget must be > 0 or None, got {wall_budget}")
-        if "fault_tolerant" in sim_kwargs:
-            raise MPIError(
-                "SupervisedRun always uses the fault-tolerant protocol;"
-                " drop fault_tolerant from the arguments"
-            )
         self.config = config
         self.n_ranks = int(n_ranks)
         self.checkpoint_dir = Path(checkpoint_dir)
@@ -241,10 +236,7 @@ class SupervisedRun:
         )
         found = latest_valid_parallel_checkpoint(self.checkpoint_dir)
         if found is None:
-            sim = ParallelSimulation(
-                self.config, self.n_ranks, fault_tolerant=True, **common
-            )
-            return sim, None, 0
+            return ParallelSimulation(self.config, self.n_ranks, **common), None, 0
         start = load_parallel_checkpoint(found)
         sim = ParallelSimulation.resume(start, self.n_ranks, **common)
         return sim, str(found), start.generation

@@ -702,11 +702,13 @@ class JobQueue:
         if not kill and drain is None:
             # Wait (bounded) for running workers so the scheduler thread can
             # reap them and exit, instead of leaking it.
+            # On the sentinels, not join(): the scheduler thread reaps these
+            # processes, and a join racing its waitpid reads a dead one alive.
             waiting = self._running_procs()
             deadline = time.monotonic() + timeout
             for proc in waiting:
-                proc.join(timeout=max(0.0, deadline - time.monotonic()))
-            leaked = [p for p in waiting if p.is_alive()]
+                connection.wait([proc.sentinel], max(0.0, deadline - time.monotonic()))
+            leaked = [p for p in waiting if not connection.wait([p.sentinel], 0)]
             if leaked:
                 msg = (
                     f"JobQueue.close(kill=False) timed out: {len(leaked)} worker(s)"

@@ -1,5 +1,7 @@
 """Tests for the names-only event tap: build what is read, nothing else."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -50,15 +52,18 @@ class TestNamesOnlyTap:
 class TestNamesOnlyTapOnARealRun:
     def test_one_event_per_rank_per_generation_and_the_same_matrix(self, tmp_path):
         """The service worker's tap on the benchmark's job shape: the full tap
-        builds over three events per generation (each rank's phases, and the
-        star's messages once a window), the names-only tap the ``generation``
-        span of each of the two ranks."""
+        records every rank's phases — per generation a ``generation`` span on
+        each rank and a ``mutation`` span on the worker, per window Nature's
+        ``header``, ``heartbeat`` and ``checkpoint`` — and the star's
+        messages; the names-only tap the ``generation`` span of each of the
+        two ranks, nothing else."""
         config = SimulationConfig(memory=1, n_ssets=16, generations=200, seed=11)
         spec = RunSpec(config=config, n_ranks=2, backend="thread", checkpoint_every=100)
         driver = EvolutionDriver(config)
-        driver.run()
+        serial = driver.run()
+        generations, windows = config.generations, config.generations // spec.checkpoint_every
 
-        counts = {}
+        counts, phases = {}, {}
         for label, names in (("full", None), ("names", PROGRESS_NAMES)):
             seen = []
             tap = EventTap([seen.append], keep_events=False, names=names)
@@ -68,7 +73,20 @@ class TestNamesOnlyTapOnARealRun:
             assert np.array_equal(out.result.matrix, driver.population.matrix())
             assert [
                 e.args["gen"] for e in seen if e.name == "generation" and e.rank == 0
-            ] == list(range(1, 201))
+            ] == list(range(1, generations + 1))
             counts[label] = len(seen)
-        assert counts["names"] <= 2 * 200 + 2
-        assert counts["full"] > 3 * 200
+            phases[label] = Counter(
+                (e.name, e.rank) for e in seen if e.ph == "X" and e.cat == "phase"
+            )
+        assert phases["names"] == {("generation", 0): generations, ("generation", 1): generations}
+        assert counts["names"] == 2 * generations
+        assert phases["full"] == {
+            ("generation", 0): generations,
+            ("generation", 1): generations,
+            ("mutation", 1): generations,
+            ("header", 0): windows,
+            ("heartbeat", 0): windows,
+            ("checkpoint", 0): windows,
+            ("pc_step", 0): serial.n_pc_events,
+        }
+        assert counts["full"] > sum(phases["full"].values())  # and the messages

@@ -23,28 +23,21 @@ def config() -> SimulationConfig:
 
 
 class TestTrajectoryParity:
-    def test_plain_run_bit_identical(self, config):
+    def test_plain_run_traffic_matches(self, config):
+        """A default run's windows, hence heartbeats, do not depend on the
+        substrate.  A host process may ship its counters before its FTFinal's
+        ack is counted: up to P-1 fewer confirmed sends."""
+        threaded = ParallelSimulation(config, n_ranks=3, backend="thread").run(timeout=300)
+        processed = ParallelSimulation(config, n_ranks=3, backend="process").run(timeout=300)
+        assert threaded.counters["heartbeat"].calls == processed.counters["heartbeat"].calls
+        sends = threaded.counters["reliable_send"].calls
+        assert sends - 2 <= processed.counters["reliable_send"].calls <= sends
+
+    def test_fault_tolerant_protocol_bit_identical(self, config):
         threaded = ParallelSimulation(config, n_ranks=3, backend="thread").run(timeout=300)
         processed = ParallelSimulation(config, n_ranks=3, backend="process").run(timeout=300)
         assert np.array_equal(threaded.matrix, processed.matrix)
         assert threaded.n_pc_events == processed.n_pc_events
-
-    def test_plain_run_traffic_matches(self, config):
-        threaded = ParallelSimulation(config, n_ranks=3, backend="thread").run(timeout=300)
-        processed = ParallelSimulation(config, n_ranks=3, backend="process").run(timeout=300)
-        assert (
-            threaded.counters["send"].messages == processed.counters["send"].messages
-        )
-        assert threaded.counters["bcast"].calls == processed.counters["bcast"].calls
-
-    def test_fault_tolerant_protocol_bit_identical(self, config):
-        threaded = ParallelSimulation(
-            config, n_ranks=3, fault_tolerant=True, backend="thread"
-        ).run(timeout=300)
-        processed = ParallelSimulation(
-            config, n_ranks=3, fault_tolerant=True, backend="process"
-        ).run(timeout=300)
-        assert np.array_equal(threaded.matrix, processed.matrix)
         assert threaded.failed_ranks == processed.failed_ranks == ()
 
     def test_memory3_run_bit_identical(self):
@@ -60,16 +53,16 @@ class TestZeroSSetWorkers:
     """More workers than SSets: surplus workers idle but must not wedge.
 
     Regression for the fitness-return step with ``n_ssets=3, n_ranks=8``
-    (7 workers for 3 SSets): a PC always finds a live owner, Nature never
-    blocks on a zero-block worker, and the trajectory matches a minimal
-    world bit for bit on both backends.
+    (7 workers for 3 SSets): a PC always finds a live owner, a zero-block
+    worker still heartbeats, and the trajectory matches a minimal world bit
+    for bit on both backends.
     """
 
     @pytest.fixture(scope="class")
     def small_world(self) -> SimulationConfig:
         return SimulationConfig(memory=1, n_ssets=3, generations=40, seed=13, rounds=10)
 
-    def test_plain_protocol_completes_and_matches(self, small_world):
+    def test_fault_tolerant_protocol_completes_and_matches(self, small_world):
         reference = ParallelSimulation(small_world, n_ranks=2, backend="thread").run(
             timeout=300
         )
@@ -82,15 +75,6 @@ class TestZeroSSetWorkers:
         assert np.array_equal(reference.matrix, threaded.matrix)
         assert np.array_equal(reference.matrix, processed.matrix)
         assert reference.n_pc_events == threaded.n_pc_events == processed.n_pc_events
-
-    def test_fault_tolerant_protocol_completes_and_matches(self, small_world):
-        threaded = ParallelSimulation(
-            small_world, n_ranks=8, fault_tolerant=True, backend="thread"
-        ).run(timeout=300)
-        processed = ParallelSimulation(
-            small_world, n_ranks=8, fault_tolerant=True, backend="process"
-        ).run(timeout=300)
-        assert np.array_equal(threaded.matrix, processed.matrix)
         assert threaded.failed_ranks == processed.failed_ranks == ()
 
 
@@ -101,9 +85,7 @@ class TestProcessCrashChaos:
         run and — crash-only chaos being trajectory-neutral — reproduce the
         fault-free matrix bit-exactly."""
         plan = FaultPlan(seed=1, events=(FaultEvent(kind="crash", rank=2, generation=20),))
-        baseline = ParallelSimulation(
-            config, n_ranks=4, fault_tolerant=True, backend="process"
-        ).run(timeout=300)
+        baseline = ParallelSimulation(config, n_ranks=4, backend="process").run(timeout=300)
         result = ParallelSimulation(
             config, n_ranks=4, fault_plan=plan, heartbeat_timeout=2.0, backend="process"
         ).run(timeout=300)

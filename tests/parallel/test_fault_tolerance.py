@@ -40,7 +40,7 @@ def serial_matrix(config) -> np.ndarray:
 class TestFaultTolerantProtocol:
     def test_no_faults_matches_serial(self, config, serial_matrix):
         """The FT star protocol preserves the serial trajectory bit-exactly."""
-        result = ParallelSimulation(config, n_ranks=4, fault_tolerant=True).run(timeout=300)
+        result = ParallelSimulation(config, n_ranks=4).run(timeout=300)
         assert np.array_equal(result.matrix, serial_matrix)
         assert result.failed_ranks == ()
         assert result.degradations == ()
@@ -157,17 +157,3 @@ class TestCheckpointRestart:
         assert len(result.checkpoints) == 3  # generations 20, 40, 60
         for path in result.checkpoints:
             assert load_parallel_checkpoint(path).generation in (20, 40, 60)
-
-
-class TestClassicPathUnchanged:
-    def test_default_construction_uses_classic_protocol(self, config, serial_matrix):
-        sim = ParallelSimulation(config, n_ranks=4)
-        assert not sim.fault_tolerant
-        result = sim.run(timeout=300)
-        assert np.array_equal(result.matrix, serial_matrix)
-        assert result.failed_ranks == ()
-        assert result.fault_events == ()
-
-    def test_trivial_plan_stays_classic(self, config):
-        sim = ParallelSimulation(config, n_ranks=4, fault_plan=FaultPlan())
-        assert not sim.fault_tolerant

@@ -35,7 +35,7 @@ from repro.parallel.protocol import (
 from repro.parallel.runner import (
     _WINDOW_CAP,
     ParallelSimulation,
-    _ft_worker_respawned,
+    _worker_respawned,
     _pc_outcome,
     _replica_digest,
 )
@@ -126,7 +126,7 @@ class TestMessageShape:
     @pytest.mark.parametrize("n_ranks", [3, 9])
     def test_two_messages_per_worker_per_generation(self, n_ranks, oracle):
         """Per window since the star moves in windows (CFG's lazy run is one)."""
-        result = ParallelSimulation(CFG, n_ranks, fault_tolerant=True).run(timeout=120)
+        result = ParallelSimulation(CFG, n_ranks).run(timeout=120)
         assert np.array_equal(result.matrix, oracle)
         workers, windows = n_ranks - 1, len(_window_ends(CFG.generations))
         # Every frame confirmed delivered is counted: the frame and the report
@@ -177,7 +177,7 @@ class TestMessageShape:
             return post(self, payload, dest, tag, **policy)
 
         monkeypatch.setattr(Comm, "post_reliable", spy)
-        result = ParallelSimulation(CFG, 3, fault_tolerant=True, trace=True).run(timeout=120)
+        result = ParallelSimulation(CFG, 3, trace=True).run(timeout=120)
         assert np.array_equal(result.matrix, oracle)
         headers = [p[2] for t, p in posted if t == TAG_CONTROL and isinstance(p[2], FTHeader)]
         reports = [p for t, p in posted if t == TAG_REPORT and isinstance(p, WorkerReport)]
@@ -199,7 +199,7 @@ class TestMessageShape:
 
         monkeypatch.setattr(FitnessEvaluator, "play_slates", slow_play)
         cfg = SimulationConfig(n_ssets=8, generations=3, seed=3, pc_rate=0.6, mutation_rate=0.4)
-        result = ParallelSimulation(cfg, 3, eager_games=True, fault_tolerant=True).run(timeout=120)
+        result = ParallelSimulation(cfg, 3, eager_games=True).run(timeout=120)
         driver = EvolutionDriver(cfg)
         driver.run()
         assert np.array_equal(result.matrix, driver.population.matrix())
@@ -217,7 +217,7 @@ class TestCarriedUpdate:
         cfg = dataclasses.replace(CFG, generations=last)
         driver = EvolutionDriver(cfg)
         driver.run()
-        result = ParallelSimulation(cfg, 3, eager_games=True, fault_tolerant=True).run(timeout=120)
+        result = ParallelSimulation(cfg, 3, eager_games=True).run(timeout=120)
         # Nature compares every FTFinal digest with its own matrix, so a
         # worker that missed the last update would have failed the run.
         assert np.array_equal(result.matrix, driver.population.matrix())
@@ -241,7 +241,7 @@ class TestCarriedUpdate:
 
         def program(comm):
             if comm.rank == 1:  # the replacement incarnation's entry point
-                return _ft_worker_respawned(comm, CFG, False, StreamFactory(CFG.seed))
+                return _worker_respawned(comm, CFG, False, StreamFactory(CFG.seed))
             # Nature's side: answer the hello, run one window, shut down.
             comm.recv(source=1, tag=TAG_HELLO, timeout=30)
             comm.send_reliable(FTRejoin(generation=gen, matrix=seeded), dest=1, tag=TAG_RECOVERY)
@@ -460,7 +460,7 @@ class TestWindows:
 
     def test_a_traced_lazy_star_spans_each_generation_and_heartbeats_each_window(self):
         cfg = SimulationConfig(n_ssets=8, generations=_WINDOW_CAP + 20, seed=3)
-        result = ParallelSimulation(cfg, 3, fault_tolerant=True, trace=True).run(timeout=120)
+        result = ParallelSimulation(cfg, 3, trace=True).run(timeout=120)
         spans = [e for e in result.trace.events() if e.ph == "X"]
         for rank in range(3):
             gens = sorted(e.args["gen"] for e in spans if e.name == "generation" and e.rank == rank)

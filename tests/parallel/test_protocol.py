@@ -1,35 +1,25 @@
 """Tests for the wire-protocol payloads."""
 
+import pickle
+
 import numpy as np
 
-from repro.parallel.protocol import GenerationHeader, MutationUpdate, PCOutcome
-
-
-class TestGenerationHeader:
-    def test_no_pc(self):
-        h = GenerationHeader(generation=5)
-        assert not h.has_pc
-
-    def test_with_pc(self):
-        h = GenerationHeader(generation=5, pc_teacher=2, pc_learner=7)
-        assert h.has_pc
-        assert (h.pc_teacher, h.pc_learner) == (2, 7)
+from repro.parallel.protocol import FTHeader, MutationUpdate, PCOutcome
 
 
 class TestPayloadsPickleCleanly:
     """Payloads cross the virtual wire via the object channel."""
 
     def test_roundtrip(self):
-        import pickle
-
-        header = GenerationHeader(generation=1, pc_teacher=0, pc_learner=1)
+        header = FTHeader(generation=1, pc_teacher=0, pc_learner=1, failed_ranks=(2,))
         outcome = PCOutcome(
             teacher=0, learner=1, adopted=True, pi_teacher=5.0, pi_learner=2.0,
             probability=0.9,
         )
-        update = MutationUpdate(sset=3, table=np.array([0, 1, 1, 0], dtype=np.uint8))
         for obj in (header, outcome):
             assert pickle.loads(pickle.dumps(obj)) == obj
-        back = pickle.loads(pickle.dumps(update))
-        assert back.sset == 3
-        assert np.array_equal(back.table, update.table)
+        for table in (np.array([0, 1, 1, 0], dtype=np.uint8), np.array([0.25, 1.0, 0.0])):
+            back = pickle.loads(pickle.dumps(MutationUpdate(sset=3, table=table)))
+            assert back.sset == 3
+            assert back.table.dtype == table.dtype
+            assert np.array_equal(back.table, table)

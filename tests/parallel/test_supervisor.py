@@ -47,10 +47,6 @@ class TestValidation:
         with pytest.raises(MPIError, match="cadence"):
             SupervisedRun(config, 4, checkpoint_dir=tmp_path, checkpoint_every=0)
 
-    def test_rejects_fault_tolerant_override(self, config, tmp_path):
-        with pytest.raises(MPIError, match="fault_tolerant"):
-            SupervisedRun(config, 4, checkpoint_dir=tmp_path, fault_tolerant=False)
-
     def test_rejects_negative_budget(self, config, tmp_path):
         with pytest.raises(MPIError, match="max_restarts"):
             SupervisedRun(config, 4, checkpoint_dir=tmp_path, max_restarts=-1)

@@ -1,11 +1,13 @@
-"""The collective tree's windows against the serial oracle.
+"""The star's windows against the serial oracle.
 
 A lazy frame closes every generation up to the cap, deciding its PC events on
-Nature's replica on the way; an eager frame stops at the next PC event.  The
-corner cases are where a window is shortest, longest or last: a PC every
-generation, a PC on a cap boundary, no PC at all, a PC on the final
-generation, a one-generation run — and eager play, whose slates must still see
-the population one generation at a time.
+Nature's replica on the way; an eager frame stops at the next PC event.  A
+window costs each worker one heartbeat.  The corner cases are where a window
+is shortest, longest or last: a PC every generation, a PC on a cap boundary,
+no PC at all, a PC on the final generation, a one-generation run — and eager
+play, whose slates must still see the population one generation at a time.
+A lazy, untraced, fault-free worker replays only the generations that had
+events.
 """
 
 import time
@@ -14,8 +16,8 @@ import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
-from repro.errors import MPIError
 from repro.game.noise import NoiseModel
+from repro.mpi.faults import FaultEvent, FaultPlan, FaultRecord
 from repro.obs.stream import EventTap
 from repro.parallel import runner
 from repro.parallel.decomposition import SSetDecomposition
@@ -52,16 +54,14 @@ class TestWindowEdges:
             memory=1, n_ssets=6, generations=30, seed=4, pc_rate=1.0, rounds=10
         )
         par = assert_matches_serial(cfg, 3, backend, eager_games=True)
-        assert par.counters["bcast"].calls == cfg.generations + 2
+        assert par.counters["heartbeat"].calls == cfg.generations * 2
 
     def test_no_pc_means_no_fitness_message(self, backend):
         cfg = SimulationConfig(
             memory=1, n_ssets=6, generations=50, seed=4, pc_rate=0.0, mutation_rate=0.3
         )
         par = assert_matches_serial(cfg, 3, backend)
-        # One frame, then the digest allgather: a gather and a bcast leg.
-        assert par.counters["bcast"].calls == 2
-        assert par.counters["send"].messages == 3 * (3 - 1)
+        assert par.counters["heartbeat"].calls == 1 * 2  # one window
 
     def test_pc_on_the_final_generation_closes_in_the_last_frame(self, backend):
         cfg = SimulationConfig(
@@ -95,7 +95,7 @@ def test_a_lazy_run_with_a_pc_every_generation_fills_its_windows_to_the_cap(back
     assert all(records[k * runner._WINDOW_CAP - 1].pc is not None for k in (1, 2))
     par = assert_matches_serial(cfg, 3, backend)
     assert par.n_pc_events == cfg.generations
-    assert par.counters["bcast"].calls == 3 + 1  # three frames, then the digest's leg
+    assert par.counters["heartbeat"].calls == 3 * 2  # three windows, two workers
 
 
 def test_a_names_only_tap_still_reads_every_generation():
@@ -108,6 +108,45 @@ def test_a_names_only_tap_still_reads_every_generation():
     )
     assert_matches_serial(cfg, 3, "thread", trace=tap)
     assert gens == list(range(1, cfg.generations + 1))
+
+
+class TestSparseReplay:
+    """Only slates, trace spans and armed fault points are per generation:
+    without them a worker visits just the generations that had events."""
+
+    CFG = SimulationConfig(memory=1, n_ssets=6, generations=60, seed=4)
+    EVERY = 20  # checkpoints cut the lazy run into three windows
+
+    def test_an_untraced_lazy_worker_closes_only_the_generations_with_events(
+        self, monkeypatch, tmp_path
+    ):
+        busy = [r.generation for r in serial(self.CFG)[1] if r.pc or r.mutation]
+        assert 0 < len(busy) < self.CFG.generations
+        closed, close = [], runner._Replica.close
+
+        def counting(replica, gen, events):
+            closed.append((replica.rank, gen))
+            return close(replica, gen, events)
+
+        monkeypatch.setattr(runner._Replica, "close", counting)
+        assert_matches_serial(
+            self.CFG, 3, "thread", checkpoint_dir=tmp_path, checkpoint_every=self.EVERY
+        )
+        assert sorted(closed) == [(rank, g) for rank in (1, 2) for g in busy]
+
+    def test_an_armed_crash_fires_on_a_generation_without_events(self, tmp_path):
+        """The worker dies at its fault point though no event names that
+        generation; Nature sees it at the end of the window holding it."""
+        records = serial(self.CFG)[1]
+        quiet = next(r.generation for r in records[25:] if not (r.pc or r.mutation))
+        plan = FaultPlan(seed=1, events=(FaultEvent(kind="crash", rank=2, generation=quiet),))
+        par = assert_matches_serial(
+            self.CFG, 3, "thread", fault_plan=plan, heartbeat_timeout=2.0,
+            checkpoint_dir=tmp_path, checkpoint_every=self.EVERY,
+        )
+        assert par.fault_events == (FaultRecord(kind="crash", rank=2, generation=quiet),)
+        end = -(-quiet // self.EVERY) * self.EVERY
+        assert [(d.rank, d.generation) for d in par.degradations] == [(2, end)]
 
 
 EAGER = SimulationConfig(
@@ -180,8 +219,9 @@ class TestEagerPlayInsideAWindow:
 
 
 class TestFitnessDeadline:
-    """``fitness_timeout`` is per generation: Nature's wait for a fitness
-    return covers every generation an eager worker plays inside the window."""
+    """Nature's wait for an eager window's reports, which carry its PC's
+    fitness, is ``heartbeat_timeout`` per generation: a worker plays every
+    generation of the window before it reports."""
 
     def test_a_long_eager_window_finishes_within_the_scaled_deadline(self, monkeypatch):
         # The only PC is at generation 21; the slates before it take ~1 s.
@@ -194,11 +234,5 @@ class TestFitnessDeadline:
             return play_slates(self, ssets, generation)
 
         monkeypatch.setattr(FitnessEvaluator, "play_slates", slow_play)
-        assert_matches_serial(cfg, 2, "thread", eager_games=True, fitness_timeout=0.5)
-
-    def test_a_worker_that_never_replies_still_fails_with_both_causes(self, monkeypatch):
-        cfg = SimulationConfig(memory=1, n_ssets=4, generations=10, seed=5, pc_rate=1.0)
-        monkeypatch.setattr(runner, "_pc_fitness", lambda *args: (None, None))
-        sim = ParallelSimulation(cfg, n_ranks=2, eager_games=True, fitness_timeout=0.05)
-        with pytest.raises(MPIError, match=r"window 1\.\.1.*too slow.*ownership maps diverged"):
-            sim.run(timeout=60)
+        par = assert_matches_serial(cfg, 2, "thread", eager_games=True, heartbeat_timeout=0.5)
+        assert par.failed_ranks == ()

@@ -48,13 +48,13 @@ class TestPricing:
 
 class TestRealRunPricing:
     def test_parallel_run_traffic_prices_to_sane_magnitude(self):
-        """Price an actual run's counters: the communication of each frame
-        down the tree on BG/L must land between one tree latency and a
-        millisecond (a lazy run sends nothing per generation)."""
+        """Price an actual run's counters: the communication of each worker's
+        frame and report on BG/L's torus must land between a microsecond and
+        a millisecond (a lazy run sends nothing per generation)."""
         cfg = SimulationConfig(memory=1, n_ssets=12, generations=100, seed=2, rounds=10)
         result = ParallelSimulation(cfg, n_ranks=4).run()
         priced = price_counters(result.counters, bluegene_l(), 4)
-        per_frame = priced.total_seconds / result.counters["bcast"].calls
+        per_frame = priced.total_seconds / result.counters["heartbeat"].calls
         assert 1e-6 < per_frame < 1e-3
 
     def test_more_pc_events_cost_more(self):

@@ -71,7 +71,7 @@ class TestRunSpec:
     @pytest.mark.parametrize(
         "kwargs,match",
         [
-            ({"n_ranks": 1}, "ranks"),
+            ({"n_ranks": 0}, "ranks"),
             ({"backend": "carrier-pigeon"}, "backend"),
             ({"checkpoint_every": 0}, "checkpoint_every"),
             ({"attempt_timeout": 0.0}, "attempt_timeout"),
@@ -111,8 +111,9 @@ class TestRunSpec:
     def test_with_updates_validates(self, config):
         spec = RunSpec(config=config)
         assert spec.with_updates(n_ranks=6).n_ranks == 6
+        assert spec.with_updates(n_ranks=1).n_ranks == 1  # Nature alone
         with pytest.raises(ConfigError):
-            spec.with_updates(n_ranks=1)
+            spec.with_updates(n_ranks=0)
 
     def test_supervisor_kwargs_carry_the_policy(self, config):
         spec = RunSpec(
