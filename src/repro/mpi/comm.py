@@ -435,13 +435,14 @@ class Comm:
     will answer the sender, and every frame carries the cumulative ack of
     the reverse direction, so *the reply is the ack*).  An explicit ack
     frame is sent only when no reply is due: by :meth:`recv_reliable`, for
-    a duplicate (the sender's timer fired), by :meth:`settle_acks`, and by
-    a rank that has been blocked in a reliable call for ``_ACK_DELAY``
-    still owing one.  The last two are why a fault-free run retransmits
-    nothing however long a generation takes: the owed ack may wait for a
-    *prompt* reply only, so a receiver settles before computing at length
-    and a receiver waiting on a slow third rank settles after the delay,
-    both well inside the sender's first retransmission wait.
+    a duplicate (the sender's timer fired), by :meth:`settle_acks`, and once
+    it has been owed for ``_ACK_DELAY`` — by a rank blocked in a reliable
+    call, or busy and calling :meth:`settle_due_acks`.  The last two are why
+    a fault-free run retransmits nothing however long a generation takes:
+    the owed ack may wait for a *prompt* reply only, so a receiver settles
+    before computing at length and a receiver waiting on a slow third rank,
+    or busy on its own, settles after the delay, both well inside the
+    sender's first retransmission wait.
 
     At most one frame per directed pair is unacknowledged at a time (a post
     waits for its predecessor's ack first), so frames arrive in sequence
@@ -791,11 +792,7 @@ class Comm:
                     deadline=frame.waited,
                 )
             due = min(due, frame.deadline)
-        for source, since in list(self._reliable_owed.items()):
-            if since + _ACK_DELAY <= now:
-                self._send_ack(source)
-            else:
-                due = min(due, since + _ACK_DELAY)
+        due = min(due, self.settle_due_acks())
         return max(due - now, 0.0)
 
     def _await_acked(self, dest: int) -> None:
@@ -912,6 +909,21 @@ class Comm:
         """Send every owed ack now: the caller is about to compute at length."""
         for peer in list(self._reliable_owed):
             self._send_ack(peer)
+
+    def settle_due_acks(self) -> float:
+        """Send the acks owed for ``_ACK_DELAY`` or longer, and only those.
+
+        Non-blocking: a rank busy between reliable calls settles what a rank
+        blocked in one would.  Returns when the next owed ack falls due
+        (``math.inf`` when none is owed).
+        """
+        now, due = time.monotonic(), math.inf
+        for peer, since in list(self._reliable_owed.items()):
+            if since + _ACK_DELAY <= now:
+                self._send_ack(peer)
+            else:
+                due = min(due, since + _ACK_DELAY)
+        return due
 
     def _recv_reliable(self, source: int, tag: int, timeout: float | None, owing: bool) -> Any:
         if not 0 <= tag <= MAX_USER_TAG:

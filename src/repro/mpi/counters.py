@@ -4,9 +4,9 @@ The paper's scaling behaviour is a story about communication structure —
 how many messages the Nature Agent's broadcasts and fitness gathers put on
 the collective tree and torus networks.  Because our MPI is virtual, we can
 count *exactly*: every point-to-point message, every collective call, every
-byte.  The tests assert the algorithm's communication pattern (e.g. a PC
-event costs one broadcast plus two point-to-point fitness returns), and the
-performance model is calibrated against these counts.
+byte.  The tests assert the program's communication pattern (e.g. a window
+costs each worker one frame down and one report up), and the performance
+model is calibrated against these counts.
 
 Fault injection and fault tolerance report through the same tallies:
 

@@ -5,20 +5,16 @@ two point-to-point fitness returns, and only a pairwise comparison needs a
 fitness.  :mod:`repro.perf` prices that tree for the paper's tables; the
 program that executes is a reliable point-to-point star that moves in the
 same windows.  Nothing Nature draws between two adoption decisions depends on
-one (:meth:`~repro.population.nature.NatureAgent.advance`) and a lazy PC's is
-Nature's own, so a window — up to the cap, the next checkpoint, or an eager
-PC — exchanges, with every live worker:
+one (:meth:`~repro.population.nature.NatureAgent.advance`) and every PC's is
+a function of Nature's own replica, so a window — up to the cap, the next
+checkpoint, or the last generation — exchanges, with every live worker:
 
 1. **Frame** (Nature -> worker, :meth:`~repro.mpi.comm.Comm.post_reliable`):
    ``(closed, [(generation, PCOutcome | MutationUpdate), ...], FTHeader)`` —
-   every decision and mutation Nature applied since generation ``closed``
-   (where the previous frame stopped), in order, and the generation the
-   window stops at.  Only an eager frame's header names a PC that needs a
-   reply (``pc_teacher`` -1 otherwise).
+   every decision and mutation Nature drew in generations ``closed + 1``
+   (where the previous frame stopped) through the header's, in order.
 2. **Report** (worker -> Nature): a :class:`WorkerReport`, the window's
-   heartbeat; on an eager PC it carries the teacher's and learner's relative
-   fitness, read from the slates their owners played that generation, and
-   the decision rides first in the next frame.
+   heartbeat.
 
 Workers replay the events in order on their population replica, so every
 rank ends the window with an identical global strategy view — the paper's
@@ -106,11 +102,11 @@ def _mutation_update(sset: int, raw: bytes, dtype: str) -> MutationUpdate:
 # replays the window in order — per generation its fault point, on an eager
 # run its slates, then the generation's events; a lazy, untraced, fault-free
 # worker only the generations that had events — and posts one WorkerReport.
-# Every π nobody reported (a lazy run's, or a dead owner's) Nature computes
-# from its own replica, the one the workers hold, and asks no one.  All of it
-# travels on the reliable layer (Comm.post_reliable / recv_reliable_owing: the
-# report acknowledges the frame it answers and the next frame the report), so
-# injected drops, duplicates and corruptions cannot desynchronise it.
+# Nature decides every PC on its own replica, the one the workers hold, and
+# asks no one.  All of it travels on the reliable layer (Comm.post_reliable /
+# recv_reliable_owing: the report acknowledges the frame it answers and the
+# next frame the report), so injected drops, duplicates and corruptions
+# cannot desynchronise it.
 
 
 @dataclass(frozen=True)
@@ -120,40 +116,30 @@ class FTHeader:
     ``generation`` is the window's last generation.  ``failed_ranks`` is the
     cumulative failure set; workers derive their (possibly reassigned) SSet
     ownership from it with
-    :func:`~repro.parallel.decomposition.owner_map_with_failures`.  Only an
-    eager header names a PC pair (-1 otherwise): the PC at ``generation``
-    that ends the window, whose owners return π.
+    :func:`~repro.parallel.decomposition.owner_map_with_failures`.
     """
 
     generation: int
-    pc_teacher: int = -1
-    pc_learner: int = -1
     failed_ranks: tuple[int, ...] = ()
-
-    @property
-    def has_pc(self) -> bool:
-        """Whether a pairwise comparison fires this generation."""
-        return self.pc_teacher >= 0
 
 
 @dataclass(frozen=True)
 class WorkerReport:
     """Report up (worker -> Nature): the heartbeat of one window.
 
-    ``generation`` is the last generation of the window it answers.  Doubles
-    as an eager run's fitness return: ``pi_teacher``/``pi_learner`` are
-    filled by the SSet's owner, None otherwise (always, on a lazy run).
+    ``generation`` is the last generation of the window it answers.
     """
 
     rank: int
     generation: int
-    pi_teacher: float | None = None
-    pi_learner: float | None = None
 
 
 @dataclass(frozen=True)
 class FTShutdown:
-    """Nature -> worker, in a frame's header place: apply its events, send an FTFinal, exit."""
+    """Nature -> worker, in a frame's header place: send an FTFinal, exit.
+
+    It follows the last window's frame, so it carries no events.
+    """
 
     generation: int
 

@@ -4,11 +4,10 @@ This is the paper's §V implementation, expressed on the virtual runtime:
 
 * rank 0 is the **Nature Agent** — it owns the random decision streams and
   announces everything it settles, one frame per window, to every live
-  worker over a reliable point-to-point star (the paper's collective tree is
-  what :mod:`repro.perf` prices).  A lazy run's PC fitness comes from
-  Nature's own replica, so only the cap and the checkpoint cadence end a
-  window; an eager window ends at a PC, whose owners report fitness with
-  their heartbeat, and the decision rides first in the next frame;
+  worker over a reliable point-to-point star (the paper's collective tree and
+  fitness returns are what :mod:`repro.perf` prices).  Every PC's fitness
+  comes from Nature's own replica, so only the cap, the checkpoint cadence
+  and the last generation end a window, and a report is a bare heartbeat;
 * ranks 1..P-1 are **workers** — each owns a block of SSets
   (:class:`~repro.parallel.decomposition.SSetDecomposition`), keeps a full
   replica of the global strategy view (the paper's per-node "local view of
@@ -45,7 +44,7 @@ from repro.io.checkpoints import (
     save_parallel_checkpoint,
     write_torn_parallel_checkpoint,
 )
-from repro.mpi.comm import _ACK_DELAY, ANY_SOURCE, Comm
+from repro.mpi.comm import ANY_SOURCE, Comm
 from repro.mpi.counters import OpCount
 from repro.mpi.executor import RespawnRecord, run_spmd
 from repro.mpi.faults import FaultInjector, FaultPlan, FaultRecord
@@ -78,7 +77,7 @@ __all__ = ["ParallelSimulation", "ParallelRunResult"]
 #: must not become one frame of 50 000 tables.
 _WINDOW_CAP = 256
 
-#: What a lazy rank plays, and Nature on any run: no slates.
+#: What a lazy worker plays: no slates.
 _NO_SSETS = np.empty(0, dtype=np.intp)
 
 
@@ -102,8 +101,8 @@ class ParallelRunResult:
         World size the program ran on.
     games_played_per_rank:
         Directed eager-slate games each rank played (all zeros on a lazy
-        run, whose PC games Nature plays on its own replica, uncounted, and
-        on a world of one).
+        run and on a world of one).  Nature's PC games, played on its own
+        replica, are not counted.
     """
 
     final: PackedMatrix | np.ndarray
@@ -167,7 +166,6 @@ class _Replica:
         self.tracer = tracer
         self.nature = nature
         self.games_played = 0
-        self.opened = 0.0  # trace time the open generation began (an eager PC's spans frames)
 
     def apply(self, event) -> None:
         if isinstance(event, MutationUpdate):
@@ -176,75 +174,59 @@ class _Replica:
             self.population.adopt(event.learner, event.teacher)
 
     def record(self, gen, event, events) -> None:
-        """Nature: apply ``event`` now; it ships in ``events``, the next frame's news."""
+        """Nature: apply ``event`` now; it ships in ``events``, its window frame's news."""
         self.apply(event)
         events.append((gen, event))
 
-    def decide(self, gen, selection, pi_t, pi_l, events) -> None:
-        decision = self.nature.decide_adoption(selection, pi_t, pi_l)
-        self.record(gen, _pc_outcome(decision), events)
-
-    def draft(self, upto, eager_games, events):
+    def draft(self, upto, events) -> None:
         """Nature: draw everything through generation ``upto`` into ``events``.
 
-        A lazy PC's fitness is a function of this replica, the generation
-        and the SSet, so it is decided on the way; an eager PC stops the
-        draft, and its ``(generation, selection)`` is returned (else None).
+        A PC's fitness is a function of this replica, the generation and the
+        SSet, so it is decided on the way, lazy run or eager.
         """
         while True:
             drawn, pc = self.nature.advance(self.population.random_strategy_table, upto)
             for g, m in drawn:
                 self.record(g, MutationUpdate(sset=m.sset, table=m.table), events)
-            if pc is None or eager_games:
-                return pc
+            if pc is None:
+                return
             g, selection = pc
             with self.tracer.span("pc_step", rank=self.rank, args={"gen": g}):
-                pi_t, pi_l = _pc_fitness(self.evaluator, g, selection.teacher, selection.learner)
-                self.decide(g, selection, pi_t, pi_l, events)
+                pi_t, pi_l = self.evaluator.fitness([selection.teacher, selection.learner], g)
+                decision = self.nature.decide_adoption(selection, pi_t, pi_l)
+                self.record(g, _pc_outcome(decision), events)
 
-    def replay(self, closed, news, end, owned, *, pc=False, every=True, fault_point=None,
+    def replay(self, closed, news, end, owned, *, every=True, fault_point=None,
                min_generation=0) -> None:
-        """Generations ``closed+1 .. end`` in order, as the frame's ``news`` tells.
+        """Worker: generations ``closed+1 .. end`` in order, as the frame's ``news`` tells.
 
-        An eager PC left ``closed`` open: its outcome and mutation close it
-        first.  Then per generation: its fault point, the ``owned`` slates and
-        its events (under ``pc``, ``end``'s come with the next frame).  Events
-        at or before ``min_generation`` are already in the replica.  Without
-        ``every`` only the generations that had events are visited.
+        Per generation: its fault point, the ``owned`` slates and its events.
+        Events at or before ``min_generation`` are already in the replica.
+        Without ``every`` only the generations that had events are visited.
         """
         by_gen: dict[int, list] = {}
         for g, event in news:
             if g > min_generation:
                 by_gen.setdefault(g, []).append(event)
-        if closed in by_gen:
-            self.close(closed, by_gen.pop(closed))
         tracer = self.tracer
         for g in range(closed + 1, end + 1) if every else by_gen:
-            self.opened = tracer.now()
             if fault_point is not None:
                 fault_point(g)
-            if owned.size:
-                # Faithful mode: every owned SSet plays its full opponent slate
-                # (§IV-D) against the population as generation g - 1 left it,
-                # whether or not a PC will consume the fitness; a sampled PC at
-                # g reads its owners' values back from these slates.
-                with tracer.span("play", rank=self.rank, args={"gen": g}):
-                    self.evaluator.play_slates(owned, g)
-                    self.games_played += owned.size * self.config.opponents_per_sset
-            if g < end or not pc:
+            with tracer.span("generation", rank=self.rank, args={"gen": g}):
+                if owned.size:
+                    # Faithful mode: every owned SSet plays its full opponent
+                    # slate (§IV-D) against the population as generation g - 1
+                    # left it, whether or not a PC will consume the fitness.
+                    with tracer.span("play", rank=self.rank, args={"gen": g}):
+                        self.evaluator.play_slates(owned, g)
+                        self.games_played += owned.size * self.config.opponents_per_sset
                 self.close(g, by_gen.get(g, ()))
 
     def close(self, gen, events) -> None:
-        """Generation ``gen`` ends with its events (Nature applied its own already)."""
-        tracer = self.tracer
-        with tracer.span("mutation", rank=self.rank, args={"gen": gen}):
-            if self.nature is None:
-                for event in events:
-                    self.apply(event)
-        tracer.complete(
-            "generation", ts=self.opened, dur=tracer.now() - self.opened, rank=self.rank,
-            args={"gen": gen},
-        )
+        """Worker: generation ``gen`` ends with its events."""
+        with self.tracer.span("mutation", rank=self.rank, args={"gen": gen}):
+            for event in events:
+                self.apply(event)
 
 
 # -- the rank program ------------------------------------------------------------------
@@ -285,18 +267,6 @@ def _pc_outcome(decision) -> PCOutcome:
         decision.teacher, decision.learner, decision.adopted,
         decision.pi_teacher, decision.pi_learner, decision.probability,
     )
-
-
-def _pc_fitness(evaluator, gen, teacher, learner) -> tuple[float | None, float | None]:
-    """Fitness of the PC pair's SSets this rank answers for (``None``: not ours).
-
-    One evaluator call for both, so a rank that owns the pair plays the two
-    slates of a sampled run in one kernel call — or none, when it has just
-    played them as an eager owner.
-    """
-    asked = [s for s in (teacher, learner) if s is not None]
-    pis = dict(zip(asked, evaluator.fitness(asked, gen).tolist())) if asked else {}
-    return pis.get(teacher), pis.get(learner)
 
 
 def _rank_program(comm: Comm, config: SimulationConfig, eager_games: bool, opts: _Options):
@@ -391,7 +361,6 @@ def _worker_loop(comm, config, eager_games, replica, min_generation) -> dict:
         # idempotent: ``replay`` never applies it twice.
         closed, news, msg = comm.recv_reliable_owing(source=0, tag=TAG_CONTROL)
         if isinstance(msg, FTShutdown):
-            replica.replay(closed, news, closed, _NO_SSETS, min_generation=min_generation)
             break
         if not isinstance(msg, FTHeader):
             raise MPIError(f"rank {comm.rank}: unexpected control message {type(msg).__name__}")
@@ -401,7 +370,7 @@ def _worker_loop(comm, config, eager_games, replica, min_generation) -> dict:
             # this rank (the reliable layer may redeliver frames sent before
             # our predecessor died): drop it without replying.
             continue
-        owned, pi_t, pi_l = _NO_SSETS, None, None
+        owned = _NO_SSETS
         if eager_games:
             # The slates may outlast Nature's retransmission timer, so the
             # report cannot be what acknowledges this frame.
@@ -409,19 +378,11 @@ def _worker_loop(comm, config, eager_games, replica, min_generation) -> dict:
             owners = owner_map_with_failures(config.n_ssets, comm.size, msg.failed_ranks)
             owned = np.flatnonzero(owners == comm.rank)
         replica.replay(
-            closed, news, end, owned, pc=msg.has_pc, every=watched or owned.size > 0,
+            closed, news, end, owned, every=watched or owned.size > 0,
             fault_point=comm.fault_point, min_generation=min_generation,
         )
-        if msg.has_pc:  # the owners answer from the slates just played
-            with replica.tracer.span("fitness", rank=comm.rank, args={"gen": end}):
-                pi_t, pi_l = _pc_fitness(
-                    replica.evaluator, end,
-                    msg.pc_teacher if owners[msg.pc_teacher] == comm.rank else None,
-                    msg.pc_learner if owners[msg.pc_learner] == comm.rank else None,
-                )
         # Posted, not awaited: Nature's next frame is its acknowledgement.
-        report = WorkerReport(rank=comm.rank, generation=end, pi_teacher=pi_t, pi_learner=pi_l)
-        comm.post_reliable(report, dest=0, tag=TAG_REPORT)
+        comm.post_reliable(WorkerReport(rank=comm.rank, generation=end), dest=0, tag=TAG_REPORT)
     # The last act, so it waits for Nature's explicit acknowledgement.
     digest = _replica_digest(replica.population.matrix())
     final = FTFinal(rank=comm.rank, digest=digest, games_played=replica.games_played)
@@ -444,8 +405,6 @@ def _nature(comm, config, eager_games, population, evaluator, streams, opts) -> 
     replica = _Replica(config, population, evaluator, comm.rank, tracer, nature)
     last = config.generations
     closed = nature.closed  # the generation the previous frame's header named
-    events: list = []  # what Nature applied since the last frame: the next frame's news
-    replied = float("inf")  # when the reports whose acks ride the next frame came in
 
     def fan_out(ranks, frame, gen: int, what: str, wait: float) -> tuple[list[int], float]:
         """Post ``frame`` to every rank of ``ranks`` before waiting for
@@ -488,12 +447,6 @@ def _nature(comm, config, eager_games, population, evaluator, streams, opts) -> 
                 declare_failed(rank, gen, f"{what}: {why}")
             waiting = waiting - gone
         return replies
-
-    def settle_if_late() -> None:
-        # Ack the reports on their own once they have waited _ACK_DELAY for the next
-        # frame, as a blocked rank would: drafting or a checkpoint may outlast their timers.
-        if time.monotonic() > replied + _ACK_DELAY:
-            comm.settle_acks()
 
     def owners_now() -> np.ndarray:
         return owner_map_with_failures(config.n_ssets, comm.size, tuple(sorted(failed)))
@@ -567,7 +520,7 @@ def _nature(comm, config, eager_games, population, evaluator, streams, opts) -> 
 
     while closed < last:
         # A window boundary: rejoin whoever has said hello, then draft
-        # closed+1..end — to the cap, the next checkpoint, or an eager PC.
+        # closed+1..end — to the cap, the next checkpoint, or the last generation.
         if failed:
             process_hellos(closed)
             if not live:
@@ -585,17 +538,15 @@ def _nature(comm, config, eager_games, population, evaluator, streams, opts) -> 
         end = min(last, closed + _WINDOW_CAP)
         if every:
             end = min(end, closed - closed % every + every)
-        pc = None
+        events: list = []  # what Nature applies this window: the frame's news
         for gen in range(closed + 1, end + 1):
-            settle_if_late()
+            # Drafting may outlast the timers of the reports whose acks
+            # ride the next frame: send those on their own once they are due.
+            comm.settle_due_acks()
             with tracer.span("generation", rank=comm.rank, args={"gen": gen}):
                 comm.fault_point(gen)
-                pc = replica.draft(gen, eager_games, events)
-            if pc is not None:  # eager: its owners must reply
-                end = gen
-                break
-        pair = (pc[1].teacher, pc[1].learner) if pc else (-1, -1)
-        header = FTHeader(end, *pair, failed_ranks=tuple(sorted(failed)))
+                replica.draft(gen, events)
+        header = FTHeader(end, failed_ranks=tuple(sorted(failed)))
         # One frame down: every live worker's is on its way before Nature
         # waits for anyone.  An eager worker plays every generation of the
         # window before it reports, so its deadline scales with the window.
@@ -603,11 +554,9 @@ def _nature(comm, config, eager_games, population, evaluator, streams, opts) -> 
             wait = hb * (end - closed) if eager_games else hb
             frame = (closed, _News(events), header)
             posted, deadline = fan_out(list(live), frame, end, "header", wait)
-        events = []
 
         # Heartbeat round, one report up: a report per posted worker, all
         # bounded by one deadline, so k silent workers cost one timeout.
-        pi_t = pi_l = None
         with tracer.span("heartbeat", rank=comm.rank, args={"gen": end}):
             for rank, report in fan_in(posted, end, deadline, "no heartbeat").items():
                 if report.generation != end:
@@ -616,31 +565,9 @@ def _nature(comm, config, eager_games, population, evaluator, streams, opts) -> 
                         f" {report.generation} != {end}"
                     )
                 comm.world.counters.record("heartbeat", messages=0, nbytes=0)
-                if report.pi_teacher is not None:
-                    pi_t = report.pi_teacher
-                if report.pi_learner is not None:
-                    pi_l = report.pi_learner
-        replied = time.monotonic()
-
-        if pc is not None:
-            # Every π no live owner reported (a dead owner's) is a function
-            # of the replica the workers played (Nature's own, as end - 1
-            # left it) and of (end, sset), so Nature computes it.  The
-            # mutation closing ``end`` follows: a window ends on a boundary.
-            with tracer.span("pc_step", rank=comm.rank, args={"gen": end}):
-                selection = pc[1]
-                own_t, own_l = _pc_fitness(
-                    evaluator, end,
-                    selection.teacher if pi_t is None else None,
-                    selection.learner if pi_l is None else None,
-                )
-                pi_t = own_t if pi_t is None else pi_t
-                pi_l = own_l if pi_l is None else pi_l
-                replica.decide(end, selection, float(pi_t), float(pi_l), events)
-                replica.draft(end, eager_games, events)
 
         if every and end % every == 0:
-            settle_if_late()
+            comm.settle_due_acks()
             with tracer.span("checkpoint", rank=comm.rank, args={"gen": end}):
                 state = ParallelCheckpoint.capture(nature, population.matrix())
                 if comm.checkpoint_fault_point(end):
@@ -659,7 +586,7 @@ def _nature(comm, config, eager_games, population, evaluator, streams, opts) -> 
     # Shutdown: collect final digests from survivors, then release stragglers.
     matrix = population.matrix()
     digest = _replica_digest(matrix)
-    shutdown = (closed, _News(events), FTShutdown(generation=last))
+    shutdown = (closed, [], FTShutdown(generation=last))
     posted, deadline = fan_out(list(live), shutdown, last, "shutdown", hb)
     # Acknowledged at once (no reply will carry it): the FTFinal is a
     # worker's last act and it waits for this.
@@ -696,12 +623,12 @@ class ParallelSimulation:
         replica and writes the checkpoints, with no worker to tell — so an
         eager run on it plays no slates (``games_played_per_rank == (0,)``).
     eager_games:
-        When true, every worker replays its owned SSets' full opponent
-        slate every generation — the paper's faithful workload (§IV-D),
-        useful for validating the performance model's work accounting.
-        Off by default: the trajectory only ever consumes fitness at PC
-        events, so lazy evaluation — by Nature, on its own replica — is
-        equivalent and far cheaper.
+        When true, every worker plays its owned SSets' full opponent slate
+        every generation — the paper's faithful workload (§IV-D), counted in
+        ``games_played_per_rank`` for the performance model's work
+        accounting.  No number of the trajectory reads those games: Nature
+        decides every PC on its own replica either way, so both settings
+        give the same run, and the default (off) is far cheaper.
     fault_plan:
         Optional :class:`~repro.mpi.faults.FaultPlan` describing the chaos
         to inject (message drops, delays, duplicates, corruptions, rank
@@ -714,7 +641,7 @@ class ParallelSimulation:
         Seconds Nature waits for a worker's report of a window before
         declaring the rank failed.  On an eager run it is per generation of
         the window: a worker plays every generation's slates before it
-        reports.
+        reports, and a window runs to the cap or the next checkpoint.
     checkpoint_dir:
         Directory for periodic :func:`~repro.io.checkpoints.save_parallel_checkpoint`
         files; enables restart via :meth:`resume`.

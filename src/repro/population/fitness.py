@@ -19,16 +19,14 @@ three modes resolved by
 ``sampled``
     Faithful to the paper: fitness is the payoff of games actually played,
     on streams keyed by ``(generation, sset)`` so serial and parallel runs
-    sample identical games; a rank's last slates answer their generation
-    until the population changes.
+    sample identical games.
 
-The memo is the only pair cache a run has — the serial driver and every
-rank of the tree, the star and the service build one evaluator each.  An
-entry is keyed by slot and checked against both slots' allocation stamps,
-so it dies exactly when a slot is reused for another strategy; a query
-plays every missing pair of one row in a single engine call.  It needs no
-pruning: it never holds more than the square of the population's slot
-capacity.
+The memo is the only pair cache a run has — the serial driver, every rank
+of the star and the service build one evaluator each.  An entry is keyed by
+slot and checked against both slots' allocation stamps, so it dies exactly
+when a slot is reused for another strategy; a query plays every missing pair
+of one row in a single engine call.  It needs no pruning: it never holds
+more than the square of the population's slot capacity.
 """
 
 from __future__ import annotations
@@ -86,8 +84,6 @@ class FitnessEvaluator:
         )
         # Memoised rows: slot -> (row_stamp, {col_slot: (col_stamp, payoff_row_vs_col)})
         self._rows: dict[int, tuple[int, dict[int, tuple[int, float]]]] = {}
-        # The last play_slates call: ((generation, population version), {sset: fitness}).
-        self._played: tuple[tuple[int, int], dict[int, float]] = ((-1, -1), {})
         self.pairs_computed = 0
         self.pair_lookups = 0
 
@@ -98,15 +94,11 @@ class FitnessEvaluator:
 
         In memoised modes the generation is irrelevant (fitness is a pure
         function of the current population); in sampled mode it keys the
-        random streams, so asking twice for the same generation returns the
-        same sample — taken from the last :meth:`play_slates` call when it
-        played these SSets at this generation and population version.
+        random streams, so asking twice for the same generation of the same
+        population returns the same sample: :meth:`play_slates` plays it.
         """
         if self.mode != "sampled":
             return np.array([self._memoised_fitness(int(s)) for s in ssets])
-        key, played = self._played
-        if key == (generation, self.population.version) and played.keys() >= set(ssets):
-            return np.array([played[s] for s in ssets])
         return self.play_slates(ssets, generation)
 
     def all_fitness(self, generation: int) -> np.ndarray:
@@ -189,7 +181,7 @@ class FitnessEvaluator:
         Slate ``s`` draws from ``streams.fresh("fitness", generation, s)``
         and from nothing else, so its games are the ones a call for ``s``
         alone would play and the batch size changes no number.  Returns each
-        SSet's summed fitness, in the order asked; :meth:`fitness` reuses it.
+        SSet's summed fitness, in the order asked.
         """
         pop = self.population
         ssets = [int(s) for s in ssets]
@@ -204,9 +196,8 @@ class FitnessEvaluator:
             [per_slate] * n_slates, rngs,
         )
         # Summed slate by slate: the 1-D pairwise sum a lone call would take.
-        sums = [float(slate.sum()) for slate in res.fitness_a.reshape(n_slates, per_slate)]
-        self._played = ((generation, pop.version), dict(zip(ssets, sums)))
-        return np.array(sums)
+        slates = res.fitness_a.reshape(n_slates, per_slate)
+        return np.array([float(slate.sum()) for slate in slates])
 
     def __repr__(self) -> str:
         return (

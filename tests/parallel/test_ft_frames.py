@@ -1,16 +1,17 @@
 """One frame down, one report up per window: the shape of the fault-tolerant star.
 
 The star moves in the collective tree's windows: up to ``_WINDOW_CAP``
-generations, cut at every checkpoint generation and, on an eager run, at each
-PC event.  A window costs each worker one frame (the tree's frame: the events
-Nature drafted for the window, after any an eager PC left open) and one
-report (which is the frame's acknowledgement); fault points and
-``generation`` spans stay per generation.  The fault-free tests here are
-exact message counts and run in tier-1; the ones that inject faults are
-marked ``chaos``.  Every run ends compared with the serial oracle.
+generations, cut at every checkpoint generation, lazy run or eager — Nature
+decides every PC on its own replica.  A window costs each worker one frame
+(the tree's frame: the events Nature drafted for the window) and one report
+(which is the frame's acknowledgement); fault points and ``generation``
+spans stay per generation.  The fault-free tests here are exact message
+counts and run in tier-1; the ones that inject faults are marked ``chaos``.
+Every run ends compared with the serial oracle.
 """
 
 import dataclasses
+import math
 import time
 
 import numpy as np
@@ -64,7 +65,7 @@ BACKENDS = [
 
 
 def _window_ends(last: int, every: int = 0) -> list[int]:
-    """Where a lazy star's windows end: the cap, each checkpoint, the last generation."""
+    """Where the star's windows end: the cap, each checkpoint, the last generation."""
     ends = [0]
     while ends[-1] < last:
         closed = ends[-1]
@@ -74,7 +75,7 @@ def _window_ends(last: int, every: int = 0) -> list[int]:
 
 
 def _window_of(gen: int, last: int, every: int = 0) -> int:
-    """The last generation of the lazy window that holds ``gen``."""
+    """The last generation of the window that holds ``gen``."""
     return next(end for end in _window_ends(last, every) if end >= gen)
 
 
@@ -110,6 +111,14 @@ def _pc_generation(records, first, also=lambda record: True) -> int:
         if record.pc is not None and also(record):
             return record.generation
     raise AssertionError("CFG no longer produces the scenario this test needs")
+
+
+def _news(record) -> list:
+    """A serial generation's events as a frame carries them."""
+    events = [_pc_outcome(record.pc)] if record.pc is not None else []
+    if record.mutation is not None:
+        events.append(MutationUpdate(sset=record.mutation.sset, table=record.mutation.table))
+    return [(record.generation, event) for event in events]
 
 
 def _adopts(record) -> bool:
@@ -166,9 +175,16 @@ class TestMessageShape:
             )
 
     def test_a_lazy_run_asks_no_worker_for_fitness(self, records, oracle, monkeypatch):
-        """Nature decides every lazy PC on its own replica: no header names a
-        pair, no worker opens a ``fitness`` span, every report is a bare
-        heartbeat."""
+        self._asks_no_worker_for_fitness(records, oracle, monkeypatch, eager=False)
+
+    def test_an_eager_run_asks_no_worker_for_fitness(self, records, oracle, monkeypatch):
+        self._asks_no_worker_for_fitness(records, oracle, monkeypatch, eager=True)
+
+    @staticmethod
+    def _asks_no_worker_for_fitness(records, oracle, monkeypatch, eager):
+        """Nature decides every PC on its own replica, however the workers
+        play: a header names a window's end and the failed ranks only, every
+        report is a bare heartbeat, and every ``pc_step`` span is Nature's."""
         assert any(record.pc is not None for record in records)
         posted, post = [], Comm.post_reliable
 
@@ -177,19 +193,23 @@ class TestMessageShape:
             return post(self, payload, dest, tag, **policy)
 
         monkeypatch.setattr(Comm, "post_reliable", spy)
-        result = ParallelSimulation(CFG, 3, trace=True).run(timeout=120)
+        result = ParallelSimulation(CFG, 3, eager, trace=True).run(timeout=120)
         assert np.array_equal(result.matrix, oracle)
         headers = [p[2] for t, p in posted if t == TAG_CONTROL and isinstance(p[2], FTHeader)]
         reports = [p for t, p in posted if t == TAG_REPORT and isinstance(p, WorkerReport)]
         assert len(headers) == len(reports) == 2 * len(_window_ends(CFG.generations))
-        assert not any(header.has_pc for header in headers)
-        assert all(r.pi_teacher is None and r.pi_learner is None for r in reports)
-        assert not [e for e in result.trace.events() if e.name == "fitness"]
+        assert {h.generation for h in headers} == set(_window_ends(CFG.generations))
+        assert all(dataclasses.astuple(h) == (h.generation, ()) for h in headers)
+        assert all(dataclasses.astuple(r) == (r.rank, r.generation) for r in reports)
+        steps = [e for e in result.trace.events() if e.name == "pc_step"]
+        assert len(steps) == result.n_pc_events > 0
+        assert {e.rank for e in steps} == {0}
 
     def test_slow_generations_retransmit_nothing(self, oracle, monkeypatch):
         """A worker whose window outlasts ``ack_timeout`` settles its ack
         before playing, and Nature — blocked on it, owing the fast worker an
-        ack — settles that after ``_ACK_DELAY``: no timer ever fires."""
+        ack — settles that after ``_ACK_DELAY``: no timer ever fires.  PCs
+        cut no eager window, so the run is one window."""
         play = FitnessEvaluator.play_slates
 
         def slow_play(self, ssets, generation):
@@ -204,15 +224,18 @@ class TestMessageShape:
         driver.run()
         assert np.array_equal(result.matrix, driver.population.matrix())
         assert _calls(result, "reliable_retry") == 0
-        # A PC in each generation, so three one-generation windows: 2 workers
-        # x 3 settles before play, Nature's 3 to rank 2, 2 at shutdown.
-        assert _calls(result, "reliable_ack") >= 6 + 3 + 2
+        windows = math.ceil(cfg.generations / _WINDOW_CAP)
+        assert windows == len(_window_ends(cfg.generations)) == 1
+        # Per window 2 workers' settles before play and Nature's settle to
+        # rank 2, then 2 acks at shutdown.
+        assert _calls(result, "reliable_ack") >= 2 * windows + windows + 2
 
 
 class TestCarriedUpdate:
     def test_last_update_rides_with_shutdown(self, records):
         """An eager PC on the last generation: its decision and the mutation
-        closing it ride with FTShutdown, the frame after the last window."""
+        closing it ride in the last window's frame, which FTShutdown (carrying
+        no events) follows; a worker that missed them fails the digest check."""
         last = max(r.generation for r in records if r.pc is not None and r.changed)
         cfg = dataclasses.replace(CFG, generations=last)
         driver = EvolutionDriver(cfg)
@@ -225,19 +248,19 @@ class TestCarriedUpdate:
 
     def test_joiner_does_not_reapply_the_update_its_matrix_contains(self, records):
         """A respawned worker rejoins with Nature's matrix as of generation g,
-        and its first frame carries g's events again (an eager PC closed its
-        window at g).  Adopt-then-mutate is not idempotent when the mutation
-        hits the teacher: applied twice, the learner ends with the mutant."""
-        record = next(r for r in records[1:] if _adopts_then_mutates_the_teacher(r))
+        and a frame whose news straddles g (``closed < g < end``) still
+        carries g's events.  Adopt-then-mutate is not idempotent when the
+        mutation hits the teacher: applied twice, the learner ends with the
+        mutant.  The events after g must still be applied."""
+        record = next(r for r in records[1:-1] if _adopts_then_mutates_the_teacher(r))
         gen = record.generation
         driver = EvolutionDriver(CFG)
         driver.run(gen)
         seeded = driver.population.matrix()
         assert not np.array_equal(seeded[record.pc.learner], record.mutation.table)
-        events = [
-            (gen, _pc_outcome(record.pc)),
-            (gen, MutationUpdate(sset=record.mutation.sset, table=record.mutation.table)),
-        ]
+        after = driver.step()
+        assert after.changed
+        events = _news(record) + _news(after)
 
         def program(comm):
             if comm.rank == 1:  # the replacement incarnation's entry point
@@ -245,14 +268,15 @@ class TestCarriedUpdate:
             # Nature's side: answer the hello, run one window, shut down.
             comm.recv(source=1, tag=TAG_HELLO, timeout=30)
             comm.send_reliable(FTRejoin(generation=gen, matrix=seeded), dest=1, tag=TAG_RECOVERY)
-            comm.post_reliable((gen, events, FTHeader(generation=gen + 1)), dest=1, tag=TAG_CONTROL)
+            frame = (gen - 1, events, FTHeader(generation=gen + 1))
+            comm.post_reliable(frame, dest=1, tag=TAG_CONTROL)
             comm.recv_reliable_owing(source=1, tag=TAG_REPORT, timeout=30)
             shutdown = (gen + 1, [], FTShutdown(generation=gen + 1))
             comm.post_reliable(shutdown, dest=1, tag=TAG_CONTROL)
             return comm.recv_reliable(source=1, tag=TAG_REPORT, timeout=30)
 
         final = run_spmd(2, program, timeout=60).returns[0]
-        assert final.digest == _replica_digest(seeded)
+        assert final.digest == _replica_digest(driver.population.matrix())
 
     @pytest.mark.chaos
     @pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
@@ -260,10 +284,10 @@ class TestCarriedUpdate:
         self, records, oracle, eager
     ):
         """The teacher's owner dies at a PC generation whose predecessor
-        changed the matrix: Nature answers for it from its own replica, which
-        holds that change, exactly as the dead owner's did (on an eager run,
-        next to the learner's owner, which reports).  The failure is seen at
-        the end of the window that holds it: the PC itself on an eager run."""
+        changed the matrix: Nature's fitness comes from its own replica,
+        which holds that change, exactly as the dead owner's replica did.  The
+        failure is seen at the end of the window that holds it, lazy run or
+        eager."""
         gen = _generation_after(
             records, lambda record: record.changed and records[record.generation].pc is not None
         )
@@ -274,17 +298,17 @@ class TestCarriedUpdate:
             CFG, 4, eager, fault_plan=plan, heartbeat_timeout=2.0
         ).run(timeout=120)
         assert np.array_equal(result.matrix, oracle)
-        end = gen if eager else _window_of(gen, CFG.generations)
+        end = _window_of(gen, CFG.generations)
         assert [(d.rank, d.generation) for d in result.degradations] == [(owner, end)]
 
 
 @pytest.mark.chaos
 class TestDeadOwners:
-    """A PC owner that dies mid-generation owed a fitness that Nature's own
-    replica determines (the matrix the workers played, and ``(gen, sset)``),
-    so Nature computes it and the run goes on without asking anyone.  Only an
-    eager run's owners owe anything (a lazy run's π is always Nature's), so
-    each case runs both ways."""
+    """A PC owner that dies mid-generation owes nothing: the fitness is a
+    function of Nature's own replica (the matrix the workers play, and
+    ``(gen, sset)``), which Nature decides on, so the run goes on without
+    asking anyone.  Each case runs lazy and eager: an eager owner plays its
+    slates and dies with them unreported."""
 
     @pytest.mark.procexec
     @pytest.mark.recovery
@@ -294,10 +318,9 @@ class TestDeadOwners:
     ):
         """No live worker is left, so Nature holds the next window boundary
         for the replacement's hello however fast the run goes; a checkpoint
-        every EVERY generations keeps the crash out of a lazy run's last
-        window."""
+        every EVERY generations keeps the crash out of the last window."""
         gen = _pc_generation(records, 5)
-        end = gen if eager else _window_of(gen, CFG.generations, EVERY)
+        end = _window_of(gen, CFG.generations, EVERY)
         assert end < CFG.generations
         plan = FaultPlan(seed=1, events=(FaultEvent(kind="crash", rank=1, generation=gen),))
         result = ParallelSimulation(
@@ -327,7 +350,7 @@ class TestDeadOwners:
             CFG, 4, eager, fault_plan=plan, heartbeat_timeout=2.0
         ).run(timeout=120)
         assert np.array_equal(result.matrix, oracle)
-        end = gen if eager else _window_of(gen, CFG.generations)
+        end = _window_of(gen, CFG.generations)
         assert sorted((d.rank, d.generation) for d in result.degradations) == sorted(
             (r, end) for r in ranks
         )
@@ -408,8 +431,8 @@ class TestFaults:
 
 
 class TestWindows:
-    """What a window is on the star: the cap and each checkpoint cut a lazy
-    run's; fault points and ``generation`` spans stay per generation."""
+    """What a window is on the star: the cap and each checkpoint cut it;
+    fault points and ``generation`` spans stay per generation."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_a_lazy_star_cuts_its_windows_at_each_checkpoint(self, backend, tmp_path):

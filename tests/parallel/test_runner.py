@@ -14,8 +14,6 @@ import pytest
 from repro.config import SimulationConfig
 from repro.errors import MPIError
 from repro.game.noise import NoiseModel
-from repro.mpi.comm import Comm
-from repro.parallel.protocol import WorkerReport
 from repro.parallel.runner import _WINDOW_CAP, ParallelSimulation
 from repro.population.dynamics import EvolutionDriver
 
@@ -81,19 +79,15 @@ class TestBitIdenticalTrajectories:
 
 def assert_traffic_is_the_protocol(cfg, n_ranks, backend, eager_games=False):
     """One frame and one heartbeat per worker per window, then the shutdown
-    frame and the FTFinal.  A lazy run's windows are cut only by the cap
-    (Nature settles every PC itself); an eager run's end at each PC event (no
-    window of an eager ``cfg`` here reaches the cap).  A host process may
-    ship its counters before its FTFinal's ack is counted: up to P-1 fewer
-    confirmed sends."""
+    frame and the FTFinal.  Only the cap cuts a window here, lazy run or
+    eager: Nature settles every PC itself.  A host process may ship its
+    counters before its FTFinal's ack is counted: up to P-1 fewer confirmed
+    sends."""
     par = ParallelSimulation(
         cfg, n_ranks=n_ranks, backend=backend, eager_games=eager_games
     ).run(timeout=300)
     assert np.array_equal(par.matrix, serial_matrix(cfg))
-    if eager_games:
-        windows = par.n_pc_events + 1
-    else:
-        windows = math.ceil(cfg.generations / _WINDOW_CAP)
+    windows = math.ceil(cfg.generations / _WINDOW_CAP)
     workers = n_ranks - 1
     assert par.counters["heartbeat"].calls == windows * workers
     confirmed = (2 * windows + 2) * workers
@@ -117,12 +111,13 @@ class TestCommunicationPattern:
         assert par.n_pc_events > 0
 
     @pytest.mark.parametrize("backend", ["thread", *HOST_BACKENDS])
-    def test_an_eager_run_sends_one_frame_per_pc_event(self, backend):
-        """One window per PC event and the closing one: nothing is sent per
-        generation."""
+    def test_an_eager_run_is_windowed_like_a_lazy_one(self, backend):
+        """PC events cut no eager window: one window however many PCs, and
+        nothing is sent per generation."""
         cfg = SimulationConfig(memory=1, n_ssets=6, generations=40, seed=2, rounds=10)
         par = assert_traffic_is_the_protocol(cfg, 3, backend, eager_games=True)
-        assert par.n_pc_events > 0
+        assert par.counters["heartbeat"].calls == 2
+        assert par.n_pc_events > 1
 
     @pytest.mark.parametrize("backend", ["thread", *HOST_BACKENDS])
     def test_quiet_run_is_cut_into_capped_windows(self, backend):
@@ -133,27 +128,6 @@ class TestCommunicationPattern:
         par = assert_traffic_is_the_protocol(cfg, 3, backend)
         assert par.counters["heartbeat"].calls == 3 * 2
         assert par.n_pc_events == 0 and par.n_mutations > 0
-
-    def test_fitness_returns_are_point_to_point(self, monkeypatch):
-        """An eager PC's two fitness values reach rank 0 in its owners'
-        reports of the window the PC ends, and nothing else carries one."""
-        reports, post = [], Comm.post_reliable
-
-        def spy(self, payload, dest, tag=0, **policy):
-            if isinstance(payload, WorkerReport):
-                reports.append(payload)
-            return post(self, payload, dest, tag, **policy)
-
-        monkeypatch.setattr(Comm, "post_reliable", spy)
-        cfg = SimulationConfig(
-            memory=1, n_ssets=6, generations=30, seed=2, pc_rate=1.0, mutation_rate=0.0,
-            rounds=10,
-        )
-        par = ParallelSimulation(cfg, n_ranks=3, eager_games=True).run()
-        assert np.array_equal(par.matrix, serial_matrix(cfg))
-        assert par.n_pc_events == cfg.generations == len(reports) // 2
-        assert sum(r.pi_teacher is not None for r in reports) == cfg.generations
-        assert sum(r.pi_learner is not None for r in reports) == cfg.generations
 
 
 class TestValidation:

@@ -99,3 +99,34 @@ def test_same_seed_same_network_schedule(memory3_config, tmp_path):
     second_net = [(e.kind, e.rank, e.dest, e.op_index) for e in second.fault_events]
     assert first_net == second_net
     assert any(kind in ("conn_reset", "slow_link") for kind, *_ in first_net)
+
+
+@pytest.mark.chaos
+def test_conn_reset_inside_a_long_eager_window(memory3_config, reference_matrix, tmp_path):
+    # Eager windows run to the next checkpoint, so each frame carries ten
+    # generations and each report answers ten generations of slates.  The
+    # plan resets the socket under the second message on the link from
+    # Nature to rank 1 (host 1): the frame of generations 11-20, unless a
+    # slow report made Nature ack rank 1's first one on its own.
+    plan = FaultPlan(
+        seed=5, events=(FaultEvent(kind="conn_reset", rank=0, dest=1, op_index=1),)
+    )
+    result = ParallelSimulation(
+        memory3_config,
+        n_ranks=3,
+        eager_games=True,
+        backend="tcp",
+        n_hosts=2,
+        fault_plan=plan,
+        heartbeat_timeout=10.0,
+        checkpoint_dir=tmp_path,
+        checkpoint_every=10,
+    ).run()
+    assert np.array_equal(result.matrix, reference_matrix)
+    assert result.failed_ranks == ()
+    assert result.counters["heartbeat"].calls == 4 * 2  # four windows, two workers
+    assert result.counters["net.conn_reset"].calls >= 1
+    assert any(
+        (e.kind, e.rank, e.dest, e.op_index) == ("conn_reset", 0, 1, 1)
+        for e in result.fault_events
+    )

@@ -174,10 +174,10 @@ def test_eager_worker_issues_one_kernel_call_per_generation():
     )
 
 
-def test_eager_owners_answer_a_pc_from_the_slates_they_played():
-    """A sampled PC's fitness is read back from its owners' slates of that
-    generation: each worker makes exactly one kernel call per generation, PC
-    generations included, and Nature makes none."""
+def test_eager_workers_play_once_a_generation_and_nature_once_a_pc():
+    """Nature decides a sampled PC on its own replica, in one kernel call for
+    both slates; each worker makes exactly one kernel call per generation,
+    PC generations included, and answers none."""
     cfg = SimulationConfig(
         memory=2, n_ssets=9, generations=12, seed=23, rounds=20, noise=NoiseModel(0.02),
         pc_rate=0.5,
@@ -189,4 +189,5 @@ def test_eager_owners_answer_a_pc_from_the_slates_they_played():
         if e.ph == "X" and e.cat == "game" and e.name in ("batch_engine.play", "vector_engine.play")
     ]
     calls = {rank: sum(e.rank == rank for e in kernel) for rank in range(3)}
-    assert calls == {0: 0, 1: cfg.generations, 2: cfg.generations}
+    assert calls == {0: res.n_pc_events, 1: cfg.generations, 2: cfg.generations}
+    assert {e.args["games"] for e in kernel if e.rank == 0} == {2 * cfg.opponents_per_sset}

@@ -1,11 +1,11 @@
 """The star's windows against the serial oracle.
 
-A lazy frame closes every generation up to the cap, deciding its PC events on
-Nature's replica on the way; an eager frame stops at the next PC event.  A
-window costs each worker one heartbeat.  The corner cases are where a window
-is shortest, longest or last: a PC every generation, a PC on a cap boundary,
-no PC at all, a PC on the final generation, a one-generation run — and eager
-play, whose slates must still see the population one generation at a time.
+A frame closes every generation up to the cap, deciding its PC events on
+Nature's replica on the way, lazy run or eager.  A window costs each worker
+one heartbeat.  The corner cases are where a window is shortest, longest or
+last: a PC every generation, a PC on a cap boundary, no PC at all, a PC on
+the final generation, a one-generation run — and eager play, whose slates
+must still see the population one generation at a time.
 A lazy, untraced, fault-free worker replays only the generations that had
 events.
 """
@@ -48,13 +48,15 @@ def assert_matches_serial(cfg, n_ranks, backend, **kwargs):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestWindowEdges:
-    def test_pc_every_generation_makes_one_generation_windows(self, backend):
-        """Eager: each PC ends its window, since its owners must reply."""
+    def test_an_eager_pc_every_generation_cuts_no_window(self, backend):
+        """Eager: Nature decides each PC on its own replica, so no owner's
+        reply is awaited and the run is one window."""
         cfg = SimulationConfig(
             memory=1, n_ssets=6, generations=30, seed=4, pc_rate=1.0, rounds=10
         )
         par = assert_matches_serial(cfg, 3, backend, eager_games=True)
-        assert par.counters["heartbeat"].calls == cfg.generations * 2
+        assert par.n_pc_events == cfg.generations
+        assert par.counters["heartbeat"].calls == 1 * 2
 
     def test_no_pc_means_no_fitness_message(self, backend):
         cfg = SimulationConfig(
@@ -219,12 +221,13 @@ class TestEagerPlayInsideAWindow:
 
 
 class TestFitnessDeadline:
-    """Nature's wait for an eager window's reports, which carry its PC's
-    fitness, is ``heartbeat_timeout`` per generation: a worker plays every
-    generation of the window before it reports."""
+    """Nature's wait for an eager window's reports is ``heartbeat_timeout``
+    per generation: a worker plays every generation of the window before it
+    reports, and the window runs to the cap or the next checkpoint."""
 
     def test_a_long_eager_window_finishes_within_the_scaled_deadline(self, monkeypatch):
-        # The only PC is at generation 21; the slates before it take ~1 s.
+        # One 24-generation window whose slates take ~1.2 s, PC generation
+        # 21 included: well past one heartbeat_timeout.
         cfg = SimulationConfig(memory=1, n_ssets=4, generations=24, seed=5, pc_rate=0.02, rounds=5)
         assert [r.generation for r in serial(cfg)[1] if r.pc is not None] == [21]
         play_slates = FitnessEvaluator.play_slates
@@ -236,3 +239,4 @@ class TestFitnessDeadline:
         monkeypatch.setattr(FitnessEvaluator, "play_slates", slow_play)
         par = assert_matches_serial(cfg, 2, "thread", eager_games=True, heartbeat_timeout=0.5)
         assert par.failed_ranks == ()
+        assert par.counters["heartbeat"].calls == 1

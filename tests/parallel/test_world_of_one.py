@@ -16,7 +16,7 @@ from repro.population.dynamics import EvolutionDriver
 
 pytestmark = pytest.mark.recovery
 
-#: Noisy games, so an eager PC's fitness is sampled from played slates.
+#: Noisy games, so a PC's fitness is sampled from slates Nature plays.
 CFG = SimulationConfig(
     n_ssets=8, generations=60, seed=3, pc_rate=0.6, mutation_rate=0.4, rounds=20,
     noise=NoiseModel(0.02),

@@ -126,25 +126,6 @@ class TestSampledMode:
         _, ev_d, _ = make(small_config)
         assert np.allclose(ev_s.all_fitness(1), ev_d.all_fitness(1))
 
-    def test_the_slates_just_played_answer_until_the_population_changes(self, mixed_config):
-        """An eager rank's slates answer a PC at their generation and
-        population version without playing a game; a change plays again."""
-        pop, ev, streams = make(mixed_config)
-        played = ev.play_slates(range(pop.n_ssets), 4)
-        games = ev.engine.games_played
-        assert ev.fitness([3, 1], 4).tolist() == [played[3], played[1]]
-        assert ev.engine.games_played == games
-        changes = (lambda: pop.adopt(1, 0), lambda: pop.set_strategy(3, pop.table_of(2).copy()))
-        for change in changes:
-            version = pop.version
-            change()
-            assert pop.version != version
-            again = ev.fitness([3, 1], 4)
-            assert ev.engine.games_played == games + 2 * mixed_config.opponents_per_sset
-            games = ev.engine.games_played
-            fresh = FitnessEvaluator(mixed_config, pop, streams).fitness([3, 1], 4)
-            assert again.tolist() == fresh.tolist()
-
     def test_needs_streams(self, mixed_config):
         pop = Population.random(mixed_config, StreamFactory(9).fresh("init"))
         with pytest.raises(PopulationError):
