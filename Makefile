@@ -34,7 +34,7 @@ test-recovery:
 	pytest tests/ -m recovery
 	pytest tests/io/test_checkpoints.py tests/parallel/test_resume.py tests/parallel/test_world_of_one.py
 
-# Multi-host TCP transport: framing/resumption unit tests plus loopback
+# Multi-host TCP transport: framing/channel unit tests plus loopback
 # multi-host chaos runs (partitions, connection resets, a respawned crash).
 test-tcp:
 	pytest tests/ -m tcp

@@ -14,7 +14,9 @@ virtual communicator with faithful semantics and fully observable traffic:
   duplicates, corruptions, rank crashes, hangs and network link faults:
   partitions, slow links, connection resets) for chaos testing.
 * :mod:`repro.mpi.tcp` — length-prefixed framed socket transport with
-  rendezvous bootstrap, heartbeat keepalive and session resumption.
+  rendezvous bootstrap, reconnecting per-host channels and heartbeat
+  liveness; :class:`Comm`'s reliable layer heals the frames a socket
+  fault loses.
 * :mod:`repro.mpi.hostexec` — the one launcher behind every backend: ranks
   as threads on hosts, the hosts in the calling process (``"thread"``) or
   in OS processes wired by queues (``"process"``) or loopback TCP

@@ -422,11 +422,11 @@ class Comm:
     like MPI's no-touch rule for non-blocking sends).
 
     Two delivery grades are offered.  Plain :meth:`send`/:meth:`recv` trust
-    the network (fine without fault injection — the virtual network is
-    perfectly reliable by default).  :meth:`send_reliable`/
-    :meth:`recv_reliable` add sequence numbers, checksums, acknowledgements
-    with retry + exponential backoff, and receiver-side deduplication, so
-    they survive injected drops, duplicates and corruptions.
+    the network: a drop, or a socket fault on the tcp backend, loses them.
+    :meth:`send_reliable`/:meth:`recv_reliable` add sequence numbers,
+    checksums, acks with retry + exponential backoff, and receiver-side
+    dedup, so they survive drops, duplicates, corruptions and connection
+    resets — the one layer that delivers exactly once on every backend.
 
     That pair is stop-and-wait.  A request/reply protocol pays one message
     per frame instead of two with :meth:`post_reliable` (the frame is parked

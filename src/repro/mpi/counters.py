@@ -23,9 +23,8 @@ Fault injection and fault tolerance report through the same tallies:
   checks and graceful-degradation steps;
 * ``net.*`` — the TCP transport's socket-level traffic
   (:mod:`repro.mpi.tcp`): ``net.connect`` / ``net.reconnect`` (dial-ins,
-  with bytes = 0), ``net.frames`` / ``net.frames_resent`` (data frames on
-  the wire, bytes = framed length), ``net.dedup`` (resumed frames dropped
-  by the receiver's sequence window), ``net.heartbeat`` (keepalive pings),
+  with bytes = 0), ``net.frames`` (data frames on the wire, bytes =
+  framed length), ``net.heartbeat`` (liveness pings),
   ``net.partition`` / ``net.conn_reset`` / ``net.slow_link`` (injected
   network faults that fired), and ``net.peer_unreachable`` (a peer host
   crossed its grace deadline).  Absorbed into run metrics as

@@ -38,13 +38,15 @@ Fault kinds
     Network kind (TCP transport only): the socket carrying the targeted
     frame is closed abruptly just before the frame is written — a TCP RST
     mid-stream.  The connection supervisor reconnects with capped+jittered
-    backoff and resends the unacknowledged window, so the simulation never
-    notices (transparent session resumption).
+    backoff and writes the targeted frame on the new socket.  Frames the
+    old socket still carried may be lost, as under ``drop``: the reliable
+    layer (:meth:`~repro.mpi.comm.Comm.post_reliable`) resends them, and
+    plain sends are at most once.
 ``partition``
     Network kind: like ``conn_reset``, but reconnection attempts on that
     directed host link are refused for ``partition_seconds``.  Short
-    partitions heal by resumption; past the transport's grace deadline the
-    peer's ranks become locally unreachable
+    partitions heal by reconnect and reliable resend; past the transport's
+    grace deadline the peer's ranks become locally unreachable
     (:class:`~repro.errors.PeerUnreachableError`) and the usual degradation
     machinery takes over (SSet redistribution or cross-host FTRejoin).
 ``slow_link``

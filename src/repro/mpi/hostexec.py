@@ -55,10 +55,12 @@ process that dies unreported (SIGKILL, OOM) is not replaced: the launcher
 aborts the world naming the host, and the supervisor layer resumes from the
 latest checkpoint.  Injected ``partition``/``conn_reset``/``slow_link``
 faults live a layer below, inside the tcp channels (see
-:mod:`repro.mpi.tcp`), and heal by reconnect + session resumption without
-the simulation noticing; only a partition outlasting
-``TcpOptions.unreachable_grace`` escalates into
-:class:`~repro.errors.PeerUnreachableError` and the failed-rank machinery.
+:mod:`repro.mpi.tcp`): the channel reconnects, and the frames the socket
+lost are resent by the rank program's reliable layer
+(:meth:`~repro.mpi.comm.Comm.post_reliable`), as after an injected
+``drop``.  Only a partition outlasting ``TcpOptions.unreachable_grace``
+escalates into :class:`~repro.errors.PeerUnreachableError` and the
+failed-rank machinery.
 
 The world's size is fixed at launch, as ``MPI_COMM_WORLD``'s is: a rank
 enters a running world only as a respawned incarnation of itself, and
@@ -85,7 +87,7 @@ from repro.errors import (
 from repro.logging_util import get_logger
 from repro.mpi.comm import Comm, World, _Mailbox
 from repro.mpi.faults import FaultInjector, FaultPlan
-from repro.mpi.tcp import ControlClient, NetHello, Rendezvous, TcpNode, TcpOptions, HostChannel
+from repro.mpi.tcp import ControlClient, HostChannel, NetHello, Rendezvous, TcpNode, TcpOptions
 from repro.obs.tracer import NULL_TRACER, Tracer, activate
 
 __all__ = ["MAX_PROCESS_RANKS", "MAX_TCP_RANKS", "MAX_TCP_HOSTS"]
@@ -123,17 +125,15 @@ class _TcpWire:
     here, once per outgoing frame, and carried out inside the channel.
     """
 
-    def __init__(self, host: "_Host", options: TcpOptions) -> None:
+    def __init__(self, host: "_Host") -> None:
         self._host = host
-        self._options = options
+        self._options = TcpOptions()
         self._lock = threading.Lock()
         self._channels: dict[int, HostChannel] = {}
         self._frame_counts: dict[tuple[int, int], int] = {}
         #: host id → data-plane address to dial, from the rendezvous welcome.
         self.peers: dict[int, tuple[str, int]] = {}
-        self._node = TcpNode(
-            host.host_id, host.deliver_local, options=options, counters=host.counters
-        )
+        self._node = TcpNode(host.host_id, host.deliver_local)
         self.addr: tuple[str, int] | None = self._node.addr
 
     def _channel(self, peer_host: int) -> HostChannel:
@@ -611,7 +611,6 @@ def _host_main(
     on_rank_failure: str,
     trace_epoch: float | None,
     flow_start: int,
-    options: TcpOptions,
     queues: Sequence[Any] | None,
 ) -> None:
     """Entry point of one host process (module-level for spawn support).
@@ -628,7 +627,7 @@ def _host_main(
     )
     host = _Host(host_id, n_hosts, n_ranks, fn, args, on_rank_failure, injector, tracer)
     host.wire = wire = (
-        _TcpWire(host, options) if queues is None else _QueueWire(host, queues)
+        _TcpWire(host) if queues is None else _QueueWire(host, queues)
     )
     # The control reader starts inside ControlClient, before the host can be
     # given the link: it holds its first message until the host is whole (a
@@ -782,7 +781,6 @@ def _launch(
                     on_rank_failure,
                     tracer.epoch if tracing else None,
                     tracer.reserve_flow_stripe() if tracing else 0,
-                    TcpOptions(),
                     queues,
                 ),
                 name=f"vmpi-host-{host_id}",

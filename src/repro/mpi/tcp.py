@@ -15,15 +15,13 @@ the in-process backends never needed:
 * **per-peer connection supervisors** (:class:`HostChannel`): one outbound
   channel per (local host, peer host) pair, reconnecting after any socket
   death with capped + jittered exponential backoff
-  (:func:`repro.mpi.comm.backoff_wait`) and keeping the link warm with
-  heartbeat pings.
-* **transparent session resumption**: every data frame carries a per-link
-  sequence number; the sender retains unacknowledged frames in a resend
-  window, the receiver acknowledges cumulatively and drops already-seen
-  sequence numbers.  On reconnect the handshake returns the receiver's
-  delivered watermark and the sender replays the tail — so a TCP RST
-  mid-generation is invisible to the simulation (the app-level reliable
-  layer on top never even notices).
+  (:func:`repro.mpi.comm.backoff_wait`) and pinging its peer every
+  heartbeat interval, whatever the data traffic, to tell a live link from
+  a dead one.  The channel is a plain pipe, at most once and in order: it
+  writes each frame once, so a frame the socket lost on a reset is gone.
+  Exactly-once delivery is :meth:`~repro.mpi.comm.Comm.post_reliable`'s
+  job, on this backend as on the others: its retransmission heals a socket
+  fault the way it heals an injected ``drop``.
 * **partition detection that degrades gracefully**: a link down longer than
   ``TcpOptions.unreachable_grace`` makes the peer's ranks *locally*
   unreachable — sends and receives raise
@@ -36,7 +34,7 @@ the in-process backends never needed:
   data frame, keyed by the directed rank pair's frame ordinal, so
   ``partition`` / ``slow_link`` / ``conn_reset`` schedules are pure
   functions of the plan seed (bit-reproducible), while the *healing* —
-  reconnect, resume, rejoin — runs on real wall-clock sockets.
+  reconnect, resend, rejoin — runs on real wall-clock sockets.
 
 Traffic lands on the shared :class:`~repro.mpi.counters.CommCounters`
 under ``net.*`` ops (see :mod:`repro.mpi.counters`) and reconnect /
@@ -52,7 +50,7 @@ import struct
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import MPIError
@@ -112,6 +110,18 @@ def recv_frame(sock: socket.socket) -> bytes | None:
     return _recv_exact(sock, length)
 
 
+#: Seconds between liveness pings on a connected link, whatever its traffic.
+_HEARTBEAT_INTERVAL = 0.5
+#: First wait, growth factor and jitter of the backoff between reconnect
+#: attempts (:func:`repro.mpi.comm.backoff_wait`); ``reconnect_cap`` caps it.
+_RECONNECT_BASE = 0.02
+_RECONNECT_FACTOR = 2.0
+_RECONNECT_JITTER = 0.5
+
+_PING = _dumps(("ping",))
+_PONG = _dumps(("pong",))
+
+
 @dataclass(frozen=True)
 class TcpOptions:
     """Socket-layer tuning knobs for the TCP transport.
@@ -119,42 +129,30 @@ class TcpOptions:
     Attributes
     ----------
     connect_timeout:
-        Seconds one TCP connect + channel handshake may take.
-    heartbeat_interval:
-        Idle seconds after which a channel pings its peer.
+        Seconds one TCP connect may take.
     heartbeat_timeout:
-        Silence (no ack/pong) after which a connected link is declared
-        down and torn up for reconnection.
-    reconnect_base, reconnect_factor, reconnect_cap, reconnect_jitter:
-        Capped + jittered exponential backoff between reconnect attempts
-        (see :func:`repro.mpi.comm.backoff_wait`).
+        Seconds a ping may go unanswered before a connected link is
+        declared down and torn up for reconnection.
+    reconnect_cap:
+        Longest wait between reconnect attempts.
     unreachable_grace:
         Seconds a link may stay down before the peer host's ranks become
         locally unreachable (:class:`~repro.errors.PeerUnreachableError`).
-    max_window:
-        Resend-window capacity in frames; overflow drops the oldest
-        unacknowledged frame (the app-level reliable layer re-sends).
     """
 
     connect_timeout: float = 5.0
-    heartbeat_interval: float = 0.5
     heartbeat_timeout: float = 5.0
-    reconnect_base: float = 0.02
-    reconnect_factor: float = 2.0
     reconnect_cap: float = 0.5
-    reconnect_jitter: float = 0.5
     unreachable_grace: float = 10.0
-    max_window: int = 4096
 
 
 @dataclass(frozen=True)
 class NetHello:
     """A host's dial-in: who it is, which incarnation, where its data lives.
 
-    ``incarnation`` counts registrations of this host id (0 for the
-    original, increasing across respawn-style rejoins) on the rendezvous
-    path, and reconnect attempts on the per-channel handshake path — either
-    way, receivers use it to tell a fresh arrival from a stale one.
+    ``incarnation`` counts registrations of this host id with the
+    rendezvous (0 for the original, increasing across respawn-style
+    rejoins), so the rendezvous can tell a fresh arrival from a stale one.
     """
 
     host: int
@@ -294,11 +292,6 @@ class Rendezvous:
             except OSError:  # a dead host's ctrl socket; its ranks will fail
                 _LOG.debug("control broadcast to host %d failed", hid)
 
-    def hellos(self) -> dict[int, NetHello]:
-        """The registered hellos so far (host id → :class:`NetHello`)."""
-        with self._lock:
-            return dict(self._hellos)
-
     def close(self) -> None:
         self._closed = True
         try:
@@ -394,23 +387,24 @@ class _LinkState:
     connects: int = 0
     down_since: float | None = None
     blocked_until: float = 0.0
-    last_sent: float = 0.0
-    last_heard: float = 0.0
+    last_ping: float = 0.0
+    #: send times of this connection's pings still awaiting their pong
+    pings: deque[float] = field(default_factory=deque)
 
 
 class HostChannel:
     """Outbound supervisor for one directed host link.
 
     Rank threads call :meth:`send`; a writer thread owns the socket —
-    (re)dialing with capped+jittered backoff, performing the resume
-    handshake, replaying the unacknowledged window, injecting scheduled
-    network faults, and pinging on idle.  A per-connection reader thread
-    consumes cumulative acks and pongs.
+    (re)dialing with capped+jittered backoff, injecting scheduled network
+    faults, and pinging every ``_HEARTBEAT_INTERVAL``.  A per-connection
+    reader thread consumes the pongs; a ping unanswered for
+    ``heartbeat_timeout`` tears the link down.
 
-    The channel is lossless up to ``max_window`` in-flight frames; beyond
-    that it degrades to a lossy link (the oldest unacked frame is shed),
-    which the app-level reliable layer heals with a resend — never
-    silently: sheds are counted under ``net.window_drop``.
+    Each frame is written at most once.  A frame queued while the link is
+    down waits at the head of the queue for the reconnect; one whose write
+    raised, or that was in flight when the socket died, is lost, and the
+    app-level reliable layer resends it.
     """
 
     def __init__(
@@ -433,11 +427,8 @@ class HostChannel:
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._state = _LinkState(down_since=time.monotonic())
-        self._next_seq = 1
-        #: frames awaiting transmission: (seq, blob, fault_effect | None)
-        self._outq: deque[tuple[int, bytes, tuple[str, float] | None]] = deque()
-        #: frames on the wire, unacknowledged: (seq, blob)
-        self._window: deque[tuple[int, bytes]] = deque()
+        #: frames awaiting transmission: (blob, fault_effect | None)
+        self._outq: deque[tuple[bytes, tuple[str, float] | None]] = deque()
         self._closed = False
         self._writer = threading.Thread(
             target=self._run,
@@ -457,25 +448,22 @@ class HostChannel:
         nbytes: int,
         msg_id: int = 0,
         fault: tuple[str, float] | None = None,
-    ) -> int:
-        """Enqueue one data frame; returns its link sequence number.
+    ) -> None:
+        """Enqueue one data frame.
 
         Pickling happens here, in the caller's thread, so unpicklable
         payloads fail at the send site (error locality) and the writer
         thread stays cheap.  ``fault`` is an injected network-fault effect
         ``(kind, seconds)`` decided by the caller's injector.
         """
+        blob = _dumps(("data", src_rank, dst_rank, tag, payload, nbytes, msg_id))
         with self._cond:
             if self._closed:
                 raise MPIError(
                     f"channel {self.local_host}->{self.peer_host} is closed"
                 )
-            seq = self._next_seq
-            self._next_seq += 1
-            blob = _dumps(("data", seq, src_rank, dst_rank, tag, payload, nbytes, msg_id))
-            self._outq.append((seq, blob, fault))
+            self._outq.append((blob, fault))
             self._cond.notify_all()
-        return seq
 
     def down_for(self) -> float:
         """Seconds the link has been continuously down (0.0 when up)."""
@@ -492,9 +480,6 @@ class HostChannel:
             self._closed = True
             self._cond.notify_all()
         self._teardown(rst=False)
-
-    def join(self, timeout: float | None = None) -> None:
-        self._writer.join(timeout=timeout)
 
     # -- writer-side machinery -----------------------------------------------------
 
@@ -519,60 +504,31 @@ class HostChannel:
                 pass
 
     def _connect_once(self) -> bool:
-        """One dial + handshake attempt; True when the link is up after it."""
+        """One dial attempt; True when the link is up after it."""
         addr = self._addr_fn(self.peer_host)
         if addr is None:
             return False
-        opts = self.options
-        sock = socket.create_connection(addr, timeout=opts.connect_timeout)
+        sock = socket.create_connection(addr, timeout=self.options.connect_timeout)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.settimeout(opts.connect_timeout)
-            with self._lock:
-                connects = self._state.connects
-            send_frame(sock, _dumps(("chello", self.local_host, connects)))
-            blob = recv_frame(sock)
-            if blob is None:
-                raise OSError("peer closed during channel handshake")
-            op, _peer_host, delivered = pickle.loads(blob)
-            if op != "cwelcome":
-                raise OSError(f"unexpected channel handshake reply {op!r}")
             sock.settimeout(None)
-        except BaseException:
+        except OSError:
             sock.close()
             raise
-        resumed = 0
-        now = time.monotonic()
-        with self._cond:
-            # Resume: drop window frames the peer already delivered, replay
-            # the rest ahead of any queued traffic (order preserved).
-            while self._window and self._window[0][0] <= delivered:
-                self._window.popleft()
-            for seq, blob_ in reversed(self._window):
-                self._outq.appendleft((seq, blob_, None))
-                resumed += 1
-            self._window.clear()
+        with self._lock:
             was_down = self._state.connects > 0
             self._state.sock = sock
             self._state.epoch += 1
             epoch = self._state.epoch
             self._state.connects += 1
             self._state.down_since = None
-            self._state.last_sent = now
-            self._state.last_heard = now
-        self.counters.record("net.reconnect" if was_down else "net.connect")
-        if resumed:
-            self.counters.record("net.frames_resent", messages=resumed)
+            self._state.last_ping = time.monotonic()
+            self._state.pings.clear()
+        event = "net.reconnect" if was_down else "net.connect"
+        self.counters.record(event)
         if self.tracer.enabled:
             self.tracer.instant(
-                "net.reconnect" if was_down else "net.connect",
-                cat="net",
-                rank=self.trace_rank,
-                args={
-                    "peer_host": self.peer_host,
-                    "resumed_frames": resumed,
-                    "delivered_watermark": delivered,
-                },
+                event, cat="net", rank=self.trace_rank, args={"peer_host": self.peer_host}
             )
         threading.Thread(
             target=self._read_loop,
@@ -598,17 +554,17 @@ class HostChannel:
             try:
                 if self._connect_once():
                     return True
-            except (OSError, pickle.UnpicklingError, EOFError) as exc:
+            except OSError as exc:
                 _LOG.debug(
                     "channel %d->%d dial failed (attempt %d): %r",
                     self.local_host, self.peer_host, attempt, exc,
                 )
             wait = backoff_wait(
-                self.options.reconnect_base,
+                _RECONNECT_BASE,
                 attempt,
-                factor=self.options.reconnect_factor,
+                factor=_RECONNECT_FACTOR,
                 cap=self.options.reconnect_cap,
-                jitter=self.options.reconnect_jitter,
+                jitter=_RECONNECT_JITTER,
                 key=("tcp-reconnect", self.local_host, self.peer_host),
             )
             attempt += 1
@@ -618,79 +574,67 @@ class HostChannel:
         return False
 
     def _read_loop(self, sock: socket.socket, epoch: int) -> None:
+        # The node sends nothing back but pongs, in the order of the pings.
         try:
-            while True:
-                blob = recv_frame(sock)
-                if blob is None:
-                    break
-                msg = pickle.loads(blob)
-                if msg[0] == "ack":
-                    with self._lock:
-                        if self._state.epoch != epoch:
-                            break
-                        acked = msg[1]
-                        while self._window and self._window[0][0] <= acked:
-                            self._window.popleft()
-                        self._state.last_heard = time.monotonic()
-                elif msg[0] == "pong":
-                    with self._lock:
-                        if self._state.epoch != epoch:
-                            break
-                        self._state.last_heard = time.monotonic()
-        except (OSError, EOFError, pickle.UnpicklingError):
+            while recv_frame(sock) is not None:
+                with self._lock:
+                    if self._state.epoch != epoch:
+                        break
+                    if self._state.pings:
+                        self._state.pings.popleft()
+        except OSError:
             pass
         with self._lock:
             stale = self._state.epoch != epoch
         if not stale:
             self._teardown(rst=False)
 
-    def _idle_tick(self) -> None:
-        opts = self.options
+    def _heartbeat(self) -> None:
+        """Ping every interval; drop a link whose oldest ping went unanswered."""
         now = time.monotonic()
         with self._lock:
-            sock = self._state.sock
-            last_heard = self._state.last_heard
-            last_sent = self._state.last_sent
-            backlog = bool(self._outq or self._window)
-        if sock is not None:
-            if now - last_heard > opts.heartbeat_timeout:
-                _LOG.debug(
-                    "channel %d->%d heartbeat timeout (%.2fs silent)",
-                    self.local_host, self.peer_host, now - last_heard,
-                )
-                self._teardown(rst=False)
-            elif now - last_sent >= opts.heartbeat_interval:
-                try:
-                    send_frame(sock, _dumps(("ping",)))
-                    with self._lock:
-                        self._state.last_sent = now
-                    self.counters.record("net.heartbeat")
-                except OSError:
-                    self._teardown(rst=False)
-        elif backlog:
-            self._ensure_connected()
+            state = self._state
+            sock = state.sock
+            if sock is None:
+                return
+            silent = now - state.pings[0] if state.pings else 0.0
+            if silent <= self.options.heartbeat_timeout:
+                if now - state.last_ping < _HEARTBEAT_INTERVAL:
+                    return
+                state.last_ping = now
+                state.pings.append(now)
+        if silent > self.options.heartbeat_timeout:
+            _LOG.debug(
+                "channel %d->%d heartbeat timeout (ping unanswered for %.2fs)",
+                self.local_host, self.peer_host, silent,
+            )
+            self._teardown(rst=False)
+            return
+        try:
+            send_frame(sock, _PING)
+            self.counters.record("net.heartbeat")
+        except OSError:
+            self._teardown(rst=False)
 
     def _run(self) -> None:
-        opts = self.options
         while True:
             with self._cond:
-                while not self._outq and not self._closed:
-                    if not self._cond.wait(timeout=min(0.05, opts.heartbeat_interval)):
-                        break
+                if not self._outq and not self._closed:
+                    self._cond.wait(timeout=0.05)
                 if self._closed and not self._outq:
                     return
                 item = self._outq.popleft() if self._outq else None
+            self._heartbeat()
             if item is None:
-                self._idle_tick()
                 continue
-            seq, blob, fault = item
+            blob, fault = item
             if fault is not None:
                 kind, seconds = fault
                 if kind == "slow_link":
                     # The frame — and everything queued behind it — waits:
                     # a congested link delays the whole stream.
                     time.sleep(seconds)
-                elif kind in ("conn_reset", "partition"):
+                else:  # conn_reset or partition
                     self._teardown(rst=True)
                     if kind == "partition":
                         with self._lock:
@@ -698,68 +642,50 @@ class HostChannel:
                     if self.tracer.enabled:
                         self.tracer.instant(
                             f"net.{kind}", cat="net", rank=self.trace_rank,
-                            args={"peer_host": self.peer_host, "seq": seq},
+                            args={"peer_host": self.peer_host},
                         )
-                    # The frame itself survives: requeue fault-free; it will
-                    # ride the post-reconnect resume path.
-                    with self._cond:
-                        self._outq.appendleft((seq, blob, None))
-                    continue
             with self._lock:
                 sock = self._state.sock
             if sock is None:
-                # Reconnecting replays the unacked window ahead of queued
-                # traffic, so the in-hand frame must rejoin the queue
-                # *behind* that replay rather than jump it — otherwise the
-                # receiver's watermark would dedup the replayed frames as
-                # stale and a frame would vanish.
+                # Not yet written: the frame waits at the head of the queue
+                # for the reconnect.
                 with self._cond:
-                    self._outq.appendleft((seq, blob, None))
+                    self._outq.appendleft((blob, None))
                 if not self._ensure_connected():
                     return  # closed while dialing
                 continue
             try:
                 send_frame(sock, blob)
             except OSError:
+                # Written at most once: the reliable layer resends a lost frame.
                 self._teardown(rst=False)
-                with self._cond:
-                    self._outq.appendleft((seq, blob, None))
                 continue
-            with self._cond:
-                self._state.last_sent = time.monotonic()
-                self._window.append((seq, blob))
-                if len(self._window) > opts.max_window:
-                    self._window.popleft()
-                    self.counters.record("net.window_drop")
             self.counters.record("net.frames", nbytes=len(blob))
 
 
 class TcpNode:
     """A host's data-plane listener: accepts channels, delivers frames.
 
-    Each inbound connection handshakes (``chello`` → ``cwelcome`` carrying
-    the delivered-sequence watermark for that peer, which powers session
-    resumption), then streams data frames.  Frames with already-delivered
-    sequence numbers are dropped (counted under ``net.dedup``); fresh ones
-    go to ``deliver(src_rank, dst_rank, tag, payload, nbytes, msg_id)``
-    and are cumulatively acknowledged on the same socket.
+    Each inbound connection streams data frames, handed in arrival order to
+    ``deliver(src_rank, dst_rank, tag, payload, nbytes, msg_id)``, and
+    pings, each answered with a pong on the same socket.  A reconnect is a
+    new connection, accepted after the one it replaces; frames the old one
+    still holds would overtake the new one's, so they are dropped instead
+    (the channel is at most once, in order).
     """
 
     def __init__(
         self,
         host_id: int,
         deliver: Callable[[int, int, int, Any, int, int], None],
-        options: TcpOptions | None = None,
-        counters: CommCounters | None = None,
         bind_host: str = "127.0.0.1",
     ) -> None:
         self.host_id = host_id
         self._deliver = deliver
-        self.options = options if options is not None else TcpOptions()
-        self.counters = counters if counters is not None else CommCounters()
         self._lock = threading.Lock()
-        self._delivered: dict[int, int] = {}
         self._conns: list[socket.socket] = []
+        #: (src_rank, dst_rank) → accept number of the newest connection carrying it
+        self._newest: dict[tuple[int, int], int] = {}
         self._closed = False
         self._listener = socket.create_server((bind_host, 0))
         self.addr: tuple[str, int] = self._listener.getsockname()
@@ -769,6 +695,7 @@ class TcpNode:
         self._accept_thread.start()
 
     def _accept_loop(self) -> None:
+        accepted = 0
         while not self._closed:
             try:
                 sock, _peer = self._listener.accept()
@@ -777,48 +704,28 @@ class TcpNode:
             with self._lock:
                 self._conns.append(sock)
             threading.Thread(
-                target=self._serve, args=(sock,),
+                target=self._serve, args=(sock, accepted),
                 name=f"tcp-node-conn-{self.host_id}", daemon=True,
             ).start()
+            accepted += 1
 
-    def _serve(self, sock: socket.socket) -> None:
+    def _serve(self, sock: socket.socket, number: int) -> None:
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.settimeout(self.options.connect_timeout)
-            blob = recv_frame(sock)
-            if blob is None:
-                return
-            op, src_host, _incarnation = pickle.loads(blob)
-            if op != "chello":
-                return
-            with self._lock:
-                delivered = self._delivered.get(src_host, 0)
-            send_frame(sock, _dumps(("cwelcome", self.host_id, delivered)))
-            sock.settimeout(None)
-            while True:
-                blob = recv_frame(sock)
-                if blob is None:
-                    return
+            while (blob := recv_frame(sock)) is not None:
                 msg = pickle.loads(blob)
-                if msg[0] == "data":
-                    _op, seq, src_rank, dst_rank, tag, payload, nbytes, msg_id = msg
-                    with self._lock:
-                        fresh = seq > self._delivered.get(src_host, 0)
-                        if fresh:
-                            self._delivered[src_host] = seq
-                    if fresh:
-                        try:
-                            self._deliver(src_rank, dst_rank, tag, payload, nbytes, msg_id)
-                        except Exception:  # noqa: BLE001 - a bad frame must not kill the link
-                            _LOG.exception(
-                                "delivery of frame %d (rank %d->%d) failed",
-                                seq, src_rank, dst_rank,
-                            )
-                    else:
-                        self.counters.record("net.dedup")
-                    send_frame(sock, _dumps(("ack", seq)))
-                elif msg[0] == "ping":
-                    send_frame(sock, _dumps(("pong",)))
+                if msg[0] == "ping":
+                    send_frame(sock, _PONG)
+                    continue
+                _op, src_rank, dst_rank, tag, payload, nbytes, msg_id = msg
+                with self._lock:
+                    if self._newest.setdefault((src_rank, dst_rank), number) > number:
+                        continue
+                    self._newest[src_rank, dst_rank] = number
+                    try:
+                        self._deliver(src_rank, dst_rank, tag, payload, nbytes, msg_id)
+                    except Exception:  # noqa: BLE001 - a bad frame must not kill the link
+                        _LOG.exception("delivery (rank %d->%d) failed", src_rank, dst_rank)
         except (OSError, EOFError, pickle.UnpicklingError):
             pass
         finally:

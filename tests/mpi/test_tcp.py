@@ -1,9 +1,11 @@
-"""Multi-host TCP transport: framing, session resumption, the launcher.
+"""Multi-host TCP transport: framing, the channel, the launcher.
 
 The socket layer (:mod:`repro.mpi.tcp`) is exercised directly — framing
-round-trips, exactly-once delivery across an injected connection reset —
-and through ``run_spmd(..., backend="tcp")``, which deals ranks
-across OS-process "hosts" on loopback.  Network chaos must be a pure
+round-trips, at-most-once delivery across an injected connection reset,
+heartbeat liveness under a long stream — and through
+``run_spmd(..., backend="tcp")``, which deals ranks across OS-process
+"hosts" on loopback; there the reliable layer turns a reset into
+exactly-once delivery.  Network chaos must be a pure
 function of the fault plan's seed, so the schedule determinism is asserted
 here too.
 """
@@ -59,7 +61,7 @@ def test_frame_eof_is_none():
         b.close()
 
 
-# -- channel + node: delivery and session resumption ---------------------------
+# -- channel + node: at-most-once delivery and liveness -------------------------
 
 
 def _drain(received, n, deadline=10.0):
@@ -84,23 +86,58 @@ def test_channel_delivers_in_order():
         node.close()
 
 
-def test_conn_reset_heals_exactly_once():
-    # A connection reset mid-stream must be invisible to the application:
-    # every frame arrives, none twice, order preserved — the resend window
-    # plus the receiver's delivered watermark at work.
+def test_conn_reset_is_at_most_once():
+    # The channel writes each frame at most once: frames in flight when the
+    # reset hits may be lost (the reliable layer resends them), but none
+    # arrives twice or out of order, and the frame the reset fell on waits
+    # for the reconnect with everything queued behind it.  A slow receiver
+    # leaves frames unread on the old socket when the reset hits, so they
+    # would overtake the new connection's if the node let them.
     received = []
-    counters = None
-    node = TcpNode(1, lambda *frame: received.append(frame))
-    opts = TcpOptions(heartbeat_timeout=2.0)
-    chan = HostChannel(0, 1, lambda h: node.addr, opts)
-    counters = chan.counters
+
+    def deliver(*frame):
+        received.append(frame)
+        time.sleep(0.01)
+
+    node = TcpNode(1, deliver)
+    chan = HostChannel(0, 1, lambda h: node.addr, TcpOptions(heartbeat_timeout=2.0))
     try:
         for i in range(20):
             fault = ("conn_reset", 0.0) if i == 5 else None
             chan.send(0, 3, tag=9, payload=i, nbytes=8, fault=fault)
-        _drain(received, 20)
-        assert [frame[3] for frame in received] == list(range(20))
-        assert counters.snapshot()["net.reconnect"].calls >= 1
+        end = time.monotonic() + 10.0
+        while (not received or received[-1][3] != 19) and time.monotonic() < end:
+            time.sleep(0.01)
+        got = [frame[3] for frame in received]
+        assert got == sorted(set(got))
+        assert set(range(5, 20)) <= set(got)
+        assert chan.counters.snapshot()["net.reconnect"].calls >= 1
+    finally:
+        chan.close()
+        node.close()
+
+
+def test_a_long_stream_keeps_a_healthy_link():
+    # Liveness rests on pings alone: a stream longer than heartbeat_timeout
+    # followed by an idle spell must not read as a silent peer.
+    received = []
+    node = TcpNode(1, lambda *frame: received.append(frame))
+    chan = HostChannel(0, 1, lambda h: node.addr, TcpOptions(heartbeat_timeout=2.0))
+    try:
+        sent = 0
+        end = time.monotonic() + 3.0
+        while time.monotonic() < end:
+            chan.send(0, 3, tag=1, payload=sent, nbytes=8)
+            sent += 1
+            time.sleep(0.005)
+        time.sleep(1.0)
+        chan.send(0, 3, tag=1, payload=sent, nbytes=8)
+        sent += 1
+        _drain(received, sent)
+        assert [frame[3] for frame in received] == list(range(sent))
+        snap = chan.counters.snapshot()
+        assert "net.reconnect" not in snap
+        assert snap["net.heartbeat"].calls >= 4  # pings flow during the stream
     finally:
         chan.close()
         node.close()
@@ -216,6 +253,32 @@ def test_killed_host_aborts_the_world_promptly(backend):
     with pytest.raises(MPIError, match="host 1"):
         run_spmd(3, _kill_host_of_rank_one, backend=backend, n_hosts=2, timeout=120.0)
     assert time.monotonic() - start < _ABORT_DRAIN_GRACE / 2
+
+
+def _reliable_stream(comm):
+    if comm.rank == 0:
+        for i in range(40):
+            comm.send_reliable(i, dest=1, tag=3)
+        return None
+    return [comm.recv_reliable(source=0, tag=3, timeout=30) for _ in range(40)]
+
+
+def test_reliable_sends_survive_conn_resets_exactly_once():
+    # Exactly-once is the reliable layer's promise on every backend: socket
+    # resets under rank 0's frames to rank 1 (the first, a middle and a late
+    # one) change nothing the receiver sees.
+    plan = FaultPlan(
+        seed=3,
+        events=tuple(
+            FaultEvent(kind="conn_reset", rank=0, dest=1, op_index=k) for k in (0, 7, 23)
+        ),
+    )
+    result = run_spmd(
+        2, _reliable_stream, backend="tcp", n_hosts=2,
+        fault_injector=FaultInjector(plan), timeout=120.0,
+    )
+    assert result.returns[1] == list(range(40))
+    assert result.world.counters.snapshot()["net.conn_reset"].calls >= 1
 
 
 def test_injected_crash_respawns_across_hosts():
