@@ -29,8 +29,13 @@ Mixed (float) strategy matrices have a per-state *probability*, not a bit,
 so they cannot be packed; :meth:`BatchEngine.play` plays them through the
 inherited dense vector path, drawing randomness in the identical order.
 
-A noise-free pure game is a walk over at most ``4**n`` joint states: the
-kernel stops at the first repeated one and multiplies the integer counters.
+A noise-free pure game with integer payoffs is a fixed walk over the
+``4**n`` joint states.  A narrow call (``lanes * 4**n`` at most
+``_DOUBLING_CELLS``) is summed by path doubling: each lane's one-round
+successor and counter tables are squared ``log2(rounds)`` times, and the
+walk from state 0 takes one jump per set bit of ``rounds``.  A wider call
+runs the round loop, which stops each lane at its first repeated joint
+state and multiplies the integer counters.
 
 See ``docs/kernels.md`` for the encoding, the exactness arguments, and the
 ``game.*`` rows of ``python3 -m bench probe game``, which time the kernel.
@@ -47,6 +52,7 @@ from repro.game.noise import NO_NOISE, NoiseModel
 from repro.game.payoff import PAPER_PAYOFFS, PayoffMatrix
 from repro.game.states import StateSpace
 from repro.game.vector_engine import (
+    _DOUBLING_CELLS,
     VectorEngine,
     as_table_matrix,
     rounds_per_block,
@@ -148,7 +154,18 @@ class BatchEngine(VectorEngine):
         return "batch_engine.play", self._run_packed
 
     def _run_packed(self, mat, ia, ib, bounds, rngs, record_cooperation):
-        """Bit-packed round loop: all games advance together per round."""
+        """Bit-packed round loop: all games advance together per round.
+
+        A narrow noise-free call with integer payoffs is walked by path doubling
+        instead, when its three counters pack into one int64.
+        """
+        if (
+            self._int_payoffs
+            and not self.noise.rate
+            and ia.size * self.space.n_states <= _DOUBLING_CELLS
+            and 3 * self.rounds.bit_length() < 64
+        ):
+            return self._counted(*self._walk_doubled(mat, ia, ib))
         packed = pack_matrix(self.space, mat)
         n_games = ia.size
         n_words = packed.shape[1]
@@ -259,12 +276,50 @@ class BatchEngine(VectorEngine):
             counts += spans_left * seen_counts
         da, db, dab = counts.astype(np.int64)
         if int_path:
-            rounds = np.int64(self.rounds)
-            c0, ca, cb, cab = self._lin_mine
-            fit_a = (c0 * rounds + ca * da + cb * db + cab * dab).astype(np.float64)
-            c0, ca, cb, cab = self._lin_theirs
-            fit_b = (c0 * rounds + ca * da + cb * db + cab * dab).astype(np.float64)
+            return self._counted(da, db, dab)
         return fit_a, fit_b, self.rounds - da, self.rounds - db
+
+    def _walk_doubled(self, mat, ia, ib):
+        """Each lane's ``Σa, Σb, Σab`` over ``rounds`` noise-free rounds, by path doubling.
+
+        Lane ``l``'s cell ``l * 4**n + s`` stands for joint state ``s`` (A's
+        view): ``nxt`` is the cell one round on, ``cnt`` the counters that
+        round adds, packed ``Σa | Σb << w | Σab << 2w`` with ``w`` wide enough
+        for ``rounds``.  Squaring both tables doubles the span they cover, and
+        the walk from state 0 takes one span per set bit of ``rounds``
+        (docs/kernels.md, "Path doubling").
+        """
+        space = self.space
+        n_states = space.n_states
+        width = self.rounds.bit_length()
+        states = np.arange(n_states)
+        # The round's joint move (my << 1) | opp, B's read from B's seat.
+        joint = (mat[ia] << 1) | mat[ib][:, space.opponent_view_array(states)]
+        lane0 = np.arange(0, ia.size * n_states, n_states)
+        nxt = (lane0[:, None] + ((states << 2) & space.mask) + joint).ravel()
+        adds = np.array([0, 1 << width, 1, 1 + (1 << width) + (1 << 2 * width)])
+        cnt = adds[joint].ravel()
+        total, pos, steps = np.zeros(ia.size, dtype=np.int64), lane0, self.rounds
+        while True:
+            if steps & 1:
+                total += cnt[pos]
+                pos = nxt[pos]
+            steps >>= 1
+            if not steps:
+                break
+            cnt = cnt + np.take(cnt, nxt)
+            nxt = np.take(nxt, nxt)
+        field = (1 << width) - 1
+        return total & field, (total >> width) & field, total >> 2 * width
+
+    def _counted(self, da, db, dab):
+        """Both seats' payoffs and cooperations from the three int64 move counters."""
+        rounds = np.int64(self.rounds)
+        c0, ca, cb, cab = self._lin_mine
+        fit_a = (c0 * rounds + ca * da + cb * db + cab * dab).astype(np.float64)
+        c0, ca, cb, cab = self._lin_theirs
+        fit_b = (c0 * rounds + ca * da + cb * db + cab * dab).astype(np.float64)
+        return fit_a, fit_b, rounds - da, rounds - db
 
     def __repr__(self) -> str:
         return (

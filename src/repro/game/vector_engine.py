@@ -98,6 +98,12 @@ def as_table_matrix(space: StateSpace, tables: np.ndarray) -> np.ndarray:
 _BLOCK_BYTES = 1 << 20
 _DRAW_DOUBLES = 1 << 13
 
+#: A noise-free integer-payoff call of ``lanes`` pure games is played by path
+#: doubling over ``lanes * 4**n`` joint-state cells when that is at most
+#: ``_DOUBLING_CELLS``, and by the packed round loop when wider: the measured
+#: crossover (``docs/kernels.md``, "Path doubling").
+_DOUBLING_CELLS = 1 << 15
+
 
 def rounds_per_block(round_bytes: int) -> int:
     """Rounds drawn ahead at once, when one round's values take ``round_bytes``."""

@@ -57,8 +57,9 @@ def time_engine_round(
     :class:`~repro.game.batch_engine.BatchEngine`; the default is one
     worker's call per generation — ``owned x (n_ssets - 1)`` with 32 of 64
     SSets owned.  The games carry the paper's noise (§IV-D), like the workload
-    ``CostModel.round_base`` prices: a noise-free call closes each game's
-    cycle and skips most rounds, so it does not time a round that is played.
+    ``CostModel.round_base`` prices: a noise-free call plays few of its
+    nominal rounds — a narrow one is summed by path doubling, a wide one
+    closes each game's cycle — so it does not time a round that is played.
     """
     space = StateSpace(memory)
     rng = np.random.default_rng(seed)

@@ -1,16 +1,18 @@
 """Engine-parity suite: every engine yields *bit-identical* fitness.
 
-This is the tentpole's parity gate (ISSUE 7 / ROADMAP item 2): the
-bit-packed batch kernel, the dense vector engine, the scalar reference
-engine and the paper-faithful lookup engine must agree exactly — not
-approximately — on every game's payoff, for memory one through six, with
-and without execution noise.  Exactness is what lets
-:class:`~repro.game.fitness_cache.FitnessCache` treat all engines as
-interchangeable and lets a run switch engines between checkpoints without
+The bit-packed batch kernel (its round loop and its path doubling), the
+dense vector engine, the scalar reference engine and the paper-faithful
+lookup engine must agree exactly — not approximately — on every game's
+payoff, for memory one through six, with and without execution noise.
+Exactness is what lets the pair memo of
+:class:`~repro.population.fitness.FitnessEvaluator` store a payoff once,
+whichever kernel played it, and reuse it for the rest of a run without
 perturbing its trajectory.
 
 Run with ``make test-engine`` (marker: ``engine``).
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from repro.game.noise import NoiseModel
 from repro.game.payoff import PAPER_PAYOFFS, PayoffMatrix
 from repro.game.states import StateSpace
 from repro.game.strategy import Strategy
-from repro.game.vector_engine import VectorEngine
+from repro.game.vector_engine import _DOUBLING_CELLS, VectorEngine
 
 pytestmark = pytest.mark.engine
 
@@ -128,7 +130,7 @@ def test_tournament_vector_batch_identical(memory):
     assert np.array_equal(vec.tournament(mat), bat.tournament(mat))
 
 
-# -- closing the cycle (docs/kernels.md §2) ------------------------------------
+# -- closing the cycle and path doubling (docs/kernels.md §2) -------------------
 
 FRACTIONAL_PAYOFFS = PayoffMatrix(reward=3.1, sucker=0.2, temptation=4.7, punishment=1.3)
 
@@ -142,10 +144,15 @@ def _assert_equals_scalar_and_vector(space, payoff, rounds, mat, ia, ib, sizes):
         assert np.array_equal(getattr(rb, field), getattr(rv, field)), field
         assert getattr(rb, field).dtype == getattr(rv, field).dtype, field
     strategies = [Strategy(space, row) for row in mat]
+    refs = {}  # a tiled call repeats its pairs: each distinct one is played once
     for g in range(len(ia)):
-        ref = play_ipd(
-            strategies[ia[g]], strategies[ib[g]], payoff=payoff, rounds=rounds, record_moves=True
-        )
+        pair = (int(ia[g]), int(ib[g]))
+        if pair not in refs:
+            refs[pair] = play_ipd(
+                strategies[pair[0]], strategies[pair[1]],
+                payoff=payoff, rounds=rounds, record_moves=True,
+            )
+        ref = refs[pair]
         assert (rb.fitness_a[g], rb.fitness_b[g]) == (ref.fitness_a, ref.fitness_b)
         assert rb.cooperations_a[g] == rounds - int(ref.moves_a.sum())
         assert rb.cooperations_b[g] == rounds - int(ref.moves_b.sum())
@@ -198,6 +205,38 @@ def test_known_transient_and_cycle(memory, tables, mu, lam):
     mat = np.asarray(tables, dtype=np.uint8)
     assert _transient_and_cycle(space, mat[0], mat[1]) == (mu, lam)
     ia, ib = np.array([0, 1, 0]), np.array([1, 0, 0])
+    # The pairs tiled to the widest call path doubling takes, and one lane wider:
+    # the round loop's.
+    widest = _DOUBLING_CELLS // space.n_states
     lengths = {1, mu, mu + 1, mu + lam, mu + lam + 1, mu + 3 * lam - 1, mu + 3 * lam + 1, 200}
     for rounds in sorted(lengths - {0}):
-        _assert_equals_scalar_and_vector(space, PAPER_PAYOFFS, rounds, mat, ia, ib, [2, 1])
+        for lanes, doubled in ((3, True), (widest, True), (widest + 1, False)):
+            with mock.patch.object(
+                BatchEngine, "_walk_doubled", autospec=True, side_effect=BatchEngine._walk_doubled
+            ) as walk:
+                _assert_equals_scalar_and_vector(
+                    space, PAPER_PAYOFFS, rounds, mat,
+                    np.resize(ia, lanes), np.resize(ib, lanes), [lanes - 1, 1],
+                )
+            assert walk.called == doubled, (rounds, lanes)
+
+
+# Counters too wide to pack three to an int64 take the round loop: 2**20 + 7
+# rounds is the widest count path doubling packs, 2**21 + 5 and 2**40 + 3 are not.
+@pytest.mark.parametrize("rounds", [2**20 + 7, 2**21 + 5, 2**40 + 3])
+def test_counts_past_a_packed_field_stay_exact(rounds):
+    space = StateSpace(1)
+    allc, alld, tft, anti_tft = ([0, 0, 0, 0], [1, 1, 1, 1], [0, 1, 0, 1], [1, 0, 1, 0])
+    mat = np.array([allc, alld, tft, anti_tft], dtype=np.uint8)
+    res = BatchEngine(space, rounds=rounds).play(mat, np.array([0, 2]), np.array([1, 3]))
+    sucker, temptation = PAPER_PAYOFFS.sucker, PAPER_PAYOFFS.temptation
+    assert (res.fitness_a[0], res.fitness_b[0]) == (rounds * sucker, rounds * temptation)
+    # TFT vs anti-TFT is a four-round cycle from the first round on.
+    tft_pair = [Strategy(space, row) for row in mat[2:]]
+
+    def p(k):
+        ref = play_ipd(*tft_pair, rounds=k)
+        return np.array([ref.fitness_a, ref.fitness_b])
+
+    expected = (rounds // 4) * p(4) + p(rounds % 4)
+    assert (res.fitness_a[1], res.fitness_b[1]) == tuple(expected)
