@@ -22,7 +22,8 @@ test-chaos:
 
 # Process-backend SPMD suite: every rank forks a real OS process, so the
 # tests keep world sizes small (<= 4 ranks) to stay fast on shared runners.
-# (Same launcher as test-tcp, mpi/hostexec.py; the marker selects tests.)
+# (Same launcher and socket wire as test-tcp, with a host per rank:
+# mpi/hostexec.py and mpi/tcp.py; the marker selects tests.)
 test-procexec:
 	pytest tests/ -m procexec
 

@@ -138,7 +138,7 @@ class PeerUnreachableError(RankFailedError):
     """A peer rank is unreachable over the network past its grace deadline.
 
     Raised by the TCP transport (:mod:`repro.mpi.tcp`) when a peer host's
-    connection has been down longer than ``unreachable_grace`` seconds — a
+    connection has been down longer than its ``_UNREACHABLE_GRACE`` — a
     *local* observation, unlike :class:`RankFailedError`'s global verdict:
     the peer may be alive on the far side of a partition.  Subclasses
     :class:`RankFailedError` so every existing degradation path (worker

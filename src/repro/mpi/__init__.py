@@ -18,9 +18,9 @@ virtual communicator with faithful semantics and fully observable traffic:
   liveness; :class:`Comm`'s reliable layer heals the frames a socket
   fault loses.
 * :mod:`repro.mpi.hostexec` — the one launcher behind every backend: ranks
-  as threads on hosts, the hosts in the calling process (``"thread"``) or
-  in OS processes wired by queues (``"process"``) or loopback TCP
-  (``"tcp"``).
+  as threads on hosts, one host in the calling process (``"thread"``) or
+  OS-process hosts joined by loopback TCP, one per rank (``"process"``) or
+  ``n_hosts`` of them (``"tcp"``).
 """
 
 from repro.mpi.comm import Comm, World, backoff_wait, payload_nbytes
@@ -34,7 +34,7 @@ from repro.mpi.faults import (
     FaultRecord,
 )
 from repro.mpi.status import ANY_SOURCE, ANY_TAG, MAX_USER_TAG, Status
-from repro.mpi.tcp import NetHello, NetWelcome, TcpOptions
+from repro.mpi.tcp import NetHello, NetWelcome
 from repro.mpi.topology import CartTopology
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "OpCount",
     "SPMDResult",
     "run_spmd",
-    "TcpOptions",
     "NetHello",
     "NetWelcome",
     "ANY_SOURCE",

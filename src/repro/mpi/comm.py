@@ -422,8 +422,8 @@ class Comm:
     like MPI's no-touch rule for non-blocking sends).
 
     Two delivery grades are offered.  Plain :meth:`send`/:meth:`recv` trust
-    the network: a drop, or a socket fault on the tcp backend, loses them.
-    :meth:`send_reliable`/:meth:`recv_reliable` add sequence numbers,
+    the network: a drop, or a socket fault between OS-process hosts, loses
+    them.  :meth:`send_reliable`/:meth:`recv_reliable` add sequence numbers,
     checksums, acks with retry + exponential backoff, and receiver-side
     dedup, so they survive drops, duplicates, corruptions and connection
     resets — the one layer that delivers exactly once on every backend.

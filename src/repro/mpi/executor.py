@@ -145,14 +145,15 @@ def run_spmd(
         result are the same for all three (:mod:`repro.mpi.hostexec`).
         ``"thread"`` (default): every rank a thread of this process — the
         correctness substrate; nothing is pickled, so closures, live
-        objects and unpicklable return values are fine.  ``"process"``: one
-        OS process per rank (at most 256), each with its own GIL, for real
-        multi-core throughput; payloads must be picklable.  ``"tcp"``:
-        ranks spread over ``n_hosts`` OS-process "hosts" talking
-        length-prefixed frames over loopback TCP sockets — the multi-host
-        substrate with partition-tolerant reconnection.  Rank programs that
-        follow the deterministic-RNG contract produce bit-identical results
-        under any backend.
+        objects and unpicklable return values are fine.  ``"process"`` and
+        ``"tcp"``: ranks in OS-process "hosts" talking length-prefixed
+        frames over loopback TCP sockets, with partition-tolerant
+        reconnection — one host per rank under ``"process"`` (at most 256,
+        each with its own GIL, for real multi-core throughput), ``n_hosts``
+        hosts under ``"tcp"``.  Payloads that cross a host must be
+        picklable; one that is not raises :class:`~repro.errors.MPIError`
+        at the send.  Rank programs that follow the deterministic-RNG
+        contract produce bit-identical results under any backend.
     max_respawns:
         Total replacement budget under ``on_rank_failure="respawn"``
         (process and tcp backends; ignored otherwise).

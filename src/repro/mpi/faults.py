@@ -54,8 +54,9 @@ Fault kinds
     successors) is delayed ``slow_link_seconds`` before hitting the wire —
     a congested or lossy-and-retransmitting link.
 
-Network kinds are injected at the socket layer by :mod:`repro.mpi.tcp`;
-the thread and process backends have no sockets and silently ignore them.
+Network kinds are injected at the socket layer by :mod:`repro.mpi.tcp`,
+which joins the hosts of every process and tcp world; the thread backend
+has no sockets and silently ignores them.
 They are keyed by the directed pair's data-frame ordinal — the
 ``op_index``-th frame sent from ``rank`` to ``dest`` — which is
 deterministic whenever each rank's send sequence is.

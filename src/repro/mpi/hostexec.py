@@ -5,23 +5,20 @@ This is the ``mpiexec --hostfile`` stand-in behind
 round-robin across ``n_hosts`` hosts (rank *r* lives on host
 ``r % n_hosts``), joins the whole world, and returns the
 :class:`~repro.mpi.comm.World` it kept as the job's authoritative record in
-the :class:`~repro.mpi.executor.SPMDResult`.  The backends differ in where
-the hosts live, which wire joins them and which control link reaches the
-launcher — and in nothing else:
+the :class:`~repro.mpi.executor.SPMDResult`.  There are two kinds of host,
+and the backends differ only in which kind and how many:
 
 * ``backend="thread"``: one host, in the calling process.  No fork, no
   socket and no wire (every rank is local); the control link is a direct
   call in both directions.  Nothing is pickled: payloads, return values and
   the re-raised exception are the caller's own objects, and the caller's
   :class:`~repro.mpi.faults.FaultInjector` and tracer are used live.
-* ``backend="process"``: one host per rank, each an OS process — every rank
-  its own interpreter and GIL — with a :class:`multiprocessing.Queue` per
-  host as the wire, which is cheaper than a socket between processes of one
-  machine.
-* ``backend="tcp"``: a few OS-process hosts whose wire is framed TCP
-  (loopback in CI; nothing in the protocol assumes that).
+* ``backend="process"`` and ``backend="tcp"``: OS-process hosts joined by
+  framed TCP (loopback in CI; nothing in the protocol assumes that) — one
+  host per rank under ``"process"``, so every rank has its own interpreter
+  and GIL, and ``n_hosts`` hosts under ``"tcp"``.
 
-Hosts in processes of their own dial into the launcher's
+OS-process hosts dial into the launcher's
 :class:`~repro.mpi.tcp.Rendezvous`, which then carries the control link;
 what crosses a process boundary — payloads between hosts, results and
 exceptions to the launcher — travels by value and must be picklable.
@@ -31,13 +28,11 @@ Architecture
 Each host is a :class:`_Host`: a :class:`~repro.mpi.comm.World` holding the
 mailboxes of the ranks that live there, plus
 
-* a data-plane wire — :class:`_TcpWire` (a :class:`~repro.mpi.tcp.TcpNode`
+* a data-plane wire, :class:`_TcpWire`: a :class:`~repro.mpi.tcp.TcpNode`
   listener plus one supervised :class:`~repro.mpi.tcp.HostChannel` per peer
-  host it sends to: host-level links, so a rank respawn never churns
-  sockets) or :class:`_QueueWire` (frames pickled by the sender onto the
-  destination host's queue, one pump thread draining the host's own);
-  ``deliver`` puts a same-host message straight into the destination's
-  mailbox and hands a cross-host one to the wire;
+  host it sends to (host-level links, so a rank respawn never churns
+  sockets).  ``deliver`` puts a same-host message straight into the
+  destination's mailbox and hands a cross-host one to the wire;
 * a control link to the launcher — the control plane that gives failure
   marks, aborts and shutdowns a single total order
   (every host applies the launcher's ``apply`` broadcasts; latency-sensitive
@@ -54,11 +49,11 @@ via the rank program's own recovery protocol (FTHello/FTRejoin).  A host
 process that dies unreported (SIGKILL, OOM) is not replaced: the launcher
 aborts the world naming the host, and the supervisor layer resumes from the
 latest checkpoint.  Injected ``partition``/``conn_reset``/``slow_link``
-faults live a layer below, inside the tcp channels (see
-:mod:`repro.mpi.tcp`): the channel reconnects, and the frames the socket
-lost are resent by the rank program's reliable layer
+faults live a layer below, inside the tcp channels of every OS-process
+world (see :mod:`repro.mpi.tcp`): the channel reconnects, and the frames
+the socket lost are resent by the rank program's reliable layer
 (:meth:`~repro.mpi.comm.Comm.post_reliable`), as after an injected
-``drop``.  Only a partition outlasting ``TcpOptions.unreachable_grace``
+``drop``.  Only a partition outlasting the channel's unreachable grace
 escalates into :class:`~repro.errors.PeerUnreachableError` and the
 failed-rank machinery.
 
@@ -76,7 +71,7 @@ import threading
 import time
 from contextlib import contextmanager, nullcontext
 from functools import partial
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator
 
 from repro.errors import (
     CommAbortError,
@@ -87,7 +82,7 @@ from repro.errors import (
 from repro.logging_util import get_logger
 from repro.mpi.comm import Comm, World, _Mailbox
 from repro.mpi.faults import FaultInjector, FaultPlan
-from repro.mpi.tcp import ControlClient, HostChannel, NetHello, Rendezvous, TcpNode, TcpOptions
+from repro.mpi.tcp import ControlClient, HostChannel, NetHello, Rendezvous, TcpNode
 from repro.obs.tracer import NULL_TRACER, Tracer, activate
 
 __all__ = ["MAX_PROCESS_RANKS", "MAX_TCP_RANKS", "MAX_TCP_HOSTS"]
@@ -127,14 +122,13 @@ class _TcpWire:
 
     def __init__(self, host: "_Host") -> None:
         self._host = host
-        self._options = TcpOptions()
         self._lock = threading.Lock()
         self._channels: dict[int, HostChannel] = {}
         self._frame_counts: dict[tuple[int, int], int] = {}
         #: host id → data-plane address to dial, from the rendezvous welcome.
         self.peers: dict[int, tuple[str, int]] = {}
         self._node = TcpNode(host.host_id, host.deliver_local)
-        self.addr: tuple[str, int] | None = self._node.addr
+        self.addr: tuple[str, int] = self._node.addr
 
     def _channel(self, peer_host: int) -> HostChannel:
         host = self._host
@@ -145,7 +139,6 @@ class _TcpWire:
                     host.host_id,
                     peer_host,
                     self.peers.get,
-                    self._options,
                     counters=host.counters,
                     tracer=host.tracer,
                     trace_rank=min(host.mailboxes),
@@ -179,17 +172,7 @@ class _TcpWire:
                         f"net.{kind}", cat="net", rank=source,
                         args={"dest": dest, "frame_index": frame_index},
                     )
-        channel = self._channel(dest_host)
-        if channel.is_unreachable():
-            host.counters.record("net.peer_unreachable")
-            raise PeerUnreachableError(
-                f"rank {dest} on host {dest_host} has been unreachable for"
-                f" {channel.down_for():.1f}s (grace"
-                f" {self._options.unreachable_grace}s)",
-                rank=dest,
-                deadline=self._options.unreachable_grace,
-            )
-        channel.send(source, dest, tag, payload, nbytes, msg_id, fault=fault)
+        self._channel(dest_host).send(source, dest, tag, payload, nbytes, msg_id, fault=fault)
 
     def is_unreachable(self, host: int) -> bool:
         with self._lock:
@@ -202,57 +185,6 @@ class _TcpWire:
         for channel in channels:
             channel.close()
         self._node.close()
-
-
-class _QueueWire:
-    """Same-machine data plane: one :class:`multiprocessing.Queue` per host.
-
-    Frames are pickled *in the sending thread*, so an unpicklable payload
-    raises in the sender (where the bug is) instead of killing the queue's
-    feeder thread asynchronously; a pump thread drains this host's queue
-    into the local mailboxes.  Queues between processes of one machine
-    never partition, and the plan's link faults are a socket-layer notion.
-    """
-
-    addr = None  # nothing for peers to dial
-
-    def __init__(self, host: "_Host", queues: Sequence[Any]) -> None:
-        self._queues = queues
-        threading.Thread(
-            target=self._pump,
-            args=(queues[host.host_id], host.deliver_local),
-            name=f"vmpi-pump-{host.host_id}",
-            daemon=True,
-        ).start()
-
-    @staticmethod
-    def _pump(inbox: Any, deliver: Callable[..., None]) -> None:
-        while True:
-            deliver(*pickle.loads(inbox.get()))
-
-    def send(
-        self, source: int, dest: int, dest_host: int, tag: int, payload: Any,
-        nbytes: int, msg_id: int,
-    ) -> None:
-        try:
-            frame = pickle.dumps(
-                (source, dest, tag, payload, nbytes, msg_id),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-        except Exception as exc:
-            raise MPIError(
-                f"payload for tag={tag} is not picklable, which the process"
-                f" backend requires: {exc!r}"
-            ) from exc
-        self._queues[dest_host].put(frame)
-
-    def is_unreachable(self, host: int) -> bool:
-        return False
-
-    def close(self) -> None:
-        # Frames still buffered for a peer that died must not block exit.
-        for queue in self._queues:
-            queue.cancel_join_thread()
 
 
 class _Host(World):
@@ -611,7 +543,6 @@ def _host_main(
     on_rank_failure: str,
     trace_epoch: float | None,
     flow_start: int,
-    queues: Sequence[Any] | None,
 ) -> None:
     """Entry point of one host process (module-level for spawn support).
 
@@ -626,9 +557,7 @@ def _host_main(
         else None
     )
     host = _Host(host_id, n_hosts, n_ranks, fn, args, on_rank_failure, injector, tracer)
-    host.wire = wire = (
-        _TcpWire(host) if queues is None else _QueueWire(host, queues)
-    )
+    host.wire = wire = _TcpWire(host)
     # The control reader starts inside ControlClient, before the host can be
     # given the link: it holds its first message until the host is whole (a
     # broadcast from another host's ranks can race this function).
@@ -646,8 +575,7 @@ def _host_main(
         on_ctrl,
     )
     host.tell = partial(_send_pickled, ctrl)
-    if queues is None:
-        wire.peers.update(ctrl.welcome.hosts)
+    wire.peers.update(ctrl.welcome.hosts)
     wired.set()
     try:
         with host.serving():
@@ -682,9 +610,9 @@ def _launch(
 ) -> Any:
     """Launch and join one world; ``run_spmd`` has validated the arguments.
 
-    The backend chooses where the hosts live and what links them (see the
-    module docstring); the control handler, result collection, wait loop
-    and epilogue below are the same for all three.
+    The backend chooses where the hosts live and how many there are (see
+    the module docstring); the control handler, result collection, wait
+    loop and epilogue below are the same for all three.
     """
     # The result types live with the public entry point, which imports this module.
     from repro.mpi.executor import RespawnRecord, SPMDResult
@@ -771,7 +699,6 @@ def _launch(
         n_hosts = n_ranks if backend == "process" else min(n_hosts, n_ranks)
         ctx = _pick_context()
         hub = Rendezvous(n_hosts, {r: r % n_hosts for r in range(n_ranks)}, _handle)
-        queues = [ctx.Queue() for _ in range(n_hosts)] if backend == "process" else None
         for host_id in range(n_hosts):
             proc = ctx.Process(
                 target=_host_main,
@@ -781,7 +708,6 @@ def _launch(
                     on_rank_failure,
                     tracer.epoch if tracing else None,
                     tracer.reserve_flow_stripe() if tracing else 0,
-                    queues,
                 ),
                 name=f"vmpi-host-{host_id}",
                 daemon=True,

@@ -2,10 +2,11 @@
 
 The paper's 262,144-rank runs cross a real network, where RSTs, partitions
 and congested links are routine.  This module is the socket substrate that
-lets our virtual MPI face them: hosts (OS processes, each carrying several
-rank threads — see :mod:`repro.mpi.hostexec`) exchange **length-prefixed,
-pickled frames** over loopback-or-real TCP, with the robustness machinery
-the in-process backends never needed:
+lets our virtual MPI face them: hosts (OS processes, each carrying one rank
+thread under the process backend or several under tcp — see
+:mod:`repro.mpi.hostexec`) exchange **length-prefixed, pickled frames** over
+loopback-or-real TCP, with the robustness machinery the in-process thread
+backend never needs:
 
 * a **rendezvous/bootstrap listener** (:class:`Rendezvous`): hosts dial in,
   present an incarnation-tagged :class:`NetHello`, and — once every
@@ -23,7 +24,7 @@ the in-process backends never needed:
   job, on this backend as on the others: its retransmission heals a socket
   fault the way it heals an injected ``drop``.
 * **partition detection that degrades gracefully**: a link down longer than
-  ``TcpOptions.unreachable_grace`` makes the peer's ranks *locally*
+  ``_UNREACHABLE_GRACE`` seconds makes the peer's ranks *locally*
   unreachable — sends and receives raise
   :class:`~repro.errors.PeerUnreachableError` (a
   :class:`~repro.errors.RankFailedError`), feeding the existing degradation
@@ -53,14 +54,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.errors import MPIError
+from repro.errors import MPIError, PeerUnreachableError
 from repro.logging_util import get_logger
 from repro.mpi.comm import backoff_wait
 from repro.mpi.counters import CommCounters
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = [
-    "TcpOptions",
     "NetHello",
     "NetWelcome",
     "Rendezvous",
@@ -112,38 +112,23 @@ def recv_frame(sock: socket.socket) -> bytes | None:
 
 #: Seconds between liveness pings on a connected link, whatever its traffic.
 _HEARTBEAT_INTERVAL = 0.5
-#: First wait, growth factor and jitter of the backoff between reconnect
-#: attempts (:func:`repro.mpi.comm.backoff_wait`); ``reconnect_cap`` caps it.
+#: Seconds a ping may go unanswered before a connected link is declared
+#: down and torn up for reconnection.
+_HEARTBEAT_TIMEOUT = 5.0
+#: Seconds one TCP connect may take.
+_CONNECT_TIMEOUT = 5.0
+#: First wait, growth factor, jitter and cap of the backoff between
+#: reconnect attempts (:func:`repro.mpi.comm.backoff_wait`).
 _RECONNECT_BASE = 0.02
 _RECONNECT_FACTOR = 2.0
 _RECONNECT_JITTER = 0.5
+_RECONNECT_CAP = 0.5
+#: Seconds a link may stay down before the peer host's ranks become locally
+#: unreachable (:class:`~repro.errors.PeerUnreachableError`).
+_UNREACHABLE_GRACE = 10.0
 
 _PING = _dumps(("ping",))
 _PONG = _dumps(("pong",))
-
-
-@dataclass(frozen=True)
-class TcpOptions:
-    """Socket-layer tuning knobs for the TCP transport.
-
-    Attributes
-    ----------
-    connect_timeout:
-        Seconds one TCP connect may take.
-    heartbeat_timeout:
-        Seconds a ping may go unanswered before a connected link is
-        declared down and torn up for reconnection.
-    reconnect_cap:
-        Longest wait between reconnect attempts.
-    unreachable_grace:
-        Seconds a link may stay down before the peer host's ranks become
-        locally unreachable (:class:`~repro.errors.PeerUnreachableError`).
-    """
-
-    connect_timeout: float = 5.0
-    heartbeat_timeout: float = 5.0
-    reconnect_cap: float = 0.5
-    unreachable_grace: float = 10.0
 
 
 @dataclass(frozen=True)
@@ -157,7 +142,7 @@ class NetHello:
 
     host: int
     incarnation: int
-    data_addr: tuple[str, int] | None
+    data_addr: tuple[str, int]
     ranks: tuple[int, ...] = ()
 
 
@@ -261,9 +246,7 @@ class Rendezvous:
 
     def _send_welcomes(self) -> None:
         with self._lock:
-            hosts = {
-                hid: h.data_addr for hid, h in self._hellos.items() if h.data_addr
-            }
+            hosts = {hid: h.data_addr for hid, h in self._hellos.items()}
             targets = dict(self._conns)
         welcome = NetWelcome(
             hosts=hosts, rank_hosts=dict(self.rank_hosts), world_size=len(self.rank_hosts)
@@ -399,7 +382,7 @@ class HostChannel:
     (re)dialing with capped+jittered backoff, injecting scheduled network
     faults, and pinging every ``_HEARTBEAT_INTERVAL``.  A per-connection
     reader thread consumes the pongs; a ping unanswered for
-    ``heartbeat_timeout`` tears the link down.
+    ``_HEARTBEAT_TIMEOUT`` tears the link down.
 
     Each frame is written at most once.  A frame queued while the link is
     down waits at the head of the queue for the reconnect; one whose write
@@ -412,7 +395,6 @@ class HostChannel:
         local_host: int,
         peer_host: int,
         addr_fn: Callable[[int], tuple[str, int] | None],
-        options: TcpOptions,
         counters: CommCounters | None = None,
         tracer: Tracer | None = None,
         trace_rank: int = 0,
@@ -420,7 +402,6 @@ class HostChannel:
         self.local_host = local_host
         self.peer_host = peer_host
         self._addr_fn = addr_fn
-        self.options = options
         self.counters = counters if counters is not None else CommCounters()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.trace_rank = trace_rank
@@ -451,12 +432,29 @@ class HostChannel:
     ) -> None:
         """Enqueue one data frame.
 
-        Pickling happens here, in the caller's thread, so unpicklable
-        payloads fail at the send site (error locality) and the writer
-        thread stays cheap.  ``fault`` is an injected network-fault effect
-        ``(kind, seconds)`` decided by the caller's injector.
+        A peer whose link has been down past ``_UNREACHABLE_GRACE`` raises
+        :class:`~repro.errors.PeerUnreachableError`.  Pickling happens here,
+        in the caller's thread, so an unpicklable payload raises
+        :class:`~repro.errors.MPIError` at the send site (error locality)
+        and the writer thread stays cheap.  ``fault`` is an injected
+        network-fault effect ``(kind, seconds)`` decided by the caller's
+        injector.
         """
-        blob = _dumps(("data", src_rank, dst_rank, tag, payload, nbytes, msg_id))
+        if self.is_unreachable():
+            self.counters.record("net.peer_unreachable")
+            raise PeerUnreachableError(
+                f"rank {dst_rank} on host {self.peer_host} has been unreachable"
+                f" for {self.down_for():.1f}s (grace {_UNREACHABLE_GRACE}s)",
+                rank=dst_rank,
+                deadline=_UNREACHABLE_GRACE,
+            )
+        try:
+            blob = _dumps(("data", src_rank, dst_rank, tag, payload, nbytes, msg_id))
+        except Exception as exc:  # noqa: BLE001 - pickling fails in many ways
+            raise MPIError(
+                f"payload for tag={tag} is not picklable, which a host"
+                f" boundary requires: {exc!r}"
+            ) from exc
         with self._cond:
             if self._closed:
                 raise MPIError(
@@ -472,8 +470,8 @@ class HostChannel:
         return 0.0 if down is None else max(0.0, time.monotonic() - down)
 
     def is_unreachable(self) -> bool:
-        """Whether the link outage has crossed ``unreachable_grace``."""
-        return self.down_for() > self.options.unreachable_grace
+        """Whether the link outage has crossed ``_UNREACHABLE_GRACE``."""
+        return self.down_for() > _UNREACHABLE_GRACE
 
     def close(self) -> None:
         with self._cond:
@@ -508,7 +506,7 @@ class HostChannel:
         addr = self._addr_fn(self.peer_host)
         if addr is None:
             return False
-        sock = socket.create_connection(addr, timeout=self.options.connect_timeout)
+        sock = socket.create_connection(addr, timeout=_CONNECT_TIMEOUT)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.settimeout(None)
@@ -563,7 +561,7 @@ class HostChannel:
                 _RECONNECT_BASE,
                 attempt,
                 factor=_RECONNECT_FACTOR,
-                cap=self.options.reconnect_cap,
+                cap=_RECONNECT_CAP,
                 jitter=_RECONNECT_JITTER,
                 key=("tcp-reconnect", self.local_host, self.peer_host),
             )
@@ -598,12 +596,12 @@ class HostChannel:
             if sock is None:
                 return
             silent = now - state.pings[0] if state.pings else 0.0
-            if silent <= self.options.heartbeat_timeout:
+            if silent <= _HEARTBEAT_TIMEOUT:
                 if now - state.last_ping < _HEARTBEAT_INTERVAL:
                     return
                 state.last_ping = now
                 state.pings.append(now)
-        if silent > self.options.heartbeat_timeout:
+        if silent > _HEARTBEAT_TIMEOUT:
             _LOG.debug(
                 "channel %d->%d heartbeat timeout (ping unanswered for %.2fs)",
                 self.local_host, self.peer_host, silent,

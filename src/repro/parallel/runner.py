@@ -659,15 +659,15 @@ class ParallelSimulation:
     backend:
         Execution substrate for the SPMD ranks.  ``"thread"`` (default)
         runs every rank as a thread in this process — exact semantics,
-        no multi-core speedup (the GIL).  ``"process"`` runs every rank
-        as an OS process of its own: real parallelism for game play, the
-        same deterministic trajectory bit for bit.  ``"tcp"`` spreads the
-        ranks across ``n_hosts`` OS-process "hosts" talking framed
-        loopback TCP — the multi-host substrate with partition-tolerant
-        reconnection; the trajectory stays bit-identical.  Both are
-        :mod:`repro.mpi.hostexec`: an injected ``crash``/``hang`` takes
-        out the rank, not its host process, and the fault-tolerant
-        program degrades around it as it does on threads.
+        no multi-core speedup (the GIL).  ``"process"`` and ``"tcp"`` run
+        the ranks in OS-process "hosts" talking framed loopback TCP, with
+        partition-tolerant reconnection: one host per rank under
+        ``"process"`` (real parallelism for game play), ``n_hosts`` hosts
+        under ``"tcp"``.  The trajectory is bit-identical on all three.
+        Both OS-process backends are :mod:`repro.mpi.hostexec`: an
+        injected ``crash``/``hang`` takes out the rank, not its host
+        process, and the fault-tolerant program degrades around it as it
+        does on threads.
     on_rank_failure:
         ``"continue"`` (default): a dead worker's SSets are redistributed
         to the survivors and stay there — graceful degradation.

@@ -17,11 +17,11 @@ per generation::
     [sset, strategy_table]                                          if mutation fires.
 
 One method executes this order — :meth:`NatureAgent.advance` — and the serial
-driver, the collective tree and the fault-tolerant star all draw through it,
-which is what makes their population trajectories bit-identical (the
-integration tests assert it).  Only ``adoption_uniform`` needs a fitness; the
-draws between two adoption decisions depend on nothing outside the stream, so
-a caller may take a whole window of generations in one call.
+driver and the star (every parallel run's one rank program) both draw
+through it, which is what makes their population trajectories bit-identical
+(the integration tests assert it).  Only ``adoption_uniform`` needs a
+fitness; the draws between two adoption decisions depend on nothing outside
+the stream, so a caller may take a whole window of generations in one call.
 
 The paper's pseudocode gates adoption on ``fitness_teacher >
 fitness_learner`` before applying the Fermi probability; the Traulsen et al.

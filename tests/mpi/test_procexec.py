@@ -184,9 +184,10 @@ class TestErrors:
         with pytest.raises(MPIError, match="timed out"):
             run_spmd(2, _block_forever, timeout=2.0, backend="process")
 
-    def test_unpicklable_payload_raises_at_sender(self):
+    @pytest.mark.parametrize("backend", ["process", "tcp"])
+    def test_unpicklable_payload_raises_at_sender(self, backend):
         with pytest.raises(MPIError, match="pickl"):
-            run_spmd(2, _unpicklable_send, timeout=60, backend="process")
+            run_spmd(2, _unpicklable_send, timeout=60, backend=backend)
 
 
 class TestProcessDeath:

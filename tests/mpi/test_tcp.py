@@ -27,10 +27,10 @@ from repro.mpi.hostexec import (
     MAX_TCP_HOSTS,
     MAX_TCP_RANKS,
 )
+from repro.mpi import tcp
 from repro.mpi.tcp import (
     HostChannel,
     TcpNode,
-    TcpOptions,
     recv_frame,
     send_frame,
 )
@@ -74,7 +74,7 @@ def _drain(received, n, deadline=10.0):
 def test_channel_delivers_in_order():
     received = []
     node = TcpNode(1, lambda *frame: received.append(frame))
-    chan = HostChannel(0, 1, lambda h: node.addr, TcpOptions())
+    chan = HostChannel(0, 1, lambda h: node.addr)
     try:
         for i in range(10):
             chan.send(0, 3, tag=5, payload={"i": i}, nbytes=64)
@@ -86,7 +86,7 @@ def test_channel_delivers_in_order():
         node.close()
 
 
-def test_conn_reset_is_at_most_once():
+def test_conn_reset_is_at_most_once(monkeypatch):
     # The channel writes each frame at most once: frames in flight when the
     # reset hits may be lost (the reliable layer resends them), but none
     # arrives twice or out of order, and the frame the reset fell on waits
@@ -100,7 +100,8 @@ def test_conn_reset_is_at_most_once():
         time.sleep(0.01)
 
     node = TcpNode(1, deliver)
-    chan = HostChannel(0, 1, lambda h: node.addr, TcpOptions(heartbeat_timeout=2.0))
+    monkeypatch.setattr(tcp, "_HEARTBEAT_TIMEOUT", 2.0)
+    chan = HostChannel(0, 1, lambda h: node.addr)
     try:
         for i in range(20):
             fault = ("conn_reset", 0.0) if i == 5 else None
@@ -117,12 +118,13 @@ def test_conn_reset_is_at_most_once():
         node.close()
 
 
-def test_a_long_stream_keeps_a_healthy_link():
+def test_a_long_stream_keeps_a_healthy_link(monkeypatch):
     # Liveness rests on pings alone: a stream longer than heartbeat_timeout
     # followed by an idle spell must not read as a silent peer.
     received = []
     node = TcpNode(1, lambda *frame: received.append(frame))
-    chan = HostChannel(0, 1, lambda h: node.addr, TcpOptions(heartbeat_timeout=2.0))
+    monkeypatch.setattr(tcp, "_HEARTBEAT_TIMEOUT", 2.0)
+    chan = HostChannel(0, 1, lambda h: node.addr)
     try:
         sent = 0
         end = time.monotonic() + 3.0
@@ -143,14 +145,16 @@ def test_a_long_stream_keeps_a_healthy_link():
         node.close()
 
 
-def test_unreachable_after_grace():
+def test_unreachable_after_grace(monkeypatch):
     # A channel pointed at nothing: down_for() grows, and past the grace
     # the peer becomes locally unreachable.
     dead = socket.create_server(("127.0.0.1", 0))
     addr = dead.getsockname()
     dead.close()  # nobody listens here any more
-    opts = TcpOptions(connect_timeout=0.2, reconnect_cap=0.05, unreachable_grace=0.4)
-    chan = HostChannel(0, 1, lambda h: addr, opts)
+    monkeypatch.setattr(tcp, "_CONNECT_TIMEOUT", 0.2)
+    monkeypatch.setattr(tcp, "_RECONNECT_CAP", 0.05)
+    monkeypatch.setattr(tcp, "_UNREACHABLE_GRACE", 0.4)
+    chan = HostChannel(0, 1, lambda h: addr)
     try:
         assert not chan.is_unreachable()
         time.sleep(0.6)

@@ -102,12 +102,17 @@ def test_same_seed_same_network_schedule(memory3_config, tmp_path):
 
 
 @pytest.mark.chaos
-def test_conn_reset_inside_a_long_eager_window(memory3_config, reference_matrix, tmp_path):
+@pytest.mark.parametrize("backend", ["tcp", "process"])
+def test_conn_reset_inside_a_long_eager_window(
+    memory3_config, reference_matrix, tmp_path, backend
+):
     # Eager windows run to the next checkpoint, so each frame carries ten
     # generations and each report answers ten generations of slates.  The
     # plan resets the socket under the second message on the link from
-    # Nature to rank 1 (host 1): the frame of generations 11-20, unless a
-    # slow report made Nature ack rank 1's first one on its own.
+    # Nature to rank 1 (host 1 either way): the frame of generations 11-20,
+    # unless a slow report made Nature ack rank 1's first one on its own.
+    # A process world is a socket world with a host per rank, so the
+    # plan's link faults reach it too.
     plan = FaultPlan(
         seed=5, events=(FaultEvent(kind="conn_reset", rank=0, dest=1, op_index=1),)
     )
@@ -115,7 +120,7 @@ def test_conn_reset_inside_a_long_eager_window(memory3_config, reference_matrix,
         memory3_config,
         n_ranks=3,
         eager_games=True,
-        backend="tcp",
+        backend=backend,
         n_hosts=2,
         fault_plan=plan,
         heartbeat_timeout=10.0,
