@@ -31,10 +31,10 @@ from repro.population.dynamics import EvolutionDriver
 
 
 def tier1_real_execution() -> None:
-    print("tier 1 - real virtual-MPI execution (16 ranks, 12 SSets, 150 gens)")
+    print("tier 1 - real virtual-MPI execution (16 ranks, 12 SSets, 150 gens, eager games)")
     cfg = SimulationConfig(memory=1, n_ssets=12, generations=150, seed=42)
     start = time.perf_counter()
-    par = ParallelSimulation(cfg, n_ranks=16).run()
+    par = ParallelSimulation(cfg, n_ranks=16, eager_games=True).run()
     elapsed = time.perf_counter() - start
     serial = EvolutionDriver(cfg).run()
     identical = np.array_equal(par.matrix, serial.population.matrix())

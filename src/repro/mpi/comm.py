@@ -765,7 +765,14 @@ class Comm:
         Returns how long the caller may block before the next turn is due.
         """
         if self._mailbox.messages:  # unlocked peek: a late arrival waits one turn
-            for source, tag, payload, _n, _mid in self._mailbox.take_matching(self._out_of_band):
+            tracer = self.tracer
+            for source, tag, payload, nbytes, msg_id in self._mailbox.take_matching(
+                self._out_of_band
+            ):
+                if tracer.enabled:  # a receipt all the same: its arrow lands here
+                    tracer.msg_recv(
+                        self.rank, source, tag, nbytes, ts=tracer.now(), dur=0.0, flow_id=msg_id
+                    )
                 if tag == _TAG_RACK:
                     self._acked(source, payload)
                 else:

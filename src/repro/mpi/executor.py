@@ -30,7 +30,7 @@ from repro.mpi.faults import FaultInjector
 from repro.mpi.hostexec import MAX_PROCESS_RANKS, MAX_TCP_HOSTS, MAX_TCP_RANKS, _launch
 from repro.obs.tracer import Tracer
 
-__all__ = ["run_spmd", "SPMDResult", "RespawnRecord"]
+__all__ = ["run_spmd", "check_world", "SPMDResult", "RespawnRecord"]
 
 #: Keep virtual worlds to a size threads can sustain; larger scales belong
 #: to the performance model.
@@ -89,6 +89,40 @@ class SPMDResult:
     world: World
     failed_ranks: tuple[int, ...] = ()
     respawns: tuple[RespawnRecord, ...] = ()
+
+
+def check_world(
+    n_ranks: int,
+    backend: str = "thread",
+    on_rank_failure: str = "abort",
+    max_respawns: int = 8,
+    n_hosts: int = 2,
+) -> None:
+    """Raise :class:`~repro.errors.MPIError` unless :func:`run_spmd` can launch this world.
+
+    The arguments mean what they mean to :func:`run_spmd`.  A caller that
+    may end up launching a smaller world (a lazy
+    :class:`~repro.parallel.runner.ParallelSimulation` runs Nature alone)
+    calls it with the world it was asked for, so the same worlds fail.
+    """
+    if backend not in _MAX_RANKS:
+        raise MPIError(f"backend must be 'thread', 'process' or 'tcp', got {backend!r}")
+    if not 1 <= n_ranks <= _MAX_RANKS[backend]:
+        raise MPIError(f"n_ranks must be in [1, {_MAX_RANKS[backend]}], got {n_ranks}")
+    if on_rank_failure not in ("abort", "continue", "respawn"):
+        raise MPIError(
+            "on_rank_failure must be 'abort', 'continue' or 'respawn',"
+            f" got {on_rank_failure!r}"
+        )
+    if backend == "thread" and on_rank_failure == "respawn":
+        raise MPIError(
+            "on_rank_failure='respawn' needs real processes to replace —"
+            " use backend='process' or backend='tcp'"
+        )
+    if max_respawns < 0:
+        raise MPIError(f"max_respawns must be >= 0, got {max_respawns}")
+    if backend == "tcp" and not 1 <= n_hosts <= MAX_TCP_HOSTS:
+        raise MPIError(f"n_hosts must be in [1, {MAX_TCP_HOSTS}], got {n_hosts}")
 
 
 def run_spmd(
@@ -166,24 +200,7 @@ def run_spmd(
     The first rank exception, re-raised in the caller, or
     :class:`~repro.errors.MPIError` on timeout.
     """
-    if backend not in _MAX_RANKS:
-        raise MPIError(f"backend must be 'thread', 'process' or 'tcp', got {backend!r}")
-    if not 1 <= n_ranks <= _MAX_RANKS[backend]:
-        raise MPIError(f"n_ranks must be in [1, {_MAX_RANKS[backend]}], got {n_ranks}")
-    if backend == "thread" and on_rank_failure == "respawn":
-        raise MPIError(
-            "on_rank_failure='respawn' needs real processes to replace —"
-            " use backend='process'"
-        )
-    if on_rank_failure not in ("abort", "continue", "respawn"):
-        raise MPIError(
-            "on_rank_failure must be 'abort', 'continue' or 'respawn',"
-            f" got {on_rank_failure!r}"
-        )
-    if max_respawns < 0:
-        raise MPIError(f"max_respawns must be >= 0, got {max_respawns}")
-    if backend == "tcp" and not 1 <= n_hosts <= MAX_TCP_HOSTS:
-        raise MPIError(f"n_hosts must be in [1, {MAX_TCP_HOSTS}], got {n_hosts}")
+    check_world(n_ranks, backend, on_rank_failure, max_respawns, n_hosts)
     return _launch(
         backend, n_ranks, fn, tuple(args), timeout, fault_injector,
         on_rank_failure, tracer, n_hosts, max_respawns,

@@ -99,11 +99,11 @@ def _mutation_update(sset: int, raw: bytes, dtype: str) -> MutationUpdate:
 # -- the star ---------------------------------------------------------------------
 #
 # Frames go to every live worker before Nature waits for anyone.  A worker
-# replays the window in order — per generation its fault point, on an eager
-# run its slates, then the generation's events; a lazy, untraced, fault-free
-# worker only the generations that had events — and posts one WorkerReport.
-# Nature decides every PC on its own replica, the one the workers hold, and
-# asks no one.  All of it travels on the reliable layer (Comm.post_reliable /
+# replays the window in order — per generation its fault point, its slates,
+# then the generation's events — and posts one WorkerReport.  Only an eager
+# run has workers; every other run is Nature alone.  Nature decides every PC
+# on its own replica, the one the workers hold, and asks no one.  All of it
+# travels on the reliable layer (Comm.post_reliable /
 # recv_reliable_owing: the report acknowledges the frame it answers and the
 # next frame the report), so injected drops, duplicates and corruptions
 # cannot desynchronise it.

@@ -11,12 +11,14 @@ This is the paper's §V implementation, expressed on the virtual runtime:
 * ranks 1..P-1 are **workers** — each owns a block of SSets
   (:class:`~repro.parallel.decomposition.SSetDecomposition`), keeps a full
   replica of the global strategy view (the paper's per-node "local view of
-  the strategy space"), on an eager run plays its SSets' slates, and
-  replays every window's events in order.  A world of one is Nature alone:
-  the same program with nobody to tell.
+  the strategy space"), plays its SSets' slates every generation, and
+  replays every window's events in order.  Workers exist only to play those
+  slates, so only an eager run launches them: any other run is a world of
+  one, Nature alone — the same program with nobody to tell.
 
 One program carries every run — lazy, eager, faulted, checkpointed and
-resumed.  Because every rank derives its randomness from the same
+resumed; :meth:`ParallelSimulation.run` alone decides how big its world is.
+Because every rank derives its randomness from the same
 :class:`~repro.rng.StreamFactory` keys as the serial driver, a parallel run
 produces a population trajectory *bit-identical* to
 :class:`~repro.population.dynamics.EvolutionDriver` at any rank count — the
@@ -46,7 +48,7 @@ from repro.io.checkpoints import (
 )
 from repro.mpi.comm import ANY_SOURCE, Comm
 from repro.mpi.counters import OpCount
-from repro.mpi.executor import RespawnRecord, run_spmd
+from repro.mpi.executor import RespawnRecord, check_world, run_spmd
 from repro.mpi.faults import FaultInjector, FaultPlan, FaultRecord
 from repro.parallel.decomposition import owner_map_with_failures
 from repro.parallel.protocol import (
@@ -65,7 +67,7 @@ from repro.parallel.protocol import (
     RecoveryEvent,
     WorkerReport,
 )
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import Tracer
 from repro.population.fitness import FitnessEvaluator
 from repro.population.nature import NatureAgent
 from repro.population.population import Population
@@ -76,9 +78,6 @@ __all__ = ["ParallelSimulation", "ParallelRunResult"]
 #: Most generations one frame closes: at ``pc_rate`` 0 a 10^6-generation run
 #: must not become one frame of 50 000 tables.
 _WINDOW_CAP = 256
-
-#: What a lazy worker plays: no slates.
-_NO_SSETS = np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -98,11 +97,12 @@ class ParallelRunResult:
     counters:
         Virtual-network traffic tallies by operation.
     n_ranks:
-        World size the program ran on.
+        Size of the world that ran: the ``n_ranks`` asked for on an eager
+        run, 1 on any other (Nature alone).
     games_played_per_rank:
-        Directed eager-slate games each rank played (all zeros on a lazy
-        run and on a world of one).  Nature's PC games, played on its own
-        replica, are not counted.
+        Directed eager-slate games each rank of that world played: ``(0,)``
+        on a world of one, where nobody plays a slate.  Nature's PC games,
+        played on its own replica, are not counted.
     """
 
     final: PackedMatrix | np.ndarray
@@ -196,20 +196,18 @@ class _Replica:
                 decision = self.nature.decide_adoption(selection, pi_t, pi_l)
                 self.record(g, _pc_outcome(decision), events)
 
-    def replay(self, closed, news, end, owned, *, every=True, fault_point=None,
-               min_generation=0) -> None:
+    def replay(self, closed, news, end, owned, *, fault_point=None, min_generation=0) -> None:
         """Worker: generations ``closed+1 .. end`` in order, as the frame's ``news`` tells.
 
         Per generation: its fault point, the ``owned`` slates and its events.
         Events at or before ``min_generation`` are already in the replica.
-        Without ``every`` only the generations that had events are visited.
         """
         by_gen: dict[int, list] = {}
         for g, event in news:
             if g > min_generation:
                 by_gen.setdefault(g, []).append(event)
         tracer = self.tracer
-        for g in range(closed + 1, end + 1) if every else by_gen:
+        for g in range(closed + 1, end + 1):
             if fault_point is not None:
                 fault_point(g)
             with tracer.span("generation", rank=self.rank, args={"gen": g}):
@@ -269,22 +267,22 @@ def _pc_outcome(decision) -> PCOutcome:
     )
 
 
-def _rank_program(comm: Comm, config: SimulationConfig, eager_games: bool, opts: _Options):
+def _rank_program(comm: Comm, config: SimulationConfig, opts: _Options):
     """The SPMD body executed by every rank."""
     streams = StreamFactory(config.seed)
     if comm.rank != 0 and comm.incarnation > 0:
         # Replacement process under on_rank_failure="respawn": the initial
         # population is stale (the run has moved on since generation 0), so
         # skip straight to the rejoin handshake with Nature.
-        return _worker_respawned(comm, config, eager_games, streams)
+        return _worker_respawned(comm, config, streams)
     if opts.start is None:
         population = Population.random(config, streams.fresh("init"))
     else:
         population = Population(config, opts.start.matrix)
     evaluator = FitnessEvaluator(config, population, streams)
     if comm.rank == 0:
-        return _nature(comm, config, eager_games, population, evaluator, streams, opts)
-    return _worker(comm, config, eager_games, population, evaluator)
+        return _nature(comm, config, population, evaluator, streams, opts)
+    return _worker(comm, config, population, evaluator)
 
 
 #: How long a respawned worker keeps re-sending its hello before giving up.
@@ -294,7 +292,7 @@ _REJOIN_DEADLINE = 60.0
 _HELLO_RETRY = 0.2
 
 
-def _worker_respawned(comm, config, eager_games, streams) -> dict:
+def _worker_respawned(comm, config, streams) -> dict:
     """Entry point of a replacement incarnation: handshake with Nature, rejoin.
 
     The hello travels over a *plain* send that we retry ourselves: Nature
@@ -333,15 +331,13 @@ def _worker_respawned(comm, config, eager_games, streams) -> dict:
         "rejoin", rank=comm.rank,
         args={"gen": rejoin.generation, "incarnation": incarnation},
     )
-    return _worker(
-        comm, config, eager_games, population, evaluator, min_generation=rejoin.generation
-    )
+    return _worker(comm, config, population, evaluator, min_generation=rejoin.generation)
 
 
-def _worker(comm, config, eager_games, population, evaluator, min_generation=0) -> dict:
+def _worker(comm, config, population, evaluator, min_generation=0) -> dict:
     replica = _Replica(config, population, evaluator, comm.rank, comm.world.tracer)
     try:
-        return _worker_loop(comm, config, eager_games, replica, min_generation)
+        return _worker_loop(comm, config, replica, min_generation)
     except (RankFailedError, RecvTimeoutError) as exc:
         if comm.world.is_failed(0):
             raise  # Nature is dead: the job cannot finish, fail loudly.
@@ -350,11 +346,7 @@ def _worker(comm, config, eager_games, population, evaluator, min_generation=0) 
         raise RankCrashError(f"rank {comm.rank}: lost contact with Nature ({exc})") from exc
 
 
-def _worker_loop(comm, config, eager_games, replica, min_generation) -> dict:
-    # Only slates, trace spans and armed fault points are per generation (a
-    # names-only tap reports ``enabled`` False yet reads the spans): a lazy,
-    # untraced, fault-free worker visits only the generations that had events.
-    watched = replica.tracer is not NULL_TRACER or comm.world.injector is not None
+def _worker_loop(comm, config, replica, min_generation) -> dict:
     while True:
         # An event at or before the rejoin generation is already in the
         # matrix this rank was seeded with, and adopt-then-mutate is not
@@ -370,15 +362,12 @@ def _worker_loop(comm, config, eager_games, replica, min_generation) -> dict:
             # this rank (the reliable layer may redeliver frames sent before
             # our predecessor died): drop it without replying.
             continue
-        owned = _NO_SSETS
-        if eager_games:
-            # The slates may outlast Nature's retransmission timer, so the
-            # report cannot be what acknowledges this frame.
-            comm.settle_acks()
-            owners = owner_map_with_failures(config.n_ssets, comm.size, msg.failed_ranks)
-            owned = np.flatnonzero(owners == comm.rank)
+        # The slates may outlast Nature's retransmission timer, so the
+        # report cannot be what acknowledges this frame.
+        comm.settle_acks()
+        owners = owner_map_with_failures(config.n_ssets, comm.size, msg.failed_ranks)
         replica.replay(
-            closed, news, end, owned, every=watched or owned.size > 0,
+            closed, news, end, np.flatnonzero(owners == comm.rank),
             fault_point=comm.fault_point, min_generation=min_generation,
         )
         # Posted, not awaited: Nature's next frame is its acknowledgement.
@@ -390,7 +379,7 @@ def _worker_loop(comm, config, eager_games, replica, min_generation) -> dict:
     return {"digest": digest, "games_played": replica.games_played}
 
 
-def _nature(comm, config, eager_games, population, evaluator, streams, opts) -> dict:
+def _nature(comm, config, population, evaluator, streams, opts) -> dict:
     nature = NatureAgent(config, streams)
     if opts.start is not None:
         opts.start.restore(nature)
@@ -548,12 +537,11 @@ def _nature(comm, config, eager_games, population, evaluator, streams, opts) -> 
                 replica.draft(gen, events)
         header = FTHeader(end, failed_ranks=tuple(sorted(failed)))
         # One frame down: every live worker's is on its way before Nature
-        # waits for anyone.  An eager worker plays every generation of the
-        # window before it reports, so its deadline scales with the window.
+        # waits for anyone.  A worker plays every generation of the window
+        # before it reports, so its deadline scales with the window.
         with tracer.span("header", rank=comm.rank, args={"gen": end}):
-            wait = hb * (end - closed) if eager_games else hb
             frame = (closed, _News(events), header)
-            posted, deadline = fan_out(list(live), frame, end, "header", wait)
+            posted, deadline = fan_out(list(live), frame, end, "header", hb * (end - closed))
 
         # Heartbeat round, one report up: a report per posted worker, all
         # bounded by one deadline, so k silent workers cost one timeout.
@@ -618,17 +606,18 @@ class ParallelSimulation:
     config:
         Simulation parameters (shared verbatim with the serial driver).
     n_ranks:
-        World size, >= 1 (rank 0 is the Nature Agent).  A world of one is
-        Nature alone: it drafts every window, settles every PC on its own
-        replica and writes the checkpoints, with no worker to tell — so an
-        eager run on it plays no slates (``games_played_per_rank == (0,)``).
+        World size of an eager run, >= 1: rank 0 is the Nature Agent, the
+        rest its workers.  Checked against ``backend`` even when no worker
+        launches.
     eager_games:
-        When true, every worker plays its owned SSets' full opponent slate
-        every generation — the paper's faithful workload (§IV-D), counted in
-        ``games_played_per_rank`` for the performance model's work
-        accounting.  No number of the trajectory reads those games: Nature
-        decides every PC on its own replica either way, so both settings
-        give the same run, and the default (off) is far cheaper.
+        When true, ``n_ranks - 1`` workers launch and each plays its owned
+        SSets' full opponent slate every generation — the paper's faithful
+        workload (§IV-D), counted in ``games_played_per_rank``.  No number
+        of the trajectory reads those games: Nature decides every PC on its
+        own replica.  When false (default) no worker would play anything, so
+        none launches: the run is a world of one — Nature alone on a thread
+        of this process, drafting every window and writing the checkpoints,
+        with nobody to tell (``games_played_per_rank == (0,)``).
     fault_plan:
         Optional :class:`~repro.mpi.faults.FaultPlan` describing the chaos
         to inject (message drops, delays, duplicates, corruptions, rank
@@ -638,10 +627,12 @@ class ParallelSimulation:
         keyword is still accepted because the end-to-end benchmark's probes
         pass it, and it goes when they stop.
     heartbeat_timeout:
-        Seconds Nature waits for a worker's report of a window before
-        declaring the rank failed.  On an eager run it is per generation of
-        the window: a worker plays every generation's slates before it
-        reports, and a window runs to the cap or the next checkpoint.
+        Seconds per generation of a window that Nature waits for a worker's
+        report of it before declaring the rank failed: a worker plays every
+        generation's slates before it reports, and a window runs to the cap
+        or the next checkpoint.  Acts only on an eager run (a world of one
+        has no worker to wait for), as do ``on_rank_failure``,
+        ``max_respawns`` and ``n_hosts``.
     checkpoint_dir:
         Directory for periodic :func:`~repro.io.checkpoints.save_parallel_checkpoint`
         files; enables restart via :meth:`resume`.
@@ -657,9 +648,10 @@ class ParallelSimulation:
         tracing off at near-zero cost; the trajectory is bit-identical
         either way.
     backend:
-        Execution substrate for the SPMD ranks.  ``"thread"`` (default)
-        runs every rank as a thread in this process — exact semantics,
-        no multi-core speedup (the GIL).  ``"process"`` and ``"tcp"`` run
+        Execution substrate for the ranks of an eager run with workers (a
+        world of one always runs on a thread).  ``"thread"`` (default) runs
+        every rank as a thread in this process — exact semantics, no
+        multi-core speedup (the GIL).  ``"process"`` and ``"tcp"`` run
         the ranks in OS-process "hosts" talking framed loopback TCP, with
         partition-tolerant reconnection: one host per rank under
         ``"process"`` (real parallelism for game play), ``n_hosts`` hosts
@@ -669,7 +661,8 @@ class ParallelSimulation:
         process, and the fault-tolerant program degrades around it as it
         does on threads.
     on_rank_failure:
-        ``"continue"`` (default): a dead worker's SSets are redistributed
+        What a dead worker of an eager run costs.
+        ``"continue"`` (default): its SSets are redistributed
         to the survivors and stay there — graceful degradation.
         ``"respawn"`` (process and tcp backends): additionally start a
         replacement incarnation of each dead worker; the replacement
@@ -681,8 +674,8 @@ class ParallelSimulation:
         Total replacement-incarnation budget under
         ``on_rank_failure="respawn"``.
     n_hosts:
-        How many host processes the TCP backend deals the ranks across.
-        Ignored under the other backends.
+        How many host processes the TCP backend deals an eager run's ranks
+        across.  Ignored under the other backends.
 
     Examples
     --------
@@ -714,17 +707,13 @@ class ParallelSimulation:
             raise MPIError(f"n_ranks must be >= 1 (the Nature Agent), got {n_ranks}")
         if checkpoint_every < 0:
             raise MPIError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
-        if backend not in ("thread", "process", "tcp"):
-            raise MPIError(f"backend must be 'thread', 'process' or 'tcp', got {backend!r}")
         if on_rank_failure not in ("continue", "respawn"):
             raise MPIError(
                 f"on_rank_failure must be 'continue' or 'respawn', got {on_rank_failure!r}"
             )
-        if on_rank_failure == "respawn" and backend not in ("process", "tcp"):
-            raise MPIError(
-                "on_rank_failure='respawn' needs real processes to replace —"
-                " use backend='process' or backend='tcp'"
-            )
+        # The world asked for, checked whether or not it launches: a lazy
+        # run rejects exactly the worlds an eager one does.
+        check_world(n_ranks, backend, on_rank_failure, max_respawns, n_hosts)
         self.on_rank_failure = on_rank_failure
         self.max_respawns = int(max_respawns)
         self.n_hosts = int(n_hosts)
@@ -800,33 +789,37 @@ class ParallelSimulation:
             if self.fault_plan is not None and not self.fault_plan.is_trivial
             else None
         )
+        # Workers exist to play slates: without eager games Nature runs
+        # alone, on a thread of this process, with no worker to respawn.
+        n_ranks = self.n_ranks if self.eager_games else 1
+        alone = n_ranks == 1
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.name_rank(0, "nature (rank 0)")
-            for rank in range(1, self.n_ranks):
+            for rank in range(1, n_ranks):
                 self.tracer.name_rank(rank, f"worker (rank {rank})")
         spmd = run_spmd(
-            self.n_ranks,
+            n_ranks,
             _rank_program,
-            args=(self.config, self.eager_games, self._start),
+            args=(self.config, self._start),
             timeout=timeout,
             fault_injector=injector,
-            on_rank_failure=self.on_rank_failure,
+            on_rank_failure="continue" if alone else self.on_rank_failure,
             tracer=self.tracer,
-            backend=self.backend,
+            backend="thread" if alone else self.backend,
             max_respawns=self.max_respawns,
             n_hosts=self.n_hosts,
         )
         if self.tracer is not None:  # fold the run's facts into its metrics registry
             metrics = self.tracer.metrics
             metrics.absorb_comm_counters(spmd.world.counters.snapshot())
-            metrics.gauge("run.n_ranks").set(self.n_ranks)
+            metrics.gauge("run.n_ranks").set(n_ranks)
             metrics.gauge("run.generations").set(self.config.generations)
             metrics.gauge("run.n_ssets").set(self.config.n_ssets)
             metrics.gauge("run.failed_ranks").set(len(spmd.world.failed_ranks))
         nature_out = spmd.returns[0]
         if nature_out is None:
             raise MPIError("the Nature rank did not complete; no result to assemble")
-        finals, games = nature_out["games_by_rank"], [0] * self.n_ranks
+        finals, games = nature_out["games_by_rank"], [0] * n_ranks
         for rank, out in enumerate(spmd.returns[1:], start=1):  # no FTFinal: its own count
             own = out.get("games_played", 0) if isinstance(out, dict) else 0
             games[rank] = finals.get(rank, own)
@@ -838,7 +831,7 @@ class ParallelSimulation:
             n_adoptions=nature_out["n_adoptions"],
             n_mutations=nature_out["n_mutations"],
             counters=spmd.world.counters.snapshot(),
-            n_ranks=self.n_ranks,
+            n_ranks=n_ranks,
             games_played_per_rank=tuple(games),
             failed_ranks=nature_out["failed_ranks"],
             degradations=nature_out["degradations"],

@@ -148,13 +148,14 @@ class RunSpec:
     config:
         The simulation itself: game, memory depth, dynamics, seed.
     n_ranks:
-        World size, >= 1 (rank 0 is the Nature Agent; one rank is Nature
-        alone).
+        World size of an eager run, >= 1 (rank 0 is the Nature Agent; one
+        rank is Nature alone).
     backend:
         Execution substrate: ``"thread"``, ``"process"`` or ``"tcp"``.
     eager_games:
-        Whether workers replay the full opponent slate each generation
-        (the paper's faithful §IV-D workload).
+        Whether workers launch and play the full opponent slate each
+        generation (the paper's faithful §IV-D workload); without it the run
+        is Nature alone on a thread, whatever ``n_ranks`` and ``backend`` say.
     checkpoint_every:
         Checkpoint cadence in generations (>= 1; a supervised run without
         checkpoints could only ever restart from scratch).

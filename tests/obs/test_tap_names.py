@@ -51,14 +51,17 @@ class TestNamesOnlyTap:
 
 class TestNamesOnlyTapOnARealRun:
     def test_one_event_per_rank_per_generation_and_the_same_matrix(self, tmp_path):
-        """The service worker's tap on the benchmark's job shape: the full tap
-        records every rank's phases — per generation a ``generation`` span on
-        each rank and a ``mutation`` span on the worker, per window Nature's
-        ``header``, ``heartbeat`` and ``checkpoint`` — and the star's
-        messages; the names-only tap the ``generation`` span of each of the
-        two ranks, nothing else."""
+        """The service worker's tap on the benchmark's job shape, eager so
+        that it has a worker: the full tap records every rank's phases — per
+        generation a ``generation`` span on each rank and a ``play`` and a
+        ``mutation`` span on the worker, per window Nature's ``header``,
+        ``heartbeat`` and ``checkpoint`` — and the star's messages; the
+        names-only tap the ``generation`` span of each of the two ranks,
+        nothing else."""
         config = SimulationConfig(memory=1, n_ssets=16, generations=200, seed=11)
-        spec = RunSpec(config=config, n_ranks=2, backend="thread", checkpoint_every=100)
+        spec = RunSpec(
+            config=config, n_ranks=2, backend="thread", eager_games=True, checkpoint_every=100
+        )
         driver = EvolutionDriver(config)
         serial = driver.run()
         generations, windows = config.generations, config.generations // spec.checkpoint_every
@@ -83,6 +86,7 @@ class TestNamesOnlyTapOnARealRun:
         assert phases["full"] == {
             ("generation", 0): generations,
             ("generation", 1): generations,
+            ("play", 1): generations,
             ("mutation", 1): generations,
             ("header", 0): windows,
             ("heartbeat", 0): windows,

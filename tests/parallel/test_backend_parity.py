@@ -27,23 +27,35 @@ class TestTrajectoryParity:
         """A default run's windows, hence heartbeats, do not depend on the
         substrate.  A host process may ship its counters before its FTFinal's
         ack is counted: up to P-1 fewer confirmed sends."""
-        threaded = ParallelSimulation(config, n_ranks=3, backend="thread").run(timeout=300)
-        processed = ParallelSimulation(config, n_ranks=3, backend="process").run(timeout=300)
+        threaded = ParallelSimulation(
+            config, n_ranks=3, eager_games=True, backend="thread"
+        ).run(timeout=300)
+        processed = ParallelSimulation(
+            config, n_ranks=3, eager_games=True, backend="process"
+        ).run(timeout=300)
         assert threaded.counters["heartbeat"].calls == processed.counters["heartbeat"].calls
         sends = threaded.counters["reliable_send"].calls
         assert sends - 2 <= processed.counters["reliable_send"].calls <= sends
 
     def test_fault_tolerant_protocol_bit_identical(self, config):
-        threaded = ParallelSimulation(config, n_ranks=3, backend="thread").run(timeout=300)
-        processed = ParallelSimulation(config, n_ranks=3, backend="process").run(timeout=300)
+        threaded = ParallelSimulation(
+            config, n_ranks=3, eager_games=True, backend="thread"
+        ).run(timeout=300)
+        processed = ParallelSimulation(
+            config, n_ranks=3, eager_games=True, backend="process"
+        ).run(timeout=300)
         assert np.array_equal(threaded.matrix, processed.matrix)
         assert threaded.n_pc_events == processed.n_pc_events
         assert threaded.failed_ranks == processed.failed_ranks == ()
 
     def test_memory3_run_bit_identical(self):
         cfg = SimulationConfig(memory=3, n_ssets=6, generations=40, seed=13, rounds=10)
-        threaded = ParallelSimulation(cfg, n_ranks=3, backend="thread").run(timeout=300)
-        processed = ParallelSimulation(cfg, n_ranks=3, backend="process").run(timeout=300)
+        threaded = ParallelSimulation(
+            cfg, n_ranks=3, eager_games=True, backend="thread"
+        ).run(timeout=300)
+        processed = ParallelSimulation(
+            cfg, n_ranks=3, eager_games=True, backend="process"
+        ).run(timeout=300)
         assert np.array_equal(threaded.matrix, processed.matrix)
         assert threaded.n_pc_events == processed.n_pc_events
         assert threaded.n_mutations == processed.n_mutations
@@ -63,15 +75,15 @@ class TestZeroSSetWorkers:
         return SimulationConfig(memory=1, n_ssets=3, generations=40, seed=13, rounds=10)
 
     def test_fault_tolerant_protocol_completes_and_matches(self, small_world):
-        reference = ParallelSimulation(small_world, n_ranks=2, backend="thread").run(
-            timeout=300
-        )
-        threaded = ParallelSimulation(small_world, n_ranks=8, backend="thread").run(
-            timeout=300
-        )
-        processed = ParallelSimulation(small_world, n_ranks=8, backend="process").run(
-            timeout=300
-        )
+        reference = ParallelSimulation(
+            small_world, n_ranks=2, eager_games=True, backend="thread"
+        ).run(timeout=300)
+        threaded = ParallelSimulation(
+            small_world, n_ranks=8, eager_games=True, backend="thread"
+        ).run(timeout=300)
+        processed = ParallelSimulation(
+            small_world, n_ranks=8, eager_games=True, backend="process"
+        ).run(timeout=300)
         assert np.array_equal(reference.matrix, threaded.matrix)
         assert np.array_equal(reference.matrix, processed.matrix)
         assert reference.n_pc_events == threaded.n_pc_events == processed.n_pc_events
@@ -85,9 +97,12 @@ class TestProcessCrashChaos:
         run and — crash-only chaos being trajectory-neutral — reproduce the
         fault-free matrix bit-exactly."""
         plan = FaultPlan(seed=1, events=(FaultEvent(kind="crash", rank=2, generation=20),))
-        baseline = ParallelSimulation(config, n_ranks=4, backend="process").run(timeout=300)
+        baseline = ParallelSimulation(
+            config, n_ranks=4, eager_games=True, backend="process"
+        ).run(timeout=300)
         result = ParallelSimulation(
-            config, n_ranks=4, fault_plan=plan, heartbeat_timeout=2.0, backend="process"
+            config, n_ranks=4, eager_games=True, fault_plan=plan, heartbeat_timeout=2.0,
+            backend="process",
         ).run(timeout=300)
         assert result.failed_ranks == (2,)
         assert len(result.degradations) == 1
@@ -100,7 +115,8 @@ class TestProcessCrashChaos:
         plan = FaultPlan(seed=1, events=(FaultEvent(kind="crash", rank=2, generation=20),))
         runs = [
             ParallelSimulation(
-                config, n_ranks=4, fault_plan=plan, heartbeat_timeout=2.0, backend=backend
+                config, n_ranks=4, eager_games=True, fault_plan=plan, heartbeat_timeout=2.0,
+                backend=backend,
             ).run(timeout=300)
             for backend in ("thread", "process")
         ]
@@ -113,10 +129,10 @@ class TestProcessCrashChaos:
         trajectories stay bit-identical."""
         plan = FaultPlan(seed=9, corrupt_p=0.03, drop_p=0.03, duplicate_p=0.03)
         threaded = ParallelSimulation(
-            config, n_ranks=3, fault_plan=plan, backend="thread"
+            config, n_ranks=3, eager_games=True, fault_plan=plan, backend="thread"
         ).run(timeout=300)
         processed = ParallelSimulation(
-            config, n_ranks=3, fault_plan=plan, backend="process"
+            config, n_ranks=3, eager_games=True, fault_plan=plan, backend="process"
         ).run(timeout=300)
         assert np.array_equal(threaded.matrix, processed.matrix)
         assert threaded.failed_ranks == processed.failed_ranks == ()

@@ -40,7 +40,7 @@ def serial_matrix(config) -> np.ndarray:
 class TestFaultTolerantProtocol:
     def test_no_faults_matches_serial(self, config, serial_matrix):
         """The FT star protocol preserves the serial trajectory bit-exactly."""
-        result = ParallelSimulation(config, n_ranks=4).run(timeout=300)
+        result = ParallelSimulation(config, n_ranks=4, eager_games=True).run(timeout=300)
         assert np.array_equal(result.matrix, serial_matrix)
         assert result.failed_ranks == ()
         assert result.degradations == ()
@@ -50,7 +50,7 @@ class TestFaultTolerantProtocol:
         """The acceptance chaos run: one worker dies, survivors finish."""
         plan = FaultPlan(seed=5, events=(FaultEvent(kind="crash", rank=2, generation=20),))
         result = ParallelSimulation(
-            config, n_ranks=4, fault_plan=plan, heartbeat_timeout=2.0
+            config, n_ranks=4, eager_games=True, fault_plan=plan, heartbeat_timeout=2.0
         ).run(timeout=300)
         assert isinstance(result, ParallelRunResult)
         assert result.generation == config.generations
@@ -67,9 +67,9 @@ class TestFaultTolerantProtocol:
     def test_same_fault_seed_reproduces_schedule(self, config):
         plan = FaultPlan(seed=5, events=(FaultEvent(kind="crash", rank=2, generation=20),))
         runs = [
-            ParallelSimulation(config, n_ranks=4, fault_plan=plan, heartbeat_timeout=2.0).run(
-                timeout=300
-            )
+            ParallelSimulation(
+                config, n_ranks=4, eager_games=True, fault_plan=plan, heartbeat_timeout=2.0
+            ).run(timeout=300)
             for _ in range(2)
         ]
         assert runs[0].fault_events == runs[1].fault_events
@@ -79,8 +79,10 @@ class TestFaultTolerantProtocol:
 
     def test_hung_worker_detected_by_heartbeat(self, config, serial_matrix):
         plan = FaultPlan(seed=2, events=(FaultEvent(kind="hang", rank=3, generation=12),))
+        # The deadline is per generation of the window; the run is one window.
         result = ParallelSimulation(
-            config, n_ranks=4, fault_plan=plan, heartbeat_timeout=1.5
+            config, n_ranks=4, eager_games=True, fault_plan=plan,
+            heartbeat_timeout=1.5 / config.generations,
         ).run(timeout=300)
         assert result.failed_ranks == (3,)
         assert "no heartbeat" in result.degradations[0].reason
@@ -89,7 +91,7 @@ class TestFaultTolerantProtocol:
     def test_message_drops_survived_by_reliable_channel(self, config, serial_matrix):
         plan = FaultPlan(seed=7, drop_p=0.03)
         result = ParallelSimulation(
-            config, n_ranks=4, fault_plan=plan, heartbeat_timeout=5.0
+            config, n_ranks=4, eager_games=True, fault_plan=plan, heartbeat_timeout=5.0
         ).run(timeout=500)
         assert np.array_equal(result.matrix, serial_matrix)
         assert result.counters.get("fault_drop").calls > 0
@@ -104,7 +106,7 @@ class TestFaultTolerantProtocol:
             ),
         )
         result = ParallelSimulation(
-            config, n_ranks=4, fault_plan=plan, heartbeat_timeout=2.0
+            config, n_ranks=4, eager_games=True, fault_plan=plan, heartbeat_timeout=2.0
         ).run(timeout=300)
         assert result.failed_ranks == (1, 3)
         assert len(result.degradations) == 2

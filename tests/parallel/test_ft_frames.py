@@ -1,8 +1,9 @@
 """One frame down, one report up per window: the shape of the fault-tolerant star.
 
 The star moves in the collective tree's windows: up to ``_WINDOW_CAP``
-generations, cut at every checkpoint generation, lazy run or eager — Nature
-decides every PC on its own replica.  A window costs each worker one frame
+generations, cut at every checkpoint generation — Nature decides every PC
+on its own replica.  Only an eager run has workers, so every run here is
+eager.  A window costs each worker one frame
 (the tree's frame: the events Nature drafted for the window) and one report
 (which is the frame's acknowledgement); fault points and ``generation``
 spans stay per generation.  The fault-free tests here are exact message
@@ -54,7 +55,7 @@ CFG = SimulationConfig(n_ssets=8, generations=40, seed=3, pc_rate=0.6, mutation_
 #: FTFinal, so nothing could carry that ack.
 SHUTDOWN_MESSAGES = 3
 
-#: A checkpoint cadence that cuts CFG's lazy run into two windows.
+#: A checkpoint cadence that cuts CFG's run into two windows.
 EVERY = 20
 
 BACKENDS = [
@@ -134,8 +135,8 @@ def _adopts_then_mutates_the_teacher(record) -> bool:
 class TestMessageShape:
     @pytest.mark.parametrize("n_ranks", [3, 9])
     def test_two_messages_per_worker_per_generation(self, n_ranks, oracle):
-        """Per window since the star moves in windows (CFG's lazy run is one)."""
-        result = ParallelSimulation(CFG, n_ranks).run(timeout=120)
+        """Per window since the star moves in windows (CFG's run is one)."""
+        result = ParallelSimulation(CFG, n_ranks, eager_games=True).run(timeout=120)
         assert np.array_equal(result.matrix, oracle)
         workers, windows = n_ranks - 1, len(_window_ends(CFG.generations))
         # Every frame confirmed delivered is counted: the frame and the report
@@ -143,21 +144,23 @@ class TestMessageShape:
         assert _calls(result, "reliable_send") == (2 * windows + 2) * workers
         assert _calls(result, "heartbeat") == windows * workers
         # Whatever else was sent is counted too: a retransmission, or an
-        # explicit ack beyond the FTFinals'.  A fault-free run has none,
-        # unless the machine froze a rank for _ACK_DELAY at the wrong moment;
-        # a protocol that needed them would need them every window.
+        # explicit ack beyond the FTFinals'.  A fault-free run has none but
+        # the one each worker settles before it plays a window, unless the
+        # machine froze a rank for _ACK_DELAY at the wrong moment; a protocol
+        # that needed more would need them every window.
         timing = _calls(result, "reliable_retry") + _calls(result, "reliable_ack") - workers
         assert result.counters["send"].messages - timing == (
             (2 * windows + SHUTDOWN_MESSAGES) * workers
         )
-        assert 0 <= timing <= 2
+        assert 0 <= timing - windows * workers <= 2
 
     @pytest.mark.parametrize("n_ranks", [3, 9])
     def test_nature_fans_out_before_it_waits(self, n_ranks, tmp_path):
         """Constant depth in P: in every window all of Nature's frames are
         sent (logical clock) before its first report is received."""
         result = ParallelSimulation(
-            CFG, n_ranks, checkpoint_dir=tmp_path, checkpoint_every=EVERY, trace=True
+            CFG, n_ranks, eager_games=True, checkpoint_dir=tmp_path, checkpoint_every=EVERY,
+            trace=True,
         ).run(timeout=120)
         frame, report = _TAG_RDATA | TAG_CONTROL, _TAG_RDATA | TAG_REPORT
         p2p = sorted(
@@ -174,14 +177,7 @@ class TestMessageShape:
                 [("send", frame)] * workers + [("recv", report)] * workers
             )
 
-    def test_a_lazy_run_asks_no_worker_for_fitness(self, records, oracle, monkeypatch):
-        self._asks_no_worker_for_fitness(records, oracle, monkeypatch, eager=False)
-
     def test_an_eager_run_asks_no_worker_for_fitness(self, records, oracle, monkeypatch):
-        self._asks_no_worker_for_fitness(records, oracle, monkeypatch, eager=True)
-
-    @staticmethod
-    def _asks_no_worker_for_fitness(records, oracle, monkeypatch, eager):
         """Nature decides every PC on its own replica, however the workers
         play: a header names a window's end and the failed ranks only, every
         report is a bare heartbeat, and every ``pc_step`` span is Nature's."""
@@ -193,7 +189,7 @@ class TestMessageShape:
             return post(self, payload, dest, tag, **policy)
 
         monkeypatch.setattr(Comm, "post_reliable", spy)
-        result = ParallelSimulation(CFG, 3, eager, trace=True).run(timeout=120)
+        result = ParallelSimulation(CFG, 3, eager_games=True, trace=True).run(timeout=120)
         assert np.array_equal(result.matrix, oracle)
         headers = [p[2] for t, p in posted if t == TAG_CONTROL and isinstance(p[2], FTHeader)]
         reports = [p for t, p in posted if t == TAG_REPORT and isinstance(p, WorkerReport)]
@@ -264,7 +260,7 @@ class TestCarriedUpdate:
 
         def program(comm):
             if comm.rank == 1:  # the replacement incarnation's entry point
-                return _worker_respawned(comm, CFG, False, StreamFactory(CFG.seed))
+                return _worker_respawned(comm, CFG, StreamFactory(CFG.seed))
             # Nature's side: answer the hello, run one window, shut down.
             comm.recv(source=1, tag=TAG_HELLO, timeout=30)
             comm.send_reliable(FTRejoin(generation=gen, matrix=seeded), dest=1, tag=TAG_RECOVERY)
@@ -279,15 +275,13 @@ class TestCarriedUpdate:
         assert final.digest == _replica_digest(driver.population.matrix())
 
     @pytest.mark.chaos
-    @pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
     def test_new_owner_answers_a_fitness_rerequest_from_the_closed_generation(
-        self, records, oracle, eager
+        self, records, oracle
     ):
         """The teacher's owner dies at a PC generation whose predecessor
         changed the matrix: Nature's fitness comes from its own replica,
         which holds that change, exactly as the dead owner's replica did.  The
-        failure is seen at the end of the window that holds it, lazy run or
-        eager."""
+        failure is seen at the end of the window that holds it."""
         gen = _generation_after(
             records, lambda record: record.changed and records[record.generation].pc is not None
         )
@@ -295,7 +289,7 @@ class TestCarriedUpdate:
         owner = int(owner_map_with_failures(CFG.n_ssets, 4, ())[teacher])
         plan = FaultPlan(seed=1, events=(FaultEvent(kind="crash", rank=owner, generation=gen),))
         result = ParallelSimulation(
-            CFG, 4, eager, fault_plan=plan, heartbeat_timeout=2.0
+            CFG, 4, eager_games=True, fault_plan=plan, heartbeat_timeout=2.0
         ).run(timeout=120)
         assert np.array_equal(result.matrix, oracle)
         end = _window_of(gen, CFG.generations)
@@ -307,15 +301,12 @@ class TestDeadOwners:
     """A PC owner that dies mid-generation owes nothing: the fitness is a
     function of Nature's own replica (the matrix the workers play, and
     ``(gen, sset)``), which Nature decides on, so the run goes on without
-    asking anyone.  Each case runs lazy and eager: an eager owner plays its
+    asking anyone.  Only an eager run has workers: an owner plays its
     slates and dies with them unreported."""
 
     @pytest.mark.procexec
     @pytest.mark.recovery
-    @pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
-    def test_sole_worker_crashing_at_a_pc_generation_is_healed(
-        self, records, oracle, eager, tmp_path
-    ):
+    def test_sole_worker_crashing_at_a_pc_generation_is_healed(self, records, oracle, tmp_path):
         """No live worker is left, so Nature holds the next window boundary
         for the replacement's hello however fast the run goes; a checkpoint
         every EVERY generations keeps the crash out of the last window."""
@@ -324,19 +315,15 @@ class TestDeadOwners:
         assert end < CFG.generations
         plan = FaultPlan(seed=1, events=(FaultEvent(kind="crash", rank=1, generation=gen),))
         result = ParallelSimulation(
-            CFG, 2, eager, fault_plan=plan, backend="process", on_rank_failure="respawn",
+            CFG, 2, eager_games=True, fault_plan=plan, backend="process", on_rank_failure="respawn",
             heartbeat_timeout=1.0, checkpoint_dir=tmp_path, checkpoint_every=EVERY,
         ).run(timeout=120)
         assert np.array_equal(result.matrix, oracle)
         assert [(d.rank, d.generation) for d in result.degradations] == [(1, end)]
         assert [(r.rank, r.generation) for r in result.recoveries] == [(1, end)]
 
-    @pytest.mark.parametrize(
-        "dead, eager",
-        [("teacher", False), ("both", False), ("teacher", True), ("both", True)],
-        ids=["teacher", "both", "teacher-eager", "both-eager"],
-    )
-    def test_nature_computes_what_dead_owners_owed(self, records, oracle, dead, eager):
+    @pytest.mark.parametrize("dead", ["teacher", "both"], ids=["teacher-eager", "both-eager"])
+    def test_nature_computes_what_dead_owners_owed(self, records, oracle, dead):
         owners = owner_map_with_failures(CFG.n_ssets, 4, ())
         gen = _pc_generation(
             records, 3, lambda record: owners[record.pc.teacher] != owners[record.pc.learner]
@@ -347,7 +334,7 @@ class TestDeadOwners:
             seed=1, events=tuple(FaultEvent(kind="crash", rank=r, generation=gen) for r in ranks)
         )
         result = ParallelSimulation(
-            CFG, 4, eager, fault_plan=plan, heartbeat_timeout=2.0
+            CFG, 4, eager_games=True, fault_plan=plan, heartbeat_timeout=2.0
         ).run(timeout=120)
         assert np.array_equal(result.matrix, oracle)
         end = _window_of(gen, CFG.generations)
@@ -362,7 +349,8 @@ class TestFaults:
     generation, so that every window is one generation.  Until the fault
     fires Nature's sends are frames only — frame g to worker w, which carries
     generation g's events, is its send 2(g-1) + (w-1) — and worker w's send
-    g-1 is its report of generation g."""
+    2(g-1) is the ack it settles before playing generation g, and its send
+    2(g-1) + 1 its report of generation g."""
 
     @pytest.fixture(autouse=True)
     def _checkpoints(self, tmp_path):
@@ -371,7 +359,7 @@ class TestFaults:
     def _run(self, *events):
         plan = FaultPlan(seed=9, events=tuple(events))
         return ParallelSimulation(
-            CFG, 3, fault_plan=plan, heartbeat_timeout=5.0,
+            CFG, 3, eager_games=True, fault_plan=plan, heartbeat_timeout=5.0,
             checkpoint_dir=self.directory, checkpoint_every=1,
         ).run(timeout=120)
 
@@ -384,7 +372,7 @@ class TestFaults:
         assert result.failed_ranks == ()
 
     def test_dropped_report(self, oracle):
-        result = self._run(FaultEvent(kind="drop", rank=1, op_index=5))
+        result = self._run(FaultEvent(kind="drop", rank=1, op_index=11))
         assert np.array_equal(result.matrix, oracle)
         assert _calls(result, "fault_drop") == 1
         assert _calls(result, "reliable_retry") >= 1
@@ -393,7 +381,7 @@ class TestFaults:
     def test_duplicated_frame_and_report(self, oracle):
         result = self._run(
             FaultEvent(kind="duplicate", rank=0, op_index=8),
-            FaultEvent(kind="duplicate", rank=2, op_index=11),
+            FaultEvent(kind="duplicate", rank=2, op_index=23),
         )
         assert np.array_equal(result.matrix, oracle)
         assert _calls(result, "fault_duplicate") == 2
@@ -402,7 +390,7 @@ class TestFaults:
     def test_corrupted_frame_and_report(self, oracle):
         result = self._run(
             FaultEvent(kind="corrupt", rank=0, op_index=8),
-            FaultEvent(kind="corrupt", rank=2, op_index=20),
+            FaultEvent(kind="corrupt", rank=2, op_index=41),
         )
         assert np.array_equal(result.matrix, oracle)
         assert _calls(result, "reliable_corrupt") >= 2
@@ -416,8 +404,11 @@ class TestFaults:
             seed=2,
             events=tuple(FaultEvent(kind="hang", rank=r, generation=10) for r in (1, 2)),
         )
+        # Nature's deadline is per generation of the window, and CFG's run
+        # is one window: hb for all of it.
         result = ParallelSimulation(
-            CFG, 4, fault_plan=plan, heartbeat_timeout=hb, trace=True
+            CFG, 4, eager_games=True, fault_plan=plan, heartbeat_timeout=hb / CFG.generations,
+            trace=True,
         ).run(timeout=120)
         end = _window_of(10, CFG.generations)
         assert np.array_equal(result.matrix, oracle)
@@ -441,7 +432,8 @@ class TestWindows:
         )
         serial = EvolutionDriver(cfg).run()
         result = ParallelSimulation(
-            cfg, 3, backend=backend, checkpoint_dir=tmp_path, checkpoint_every=100
+            cfg, 3, eager_games=True, backend=backend, checkpoint_dir=tmp_path,
+            checkpoint_every=100,
         ).run(timeout=300)
         assert np.array_equal(result.matrix, serial.population.matrix())
         assert (result.n_pc_events, result.n_adoptions, result.n_mutations) == (
@@ -467,9 +459,10 @@ class TestWindows:
         the end of the window that holds it."""
         cfg = SimulationConfig(n_ssets=8, generations=_WINDOW_CAP + 44, seed=3)
         plan = FaultPlan(seed=39, crash_p=0.002, hang_p=0.001)
-        result = ParallelSimulation(cfg, 5, fault_plan=plan, heartbeat_timeout=1.0).run(
-            timeout=120
-        )
+        # Per generation of the window: two seconds for a full one.
+        result = ParallelSimulation(
+            cfg, 5, eager_games=True, fault_plan=plan, heartbeat_timeout=2.0 / _WINDOW_CAP
+        ).run(timeout=120)
         assert result.fault_events == (
             FaultRecord(kind="crash", rank=1, generation=286),
             FaultRecord(kind="hang", rank=2, generation=254),
@@ -483,7 +476,7 @@ class TestWindows:
 
     def test_a_traced_lazy_star_spans_each_generation_and_heartbeats_each_window(self):
         cfg = SimulationConfig(n_ssets=8, generations=_WINDOW_CAP + 20, seed=3)
-        result = ParallelSimulation(cfg, 3, trace=True).run(timeout=120)
+        result = ParallelSimulation(cfg, 3, eager_games=True, trace=True).run(timeout=120)
         spans = [e for e in result.trace.events() if e.ph == "X"]
         for rank in range(3):
             gens = sorted(e.args["gen"] for e in spans if e.name == "generation" and e.rank == rank)

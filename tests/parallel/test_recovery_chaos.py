@@ -12,10 +12,12 @@ The three recovery layers under *real* damage:
 * **Resume determinism**: interrupted-at-k + resumed equals uninterrupted,
   under a non-trivial fault plan, across backends and transports.
 
-Heal latency is wall-clock (drain grace, heartbeat timeouts), so the respawn
-runs use a sole worker: with no live worker left, Nature holds the next
-window boundary until the replacement's hello arrives, however fast the run
-goes, and each fault sits in a window before the run's last.  Assertions
+Heal latency is wall-clock (drain grace, heartbeat timeouts), so most
+respawn runs use a sole worker: with no live worker left, Nature holds the
+next window boundary until the replacement's hello arrives, however fast the
+run goes, and each fault sits in a window before the run's last.  The one
+P = 3 heal gives the hello many window boundaries instead.  Only an eager
+run launches workers, so every run here that kills one is eager.  Assertions
 stick to wall-clock-independent facts: the final matrix and the healed-rank
 set, never the generation a recovery landed on.
 """
@@ -59,14 +61,16 @@ class TestRespawnHealing:
     #: Three windows (256, 512, 600): generation 10's is not the last.
     config = SimulationConfig(n_ssets=8, generations=600, seed=11)
 
-    def _run(self, plan: FaultPlan):
+    def _run(self, plan: FaultPlan, **kwargs):
         return ParallelSimulation(
             self.config,
             n_ranks=2,
+            eager_games=True,
             fault_plan=plan,
             backend="process",
             on_rank_failure="respawn",
             heartbeat_timeout=2.0,
+            **kwargs,
         ).run(timeout=300)
 
     def test_crashed_worker_is_healed_bit_exactly(self):
@@ -87,17 +91,46 @@ class TestRespawnHealing:
         assert replay.failed_ranks == ()
         assert np.array_equal(replay.matrix, result.matrix)
 
-    def test_hung_worker_is_terminated_and_healed(self):
+    def test_hung_worker_is_terminated_and_healed(self, tmp_path):
         # Nature waits out the heartbeat timeout in the window holding
         # generation 10, then the launcher gives the silent rank a wall-clock
         # grace (hostexec._RESPAWN_HANG_GRACE, 1 s) before starting its
         # replacement; Nature holds the next window boundary a heartbeat for
-        # the replacement's hello.
+        # the replacement's hello.  The timeout is per generation of a window,
+        # so a checkpoint every generation keeps the wait one heartbeat.
         plan = FaultPlan(seed=6, events=(FaultEvent(kind="hang", rank=1, generation=10),))
-        result = self._run(plan)
+        result = self._run(plan, checkpoint_dir=tmp_path, checkpoint_every=1)
         assert result.failed_ranks == ()
         assert {e.rank for e in result.recoveries} == {1}
         assert np.array_equal(result.matrix, _serial_matrix(self.config))
+
+
+@pytest.mark.procexec
+class TestRespawnHealingBesideASurvivor:
+    """A heal at P = 3, where another worker stays alive throughout."""
+
+    def test_crashed_rank_of_three_takes_its_ssets_back(self, tmp_path):
+        """Rank 1 plays on while rank 2 is dead, so Nature does not hold a
+        boundary for the replacement; a checkpoint every 50 generations gives
+        its hello eleven window boundaries to land on.  The SSets the
+        survivor took over are exactly the ones handed back."""
+        config = SimulationConfig(n_ssets=9, generations=600, seed=11)
+        plan = FaultPlan(seed=5, events=(FaultEvent(kind="crash", rank=2, generation=10),))
+        result = ParallelSimulation(
+            config,
+            n_ranks=3,
+            eager_games=True,
+            fault_plan=plan,
+            backend="process",
+            on_rank_failure="respawn",
+            heartbeat_timeout=2.0,
+            checkpoint_dir=tmp_path,
+            checkpoint_every=50,
+        ).run(timeout=300)
+        assert np.array_equal(result.matrix, _serial_matrix(config))
+        assert [d.rank for d in result.degradations] == [2]
+        assert [r.rank for r in result.recoveries] == [2]
+        assert result.recoveries[0].restored_ssets == result.degradations[0].reassigned_ssets
 
 
 _KILL_MID_CHECKPOINT_CHILD = """
@@ -184,6 +217,7 @@ class TestKilledHost:
         out = SupervisedRun(
             self.config,
             3,
+            eager_games=True,
             checkpoint_dir=tmp_path,
             checkpoint_every=50,
             backend=backend,
@@ -220,6 +254,7 @@ class TestResumeDeterminism:
         first = ParallelSimulation(
             self.config,
             n_ranks=4,
+            eager_games=True,
             fault_plan=plan,
             checkpoint_dir=tmp_path,
             checkpoint_every=15,
@@ -230,8 +265,8 @@ class TestResumeDeterminism:
             first.run(timeout=300)
         assert load_parallel_checkpoint(latest_valid_parallel_checkpoint(tmp_path)).generation == 30
 
-        resumed = ParallelSimulation.resume(tmp_path, n_ranks=4, backend=backend).run(
-            timeout=300
-        )
+        resumed = ParallelSimulation.resume(
+            tmp_path, n_ranks=4, eager_games=True, backend=backend
+        ).run(timeout=300)
         assert resumed.generation == self.config.generations
         assert np.array_equal(resumed.matrix, _serial_matrix(self.config))

@@ -106,7 +106,7 @@ class TestCommunicationPattern:
     @pytest.mark.parametrize("backend", HOST_BACKENDS)
     def test_message_counts_match_protocol_on_host_backends(self, backend):
         cfg = SimulationConfig(memory=1, n_ssets=6, generations=40, seed=2)
-        par = assert_traffic_is_the_protocol(cfg, 3, backend)
+        par = assert_traffic_is_the_protocol(cfg, 3, backend, eager_games=True)
         assert par.counters["heartbeat"].calls == 2  # one window, however many PCs
         assert par.n_pc_events > 0
 
@@ -125,7 +125,7 @@ class TestCommunicationPattern:
         cfg = SimulationConfig(
             memory=1, n_ssets=6, generations=2 * _WINDOW_CAP + 10, seed=2, pc_rate=0.0
         )
-        par = assert_traffic_is_the_protocol(cfg, 3, backend)
+        par = assert_traffic_is_the_protocol(cfg, 3, backend, eager_games=True)
         assert par.counters["heartbeat"].calls == 3 * 2
         assert par.n_pc_events == 0 and par.n_mutations > 0
 
@@ -137,10 +137,28 @@ class TestValidation:
 
     def test_result_fields(self):
         cfg = SimulationConfig(memory=1, n_ssets=6, generations=10, seed=1)
-        par = ParallelSimulation(cfg, n_ranks=2).run()
+        par = ParallelSimulation(cfg, n_ranks=2, eager_games=True).run()
         assert par.generation == 10
         assert par.n_ranks == 2
         assert par.matrix.shape == (6, 4)
+
+    @pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
+    @pytest.mark.parametrize(
+        "world, match",
+        [
+            ({"n_ranks": 1025}, r"n_ranks must be in \[1, 1024\], got 1025"),
+            ({"n_ranks": 300, "backend": "process"}, r"n_ranks must be in \[1, 256\], got 300"),
+            ({"n_ranks": 3, "backend": "tcp", "n_hosts": 17}, r"n_hosts must be in \[1, 16\]"),
+            ({"n_ranks": 3, "max_respawns": -1}, r"max_respawns must be >= 0, got -1"),
+        ],
+        ids=["thread-ranks", "process-ranks", "tcp-hosts", "respawns"],
+    )
+    def test_a_world_run_spmd_rejects_fails_at_construction(
+        self, small_config, world, match, eager
+    ):
+        """A lazy run launches no workers, yet rejects the worlds an eager one does."""
+        with pytest.raises(MPIError, match=match):
+            ParallelSimulation(small_config, eager_games=eager, **world)
 
     @pytest.mark.parametrize("value", [0, -1.5])
     def test_heartbeat_timeout_must_be_positive(self, small_config, value):

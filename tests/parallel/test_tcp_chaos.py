@@ -29,7 +29,7 @@ def reference_matrix(memory3_config):
 
 def test_tcp_matches_thread_reference(memory3_config, reference_matrix):
     result = ParallelSimulation(
-        memory3_config, n_ranks=3, backend="tcp", n_hosts=2
+        memory3_config, n_ranks=3, eager_games=True, backend="tcp", n_hosts=2
     ).run()
     assert np.array_equal(result.matrix, reference_matrix)
 
@@ -53,6 +53,7 @@ def test_partition_reset_crash_bit_identical(memory3_config, reference_matrix, t
     result = ParallelSimulation(
         memory3_config,
         n_ranks=2,
+        eager_games=True,
         backend="tcp",
         n_hosts=2,
         fault_plan=plan,
@@ -85,6 +86,7 @@ def test_same_seed_same_network_schedule(memory3_config, tmp_path):
         return ParallelSimulation(
             memory3_config,
             n_ranks=3,
+            eager_games=True,
             backend="tcp",
             n_hosts=2,
             fault_plan=plan,

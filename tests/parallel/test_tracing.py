@@ -1,6 +1,6 @@
 """Integration tests: traced parallel runs export valid, useful traces.
 
-The acceptance path of the observability subsystem: an 8-rank
+The acceptance path of the observability subsystem: an 8-rank eager
 :class:`~repro.parallel.runner.ParallelSimulation` run with ``trace=True``
 must yield a Perfetto-loadable Chrome trace with one named track per rank,
 generation-phase spans, and paired message-flow events — and tracing must
@@ -27,7 +27,7 @@ CFG = SimulationConfig(n_ssets=8, generations=6, seed=17)
 
 @pytest.fixture(scope="module")
 def traced_result():
-    sim = ParallelSimulation(CFG, n_ranks=8, trace=True)
+    sim = ParallelSimulation(CFG, n_ranks=8, eager_games=True, trace=True)
     return sim.run()
 
 
@@ -86,7 +86,7 @@ class TestTracedRun:
 
 class TestDeterminism:
     def test_traced_and_untraced_runs_identical(self, traced_result):
-        untraced = ParallelSimulation(CFG, n_ranks=8, trace=False).run()
+        untraced = ParallelSimulation(CFG, n_ranks=8, eager_games=True, trace=False).run()
         assert untraced.trace is None
         assert np.array_equal(traced_result.matrix, untraced.matrix)
         assert traced_result.n_pc_events == untraced.n_pc_events
@@ -102,13 +102,15 @@ class TestDeterminism:
         res = ParallelSimulation(CFG, n_ranks=2, trace=tr).run()
         assert res.trace is tr
         assert len(tr) > 0
+        # A lazy run is a world of one: Nature's track, no empty worker track.
+        assert tr.rank_names() == {0: "nature (rank 0)"}
 
 
 class TestFaultTolerantTracing:
     def test_degradation_and_ft_phases_appear(self):
         cfg = SimulationConfig(n_ssets=8, generations=30, seed=11)
         plan = FaultPlan(seed=5, events=(FaultEvent(kind="crash", rank=2, generation=10),))
-        sim = ParallelSimulation(cfg, n_ranks=4, fault_plan=plan, trace=True)
+        sim = ParallelSimulation(cfg, n_ranks=4, eager_games=True, fault_plan=plan, trace=True)
         res = sim.run()
         assert res.failed_ranks == (2,)
         events = res.trace.events()
@@ -122,7 +124,7 @@ class TestFaultTolerantTracing:
 
     def test_reliable_spans_in_ft_mode(self):
         cfg = SimulationConfig(n_ssets=4, generations=5, seed=2)
-        res = ParallelSimulation(cfg, n_ranks=2, trace=True).run()
+        res = ParallelSimulation(cfg, n_ranks=2, eager_games=True, trace=True).run()
         cats = {e.cat for e in res.trace.events()}
         assert "mpi.reliable" in cats
 

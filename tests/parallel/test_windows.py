@@ -1,13 +1,12 @@
 """The star's windows against the serial oracle.
 
 A frame closes every generation up to the cap, deciding its PC events on
-Nature's replica on the way, lazy run or eager.  A window costs each worker
-one heartbeat.  The corner cases are where a window is shortest, longest or
-last: a PC every generation, a PC on a cap boundary, no PC at all, a PC on
-the final generation, a one-generation run — and eager play, whose slates
-must still see the population one generation at a time.
-A lazy, untraced, fault-free worker replays only the generations that had
-events.
+Nature's replica on the way.  A window costs each worker one heartbeat.
+The corner cases are where a window is shortest, longest or last: a PC
+every generation, a PC on a cap boundary, no PC at all, a PC on the final
+generation, a one-generation run — and eager play, whose slates must still
+see the population one generation at a time.  Only an eager run has
+workers, so the runs that count a worker's heartbeats are eager.
 """
 
 import time
@@ -62,7 +61,7 @@ class TestWindowEdges:
         cfg = SimulationConfig(
             memory=1, n_ssets=6, generations=50, seed=4, pc_rate=0.0, mutation_rate=0.3
         )
-        par = assert_matches_serial(cfg, 3, backend)
+        par = assert_matches_serial(cfg, 3, backend, eager_games=True)
         assert par.counters["heartbeat"].calls == 1 * 2  # one window
 
     def test_pc_on_the_final_generation_closes_in_the_last_frame(self, backend):
@@ -88,14 +87,14 @@ class TestWindowEdges:
 
 @pytest.mark.parametrize("backend", [*BACKENDS, pytest.param("tcp", marks=pytest.mark.tcp)])
 def test_a_lazy_run_with_a_pc_every_generation_fills_its_windows_to_the_cap(backend):
-    """Lazy: Nature decides every PC itself, so only the cap cuts a window —
-    here right after a PC on each cap boundary."""
+    """Nature decides every PC itself, so only the cap cuts a window — here
+    right after a PC on each cap boundary."""
     cfg = SimulationConfig(
         memory=1, n_ssets=6, generations=2 * runner._WINDOW_CAP + 10, seed=4, pc_rate=1.0
     )
     records = serial(cfg)[1]
     assert all(records[k * runner._WINDOW_CAP - 1].pc is not None for k in (1, 2))
-    par = assert_matches_serial(cfg, 3, backend)
+    par = assert_matches_serial(cfg, 3, backend, eager_games=True)
     assert par.n_pc_events == cfg.generations
     assert par.counters["heartbeat"].calls == 3 * 2  # three windows, two workers
 
@@ -113,28 +112,11 @@ def test_a_names_only_tap_still_reads_every_generation():
 
 
 class TestSparseReplay:
-    """Only slates, trace spans and armed fault points are per generation:
-    without them a worker visits just the generations that had events."""
+    """Every worker visits every generation of a window, events or not, so an
+    armed fault point fires on a quiet one."""
 
     CFG = SimulationConfig(memory=1, n_ssets=6, generations=60, seed=4)
-    EVERY = 20  # checkpoints cut the lazy run into three windows
-
-    def test_an_untraced_lazy_worker_closes_only_the_generations_with_events(
-        self, monkeypatch, tmp_path
-    ):
-        busy = [r.generation for r in serial(self.CFG)[1] if r.pc or r.mutation]
-        assert 0 < len(busy) < self.CFG.generations
-        closed, close = [], runner._Replica.close
-
-        def counting(replica, gen, events):
-            closed.append((replica.rank, gen))
-            return close(replica, gen, events)
-
-        monkeypatch.setattr(runner._Replica, "close", counting)
-        assert_matches_serial(
-            self.CFG, 3, "thread", checkpoint_dir=tmp_path, checkpoint_every=self.EVERY
-        )
-        assert sorted(closed) == [(rank, g) for rank in (1, 2) for g in busy]
+    EVERY = 20  # checkpoints cut the run into three windows
 
     def test_an_armed_crash_fires_on_a_generation_without_events(self, tmp_path):
         """The worker dies at its fault point though no event names that
@@ -143,7 +125,7 @@ class TestSparseReplay:
         quiet = next(r.generation for r in records[25:] if not (r.pc or r.mutation))
         plan = FaultPlan(seed=1, events=(FaultEvent(kind="crash", rank=2, generation=quiet),))
         par = assert_matches_serial(
-            self.CFG, 3, "thread", fault_plan=plan, heartbeat_timeout=2.0,
+            self.CFG, 3, "thread", eager_games=True, fault_plan=plan, heartbeat_timeout=2.0,
             checkpoint_dir=tmp_path, checkpoint_every=self.EVERY,
         )
         assert par.fault_events == (FaultRecord(kind="crash", rank=2, generation=quiet),)

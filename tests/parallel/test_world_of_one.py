@@ -1,8 +1,9 @@
 """A world of one: Nature alone, the same program with nobody to tell.
 
-At ``n_ranks=1`` Nature drafts every window, settles every PC on its own
-replica and writes the checkpoints.  The run must be the serial driver's,
-checkpoint by checkpoint, and its files must resume in any world.
+In a world of one — ``n_ranks=1``, or any lazy run — Nature drafts every
+window, settles every PC on its own replica and writes the checkpoints.  The
+run must be the serial driver's, checkpoint by checkpoint, and its files must
+resume in any world.
 """
 
 import numpy as np
@@ -43,23 +44,34 @@ def _assert_same_state(state, expected) -> None:
     assert state.nature_rng_state == expected.nature_rng_state
 
 
-@pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
+@pytest.mark.parametrize(
+    "eager, n_ranks",
+    [(False, 1), (True, 1), (False, 3), (True, 3)],
+    ids=["lazy", "eager", "lazy-asked-3", "eager-3"],
+)
 @pytest.mark.parametrize(
     "backend",
     ["thread", pytest.param("process", marks=pytest.mark.procexec),
      pytest.param("tcp", marks=pytest.mark.tcp)],
 )
-def test_a_world_of_one_is_the_serial_driver(tmp_path, backend, eager):
+def test_a_world_of_one_is_the_serial_driver(tmp_path, backend, eager, n_ranks):
+    """Asked for 3 ranks, a lazy run is still a world of one: no worker
+    starts, nothing is sent and nobody is respawned, on any backend."""
     states = _serial_states()
     result = ParallelSimulation(
-        CFG, 1, eager, backend=backend, checkpoint_dir=tmp_path, checkpoint_every=EVERY
+        CFG, n_ranks, eager, backend=backend, checkpoint_dir=tmp_path, checkpoint_every=EVERY
     ).run(timeout=120)
     end = states[-1]
     assert np.array_equal(result.matrix, end.matrix)
     assert (result.n_pc_events, result.n_adoptions, result.n_mutations) == (
         end.n_pc_events, end.n_adoptions, end.n_mutations
     )
-    assert result.games_played_per_rank == (0,)  # no worker: nobody plays a slate
+    if eager and n_ranks > 1:
+        assert result.n_ranks == n_ranks and result.games_played_per_rank[0] == 0
+    else:
+        assert result.games_played_per_rank == (0,)  # no worker: nobody plays a slate
+        assert result.n_ranks == 1 and result.respawns == ()
+        assert "send" not in result.counters
     written = [load_parallel_checkpoint(path) for path in result.checkpoints]
     assert [state.generation for state in written] == [20, 40, 60]
     for state, expected in zip(written, states):

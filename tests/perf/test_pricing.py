@@ -50,9 +50,9 @@ class TestRealRunPricing:
     def test_parallel_run_traffic_prices_to_sane_magnitude(self):
         """Price an actual run's counters: the communication of each worker's
         frame and report on BG/L's torus must land between a microsecond and
-        a millisecond (a lazy run sends nothing per generation)."""
+        a millisecond (a run sends nothing per generation)."""
         cfg = SimulationConfig(memory=1, n_ssets=12, generations=100, seed=2, rounds=10)
-        result = ParallelSimulation(cfg, n_ranks=4).run()
+        result = ParallelSimulation(cfg, n_ranks=4, eager_games=True).run()
         priced = price_counters(result.counters, bluegene_l(), 4)
         per_frame = priced.total_seconds / result.counters["heartbeat"].calls
         assert 1e-6 < per_frame < 1e-3
@@ -62,8 +62,8 @@ class TestRealRunPricing:
             memory=1, n_ssets=8, generations=80, seed=2, rounds=10, pc_rate=0.0
         )
         busy = base.with_updates(pc_rate=1.0)
-        quiet_run = ParallelSimulation(base, n_ranks=4).run()
-        busy_run = ParallelSimulation(busy, n_ranks=4).run()
+        quiet_run = ParallelSimulation(base, n_ranks=4, eager_games=True).run()
+        busy_run = ParallelSimulation(busy, n_ranks=4, eager_games=True).run()
         machine = bluegene_l()
         assert (
             price_counters(busy_run.counters, machine, 4).total_seconds
