@@ -14,9 +14,9 @@ population dynamics.  Execution errors fold in exactly: a move intended
 with defection probability p is executed as defection with probability
 ``p(1-ε) + (1-p)ε``.
 
-Cost is Θ(rounds x G x 4**n); it is the right tool for memory ≤ 3 and
-small batches, while sampled play (:mod:`repro.game.vector_engine`) covers
-the rest.
+Cost is Θ(rounds x G x 4**n), a round being a reshape and three array
+additions (no scatter); it is the right tool for memory ≤ 3 and batches of
+a few thousand pairs, while sampled play covers the rest.
 """
 
 from __future__ import annotations
@@ -40,6 +40,19 @@ def effective_defect_probs(table: np.ndarray, noise: NoiseModel) -> np.ndarray:
         return probs
     eps = noise.rate
     return probs * (1.0 - 2.0 * eps) + eps
+
+
+def _push(flux: np.ndarray) -> np.ndarray:
+    """Next round's state distribution from the ``(..., S, 4)`` joint-move flux.
+
+    ``((s << 2) | m) & mask`` drops the top two bits of ``s``, so the flux
+    viewed as ``(..., prefix, S/4, m)`` sums over its four prefixes, left to
+    right: the order a scatter over increasing ``s`` adds them in.
+    """
+    *lead, n_states, _ = flux.shape
+    f = flux.reshape(*lead, 4, n_states // 4, 4)
+    summed = f[..., 0, :, :] + f[..., 1, :, :] + f[..., 2, :, :] + f[..., 3, :, :]
+    return summed.reshape(*lead, n_states)
 
 
 def expected_pair_payoffs(
@@ -76,8 +89,7 @@ def expected_pair_payoffs(
         empty = np.empty(0, dtype=np.float64)
         return empty, empty.copy()
 
-    states = np.arange(n_states)
-    opp_view = space.opponent_view_array(states)
+    opp_view = space.opponent_view_array(np.arange(n_states))
     # Per-pair, per-state defection probabilities for each player.
     p_a = mat[ia]                      # (G, n_states), A's view indexes directly
     p_b = mat[ib][:, opp_view]         # B sees the mirrored state
@@ -97,24 +109,15 @@ def expected_pair_payoffs(
     r_a = move_probs @ pay_a
     r_b = move_probs @ pay_b
 
-    # Successor state of (state s, joint move m): push from A's perspective.
-    succ = np.empty((n_states, 4), dtype=np.intp)
-    for m in range(4):
-        succ[:, m] = ((states << 2) | m) & space.mask
-
     dist = np.zeros((n_pairs, n_states), dtype=np.float64)
     dist[:, space.initial_state] = 1.0
     exp_a = np.zeros(n_pairs, dtype=np.float64)
     exp_b = np.zeros(n_pairs, dtype=np.float64)
 
-    flat_succ = succ.reshape(-1)  # (n_states * 4,)
     for _ in range(rounds):
         exp_a += np.einsum("gs,gs->g", dist, r_a)
         exp_b += np.einsum("gs,gs->g", dist, r_b)
-        flux = dist[:, :, None] * move_probs  # (G, n_states, 4)
-        new_dist = np.zeros_like(dist)
-        np.add.at(new_dist, (slice(None), flat_succ), flux.reshape(n_pairs, -1))
-        dist = new_dist
+        dist = _push(dist[:, :, None] * move_probs)
 
     return exp_a, exp_b
 
@@ -133,23 +136,16 @@ def stationary_cooperation(
     """
     mat = np.vstack([np.asarray(table_a, dtype=np.float64), np.asarray(table_b, dtype=np.float64)])
     mat = effective_defect_probs(as_table_matrix(space, mat).astype(np.float64), noise)
-    states = np.arange(space.n_states)
-    opp_view = space.opponent_view_array(states)
+    opp_view = space.opponent_view_array(np.arange(space.n_states))
     p_a = mat[0]
     p_b = mat[1][opp_view]
 
     q = np.stack([(1 - p_a) * (1 - p_b), (1 - p_a) * p_b, p_a * (1 - p_b), p_a * p_b], axis=1)
-    succ = np.empty((space.n_states, 4), dtype=np.intp)
-    for m in range(4):
-        succ[:, m] = ((states << 2) | m) & space.mask
 
     dist = np.zeros(space.n_states)
     dist[space.initial_state] = 1.0
     coop = 0.0
     for _ in range(rounds):
         coop += float(dist @ (1.0 - p_a))
-        flux = dist[:, None] * q
-        new_dist = np.zeros_like(dist)
-        np.add.at(new_dist, succ.reshape(-1), flux.reshape(-1))
-        dist = new_dist
+        dist = _push(dist[:, None] * q)
     return coop / rounds

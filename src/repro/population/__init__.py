@@ -11,11 +11,6 @@
 """
 
 from repro.population.dynamics import EvolutionDriver, RunResult
-from repro.population.exploration import (
-    SearchResult,
-    best_response_search,
-    random_restart_search,
-)
 from repro.population.fermi import fermi_probability, fermi_probability_array
 from repro.population.fitness import FitnessEvaluator
 from repro.population.fixation import (
@@ -43,9 +38,6 @@ from repro.population.sset import StrategySet
 __all__ = [
     "EvolutionDriver",
     "RunResult",
-    "SearchResult",
-    "best_response_search",
-    "random_restart_search",
     "fermi_probability",
     "fermi_probability_array",
     "FitnessEvaluator",

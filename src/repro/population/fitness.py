@@ -22,11 +22,15 @@ three modes resolved by
     sample identical games.
 
 The memo is the only pair cache a run has — the serial driver, every rank
-of the star and the service build one evaluator each.  An entry is keyed by
-slot and checked against both slots' allocation stamps, so it dies exactly
-when a slot is reused for another strategy; a query plays every missing pair
-of one row in a single engine call.  It needs no pruning: it never holds
-more than the square of the population's slot capacity.
+of the star and the service build one evaluator each.  It is one
+``(capacity, capacity)`` float64 array over the population's slots, NaN
+where a pair is unplayed, beside the stamp each slot's row and column were
+filled under: a query first wipes the row and column of every slot whose
+stamp moved (the slot was reused for another strategy), then plays the NaN
+columns of its row in a single engine call.  The array is allocated by the
+first memoised query, so sampled runs hold none; its size is fixed at
+``(n_ssets + 1)**2`` float64s — 200 MB at 5 000 SSets — however many
+pairs a run plays.
 """
 
 from __future__ import annotations
@@ -82,8 +86,10 @@ class FitnessEvaluator:
         self.engine = BatchEngine(
             config.space, payoff=config.payoff, rounds=config.rounds, noise=config.noise
         )
-        # Memoised rows: slot -> (row_stamp, {col_slot: (col_stamp, payoff_row_vs_col)})
-        self._rows: dict[int, tuple[int, dict[int, tuple[int, float]]]] = {}
+        # Pair memo: payoff of row slot vs column slot, NaN where unplayed,
+        # and the stamp each slot was filled under (both allocated lazily).
+        self._memo: np.ndarray | None = None
+        self._filled: np.ndarray | None = None
         self.pairs_computed = 0
         self.pair_lookups = 0
 
@@ -121,41 +127,29 @@ class FitnessEvaluator:
 
     def _row_payoffs(self, slot: int, cols: np.ndarray) -> np.ndarray:
         """Payoff of ``slot``'s strategy against each column slot (memoised)."""
-        pop = self.population
-        row_stamp = pop.slot_stamp(slot)
-        entry = self._rows.get(slot)
-        if entry is None or entry[0] != row_stamp:
-            entry = (row_stamp, {})
-            self._rows[slot] = entry
-        cache = entry[1]
-
-        out = np.empty(cols.size, dtype=np.float64)
-        missing: list[int] = []
-        missing_pos: list[int] = []
-        for pos, col in enumerate(cols):
-            col = int(col)
-            col_stamp = pop.slot_stamp(col)
-            hit = cache.get(col)
-            if hit is not None and hit[0] == col_stamp:
-                out[pos] = hit[1]
-                self.pair_lookups += 1
-            else:
-                missing.append(col)
-                missing_pos.append(pos)
-        if missing:
-            fa, fb = self._compute_pairs(slot, np.asarray(missing, dtype=np.intp))
-            for k, col in enumerate(missing):
-                col_stamp = pop.slot_stamp(col)
-                cache[col] = (col_stamp, float(fa[k]))
-                out[missing_pos[k]] = fa[k]
-                # Store the mirrored payoff for the opponent's row too.
-                rev = self._rows.get(col)
-                if rev is None or rev[0] != col_stamp:
-                    rev = (col_stamp, {})
-                    self._rows[col] = rev
-                rev[1][slot] = (pop.slot_stamp(slot), float(fb[k]))
-            self.pairs_computed += len(missing)
-        return out
+        stamps = self.population.slot_stamps()
+        if self._memo is None:
+            self._memo = np.full((stamps.size, stamps.size), np.nan)
+            self._filled = stamps.copy()
+        memo = self._memo
+        moved = np.flatnonzero(self._filled != stamps)
+        if moved.size:
+            memo[moved] = np.nan
+            memo[:, moved] = np.nan
+            self._filled[moved] = stamps[moved]
+        row = memo[slot, cols]
+        unplayed = np.isnan(row)
+        missing = cols[unplayed]
+        self.pair_lookups += cols.size - missing.size
+        if missing.size:
+            fa, fb = self._compute_pairs(slot, missing)
+            row[unplayed] = fa
+            memo[slot, missing] = fa
+            # The mirrored payoff fills the opponents' rows too, so a
+            # self-pair's entry ends as its mirror; this answer keeps ``fa``.
+            memo[missing, slot] = fb
+            self.pairs_computed += missing.size
+        return row
 
     def _compute_pairs(self, slot: int, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         tables = self.population.tables_view()
@@ -201,6 +195,6 @@ class FitnessEvaluator:
 
     def __repr__(self) -> str:
         return (
-            f"FitnessEvaluator(mode={self.mode}, rows={len(self._rows)},"
+            f"FitnessEvaluator(mode={self.mode},"
             f" pairs_computed={self.pairs_computed}, lookups={self.pair_lookups})"
         )

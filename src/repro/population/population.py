@@ -8,9 +8,13 @@ strategies currently held by other SSets at the given generation are kept in
 memory") and the key to fast fitness evaluation — pair fitness only needs
 computing per unique pair, not per SSet pair.
 
-Every mutation of the population bumps a version counter, and every slot
-carries an allocation stamp, so downstream caches (the pair-fitness matrix
-in :mod:`repro.population.fitness`) can invalidate precisely.
+The pool has ``n_ssets + 1`` slots, allocated once: at most ``n_ssets``
+strategies are live at rest, and :meth:`Population.set_strategy` interns
+the new table before it releases the old one.  The free list hands out
+the lowest slot first and a released slot next.  Every mutation of
+the population bumps a version counter, and every slot carries an
+allocation stamp, so downstream caches (the slot x slot pair memo in
+:mod:`repro.population.fitness`) can invalidate precisely.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ class Population:
             self._dtype = np.float64
 
         n = config.n_ssets
-        capacity = max(8, n)
+        capacity = n + 1
         self._tables = np.zeros((capacity, self.space.n_states), dtype=self._dtype)
         self._counts = np.zeros(capacity, dtype=np.int64)
         self._stamps = np.zeros(capacity, dtype=np.int64)
@@ -117,24 +121,11 @@ class Population:
 
     # -- slot management ----------------------------------------------------------
 
-    def _grow(self) -> None:
-        old_cap = self._tables.shape[0]
-        new_cap = old_cap * 2
-        tables = np.zeros((new_cap, self.space.n_states), dtype=self._dtype)
-        tables[:old_cap] = self._tables
-        self._tables = tables
-        self._counts = np.concatenate([self._counts, np.zeros(old_cap, dtype=np.int64)])
-        self._stamps = np.concatenate([self._stamps, np.zeros(old_cap, dtype=np.int64)])
-        self._digests.extend([None] * old_cap)
-        self._free.extend(range(new_cap - 1, old_cap - 1, -1))
-
     def _intern(self, table: np.ndarray) -> int:
         """Return the slot holding ``table``, allocating and refcounting as needed."""
         digest = strategy_row_digest(np.ascontiguousarray(table, dtype=self._dtype))
         slot = self._slot_by_digest.get(digest)
         if slot is None:
-            if not self._free:
-                self._grow()
             slot = self._free.pop()
             self._tables[slot] = table
             self._digests[slot] = digest
@@ -168,16 +159,22 @@ class Population:
 
     @property
     def capacity(self) -> int:
-        """Allocated unique-strategy slots (internal; grows on demand)."""
+        """Allocated unique-strategy slots: ``n_ssets + 1``, fixed for life."""
         return self._tables.shape[0]
 
     def slot_of(self, sset: int) -> int:
         """Unique-strategy slot currently assigned to ``sset``."""
         return int(self._assign[self._check_sset(sset)])
 
-    def slot_stamp(self, slot: int) -> int:
-        """Allocation stamp of a slot (0 when free); changes when reused."""
-        return int(self._stamps[slot])
+    def slot_stamps(self) -> np.ndarray:
+        """Read-only view of every slot's allocation stamp (0 when free).
+
+        A slot's stamp changes whenever the slot is reused for another
+        strategy; the view follows the population as it changes.
+        """
+        view = self._stamps.view()
+        view.flags.writeable = False
+        return view
 
     def slot_table(self, slot: int) -> np.ndarray:
         """Read-only view of a slot's strategy table."""

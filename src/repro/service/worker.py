@@ -105,8 +105,10 @@ def run_job(store_root: str, tenant: str, run_id: str) -> int:
     )
     # A thread world records into the tap directly, so the tap builds only
     # what the feed reads; process and tcp hosts trace for an enabled tracer
-    # only and ship their events back when the attempt ends.
-    names = PROGRESS_NAMES if spec.backend == "thread" else None
+    # only and ship their events back when the attempt ends.  A lazy run (or
+    # one of a single rank) is a thread world whatever its backend says.
+    hosted = spec.eager_games and spec.n_ranks > 1 and spec.backend != "thread"
+    names = None if hosted else PROGRESS_NAMES
     tap = EventTap([write], keep_events=False, names=names)
     store.append_event(
         key,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GameError
+from repro.game import markov
 from repro.game.engine import play_ipd
 from repro.game.markov import (
     effective_defect_probs,
@@ -102,3 +103,39 @@ class TestStationaryCooperation:
         sp = StateSpace(1)
         alld = named_strategy("ALLD").table.astype(float)
         assert stationary_cooperation(sp, alld, alld, rounds=50) == pytest.approx(0.0)
+
+
+class TestScatterFreeRound:
+    @pytest.mark.parametrize("noise", [NO_NOISE, NoiseModel(0.02)])
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    @pytest.mark.parametrize("memory", [1, 2, 3, 4])
+    def test_bit_equal_to_a_successor_table_scatter(self, memory, kind, noise, monkeypatch):
+        """A round's reshape-and-sum adds the four predecessors of each state
+        in the order ``np.add.at`` over the successor table adds them."""
+        sp = StateSpace(memory)
+        rng = np.random.default_rng(memory)
+        if kind == "pure":
+            mat = rng.integers(0, 2, size=(5, sp.n_states), dtype=np.uint8)
+        else:
+            mat = rng.random((5, sp.n_states))
+        ia, ib = (a.ravel() for a in np.meshgrid(np.arange(5), np.arange(5)))
+
+        def run():
+            pairs = expected_pair_payoffs(sp, mat, ia, ib, rounds=120, noise=noise)
+            coop = [stationary_cooperation(sp, mat[a], mat[b], rounds=120, noise=noise)
+                    for a, b in ((0, 1), (2, 2), (4, 3))]
+            return pairs, coop
+
+        def scatter(flux):
+            *lead, n_states, _ = flux.shape
+            succ = ((np.arange(n_states)[:, None] << 2) | np.arange(4)) & sp.mask
+            flat = flux.reshape(-1, n_states * 4)
+            out = np.zeros((flat.shape[0], n_states))
+            np.add.at(out, (slice(None), succ.reshape(-1)), flat)
+            return out.reshape(*lead, n_states)
+
+        (ea, eb), coop = run()
+        monkeypatch.setattr(markov, "_push", scatter)
+        (ref_a, ref_b), ref_coop = run()
+        assert np.array_equal(ea, ref_a) and np.array_equal(eb, ref_b)
+        assert coop == ref_coop

@@ -94,3 +94,33 @@ class TestNamesOnlyTapOnARealRun:
             ("pc_step", 0): serial.n_pc_events,
         }
         assert counts["full"] > sum(phases["full"].values())  # and the messages
+
+
+class TestServiceWorkerTap:
+    def test_a_lazy_job_on_a_host_backend_gets_the_names_only_tap(self, tmp_path, monkeypatch):
+        """A lazy run is a thread world of one whatever its backend says, so
+        the worker's tap builds only what the progress feed reads, and the
+        feed is the one a thread job writes."""
+        from repro.io.runstore import RunKey, RunStore
+        from repro.service import worker
+
+        built = []
+
+        class RecordingTap(EventTap):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(kwargs.get("names"))
+
+        monkeypatch.setattr(worker, "EventTap", RecordingTap)
+        store = RunStore(tmp_path / "runs")
+        config = SimulationConfig(memory=1, n_ssets=8, generations=40, seed=5)
+        progress = {}
+        for backend in ("thread", "process"):
+            key = RunKey("t", backend)
+            store.create_run(key, RunSpec(config=config, n_ranks=3, backend=backend))
+            assert worker.run_job(str(store.root), "t", backend) == 0
+            progress[backend] = [
+                e["generation"] for e in store.read_events(key) if e["type"] == "progress"
+            ]
+        assert built == [PROGRESS_NAMES, PROGRESS_NAMES]
+        assert progress["process"] == progress["thread"] == list(range(1, 41))

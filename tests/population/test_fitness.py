@@ -160,3 +160,37 @@ class TestConfigMismatch:
         other = small_config.with_updates(n_ssets=16)
         with pytest.raises(PopulationError):
             FitnessEvaluator(other, pop, StreamFactory(0))
+
+
+@pytest.mark.parametrize("n_ssets", [2, 7, 9])
+@pytest.mark.parametrize("mode", ["deterministic", "expected"])
+def test_memo_answers_what_a_fresh_evaluator_answers(mode, n_ssets):
+    """A seeded run of adoptions, mutations and queries: whatever slots were
+    reused and rows filled, the memo answers each query as an evaluator
+    built on the spot does.  Deterministic payoffs are integers, so the two
+    agree bit for bit.  An expected-mode entry may have been filled as the
+    mirrored payoff of a pair played from the other slot's row, which can
+    differ from the direct one in the last bits; a stale entry would be off
+    by a whole game, so a 1e-12 tolerance still catches every wrong one."""
+    cfg = SimulationConfig(memory=2, n_ssets=n_ssets, seed=n_ssets, rounds=60)
+    if mode == "expected":
+        cfg = cfg.with_updates(noise=NoiseModel(0.02), fitness_mode="expected")
+    streams = StreamFactory(cfg.seed)
+    pop = Population.random(cfg, streams.fresh("init"))
+    memo = FitnessEvaluator(cfg, pop, streams)
+    assert memo.mode == mode
+    rng = np.random.default_rng(n_ssets)
+    for step in range(120):
+        action = rng.integers(3)
+        if action == 0:
+            pop.adopt(int(rng.integers(n_ssets)), int(rng.integers(n_ssets)))
+        elif action == 1:
+            pop.set_strategy(int(rng.integers(n_ssets)), pop.random_strategy_table(rng))
+        else:
+            got = memo.all_fitness(step)
+            want = FitnessEvaluator(cfg, pop, streams).all_fitness(step)
+            if mode == "deterministic":
+                assert np.array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert memo.pair_lookups > 0

@@ -115,9 +115,9 @@ class TestDedup:
         pop = Population.uniform(config, named_strategy("ALLC"))
         # Give SSet 0 a new unique strategy, then overwrite it again.
         pop.set_strategy(0, np.array([1, 1, 1, 1], dtype=np.uint8))
-        stamp1 = pop.slot_stamp(pop.slot_of(0))
+        stamp1 = pop.slot_stamps()[pop.slot_of(0)]
         pop.set_strategy(0, np.array([0, 1, 1, 0], dtype=np.uint8))
-        stamp2 = pop.slot_stamp(pop.slot_of(0))
+        stamp2 = pop.slot_stamps()[pop.slot_of(0)]
         assert stamp1 != stamp2  # reuse is detectable by stamp
         assert pop.n_unique == 2
         pop.check_invariants()
@@ -130,6 +130,7 @@ class TestDedup:
             pop.set_strategy(int(rng.integers(4)), rng.integers(0, 2, 16, dtype=np.uint8))
             pop.check_invariants()
         assert pop.capacity >= pop.n_unique
+        assert pop.capacity == cfg.n_ssets + 1
 
 
 class TestQueries:
