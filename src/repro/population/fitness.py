@@ -27,8 +27,11 @@ of the star and the service build one evaluator each.  It is one
 where a pair is unplayed, beside the stamp each slot's row and column were
 filled under: a query first wipes the row and column of every slot whose
 stamp moved (the slot was reused for another strategy), then plays the NaN
-columns of its row in a single engine call.  The array is allocated by the
-first memoised query, so sampled runs hold none; its size is fixed at
+columns of all its rows together — the pairs one query per SSet would
+play, at most two rows' lanes per engine call, so a pairwise comparison
+is one call — and writes and sums row by row in the order asked.  The
+array is allocated by the first memoised query, so sampled runs hold none;
+its size is fixed at
 ``(n_ssets + 1)**2`` float64s — 200 MB at 5 000 SSets — however many
 pairs a run plays.
 """
@@ -104,7 +107,7 @@ class FitnessEvaluator:
         population returns the same sample: :meth:`play_slates` plays it.
         """
         if self.mode != "sampled":
-            return np.array([self._memoised_fitness(int(s)) for s in ssets])
+            return self._memoised_fitness(ssets)
         return self.play_slates(ssets, generation)
 
     def all_fitness(self, generation: int) -> np.ndarray:
@@ -113,21 +116,18 @@ class FitnessEvaluator:
 
     # -- memoised modes ----------------------------------------------------------
 
-    def _memoised_fitness(self, sset: int) -> float:
-        pop = self.population
-        slot = pop.slot_of(sset)
-        live = pop.live_slots()
-        row = self._row_payoffs(slot, live)
-        counts = pop.counts()[live].astype(np.float64)
-        total = float(row @ counts)
-        if not self.config.include_self_play:
-            self_idx = int(np.searchsorted(live, slot))
-            total -= float(row[self_idx])
-        return total
+    def _memoised_fitness(self, ssets: Sequence[int]) -> np.ndarray:
+        """Each SSet's weighted row sum, its unplayed pairs filled together.
 
-    def _row_payoffs(self, slot: int, cols: np.ndarray) -> np.ndarray:
-        """Payoff of ``slot``'s strategy against each column slot (memoised)."""
-        stamps = self.population.slot_stamps()
+        Rows are scheduled in request order: a row's NaN columns are marked
+        played (0.0) in both its row and their own, so a later row skips a
+        pair an earlier one plays, and a repeated slot skips its whole row —
+        the pairs one query per SSet would play.  Up to two rows' lanes
+        (``2 * capacity``) are played in one engine call, so a pairwise
+        comparison is one call.
+        """
+        pop = self.population
+        stamps = pop.slot_stamps()
         if self._memo is None:
             self._memo = np.full((stamps.size, stamps.size), np.nan)
             self._filled = stamps.copy()
@@ -137,34 +137,59 @@ class FitnessEvaluator:
             memo[moved] = np.nan
             memo[:, moved] = np.nan
             self._filled[moved] = stamps[moved]
-        row = memo[slot, cols]
-        unplayed = np.isnan(row)
-        missing = cols[unplayed]
-        self.pair_lookups += cols.size - missing.size
-        if missing.size:
-            fa, fb = self._compute_pairs(slot, missing)
-            row[unplayed] = fa
-            memo[slot, missing] = fa
-            # The mirrored payoff fills the opponents' rows too, so a
-            # self-pair's entry ends as its mirror; this answer keeps ``fa``.
-            memo[missing, slot] = fb
-            self.pairs_computed += missing.size
-        return row
+        slots = [pop.slot_of(int(s)) for s in ssets]  # an unknown SSet raises before any write
+        live = pop.live_slots()
+        counts = pop.counts()[live].astype(np.float64)
+        answers, rows, lanes = [], [], 0
+        try:
+            for slot in slots:
+                missing = live[np.isnan(memo[slot, live])]
+                self.pair_lookups += live.size - missing.size
+                if lanes + missing.size > 2 * stamps.size:
+                    answers += self._fill_rows(rows, lanes, live, counts)
+                    rows, lanes = [], 0
+                if missing.size:
+                    memo[slot, missing] = memo[missing, slot] = 0.0
+                rows.append((slot, missing))
+                lanes += missing.size
+            if rows:
+                answers += self._fill_rows(rows, lanes, live, counts)
+        except BaseException:
+            self._memo = None  # scheduled pairs may still read 0.0: start afresh
+            raise
+        return np.array(answers)
 
-    def _compute_pairs(self, slot: int, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _fill_rows(self, rows: list, lanes: int, live: np.ndarray, counts: np.ndarray) -> list:
+        """Play the rows' ``lanes`` scheduled pairs in one call; write and sum row by row."""
+        if lanes:
+            ia = np.repeat([slot for slot, _ in rows], [m.size for _, m in rows])
+            fa, fb = self._compute_pairs(ia, np.concatenate([m for _, m in rows]))
+            self.pairs_computed += lanes
+        memo, answers, lo = self._memo, [], 0
+        for slot, missing in rows:
+            hi = lo + missing.size
+            if hi > lo:
+                memo[slot, missing] = fa[lo:hi]
+            row = memo[slot, live]
+            total = float(row @ counts)
+            if not self.config.include_self_play:
+                total -= float(row[np.searchsorted(live, slot)])
+            # The mirrored payoff fills the opponents' rows after the answer is
+            # read, so a self-pair's entry ends as its mirror; the answer keeps ``fa``.
+            if hi > lo:
+                memo[missing, slot] = fb[lo:hi]
+            answers.append(total)
+            lo = hi
+        return answers
+
+    def _compute_pairs(self, ia: np.ndarray, ib: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         tables = self.population.tables_view()
-        ia = np.full(cols.size, slot, dtype=np.intp)
         if self.mode == "expected":
+            cfg = self.config
             return expected_pair_payoffs(
-                self.config.space,
-                tables,
-                ia,
-                cols,
-                payoff=self.config.payoff,
-                rounds=self.config.rounds,
-                noise=self.config.noise,
+                cfg.space, tables, ia, ib, payoff=cfg.payoff, rounds=cfg.rounds, noise=cfg.noise
             )
-        res = self.engine.play(tables, ia, cols)
+        res = self.engine.play(tables, ia, ib)
         return res.fitness_a, res.fitness_b
 
     # -- live play -------------------------------------------------------------------

@@ -193,3 +193,21 @@ def test_eager_workers_play_once_a_generation_and_nature_once_a_pc():
     calls = {rank: sum(e.rank == rank for e in kernel) for rank in range(3)}
     assert calls == {0: res.n_pc_events, 1: cfg.generations, 2: cfg.generations}
     assert {e.args["games"] for e in kernel if e.rank == 0} == {2 * cfg.opponents_per_sset}
+
+
+def test_lazy_nature_plays_at_most_one_kernel_call_a_pc():
+    """A lazy PC fills the teacher's and the learner's unplayed pairs in one
+    kernel call, and a PC whose pairs are all memoised makes none, so Nature
+    issues no more ``batch_engine.play`` spans than the run has PCs.  Half
+    the generations mutate, so most PCs find both rows with unplayed pairs
+    (one call per row would make about twice as many calls as PCs)."""
+    cfg = SimulationConfig(
+        memory=2, n_ssets=9, generations=40, seed=23, rounds=20, pc_rate=0.5, mutation_rate=0.5
+    )
+    res = ParallelSimulation(cfg, n_ranks=3, trace=True).run(timeout=120)
+    assert res.n_pc_events > 0
+    plays = [
+        e for e in res.trace.events()
+        if e.ph == "X" and e.name == "batch_engine.play" and e.rank == 0
+    ]
+    assert 0 < len(plays) <= res.n_pc_events

@@ -53,6 +53,25 @@ class TestDeterministicMode:
         # The mutated opponent's pair must be recomputed, nothing else.
         assert ev.pairs_computed == computed + 1
 
+    def test_a_failed_fill_leaves_no_unplayed_pair_marked_played(self, small_config, monkeypatch):
+        """A request marks its pairs played before the kernel runs; if an SSet
+        is unknown or the call raises, the next request still answers what a
+        fresh evaluator does."""
+        pop, ev, _ = make(small_config)
+        ev.fitness([0], generation=1)
+        with pytest.raises(PopulationError):
+            ev.fitness([1, small_config.n_ssets], generation=1)
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("kernel failed")
+
+        monkeypatch.setattr(ev.engine, "play", fail)
+        with pytest.raises(RuntimeError):
+            ev.all_fitness(generation=1)
+        monkeypatch.undo()
+        want = FitnessEvaluator(small_config, pop).all_fitness(generation=1)
+        assert np.array_equal(ev.all_fitness(generation=1), want)
+
     def test_mutated_opponent_changes_fitness(self):
         cfg = SimulationConfig(memory=1, n_ssets=3, seed=0)
         pop = Population.uniform(cfg, named_strategy("ALLC"))
@@ -194,3 +213,49 @@ def test_memo_answers_what_a_fresh_evaluator_answers(mode, n_ssets):
             else:
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     assert memo.pair_lookups > 0
+
+
+@pytest.mark.parametrize("include_self_play", [False, True])
+@pytest.mark.parametrize("n_ssets", [2, 7, 9])
+@pytest.mark.parametrize("mode", ["deterministic", "expected"])
+def test_a_request_fills_what_one_query_per_sset_fills(mode, n_ssets, include_self_play):
+    """A request's rows are filled together, yet it plays, stores and answers
+    exactly what one query per SSet plays, stores and answers: the same bits
+    in every memo entry (expected-mode mirrors included), the same counters.
+    Each step mutates or adopts and then asks for a pairwise comparison's two
+    SSets, so a freshly mutated learner's slot is among the teacher's
+    unplayed columns and an adopting learner shares the teacher's slot; now
+    and then a cold ``all_fitness`` fills a whole memo in two-row calls."""
+    cfg = SimulationConfig(
+        memory=2, n_ssets=n_ssets, seed=n_ssets, rounds=60, include_self_play=include_self_play
+    )
+    if mode == "expected":
+        cfg = cfg.with_updates(noise=NoiseModel(0.02), fitness_mode="expected")
+    pop = Population.random(cfg, StreamFactory(cfg.seed).fresh("init"))
+
+    def ask(together, alone, ssets, generation):
+        got = together.fitness(ssets, generation)
+        want = np.array([alone.fitness([s], generation)[0] for s in ssets])
+        assert np.array_equal(got, want)
+        assert np.array_equal(together._memo, alone._memo, equal_nan=True)
+        assert together.pairs_computed == alone.pairs_computed
+        assert together.pair_lookups == alone.pair_lookups
+
+    together, alone = FitnessEvaluator(cfg, pop), FitnessEvaluator(cfg, pop)
+    assert together.mode == mode
+    rng = np.random.default_rng(100 + n_ssets)
+    shared = unplayed = 0
+    for step in range(150):
+        teacher, learner = (int(s) for s in rng.integers(n_ssets, size=2))
+        action = rng.integers(4)
+        if action == 0:
+            pop.adopt(learner, teacher)
+        elif action == 1:
+            pop.set_strategy(learner, pop.random_strategy_table(rng))
+            unplayed += pop.slot_of(learner) != pop.slot_of(teacher)
+        elif action == 2:
+            cold = [FitnessEvaluator(cfg, pop) for _ in range(2)]
+            ask(*cold, range(n_ssets), step)
+        shared += pop.slot_of(learner) == pop.slot_of(teacher)
+        ask(together, alone, [teacher, learner], step)
+    assert shared and unplayed
