@@ -1,43 +1,34 @@
-"""Batched bit-packed generation kernel: a whole round-robin per call.
+"""Batched generation kernel: a whole round-robin per call.
 
 The paper's observation is that a generation of evolutionary IPD is pure
 table arithmetic: memory-*n* strategies are ``4**n`` lookup tables, so every
 matchup advances by the same O(1) state recurrence and a generation is
-nothing but gathers and index arithmetic.  :class:`BatchEngine` exploits
-that all the way down: strategy tables are bit-packed with
-:mod:`repro.game.bitpack` (one *move* per bit, 64 per machine word), each
-matchup occupies a uint64 *lane*, and all games of a batch advance together
-one round per fused array operation.
+nothing but gathers and index arithmetic.  :class:`BatchEngine` plays a pure
+call with integer payoffs (the paper's ``[3, 0, 4, 1]`` are) as exact
+integer move counts — defections, opponent defections, mutual defections —
+and applies the payoff matrix once at the end, on one of three paths:
 
-Compared to :class:`~repro.game.vector_engine.VectorEngine` (which gathers
-one **byte** per player per round out of a densely materialised
-``(n_games, 4**n)`` row matrix), the batch kernel
-
-* keeps the whole strategy matrix packed — 8x less memory traffic, and for
-  memory <= 3 an entire table fits in the game's single lane word, so the
-  per-round move read is a register shift with **no gather at all**;
-* accumulates integer-payoff fitness as exact integer move counts
-  (defections, opponent defections, mutual defections) and applies the
-  payoff matrix once at the end — the inner loop never touches a float.
+* **Path doubling**, a noise-free call of ``lanes * 4**n`` at most
+  ``_DOUBLING_CELLS``: each lane's one-round successor and counter tables
+  are squared ``log2(rounds)`` times, and the walk from state 0 takes one
+  jump per set bit of ``rounds``.
+* **The packed loop**, a wider noise-free call: strategy tables bit-packed
+  with :mod:`repro.game.bitpack`, one game per uint64 lane (for memory <= 3
+  the whole table fits in it, and a move read is a register shift), each
+  lane stopped at its first repeated joint state and its counters multiplied.
+* **The byte loop**, a noisy call: both seats of every game are one lane
+  array that gathers one byte per seat per round out of the unpacked matrix
+  and XORs in the round's flips; the moves are counted off the joint state
+  once every ``memory`` rounds.
 
 Identity contract, enforced by the parity suite
 (``tests/game/test_engine_parity.py``): the kernel returns exactly the
 payoffs of the scalar reference engine and of ``VectorEngine``, with and
-without noise, for memory one through six.
+without noise, for memory one through six, and leaves every generator in
+the same state.  Mixed (float) strategy matrices and non-integer payoffs
+take the inherited dense loop, which draws in the identical order.
 
-Mixed (float) strategy matrices have a per-state *probability*, not a bit,
-so they cannot be packed; :meth:`BatchEngine.play` plays them through the
-inherited dense vector path, drawing randomness in the identical order.
-
-A noise-free pure game with integer payoffs is a fixed walk over the
-``4**n`` joint states.  A narrow call (``lanes * 4**n`` at most
-``_DOUBLING_CELLS``) is summed by path doubling: each lane's one-round
-successor and counter tables are squared ``log2(rounds)`` times, and the
-walk from state 0 takes one jump per set bit of ``rounds``.  A wider call
-runs the round loop, which stops each lane at its first repeated joint
-state and multiplies the integer counters.
-
-See ``docs/kernels.md`` for the encoding, the exactness arguments, and the
+See ``docs/kernels.md`` for the encodings, the exactness arguments, and the
 ``game.*`` rows of ``python3 -m bench probe game``, which time the kernel.
 """
 
@@ -88,7 +79,7 @@ def pack_matrix(space: StateSpace, tables: np.ndarray) -> np.ndarray:
 
 
 class BatchEngine(VectorEngine):
-    """Plays batches of IPD games over a bit-packed strategy matrix.
+    """Plays batches of IPD games over one strategy matrix, packed or not.
 
     Drop-in replacement for :class:`~repro.game.vector_engine.VectorEngine`
     — same constructor, same :meth:`play`/:meth:`tournament` signatures and
@@ -102,14 +93,13 @@ class BatchEngine(VectorEngine):
 
     Notes
     -----
-    When every payoff-matrix entry is an integer (the paper's
-    ``[3, 0, 4, 1]`` is), per-game fitness is accumulated as three integer
-    move counters and resolved through the payoff matrix once at the end.
-    All partial sums on either path are then exactly representable
-    integers, so the result is *bit-identical* to the reference engines'
-    round-by-round float accumulation while keeping floats out of the
-    inner loop entirely.  Non-integer payoff matrices take a
-    round-by-round float path in the reference engines' exact order.
+    When every payoff-matrix entry is an integer, per-game fitness is
+    accumulated as three integer move counters and resolved through the
+    payoff matrix once at the end.  All partial sums are then exactly
+    representable integers, so the result is *bit-identical* to the
+    reference engines' round-by-round float accumulation while keeping
+    floats out of the inner loops entirely.  Non-integer payoff matrices
+    take the inherited dense loop, in the reference engines' exact order.
     """
 
     def __init__(
@@ -136,16 +126,19 @@ class BatchEngine(VectorEngine):
             # pay[a, b] == c0 + ca*a + cb*b + cab*a*b for a, b in {0, 1}.
             self._lin_mine = (p00, p10 - p00, p01 - p00, cross)
             self._lin_theirs = (p00, p01 - p00, p10 - p00, cross)
-        # Path doubling's per-engine constants (_walk_doubled), built once:
-        # B's view of each joint state, each state shifted a round on, and
-        # the packed counters each joint move adds.
+        # Path doubling and the byte loop read every move off A's view of the
+        # joint state, into counters packed ``Σa | Σb << w | Σab << 2w`` in
+        # one int64.  Their per-engine constants, built once: B's view of each
+        # joint state, each state shifted a round on, the packed counters each
+        # joint move adds, and those of the `memory` moves each state holds.
         width = self.rounds.bit_length()
-        self._doubling = self._int_payoffs and 3 * width < 64
-        if self._doubling:
+        self._counts_pack = self._int_payoffs and 3 * width < 64 and space.memory > 0
+        if self._counts_pack:
             states = np.arange(space.n_states)
             self._mirror = space.opponent_view_array(states)
             self._shifted = (states << 2) & space.mask
             self._adds = np.array([0, 1 << width, 1, 1 + (1 << width) + (1 << 2 * width)])
+            self._counts = sum(self._adds[states >> 2 * k & 3] for k in range(space.memory))
 
     # Constant: the frozen bench/meta.py reads it into its machine record;
     # a later `benchmark` issue removes the attribute together with that read.
@@ -154,24 +147,28 @@ class BatchEngine(VectorEngine):
     # -- kernel -------------------------------------------------------------
 
     def _kernel(self, mat: np.ndarray):
-        """Packed loop for pure matrices; mixed ones take the inherited dense loop.
+        """Pure integer-payoff calls: the packed loop without noise, the byte loop with.
 
-        Mixed strategies store a per-state probability, not a bit: nothing
-        to pack.  Results and RNG consumption are identical either way.
+        The rest take the inherited dense loop: a mixed strategy's per-state
+        probability is not a bit, non-integer payoffs are summed round by
+        round, and a noisy call whose counters do not pack (memory 0, or
+        ``2**21`` rounds and more) has no count table.  Results and draws
+        are identical on every path.
         """
-        if mat.dtype != np.uint8:
-            return super()._kernel(mat)
-        return "batch_engine.play", self._run_packed
+        if mat.dtype == np.uint8 and self._int_payoffs and not self.noise.rate:
+            return "batch_engine.play", self._run_packed
+        if mat.dtype == np.uint8 and self._counts_pack:
+            return "batch_engine.play", self._run_bytes
+        return super()._kernel(mat)
 
     def _run_packed(self, mat, ia, ib, bounds, rngs, record_cooperation):
-        """Bit-packed round loop: all games advance together per round.
+        """Noise-free bit-packed round loop: each lane stops at its first repeated state.
 
-        A narrow noise-free call with integer payoffs is walked by path doubling
-        instead, when its three counters pack into one int64.
+        A narrow call is walked by path doubling instead, when its three
+        counters pack into one int64.
         """
-        narrow = ia.size * self.space.n_states <= _DOUBLING_CELLS
-        if self._doubling and not self.noise.rate and narrow:
-            return self._counted(*self._walk_doubled(mat, ia, ib))
+        if self._counts_pack and ia.size * self.space.n_states <= _DOUBLING_CELLS:
+            return self._counted_packed(self._walk_doubled(mat, ia, ib))
         packed = pack_matrix(self.space, mat)
         n_games = ia.size
         n_words = packed.shape[1]
@@ -179,8 +176,6 @@ class BatchEngine(VectorEngine):
         one, two, six, low6, mask = (
             np.array(v, dtype=np.uint64) for v in (1, 2, 6, 63, self.space.mask)
         )
-        rate = self.noise.rate
-        int_path = self._int_payoffs
 
         state_a = np.zeros(n_games, dtype=np.uint64)
         state_b = np.zeros(n_games, dtype=np.uint64)
@@ -190,20 +185,14 @@ class BatchEngine(VectorEngine):
         counts = np.zeros((3, n_games), dtype=np.uint64)
         da, db, dab = counts
         live = np.ones(n_games, dtype=np.uint64)  # a move's low-bit mask; 0 freezes the lane
-        # With no noise a lane walks deterministically over joint states (state_a;
-        # state_b mirrors it) into a cycle: find it Brent-style, snapshots at rounds
+        # A lane walks deterministically over joint states (state_a; state_b
+        # mirrors it) into a cycle: find it Brent-style, snapshots at rounds
         # 1, 2, 4, ..., and multiply what remains (docs/kernels.md, "Closing the cycle").
-        closing = int_path and not rate
-        if closing:
-            seen_state, seen_counts, seen_at = state_a.copy(), counts.copy(), 0
-            closed = np.uint64(2**64 - 1)  # a closed lane's seen_state; no joint state equals it
-            spans_left = np.zeros(n_games, dtype=np.uint64)  # spans credited at closure
-            stops: dict[int, list[np.ndarray]] = {}  # round -> lanes whose counts end there
-            n_open = n_games
-        fit_a = fit_b = None
-        if not int_path:
-            fit_a = np.zeros(n_games, dtype=np.float64)
-            fit_b = np.zeros(n_games, dtype=np.float64)
+        seen_state, seen_counts, seen_at = state_a.copy(), counts.copy(), 0
+        closed = np.uint64(2**64 - 1)  # a closed lane's seen_state; no joint state equals it
+        spans_left = np.zeros(n_games, dtype=np.uint64)  # spans credited at closure
+        stops: dict[int, list[np.ndarray]] = {}  # round -> lanes whose counts end there
+        n_open = n_games
 
         single = n_words == 1
         if single:
@@ -216,7 +205,6 @@ class BatchEngine(VectorEngine):
             base_a = (ia * n_words).astype(np.intp)
             base_b = (ib * n_words).astype(np.intp)
 
-        block = rounds_per_block(2 * n_games)
         for r in range(self.rounds):
             if single:
                 np.right_shift(lane_a, state_a, out=move_a)
@@ -228,22 +216,9 @@ class BatchEngine(VectorEngine):
                 np.right_shift(wb, state_b & low6, out=move_b)
             move_a &= live
             move_b &= live
-            if rate:
-                # Same draw order as VectorEngine: A's flip block, then B's.
-                # Kept as a bool mask; a round's row widens as it is applied.
-                if r % block == 0:
-                    flips = segment_uniforms(rngs, bounds, min(block, self.rounds - r), 2, rate)
-                move_a ^= flips[r % block, 0]
-                move_b ^= flips[r % block, 1]
-
             da += move_a
             db += move_b
-            if int_path:
-                dab += move_a & move_b
-            else:
-                joint = ((move_a << one) | move_b).astype(np.intp)
-                fit_a += self._pay_mine[joint]
-                fit_b += self._pay_theirs[joint]
+            dab += move_a & move_b
 
             # state' = ((state << 2) | (my << 1) | opp) & mask, both views.
             np.left_shift(state_a, two, out=state_a)
@@ -255,38 +230,75 @@ class BatchEngine(VectorEngine):
             state_b |= move_a
             state_b &= mask
 
-            if closing:
-                played = r + 1
-                whole, rest = divmod(self.rounds - played, played - seen_at)
-                if whole and np.count_nonzero(back := state_a == seen_state):
-                    # These lanes are where they were at `seen_at`, so each later
-                    # span of that length adds what this one did: keep that in
-                    # seen_counts, credit `whole` spans, play `rest` rounds, freeze.
-                    lanes = np.flatnonzero(back)
-                    np.subtract(counts, seen_counts, out=seen_counts, where=back)
-                    spans_left[lanes] = whole
-                    seen_state[lanes] = closed
-                    stops.setdefault(played + rest, []).append(lanes)
-                for lanes in stops.pop(played, ()):
-                    live[lanes] = 0
-                    n_open -= lanes.size
-                if not n_open:
-                    break
-                if played & (played - 1) == 0:
-                    still = seen_state != closed
-                    np.copyto(seen_state, state_a, where=still)
-                    np.copyto(seen_counts, counts, where=still)
-                    seen_at = played
+            played = r + 1
+            whole, rest = divmod(self.rounds - played, played - seen_at)
+            if whole and np.count_nonzero(back := state_a == seen_state):
+                # These lanes are where they were at `seen_at`, so each later
+                # span of that length adds what this one did: keep that in
+                # seen_counts, credit `whole` spans, play `rest` rounds, freeze.
+                lanes = np.flatnonzero(back)
+                np.subtract(counts, seen_counts, out=seen_counts, where=back)
+                spans_left[lanes] = whole
+                seen_state[lanes] = closed
+                stops.setdefault(played + rest, []).append(lanes)
+            for lanes in stops.pop(played, ()):
+                live[lanes] = 0
+                n_open -= lanes.size
+            if not n_open:
+                break
+            if played & (played - 1) == 0:
+                still = seen_state != closed
+                np.copyto(seen_state, state_a, where=still)
+                np.copyto(seen_counts, counts, where=still)
+                seen_at = played
 
-        if closing:
-            counts += spans_left * seen_counts
-        da, db, dab = counts.astype(np.int64)
-        if int_path:
-            return self._counted(da, db, dab)
-        return fit_a, fit_b, self.rounds - da, self.rounds - db
+        counts += spans_left * seen_counts
+        return self._counted(*counts.astype(np.int64))
+
+    def _run_bytes(self, mat, ia, ib, bounds, rngs, record_cooperation):
+        """Noisy round loop: one byte gathered per seat per round, both seats at once.
+
+        Seat A's ``n`` lanes and seat B's are one ``(2, n)`` array reading
+        one table at A's view of the joint state: B's rows have their
+        columns mirrored, and A's moves (and A's flips) are stored doubled,
+        so the two halves OR into the joint move ``(my << 1) | opp``.  Every
+        ``memory`` rounds the state holds every move since the last count,
+        and one lookup adds them (docs/kernels.md, "Noisy play").
+        """
+        n_games, n_strategies, memory = ia.size, mat.shape[0], self.space.memory
+        table = np.empty((2 * n_strategies, self.space.n_states), dtype=np.uint8)
+        np.left_shift(mat, 1, out=table[:n_strategies])
+        np.take(mat, self._mirror, axis=1, out=table[n_strategies:])
+        base = np.stack((ia, ib + n_strategies)) * self.space.n_states
+        index = np.empty_like(base)
+        moves = np.empty(base.shape, dtype=np.uint8)
+        state = np.zeros(n_games, dtype=np.intp)
+        total = np.zeros(n_games, dtype=np.int64)
+        mask = np.array(self.space.mask, dtype=np.intp)  # converted once, not every round
+        block = rounds_per_block(2 * n_games)
+        for r in range(self.rounds):
+            if r % block == 0:
+                # Same draws as VectorEngine: A's flip block, then B's, per round.
+                flips = segment_uniforms(
+                    rngs, bounds, min(block, self.rounds - r), 2, self.noise.rate
+                ).view(np.uint8)
+                flips[:, 0] <<= 1
+            np.add(base, state, out=index)
+            # In range by construction; mode="raise" would buffer `out`.
+            table.take(index, out=moves, mode="wrap")
+            moves ^= flips[r % block]
+            moves[0] |= moves[1]  # the joint move (my << 1) | opp
+            state <<= 2
+            state &= mask
+            state |= moves[0]
+            if (r + 1) % memory == 0:
+                total += self._counts.take(state)
+        if rest := self.rounds % memory:
+            total += self._counts.take(state & ((1 << 2 * rest) - 1))
+        return self._counted_packed(total)
 
     def _walk_doubled(self, mat, ia, ib):
-        """Each lane's ``Σa, Σb, Σab`` over ``rounds`` noise-free rounds, by path doubling.
+        """Each lane's packed ``Σa, Σb, Σab`` over ``rounds`` noise-free rounds: path doubling.
 
         Lane ``l``'s cell ``l * 4**n + s`` stands for joint state ``s`` (A's
         view): ``nxt`` is the cell one round on, ``cnt`` the counters that
@@ -296,7 +308,6 @@ class BatchEngine(VectorEngine):
         (docs/kernels.md, "Path doubling").
         """
         n_states = self.space.n_states
-        width = self.rounds.bit_length()
         # The round's joint move (my << 1) | opp, B's read from B's seat.
         joint = (mat[ia] << 1) | mat[ib][:, self._mirror]
         lane0 = np.arange(0, ia.size * n_states, n_states)
@@ -312,8 +323,13 @@ class BatchEngine(VectorEngine):
                 break
             cnt = cnt + cnt.take(nxt)
             nxt = nxt.take(nxt)
+        return total
+
+    def _counted_packed(self, total):
+        """:meth:`_counted` of counters packed ``Σa | Σb << w | Σab << 2w``."""
+        width = self.rounds.bit_length()
         field = (1 << width) - 1
-        return total & field, (total >> width) & field, total >> 2 * width
+        return self._counted(total & field, (total >> width) & field, total >> 2 * width)
 
     def _counted(self, da, db, dab):
         """Both seats' payoffs and cooperations from the three int64 move counters."""

@@ -92,7 +92,7 @@ def as_table_matrix(space: StateSpace, tables: np.ndarray) -> np.ndarray:
 
 #: A round loop draws its randomness ahead, a block of rounds at a time: at
 #: most ``_BLOCK_BYTES`` of pre-drawn values (float uniforms on the dense
-#: path, a bool flip mask on the packed one) filled ``_DRAW_DOUBLES`` fresh
+#: path, a bool flip mask on the byte loop) filled ``_DRAW_DOUBLES`` fresh
 #: doubles at a time — so the scratch stays flat however many lanes a call
 #: advances, and the doubles stay small enough for the allocator to reuse.
 _BLOCK_BYTES = 1 << 20

@@ -84,8 +84,8 @@ class FitnessEvaluator:
         self.mode = config.resolved_fitness_mode
         if self.mode == "sampled" and streams is None:
             raise PopulationError("sampled fitness mode needs a StreamFactory")
-        # Pure matrices run the packed kernel, mixed ones the dense path the
-        # engine inherits; both are fitness-bit-identical (docs/kernels.md).
+        # Pure matrices run the engine's own loops, mixed ones the dense path
+        # it inherits; all are fitness-bit-identical (docs/kernels.md).
         self.engine = BatchEngine(
             config.space, payoff=config.payoff, rounds=config.rounds, noise=config.noise
         )

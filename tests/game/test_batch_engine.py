@@ -1,5 +1,7 @@
 """Unit tests for the bit-packed batch engine and its factory."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from repro.game.batch_engine import (
 )
 from repro.game.bitpack import pack_table
 from repro.game.noise import NoiseModel
-from repro.game.payoff import PayoffMatrix
+from repro.game.payoff import PAPER_PAYOFFS, PayoffMatrix
 from repro.game.states import StateSpace
 from repro.game.vector_engine import VectorEngine
 
@@ -83,14 +85,42 @@ class TestKernel:
         payoff = PayoffMatrix(reward=3.5, sucker=0.25, temptation=4.125, punishment=1.0)
         rng = np.random.default_rng(3)
         mat = rng.integers(0, 2, size=(6, space.n_states)).astype(np.uint8)
-        vec = VectorEngine(space, payoff=payoff, rounds=90)
-        bat = BatchEngine(space, payoff=payoff, rounds=90)
-        assert not bat._int_payoffs
-        ia, ib = vec.round_robin_pairs(6)
-        rv = vec.play(mat, ia, ib)
-        rb = bat.play(mat, ia, ib)
-        assert np.array_equal(rv.fitness_a, rb.fitness_a)
-        assert np.array_equal(rv.fitness_b, rb.fitness_b)
+        for rate in (0.0, 0.1):  # noise-free, then noisy on one generator per engine
+            vec = VectorEngine(space, payoff=payoff, rounds=90, noise=NoiseModel(rate))
+            bat = BatchEngine(space, payoff=payoff, rounds=90, noise=NoiseModel(rate))
+            assert not bat._int_payoffs
+            ia, ib = vec.round_robin_pairs(6)
+            rng_v, rng_b = np.random.default_rng(8), np.random.default_rng(8)
+            rv = vec.play(mat, ia, ib, rng=rng_v, record_cooperation=True)
+            rb = bat.play(mat, ia, ib, rng=rng_b, record_cooperation=True)
+            for field in ("fitness_a", "fitness_b", "cooperations_a", "cooperations_b"):
+                assert np.array_equal(getattr(rv, field), getattr(rb, field)), (rate, field)
+            assert rng_v.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("payoff, loop", [
+        (PAPER_PAYOFFS, "_run_bytes"),
+        (PayoffMatrix(reward=3.5, sucker=0.25, temptation=4.125, punishment=1.0), "_run_dense"),
+    ], ids=["integer", "non-integer"])
+    def test_noisy_pure_calls_take_one_loop(self, space6, payoff, loop):
+        bat = BatchEngine(space6, payoff=payoff, rounds=30, noise=NoiseModel(0.05))
+        mat = np.random.default_rng(4).integers(0, 2, size=(4, space6.n_states), dtype=np.uint8)
+        with mock.patch.object(BatchEngine, loop, autospec=True,
+                               side_effect=getattr(BatchEngine, loop)) as run:
+            bat.play(mat, np.array([0, 1, 2]), np.array([3, 3, 0]), rng=np.random.default_rng(0))
+        assert run.call_count == 1
+
+    @pytest.mark.parametrize("rate", [0.0, 0.2], ids=["noise-free", "noisy"])
+    def test_memory_zero_agrees_with_vector(self, rate):
+        # One state: a strategy is a single move, and the state holds no round.
+        space = StateSpace(0)
+        mat = np.array([[0], [1], [1]], dtype=np.uint8)
+        ia, ib = np.array([0, 1, 2, 0]), np.array([1, 2, 0, 0])
+        vec = VectorEngine(space, rounds=40, noise=NoiseModel(rate))
+        bat = BatchEngine(space, rounds=40, noise=NoiseModel(rate))
+        rv = vec.play(mat, ia, ib, rng=np.random.default_rng(2), record_cooperation=True)
+        rb = bat.play(mat, ia, ib, rng=np.random.default_rng(2), record_cooperation=True)
+        for field in ("fitness_a", "fitness_b", "cooperations_a", "cooperations_b"):
+            assert np.array_equal(getattr(rv, field), getattr(rb, field)), field
 
     def test_mixed_matrix_delegates_to_dense_path(self, space):
         mat = np.random.default_rng(1).random((5, space.n_states))

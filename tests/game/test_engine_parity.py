@@ -240,3 +240,19 @@ def test_counts_past_a_packed_field_stay_exact(rounds):
 
     expected = (rounds // 4) * p(4) + p(rounds % 4)
     assert (res.fitness_a[1], res.fitness_b[1]) == tuple(expected)
+
+
+def test_noisy_counts_past_a_narrow_counter_stay_exact():
+    # 70 000 rounds: past any 16-bit counter, and ~11 700 byte-loop counts.
+    space = StateSpace(1)
+    mat = np.array([[0, 0, 0, 0], [1, 1, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]], dtype=np.uint8)
+    ia, ib = np.array([0, 2, 3, 2]), np.array([1, 3, 3, 0])
+    results, states = [], []
+    for engine_cls in (BatchEngine, VectorEngine):
+        rng = np.random.default_rng(70_000)
+        engine = engine_cls(space, rounds=70_000, noise=NoiseModel(0.01))
+        results.append(engine.play(mat, ia, ib, rng=rng, record_cooperation=True))
+        states.append(rng.bit_generator.state)
+    for field in ("fitness_a", "fitness_b", "cooperations_a", "cooperations_b"):
+        assert np.array_equal(getattr(results[0], field), getattr(results[1], field)), field
+    assert states[0] == states[1]

@@ -114,6 +114,30 @@ def test_segments_equal_one_play_per_slate(
     assert engine.rounds_played == n_games * rounds
 
 
+def test_one_workers_noisy_call_equals_the_dense_loop():
+    """The production shape: 32 slates x 63 games at memory 6, noise 0.01.
+
+    The flip block is cut to 7 rounds, so blocks end mid-game and off the
+    byte loop's every-6-rounds count.
+    """
+    space = StateSpace(6)
+    setup = np.random.default_rng(41)
+    mat = setup.integers(0, 2, size=(64, space.n_states), dtype=np.uint8)
+    sizes = [63] * 32
+    ia = np.repeat(np.arange(32), 63)
+    ib = np.concatenate([np.delete(np.arange(64), s) for s in range(32)])
+    results, states = [], []
+    for engine_cls in (BatchEngine, VectorEngine):
+        engine = engine_cls(space, noise=NoiseModel(0.01))
+        rngs = [np.random.default_rng([41, s]) for s in range(32)]
+        with mock.patch.object(vector_engine, "_BLOCK_BYTES", 7 * 2 * ia.size):
+            results.append(engine.play_segments(mat, ia, ib, sizes, rngs, True))
+        states.append([rng.bit_generator.state for rng in rngs])
+    for field in FIELDS:
+        assert np.array_equal(getattr(results[0], field), getattr(results[1], field)), field
+    assert states[0] == states[1]
+
+
 def test_play_is_the_one_segment_case():
     space = StateSpace(3)
     mat = np.random.default_rng(0).integers(0, 2, size=(6, space.n_states), dtype=np.uint8)
