@@ -39,7 +39,7 @@ import numpy as np
 from repro.errors import GameError
 from repro.game.bitpack import words_needed
 from repro.game.engine import DEFAULT_ROUNDS
-from repro.game.noise import NO_NOISE, NoiseModel
+from repro.game.noise import NO_NOISE, NoiseModel, _segment_flips
 from repro.game.payoff import PAPER_PAYOFFS, PayoffMatrix
 from repro.game.states import StateSpace
 from repro.game.vector_engine import (
@@ -47,7 +47,6 @@ from repro.game.vector_engine import (
     VectorEngine,
     as_table_matrix,
     rounds_per_block,
-    segment_uniforms,
 )
 
 __all__ = [
@@ -83,8 +82,8 @@ class BatchEngine(VectorEngine):
 
     Drop-in replacement for :class:`~repro.game.vector_engine.VectorEngine`
     — same constructor, same :meth:`play`/:meth:`tournament` signatures and
-    semantics, bit-identical fitness, identical RNG consumption (per round:
-    one flip block per player when noise is active, in A-then-B order).
+    semantics, bit-identical fitness, identical RNG consumption (every
+    engine draws its flips from :mod:`repro.game.noise`'s one schedule).
 
     Parameters
     ----------
@@ -126,16 +125,16 @@ class BatchEngine(VectorEngine):
             # pay[a, b] == c0 + ca*a + cb*b + cab*a*b for a, b in {0, 1}.
             self._lin_mine = (p00, p10 - p00, p01 - p00, cross)
             self._lin_theirs = (p00, p01 - p00, p10 - p00, cross)
-        # Path doubling and the byte loop read every move off A's view of the
-        # joint state, into counters packed ``Σa | Σb << w | Σab << 2w`` in
-        # one int64.  Their per-engine constants, built once: B's view of each
-        # joint state, each state shifted a round on, the packed counters each
-        # joint move adds, and those of the `memory` moves each state holds.
+        # Every pure loop reads both moves off A's view of the joint state (B's
+        # through ``_mirror``, B's view of each state); path doubling and the
+        # byte loop count them packed ``Σa | Σb << w | Σab << 2w`` in one int64,
+        # with per-engine constants built once: each state shifted a round on,
+        # the counters each joint move adds, and those of a state's `memory` moves.
         width = self.rounds.bit_length()
         self._counts_pack = self._int_payoffs and 3 * width < 64 and space.memory > 0
+        states = np.arange(space.n_states)
+        self._mirror = space.opponent_view_array(states)
         if self._counts_pack:
-            states = np.arange(space.n_states)
-            self._mirror = space.opponent_view_array(states)
             self._shifted = (states << 2) & space.mask
             self._adds = np.array([0, 1 << width, 1, 1 + (1 << width) + (1 << 2 * width)])
             self._counts = sum(self._adds[states >> 2 * k & 3] for k in range(space.memory))
@@ -169,25 +168,24 @@ class BatchEngine(VectorEngine):
         """
         if self._counts_pack and ia.size * self.space.n_states <= _DOUBLING_CELLS:
             return self._counted_packed(self._walk_doubled(mat, ia, ib))
-        packed = pack_matrix(self.space, mat)
-        n_games = ia.size
-        n_words = packed.shape[1]
+        # B's rows with their columns mirrored: B's move is read at A's view of the state.
+        packed = pack_matrix(self.space, np.concatenate((mat, mat[:, self._mirror])))
+        n_games, n_strategies, n_words = ia.size, mat.shape[0], packed.shape[1]
         # 0-d arrays, made once: a NumPy scalar operand is converted on every call.
         one, two, six, low6, mask = (
             np.array(v, dtype=np.uint64) for v in (1, 2, 6, 63, self.space.mask)
         )
 
         state_a = np.zeros(n_games, dtype=np.uint64)
-        state_b = np.zeros(n_games, dtype=np.uint64)
         move_a = np.empty(n_games, dtype=np.uint64)
         move_b = np.empty(n_games, dtype=np.uint64)
         # Defections of A, of B and mutual ones: row views of one array.
         counts = np.zeros((3, n_games), dtype=np.uint64)
         da, db, dab = counts
         live = np.ones(n_games, dtype=np.uint64)  # a move's low-bit mask; 0 freezes the lane
-        # A lane walks deterministically over joint states (state_a; state_b
-        # mirrors it) into a cycle: find it Brent-style, snapshots at rounds
-        # 1, 2, 4, ..., and multiply what remains (docs/kernels.md, "Closing the cycle").
+        # A lane walks deterministically over joint states (A's view) into a
+        # cycle: find it Brent-style, snapshots at rounds 1, 2, 4, ..., and
+        # multiply what remains (docs/kernels.md, "Closing the cycle").
         seen_state, seen_counts, seen_at = state_a.copy(), counts.copy(), 0
         closed = np.uint64(2**64 - 1)  # a closed lane's seen_state; no joint state equals it
         spans_left = np.zeros(n_games, dtype=np.uint64)  # spans credited at closure
@@ -199,36 +197,32 @@ class BatchEngine(VectorEngine):
             # The whole table fits in the matchup's one uint64 lane: gather
             # it once, and every later move read is a register shift.
             lane_a = packed[ia, 0]
-            lane_b = packed[ib, 0]
+            lane_b = packed[ib + n_strategies, 0]
         else:
             flat = packed.ravel()
             base_a = (ia * n_words).astype(np.intp)
-            base_b = (ib * n_words).astype(np.intp)
+            base_b = ((ib + n_strategies) * n_words).astype(np.intp)
 
         for r in range(self.rounds):
             if single:
                 np.right_shift(lane_a, state_a, out=move_a)
-                np.right_shift(lane_b, state_b, out=move_b)
+                np.right_shift(lane_b, state_a, out=move_b)
             else:
-                wa = flat[base_a + (state_a >> six).astype(np.intp)]
-                wb = flat[base_b + (state_b >> six).astype(np.intp)]
-                np.right_shift(wa, state_a & low6, out=move_a)
-                np.right_shift(wb, state_b & low6, out=move_b)
+                word = (state_a >> six).astype(np.intp)
+                bit = state_a & low6
+                np.right_shift(flat[base_a + word], bit, out=move_a)
+                np.right_shift(flat[base_b + word], bit, out=move_b)
             move_a &= live
             move_b &= live
             da += move_a
             db += move_b
             dab += move_a & move_b
 
-            # state' = ((state << 2) | (my << 1) | opp) & mask, both views.
+            # state' = ((state << 2) | (my << 1) | opp) & mask, A's view.
             np.left_shift(state_a, two, out=state_a)
             state_a |= move_a << one
             state_a |= move_b
             state_a &= mask
-            np.left_shift(state_b, two, out=state_b)
-            state_b |= move_b << one
-            state_b |= move_a
-            state_b &= mask
 
             played = r + 1
             whole, rest = divmod(self.rounds - played, played - seen_at)
@@ -276,12 +270,10 @@ class BatchEngine(VectorEngine):
         total = np.zeros(n_games, dtype=np.int64)
         mask = np.array(self.space.mask, dtype=np.intp)  # converted once, not every round
         block = rounds_per_block(2 * n_games)
+        blocks = _segment_flips(rngs, bounds, self.rounds, self.noise.rate, block)
         for r in range(self.rounds):
             if r % block == 0:
-                # Same draws as VectorEngine: A's flip block, then B's, per round.
-                flips = segment_uniforms(
-                    rngs, bounds, min(block, self.rounds - r), 2, self.noise.rate
-                ).view(np.uint8)
+                flips = next(blocks)
                 flips[:, 0] <<= 1
             np.add(base, state, out=index)
             # In range by construction; mode="raise" would buffer `out`.

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import GameError
-from repro.game.noise import NO_NOISE, NoiseModel
+from repro.game.noise import NO_NOISE, NoiseModel, _segment_flips
 from repro.game.payoff import PAPER_PAYOFFS, PayoffMatrix
 from repro.game.strategy import Strategy
 from repro.obs.tracer import get_tracer
@@ -137,6 +137,9 @@ def play_ipd(
     rec_a = np.empty(rounds, dtype=np.uint8) if record_moves else None
     rec_b = np.empty(rounds, dtype=np.uint8) if record_moves else None
 
+    # The game's execution errors, all drawn before its first mixed move.
+    flips = [(0, 0)] * rounds if noise.is_noiseless else next(
+        _segment_flips([rng], [0, 1], rounds, noise.rate, rounds)).reshape(rounds, 2).tolist()
     for r in range(rounds):
         if strat_a.is_pure:
             move_a = int(table_a[state_a])
@@ -146,9 +149,8 @@ def play_ipd(
             move_b = int(table_b[state_b])
         else:
             move_b = int(rng.random() < table_b[state_b])  # type: ignore[union-attr]
-        if not noise.is_noiseless:
-            move_a = noise.apply(move_a, rng)  # type: ignore[arg-type]
-            move_b = noise.apply(move_b, rng)  # type: ignore[arg-type]
+        move_a ^= flips[r][0]
+        move_b ^= flips[r][1]
 
         fitness_a += pay[move_a, move_b]
         fitness_b += pay[move_b, move_a]

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.errors import GameError, StateSpaceError
 from repro.game.engine import DEFAULT_ROUNDS, GameResult
-from repro.game.noise import NO_NOISE, NoiseModel
+from repro.game.noise import NO_NOISE, NoiseModel, _segment_flips
 from repro.game.payoff import PAPER_PAYOFFS, PayoffMatrix
 from repro.game.states import StateSpace
 from repro.game.strategy import Strategy
@@ -121,7 +121,10 @@ def play_ipd_lookup(
 
     fitness_a = 0.0
     fitness_b = 0.0
-    for _ in range(rounds):
+    # The game's execution errors, all drawn before its first mixed move.
+    flips = [(0, 0)] * rounds if noise.is_noiseless else next(
+        _segment_flips([rng], [0, 1], rounds, noise.rate, rounds)).reshape(rounds, 2).tolist()
+    for r in range(rounds):
         state_a = find_state(table, view_a)
         state_b = find_state(table, view_b)
         if strat_a.is_pure:
@@ -132,9 +135,8 @@ def play_ipd_lookup(
             move_b = int(strat_b.table[state_b])
         else:
             move_b = int(rng.random() < strat_b.table[state_b])  # type: ignore[union-attr]
-        if not noise.is_noiseless:
-            move_a = noise.apply(move_a, rng)  # type: ignore[arg-type]
-            move_b = noise.apply(move_b, rng)  # type: ignore[arg-type]
+        move_a ^= flips[r][0]
+        move_b ^= flips[r][1]
 
         fitness_a += pay[move_a, move_b]
         fitness_b += pay[move_b, move_a]

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.errors import GameError
 from repro.game.engine import DEFAULT_ROUNDS
-from repro.game.noise import NO_NOISE, NoiseModel
+from repro.game.noise import _DRAW_DOUBLES, NO_NOISE, NoiseModel, _segment_flips
 from repro.game.payoff import PAPER_PAYOFFS, PayoffMatrix
 from repro.game.states import StateSpace
 from repro.obs.tracer import get_tracer
@@ -91,12 +91,11 @@ def as_table_matrix(space: StateSpace, tables: np.ndarray) -> np.ndarray:
 
 
 #: A round loop draws its randomness ahead, a block of rounds at a time: at
-#: most ``_BLOCK_BYTES`` of pre-drawn values (float uniforms on the dense
-#: path, a bool flip mask on the byte loop) filled ``_DRAW_DOUBLES`` fresh
+#: most ``_BLOCK_BYTES`` of pre-drawn values (float uniforms for mixed moves,
+#: a byte flip mask for execution errors) filled ``_DRAW_DOUBLES`` fresh
 #: doubles at a time — so the scratch stays flat however many lanes a call
 #: advances, and the doubles stay small enough for the allocator to reuse.
 _BLOCK_BYTES = 1 << 20
-_DRAW_DOUBLES = 1 << 13
 
 #: A noise-free integer-payoff call of ``lanes`` pure games is played by path
 #: doubling over ``lanes * 4**n`` joint-state cells when that is at most
@@ -111,28 +110,22 @@ def rounds_per_block(round_bytes: int) -> int:
 
 
 def segment_uniforms(
-    rngs: Sequence[np.random.Generator],
-    bounds: Sequence[int],
-    n_rounds: int,
-    draws: int,
-    below: float | None = None,
+    rngs: Sequence[np.random.Generator], bounds: Sequence[int], n_rounds: int
 ) -> np.ndarray:
-    """Every game's next ``n_rounds * draws`` uniforms, each segment on its own stream.
+    """Every game's next ``n_rounds`` pairs of mixed-move uniforms, a stream per segment.
 
     Segment ``s`` holds games ``bounds[s]:bounds[s + 1]`` and draws from
-    ``rngs[s]`` alone.  ``out[r, d, lo:hi]`` is exactly what the ``d``-th of
-    ``draws`` successive ``rng.random(hi - lo)`` calls in round ``r`` would
-    have returned: ``rng.random((rounds, draws, k))`` fills in that order,
-    so drawing rounds ahead moves no game's randomness.  With ``below`` the
-    result is the bool mask ``uniform < below`` (1/8 the bytes).
+    ``rngs[s]`` alone.  ``out[r, seat, lo:hi]`` is exactly what the
+    ``seat``-th of two successive ``rng.random(hi - lo)`` calls in round ``r``
+    would have returned: ``rng.random((rounds, 2, k))`` fills in that order,
+    so drawing rounds ahead moves no game's randomness.
     """
-    out = np.empty((n_rounds, draws, bounds[-1]), dtype=float if below is None else bool)
+    out = np.empty((n_rounds, 2, bounds[-1]))
     for rng, lo, hi in zip(rngs, bounds[:-1], bounds[1:]):
         if hi > lo:
-            step = max(1, _DRAW_DOUBLES // (draws * (hi - lo)))
+            step = max(1, _DRAW_DOUBLES // (2 * (hi - lo)))
             for r in range(0, n_rounds, step):
-                u = rng.random((min(step, n_rounds - r), draws, hi - lo))
-                out[r : r + step, :, lo:hi] = u if below is None else u < below
+                out[r : r + step, :, lo:hi] = rng.random((min(step, n_rounds - r), 2, hi - lo))
     return out
 
 
@@ -184,10 +177,10 @@ class VectorEngine:
         """Play ``len(ia)`` games; game ``g`` is ``tables[ia[g]]`` vs ``tables[ib[g]]``.
 
         ``rng`` is required when the matrix is mixed (float) or noise is
-        active.  The engine draws, per round, one uniform block for player
-        A's moves, one for player B's, then (if noisy) one flip block per
-        player — a fixed order, so a given generator state always reproduces
-        the same batch.  This is :meth:`play_segments` with one segment.
+        active.  It draws every game's execution errors first (as gaps between
+        flips), then, if mixed, per round one uniform block for A's moves and
+        one for B's — a fixed order, so a given generator state always
+        reproduces the same batch.  This is :meth:`play_segments` with one segment.
         """
         ia = np.asarray(ia, dtype=np.intp)
         return self.play_segments(tables, ia, ib, (ia.size,), (rng,), record_cooperation)
@@ -272,13 +265,19 @@ class VectorEngine:
 
         gidx = np.arange(n_games)
         pure = mat.dtype == np.uint8
-        noise_rate = self.noise.rate
-        # Uniforms per game per round: A's and B's move draws, then their flips.
-        draws = 2 * ((not pure) + bool(noise_rate))
-        block = rounds_per_block(8 * draws * n_games)
+        noisy = not self.noise.is_noiseless
+        # A round's pre-drawn bytes per game: two flip bytes, and two doubles if mixed.
+        block = rounds_per_block((2 + 16 * (not pure)) * n_games)
+        if noisy:
+            flips = _segment_flips(rngs, bounds, self.rounds, self.noise.rate, block)
+            if not pure:  # a segment draws all its flips before any move uniform
+                flips = iter(list(flips))
         for r in range(self.rounds):
-            if draws and r % block == 0:
-                u = segment_uniforms(rngs, bounds, min(block, self.rounds - r), draws)
+            if r % block == 0:
+                if not pure:
+                    u = segment_uniforms(rngs, bounds, min(block, self.rounds - r))
+                if noisy:
+                    flip = next(flips)
             cell_a = rows_a[gidx, state_a]
             cell_b = rows_b[gidx, state_b]
             if pure:
@@ -287,9 +286,9 @@ class VectorEngine:
             else:
                 move_a = (u[r % block, 0] < cell_a).astype(np.int64)
                 move_b = (u[r % block, 1] < cell_b).astype(np.int64)
-            if noise_rate:
-                move_a ^= u[r % block, draws - 2] < noise_rate
-                move_b ^= u[r % block, draws - 1] < noise_rate
+            if noisy:
+                move_a ^= flip[r % block, 0]
+                move_b ^= flip[r % block, 1]
 
             joint = (move_a << 1) | move_b
             fit_a += self._pay_mine[joint]

@@ -57,8 +57,7 @@ def test_batch_matches_vector_noiseless(memory):
 @pytest.mark.parametrize("memory", range(1, 7), ids=lambda m: f"numpy-{m}")
 def test_batch_matches_vector_with_noise(memory):
     # Identical seeds must give identical flips, hence identical payoffs:
-    # the batch kernel consumes the random stream in the vector engine's
-    # exact order (per round: A's flip block, then B's).
+    # both engines draw their flips from the one schedule in repro.game.noise.
     space = StateSpace(memory)
     mat = _population(space, 100 + memory)
     noise = NoiseModel(0.05)
@@ -105,7 +104,7 @@ def test_batch_matches_paper_lookup_engine(memory):
 @pytest.mark.parametrize("memory", [1, 2])
 def test_mixed_strategies_with_noise_identical_streams(memory):
     # Mixed matrices take the delegated dense path; with noise on top, the
-    # whole stream (move draws then flip draws, A then B) must line up.
+    # whole stream (every flip first, then per round A's move draws, B's) must line up.
     space = StateSpace(memory)
     mat = np.random.default_rng(400 + memory).random((N_STRATEGIES, space.n_states))
     noise = NoiseModel(0.03)

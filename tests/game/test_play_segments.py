@@ -1,14 +1,16 @@
 """Segment play == one ``play`` per slate, game for game and draw for draw.
 
 ``play_segments`` advances the games of several slates as one batch while
-each slate keeps its own generator.  The reference here is the round loop as
-it stood before segments existed — per round, one fresh ``rng.random(k)``
-block for A's mixed move, one for B's, then one flip block each — run once
-per slate on its own generator.  The segment call must reproduce its
-per-game fitness and cooperations, leave every generator in the same state,
-and tally the same work, whatever the memory, noise, strategy kind, payoff
-path, segment sizes (empty ones included), pre-draw block and chunk sizes,
-and length (a noise-free pure game closes its cycle early; a noisy one never).
+each slate keeps its own generator.  The reference here is a hand-written
+round loop, run once per slate on its own generator: it first draws every
+execution error of the slate as gaps between flips, over positions ordered
+``(round, seat, game)`` and in chunks of uniforms sized by the slate alone,
+then per round one fresh ``rng.random(k)`` block for A's mixed move and one
+for B's.  The segment call must reproduce its per-game fitness and
+cooperations, leave every generator in the same state, and tally the same
+work, whatever the memory, noise, strategy kind, payoff path, segment sizes
+(empty ones included), pre-draw block and chunk sizes, and length (a
+noise-free pure game closes its cycle early; a noisy one never).
 
 Run with ``make test-engine`` (marker: ``engine``).
 """
@@ -21,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GameError
-from repro.game import vector_engine
+from repro.game import noise, vector_engine
 from repro.game.batch_engine import BatchEngine
 from repro.game.noise import NoiseModel
 from repro.game.payoff import PAPER_PAYOFFS, PayoffMatrix
@@ -35,25 +37,41 @@ FIELDS = ("fitness_a", "fitness_b", "cooperations_a", "cooperations_b")
 FRACTIONAL_PAYOFFS = PayoffMatrix(reward=3.1, sucker=0.2, temptation=4.7, punishment=1.3)
 
 
-def _reference_play(space, payoff, rounds, rate, mat, ia, ib, rng):
-    """One slate, the pre-segment way: every block drawn when its round needs it."""
+def _reference_flips(rng, k, rounds, rate, draw):
+    """A slate's flips, ``(rounds, 2, k)``: one gap per flip, uniforms ``chunk`` at a time."""
+    n = 2 * rounds * k
+    flips = np.zeros((rounds, 2, k), dtype=np.int64)
+    if rate == 1:
+        flips[:] = 1
+        return flips
+    chunk = min(n, draw, int(n * rate + 4 * np.sqrt(n * rate)) + 8)
+    gaps, pos = [], -1
+    while pos < n - 1:
+        if not gaps:
+            gaps = list(np.floor(np.log(1.0 - rng.random(chunk)) / np.log1p(-rate)))
+        pos += 1 + int(min(gaps.pop(0), n))
+        if pos < n:
+            flips.flat[pos] = 1
+    return flips
+
+
+def _reference_play(space, payoff, rounds, rate, mat, ia, ib, rng, draw):
+    """One slate: its flips first, then each round's mixed-move blocks when it needs them."""
     k = ia.size
     mixed = mat.dtype != np.uint8
+    flips = _reference_flips(rng, k, rounds, rate, draw) if rate else np.zeros((rounds, 2, k), int)
     state_a = np.zeros(k, dtype=np.int64)
     state_b = np.zeros(k, dtype=np.int64)
     fit_a, fit_b = np.zeros(k), np.zeros(k)
     coop_a, coop_b = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
-    for _ in range(rounds):
+    for r in range(rounds):
         move_a = mat[ia, state_a]
         move_b = mat[ib, state_b]
         if mixed:
             move_a = rng.random(k) < move_a
             move_b = rng.random(k) < move_b
-        move_a = move_a.astype(np.int64)
-        move_b = move_b.astype(np.int64)
-        if rate:
-            move_a ^= rng.random(k) < rate
-            move_b ^= rng.random(k) < rate
+        move_a = move_a.astype(np.int64) ^ flips[r, 0]
+        move_b = move_b.astype(np.int64) ^ flips[r, 1]
         fit_a += payoff.table[move_a, move_b]
         fit_b += payoff.table[move_b, move_a]
         coop_a += 1 - move_a
@@ -66,7 +84,7 @@ def _reference_play(space, payoff, rounds, rate, mat, ia, ib, rng):
 @settings(max_examples=120, deadline=None)
 @given(
     memory=st.integers(1, 6),
-    noisy=st.booleans(),
+    rate=st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0]),
     mixed=st.booleans(),
     fractional=st.booleans(),
     sizes=st.lists(st.integers(0, 7), min_size=0, max_size=5),
@@ -77,11 +95,10 @@ def _reference_play(space, payoff, rounds, rate, mat, ia, ib, rng):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_segments_equal_one_play_per_slate(
-    memory, noisy, mixed, fractional, sizes, rounds, block, draw, engine_cls, seed
+    memory, rate, mixed, fractional, sizes, rounds, block, draw, engine_cls, seed
 ):
     space = StateSpace(memory)
     payoff = FRACTIONAL_PAYOFFS if fractional else PAPER_PAYOFFS
-    rate = 0.1 if noisy else 0.0
     setup = np.random.default_rng(seed)
     if mixed:
         mat = setup.random((N_STRATEGIES, space.n_states))
@@ -97,14 +114,15 @@ def test_segments_equal_one_play_per_slate(
     expected_states = []
     for s, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         rng = np.random.default_rng([seed, s])
-        slate = _reference_play(space, payoff, rounds, rate, mat, ia[lo:hi], ib[lo:hi], rng)
+        slate = _reference_play(space, payoff, rounds, rate, mat, ia[lo:hi], ib[lo:hi], rng, draw)
         for column, values in zip(expected, slate):
             column.append(values)
         expected_states.append(rng.bit_generator.state)
 
     engine = engine_cls(space, payoff=payoff, rounds=rounds, noise=NoiseModel(rate))
     rngs = [np.random.default_rng([seed, s]) for s in range(len(sizes))]
-    with mock.patch.multiple(vector_engine, _BLOCK_BYTES=block, _DRAW_DOUBLES=draw):
+    with mock.patch.multiple(vector_engine, _BLOCK_BYTES=block, _DRAW_DOUBLES=draw), \
+            mock.patch.object(noise, "_DRAW_DOUBLES", draw):
         res = engine.play_segments(mat, ia, ib, sizes, rngs, record_cooperation=True)
 
     for field, column in zip(FIELDS, expected):
