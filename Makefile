@@ -90,11 +90,14 @@ repro:
 
 docs:
 	python tools/gen_api_index.py
+	python tools/gen_knob_list.py
 
-# Fail if docs/api.md is stale or any public module is missing from it,
-# then execute every Python snippet in the prose docs.
+# Fail if docs/api.md is stale or any public module is missing from it, or
+# if docs/knobs.md no longer lists every settable value, then execute every
+# Python snippet in the prose docs.
 docs-check:
 	python tools/gen_api_index.py --check
+	python tools/gen_knob_list.py --check
 	python tools/check_doc_snippets.py README.md docs/tutorial.md \
 		docs/architecture.md docs/observability.md docs/kernels.md \
 		docs/service.md docs/spatial.md

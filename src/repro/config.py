@@ -6,8 +6,7 @@ generation, pairwise-comparison rate 0.1 and mutation rate μ = 0.05.  The
 §V-C agents-per-SSet rule (as many agents as SSets, so each agent handles
 one opponent per generation) changes no fitness — an SSet's fitness is the
 sum over its opponents however they are dealt to agents — so it lives
-where it is computed: :class:`~repro.population.schedule.OpponentSchedule`,
-:func:`~repro.parallel.decomposition.agents_per_processor` and
+where it is computed: :func:`~repro.parallel.decomposition.agents_per_processor` and
 :class:`~repro.perf.workload.WorkloadSpec`.
 """
 

@@ -72,7 +72,7 @@ class PopulationError(ReproError):
 
 
 class ScheduleError(PopulationError, ValueError):
-    """An opponent schedule cannot be constructed (e.g. agents > SSets)."""
+    """An SSet-to-rank schedule cannot be constructed (e.g. no ranks or SSets)."""
 
 
 class MPIError(ReproError):

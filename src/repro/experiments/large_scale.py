@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.report import render_series, render_table
+from repro.analysis.report import render_table
 from repro.machine.bluegene import MachineSpec, bluegene_p
 from repro.perf.analytic import AnalyticModel
 from repro.perf.cost_model import CostModel, paper_bgp
@@ -108,13 +108,3 @@ def run_nonpow2_discussion(
     eff = {pt.n_ranks: pt.efficiency for pt in points}
     drop = 1.0 - eff[294912] / eff[262144]
     return LargeScaleResult(kind="nonpow2", points=points), drop
-
-
-def render_fig6_series(result: LargeScaleResult) -> str:
-    """Fig. 6 as a flat (processors, seconds) series."""
-    return render_series(
-        [(pt.n_ranks, f"{pt.seconds:.2f}") for pt in result.points],
-        x_label="Processors",
-        y_label="Seconds",
-        title="Fig. 6 - weak scaling runtime",
-    )

@@ -55,11 +55,6 @@ class TournamentResult:
         order = sorted(range(len(self.names)), key=lambda i: (-self.totals[i], self.names[i]))
         return [(self.names[i], float(self.totals[i])) for i in order]
 
-    @property
-    def winner(self) -> str:
-        """The top-ranked entrant."""
-        return self.ranking()[0][0]
-
     def score_of(self, name: str) -> float:
         """Average total fitness of one entrant."""
         try:

@@ -1,13 +1,13 @@
 """The virtual MPI communicator.
 
 This is the message-passing substrate standing in for the paper's C/MPI on
-Blue Gene: tagged point-to-point ``send``/``recv`` (blocking and
-non-blocking) between ranks that live as threads — all in one process, or
-on several hosts joined by a wire (:mod:`repro.mpi.hostexec`) — plus the
-collectives the paper's algorithm uses — ``bcast`` (binomial tree, the
-stand-in for Blue Gene's collective network), ``gather``, ``scatter``,
-``reduce``, ``allreduce``, ``allgather`` and ``barrier`` — all built from
-the same point-to-point layer so the traffic counters see every hop.
+Blue Gene: tagged point-to-point ``send``/``recv`` (plus a non-blocking
+``isend`` and ``probe``) between ranks that live as threads — all in one
+process, or on several hosts joined by a wire (:mod:`repro.mpi.hostexec`) —
+plus the collectives ``bcast`` (binomial tree, the stand-in for Blue Gene's
+collective network), ``gather``, ``reduce``, ``allreduce`` and ``barrier``
+— all built from the same point-to-point layer so the traffic counters see
+every hop.
 
 Semantics follow MPI closely enough that the algorithm code reads like its
 C original: messages between a (source, dest) pair are non-overtaking per
@@ -28,7 +28,7 @@ import pickle
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
@@ -51,10 +51,8 @@ __all__ = ["World", "Comm", "payload_nbytes", "backoff_wait"]
 # Internal tag bases (above MAX_USER_TAG, per-collective-call sequenced).
 _TAG_BCAST = 1 << 28
 _TAG_GATHER = 2 << 28
-_TAG_SCATTER = 3 << 28
 _TAG_REDUCE = 4 << 28
 _TAG_BARRIER = 5 << 28
-_TAG_ALLGATHER = 6 << 28
 _TAG_RDATA = 8 << 28
 _TAG_RACK = 9 << 28
 _SEQ_MASK = (1 << 28) - 1
@@ -338,37 +336,21 @@ class World:
 
 
 class _Request:
-    """Handle for a non-blocking operation."""
+    """Handle for an :meth:`Comm.isend`; complete once the message is delivered."""
 
-    def __init__(
-        self, wait_fn: Callable[[], Any], test_fn: Callable[[], bool] | None = None
-    ) -> None:
-        self._wait_fn = wait_fn
-        self._test_fn = test_fn
-        self._done = False
-        self._value: Any = None
+    def __init__(self, delivered: threading.Event) -> None:
+        self._delivered = delivered
 
-    def wait(self) -> Any:
-        """Block until the operation completes; returns recv payloads."""
-        if not self._done:
-            self._value = self._wait_fn()
-            self._done = True
-        return self._value
+    def wait(self) -> None:
+        """Block until the message reaches the destination mailbox."""
+        self._delivered.wait()
 
     def test(self) -> bool:
-        """True when the operation has completed; never blocks.
+        """True once the message reached the destination mailbox; never blocks.
 
-        For sends, completion means the message reached the destination
-        mailbox (delay faults keep the request pending until delivery).  For
-        receives, a matching pending message is consumed and the request
-        completes.
+        Delay faults keep the request pending until delivery.
         """
-        if self._done:
-            return True
-        if self._test_fn is not None and self._test_fn():
-            self.wait()
-            return True
-        return False
+        return self._delivered.is_set()
 
 
 def _frame_checksum(seq: int, tag: int, ack: int, blob: bytes) -> bytes:
@@ -575,13 +557,7 @@ class Comm:
         self._check_rank(dest, "destination")
         if not 0 <= tag <= MAX_USER_TAG:
             raise MPIError(f"user tags must lie in [0, {MAX_USER_TAG}], got {tag}")
-        delivered = self._send_raw(payload, dest, tag)
-
-        def _wait() -> None:
-            delivered.wait()
-            return None
-
-        return _Request(_wait, test_fn=delivered.is_set)
+        return _Request(self._send_raw(payload, dest, tag))
 
     def recv(
         self,
@@ -612,17 +588,6 @@ class Comm:
         if return_status:
             return payload, Status(source=src, tag=tg, nbytes=nbytes)
         return payload
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> _Request:
-        """Non-blocking receive; ``wait()`` returns the payload.
-
-        ``test()`` probes without blocking and completes the receive when a
-        matching message is already pending.
-        """
-        return _Request(
-            lambda: self.recv(source=source, tag=tag),
-            test_fn=lambda: self.probe(source, tag) is not None,
-        )
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status | None:
         """Non-blocking probe: Status of a matching pending message, or None."""
@@ -1047,30 +1012,6 @@ class Comm:
         self.world.counters.record("gather", messages=0, nbytes=payload_nbytes(payload))
         return out
 
-    def scatter(self, payloads: Sequence[Any] | None, root: int = 0) -> Any:
-        """Scatter one payload to each rank from ``root``'s list."""
-        span = self._traced_collective("scatter", root)
-        if span is None:
-            return self._scatter(payloads, root)
-        with span:
-            return self._scatter(payloads, root)
-
-    def _scatter(self, payloads: Sequence[Any] | None, root: int) -> Any:
-        self._check_rank(root, "root")
-        tag = self._collective_tag(_TAG_SCATTER)
-        if self.rank == root:
-            if payloads is None or len(payloads) != self.size:
-                raise MPIError(
-                    f"scatter root needs exactly {self.size} payloads,"
-                    f" got {None if payloads is None else len(payloads)}"
-                )
-            for dest in range(self.size):
-                if dest != root:
-                    self._send_raw(payloads[dest], dest, tag)
-            self.world.counters.record("scatter", messages=0, nbytes=0)
-            return payloads[root]
-        return self.recv(source=root, tag=tag)
-
     def reduce(
         self, payload: Any, op: Callable[[Any, Any], Any] | None = None, root: int = 0
     ) -> Any:
@@ -1122,20 +1063,6 @@ class Comm:
     def _allreduce(self, payload: Any, op: Callable[[Any, Any], Any] | None) -> Any:
         result = self.reduce(payload, op=op, root=0)
         return self.bcast(result, root=0)
-
-    def allgather(self, payload: Any) -> list[Any]:
-        """Gather to rank 0, then broadcast the full list."""
-        span = self._traced_collective("allgather")
-        if span is None:
-            return self._allgather(payload)
-        with span:
-            return self._allgather(payload)
-
-    def _allgather(self, payload: Any) -> list[Any]:
-        tag_unused = self._collective_tag(_TAG_ALLGATHER)  # keeps seq aligned across ranks
-        del tag_unused
-        gathered = self.gather(payload, root=0)
-        return self.bcast(gathered, root=0)
 
     def barrier(self) -> None:
         """Synchronise all ranks (reduce + bcast of a token)."""

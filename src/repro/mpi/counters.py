@@ -77,10 +77,6 @@ class CommCounters:
             found = self.ops.get(op)
             return OpCount(found.calls, found.messages, found.bytes) if found else OpCount()
 
-    def total_point_to_point(self) -> OpCount:
-        """All point-to-point traffic, including collective-internal messages."""
-        return self.get("send")
-
     def snapshot(self) -> dict[str, OpCount]:
         """A consistent copy of all tallies."""
         with self._lock:

@@ -27,8 +27,8 @@ class PricedTraffic:
     Attributes
     ----------
     collective_seconds:
-        Cost of all tree collectives (bcast/reduce/gather/scatter legs at
-        their logical payload sizes).
+        Cost of all tree collectives (bcast/reduce/gather legs at their
+        logical payload sizes).
     point_to_point_seconds:
         Cost of the point-to-point messages *not* accounted to collectives,
         each charged the torus average distance.
@@ -65,7 +65,6 @@ def price_counters(
         ("bcast", tree.bcast_time, n_nodes - 1),
         ("reduce", tree.reduce_time, n_nodes - 1),
         ("gather", tree.reduce_time, n_nodes - 1),
-        ("scatter", tree.bcast_time, n_nodes - 1),
     ):
         count = counters.get(op)
         if count is None or count.calls == 0:

@@ -4,8 +4,7 @@
 * :mod:`repro.population.fitness` — the three fitness-evaluation modes.
 * :mod:`repro.population.fermi` — the pairwise-comparison probability (Eq. 1).
 * :mod:`repro.population.nature` — the Nature Agent's decision process.
-* :mod:`repro.population.schedule` — agent-to-opponent assignment.
-* :mod:`repro.population.sset` — the object-level Strategy Set API.
+* :mod:`repro.population.schedule` — the order an SSet plays its opponents.
 * :mod:`repro.population.dynamics` — the serial evolution driver.
 * :mod:`repro.population.observers` — per-generation hooks and recorders.
 """
@@ -32,8 +31,6 @@ from repro.population.observers import (
     TrajectoryObserver,
 )
 from repro.population.population import Population
-from repro.population.schedule import OpponentSchedule
-from repro.population.sset import StrategySet
 
 __all__ = [
     "EvolutionDriver",
@@ -56,6 +53,4 @@ __all__ = [
     "SnapshotObserver",
     "TrajectoryObserver",
     "Population",
-    "OpponentSchedule",
-    "StrategySet",
 ]

@@ -631,16 +631,6 @@ class JobQueue:
             job = self._jobs.get(self.store.key(tenant, run_id))
             return None if job is None or self._fenced else job.done_event
 
-    def list_jobs(self, tenant: str | None = None) -> list[JobStatus]:
-        """Snapshots of every job this queue knows, submission order."""
-        with self._lock:
-            jobs = sorted(self._jobs.values(), key=lambda j: j.seq)
-            return [
-                self._status_locked(j)
-                for j in jobs
-                if tenant is None or j.key.tenant == tenant
-            ]
-
     @property
     def draining(self) -> bool:
         """Whether the queue has stopped admitting work (drain or close)."""

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.errors import MPIError
 from repro.mpi.executor import run_spmd
 
 SIZES = [1, 2, 3, 4, 5, 8, 13, 16]
@@ -81,32 +80,6 @@ class TestGatherScatter:
 
         res = run_spmd(size, prog, timeout=60)
         assert res.returns[0] == [2 * r for r in range(size)]
-
-    def test_scatter(self, size):
-        def prog(comm):
-            items = [f"item{r}" for r in range(comm.size)] if comm.rank == 0 else None
-            return comm.scatter(items, root=0)
-
-        res = run_spmd(size, prog, timeout=60)
-        assert res.returns == [f"item{r}" for r in range(size)]
-
-    def test_allgather(self, size):
-        def prog(comm):
-            return comm.allgather(comm.rank**2)
-
-        res = run_spmd(size, prog, timeout=60)
-        expected = [r**2 for r in range(size)]
-        assert all(v == expected for v in res.returns)
-
-
-class TestScatterValidation:
-    def test_scatter_wrong_length(self):
-        def prog(comm):
-            items = ["a"] if comm.rank == 0 else None
-            return comm.scatter(items, root=0)
-
-        with pytest.raises(MPIError):
-            run_spmd(3, prog, timeout=30)
 
 
 class TestBarrierAndSequencing:

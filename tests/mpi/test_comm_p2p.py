@@ -83,8 +83,7 @@ class TestBasicSendRecv:
                 req = comm.isend([1, 2, 3], dest=1, tag=4)
                 req.wait()
             else:
-                req = comm.irecv(source=0, tag=4)
-                return req.wait()
+                return comm.recv(source=0, tag=4, timeout=10)
 
         res = run_spmd(2, prog, timeout=30)
         assert res.returns[1] == [1, 2, 3]

@@ -48,7 +48,7 @@ class TestCrashPropagation:
 
 class TestDivergenceDetection:
     def test_replica_divergence_is_caught(self):
-        """The parallel runner's digest allgather must flag a rank whose
+        """A digest gathered and broadcast must flag a rank whose
         population replica drifted (here: injected bit flip)."""
         import hashlib
 
@@ -59,7 +59,7 @@ class TestDivergenceDetection:
             replica = np.zeros(16, dtype=np.uint8)
             if comm.rank == 2:
                 replica[3] = 1  # injected divergence
-            digests = comm.allgather(digest(replica))
+            digests = comm.bcast(comm.gather(digest(replica), root=0), root=0)
             if len(set(digests)) != 1:
                 raise MPIError(f"rank {comm.rank}: replicas diverged")
             return True

@@ -38,10 +38,9 @@ def _collective_medley(comm):
     word = comm.bcast("hello" if comm.rank == 0 else None, root=0)
     total = comm.allreduce(comm.rank)
     rows = comm.gather(comm.rank * 10, root=1)
-    piece = comm.scatter(
-        [f"part-{i}" for i in range(comm.size)] if comm.rank == 0 else None, root=0
-    )
-    everyone = comm.allgather(comm.rank**2)
+    parts = comm.bcast([f"part-{i}" for i in range(comm.size)] if comm.rank == 0 else None)
+    piece = parts[comm.rank]
+    everyone = comm.bcast(comm.gather(comm.rank**2, root=0), root=0)
     comm.barrier()
     return (word, total, rows, piece, everyone)
 

@@ -46,16 +46,6 @@ class TestCollectiveProperties:
         assert res.returns[root] == size * (size + 1) // 2
 
     @settings(max_examples=10, deadline=None)
-    @given(world_sizes)
-    def test_allgather_order_preserved(self, size):
-        def prog(comm):
-            return comm.allgather((comm.rank, comm.rank**2))
-
-        res = run_spmd(size, prog, timeout=60)
-        expected = [(r, r**2) for r in range(size)]
-        assert all(v == expected for v in res.returns)
-
-    @settings(max_examples=10, deadline=None)
     @given(world_sizes, st.integers(1, 5))
     def test_repeated_collectives_never_cross_match(self, size, rounds):
         def prog(comm):

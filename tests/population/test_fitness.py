@@ -10,6 +10,7 @@ from repro.game.strategy import named_strategy
 from repro.game.vector_engine import VectorEngine
 from repro.population.fitness import FitnessEvaluator
 from repro.population.population import Population
+from repro.population.schedule import opponent_rows
 from repro.rng import StreamFactory
 
 
@@ -171,6 +172,34 @@ def test_sampled_all_fitness_is_each_sset_asked_alone(kind, include_self_play):
         assert batch.tolist() == single
     assert together.engine.games_played == alone.engine.games_played
     assert together.engine.games_played == 2 * cfg.n_ssets * cfg.opponents_per_sset
+
+
+@pytest.mark.parametrize("include_self_play", [False, True])
+def test_sampled_fitness_is_its_opponent_rows_slate_on_its_keyed_stream(include_self_play):
+    """An SSet's noisy fitness is its ``opponent_rows`` slate (self last)
+    played in one call on the ``("fitness", generation, sset)`` stream.  With
+    self-play, ordering self in position order instead flips different games
+    of the same stream: 3786 vs 3866 here under the per-round flip draws that
+    preceded the gap-sampled schedule."""
+    cfg = SimulationConfig(
+        memory=2, n_ssets=8, noise=NoiseModel(0.05), seed=5,
+        include_self_play=include_self_play,
+    )
+    streams = StreamFactory(cfg.seed)
+    pop = Population.random(cfg, streams.fresh("init"))
+    evaluator = FitnessEvaluator(cfg, pop, streams)
+    assignment = pop.assignment()
+    for sset in range(cfg.n_ssets):
+        opponents = opponent_rows(cfg.n_ssets, [sset], include_self_play)[0]
+        ia = np.full(opponents.size, assignment[sset], dtype=np.intp)
+        played = evaluator.engine.play(
+            pop.tables_view(), ia, assignment[opponents],
+            rng=streams.fresh("fitness", 2, sset),
+        )
+        assert float(played.fitness_a.sum()) == evaluator.fitness([sset], 2)[0]
+    if include_self_play:
+        # The stored trajectories' value under the flip schedule (3866.0 under per-round draws).
+        assert evaluator.fitness([3], 2)[0] == 3943.0
 
 
 class TestConfigMismatch:
