@@ -122,9 +122,10 @@ class BatchEngine(VectorEngine):
             p00, p01 = int(pay[0, 0]), int(pay[0, 1])
             p10, p11 = int(pay[1, 0]), int(pay[1, 1])
             cross = p11 - p10 - p01 + p00
-            # pay[a, b] == c0 + ca*a + cb*b + cab*a*b for a, b in {0, 1}.
-            self._lin_mine = (p00, p10 - p00, p01 - p00, cross)
-            self._lin_theirs = (p00, p01 - p00, p10 - p00, cross)
+            # pay[a, b] == c0 + ca*a + cb*b + cab*a*b for a, b in {0, 1}: a seat's
+            # payoff is c0 * rounds plus its row of _lin times (Σa, Σb, Σab).
+            self._lin = np.array([[p10 - p00, p01 - p00, cross], [p01 - p00, p10 - p00, cross]])
+            self._base = np.array([[p00 * self.rounds]] * 2)
         # Every pure loop reads both moves off A's view of the joint state (B's
         # through ``_mirror``, B's view of each state); path doubling and the
         # byte loop count them packed ``Σa | Σb << w | Σab << 2w`` in one int64,
@@ -135,6 +136,7 @@ class BatchEngine(VectorEngine):
         states = np.arange(space.n_states)
         self._mirror = space.opponent_view_array(states)
         if self._counts_pack:
+            self._fields = np.array([[0], [width], [2 * width]]), np.int64((1 << width) - 1)
             self._shifted = (states << 2) & space.mask
             self._adds = np.array([0, 1 << width, 1, 1 + (1 << width) + (1 << 2 * width)])
             self._counts = sum(self._adds[states >> 2 * k & 3] for k in range(space.memory))
@@ -247,7 +249,7 @@ class BatchEngine(VectorEngine):
                 seen_at = played
 
         counts += spans_left * seen_counts
-        return self._counted(*counts.astype(np.int64))
+        return self._counted(counts.astype(np.int64))
 
     def _run_bytes(self, mat, ia, ib, bounds, rngs, record_cooperation):
         """Noisy round loop: one byte gathered per seat per round, both seats at once.
@@ -319,18 +321,17 @@ class BatchEngine(VectorEngine):
 
     def _counted_packed(self, total):
         """:meth:`_counted` of counters packed ``Σa | Σb << w | Σab << 2w``."""
-        width = self.rounds.bit_length()
-        field = (1 << width) - 1
-        return self._counted(total & field, (total >> width) & field, total >> 2 * width)
+        shifts, field = self._fields
+        return self._counted((total >> shifts) & field)
 
-    def _counted(self, da, db, dab):
-        """Both seats' payoffs and cooperations from the three int64 move counters."""
-        rounds = np.int64(self.rounds)
-        c0, ca, cb, cab = self._lin_mine
-        fit_a = (c0 * rounds + ca * da + cb * db + cab * dab).astype(np.float64)
-        c0, ca, cb, cab = self._lin_theirs
-        fit_b = (c0 * rounds + ca * da + cb * db + cab * dab).astype(np.float64)
-        return fit_a, fit_b, rounds - da, rounds - db
+    def _counted(self, counts):
+        """Both seats' payoffs and cooperations from the ``(3, games)`` int64 ``Σa, Σb, Σab``.
+
+        Integer arithmetic throughout, then one conversion: exact.
+        """
+        fit = (self._lin @ counts + self._base).astype(np.float64)
+        coop = self.rounds - counts[:2]
+        return fit[0], fit[1], coop[0], coop[1]
 
     def __repr__(self) -> str:
         return (

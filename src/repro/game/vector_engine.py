@@ -208,7 +208,8 @@ class VectorEngine:
         if ia.shape != ib.shape or ia.ndim != 1:
             raise GameError(f"ia/ib must be equal-length 1-D arrays, got {ia.shape}, {ib.shape}")
         n_games = ia.size
-        if n_games and (ia.min() < 0 or ib.min() < 0 or max(ia.max(), ib.max()) >= mat.shape[0]):
+        # Viewed unsigned, a negative index is larger than any row count.
+        if n_games and max(ia.view(np.uintp).max(), ib.view(np.uintp).max()) >= mat.shape[0]:
             raise GameError("pair indices out of range of the strategy matrix")
         bounds = [0, *accumulate(int(size) for size in sizes)]
         if bounds[-1] != n_games or sorted(bounds) != bounds:

@@ -889,6 +889,8 @@ class Comm:
         blocked in one would.  Returns when the next owed ack falls due
         (``math.inf`` when none is owed).
         """
+        if not self._reliable_owed:
+            return math.inf
         now, due = time.monotonic(), math.inf
         for peer, since in list(self._reliable_owed.items()):
             if since + _ACK_DELAY <= now:

@@ -110,8 +110,11 @@ class EventTap(Tracer):
             except ValueError:
                 pass
 
+    def records(self, name: str) -> bool:
+        return self._names is None or name in self._names
+
     def span(self, name: str, **kwargs):
-        if self._names is not None and name not in self._names:
+        if not self.records(name):
             return _NULL_SPAN
         return super().span(name, **kwargs)
 
@@ -119,7 +122,7 @@ class EventTap(Tracer):
         return 0 if self._names is not None else super().new_flow_id()
 
     def _record(self, event: TraceEvent) -> None:
-        if self._names is not None and event.name not in self._names:
+        if not self.records(event.name):
             return  # instants, complete(), absorb_events: rare, filtered once built
         if self._keep_events:
             super()._record(event)

@@ -221,6 +221,10 @@ class Tracer:
 
     # -- recording ----------------------------------------------------------
 
+    def records(self, name: str) -> bool:
+        """Whether a span or instant named ``name`` would be recorded."""
+        return True
+
     def _record(self, event: TraceEvent) -> None:
         with self._lock:
             self._events.append(event)
@@ -389,6 +393,9 @@ class NullTracer(Tracer):
     """
 
     enabled = False
+
+    def records(self, name: str) -> bool:  # noqa: D102 - records nothing
+        return False
 
     def _record(self, event: TraceEvent) -> None:  # pragma: no cover - never called
         pass

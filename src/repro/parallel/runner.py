@@ -178,11 +178,12 @@ class _Replica:
         self.apply(event)
         events.append((gen, event))
 
-    def draft(self, upto, events) -> None:
+    def draft(self, upto, events, turn) -> None:
         """Nature: draw everything through generation ``upto`` into ``events``.
 
         A PC's fitness is a function of this replica, the generation and the
-        SSet, so it is decided on the way, lazy run or eager.
+        SSet, so it is decided on the way, lazy run or eager; ``turn()`` is
+        taken before each one.
         """
         while True:
             drawn, pc = self.nature.advance(self.population.random_strategy_table, upto)
@@ -190,6 +191,7 @@ class _Replica:
                 self.record(g, MutationUpdate(sset=m.sset, table=m.table), events)
             if pc is None:
                 return
+            turn()
             g, selection = pc
             with self.tracer.span("pc_step", rank=self.rank, args={"gen": g}):
                 pi_t, pi_l = self.evaluator.fitness([selection.teacher, selection.learner], g)
@@ -394,6 +396,7 @@ def _nature(comm, config, population, evaluator, streams, opts) -> dict:
     replica = _Replica(config, population, evaluator, comm.rank, tracer, nature)
     last = config.generations
     closed = nature.closed  # the generation the previous frame's header named
+    watched = tracer.records("generation") or comm.world.injector is not None
 
     def fan_out(ranks, frame, gen: int, what: str, wait: float) -> tuple[list[int], float]:
         """Post ``frame`` to every rank of ``ranks`` before waiting for
@@ -528,13 +531,15 @@ def _nature(comm, config, population, evaluator, streams, opts) -> dict:
         if every:
             end = min(end, closed - closed % every + every)
         events: list = []  # what Nature applies this window: the frame's news
-        for gen in range(closed + 1, end + 1):
-            # Drafting may outlast the timers of the reports whose acks
-            # ride the next frame: send those on their own once they are due.
-            comm.settle_due_acks()
+        # A generation at a time when someone watches generations (a traced
+        # span, a fault point); the whole window in one pass when nobody does.
+        step = 1 if watched else end - closed
+        for gen in range(closed + step, end + 1, step):
             with tracer.span("generation", rank=comm.rank, args={"gen": gen}):
                 comm.fault_point(gen)
-                replica.draft(gen, events)
+                # Drafting may outlast the timers of the reports whose acks
+                # ride the next frame: before each PC, send those due on their own.
+                replica.draft(gen, events, comm.settle_due_acks)
         header = FTHeader(end, failed_ranks=tuple(sorted(failed)))
         # One frame down: every live worker's is on its way before Nature
         # waits for anyone.  A worker plays every generation of the window

@@ -26,12 +26,15 @@ of the star and the service build one evaluator each.  It is one
 ``(capacity, capacity)`` float64 array over the population's slots, NaN
 where a pair is unplayed, beside the stamp each slot's row and column were
 filled under: a query first wipes the row and column of every slot whose
-stamp moved (the slot was reused for another strategy), then plays the NaN
-columns of all its rows together — the pairs one query per SSet would
-play, at most two rows' lanes per engine call, so a pairwise comparison
-is one call — and writes and sums row by row in the order asked.  The
-array is allocated by the first memoised query, so sampled runs hold none;
-its size is fixed at
+stamp moved (the slot was reused for another strategy), then plays, each
+pair once, the whole row of every slot interned since the last query and
+the NaN columns of the rows it asks for, at most two rows' lanes per engine
+call — so a pairwise comparison, a new strategy's row included, is one call
+unless more than two of those rows are cold — and writes and sums row by
+row, new rows first, then in the order asked.
+A new strategy costs its whole row once, and no later query misses its
+column.  The array is allocated by the first memoised query, so sampled
+runs hold none; its size is fixed at
 ``(n_ssets + 1)**2`` float64s — 200 MB at 5 000 SSets — however many
 pairs a run plays.
 """
@@ -93,6 +96,9 @@ class FitnessEvaluator:
         # and the stamp each slot was filled under (both allocated lazily).
         self._memo: np.ndarray | None = None
         self._filled: np.ndarray | None = None
+        # Read-only views that follow the population: no copy per query.
+        self._stamps = population.slot_stamps()
+        self._counts = population.counts()
         self.pairs_computed = 0
         self.pair_lookups = 0
 
@@ -117,40 +123,43 @@ class FitnessEvaluator:
     # -- memoised modes ----------------------------------------------------------
 
     def _memoised_fitness(self, ssets: Sequence[int]) -> np.ndarray:
-        """Each SSet's weighted row sum, its unplayed pairs filled together.
+        """Each SSet's weighted row sum, the new rows and its unplayed pairs filled together.
 
-        Rows are scheduled in request order: a row's NaN columns are marked
-        played (0.0) in both its row and their own, so a later row skips a
-        pair an earlier one plays, and a repeated slot skips its whole row —
-        the pairs one query per SSet would play.  Up to two rows' lanes
-        (``2 * capacity``) are played in one engine call, so a pairwise
-        comparison is one call.
+        Rows are scheduled in order — first every slot interned since the
+        last query, whole, then the asked rows: a row's NaN columns are
+        marked played (0.0) in both its row and their own, so a later row
+        skips a pair an earlier one plays, and a repeated slot skips its
+        whole row.  Up to two rows' lanes (``2 * capacity``) are played in
+        one engine call, so a pairwise comparison and one new strategy's
+        row are one call unless more than two of those rows are cold.
         """
-        pop = self.population
-        stamps = pop.slot_stamps()
+        pop, stamps = self.population, self._stamps
+        slots = [pop.slot_of(int(s)) for s in ssets]  # an unknown SSet raises before any write
         if self._memo is None:
             self._memo = np.full((stamps.size, stamps.size), np.nan)
             self._filled = stamps.copy()
-        memo = self._memo
+        memo, fresh = self._memo, ()
         moved = np.flatnonzero(self._filled != stamps)
         if moved.size:
             memo[moved] = np.nan
             memo[:, moved] = np.nan
             self._filled[moved] = stamps[moved]
-        slots = [pop.slot_of(int(s)) for s in ssets]  # an unknown SSet raises before any write
-        live = pop.live_slots()
-        counts = pop.counts()[live].astype(np.float64)
+            fresh = moved[stamps[moved] != 0]  # reused, not just freed: a new strategy's row
+        live = np.flatnonzero(self._counts)
+        counts = self._counts[live].astype(np.float64)
+        schedule = [(int(f), False) for f in fresh] + [(s, True) for s in slots]
         answers, rows, lanes = [], [], 0
         try:
-            for slot in slots:
+            for slot, asked in schedule:
                 missing = live[np.isnan(memo[slot, live])]
-                self.pair_lookups += live.size - missing.size
+                if asked:
+                    self.pair_lookups += live.size - missing.size
                 if lanes + missing.size > 2 * stamps.size:
                     answers += self._fill_rows(rows, lanes, live, counts)
                     rows, lanes = [], 0
                 if missing.size:
                     memo[slot, missing] = memo[missing, slot] = 0.0
-                rows.append((slot, missing))
+                rows.append((slot, missing, asked))
                 lanes += missing.size
             if rows:
                 answers += self._fill_rows(rows, lanes, live, counts)
@@ -160,25 +169,25 @@ class FitnessEvaluator:
         return np.array(answers)
 
     def _fill_rows(self, rows: list, lanes: int, live: np.ndarray, counts: np.ndarray) -> list:
-        """Play the rows' ``lanes`` scheduled pairs in one call; write and sum row by row."""
+        """Play the rows' ``lanes`` scheduled pairs in one call; write row by row, sum the asked."""
         if lanes:
-            ia = np.repeat([slot for slot, _ in rows], [m.size for _, m in rows])
-            fa, fb = self._compute_pairs(ia, np.concatenate([m for _, m in rows]))
+            ia = np.repeat([slot for slot, _, _ in rows], [m.size for _, m, _ in rows])
+            fa, fb = self._compute_pairs(ia, np.concatenate([m for _, m, _ in rows]))
             self.pairs_computed += lanes
         memo, answers, lo = self._memo, [], 0
-        for slot, missing in rows:
+        for slot, missing, asked in rows:
             hi = lo + missing.size
             if hi > lo:
                 memo[slot, missing] = fa[lo:hi]
-            row = memo[slot, live]
-            total = float(row @ counts)
-            if not self.config.include_self_play:
-                total -= float(row[np.searchsorted(live, slot)])
+            if asked:
+                total = float(memo[slot, live] @ counts)
+                if not self.config.include_self_play:
+                    total -= float(memo[slot, slot])
+                answers.append(total)
             # The mirrored payoff fills the opponents' rows after the answer is
             # read, so a self-pair's entry ends as its mirror; the answer keeps ``fa``.
             if hi > lo:
                 memo[missing, slot] = fb[lo:hi]
-            answers.append(total)
             lo = hi
         return answers
 

@@ -197,8 +197,13 @@ class Population:
         return self._assign.copy()
 
     def counts(self) -> np.ndarray:
-        """Copy of per-slot reference counts (0 for free slots)."""
-        return self._counts.copy()
+        """Read-only view of per-slot reference counts (0 for free slots).
+
+        Like :meth:`slot_stamps`, the view follows the population as it changes.
+        """
+        view = self._counts.view()
+        view.flags.writeable = False
+        return view
 
     def table_of(self, sset: int) -> np.ndarray:
         """Read-only view of the strategy table played by ``sset``."""

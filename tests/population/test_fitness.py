@@ -46,13 +46,21 @@ class TestDeterministicMode:
         assert ev.pairs_computed == computed
 
     def test_mutation_invalidates_row(self, small_config):
+        """A new strategy's row is played whole by the next query, whichever
+        SSets it asks: then no query misses its column."""
         pop, ev, _ = make(small_config)
-        ev.fitness([0], generation=1)
+        ev.all_fitness(generation=1)
         computed = ev.pairs_computed
-        pop.set_strategy(1, 1 - pop.table_of(1).copy())
+        table = 1 - pop.table_of(1)
+        assert not any(np.array_equal(table, pop.table_of(s)) for s in range(pop.n_ssets))
+        pop.set_strategy(1, table)
         ev.fitness([0], generation=2)
-        # The mutated opponent's pair must be recomputed, nothing else.
-        assert ev.pairs_computed == computed + 1
+        # The new slot's row against every live slot, its self-pair included.
+        assert ev.pairs_computed == computed + pop.live_slots().size
+        computed = ev.pairs_computed
+        got = ev.all_fitness(generation=3)
+        assert ev.pairs_computed == computed
+        assert np.array_equal(got, FitnessEvaluator(small_config, pop).all_fitness(3))
 
     def test_a_failed_fill_leaves_no_unplayed_pair_marked_played(self, small_config, monkeypatch):
         """A request marks its pairs played before the kernel runs; if an SSet
@@ -288,3 +296,80 @@ def test_a_request_fills_what_one_query_per_sset_fills(mode, n_ssets, include_se
         shared += pop.slot_of(learner) == pop.slot_of(teacher)
         ask(together, alone, [teacher, learner], step)
     assert shared and unplayed
+
+
+def _new_tables(pop, rng, k):
+    """``k`` random tables, distinct from each other and from every live one."""
+    seen = {pop.table_of(s).tobytes() for s in range(pop.n_ssets)}
+    tables = []
+    while len(tables) < k:
+        table = pop.random_strategy_table(rng)
+        if table.tobytes() not in seen:
+            seen.add(table.tobytes())
+            tables.append(table)
+    return tables
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "expected"])
+def test_a_burst_of_new_strategies_is_played_by_the_next_query(mode):
+    """Every strategy interned since the last query has its whole row played
+    by the next one, whatever SSets it asks: each pair among the new slots
+    once, each with every other live slot once.  Then no query misses a
+    pair."""
+    cfg = SimulationConfig(memory=3, n_ssets=12, seed=5, rounds=40)
+    if mode == "expected":
+        cfg = cfg.with_updates(noise=NoiseModel(0.02), fitness_mode="expected")
+    pop = Population.random(cfg, StreamFactory(cfg.seed).fresh("init"))
+    ev = FitnessEvaluator(cfg, pop)
+    ev.all_fitness(generation=0)
+    rng = np.random.default_rng(5)
+    for sset, table in zip((2, 7, 9), _new_tables(pop, rng, 3)):
+        pop.set_strategy(sset, table)
+    new, live = 3, pop.live_slots().size
+    computed = ev.pairs_computed
+    # A PC between two SSets that kept their strategies.
+    answers = ev.fitness([0, 1], generation=1)
+    assert ev.pairs_computed - computed == new * live - new * (new - 1) // 2
+    computed, lookups = ev.pairs_computed, ev.pair_lookups
+    got = ev.all_fitness(generation=2)
+    assert ev.pairs_computed == computed
+    assert ev.pair_lookups - lookups == pop.n_ssets * live
+    want = FitnessEvaluator(cfg, pop).all_fitness(generation=2)
+    if mode == "deterministic":
+        assert np.array_equal(got, want) and np.array_equal(answers, want[:2])
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_new_rows_split_at_the_lane_cap_answer_what_a_fresh_evaluator_answers(monkeypatch):
+    """Three new strategies' rows plus two asked rows exceed ``2 * capacity``
+    lanes, so a query plays them in more than one engine call; its answers
+    are still a fresh evaluator's, bit for bit."""
+    cfg = SimulationConfig(memory=2, n_ssets=10, seed=8, rounds=60)
+    pop = Population.random(cfg, StreamFactory(cfg.seed).fresh("init"))
+    memo = FitnessEvaluator(cfg, pop)
+    widths = []
+    play = memo.engine.play
+
+    def counted(tables, ia, ib):
+        widths.append(len(ia))
+        return play(tables, ia, ib)
+
+    monkeypatch.setattr(memo.engine, "play", counted)
+    rng = np.random.default_rng(8)
+    split = 0
+    for step in range(60):
+        action = rng.integers(3)
+        teacher, learner = (int(s) for s in rng.permutation(cfg.n_ssets)[:2])
+        if action == 0:
+            pop.adopt(learner, teacher)
+        elif action == 1:
+            for table in _new_tables(pop, rng, 3):
+                pop.set_strategy(int(rng.integers(cfg.n_ssets)), table)
+        del widths[:]
+        got = memo.fitness([teacher, learner], step)
+        assert max(widths, default=0) <= 2 * pop.capacity
+        split += len(widths) > 1
+        want = FitnessEvaluator(cfg, pop).fitness([teacher, learner], step)
+        assert np.array_equal(got, want)
+    assert split
