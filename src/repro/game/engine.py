@@ -51,27 +51,6 @@ class GameResult:
     moves_a: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.uint8))
     moves_b: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.uint8))
 
-    @property
-    def mean_payoff_a(self) -> float:
-        """Player A's average per-round payoff."""
-        return self.fitness_a / self.rounds
-
-    @property
-    def mean_payoff_b(self) -> float:
-        """Player B's average per-round payoff."""
-        return self.fitness_b / self.rounds
-
-    def cooperation_fraction_a(self) -> float:
-        """Fraction of rounds in which A cooperated (requires recorded moves)."""
-        if self.moves_a.size == 0:
-            raise GameError("moves were not recorded; pass record_moves=True")
-        return float(1.0 - self.moves_a.mean())
-
-    def cooperation_fraction_b(self) -> float:
-        """Fraction of rounds in which B cooperated (requires recorded moves)."""
-        if self.moves_b.size == 0:
-            raise GameError("moves were not recorded; pass record_moves=True")
-        return float(1.0 - self.moves_b.mean())
 
 
 def play_ipd(

@@ -67,30 +67,13 @@ class PayoffMatrix:
         tab.setflags(write=False)
         object.__setattr__(self, "table", tab)
 
-    @classmethod
-    def from_fRSTP(cls, values: tuple[float, float, float, float], **kw: object) -> "PayoffMatrix":
-        """Build from the paper's ``f[R, S, T, P]`` vector."""
-        r, s, t, p = values
-        return cls(reward=r, sucker=s, temptation=t, punishment=p, **kw)  # type: ignore[arg-type]
-
     def payoff(self, my_move: int, opp_move: int) -> float:
         """My payoff for one round given both (0=C / 1=D) moves."""
         return float(self.table[int(my_move), int(opp_move)])
 
-    def round_payoffs(self, move_a: int, move_b: int) -> tuple[float, float]:
-        """Both players' payoffs for one round: ``(payoff_a, payoff_b)``."""
-        return (
-            float(self.table[int(move_a), int(move_b)]),
-            float(self.table[int(move_b), int(move_a)]),
-        )
-
     def as_fRSTP(self) -> tuple[float, float, float, float]:
         """Return ``(R, S, T, P)`` in the paper's order."""
         return (self.reward, self.sucker, self.temptation, self.punishment)
-
-    def is_iterated_pd(self) -> bool:
-        """True when ``2R > T + S`` also holds."""
-        return 2 * self.reward > self.temptation + self.sucker
 
     def render(self) -> str:
         """Render the 2x2 matrix like the paper's Table I."""

@@ -1,22 +1,17 @@
-"""Strategy-space enumeration and counting (paper §III-D, Tables III and IV).
+"""Strategy-space counting (paper §III-D, Tables III and IV).
 
 For memory-*n* there are ``4**n`` states and ``2**(4**n)`` pure strategies —
 16 for memory-one, 65,536 for memory-two, and astronomically many beyond
 (the paper quotes 1.84e19, 1.16e77, 2^2048 and 2^4096 for memory three
-through six).  Only the memory-one space is small enough to enumerate; the
-rest we count, sample, and describe.
+through six).  This module counts and describes them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
 
 from repro.errors import StrategyError
-from repro.game.strategy import Strategy
 from repro.game.states import StateSpace
 
 __all__ = ["StrategySpace", "PAPER_TABLE4"]
@@ -63,11 +58,6 @@ class StrategySpace:
         return 1 << self.n_states
 
     @property
-    def log2_n_pure(self) -> int:
-        """``log2`` of the pure-strategy count — simply ``4**memory``."""
-        return self.n_states
-
-    @property
     def log10_n_pure(self) -> float:
         """``log10`` of the pure-strategy count (handles 2^4096 comfortably)."""
         return self.n_states * math.log10(2.0)
@@ -85,46 +75,6 @@ class StrategySpace:
             mantissa = 10 ** (self.log10_n_pure - exp)
             return f"{mantissa:.2f}*10^{exp}"
         return f"2^{self.n_states}"
-
-    # -- enumeration & sampling -------------------------------------------
-
-    def iter_pure(self) -> Iterator[Strategy]:
-        """Iterate every pure strategy (memory-one only: 16 strategies).
-
-        Larger spaces are refused: memory-two already has 65,536 strategies
-        and memory-three could not complete before the heat death of the
-        machine.
-        """
-        if self.memory > 1:
-            raise StrategyError(
-                f"refusing to enumerate 2^{self.n_states} strategies; sample instead"
-            )
-        space = self.space
-        for sid in range(self.n_pure):
-            yield Strategy.from_id(space, sid)
-
-    def sample_pure_ids(self, count: int, rng: np.random.Generator) -> list[int]:
-        """Draw ``count`` uniformly random pure-strategy ids (arbitrary precision).
-
-        Ids are assembled 64 bits at a time so the full ``2**4096``-wide
-        space is sampled uniformly even though it dwarfs any float range.
-        """
-        if count < 0:
-            raise StrategyError(f"count must be non-negative, got {count}")
-        nwords = (self.n_states + 63) // 64
-        excess = 64 * nwords - self.n_states
-        ids: list[int] = []
-        for _ in range(count):
-            words = rng.integers(
-                0, np.iinfo(np.uint64).max, size=nwords, dtype=np.uint64, endpoint=True
-            )
-            value = 0
-            for w, word in enumerate(words):
-                value |= int(word) << (64 * w)
-            if excess:
-                value &= (1 << self.n_states) - 1
-            ids.append(value)
-        return ids
 
     # -- paper tables --------------------------------------------------------
 

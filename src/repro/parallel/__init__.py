@@ -16,12 +16,7 @@ from repro.parallel.decomposition import (
     owner_map_with_failures,
     table8_rows,
 )
-from repro.parallel.protocol import (
-    DegradationEvent,
-    MutationUpdate,
-    PCOutcome,
-    RecoveryEvent,
-)
+from repro.parallel.protocol import DegradationEvent, RecoveryEvent
 from repro.parallel.runner import ParallelRunResult, ParallelSimulation
 from repro.parallel.spec import FaultPolicy, RunSpec
 from repro.parallel.supervisor import RestartEvent, SupervisedResult, SupervisedRun
@@ -31,8 +26,6 @@ __all__ = [
     "agents_per_processor",
     "owner_map_with_failures",
     "table8_rows",
-    "MutationUpdate",
-    "PCOutcome",
     "DegradationEvent",
     "RecoveryEvent",
     "ParallelRunResult",

@@ -93,11 +93,6 @@ class SSetDecomposition:
             worker = extra + (sset - head) // base
         return worker + 1
 
-    @property
-    def max_ssets_per_rank(self) -> int:
-        """SSets on the busiest worker."""
-        return -(-self.n_ssets // self.n_workers)
-
     def validate(self) -> None:
         """Assert the blocks tile the SSet range and agree with :meth:`owner_of`.
 

@@ -10,9 +10,12 @@ a function of Nature's own replica, so a window — up to the cap, the next
 checkpoint, or the last generation — exchanges, with every live worker:
 
 1. **Frame** (Nature -> worker, :meth:`~repro.mpi.comm.Comm.post_reliable`):
-   ``(closed, [(generation, PCOutcome | MutationUpdate), ...], FTHeader)`` —
-   every decision and mutation Nature drew in generations ``closed + 1``
-   (where the previous frame stopped) through the header's, in order.
+   ``(closed, [(generation, AdoptionDecision | MutationSelection), ...],
+   FTHeader)`` — every decision and mutation Nature drew in generations
+   ``closed + 1`` (where the previous frame stopped) through the header's,
+   in order.  The events are the serial driver's own
+   (:mod:`repro.population.nature`): the frame is the list
+   :meth:`~repro.population.dynamics.EvolutionDriver.draft` filled.
 2. **Report** (worker -> Nature): a :class:`WorkerReport`, the window's
    heartbeat.
 
@@ -21,7 +24,7 @@ rank ends the window with an identical global strategy view — the paper's
 "all nodes need to maintain an up to date view of the strategies assigned to
 all other SSets".
 
-Payloads are small slotted dataclasses that pickle as their values alone;
+Both event types are slotted dataclasses that pickle as their values alone;
 a strategy table travels as its raw bytes, so the virtual network counts its
 true size.
 """
@@ -35,8 +38,6 @@ import numpy as np
 __all__ = [
     "TAG_CONTROL",
     "TAG_REPORT",
-    "PCOutcome",
-    "MutationUpdate",
     "FTHeader",
     "FTShutdown",
     "FTFinal",
@@ -61,39 +62,6 @@ TAG_HELLO = 13
 
 #: Reliable-channel tag for Nature -> replacement rejoin state transfer.
 TAG_RECOVERY = 14
-
-
-@dataclass(frozen=True, slots=True)
-class PCOutcome:
-    """The Nature Agent's adoption decision for one pairwise comparison."""
-
-    teacher: int
-    learner: int
-    adopted: bool
-    pi_teacher: float
-    pi_learner: float
-    probability: float
-
-    def __reduce__(self):  # values only: the slotted default lists the fields per object
-        return PCOutcome, (self.teacher, self.learner, self.adopted,
-                           self.pi_teacher, self.pi_learner, self.probability)
-
-
-@dataclass(frozen=True, slots=True)
-class MutationUpdate:
-    """A mutation event: ``sset`` receives ``table``."""
-
-    sset: int
-    table: np.ndarray
-
-    def __reduce__(self):
-        # Raw bytes: an ndarray's own pickle costs more than the table it carries.
-        return _mutation_update, (self.sset, self.table.tobytes(), self.table.dtype.str)
-
-
-def _mutation_update(sset: int, raw: bytes, dtype: str) -> MutationUpdate:
-    # Unpickles a MutationUpdate; its table is a read-only 1-D view of ``raw``.
-    return MutationUpdate(sset, np.frombuffer(raw, dtype))
 
 
 # -- the star ---------------------------------------------------------------------

@@ -62,14 +62,13 @@ from repro.parallel.protocol import (
     FTHello,
     FTRejoin,
     FTShutdown,
-    MutationUpdate,
-    PCOutcome,
     RecoveryEvent,
     WorkerReport,
 )
 from repro.obs.tracer import Tracer
+from repro.population.dynamics import EvolutionDriver
 from repro.population.fitness import FitnessEvaluator
-from repro.population.nature import NatureAgent
+from repro.population.nature import MutationSelection
 from repro.population.population import Population
 from repro.rng import StreamFactory
 
@@ -151,52 +150,25 @@ def _replica_digest(matrix: np.ndarray) -> bytes:
 
 
 class _Replica:
-    """One rank's population replica, moved through the run a window at a time.
+    """A worker's population replica, moved through the run a window at a time.
 
-    Every rank holds one: Nature drafts each window on its own
-    (:meth:`draft`), and a worker replays the frame that announces it
-    (:meth:`replay`).
+    Nature drafts each window on its :class:`EvolutionDriver`; a worker
+    replays the frame that announces it (:meth:`replay`).
     """
 
-    def __init__(self, config, population, evaluator, rank, tracer, nature=None) -> None:
+    def __init__(self, config, population, evaluator, rank, tracer) -> None:
         self.config = config
         self.population = population
         self.evaluator = evaluator
         self.rank = rank
         self.tracer = tracer
-        self.nature = nature
         self.games_played = 0
 
     def apply(self, event) -> None:
-        if isinstance(event, MutationUpdate):
+        if isinstance(event, MutationSelection):
             self.population.set_strategy(event.sset, event.table)
         elif event.adopted:
             self.population.adopt(event.learner, event.teacher)
-
-    def record(self, gen, event, events) -> None:
-        """Nature: apply ``event`` now; it ships in ``events``, its window frame's news."""
-        self.apply(event)
-        events.append((gen, event))
-
-    def draft(self, upto, events, turn) -> None:
-        """Nature: draw everything through generation ``upto`` into ``events``.
-
-        A PC's fitness is a function of this replica, the generation and the
-        SSet, so it is decided on the way, lazy run or eager; ``turn()`` is
-        taken before each one.
-        """
-        while True:
-            drawn, pc = self.nature.advance(self.population.random_strategy_table, upto)
-            for g, m in drawn:
-                self.record(g, MutationUpdate(sset=m.sset, table=m.table), events)
-            if pc is None:
-                return
-            turn()
-            g, selection = pc
-            with self.tracer.span("pc_step", rank=self.rank, args={"gen": g}):
-                pi_t, pi_l = self.evaluator.fitness([selection.teacher, selection.learner], g)
-                decision = self.nature.decide_adoption(selection, pi_t, pi_l)
-                self.record(g, _pc_outcome(decision), events)
 
     def replay(self, closed, news, end, owned, *, fault_point=None, min_generation=0) -> None:
         """Worker: generations ``closed+1 .. end`` in order, as the frame's ``news`` tells.
@@ -231,8 +203,9 @@ class _Replica:
 
 # -- the rank program ------------------------------------------------------------------
 #
-# A reliable point-to-point star (repro.parallel.protocol), drafted and
-# replayed a window at a time by ``_Replica``.  Nature's heartbeat detects dead
+# A reliable point-to-point star (repro.parallel.protocol), drafted a window
+# at a time by Nature's ``EvolutionDriver`` and replayed by each worker's
+# ``_Replica``.  Nature's heartbeat detects dead
 # or silent workers and their SSets go to the survivors; fitness being a
 # function of (population, generation, sset) on every rank, a degraded run
 # still matches the fault-free one bit for bit.
@@ -261,14 +234,6 @@ class _News(list):
         return pickle.loads, (self.blob,)
 
 
-def _pc_outcome(decision) -> PCOutcome:
-    """An :class:`~repro.population.nature.AdoptionDecision` as it travels."""
-    return PCOutcome(
-        decision.teacher, decision.learner, decision.adopted,
-        decision.pi_teacher, decision.pi_learner, decision.probability,
-    )
-
-
 def _rank_program(comm: Comm, config: SimulationConfig, opts: _Options):
     """The SPMD body executed by every rank."""
     streams = StreamFactory(config.seed)
@@ -281,10 +246,9 @@ def _rank_program(comm: Comm, config: SimulationConfig, opts: _Options):
         population = Population.random(config, streams.fresh("init"))
     else:
         population = Population(config, opts.start.matrix)
-    evaluator = FitnessEvaluator(config, population, streams)
     if comm.rank == 0:
-        return _nature(comm, config, population, evaluator, streams, opts)
-    return _worker(comm, config, population, evaluator)
+        return _nature(comm, EvolutionDriver(config, population), opts)
+    return _worker(comm, config, population, FitnessEvaluator(config, population, streams))
 
 
 #: How long a respawned worker keeps re-sending its hello before giving up.
@@ -381,8 +345,10 @@ def _worker_loop(comm, config, replica, min_generation) -> dict:
     return {"digest": digest, "games_played": replica.games_played}
 
 
-def _nature(comm, config, population, evaluator, streams, opts) -> dict:
-    nature = NatureAgent(config, streams)
+def _nature(comm, driver, opts) -> dict:
+    """Nature: draft each window on ``driver``, the serial driver's own loop,
+    and tell every live worker what it drew."""
+    config, nature, population = driver.config, driver.nature, driver.population
     if opts.start is not None:
         opts.start.restore(nature)
     failed: set[int] = set()
@@ -392,8 +358,7 @@ def _nature(comm, config, population, evaluator, streams, opts) -> dict:
     checkpoints: list[str] = []
     hb = opts.heartbeat_timeout
     every = opts.checkpoint_every if opts.checkpoint_dir is not None else 0
-    tracer = comm.world.tracer
-    replica = _Replica(config, population, evaluator, comm.rank, tracer, nature)
+    tracer = driver.tracer = comm.world.tracer
     last = config.generations
     closed = nature.closed  # the generation the previous frame's header named
     watched = tracer.records("generation") or comm.world.injector is not None
@@ -539,7 +504,7 @@ def _nature(comm, config, population, evaluator, streams, opts) -> dict:
                 comm.fault_point(gen)
                 # Drafting may outlast the timers of the reports whose acks
                 # ride the next frame: before each PC, send those due on their own.
-                replica.draft(gen, events, comm.settle_due_acks)
+                driver.draft(gen, events, comm.settle_due_acks)
         header = FTHeader(end, failed_ranks=tuple(sorted(failed)))
         # One frame down: every live worker's is on its way before Nature
         # waits for anyone.  A worker plays every generation of the window

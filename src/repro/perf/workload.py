@@ -9,7 +9,7 @@ the paper's studies (Tables VI and VII, Figures 3-7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import PerfModelError
 from repro.game.states import MAX_MEMORY, StateSpace
@@ -76,16 +76,6 @@ class WorkloadSpec:
     def strategy_nbytes(self) -> int:
         """Wire size of one strategy table (one byte per state, as in C)."""
         return StateSpace(self.memory).n_states
-
-    @property
-    def total_agents(self) -> int:
-        """Population size under the paper's agents-per-SSet = SSets rule."""
-        return self.n_ssets * self.n_ssets
-
-    def scaled_ssets(self, factor: int) -> "WorkloadSpec":
-        """A copy with ``factor`` x the SSets and games/SSet ∝ SSets (strong-scaling family)."""
-        n = self.n_ssets * factor
-        return replace(self, n_ssets=n, games_per_sset=n - 1)
 
     # -- the paper's workloads -----------------------------------------------------
 

@@ -1,11 +1,14 @@
-"""Population dynamics: SSets, the Nature Agent, and the evolution drivers.
+"""Population dynamics: SSets, the Nature Agent, and the evolution driver.
 
 * :mod:`repro.population.population` — deduplicated strategy assignment.
 * :mod:`repro.population.fitness` — the three fitness-evaluation modes.
 * :mod:`repro.population.fermi` — the pairwise-comparison probability (Eq. 1).
 * :mod:`repro.population.nature` — the Nature Agent's decision process.
 * :mod:`repro.population.schedule` — the order an SSet plays its opponents.
-* :mod:`repro.population.dynamics` — the serial evolution driver.
+* :mod:`repro.population.dynamics` — the population process (serial, and
+  Nature's replica on the parallel runner).
+* :mod:`repro.population.fixation` — Nature's fixation probability in
+  closed form.
 * :mod:`repro.population.observers` — per-generation hooks and recorders.
 """
 
@@ -17,7 +20,6 @@ from repro.population.fixation import (
     fixation_probability_from_payoffs,
     pair_payoff_table,
 )
-from repro.population.moran import MoranDriver, MoranStep, fixation_experiment
 from repro.population.nature import (
     AdoptionDecision,
     MutationSelection,
@@ -41,9 +43,6 @@ __all__ = [
     "fixation_probability",
     "fixation_probability_from_payoffs",
     "pair_payoff_table",
-    "MoranDriver",
-    "MoranStep",
-    "fixation_experiment",
     "NatureAgent",
     "PCSelection",
     "AdoptionDecision",

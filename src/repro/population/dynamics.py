@@ -1,10 +1,13 @@
-"""Serial evolution driver.
+"""The population process: one loop, serial or on the Nature rank.
 
-:class:`EvolutionDriver` runs the paper's population dynamics in a single
-process: per generation the Nature Agent decides on a pairwise comparison
-(fitnesses evaluated on demand) and a mutation, the population updates, and
-observers are notified.  This is the reference implementation the parallel
-runner (:mod:`repro.parallel.runner`) must match trajectory-for-trajectory.
+:class:`EvolutionDriver` runs the paper's population dynamics: per
+generation the Nature Agent decides on a pairwise comparison (fitnesses
+evaluated on demand) and a mutation, and the population updates.
+:meth:`EvolutionDriver.draft` is the one loop that does it, and the one
+caller of :meth:`~repro.population.nature.NatureAgent.decide_adoption`: the
+serial driver steps through it, and the parallel runner's Nature rank
+(:mod:`repro.parallel.runner`) holds a driver and drafts each window with
+it, so the two runs are one trajectory by construction.
 
 Note on faithfulness: the paper's SSets replay every game every generation
 even when no pairwise comparison fires, because on Blue Gene compute is free
@@ -22,8 +25,9 @@ from typing import Sequence
 
 from repro.config import SimulationConfig
 from repro.errors import PopulationError
+from repro.obs.tracer import NULL_TRACER
 from repro.population.fitness import FitnessEvaluator
-from repro.population.nature import NatureAgent
+from repro.population.nature import MutationSelection, NatureAgent
 from repro.population.observers import GenerationRecord, Observer
 from repro.population.population import Population
 from repro.rng import StreamFactory
@@ -93,6 +97,9 @@ class EvolutionDriver:
         self.nature = NatureAgent(config, self.streams)
         self.evaluator = FitnessEvaluator(config, population, self.streams)
         self.observers = list(observers)
+        #: Where :meth:`draft` records its ``pc_step`` spans (the Nature
+        #: rank sets its world's tracer).
+        self.tracer = NULL_TRACER
 
     @property
     def generation(self) -> int:
@@ -109,36 +116,46 @@ class EvolutionDriver:
 
     # -- stepping --------------------------------------------------------------
 
+    def draft(self, upto: int, events: list | None = None, turn=None) -> None:
+        """Draw and apply everything through generation ``upto``.
+
+        Each event is applied as it is decided and, when ``events`` is
+        given, appended to it as ``(generation, event)``: an
+        :class:`~repro.population.nature.AdoptionDecision` per pairwise
+        comparison and a :class:`~repro.population.nature.MutationSelection`
+        per mutation, in draw order — the news a star frame carries.  A PC's
+        fitness is a function of the population, the generation and the
+        SSet, so it is decided on the way, in a ``pc_step`` span of
+        :attr:`tracer`; ``turn()`` is taken before each one.
+        """
+        pop, nature = self.population, self.nature
+        while True:
+            drawn, pc = nature.advance(pop.random_strategy_table, upto)
+            for _, mutation in drawn:
+                pop.set_strategy(mutation.sset, mutation.table)
+            if events is not None:
+                events.extend(drawn)
+            if pc is None:
+                return
+            if turn is not None:
+                turn()
+            gen, selection = pc
+            with self.tracer.span("pc_step", rank=0, args={"gen": gen}):
+                pi_t, pi_l = self.evaluator.fitness([selection.teacher, selection.learner], gen)
+                decision = nature.decide_adoption(selection, pi_t, pi_l)
+                if decision.adopted:
+                    pop.adopt(decision.learner, decision.teacher)
+                if events is not None:
+                    events.append((gen, decision))
+
     def step(self) -> GenerationRecord:
         """Advance exactly one generation and return its record."""
-        pop = self.population
-        gen = self.generation + 1
-        changed = False
-
-        decision = None
-        mutations, pc = self.nature.advance(pop.random_strategy_table, gen)
-        if pc is not None:
-            selection = pc[1]
-            pi_t, pi_l = self.evaluator.fitness(
-                [selection.teacher, selection.learner], generation=gen
-            )
-            decision = self.nature.decide_adoption(selection, pi_t, pi_l)
-            if decision.adopted:
-                changed |= pop.adopt(decision.learner, decision.teacher)
-            mutations, _ = self.nature.advance(pop.random_strategy_table, gen)
-
-        mutation = mutations[0][1] if mutations else None
-        if mutation is not None:
-            before = pop.version
-            pop.set_strategy(mutation.sset, mutation.table)
-            changed |= pop.version != before
-
+        pop, events = self.population, []
+        before = pop.version  # bumps exactly when an event changes the assignment
+        self.draft(self.generation + 1, events)
+        news = {isinstance(event, MutationSelection): event for _, event in events}
         record = GenerationRecord(
-            generation=gen,
-            pc=decision,
-            mutation=mutation,
-            n_unique=pop.n_unique,
-            changed=changed,
+            self.generation, news.get(False), news.get(True), pop.n_unique, pop.version != before
         )
         for obs in self.observers:
             obs.on_generation(record, pop)
@@ -154,8 +171,11 @@ class EvolutionDriver:
         if todo < 0:
             raise PopulationError(f"generations must be non-negative, got {todo}")
         start = time.perf_counter()
-        for _ in range(todo):
-            self.step()
+        if self.observers:
+            for _ in range(todo):
+                self.step()
+        else:  # nobody watches a generation: draft them all in one pass
+            self.draft(self.generation + todo)
         elapsed = time.perf_counter() - start
         return RunResult(
             population=self.population,

@@ -1,25 +1,30 @@
-"""Analytic fixation probabilities for the Moran process.
+"""Nature's fixation probability in closed form.
 
-For two strategies A (the mutant) and B (the resident) in a population of
-``N`` SSets with this package's fitness accounting (an SSet's fitness is
-the sum of its pair payoffs against every other SSet) and the exponential
-fitness mapping ``w = exp(beta * pi)``, the Moran birth-death chain has the
-classical closed-form absorption probability
+With ``mutation_rate`` 0 and ``pc_rate`` 1, the Nature Agent's process over
+``N`` SSets of a mutant A (``i`` SSets) and a resident B is a birth-death
+chain on ``i``.  With the evaluator's accounting (an SSet's fitness sums its
+pair payoffs against every other SSet, itself too under
+``include_self_play``: ``s = 1``, else 0), and the pair payoffs
+:math:`f_{XY}` from the Markov evaluator,
 
 .. math::
 
-    \\rho_A = \\left(1 + \\sum_{k=1}^{N-1} \\prod_{i=1}^{k}
-              \\frac{T_i^-}{T_i^+}\\right)^{-1},
-    \\qquad \\frac{T_i^-}{T_i^+} = e^{-\\beta (\\pi_A(i) - \\pi_B(i))}
+    \\pi_A(i) = (i - 1 + s) f_{AA} + (N - i) f_{AB}, \\quad
+    \\pi_B(i) = i f_{BA} + (N - i - 1 + s) f_{BB}, \\quad
+    \\rho_A = \\Big(1 + \\sum_{k=1}^{N-1} \\prod_{i=1}^{k} T_i^- / T_i^+\\Big)^{-1}.
 
-with :math:`\\pi_A(i) = (i-1) f_{AA} + (N-i) f_{AB}` and
-:math:`\\pi_B(i) = i f_{BA} + (N-i-1) f_{BB}` — the pair payoffs
-:math:`f_{XY}` computed exactly by the Markov evaluator.  At ``beta = 0``
-this collapses to the neutral :math:`1/N`.
-
-:func:`fixation_probability` evaluates the formula (in log space, so huge
-selection gradients don't overflow); the tests cross-check it against the
-simulated :func:`repro.population.moran.fixation_experiment`.
+``config.pc_rule`` decides the ratio.  ``"fermi"``: teacher and learner are
+drawn uniformly and are distinct, so
+:math:`T_i^-/T_i^+ = e^{-\\beta (\\pi_A(i) - \\pi_B(i))}` (computed in log
+space; ``beta = 0`` gives the neutral :math:`1/N`).  ``"paper"`` (the
+default): only a strictly fitter teacher is copied, so one of
+:math:`T_i^\\pm` is zero at each ``i`` and :math:`\\rho_A` is 1 when
+:math:`\\pi_A(i) > \\pi_B(i)` for every ``i`` in ``1..N-1``, 0 otherwise —
+a tie at some ``i`` holds the chain there and a sign change traps it
+between two counts; either way the mutant never fixes.
+``tests/population/test_fixation.py`` holds
+:class:`~repro.population.dynamics.EvolutionDriver` to both rules over many
+absorbing runs.
 """
 
 from __future__ import annotations
@@ -43,45 +48,51 @@ def pair_payoff_table(
     ia = np.array([0, 0, 1, 1])
     ib = np.array([0, 1, 0, 1])
     ea, _ = expected_pair_payoffs(
-        config.space,
-        mat,
-        ia,
-        ib,
-        payoff=config.payoff,
-        rounds=config.rounds,
-        noise=config.noise,
+        config.space, mat, ia, ib, payoff=config.payoff, rounds=config.rounds, noise=config.noise
     )
     return float(ea[0]), float(ea[1]), float(ea[2]), float(ea[3])
 
 
-def fixation_probability_from_payoffs(
-    f_aa: float, f_ab: float, f_ba: float, f_bb: float, n: int, beta: float
-) -> float:
-    """Closed-form Moran fixation probability of one A mutant among B's."""
+def _fitness_gaps(f_aa, f_ab, f_ba, f_bb, n: int, self_play: bool = False) -> np.ndarray:
+    """``pi_A(i) - pi_B(i)`` for mutant counts ``i = 1..n-1``."""
     if n < 2:
         raise PopulationError(f"population size must be >= 2, got {n}")
+    i = np.arange(1, n, dtype=np.float64)
+    s = 1.0 if self_play else 0.0
+    return ((i - 1 + s) * f_aa + (n - i) * f_ab) - (i * f_ba + (n - i - 1 + s) * f_bb)
+
+
+def _fermi_fixation(gaps: np.ndarray, beta: float) -> float:
     if beta < 0 or not np.isfinite(beta):
         raise PopulationError(f"beta must be finite and non-negative, got {beta}")
-    i = np.arange(1, n, dtype=np.float64)  # mutant counts 1..N-1
-    pi_a = (i - 1) * f_aa + (n - i) * f_ab
-    pi_b = i * f_ba + (n - i - 1) * f_bb
     # log of the k-th product is -beta * cumsum of (pi_a - pi_b).
-    log_products = -beta * np.cumsum(pi_a - pi_b)
+    log_products = -beta * np.cumsum(gaps)
     # rho = 1 / (1 + sum_k exp(log_products[k])), computed stably.
     m = max(0.0, float(log_products.max()))
     denom = np.exp(-m) + np.exp(log_products - m).sum()
     return float(np.exp(-m) / denom)
 
 
+def fixation_probability_from_payoffs(
+    f_aa: float, f_ab: float, f_ba: float, f_bb: float, n: int, beta: float
+) -> float:
+    """Fermi-rule fixation probability of one A mutant among B's, self-play excluded."""
+    return _fermi_fixation(_fitness_gaps(f_aa, f_ab, f_ba, f_bb, n), beta)
+
+
 def fixation_probability(
     mutant: np.ndarray, resident: np.ndarray, config: SimulationConfig
 ) -> float:
-    """Fixation probability of one ``mutant`` SSet under ``config``'s Moran process.
+    """Fixation probability of one ``mutant`` SSet among residents under Nature.
 
-    Combines the exact pair payoffs with the closed form; ``config`` gives
-    the population size ``n_ssets``, rounds, payoffs, noise, and ``beta``.
+    Combines the exact pair payoffs with the closed form of
+    ``config.pc_rule``; ``config`` also gives the population size
+    ``n_ssets``, rounds, payoffs, noise, ``beta`` and ``include_self_play``.
     """
-    f_aa, f_ab, f_ba, f_bb = pair_payoff_table(mutant, resident, config)
-    return fixation_probability_from_payoffs(
-        f_aa, f_ab, f_ba, f_bb, config.n_ssets, config.beta
+    gaps = _fitness_gaps(
+        *pair_payoff_table(mutant, resident, config),
+        config.n_ssets, config.include_self_play,
     )
+    if config.pc_rule == "paper":
+        return 1.0 if bool((gaps > 0).all()) else 0.0
+    return _fermi_fixation(gaps, config.beta)

@@ -53,7 +53,7 @@ class PCSelection:
     learner: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdoptionDecision:
     """Outcome of a pairwise comparison after fitnesses were gathered."""
 
@@ -64,13 +64,26 @@ class AdoptionDecision:
     probability: float
     adopted: bool
 
+    def __reduce__(self):  # values only: the slotted default lists the fields per object
+        return AdoptionDecision, (self.teacher, self.learner, self.pi_teacher,
+                                  self.pi_learner, self.probability, self.adopted)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class MutationSelection:
     """A mutation event: which SSet receives which new strategy table."""
 
     sset: int
     table: np.ndarray
+
+    def __reduce__(self):
+        # Raw bytes: an ndarray's own pickle costs more than the table it carries.
+        return _mutation_selection, (self.sset, self.table.tobytes(), self.table.dtype.str)
+
+
+def _mutation_selection(sset: int, raw: bytes, dtype: str) -> MutationSelection:
+    # Unpickles a MutationSelection; its table is a read-only 1-D view of ``raw``.
+    return MutationSelection(sset, np.frombuffer(raw, dtype))
 
 
 class NatureAgent:

@@ -19,15 +19,11 @@ class TestPaperPayoffs:
         assert PAPER_PAYOFFS.payoff(1, 0) == 4
         assert PAPER_PAYOFFS.payoff(1, 1) == 1
 
-    def test_round_payoffs_symmetry(self):
-        assert PAPER_PAYOFFS.round_payoffs(0, 1) == (0.0, 4.0)
-        assert PAPER_PAYOFFS.round_payoffs(1, 0) == (4.0, 0.0)
-        assert PAPER_PAYOFFS.round_payoffs(0, 0) == (3.0, 3.0)
-        assert PAPER_PAYOFFS.round_payoffs(1, 1) == (1.0, 1.0)
-
     def test_iterated_condition_holds(self):
         # 2R = 6 > T + S = 4: mutual cooperation beats alternation.
-        assert PAPER_PAYOFFS.is_iterated_pd()
+        r, s, t, p = PAPER_PAYOFFS.as_fRSTP()
+        assert 2 * r > t + s
+        PayoffMatrix(reward=r, sucker=s, temptation=t, punishment=p, require_iterated=True)
 
     def test_table_is_readonly(self):
         with pytest.raises(ValueError):
@@ -55,10 +51,6 @@ class TestValidation:
         # T + S = 6 == 2R: violates the strict inequality.
         with pytest.raises(PayoffError, match="2R"):
             PayoffMatrix(reward=3, sucker=1, temptation=5, punishment=2, require_iterated=True)
-
-    def test_from_frstp(self):
-        m = PayoffMatrix.from_fRSTP((3, 0, 4, 1))
-        assert m == PAPER_PAYOFFS
 
 
 class TestVariants:

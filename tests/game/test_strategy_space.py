@@ -38,44 +38,6 @@ class TestCounting:
         # 2^4096 ~ 10^1233.
         assert StrategySpace(6).log10_n_pure == pytest.approx(4096 * math.log10(2))
 
-    def test_log2(self):
-        assert StrategySpace(4).log2_n_pure == 256
-
-
-class TestEnumeration:
-    def test_memory_one_yields_16_distinct(self):
-        strategies = list(StrategySpace(1).iter_pure())
-        assert len(strategies) == 16
-        assert len({s.key() for s in strategies}) == 16
-
-    def test_refuses_memory_two(self):
-        with pytest.raises(StrategyError, match="refusing"):
-            list(StrategySpace(2).iter_pure())
-
-
-class TestSampling:
-    def test_sample_in_range(self, rng):
-        space = StrategySpace(6)
-        ids = space.sample_pure_ids(10, rng)
-        assert len(ids) == 10
-        assert all(0 <= i < space.n_pure for i in ids)
-
-    def test_sample_uses_full_width(self, rng):
-        # With 4096-bit ids, the top 64-bit word should be nonzero sometimes.
-        ids = StrategySpace(6).sample_pure_ids(8, rng)
-        assert any(i >> 4032 for i in ids)
-
-    def test_sample_reproducible(self):
-        import numpy as np
-
-        a = StrategySpace(3).sample_pure_ids(5, np.random.default_rng(1))
-        b = StrategySpace(3).sample_pure_ids(5, np.random.default_rng(1))
-        assert a == b
-
-    def test_negative_count_rejected(self, rng):
-        with pytest.raises(StrategyError):
-            StrategySpace(1).sample_pure_ids(-1, rng)
-
 
 class TestTable3:
     def test_sixteen_rows_numbered(self):

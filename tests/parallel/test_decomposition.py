@@ -29,7 +29,6 @@ class TestBlocks:
         d = SSetDecomposition(n_ssets=23, n_ranks=6)
         sizes = [d.ssets_of_rank(r).size for r in range(1, 6)]
         assert max(sizes) - min(sizes) <= 1
-        assert d.max_ssets_per_rank == max(sizes)
 
     def test_more_workers_than_ssets(self):
         d = SSetDecomposition(n_ssets=3, n_ranks=10)

@@ -31,14 +31,12 @@ from repro.parallel.protocol import (
     FTHeader,
     FTRejoin,
     FTShutdown,
-    MutationUpdate,
     WorkerReport,
 )
 from repro.parallel.runner import (
     _WINDOW_CAP,
     ParallelSimulation,
     _worker_respawned,
-    _pc_outcome,
     _replica_digest,
 )
 from repro.population.dynamics import EvolutionDriver
@@ -116,10 +114,7 @@ def _pc_generation(records, first, also=lambda record: True) -> int:
 
 def _news(record) -> list:
     """A serial generation's events as a frame carries them."""
-    events = [_pc_outcome(record.pc)] if record.pc is not None else []
-    if record.mutation is not None:
-        events.append(MutationUpdate(sset=record.mutation.sset, table=record.mutation.table))
-    return [(record.generation, event) for event in events]
+    return [(record.generation, e) for e in (record.pc, record.mutation) if e is not None]
 
 
 def _adopts(record) -> bool:

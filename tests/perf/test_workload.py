@@ -15,16 +15,6 @@ class TestDerived:
         assert WorkloadSpec(n_ssets=2, games_per_sset=1, memory=1).strategy_nbytes == 4
         assert WorkloadSpec(n_ssets=2, games_per_sset=1, memory=6).strategy_nbytes == 4096
 
-    def test_total_agents_squares(self):
-        w = WorkloadSpec(n_ssets=1024, games_per_sset=1023, memory=1)
-        assert w.total_agents == 1024**2
-
-    def test_scaled_ssets(self):
-        w = WorkloadSpec(n_ssets=8, games_per_sset=7, memory=2)
-        w2 = w.scaled_ssets(4)
-        assert w2.n_ssets == 32
-        assert w2.games_per_sset == 31
-
 
 class TestPaperWorkloads:
     def test_memory_study_parameters(self):

@@ -134,6 +134,50 @@ class TestObservers:
             EvolutionDriver(small_config, population=pop)
 
 
+class TestOneDraftLoop:
+    """step() and run() are both EvolutionDriver.draft: one loop, one trajectory."""
+
+    BUSY = dict(pc_rate=0.6, mutation_rate=0.3, generations=120)
+
+    def test_unwatched_run_is_the_stepped_run(self, small_config):
+        cfg = small_config.with_updates(**self.BUSY)
+        drafted = EvolutionDriver(cfg).run()
+        stepped = EvolutionDriver(cfg, observers=[HistoryObserver()]).run()
+        assert np.array_equal(drafted.population.matrix(), stepped.population.matrix())
+        counters = ("generation", "n_pc_events", "n_adoptions", "n_mutations")
+        assert [getattr(drafted, c) for c in counters] == [getattr(stepped, c) for c in counters]
+
+    def test_records_are_the_drafted_events(self, small_config):
+        """A window's news is every step record's PC and mutation, in order,
+        and a record is ``changed`` exactly when the population's version moved."""
+        cfg = small_config.with_updates(**self.BUSY)
+        stepper = EvolutionDriver(cfg)
+        records, versions = [], [stepper.population.version]
+        for _ in range(cfg.generations):
+            records.append(stepper.step())
+            versions.append(stepper.population.version)
+        events: list = []
+        EvolutionDriver(cfg).draft(cfg.generations, events)
+        expected = [(r.generation, e) for r in records for e in (r.pc, r.mutation) if e is not None]
+        assert [(g, type(e)) for g, e in events] == [(g, type(e)) for g, e in expected]
+        for (_, got), (_, want) in zip(events, expected):
+            if hasattr(want, "table"):
+                assert got.sset == want.sset and np.array_equal(got.table, want.table)
+            else:
+                assert got == want
+        assert [r.changed for r in records] == [b != a for a, b in zip(versions, versions[1:])]
+        assert any(r.changed for r in records) and not all(r.changed for r in records)
+
+    def test_turn_is_taken_before_each_pc(self, small_config):
+        cfg = small_config.with_updates(**self.BUSY)
+        driver = EvolutionDriver(cfg)
+        turns: list[int] = []
+        events: list = []
+        driver.draft(cfg.generations, events, turn=lambda: turns.append(len(events)))
+        decided = [i for i, (_, e) in enumerate(events) if hasattr(e, "adopted")]
+        assert turns == decided and len(turns) == driver.nature.n_pc_events > 0
+
+
 class TestFitnessModeEquivalence:
     """For pure noiseless populations every mode yields one trajectory."""
 

@@ -140,11 +140,13 @@ class TestRecover:
             assert fresh.status("alice", "r1").state == "done"
 
     def test_failed_runs_are_not_resurrected(self, store):
+        # Long enough to be killed mid-run: a 20-generation worker could
+        # finish before the first poll, and a finished worker reports no pid.
         with JobQueue(store, max_workers=1) as queue:
             key = queue.submit(
                 "alice",
                 "r1",
-                _spec(generations=20, fault=FaultPolicy(max_requeues=0)),
+                _spec(generations=100_000, fault=FaultPolicy(max_requeues=0)),
             )
             _wait_for(lambda: queue.status("alice", "r1").pid)
             os.kill(queue.status("alice", "r1").pid, signal.SIGKILL)
