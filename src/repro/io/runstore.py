@@ -39,12 +39,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import RunStoreError
-from repro.io.checkpoints import (
-    _atomic_savez,
-    _content_digest,
-    _read_npz,
-    latest_valid_parallel_checkpoint,
-)
+from repro.io.checkpoints import _atomic_savez, _content_digest, _read_npz
 
 __all__ = ["RunKey", "StoredResult", "RunStore", "RESULT_VERSION"]
 
@@ -344,11 +339,7 @@ class RunStore:
             meta=meta,
         )
 
-    # -- resumption & listing ------------------------------------------------
-
-    def latest_checkpoint(self, key: RunKey) -> Path | None:
-        """The newest *valid* checkpoint of the run (torn files skipped)."""
-        return latest_valid_parallel_checkpoint(self.checkpoint_dir(key))
+    # -- listing -------------------------------------------------------------
 
     def list_tenants(self) -> list[str]:
         """Tenants with at least one run, sorted."""

@@ -178,7 +178,7 @@ def timeline_text(tracer: Tracer, max_generations: int = 50) -> str:
         e
         for e in events
         if e.ph == "X" and e.cat == "phase" and e.args and e.args.get("gen") is not None
-        and e.name != "generation"
+        and e.name not in ("generation", "window")  # they hold the other phases
     ]
     lines = ["generation  window [ms]           messages      bytes  phases"]
     shown = sorted(windows)[:max_generations]

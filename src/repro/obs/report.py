@@ -90,8 +90,9 @@ def _generation_table(
     phase_by_gen: dict[int, dict[str, float]] = defaultdict(lambda: defaultdict(float))
     for e in slices:
         gen = (e.get("args") or {}).get("gen")
-        if gen is not None and e.get("cat") == "phase" and e.get("name") != "generation":
-            phase_by_gen[gen][e["name"]] += e.get("dur", 0.0)
+        name = e.get("name")
+        if gen is not None and e.get("cat") == "phase" and name not in ("generation", "window"):
+            phase_by_gen[gen][name] += e.get("dur", 0.0)
     lines = ["gen         wall[ms]    msgs      bytes  phase time (summed across ranks)"]
     shown = sorted(windows)[:max_generations]
     for gen in shown:

@@ -67,7 +67,7 @@ class EventTap(Tracer):
     Parameters
     ----------
     subscribers:
-        Initial callbacks, each invoked as ``callback(event)``.
+        The callbacks, each invoked as ``callback(event)``.
     keep_events:
         When ``False``, recorded events are *not* accumulated in memory —
         the tap becomes pure pipe, which is what a service worker streaming
@@ -91,24 +91,11 @@ class EventTap(Tracer):
         flow_start: int = 1,
     ) -> None:
         super().__init__(epoch=epoch, flow_start=flow_start)
-        self._subscribers: list[Callable[[TraceEvent], None]] = list(subscribers)
+        self._subscribers = tuple(subscribers)
         self._keep_events = bool(keep_events)
         self._names = None if names is None else frozenset(names)
         if self._names is not None:
             self.enabled = False
-
-    def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
-        """Add ``callback`` to the fan-out (called for every future event)."""
-        with self._lock:
-            self._subscribers.append(callback)
-
-    def unsubscribe(self, callback: Callable[[TraceEvent], None]) -> None:
-        """Remove ``callback`` (missing callbacks are ignored)."""
-        with self._lock:
-            try:
-                self._subscribers.remove(callback)
-            except ValueError:
-                pass
 
     def records(self, name: str) -> bool:
         return self._names is None or name in self._names
@@ -126,9 +113,7 @@ class EventTap(Tracer):
             return  # instants, complete(), absorb_events: rare, filtered once built
         if self._keep_events:
             super()._record(event)
-        with self._lock:
-            subscribers = list(self._subscribers)
-        for callback in subscribers:
+        for callback in self._subscribers:
             try:
                 callback(event)
             except Exception:  # noqa: BLE001 - a watcher must not kill the run

@@ -499,12 +499,19 @@ def _nature(comm, driver, opts) -> dict:
         # A generation at a time when someone watches generations (a traced
         # span, a fault point); the whole window in one pass when nobody does.
         step = 1 if watched else end - closed
+        drafted_from = tracer.now()
         for gen in range(closed + step, end + 1, step):
             with tracer.span("generation", rank=comm.rank, args={"gen": gen}):
                 comm.fault_point(gen)
                 # Drafting may outlast the timers of the reports whose acks
                 # ride the next frame: before each PC, send those due on their own.
                 driver.draft(gen, events, comm.settle_due_acks)
+        # The service's progress feed reads this span: recorded only once the
+        # window is drafted, so a crash inside it announces nothing.
+        tracer.complete(
+            "window", ts=drafted_from, dur=tracer.now() - drafted_from,
+            rank=comm.rank, args={"gen": end},
+        )
         header = FTHeader(end, failed_ranks=tuple(sorted(failed)))
         # One frame down: every live worker's is on its way before Nature
         # waits for anyone.  A worker plays every generation of the window

@@ -70,7 +70,10 @@ class FaultPolicy:
         new generation for this many seconds, the queue kills it and
         relaunches from the latest valid checkpoint (spending the requeue
         budget — a run that wedges forever eventually fails loudly instead
-        of holding a pool slot).  ``None`` (default) disables the watchdog.
+        of holding a pool slot).  An evolution job reports progress once
+        per window (up to 256 generations, cut at each checkpoint), so set
+        it above one window's wall time.  ``None`` (default) disables the
+        watchdog.
     """
 
     max_restarts: int = 3

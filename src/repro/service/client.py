@@ -84,13 +84,6 @@ class ServiceClient:
 
     # -- API -----------------------------------------------------------------
 
-    def health(self) -> bool:
-        """Whether the server answers its liveness probe."""
-        try:
-            return bool(self._request("GET", "/v1/healthz").get("ok"))
-        except ServiceError:
-            return False
-
     def ready(self) -> bool:
         """Whether the server currently admits new submissions.
 

@@ -17,10 +17,14 @@ File ownership is split to keep a SIGKILL-able worker honest:
   completion record and the digest-verified matrix, both atomically
   replaced, so they exist if and only if the run actually finished.
 
-Progress records are monotone in ``generation`` even across worker deaths:
-a relaunched worker seeds its high-water mark from the events already on
-disk, so a run resumed from generation 120's checkpoint never re-announces
-generations a subscriber has already seen.
+An evolution job announces one progress record per window Nature drafts —
+the generation the window ends at — not one per generation: the tap
+listens for Nature's ``window`` span only, so nobody watches single
+generations and Nature drafts each window in one pass.  Progress records
+are monotone in ``generation`` even across worker deaths: a relaunched
+worker seeds its high-water mark from the events already on disk, so a run
+resumed from generation 120's checkpoint never re-announces generations a
+subscriber has already seen.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ __all__ = ["run_job", "progress_transform"]
 
 
 #: The trace events :func:`progress_transform` keeps.
-PROGRESS_NAMES = ("generation", "recovery.restart")
+PROGRESS_NAMES = ("window", "recovery.restart")
 
 
 def progress_transform(events_so_far: list[dict]):
@@ -48,10 +52,12 @@ def progress_transform(events_so_far: list[dict]):
     Returns a callback for :func:`~repro.obs.stream.jsonl_event_writer`'s
     ``transform`` that keeps only what a subscriber needs:
 
-    * ``{"type": "progress", "generation": g}`` — Nature (rank 0) finished
-      generation ``g``; emitted only when ``g`` exceeds every generation
-      already announced, *including by previous incarnations* (seeded from
-      ``events_so_far``), so the stream is strictly increasing.
+    * ``{"type": "progress", "generation": g}`` — Nature (rank 0) drafted
+      the window ending at generation ``g`` (a window ends at the runner's
+      256-generation cap, at each checkpoint and at the last generation);
+      emitted only when ``g`` exceeds every generation already announced,
+      *including by previous incarnations* (seeded from ``events_so_far``),
+      so the stream is strictly increasing.
     * ``{"type": "restart", ...}`` — a supervisor-level restart.
 
     Everything else (play spans, message flows, heartbeats) is dropped —
@@ -64,7 +70,7 @@ def progress_transform(events_so_far: list[dict]):
 
     def transform(event: TraceEvent) -> dict | None:
         nonlocal last_gen
-        if event.name == "generation" and event.ph == "X" and event.rank == 0:
+        if event.name == "window" and event.ph == "X" and event.rank == 0:
             gen = int((event.args or {}).get("gen", 0))
             if gen <= last_gen:
                 return None

@@ -104,6 +104,11 @@ class TestTimelineText:
         (gen_line,) = [ln for ln in text.splitlines() if ln.strip().startswith("1 ")]
         assert " 1 " in gen_line and "64" in gen_line  # one send, 64 bytes
 
+    def test_a_window_span_is_not_one_of_its_last_generations_phases(self):
+        tr = _sample_tracer()
+        tr.complete("window", ts=0.0, dur=100.0, rank=0, args={"gen": 1})
+        assert "window=" not in timeline_text(tr) and "header=" in timeline_text(tr)
+
     def test_empty_tracer(self):
         assert "no generation spans" in timeline_text(Tracer())
 

@@ -38,6 +38,12 @@ class TestRenderReport:
         assert "run.n_ranks" in report
         assert "send" in report
 
+    def test_a_window_span_is_not_one_of_its_last_generations_phases(self):
+        tr = _traced_run()
+        tr.complete("window", ts=100.0, dur=180.0, rank=0, args={"gen": 2})
+        report = render_report(chrome_trace(tr))
+        assert "window=" not in report and "header=" in report
+
     def test_per_rank_off_by_default(self):
         report = render_report(chrome_trace(_traced_run()))
         assert "== per-rank ==" not in report

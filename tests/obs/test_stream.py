@@ -27,20 +27,6 @@ class TestEventTap:
         # and the tap still records like a normal tracer
         assert [e.name for e in tap.events()] == ["alpha", "beta"]
 
-    def test_subscribe_and_unsubscribe(self):
-        a, b = [], []
-        tap = EventTap([a.append])
-        tap.subscribe(b.append)
-        tap.instant("one")
-        tap.unsubscribe(a.append)  # bound methods compare equal
-        tap.instant("two")
-        assert [e.name for e in a] == ["one"]
-        assert [e.name for e in b] == ["one", "two"]
-
-    def test_unsubscribe_missing_callback_is_noop(self):
-        tap = EventTap()
-        tap.unsubscribe(lambda e: None)  # never subscribed
-
     def test_keep_events_false_is_pure_pipe(self):
         seen = []
         tap = EventTap([seen.append], keep_events=False)

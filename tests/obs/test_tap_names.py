@@ -54,10 +54,11 @@ class TestNamesOnlyTapOnARealRun:
         """The service worker's tap on the benchmark's job shape, eager so
         that it has a worker: the full tap records every rank's phases — per
         generation a ``generation`` span on each rank and a ``play`` and a
-        ``mutation`` span on the worker, per window Nature's ``header``,
-        ``heartbeat`` and ``checkpoint`` — and the star's messages; the
-        names-only tap the ``generation`` span of each of the two ranks,
-        nothing else."""
+        ``mutation`` span on the worker, per window Nature's ``window``,
+        ``header``, ``heartbeat`` and ``checkpoint`` — and the star's
+        messages; the names-only tap Nature's ``window`` span, nothing else,
+        so nobody watches a generation and Nature drafts each window in one
+        pass."""
         config = SimulationConfig(memory=1, n_ssets=16, generations=200, seed=11)
         spec = RunSpec(
             config=config, n_ranks=2, backend="thread", eager_games=True, checkpoint_every=100
@@ -74,20 +75,19 @@ class TestNamesOnlyTapOnARealRun:
                 spec, checkpoint_dir=tmp_path / label, trace=tap
             ).run(timeout=300)
             assert np.array_equal(out.result.matrix, driver.population.matrix())
-            assert [
-                e.args["gen"] for e in seen if e.name == "generation" and e.rank == 0
-            ] == list(range(1, generations + 1))
+            assert [e.args["gen"] for e in seen if e.name == "window"] == [100, 200]
             counts[label] = len(seen)
             phases[label] = Counter(
                 (e.name, e.rank) for e in seen if e.ph == "X" and e.cat == "phase"
             )
-        assert phases["names"] == {("generation", 0): generations, ("generation", 1): generations}
-        assert counts["names"] == 2 * generations
+        assert phases["names"] == {("window", 0): windows}
+        assert counts["names"] == windows
         assert phases["full"] == {
             ("generation", 0): generations,
             ("generation", 1): generations,
             ("play", 1): generations,
             ("mutation", 1): generations,
+            ("window", 0): windows,
             ("header", 0): windows,
             ("heartbeat", 0): windows,
             ("checkpoint", 0): windows,
@@ -123,4 +123,49 @@ class TestServiceWorkerTap:
                 e["generation"] for e in store.read_events(key) if e["type"] == "progress"
             ]
         assert built == [PROGRESS_NAMES, PROGRESS_NAMES]
-        assert progress["process"] == progress["thread"] == list(range(1, 41))
+        # One record per window: each checkpoint (every 10th generation) ends one.
+        assert progress["process"] == progress["thread"] == [10, 20, 30, 40]
+
+    def test_a_job_announces_exactly_its_window_ends(self, tmp_path, monkeypatch):
+        """A window ends at the cap, at each checkpoint and at the last
+        generation; the job drafts each window in one pass and its feed
+        holds exactly those ends.  A full tracer on the same run still sees
+        every generation."""
+        from repro.io.runstore import RunKey, RunStore
+        from repro.parallel import ParallelSimulation
+        from repro.parallel.runner import _WINDOW_CAP
+        from repro.service import worker
+
+        every = _WINDOW_CAP + 44
+        config = SimulationConfig(memory=1, n_ssets=8, generations=2 * every + 100, seed=7)
+        ends = [_WINDOW_CAP, every, every + _WINDOW_CAP, 2 * every, config.generations]
+        oracle = EvolutionDriver(config)
+        oracle.run()
+
+        drafts = []
+        draft = EvolutionDriver.draft
+
+        def spy(self, upto, *args, **kwargs):
+            drafts.append(upto)
+            return draft(self, upto, *args, **kwargs)
+
+        monkeypatch.setattr(EvolutionDriver, "draft", spy)
+        store = RunStore(tmp_path / "runs")
+        key = RunKey("t", "windows")
+        store.create_run(key, RunSpec(config=config, n_ranks=2, checkpoint_every=every))
+        assert worker.run_job(str(store.root), "t", "windows") == 0
+        progress = [e["generation"] for e in store.read_events(key) if e["type"] == "progress"]
+        assert progress == drafts == ends
+        assert np.array_equal(store.load_result(key).matrix, oracle.population.matrix())
+
+        drafts.clear()
+        traced = ParallelSimulation(
+            config, 2, trace=True, checkpoint_dir=tmp_path / "traced", checkpoint_every=every
+        ).run(timeout=120)
+        events = traced.trace.events()
+        assert [e.args["gen"] for e in events if e.name == "generation" and e.rank == 0] == (
+            list(range(1, config.generations + 1))
+        )
+        assert [e.args["gen"] for e in events if e.name == "window"] == ends
+        assert drafts == list(range(1, config.generations + 1))
+        assert np.array_equal(traced.matrix, oracle.population.matrix())

@@ -3,9 +3,10 @@
 A generation is watched when the tracer records ``generation`` spans (a full
 tracer, or a tap whose names include it) or a fault injector is attached:
 then Nature drafts one generation at a time, each in its span and behind
-its fault point, for the service's progress feed and for faults that land
-on a generation.  Unwatched, a window is one draft with one fault point.
-Either way the run is the serial driver's.
+its fault point, for traces and for faults that land on a generation.
+Unwatched, a window is one draft with one fault point.  The service's
+progress tap reads Nature's ``window`` spans only, so it leaves a run
+unwatched.  Either way the run is the serial driver's.
 """
 
 import numpy as np
@@ -58,8 +59,10 @@ def test_nature_drafts_a_window_a_pass_unless_generations_are_watched(watch, ser
     assert (result.n_pc_events, result.n_adoptions, result.n_mutations) == (
         nature.n_pc_events, nature.n_adoptions, nature.n_mutations
     )
-    assert points == (WINDOW_ENDS if watch == "nobody" else GENERATIONS)
-    spans = [] if result.trace is None else [
-        e.args["gen"] for e in result.trace.events() if e.name == "generation" and e.rank == 0
-    ]
-    assert spans == (GENERATIONS if watch in ("progress-tap", "tracer") else [])
+    unwatched = watch in ("nobody", "progress-tap")
+    assert points == (WINDOW_ENDS if unwatched else GENERATIONS)
+    events = [] if result.trace is None else result.trace.events()
+    spans = [e.args["gen"] for e in events if e.name == "generation" and e.rank == 0]
+    assert spans == (GENERATIONS if watch == "tracer" else [])
+    windows = [e.args["gen"] for e in events if e.name == "window"]
+    assert windows == (WINDOW_ENDS if watch in ("progress-tap", "tracer") else [])

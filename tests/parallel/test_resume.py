@@ -220,6 +220,7 @@ def test_job_queue_resumes_a_serial_checkpoint_in_the_store(tmp_path, serial_end
         queue.resume("alice", "r1")
         assert queue.wait("alice", "r1", timeout=120).state == "done"
     progress = [e["generation"] for e in store.read_events(key) if e["type"] == "progress"]
-    assert progress[0] == EVERY + 1
+    # One record per window: the resume from EVERY drafts one, to the end.
+    assert progress == [CFG.generations]
     assert np.array_equal(store.load_result(key).matrix, serial_end.matrix)
     assert fsck_store(store.root).clean

@@ -130,7 +130,8 @@ class TestStreamWaitsOnItsJob:
             events = _collect(svc.stream("alice", "r1", poll=TICK))
         types = [e["type"] for e in events]
         assert types[0] == "worker-started" and types[-1] == "done"
-        assert [e["generation"] for e in events if e["type"] == "progress"] == list(range(1, 31))
+        # One record per window: each checkpoint (every 10th generation) ends one.
+        assert [e["generation"] for e in events if e["type"] == "progress"] == [10, 20, 30]
 
     def test_stored_terminal_run_still_ends_by_polling(self, tmp_path):
         with RunService(tmp_path / "runs", max_workers=1) as svc:
@@ -271,9 +272,10 @@ class TestLastGenerationReadsTheTail:
 
 class TestWorkerEventsUnderTheNamesOnlyTap:
     def test_events_file_keeps_its_records_across_a_supervised_restart(self, store):
-        """worker-started, one progress line per generation (none repeated
-        after the restart from generation 30's checkpoint), the restart
-        record, done — what the full tap wrote."""
+        """worker-started, one progress line per window end (none repeated
+        after the restart from generation 30's checkpoint, and none for the
+        window the crash cut short), the restart record, done — what the
+        full tap wrote."""
         generations, seed = 60, 13
         crash = FaultPlan(
             seed=1, immune_ranks=(), events=(FaultEvent(kind="crash", rank=0, generation=35),)
@@ -290,8 +292,11 @@ class TestWorkerEventsUnderTheNamesOnlyTap:
         assert types[0] == "worker-started" and types[-1] == "done"
         assert sorted(set(types)) == ["done", "progress", "restart", "worker-started"]
         assert [e["generation"] for e in events if e["type"] == "progress"] == list(
-            range(1, generations + 1)
+            range(15, generations + 1, 15)
         )
+        # The window the crash at 35 cut short is announced after the restart.
+        order = [(e["type"], e.get("generation")) for e in events]
+        assert order.index(("restart", 30)) < order.index(("progress", 45))
         (restart,) = [e for e in events if e["type"] == "restart"]
         assert (restart["attempt"], restart["generation"]) == (0, 30)
         assert events[-1]["attempts"] == 2

@@ -21,6 +21,7 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.errors import DrainingError, ServiceError, StaleLeaseError
+from repro.io.checkpoints import latest_valid_parallel_checkpoint
 from repro.io.runstore import RunStore
 from repro.parallel import FaultPolicy, RunSpec
 from repro.population.dynamics import EvolutionDriver
@@ -388,7 +389,10 @@ def test_sigkilled_service_recovers_bit_identically(tmp_path):
         # recovery must *resume*, not restart.
         def worker_pids():
             found = [(store.read_status(key) or {}).get("pid") for key in keys.values()]
-            checkpointed = all(store.latest_checkpoint(key) for key in keys.values())
+            checkpointed = all(
+                latest_valid_parallel_checkpoint(store.checkpoint_dir(key))
+                for key in keys.values()
+            )
             return found if checkpointed and all(found) else None
 
         pids = _wait_for(worker_pids, timeout=120)

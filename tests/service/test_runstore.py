@@ -158,11 +158,6 @@ class TestListing:
             "alice/r1", "alice/r2", "bob/r1",
         ]
 
-    def test_latest_checkpoint_none_for_fresh_run(self, store, spec):
-        key = store.key("alice", "r1")
-        store.create_run(key, spec)
-        assert store.latest_checkpoint(key) is None
-
 
 class TestDurability:
     def test_oserror_wrapped_naming_the_run(self, store, spec, monkeypatch):

@@ -36,12 +36,10 @@ def client(server) -> ServiceClient:
 
 
 class TestBasics:
-    def test_health_and_templates(self, client):
-        assert client.health() is True
+    def test_health_and_templates(self, server, client):
+        with urllib.request.urlopen(f"{server.url}/v1/healthz") as resp:
+            assert json.loads(resp.read()) == {"ok": True}
         assert client.templates() == ["fig2", "memory-cooperation", "spatial-phase", "spatial-noise"]
-
-    def test_health_false_when_unreachable(self):
-        assert ServiceClient("http://127.0.0.1:9", timeout=0.5).health() is False
 
     def test_unknown_route_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:
@@ -142,7 +140,7 @@ class TestStream:
         # A second subscriber after completion replays the whole feed.
         events = list(client.stream("alice", "r1", timeout=30))
         gens = [p["generation"] for k, p in events if k == "progress"]
-        assert gens == list(range(1, 31))
+        assert gens == [10, 20, 30]  # one per window: each checkpoint ends one
         assert events[-1][0] == "done"
 
     def test_live_stream_is_strictly_increasing(self, client):
